@@ -1,12 +1,17 @@
 """Forward simulation from empty past on a finite network.
 
-Adaptive thinning driven by the decomposition: per-node bounds dominating
-every component value are recomputed at each step (after acceptances and
-rejections alike), the next proposal arrives at the total bound rate and is
-assigned a node proportionally to the bounds, a neighborhood is drawn from
-the node's weights, and the proposal is accepted with component value over
-bound. Valid for unbounded intensities (linear or exponential Hawkes) because
-the bounds adapt to the realized past.
+Adaptive thinning driven by the decomposition. Per-node bounds dominating
+every component value are computed at the start and renewed after each
+accepted point, never after a rejection. The next proposal arrives at the
+total bound rate and is assigned a node proportionally to the bounds, a
+neighborhood is drawn from the node's weights, and the proposal is accepted
+with component value over bound. Valid for unbounded intensities (linear or
+exponential Hawkes) because the bounds adapt to the realized past.
+
+Keeping a bound across rejections is exact (Ogata's thinning argument): a
+rejection leaves the past unchanged, and a local bound dominates the
+component values at every later shift of that past, so the piecewise
+constant rate between two acceptances dominates the intensity throughout.
 """
 
 from __future__ import annotations
@@ -87,16 +92,14 @@ def forward_simulate(
     n_accepted = 0
     proposals = 0
 
-    def rooted_at(at: float, keep_boundary: bool) -> Configuration:
-        # bounds must cover the just-accepted point at age zero, so the
-        # boundary point is kept when recomputing them
+    def rooted_at(at: float) -> Configuration:
+        # the past strictly before ``at``, shifted so that ``at`` is time 0
         pts = {}
         for j, ts in times.items():
-            if ts:
-                shifted = tuple(s - at for s in ts if keep_boundary or s < at)
-                if shifted:
-                    pts[j] = shifted
-        return Configuration._unsafe(pts, window=None if keep_boundary else (-math.inf, 0.0))
+            shifted = tuple(s - at for s in ts if s < at)
+            if shifted:
+                pts[j] = shifted
+        return Configuration._unsafe(pts, window=(-math.inf, 0.0))
 
     def snapshot(window_hi: float) -> Configuration:
         pts = {j: tuple(ts) for j, ts in times.items() if ts}
@@ -114,14 +117,19 @@ def forward_simulate(
             guard_name=guard_name,
         )
 
+    past = snapshot(0.0)  # the accepted points in absolute time
+    bounds = None
     while True:
         if n_accepted >= n_max:
             return finish(STEP_BUDGET, t)
-        try:
-            bounds = [model.local_bound(j, rooted_at(t, keep_boundary=True)) for j in node_list]
-        except ExplosionGuardError:
-            return finish(GUARD_EXIT, t)
-        total = sum(bounds)
+        if bounds is None:
+            # renewed only when the past changes: each bound holds until the
+            # next acceptance, so rejections leave it valid
+            try:
+                bounds = [model.local_bound(j, past, t) for j in node_list]
+            except ExplosionGuardError:
+                return finish(GUARD_EXIT, t)
+            total = sum(bounds)
         if total <= 0.0:
             return finish(TIME_REACHED, t_max)
 
@@ -142,7 +150,7 @@ def forward_simulate(
                 break
 
         desc = model.sample_neighborhood(pick, rng)
-        value = model.component_value(pick, desc, rooted_at(t_cand, keep_boundary=False))
+        value = model.component_value(pick, desc, rooted_at(t_cand))
         if value > pick_bound * (1.0 + 1e-9):
             raise NonMonotoneModelError(
                 f"component value {value:g} exceeds the bound {pick_bound:g} of node {pick}"
@@ -156,3 +164,5 @@ def forward_simulate(
                 times[pick].pop()
                 return finish(GUARD_EXIT, t_cand)
             n_accepted += 1
+            past = candidate
+            bounds = None

@@ -10,7 +10,6 @@ convergence.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from itertools import product
 from typing import Mapping, Optional, Sequence
 
@@ -19,7 +18,7 @@ from ..errors import ExplosionGuardError
 from ..kernels import Kernel
 from ..sampling import RandomStream
 from ..weights import TaylorWeights, default_atomic_weights
-from .base import KalikowModel, require_window_covers, require_window_for_supports
+from .base import KalikowModel, future_bin_bounds, require_window_covers, require_window_for_supports
 
 
 class PsiSeries:
@@ -222,7 +221,6 @@ class AnalyticHawkesModel(KalikowModel):
         bounded atom ratio. The factorial wins for entire rate functions; the
         terms are tracked until they provably decay.
         """
-        x = self._shift(x, t)
         fam = self.weights[i]
         atoms = fam.atoms
         b_star = 0.0
@@ -234,25 +232,13 @@ class AnalyticHawkesModel(KalikowModel):
                 raise ExplosionGuardError(
                     f"node {i}: kernel from node {j} is active but its atoms carry no weight"
                 )
-            ages = [-s for s in reversed(pts) if s <= 0.0]
-            hvals = [ker(a) for a in ages]
-            prefix = [0.0]
-            for h in hvals:
-                prefix.append(prefix[-1] + h)
-            n_edge = int(ages[-1] / self.eps) + 2 if ages else 1
             nmax = atoms.trunc[j]
-            n_stop = n_edge if nmax is None else min(n_edge, nmax)
             if nmax is None and ker.decay_per(self.eps) >= atoms.ratios[j]:
                 raise ExplosionGuardError(
                     f"node {i}: atom weights from node {j} decay at least as fast as the kernel"
                 )
-            for n in range(1, n_stop + 1):
-                lo_edge = (n - 1) * self.eps
-                k_lo = bisect_left(ages, lo_edge)
-                k_hi = bisect_left(ages, n * self.eps)
-                bound_n = (prefix[k_hi] - prefix[k_lo]) + k_lo * ker(lo_edge)
-                if bound_n > 0.0:
-                    b_star = max(b_star, bound_n / atoms.atom_pmf(j, n))
+            for n, bound_n in future_bin_bounds(ker, pts, t, self.eps, nmax):
+                b_star = max(b_star, bound_n / atoms.atom_pmf(j, n))
 
         kappa = fam.order_ratio
         best = self.psi.derivative(0) / (1.0 - kappa)

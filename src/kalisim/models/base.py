@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Optional
 
 from ..core import (
@@ -15,7 +17,6 @@ from ..core import (
     SubspaceGuard,
     TableRow,
     neighborhood_measure,
-    shift_to_origin,
 )
 from ..errors import CoverageError, NonSummableError
 from ..sampling import RandomStream
@@ -138,7 +139,13 @@ class KalikowModel(ABC):
     @abstractmethod
     def local_bound(self, i: NodeId, x: Configuration, t: float = 0.0) -> float:
         """Finite bound dominating every component value of node ``i`` at the
-        configuration shifted to ``t``, valid until the next accepted point."""
+        configuration shifted to ``t``, valid until the next accepted point.
+
+        ``x`` holds absolute times; its points at or before ``t`` are the past
+        (a point exactly at ``t`` counts, at age zero). The bound must hold at
+        every later shift of that same past, since it is renewed only when a
+        point is accepted.
+        """
 
     # -- branching analysis ----------------------------------------------------------
 
@@ -189,18 +196,6 @@ class KalikowModel(ABC):
             )
         return g
 
-    @staticmethod
-    def _shift(x: Configuration, t: float) -> Configuration:
-        # inclusive shift: a point exactly at t stays, at age zero, because a
-        # bound computed right after an acceptance must still dominate the
-        # accepted point's future contributions
-        pts = {}
-        for j, ts in x.items():
-            kept = tuple(s - t for s in ts if s <= t)
-            if kept:
-                pts[j] = kept
-        return Configuration._unsafe(pts, window=None)
-
 
 class _GammaLookup:
     """Mapping view of per-node global bounds, erroring on missing ones."""
@@ -246,3 +241,30 @@ def drive_in_window(
         for s in x.points_in(j, lo, hi):
             total += ker(-s)
     return total
+
+
+def future_bin_bounds(ker, pts: tuple[float, ...], t: float, eps: float, nmax: Optional[int]):
+    """Yield ``(n, B_n)`` where B_n bounds the bin-n drive of ``ker`` at every shift.
+
+    ``pts`` are one source node's absolute point times, increasing; the past
+    is the points at or before ``t``. Bin n holds ages in [(n-1)*eps, n*eps).
+    A point of age a can reach bin n at a later time iff a < n*eps, and its
+    kernel value there is at most h(max(a, (n-1)*eps)), the kernel being
+    nonincreasing. Only nonzero bounds are listed, for bins up to one past
+    the bin of the oldest point (and up to ``nmax`` when the weights
+    truncate).
+    """
+    ages = [t - s for s in reversed(pts[: bisect_right(pts, t)])]
+    if not ages:
+        return
+    prefix = list(accumulate(map(ker, ages), initial=0.0))
+    n_stop = int(ages[-1] / eps) + 2
+    if nmax is not None:
+        n_stop = min(n_stop, nmax)
+    for n in range(1, n_stop + 1):
+        lo_edge = (n - 1) * eps
+        k_lo = bisect_left(ages, lo_edge)
+        k_hi = bisect_left(ages, n * eps)
+        bound_n = (prefix[k_hi] - prefix[k_lo]) + k_lo * ker(lo_edge)
+        if bound_n > 0.0:
+            yield n, bound_n

@@ -168,15 +168,15 @@ class GLModel(KalikowModel):
         weights vanish as k grows, so the component values are unbounded over
         future shifts as soon as one eligible point exists.
         """
-        x = self._shift(x, t)
         fam = self.weights[i]
-        age = self._age(i, x)
+        last = x.last_before(i, t)
+        since = -math.inf if last is None else last
         drive_cap = 0.0
         for j in self._nodes:
             b = self.beta.get((i, j), 0.0)
             if b == 0.0:
                 continue
-            eligible = sum(1 for s in x.points(j) if s <= 0.0 and s > -age)
+            eligible = sum(1 for s in x.points(j) if since < s <= t)
             if eligible:
                 drive_cap += min(b * eligible, self.sat.get((i, j), math.inf))
         if drive_cap > 0.0 and self.psi.lipschitz > 0.0:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Mapping, Optional
 
 from ..core import EMPTY_ND, AtomND, Configuration, EmptyND, Neighborhood, NodeId, SummableIntensityGuard
@@ -10,7 +9,13 @@ from ..errors import ExplosionGuardError
 from ..kernels import Kernel
 from ..sampling import RandomStream
 from ..weights import AtomicWeights, default_atomic_weights
-from .base import KalikowModel, OffspringRow, require_window_covers, require_window_for_supports
+from .base import (
+    KalikowModel,
+    OffspringRow,
+    future_bin_bounds,
+    require_window_covers,
+    require_window_for_supports,
+)
 
 
 class LinearHawkesModel(KalikowModel):
@@ -132,13 +137,11 @@ class LinearHawkesModel(KalikowModel):
     def local_bound(self, i: NodeId, x: Configuration, t: float = 0.0) -> float:
         """sup over neighborhoods and future shifts of the component values.
 
-        A past point of age a can contribute to bin n at some future time iff
-        a < n*eps, and its kernel value there is at most h(max(a, (n-1)*eps)),
-        the kernel being nonincreasing. Beyond the bin currently holding the
-        oldest point these per-bin bounds decay geometrically provided the bin
+        Each bin's drive is bounded at every future shift by
+        ``future_bin_bounds``. Beyond the bin currently holding the oldest
+        point these per-bin bounds decay geometrically provided the bin
         weights decay slower than the kernel; otherwise no finite bound exists.
         """
-        x = self._shift(x, t)
         fam = self.weights[i]
         if self.mu[i] > 0.0 and fam.p_empty == 0.0:
             raise ExplosionGuardError(
@@ -154,15 +157,7 @@ class LinearHawkesModel(KalikowModel):
                 raise ExplosionGuardError(
                     f"node {i}: kernel from node {j} is active but its atoms carry no weight"
                 )
-            ages = [-s for s in reversed(pts) if s <= 0.0]
-            hvals = [ker(a) for a in ages]
-            prefix = [0.0]
-            for h in hvals:
-                prefix.append(prefix[-1] + h)
-            max_age = ages[-1] if ages else 0.0
-            n_edge = int(max_age / self.eps) + 2
             nmax = fam.trunc[j]
-            n_stop = n_edge if nmax is None else min(n_edge, nmax)
             if nmax is None:
                 ratio = ker.decay_per(self.eps) / fam.ratios[j]
                 if ratio >= 1.0:
@@ -170,14 +165,8 @@ class LinearHawkesModel(KalikowModel):
                         f"node {i}: bin weights from node {j} decay at least as fast as the kernel"
                         " across bins; components admit no finite bound at future shifts"
                     )
-            for n in range(1, n_stop + 1):
-                lo_edge = (n - 1) * self.eps
-                k_lo = bisect_left(ages, lo_edge)
-                k_hi = bisect_left(ages, n * self.eps)
-                bound_n = (prefix[k_hi] - prefix[k_lo]) + k_lo * ker(lo_edge)
-                if bound_n > 0.0:
-                    lam = share * fam._bin_pmf(j, n)
-                    best = max(best, bound_n / lam)
+            for n, bound_n in future_bin_bounds(ker, pts, t, self.eps, nmax):
+                best = max(best, bound_n / (share * fam._bin_pmf(j, n)))
         return best
 
     # -- branching ------------------------------------------------------------------

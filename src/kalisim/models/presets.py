@@ -124,6 +124,15 @@ class LatticeAgeModel(AgeHawkesModel):
             )
         return OffspringRow(near, far, err)
 
+    def offspring_total(self, i: NodeId, tol: float = 1e-8, max_terms: int = 2_000) -> tuple[float, float]:
+        """Row total sum(near) + far of ``offspring_row``, with ``err`` as the tail.
+
+        Equals ``invariant_offspring_mean``; the generic walk would expand
+        ``max_terms`` nested levels of O(k) nodes each and still stop short.
+        """
+        row = self.offspring_row(i, tol)
+        return sum(row.near.values()) + row.far, row.err
+
     def offspring_tail(self, i: NodeId, n: int) -> float:
         lad = self._power_ladder
         return self.refractory * (2.0 * lad.square_weighted_tail(n) - lad.weighted_tail(n))

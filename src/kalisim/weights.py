@@ -13,6 +13,7 @@ from typing import Mapping, Optional, Sequence
 
 from . import series
 from .core import EMPTY_ND, AtomND, EmptyND, NestedND, TaylorND
+from .errors import NonSummableError
 from .sampling import RandomStream
 
 _WALK_CAP = 10_000_000
@@ -188,7 +189,7 @@ class PowerLawLevels:
             acc += k ** (-self.p)
             if u < acc or series.zeta_tail(self.p, k) < 1e-15:
                 return NestedND(k)
-        raise RuntimeError("power-law sampler walk exceeded its cap")
+        raise NonSummableError(f"power-law sampler walk exceeded its cap of {_WALK_CAP} levels")
 
     def tail_after_level(self, n: int) -> float:
         return series.zeta_tail(self.p, n) / self.norm
@@ -221,7 +222,7 @@ class LadderLevels:
             acc += self.gamma_k(k)
             if u < acc or self.tail(k) < 1e-15 * self.total:
                 return NestedND(k)
-        raise RuntimeError("ladder sampler walk exceeded its cap")
+        raise NonSummableError(f"ladder sampler walk exceeded its cap of {_WALK_CAP} levels")
 
     def tail_after_level(self, n: int) -> float:
         return self.tail(n) / self.total

@@ -1,0 +1,70 @@
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+import kalisim
+from kalisim.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
+
+LATTICE = {"model": {"family": "lattice-4.2.6", "gamma": 4, "p": 4, "delta": 0.005}}
+FINITE = {
+    "model": {
+        "family": "linear",
+        "nodes": [0],
+        "mu": [0.5],
+        "eps": 0.5,
+        "kernels": [{"from": 0, "to": 0, "type": "exponential", "alpha": 0.3, "beta": 1.0}],
+    }
+}
+
+
+def write_config(tmp_path, cfg) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def run_cli(*args):
+    """``kalisim`` in a fresh interpreter, so that nothing catches a traceback."""
+    src = str(Path(kalisim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "kalisim.cli", *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_analyze_lattice_sample(tmp_path, capsys):
+    start = time.perf_counter()
+    code = main(["analyze", "--config", write_config(tmp_path, LATTICE), "--nodes", "3"])
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["nodes"] == [-1, 0, 1]
+    assert set(report["off_sample_mass"]) == {"-1", "0", "1"}
+    assert report["verdict"] == "subcritical"
+    # the row totals come in closed form; walking the nested levels took minutes
+    assert elapsed < 20.0
+
+
+@pytest.mark.parametrize(
+    "cfg, extra, expected",
+    [
+        ({"model": {"family": "no-such-family"}}, [], EXIT_CONFIG),
+        (FINITE, ["--invariant"], EXIT_VALIDATION),
+    ],
+    ids=["invalid-config", "invariant-on-finite-model"],
+)
+def test_analyze_failure_exit_codes(tmp_path, cfg, extra, expected):
+    proc = run_cli("analyze", "--config", write_config(tmp_path, cfg), *extra)
+    assert proc.returncode == expected
+    assert proc.stderr.strip()
+    assert "Traceback" not in proc.stderr + proc.stdout
+
+
+def test_missing_config_is_a_config_error(tmp_path, capsys):
+    assert main(["analyze", "--config", str(tmp_path / "absent.json")]) == EXIT_CONFIG
+    assert "not found" in capsys.readouterr().err

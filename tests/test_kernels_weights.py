@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from kalisim import AffineRate, ExponentialKernel, RandomStream, StepKernel
+from kalisim import AffineRate, ExponentialKernel, NonSummableError, RandomStream, StepKernel
+from kalisim import weights
 from kalisim.weights import (
     AtomicWeights,
     FiniteWeights,
@@ -139,6 +140,20 @@ class TestLadderAndGeometricLevels:
         rng = RandomStream(23)
         draws = [fam.sample(rng).k for _ in range(20_000)]
         assert abs(np.mean([d == 1 for d in draws]) - 0.5) < 0.015
+
+    @pytest.mark.parametrize(
+        "fam",
+        [PowerLawLevels(1.1), LadderLevels(lambda k: 0.5**k, total=1.0, tail=lambda n: 0.5**n)],
+        ids=["power-law", "ladder"],
+    )
+    def test_walk_cap_raises_typed_error(self, fam, monkeypatch):
+        class TopDraw:
+            def uniform(self):
+                return 0.999
+
+        monkeypatch.setattr(weights, "_WALK_CAP", 3)
+        with pytest.raises(NonSummableError, match="walk exceeded its cap"):
+            fam.sample(TopDraw())
 
     def test_geometric_levels(self):
         fam = GeometricLevels(p_empty=0.5, ratio=0.5)
