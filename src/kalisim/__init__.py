@@ -69,7 +69,6 @@ from .models import (
 from .perfect import (
     AncestorGraph,
     BackwardBudget,
-    ClanPoint,
     PerfectRunStats,
     backward_clan,
     forward_accept,

@@ -23,6 +23,12 @@ from .models.base import KalikowModel
 from .models.presets import LatticeAgeModel, lattice_c_gamma
 
 ANALYSIS_TOL = 1e-8
+# largest off-sample offspring mass at which a sample's matrix still gives E(W)
+OFF_MASS_TOL = 1e-6
+
+
+def _translation_invariant(model: KalikowModel) -> bool:
+    return hasattr(model, "translation_invariant") and model.translation_invariant()
 
 
 def _require_bounds(model: KalikowModel, nodes) -> None:
@@ -90,7 +96,7 @@ def subcriticality_gamma(
     directly from the expanded neighborhoods and the product measure.
     """
     if invariant or (nodes is None and model.node_set() is None):
-        if not (hasattr(model, "translation_invariant") and model.translation_invariant()):
+        if not _translation_invariant(model):
             raise NonSummableError("no invariance certificate: pass an explicit node sample")
         g = model.invariant_offspring_mean()
         return GammaVerdict(gamma=g, subcritical=g < 1.0, invariant=True)
@@ -131,7 +137,11 @@ def expected_clan_size(m: np.ndarray, i: int) -> float:
 
 @dataclass(frozen=True)
 class BranchingSummary:
-    """One-stop view of the branching reduction used for a model."""
+    """One-stop view of the branching reduction used for a model.
+
+    ``expected_w_note`` says why ``expected_w`` is empty, and is None when it
+    is not.
+    """
 
     matrix: np.ndarray
     gamma: float
@@ -139,6 +149,7 @@ class BranchingSummary:
     expected_w: dict[NodeId, float]
     off_mass: dict[NodeId, float]
     scalar_reduction: bool
+    expected_w_note: Optional[str] = None
 
     @property
     def verdict(self) -> str:
@@ -161,9 +172,22 @@ def branching_summary(model: KalikowModel, nodes: Optional[Sequence[NodeId]] = N
     m, off = _matrix_with_offmass(model, node_list)
     verdict = subcriticality_gamma(model, node_list)
     expected = {}
-    if verdict.subcritical and off.max(initial=0.0) < 1e-6:
+    note = None
+    if not verdict.subcritical:
+        note = f"supercritical (gamma = {verdict.gamma:g}): the clan size has no finite mean"
+    elif _translation_invariant(model):
+        # exact for every node by invariance, whatever mass leaves the sample
+        ew = 1.0 / (1.0 - model.invariant_offspring_mean())
+        expected = {j: ew for j in node_list}
+    elif off.max(initial=0.0) < OFF_MASS_TOL:
         for pos, j in enumerate(node_list):
             expected[j] = expected_clan_size(m, pos)
+    else:
+        pos = int(off.argmax())
+        note = (
+            f"off-sample mass {off[pos]:g} of node {node_list[pos]} is not below {OFF_MASS_TOL:g};"
+            " the sample's matrix would understate E(W)"
+        )
     return BranchingSummary(
         matrix=m,
         gamma=verdict.gamma,
@@ -171,6 +195,7 @@ def branching_summary(model: KalikowModel, nodes: Optional[Sequence[NodeId]] = N
         expected_w=expected,
         off_mass={j: float(off[pos]) for pos, j in enumerate(node_list) if off[pos] > 0},
         scalar_reduction=False,
+        expected_w_note=note,
     )
 
 

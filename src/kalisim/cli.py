@@ -194,6 +194,8 @@ def _cmd_analyze(args) -> int:
         report["gamma"] = summary.gamma
         report["verdict"] = summary.verdict
         report["expected_clan_size"] = {str(k): v for k, v in summary.expected_w.items()}
+        if summary.expected_w_note:
+            report["expected_clan_size_note"] = summary.expected_w_note
         if summary.off_mass:
             report["off_sample_mass"] = {str(k): v for k, v in summary.off_mass.items()}
         if args.theta is not None:

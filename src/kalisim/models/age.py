@@ -146,6 +146,7 @@ class AgeHawkesModel(KalikowModel):
         self._weights: dict[NodeId, LadderLevels] = {}
         self._expand_cache: dict[tuple[NodeId, int], Neighborhood] = {}
         self._bound_cache: dict[NodeId, float] = {}
+        self._sup_cache: dict[tuple[NodeId, int], float] = {}
 
     @classmethod
     def finite(
@@ -357,6 +358,15 @@ class AgeHawkesModel(KalikowModel):
 
     def descriptor_bound(self, i: NodeId, desc) -> Optional[float]:
         return self.ladder(i).level(desc.k) if isinstance(desc, NestedND) else None
+
+    def component_sup(self, i: NodeId, desc) -> Optional[float]:
+        # gamma_bar(i, 1) = psi(0) is delta_1 on every alive configuration, and
+        # for k >= 2 gamma_bar bounds delta_k on the refractory subspace
+        key = (i, desc.k)
+        sup = self._sup_cache.get(key)
+        if sup is None:
+            sup = self._sup_cache[key] = self.gamma_bar(i, desc.k) / self.pmf(i, desc)
+        return sup
 
     def bound_tail(self, i: NodeId, n: int) -> Optional[float]:
         return self.ladder(i).tail(n)

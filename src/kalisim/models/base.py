@@ -102,6 +102,17 @@ class KalikowModel(ABC):
         """Per-neighborhood bound Gamma_v >= sup_x delta_v(x), or None."""
         return None
 
+    def component_sup(self, i: NodeId, desc) -> Optional[float]:
+        """Bound on sup_x phi_v(x) over the guard's subspace, or None.
+
+        The perfect simulator rejects a point whose mark is at least this
+        bound over Gamma without realizing its neighborhood, so the bound
+        must hold at every configuration the simulator can meet;
+        ``forward_accept`` raises ``NonMonotoneModelError`` on a component
+        value above it. None declares no bound, and every point is expanded.
+        """
+        return None
+
     def bound_tail(self, i: NodeId, n: int) -> Optional[float]:
         """sum of Gamma_v beyond the first n enumerated descriptors, or None."""
         return None

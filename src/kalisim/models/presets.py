@@ -96,6 +96,11 @@ class LatticeAgeModel(AgeHawkesModel):
     def entry_level(self, i: NodeId, j: NodeId) -> int:
         return abs(j - i) + 1
 
+    def component_sup(self, i: NodeId, desc):
+        # node 0 stands for every node, so the cache holds one entry per
+        # level instead of one per node visited
+        return super().component_sup(0, desc)
+
     def offspring_row(self, i: NodeId, tol: float = 1e-8) -> OffspringRow:
         """Row of M in closed form: M_{i,i+d} = delta C zeta_tail(p-1, |d|).
 

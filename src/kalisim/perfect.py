@@ -7,6 +7,13 @@ backward through randomly drawn neighborhoods, then decide all undecided
 points forward in time order. One region ledger spans the whole run, so no
 space-time region is ever simulated twice and overlapping clans share their
 realizations exactly.
+
+A point with drawn neighborhood v is accepted when its uniform mark is below
+phi_v(x)/Gamma. When the model bounds phi_v by ``component_sup`` and the mark
+already lies at or above that bound over Gamma, no past can accept the point:
+it is rejected as soon as v is drawn, realizes no region and has no children.
+The mark is independent of v and of x, so the law is unchanged; a region left
+unrealized is realized later, once, by whichever point needs it.
 """
 
 from __future__ import annotations
@@ -41,10 +48,15 @@ DEFAULT_BUDGET = BackwardBudget()
 
 @dataclass
 class PerfectRunStats:
-    """Per-run accounting of the backward/forward machinery."""
+    """Per-run accounting of the backward/forward machinery.
+
+    ``mark_decided`` counts the roots and clan members rejected from their
+    marks alone; a root decided that way counts as a clan of 1.
+    """
 
     roots: int = 0
     accepted: int = 0
+    mark_decided: int = 0
     clan_sizes: list[int] = field(default_factory=list)
     lookbacks: list[float] = field(default_factory=list)
 
@@ -55,35 +67,12 @@ class PerfectRunStats:
         return {
             "roots": self.roots,
             "accepted": self.accepted,
+            "mark_decided": self.mark_decided,
             "clan_size_histogram": {str(k): v for k, v in sorted(hist.items())},
             "mean_clan_size": (sum(self.clan_sizes) / len(self.clan_sizes)) if self.clan_sizes else None,
             "max_lookback": max(self.lookbacks, default=0.0),
             "mean_lookback": (sum(self.lookbacks) / len(self.lookbacks)) if self.lookbacks else None,
         }
-
-
-@dataclass(frozen=True)
-class ClanPoint:
-    """View of one clan member."""
-
-    record: PointRecord
-    generation: int
-
-    @property
-    def node(self) -> NodeId:
-        return self.record.node
-
-    @property
-    def time(self) -> float:
-        return self.record.time
-
-    @property
-    def neighborhood(self):
-        return self.record.neighborhood
-
-    @property
-    def decision(self) -> Optional[bool]:
-        return self.record.decision
 
 
 @dataclass
@@ -94,6 +83,7 @@ class AncestorGraph:
     generation n-1 (the root is generation 0); ``pending`` additionally
     contains previously realized but still undecided points the clan
     rediscovered, in increasing time order, ending with the root.
+    ``mark_decided`` counts the members rejected from their marks alone.
     """
 
     root: tuple[NodeId, float]
@@ -104,16 +94,11 @@ class AncestorGraph:
     n_stop: Optional[int] = None
     terminated: bool = False
     new_point_count: int = 0
+    mark_decided: int = 0
 
     def clan_size(self) -> int:
         """Total points including the ancestor."""
         return 1 + self.new_point_count
-
-    def clan_points(self) -> list[ClanPoint]:
-        out = []
-        for gen, recs in sorted(self.generations.items()):
-            out.extend(ClanPoint(r, gen) for r in recs)
-        return out
 
     @property
     def lookback(self) -> float:
@@ -133,6 +118,22 @@ def _children(ledger: RegionLedger, model, rec: PointRecord) -> list[PointRecord
     return out
 
 
+def _decided_by_mark(model, rec: PointRecord, rng: RandomStream) -> bool:
+    """Draw the record's neighborhood if it has none; reject the record when
+    its mark alone decides it, and say whether it did.
+
+    ``sup / gam`` uses the float operations of ``forward_accept``'s
+    ``value / gam``, so whenever value <= sup the two comparisons agree.
+    """
+    if rec.neighborhood is None:
+        rec.neighborhood = model.sample_neighborhood(rec.node, rng)
+    sup = model.component_sup(rec.node, rec.neighborhood)
+    if sup is None or rec.mark < sup / model.global_bound(rec.node):
+        return False
+    rec.decision = False
+    return True
+
+
 def backward_clan(
     model,
     i: NodeId,
@@ -150,6 +151,8 @@ def backward_clan(
     points form the next generation. Construction stops at the first empty
     generation. Previously realized undecided points rediscovered along the
     way are traversed without simulation and queued for the forward pass.
+    A point whose mark alone rejects it (see the module docstring) is decided
+    when its neighborhood is drawn and is not expanded.
     """
     root = root_record if root_record is not None else ledger.record(i, t)
     if root is None:
@@ -166,8 +169,9 @@ def backward_clan(
     old_stack: list[PointRecord] = []
 
     def expand(rec: PointRecord) -> tuple[list[PointRecord], list[PointRecord]]:
-        if rec.neighborhood is None:
-            rec.neighborhood = model.sample_neighborhood(rec.node, rng)
+        if _decided_by_mark(model, rec, rng):
+            graph.mark_decided += 1
+            return [], []
         nb = model.expand(rec.node, rec.neighborhood)
         new: list[PointRecord] = []
         old: list[PointRecord] = []
@@ -254,7 +258,9 @@ def forward_accept(graph: AncestorGraph, model, ledger: RegionLedger) -> Ancesto
     neighborhood and x the already-accepted points inside v (children are
     strictly earlier in time, so they are always decided first); the uniform
     mark attached to the point at creation carries the decision. The root,
-    being latest, is decided last.
+    being latest, is decided last. Points already decided from their marks
+    are skipped. A value above Gamma, or above the model's ``component_sup``,
+    raises ``NonMonotoneModelError``: the backward pass trusted that bound.
     """
     if not graph.terminated:
         raise KalisimError("cannot run the forward pass on a non-terminated clan")
@@ -285,6 +291,12 @@ def forward_accept(graph: AncestorGraph, model, ledger: RegionLedger) -> Ancesto
                 f"component value {value:g} exceeds the dominating bound {gam:g}"
                 f" for {rec!r}; the model's declared bounds are wrong"
             )
+        sup = model.component_sup(rec.node, rec.neighborhood)
+        if sup is not None and value > sup * (1.0 + 1e-9):
+            raise NonMonotoneModelError(
+                f"component value {value:g} exceeds the declared supremum {sup:g}"
+                f" for {rec!r}; the model's component_sup is wrong"
+            )
         rec.decision = rec.mark < prob
     return graph
 
@@ -313,11 +325,19 @@ def _node_sweep(
             return
         cursor = rec.time
         if rec.decision is None:
-            graph = backward_clan(model, node, rec.time, ledger, draws, budget, root_record=rec)
-            forward_accept(graph, model, ledger)
-            if stats is not None:
-                stats.clan_sizes.append(graph.clan_size())
-                stats.lookbacks.append(graph.lookback)
+            # a root its mark decides needs no clan, so none is built
+            if _decided_by_mark(model, rec, draws):
+                if stats is not None:
+                    stats.mark_decided += 1
+                    stats.clan_sizes.append(1)
+                    stats.lookbacks.append(0.0)
+            else:
+                graph = backward_clan(model, node, rec.time, ledger, draws, budget, root_record=rec)
+                forward_accept(graph, model, ledger)
+                if stats is not None:
+                    stats.mark_decided += graph.mark_decided
+                    stats.clan_sizes.append(graph.clan_size())
+                    stats.lookbacks.append(graph.lookback)
         if stats is not None:
             stats.roots += 1
         if rec.decision:

@@ -46,6 +46,11 @@ def test_analyze_lattice_sample(tmp_path, capsys):
     assert report["nodes"] == [-1, 0, 1]
     assert set(report["off_sample_mass"]) == {"-1", "0", "1"}
     assert report["verdict"] == "subcritical"
+    # exact for every node by translation invariance: E(W) = 1/(1 - 0.3955)
+    ew = 1.0 / (1.0 - kalisim.lattice_preset(4, 4, 0.005).invariant_offspring_mean())
+    assert report["expected_clan_size"] == {"-1": ew, "0": ew, "1": ew}
+    assert ew == pytest.approx(1.654, abs=1e-3)
+    assert "expected_clan_size_note" not in report
     # the row totals come in closed form; walking the nested levels took minutes
     assert elapsed < 20.0
 
