@@ -219,6 +219,27 @@ class Configuration:
                 out[j] = tuple(sorted(kept))
         return Configuration._unsafe(out, window=None)
 
+    def restrict_at(self, v: Neighborhood, t: float) -> "Configuration":
+        """Points inside ``v`` anchored at ``t``, shifted so that ``t`` is time 0.
+
+        The same points as ``shift_to_origin(self, t).restrict(v)``: a point
+        belongs to a piece by its shifted time, so rounding cannot move it
+        across the piece's edge. Costs O(points in v), not O(points).
+        """
+        out = {}
+        age = lambda s: s - t
+        for j in v.nodes():
+            ts = self._points.get(j)
+            if not ts:
+                continue
+            kept = []
+            for a, b in v.intervals(j):
+                lo = bisect_left(ts, a, key=age)
+                kept.extend(s - t for s in ts[lo:bisect_left(ts, b, lo, key=age)])
+            if kept:
+                out[j] = tuple(kept)
+        return Configuration._unsafe(out, window=None)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Configuration)

@@ -1,17 +1,36 @@
 """Forward simulation from empty past on a finite network.
 
-Adaptive thinning driven by the decomposition. Per-node bounds dominating
-every component value are computed at the start and renewed after each
-accepted point, never after a rejection. The next proposal arrives at the
-total bound rate and is assigned a node proportionally to the bounds, a
+Adaptive thinning driven by the decomposition. Each node's bound dominates
+every component value of the node. The next proposal arrives at the total
+bound rate and is assigned a node proportionally to the bounds, a
 neighborhood is drawn from the node's weights, and the proposal is accepted
 with component value over bound. Valid for unbounded intensities (linear or
 exponential Hawkes) because the bounds adapt to the realized past.
 
-Keeping a bound across rejections is exact (Ogata's thinning argument): a
-rejection leaves the past unchanged, and a local bound dominates the
-component values at every later shift of that past, so the piecewise
-constant rate between two acceptances dominates the intensity throughout.
+Bounds are renewed only when the past changes, and only where it changed.
+A node's bound is the largest of its terms. At the start each node has one
+term, its whole ``local_bound``. A model that declares ``bound_sources``
+splits the bound into per-source terms: the term keyed j is the bound
+computed as if node j's points were the whole past, and the largest term is
+the bound. After a point accepted on node a, only the terms keyed a are
+renewed, on the nodes whose bound reads a; every other term is kept. A model
+whose ``bound_sources`` is None keeps one whole-node term per node, renewed
+on every node after every acceptance.
+
+A kept term stays valid (Ogata's thinning argument, applied per term).
+``local_bound`` dominates the component values at every later shift of the
+past it was given. A term keyed j reads only j's past, which no rejection
+changes and every acceptance on j renews, so it still bounds the part of
+the bound that reads j. The whole-node term from the start still covers
+every source no term has been renewed for. So the largest term dominates
+every component value, and the piecewise constant rate between two
+acceptances dominates the intensity throughout.
+
+A proposal's component value is read from the accepted points inside the
+drawn neighborhood only, shifted to the proposal time
+(``Configuration.restrict_at``): ``delta`` is cylindrical on the expanded
+neighborhood, so the rest of the past cannot change it, and a proposal costs
+O(points in the neighborhood) instead of O(history).
 """
 
 from __future__ import annotations
@@ -92,15 +111,6 @@ def forward_simulate(
     n_accepted = 0
     proposals = 0
 
-    def rooted_at(at: float) -> Configuration:
-        # the past strictly before ``at``, shifted so that ``at`` is time 0
-        pts = {}
-        for j, ts in times.items():
-            shifted = tuple(s - at for s in ts if s < at)
-            if shifted:
-                pts[j] = shifted
-        return Configuration._unsafe(pts, window=(-math.inf, 0.0))
-
     def snapshot(window_hi: float) -> Configuration:
         pts = {j: tuple(ts) for j, ts in times.items() if ts}
         return Configuration._unsafe(pts, window=(-math.inf, window_hi))
@@ -117,18 +127,28 @@ def forward_simulate(
             guard_name=guard_name,
         )
 
+    # (node index, term key) pairs to renew: every whole-node term at the
+    # start, and after an acceptance on ``a`` the terms that read a's past
+    sources = [model.bound_sources(i) for i in node_list]
+    renewals = {
+        a: [(k, None if src is None else a) for k, src in enumerate(sources) if src is None or a in src]
+        for a in node_list
+    }
+    due = [(k, None) for k in range(len(node_list))]
+    terms: list[dict[Optional[NodeId], float]] = [{} for _ in node_list]
+    bounds = [0.0] * len(node_list)
     past = snapshot(0.0)  # the accepted points in absolute time
-    bounds = None
     while True:
         if n_accepted >= n_max:
             return finish(STEP_BUDGET, t)
-        if bounds is None:
-            # renewed only when the past changes: each bound holds until the
-            # next acceptance, so rejections leave it valid
+        if due:
             try:
-                bounds = [model.local_bound(j, past, t) for j in node_list]
+                for k, key in due:
+                    terms[k][key] = model.local_bound(node_list[k], past, t, source=key)
+                    bounds[k] = max(terms[k].values())
             except ExplosionGuardError:
                 return finish(GUARD_EXIT, t)
+            due = ()
             total = sum(bounds)
         if total <= 0.0:
             return finish(TIME_REACHED, t_max)
@@ -150,7 +170,7 @@ def forward_simulate(
                 break
 
         desc = model.sample_neighborhood(pick, rng)
-        value = model.component_value(pick, desc, rooted_at(t_cand))
+        value = model.component_value(pick, desc, past.restrict_at(model.expand(pick, desc), t_cand))
         if value > pick_bound * (1.0 + 1e-9):
             raise NonMonotoneModelError(
                 f"component value {value:g} exceeds the bound {pick_bound:g} of node {pick}"
@@ -165,4 +185,4 @@ def forward_simulate(
                 return finish(GUARD_EXIT, t_cand)
             n_accepted += 1
             past = candidate
-            bounds = None
+            due = renewals[pick]

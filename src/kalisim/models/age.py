@@ -347,9 +347,6 @@ class AgeHawkesModel(KalikowModel):
                 total += ker.at_zero + ker.l1 / self.refractory
         return lip * total
 
-    def gamma_level(self, i: NodeId, k: int) -> float:
-        return self.ladder(i).level(k)
-
     def global_bound(self, i: NodeId) -> Optional[float]:
         g = self._bound_cache.get(i)
         if g is None:
@@ -371,7 +368,9 @@ class AgeHawkesModel(KalikowModel):
     def bound_tail(self, i: NodeId, n: int) -> Optional[float]:
         return self.ladder(i).tail(n)
 
-    def local_bound(self, i: NodeId, x: Configuration, t: float = 0.0) -> float:
+    def local_bound(
+        self, i: NodeId, x: Configuration, t: float = 0.0, source: Optional[NodeId] = None
+    ) -> float:
         # with lambda_k = Gamma_k / Gamma every component is bounded by Gamma,
         # uniformly over the refractory subspace and hence over future shifts
         return self.ladder(i).total()

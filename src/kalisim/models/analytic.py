@@ -47,6 +47,12 @@ class PsiSeries:
             return 1.0 if k % 2 == 0 else 0.0
         return self.coeffs[k] if k < len(self.coeffs) else 0.0
 
+    def derivative_sup(self) -> float:
+        """Largest derivative at 0 over every order."""
+        if self.kind == "poly":
+            return max(self.coeffs, default=0.0)
+        return 1.0
+
     def max_order(self) -> Optional[int]:
         return len(self.coeffs) - 1 if self.kind == "poly" else None
 
@@ -202,29 +208,30 @@ class AnalyticHawkesModel(KalikowModel):
                             yield TaylorND(tup)
                 depth += 1
 
-    def taylor_partial(self, i: NodeId, x: Configuration, order: int) -> float:
-        """Sum of every summand of order <= ``order``; equals the Taylor
-        partial sum of psi at the drive by the multinomial theorem."""
-        drive = self._drive(i, x)
-        return sum(
-            self.psi.derivative(k) / math.factorial(k) * drive**k for k in range(order + 1)
-        )
-
     # -- forward simulation --------------------------------------------------------------
 
-    def local_bound(self, i: NodeId, x: Configuration, t: float = 0.0) -> float:
+    def bound_sources(self, i: NodeId) -> frozenset[NodeId]:
+        return frozenset(self._incoming[i])
+
+    def local_bound(
+        self, i: NodeId, x: Configuration, t: float = 0.0, source: Optional[NodeId] = None
+    ) -> float:
         """Bound every component value at all future shifts.
 
         Per-atom future bounds follow the same bin-migration argument as the
         linear model; an order-k component is then bounded by
         psi^(k)(0)/k! * (B*)^k / ((1-kappa) kappa^k) with B* the largest
         bounded atom ratio. The factorial wins for entire rate functions; the
-        terms are tracked until they provably decay.
+        orders are tracked until no later one can exceed the best so far.
+        With ``source=j``, B* is taken over j's atoms only; the bound is
+        nondecreasing in B*, so the largest of these terms is the bound.
         """
         fam = self.weights[i]
         atoms = fam.atoms
         b_star = 0.0
         for j, ker in self._incoming[i].items():
+            if source is not None and j != source:
+                continue
             pts = x.points(j)
             if not pts or ker.is_zero():
                 continue
@@ -246,6 +253,7 @@ class AnalyticHawkesModel(KalikowModel):
             return best
         term_base = b_star / kappa
         max_order = self.psi.max_order()
+        d_sup = self.psi.derivative_sup()
         term = 1.0
         k = 0
         while True:
@@ -255,13 +263,15 @@ class AnalyticHawkesModel(KalikowModel):
             term *= term_base / k
             cand = self.psi.derivative(k) * term / (1.0 - kappa)
             best = max(best, cand)
-            if term_base / (k + 1) < 1.0 and cand < best * 1e-12:
-                break
             if cand > 1e300:
                 raise ExplosionGuardError(
                     f"node {i}: order-k component bounds diverge (atom bound {b_star:g}"
                     f" vs order ratio {kappa:g}); the rate function grows too fast"
                 )
+            # from here on ``term`` only shrinks, so no later order can beat
+            # d_sup * term / (1 - kappa)
+            if term_base / (k + 1) < 1.0 and d_sup * term / (1.0 - kappa) <= best:
+                break
             if k > 100_000:
                 raise ExplosionGuardError("order bound search did not terminate")
         return best

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -148,7 +147,9 @@ class KalikowModel(ABC):
     # -- forward simulation -------------------------------------------------------
 
     @abstractmethod
-    def local_bound(self, i: NodeId, x: Configuration, t: float = 0.0) -> float:
+    def local_bound(
+        self, i: NodeId, x: Configuration, t: float = 0.0, source: Optional[NodeId] = None
+    ) -> float:
         """Finite bound dominating every component value of node ``i`` at the
         configuration shifted to ``t``, valid until the next accepted point.
 
@@ -156,7 +157,23 @@ class KalikowModel(ABC):
         (a point exactly at ``t`` counts, at age zero). The bound must hold at
         every later shift of that same past, since it is renewed only when a
         point is accepted.
+
+        ``source=j``, for a node j of ``bound_sources(i)``, asks for the term
+        of source j: the bound computed as if j's points were the whole past.
+        The largest term over the sources equals the bound, so a term stays
+        valid until the next point accepted on j. A model whose
+        ``bound_sources`` is None answers with its whole bound, which
+        dominates every term.
         """
+
+    def bound_sources(self, i: NodeId) -> Optional[frozenset[NodeId]]:
+        """The nodes whose pasts node ``i``'s ``local_bound`` splits over, or None.
+
+        None (the default) declares one whole-node bound, renewed after every
+        accepted point; a set declares one term per source, of which only the
+        accepted node's is renewed.
+        """
+        return None
 
     # -- branching analysis ----------------------------------------------------------
 
@@ -241,17 +258,6 @@ def require_window_for_supports(x: Configuration, supports: list[float]) -> None
         raise CoverageError(
             f"window {x.window} is insufficient: kernels depend on the past back to -{need:g}"
         )
-
-
-def drive_in_window(
-    x: Configuration, sources: dict[NodeId, object], lo: float, hi: float = 0.0
-) -> float:
-    """sum_j sum_{s in x_j, lo <= s < hi} h_j(-s) for a kernel map {j: h_j}."""
-    total = 0.0
-    for j, ker in sources.items():
-        for s in x.points_in(j, lo, hi):
-            total += ker(-s)
-    return total
 
 
 def future_bin_bounds(ker, pts: tuple[float, ...], t: float, eps: float, nmax: Optional[int]):

@@ -160,7 +160,9 @@ class GLModel(KalikowModel):
 
     # -- simulation ---------------------------------------------------------------------
 
-    def local_bound(self, i: NodeId, x: Configuration, t: float = 0.0) -> float:
+    def local_bound(
+        self, i: NodeId, x: Configuration, t: float = 0.0, source: Optional[NodeId] = None
+    ) -> float:
         """Finite only when no eligible driving point exists.
 
         A point of node j after node i's last own point can enter the

@@ -134,13 +134,20 @@ class LinearHawkesModel(KalikowModel):
 
     # -- forward simulation -------------------------------------------------------
 
-    def local_bound(self, i: NodeId, x: Configuration, t: float = 0.0) -> float:
+    def bound_sources(self, i: NodeId) -> frozenset[NodeId]:
+        return frozenset(self._incoming[i])
+
+    def local_bound(
+        self, i: NodeId, x: Configuration, t: float = 0.0, source: Optional[NodeId] = None
+    ) -> float:
         """sup over neighborhoods and future shifts of the component values.
 
         Each bin's drive is bounded at every future shift by
         ``future_bin_bounds``. Beyond the bin currently holding the oldest
         point these per-bin bounds decay geometrically provided the bin
         weights decay slower than the kernel; otherwise no finite bound exists.
+        An atom reads one source: with ``source=j`` the bound is the larger
+        of the empty set's component and the maximum over j's bins.
         """
         fam = self.weights[i]
         if self.mu[i] > 0.0 and fam.p_empty == 0.0:
@@ -149,6 +156,8 @@ class LinearHawkesModel(KalikowModel):
             )
         best = self.mu[i] / fam.p_empty if self.mu[i] > 0.0 else 0.0
         for j, ker in self._incoming[i].items():
+            if source is not None and j != source:
+                continue
             pts = x.points(j)
             if not pts or ker.is_zero():
                 continue

@@ -121,7 +121,9 @@ class TableModel(KalikowModel):
     def weight_tail(self, i: NodeId, n: int) -> float:
         return self._weights[i].tail_after(n)
 
-    def local_bound(self, i: NodeId, x: Configuration, t: float = 0.0) -> float:
+    def local_bound(
+        self, i: NodeId, x: Configuration, t: float = 0.0, source: Optional[NodeId] = None
+    ) -> float:
         # row bounds are sups over all configurations, so they stay valid at
         # every future shift; zero-weight rows carry no component (0/0 = 0)
         best = 0.0

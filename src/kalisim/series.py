@@ -68,20 +68,6 @@ def zeta_tail_err(s: float, n: int) -> float:
     return _BERN_NEXT * rising * float(m) ** (-s - 7.0) + _ROUNDING * zeta_tail(s, n)
 
 
-def geometric_tail(amplitude: float, ratio: float, n: int) -> float:
-    """sum_{k > n} amplitude * ratio^k for 0 <= ratio < 1."""
-    if not 0.0 <= ratio < 1.0:
-        raise ValueError("ratio must lie in [0, 1)")
-    return amplitude * ratio ** (n + 1) / (1.0 - ratio)
-
-
-def power_series_mean(p: float) -> float:
-    """E[K] = zeta(p-1)/zeta(p) for the power-law pmf k^{-p}/zeta(p)."""
-    if p <= 2.0:
-        raise ValueError("power-law mean requires p > 2")
-    return zeta(p - 1.0) / zeta(p)
-
-
 def offspring_f(p: float) -> float:
     """f(p) = sum_{k>=1} (2k - 1) k^{1-p} = 2 zeta(p-2) - zeta(p-1); finite iff p > 3."""
     if p <= 3.0:
@@ -92,19 +78,3 @@ def offspring_f(p: float) -> float:
 def harmonic_partial(gamma: float, m: int) -> float:
     """sum_{r=1}^{m} r^{-gamma} (0 for m <= 0)."""
     return sum(r ** (-gamma) for r in range(1, m + 1)) if m > 0 else 0.0
-
-
-def power_weighted_tail(p: float, weight_power: int, n: int) -> float:
-    """sum_{k > n} k^{weight_power} * k^{-p}, for p - weight_power > 1."""
-    s = p - weight_power
-    if s <= 1.0:
-        raise ValueError("weighted power tail diverges")
-    return zeta_tail(s, n)
-
-
-def exp_decay_tail(amplitude: float, rate: float, n: int) -> float:
-    """sum_{k > n} amplitude * exp(-rate * (k - 1)) for rate > 0."""
-    if rate <= 0:
-        raise ValueError("decay rate must be positive")
-    r = math.exp(-rate)
-    return amplitude * r ** n / (1.0 - r)

@@ -20,7 +20,7 @@ from .core import Configuration, Neighborhood
 from .errors import BudgetExhausted, NonSummableError
 from .kernels import AffineRate, ExponentialKernel
 from .models import AgeHawkesModel, LinearHawkesModel, TableEntry, TableModel, lattice_preset
-from .oracles import ogata_age_hawkes, ogata_linear_hawkes
+from .oracles import ogata_age_hawkes, ogata_linear_hawkes, ogata_multivariate_linear_hawkes
 from .perfect import BackwardBudget, RegionLedger, backward_clan, perfect_sample
 from .forward import forward_simulate
 from .sampling import RandomStream, sample_poisson_region
@@ -166,6 +166,28 @@ def spread_gate_model(bound: float) -> TableModel:
         d = 20.0 + 13.0 * r + 0.618 * ((r * r * 7) % 29)
         rows.append(TableEntry(1.0 / 64, Neighborhood([(0, -(d + 0.25), -d)]), 1.0, 0.0))
     return TableModel({0: rows}, bounds={0: bound})
+
+
+def hawkes_ring(n: int = 4) -> LinearHawkesModel:
+    """Ring of linear Hawkes processes: mu = 0.5, exponential kernels with
+    beta = 1, alpha = 0.3 on each node itself and 0.15 to each neighbour."""
+    kernels = {}
+    for i in range(n):
+        for j, a in ((i, 0.3), ((i - 1) % n, 0.15), ((i + 1) % n, 0.15)):
+            kernels[(i, j)] = ExponentialKernel(a, 1.0)
+    return LinearHawkesModel(mu={i: 0.5 for i in range(n)}, kernels=kernels, eps=0.5)
+
+
+def ogata_parameters(model: LinearHawkesModel) -> tuple[list[float], list[list[float]], list[list[float]]]:
+    """(mu, alpha, beta) of an exponential-kernel linear model on nodes
+    0..n-1, as ``ogata_multivariate_linear_hawkes`` takes them."""
+    nodes = model.node_set()
+    if nodes != tuple(range(len(nodes))):
+        raise ValueError("the oracle numbers its nodes 0..n-1")
+    kernels = [[model.kernels.get((i, j)) for j in nodes] for i in nodes]
+    alpha = [[0.0 if k is None else k.alpha for k in row] for row in kernels]
+    beta = [[1.0 if k is None else k.beta for k in row] for row in kernels]
+    return [model.mu[i] for i in nodes], alpha, beta
 
 
 LATTICE_DELTA = 0.005
@@ -316,7 +338,8 @@ def suite_subcriticality_gate(seed: int = 20_505, runs: int = 10_000) -> SuiteRe
 
 
 def suite_forward_oracle(seed: int = 20_606, runs: int = 10_000) -> SuiteReport:
-    """Forward simulator vs direct Ogata on the 1-node linear Hawkes."""
+    """Forward simulator vs direct Ogata on the 1-node linear Hawkes, and on
+    the 4-node ring, whose kept per-source bound terms one node cannot show."""
     rep = SuiteReport("forward-oracle", seed)
     t0 = time.perf_counter()
     model = LinearHawkesModel(
@@ -333,8 +356,23 @@ def suite_forward_oracle(seed: int = 20_606, runs: int = 10_000) -> SuiteReport:
     for r in range(runs):
         oracle_counts[r] = len(ogata_linear_hawkes(1.0, 0.5, 1.0, 2.0, root.child(1, r)))
     tv = total_variation(fwd_counts, oracle_counts)
-    rep.seconds = time.perf_counter() - t0
     rep.add("total variation of N[0,2]", tv, "< 0.05", tv < 0.05)
+
+    ring = hawkes_ring()
+    nodes = ring.node_set()
+    mu, alpha, beta = ogata_parameters(ring)
+    fwd_ring = np.empty((runs, len(nodes)), dtype=int)
+    oracle_ring = np.empty((runs, len(nodes)), dtype=int)
+    for r in range(runs):
+        run = forward_simulate(ring, nodes, 2.0, 1_000_000, None, root.child(2, r))
+        fwd_ring[r] = [run.count(i) for i in nodes]
+        oracle_ring[r] = [len(ev) for ev in ogata_multivariate_linear_hawkes(mu, alpha, beta, 2.0, root.child(3, r))]
+    for i in nodes:
+        tv = total_variation(fwd_ring[:, i], oracle_ring[:, i])
+        rep.add(f"ring: total variation of N_{i}[0,2]", tv, "< 0.05", tv < 0.05)
+    tv = total_variation(fwd_ring.sum(axis=1), oracle_ring.sum(axis=1))
+    rep.add("ring: total variation of N[0,2]", tv, "< 0.05", tv < 0.05)
+    rep.seconds = time.perf_counter() - t0
     rep.add("runtime seconds", rep.seconds, "< 60", rep.seconds < 60.0)
     return rep
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -156,6 +157,29 @@ class TestShiftToOrigin:
     def test_identity_shift(self):
         x = Configuration({2: [-1.0]})
         assert shift_to_origin(x, 0.0).points(2) == (-1.0,)
+
+
+class TestRestrictAt:
+    def test_matches_the_rooted_restriction(self):
+        rng = random.Random(5)
+        v = Neighborhood([(0, -1.5, -1.0), (0, -0.5, 0.0), (1, -2.0, -0.1)])
+        for _ in range(200):
+            t = rng.uniform(1.0, 9.0)
+            # points on the pieces' edges as seen from t, where absolute and
+            # shifted comparisons can round apart
+            pts = {0: sorted({rng.uniform(0, 10) for _ in range(5)} | {t - 1.5, t - 1.0, t - 0.5}),
+                   1: sorted({rng.uniform(0, 10) for _ in range(5)} | {t - 2.0, t - 0.1})}
+            x = Configuration(pts, validate=False)
+            got = x.restrict_at(v, t)
+            want = shift_to_origin(x, t).restrict(v)
+            assert {j: got.points(j) for j in (0, 1)} == {j: want.points(j) for j in (0, 1)}
+            assert got.window is None
+
+    def test_drops_points_outside(self):
+        x = Configuration({0: [1.0, 2.0, 3.0], 2: [2.5]})
+        got = x.restrict_at(Neighborhood([(0, -1.5, -0.5)]), 3.0)
+        assert got.points(0) == (-1.0,)
+        assert got.nodes() == (0,)
 
 
 class TestGuards:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import statistics
 
@@ -13,6 +14,8 @@ from kalisim import (
     RefractoryGap,
 )
 from kalisim.forward import GUARD_EXIT, STEP_BUDGET, TIME_REACHED, forward_simulate
+from kalisim.oracles import ogata_linear_hawkes, ogata_multivariate_linear_hawkes
+from kalisim.validation import hawkes_ring, ogata_parameters
 
 # the 4-node ring of linear Hawkes processes the benchmark's forward workload runs
 RING = (0, 1, 2, 3)
@@ -20,31 +23,37 @@ MU, ALPHA_SELF, ALPHA_NB, BETA, EPS, T_MAX = 0.5, 0.3, 0.15, 1.0, 0.5, 10.0
 
 
 def ring_kernels():
-    n = len(RING)
-    return {
-        (j, i): ExponentialKernel(a, BETA)
-        for i in RING
-        for j, a in ((i, ALPHA_SELF), ((i - 1) % n, ALPHA_NB), ((i + 1) % n, ALPHA_NB))
-    }
+    return hawkes_ring().kernels
 
 
 class CountingRing(LinearHawkesModel):
-    """The ring, counting its ``local_bound`` calls."""
+    """The ring, recording its ``local_bound`` calls as (node, source) pairs."""
 
     def __init__(self, **kw):
         super().__init__(mu={i: MU for i in RING}, kernels=ring_kernels(), eps=EPS, **kw)
-        self.bound_calls = 0
+        self.bound_calls = []
 
-    def local_bound(self, i, x, t=0.0):
-        self.bound_calls += 1
-        return super().local_bound(i, x, t)
+    def local_bound(self, i, x, t=0.0, source=None):
+        self.bound_calls.append((i, source))
+        return super().local_bound(i, x, t, source=source)
 
 
 class HalfBoundRing(CountingRing):
-    """Declares half the true bound, so the empty set's component exceeds it."""
+    """Declares half of every true term, so the empty set's component exceeds it."""
 
-    def local_bound(self, i, x, t=0.0):
-        return 0.5 * super().local_bound(i, x, t)
+    def local_bound(self, i, x, t=0.0, source=None):
+        return 0.5 * super().local_bound(i, x, t, source=source)
+
+
+def expected_terms(run, renewed: int) -> list:
+    """The whole-node term of every node at the start, then for each of the
+    first ``renewed`` accepted points, on node a, the terms keyed a of the
+    nodes that read a."""
+    calls = [(i, None) for i in RING]
+    accepted = sorted((s, a) for a in RING for s in run.accepted.points(a))
+    for _, a in accepted[:renewed]:
+        calls += [(i, a) for i in RING if (i, a) in ring_kernels()]
+    return calls
 
 
 def ring_closed_form_mean() -> float:
@@ -64,14 +73,26 @@ class TestBoundRefresh:
         run = forward_simulate(m, RING, T_MAX, 10_000, None, RandomStream(5))
         assert run.stop_reason == TIME_REACHED
         assert run.proposals > run.count()  # some proposals were rejected
-        assert m.bound_calls == len(RING) * (run.count() + 1)
+        assert m.bound_calls == expected_terms(run, run.count())
+        assert len(m.bound_calls) == len(RING) + 3 * run.count()
 
     def test_step_budget_skips_the_last_refresh(self):
         m = CountingRing()
         run = forward_simulate(m, RING, T_MAX, 5, None, RandomStream(6))
         assert run.stop_reason == STEP_BUDGET
         assert run.count() == 5
-        assert m.bound_calls == len(RING) * 5
+        assert m.bound_calls == expected_terms(run, 4)
+        assert len(m.bound_calls) == len(RING) + 3 * 4
+
+    def test_whole_node_models_renew_every_node(self):
+        class WholeRing(CountingRing):
+            def bound_sources(self, i):
+                return None
+
+        m = WholeRing()
+        run = forward_simulate(m, RING, T_MAX, 10_000, None, RandomStream(5))
+        assert run.stop_reason == TIME_REACHED
+        assert m.bound_calls == [(i, None) for i in RING] * (run.count() + 1)
 
 
 class TestStops:
@@ -116,6 +137,59 @@ class TestLaw:
         mean = statistics.fmean(counts)
         se = statistics.stdev(counts) / math.sqrt(len(counts))
         assert abs(mean - ring_closed_form_mean()) < 4.0 * se
+
+    def test_ring_mean_counts_match_the_thinning_oracle(self):
+        # per node and in total, forward simulation against the multivariate
+        # Ogata oracle, which shares no code with the decomposition
+        m = hawkes_ring()
+        mu, alpha, beta = ogata_parameters(m)
+        t_max, runs = 5.0, 300
+        base = RandomStream(2104)
+        fwd, ora = [], []
+        for r in range(runs):
+            run = forward_simulate(m, RING, t_max, 10_000, None, base.child(0, r))
+            fwd.append([run.count(i) for i in RING] + [run.count()])
+            events = ogata_multivariate_linear_hawkes(mu, alpha, beta, t_max, base.child(1, r))
+            ora.append([len(ev) for ev in events] + [sum(map(len, events))])
+        for col in range(len(RING) + 1):
+            a, b = [row[col] for row in fwd], [row[col] for row in ora]
+            se = math.hypot(statistics.stdev(a), statistics.stdev(b)) / math.sqrt(runs)
+            assert abs(statistics.fmean(a) - statistics.fmean(b)) < 4.0 * se
+
+
+class TestOracle:
+    def test_one_node_is_the_single_node_oracle(self):
+        for seed in range(20):
+            single = ogata_linear_hawkes(1.0, 0.5, 1.0, 5.0, RandomStream(seed))
+            multi = ogata_multivariate_linear_hawkes([1.0], [[0.5]], [[1.0]], 5.0, RandomStream(seed))
+            assert multi == [single]
+
+    def test_ring_mean_count_matches_closed_form(self):
+        mu, alpha, beta = ogata_parameters(hawkes_ring())
+        base = RandomStream(7)
+        counts = [
+            sum(map(len, ogata_multivariate_linear_hawkes(mu, alpha, beta, T_MAX, base.child(r))))
+            for r in range(400)
+        ]
+        se = statistics.stdev(counts) / math.sqrt(len(counts))
+        assert abs(statistics.fmean(counts) - ring_closed_form_mean()) < 4.0 * se
+
+    def test_parameters_follow_the_kernels(self):
+        mu, alpha, beta = ogata_parameters(hawkes_ring())
+        assert mu == [MU] * 4
+        assert alpha[1] == [ALPHA_NB, ALPHA_SELF, ALPHA_NB, 0.0]
+        assert beta[1] == [BETA] * 4
+
+
+def test_golden_ring_run():
+    # recorded with per-source bound terms and the neighborhood-restricted past
+    run = forward_simulate(hawkes_ring(), RING, T_MAX, 10_000, None, RandomStream(2104))
+    assert run.stop_reason == TIME_REACHED
+    pts = sorted((s, i) for i in RING for s in run.accepted.points(i))
+    assert (len(pts), run.proposals) == (35, 496)
+    assert (pts[0], pts[-1]) == ((0.2858700632059988, 2), (9.962455736998251, 0))
+    digest = hashlib.sha256(",".join(f"{i}:{s.hex()}" for s, i in pts).encode()).hexdigest()
+    assert digest == "695385d7963f9a788cb398e9f9fb5591ebd1a4aa303ff061dc008121e92e1210"
 
 
 def test_closed_form_value():
