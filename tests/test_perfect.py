@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import statistics
 
@@ -18,6 +19,8 @@ from kalisim import (
     lattice_preset,
     perfect_sample,
 )
+from kalisim import perfect as perfect_module
+from kalisim.perfect import perfect_sample_window
 from kalisim.models import LatticeAgeModel
 from kalisim.validation import two_node_clan_model
 
@@ -145,3 +148,69 @@ class TestGoldenWithoutSupremum:
         model = two_node_clan_model()
         sizes = [backward_clan(model, 0, 0.0, RegionLedger(), RandomStream(s)).clan_size() for s in range(20)]
         assert sizes == [2, 2, 6, 1, 1, 1, 1, 1, 3, 1, 2, 1, 1, 2, 4, 2, 4, 2, 5, 1]
+
+
+def _times_digest(ts):
+    return hashlib.sha256(",".join(map(float.hex, ts)).encode()).hexdigest()
+
+
+def _ledger_digest(ledger):
+    return hashlib.sha256(json.dumps(ledger.to_json(), sort_keys=True).encode()).hexdigest()
+
+
+class TestGoldenLattice:
+    """Seeded lattice outputs and the ledgers behind them, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "seed, count, ends, digest, n_points, ledger_digest",
+        [
+            (1, 18, (0.14177314028481805, 19.29829395116727),
+             "e7a63908743467eb88028fe86a95e6a32c9cda53387f25367cc289575301659b",
+             880, "cf6c244c54077d30a8e9e17ac035c300953c156463fc4a77de2c84a2ef60be57"),
+            (2, 23, (1.2211592708043286, 19.782131324088102),
+             "40a0924d05110491fc61eecfe6b3514b7f06a793fa95b4c14bac0b3bd55f4177",
+             909, "9613d99a293dff881837a06b1003f5ea71c7c7174a7012df1114cb8421d91472"),
+            (3, 22, (0.5912764946369546, 19.73890937906604),
+             "629f149fccf82e630583d8bcbd2462435798327150e6cd4701a1a8c0a7ed0a40",
+             914, "de7c69e37d68bce7862a9d9bb3788e39f2308a2cd49681e5ef12ec0077d5361f"),
+            (4, 23, (2.318547954271006, 19.092331431368),
+             "c3e313ef51ffc42f3c7df35e1a7fc0b902d7001bf6d2e15ccf90e7c8e1772bc1",
+             927, "ebaf9aea1ed8b95d22ba79709969083ada9a93abfbdb074cd940234422ae0f45"),
+        ],
+    )
+    def test_perfect_sample(self, seed, count, ends, digest, n_points, ledger_digest):
+        ledger = RegionLedger()
+        pts = perfect_sample(lattice_preset(GAMMA, P, DELTA), 0, 20.0, RandomStream(seed), ledger=ledger).points(0)
+        assert len(pts) == count
+        assert (pts[0], pts[-1]) == ends
+        assert _times_digest(pts) == digest
+        assert ledger.n_points() == n_points
+        assert _ledger_digest(ledger) == ledger_digest
+
+    def test_perfect_sample_window(self, monkeypatch):
+        ledgers = []
+
+        class KeptLedger(RegionLedger):
+            def __init__(self):
+                super().__init__()
+                ledgers.append(self)
+
+        monkeypatch.setattr(perfect_module, "RegionLedger", KeptLedger)
+        windows = [(0, (0.0, 8.0)), (1, (4.0, 12.0)), (2, (6.0, 10.0))]
+        out = perfect_sample_window(lattice_preset(GAMMA, P, DELTA), windows, RandomStream(5))
+        expected = {
+            0: (16, (0.7267397608600481, 6.627112864478658),
+                "e56e7a7ae31de2db79e12e5c28646690c96c5d66ffc96ff29df79bede870504a"),
+            1: (9, (4.551907148303828, 9.239695816932464),
+                "640bbb03480d476ce4ddf163ad82379429be577690275b4e639a3693b7889935"),
+            2: (4, (6.192990967485042, 7.629963130026471),
+                "852bc496e11394cbb36a774bce34a576653698594e29e2d8a1954e126df18965"),
+        }
+        for node, (count, ends, digest) in expected.items():
+            pts = out.points(node)
+            assert len(pts) == count
+            assert (pts[0], pts[-1]) == ends
+            assert _times_digest(pts) == digest
+        (ledger,) = ledgers
+        assert ledger.n_points() == 881
+        assert _ledger_digest(ledger) == "7c13196c07c8b6d1664e0ebf78a7e4773f654f30a4110db0c5b74fed90fbd394"

@@ -228,3 +228,29 @@ class TestRegionLedger:
         data = json.loads(path.read_text())
         assert data["1"]["rate"] == 2.0
         assert data["1"]["intervals"] == [[-1.0, 0.0]]
+
+    def test_record_is_per_node(self):
+        led = RegionLedger()
+        rec = led.add_proposal_point(0, 1.5, mark=0.25)
+        assert led.record(0, 1.5) is rec
+        assert led.record(1, 1.5) is None
+        assert led.record(0, 1.25) is None
+
+    def test_same_node_duplicate_proposal_rejected(self):
+        led = RegionLedger()
+        led.add_proposal_point(3, 0.5, mark=0.1)
+        with pytest.raises(LedgerError, match="already realized"):
+            led.add_proposal_point(3, 0.5, mark=0.9)
+        assert led.n_points() == 1
+
+    def test_n_points_counts_every_node(self):
+        led = RegionLedger()
+        rng = RandomStream(17)
+        led.realize_new(0, [(-2.0, 0.0)], 3.0, rng)
+        led.realize_new(1, [(-1.0, 1.0), (2.0, 3.0)], 2.0, rng)
+        led.realize_new(0, [(-3.0, -1.0)], 3.0, rng)
+        cursor = 0.0
+        while (rec := led.advance(2, cursor, 4.0, 1.5, rng)) is not None:
+            cursor = rec.time
+        per_node = sum(len(led.points_in(j, -10.0, 10.0)) for j in (0, 1, 2))
+        assert per_node == led.n_points() > 0
