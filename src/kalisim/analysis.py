@@ -274,9 +274,6 @@ class OffspringModel:
             means.append(np.vstack(ms))
         return cls(weights=tuple(weights), means=tuple(means))
 
-    def mean_matrix(self) -> np.ndarray:
-        return np.vstack([w @ m for w, m in zip(self.weights, self.means)])
-
     def log_laplace(self, theta: np.ndarray) -> np.ndarray:
         """phi_i(theta) = sum_j log sum_v lambda_i(v) exp[(e^theta_j - 1) mean_vj]."""
         factor = np.expm1(theta)

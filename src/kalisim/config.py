@@ -54,6 +54,7 @@ SCHEMA = {
         "model": {
             "type": "object",
             "required": ["family"],
+            "additionalProperties": False,
             "properties": {
                 "family": {"type": "string"},
                 "nodes": {"type": "array", "items": {"type": "integer"}},
@@ -78,6 +79,7 @@ SCHEMA = {
         },
         "simulation": {
             "type": "object",
+            "additionalProperties": False,
             "properties": {
                 "t_max": {"type": "number"},
                 "n_max": {"type": "integer"},
@@ -90,11 +92,11 @@ SCHEMA = {
                         "max_points": {"type": "integer"},
                     },
                 },
-                "window": {"type": "array"},
             },
         },
         "rng": {
             "type": "object",
+            "additionalProperties": False,
             "properties": {
                 "seed": {"type": "integer"},
                 "runs": {"type": "integer"},
@@ -102,10 +104,10 @@ SCHEMA = {
         },
         "output": {
             "type": "object",
+            "additionalProperties": False,
             "properties": {
                 "points": {"type": "string"},
                 "summary": {"type": "string"},
-                "ledger": {"type": "string"},
             },
         },
     },
@@ -127,8 +129,6 @@ class RunConfig:
     runs: int = 1
     points_path: str = "points.csv"
     summary_path: Optional[str] = None
-    ledger_path: Optional[str] = None
-    raw: dict = field(default_factory=dict)
 
     def build_model(self):
         return build_model(self.model_section)
@@ -221,7 +221,15 @@ def parse_config(cfg: dict) -> RunConfig:
     rng = cfg.get("rng", {})
     out = cfg.get("output", {})
     budget_cfg = sim.get("budget", {})
-    run = RunConfig(
+    # build the guard and the model now so config-level problems surface as ConfigError
+    try:
+        guard = _build_guard(cfg["model"].get("guard"))
+        build_model(cfg["model"])
+    except KeyError as exc:
+        raise ConfigError([f"model: missing key {exc}"]) from exc
+    except ValueError as exc:
+        raise ConfigError([f"model: {exc}"]) from exc
+    return RunConfig(
         model_section=cfg["model"],
         t_max=float(sim.get("t_max", 10.0)),
         n_max=int(sim.get("n_max", 1_000_000)),
@@ -231,20 +239,12 @@ def parse_config(cfg: dict) -> RunConfig:
             max_generations=int(budget_cfg.get("max_generations", 10_000)),
             max_points=int(budget_cfg.get("max_points", 1_000_000)),
         ),
-        guard=_build_guard(cfg.get("model", {}).get("guard")),
+        guard=guard,
         seed=int(rng.get("seed", 0)),
         runs=int(rng.get("runs", 1)),
         points_path=str(out.get("points", "points.csv")),
         summary_path=out.get("summary"),
-        ledger_path=out.get("ledger"),
-        raw=cfg,
     )
-    # construct the model now so config-level problems surface as ConfigError
-    try:
-        run.build_model()
-    except (ValueError, KeyError) as exc:
-        raise ConfigError([f"model: {exc}"]) from exc
-    return run
 
 
 def load_config(path: str) -> RunConfig:

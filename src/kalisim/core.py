@@ -79,10 +79,6 @@ class Neighborhood:
         for j, a, b in self.pieces():
             yield j, a + t, b + t
 
-    def earliest(self) -> Optional[float]:
-        starts = [ivs[0][0] for ivs in self._by_node.values()]
-        return min(starts) if starts else None
-
     def contains(self, node: NodeId, t: float) -> bool:
         for a, b in self._by_node.get(node, ()):
             if a <= t < b:
@@ -371,16 +367,6 @@ class SubspaceGuard:
 
 class NoGuard(SubspaceGuard):
     name = "none"
-
-    def check(self, x: Configuration) -> bool:
-        return True
-
-
-class SummableIntensityGuard(SubspaceGuard):
-    """Total-intensity-finite subspace; every finite realized configuration of a
-    locally integrable model satisfies it, so the check is vacuous on realized data."""
-
-    name = "summable-intensity"
 
     def check(self, x: Configuration) -> bool:
         return True

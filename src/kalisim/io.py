@@ -28,15 +28,6 @@ def emit_points(path: str, points: Iterable[tuple[float, int]] | Configuration) 
     return len(rows)
 
 
-def read_points(path: str) -> list[tuple[float, int]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["time", "node"]:
-            raise ValueError(f"unexpected header {header!r} in {path}")
-        return [(float(t), int(j)) for t, j in reader]
-
-
 def write_summary(path: str, summary: dict) -> None:
     with open(path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from ..core import EMPTY_ND, AtomND, Configuration, EmptyND, Neighborhood, NodeId, SummableIntensityGuard
+from ..core import EMPTY_ND, AtomND, Configuration, EmptyND, Neighborhood, NodeId, NoGuard
 from ..errors import ExplosionGuardError
 from ..kernels import Kernel
 from ..sampling import RandomStream
@@ -65,7 +65,7 @@ class LinearHawkesModel(KalikowModel):
                         f" reaches back to {ker.support_end:g}; the decomposition would be lossy"
                     )
         self._declared = dict(declared_bounds) if declared_bounds else {}
-        self._guard = SummableIntensityGuard()
+        self._guard = NoGuard()
         self._expand_cache: dict[tuple[int, int], Neighborhood] = {}
 
     # -- structure ----------------------------------------------------------

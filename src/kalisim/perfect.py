@@ -110,7 +110,9 @@ class AncestorGraph:
 
 
 def _children(ledger: RegionLedger, model, rec: PointRecord) -> list[PointRecord]:
-    """Realized points inside an expanded record's neighborhood (no simulation)."""
+    """Realized points inside an expanded record's neighborhood anchored at its
+    time, piece by piece (no simulation). The one read of a neighborhood's
+    points, for both the backward and the forward pass."""
     nb = model.expand(rec.node, rec.neighborhood)
     out = []
     for j, a, b in nb.shifted_pieces(rec.time):
@@ -267,22 +269,16 @@ def forward_accept(graph: AncestorGraph, model, ledger: RegionLedger) -> Ancesto
     for rec in graph.pending:
         if rec.decision is not None:
             continue
-        nb = model.expand(rec.node, rec.neighborhood)
-        pts: dict[NodeId, tuple[float, ...]] = {}
-        for j, a, b in nb.shifted_pieces(rec.time):
-            kept = []
-            for child in ledger.points_in(j, a, b):
-                if child.decision is None:
-                    raise KalisimError(
-                        f"undecided dependency {child!r} while deciding {rec!r};"
-                        " forward order violated"
-                    )
-                if child.decision:
-                    kept.append(child.time - rec.time)
-            if kept:
-                prev = pts.get(j, ())
-                pts[j] = tuple(sorted(prev + tuple(kept)))
-        x = Configuration._unsafe(pts, window=None)
+        kept: dict[NodeId, list[float]] = {}
+        for child in _children(ledger, model, rec):
+            if child.decision is None:
+                raise KalisimError(
+                    f"undecided dependency {child!r} while deciding {rec!r};"
+                    " forward order violated"
+                )
+            if child.decision:
+                kept.setdefault(child.node, []).append(child.time - rec.time)
+        x = Configuration._unsafe({j: tuple(sorted(ts)) for j, ts in kept.items()}, window=None)
         gam = model.global_bound(rec.node)
         value = model.component_value(rec.node, rec.neighborhood, x)
         prob = value / gam

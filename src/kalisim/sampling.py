@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -115,26 +115,38 @@ class PointRecord:
 
 @dataclass
 class _NodeLedger:
+    """One node's coverage and its realized points.
+
+    ``records[k]`` is the point at ``times[k]``; both lists are sorted by time.
+    """
+
     starts: list[float] = field(default_factory=list)
     ends: list[float] = field(default_factory=list)
     times: list[float] = field(default_factory=list)
+    records: list[PointRecord] = field(default_factory=list)
     rate: Optional[float] = None
 
 
 class RegionLedger:
     """Per-node record of realized intervals of the dominating Poisson processes.
 
-    Coverage intervals are half-open, kept disjoint and merged when abutting;
-    endpoints are compared exactly (no epsilon merging). Realized points carry
-    their marks and are shared by every simulation step of one run. Exact time
-    collisions (a measure-zero event realized by floating point) are resolved
-    by resampling inside the same interval.
+    Each node keeps its coverage, half-open intervals kept disjoint and merged
+    when abutting (endpoints compared exactly, no epsilon merging), and its
+    realized points, stored once each as a ``PointRecord`` in a list sorted by
+    time. Records carry their marks and are shared by every simulation step of
+    one run; every read of the points goes through that list.
+
+    No two points share a time, on any node, because ``Configuration`` forbids
+    simultaneous points. An exact collision (a measure-zero event realized by
+    floating point) is resolved by resampling the new point: inside the same
+    interval for region requests, by a fresh exponential step for proposals.
+    The ledger-wide set of used times exists only for that rule.
     """
 
     def __init__(self):
         self._nodes: dict[int, _NodeLedger] = {}
-        self._records: dict[tuple[int, float], PointRecord] = {}
         self._times_used: set[float] = set()
+        self._n_points = 0
         self._request_count = 0
 
     # -- inspection ----------------------------------------------------------
@@ -148,19 +160,18 @@ class RegionLedger:
         led = self._nodes.get(node)
         if led is None:
             return []
-        lo = bisect_left(led.times, a)
-        hi = bisect_left(led.times, b)
-        return [self._records[(node, t)] for t in led.times[lo:hi]]
+        return led.records[bisect_left(led.times, a) : bisect_left(led.times, b)]
 
     def record(self, node: int, t: float) -> Optional[PointRecord]:
-        return self._records.get((node, t))
-
-    def rate_of(self, node: int) -> Optional[float]:
+        """The node's realized point at exactly ``t``, if any."""
         led = self._nodes.get(node)
-        return led.rate if led else None
+        if led is None:
+            return None
+        k = bisect_left(led.times, t)
+        return led.records[k] if k < len(led.times) and led.times[k] == t else None
 
     def n_points(self) -> int:
-        return len(self._records)
+        return self._n_points
 
     # -- internal helpers ------------------------------------------------------
 
@@ -217,9 +228,12 @@ class RegionLedger:
 
     def _store_point(self, node: int, t: float, mark: float) -> PointRecord:
         rec = PointRecord(node=node, time=t, mark=mark)
-        self._records[(node, t)] = rec
+        led = self._node(node)
+        k = bisect_right(led.times, t)
+        led.times.insert(k, t)
+        led.records.insert(k, rec)
         self._times_used.add(t)
-        insort(self._node(node).times, t)
+        self._n_points += 1
         return rec
 
     # -- mutation ----------------------------------------------------------------
@@ -280,7 +294,7 @@ class RegionLedger:
 
     def add_proposal_point(self, node: int, t: float, mark: float) -> PointRecord:
         """Store a proposal point learned from an exponential step."""
-        if (node, t) in self._records:
+        if self.record(node, t) is not None:
             raise LedgerError(f"point ({node}, {t}) already realized")
         return self._store_point(node, t, mark)
 
@@ -305,7 +319,7 @@ class RegionLedger:
                 end = led.ends[k]
                 lo = bisect_right(led.times, pos)
                 if lo < len(led.times) and led.times[lo] < min(end, limit):
-                    return self._records[(node, led.times[lo])]
+                    return led.records[lo]
                 pos = end
                 continue
             gap_end = led.starts[k + 1] if k + 1 < len(led.starts) else math.inf
@@ -333,12 +347,8 @@ class RegionLedger:
                 "rate": led.rate,
                 "intervals": [[a, b] for a, b in zip(led.starts, led.ends)],
                 "points": [
-                    {
-                        "time": t,
-                        "decision": self._records[(node, t)].decision,
-                        "generation": self._records[(node, t)].generation,
-                    }
-                    for t in led.times
+                    {"time": t, "decision": rec.decision, "generation": rec.generation}
+                    for t, rec in zip(led.times, led.records)
                 ],
             }
         return out

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from . import series
 from .core import EMPTY_ND, AtomND, EmptyND, NestedND, TaylorND
 from .errors import NonSummableError
 from .sampling import RandomStream
@@ -156,43 +155,6 @@ class AtomicWeights:
         return (1.0 - self.p_empty) * sum(
             self.shares[j] * self._bin_tail(j, n) for j in self.nodes
         )
-
-    def bin_mean(self, j: int) -> float:
-        """E[n] for node j's geometric bin index (used for offspring series)."""
-        r = self.ratios[j]
-        nmax = self.trunc[j]
-        if nmax is None:
-            return 1.0 / (1.0 - r)
-        # mean of the truncated geometric
-        return sum(n * self._bin_pmf(j, n) for n in range(1, nmax + 1))
-
-
-class PowerLawLevels:
-    """lambda(v_k) = k^{-p} / zeta(p) over nested levels k >= 1 (requires p > 1)."""
-
-    def __init__(self, p: float):
-        if p <= 1.0:
-            raise ValueError("power-law exponent must exceed 1")
-        self.p = float(p)
-        self.norm = series.zeta(self.p)
-
-    def level_pmf(self, k: int) -> float:
-        return k ** (-self.p) / self.norm if k >= 1 else 0.0
-
-    def pmf(self, desc) -> float:
-        return self.level_pmf(desc.k) if isinstance(desc, NestedND) else 0.0
-
-    def sample(self, rng: RandomStream):
-        u = rng.uniform() * self.norm
-        acc = 0.0
-        for k in range(1, _WALK_CAP):
-            acc += k ** (-self.p)
-            if u < acc or series.zeta_tail(self.p, k) < 1e-15:
-                return NestedND(k)
-        raise NonSummableError(f"power-law sampler walk exceeded its cap of {_WALK_CAP} levels")
-
-    def tail_after_level(self, n: int) -> float:
-        return series.zeta_tail(self.p, n) / self.norm
 
 
 class LadderLevels:

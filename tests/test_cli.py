@@ -73,3 +73,57 @@ def test_analyze_failure_exit_codes(tmp_path, cfg, extra, expected):
 def test_missing_config_is_a_config_error(tmp_path, capsys):
     assert main(["analyze", "--config", str(tmp_path / "absent.json")]) == EXIT_CONFIG
     assert "not found" in capsys.readouterr().err
+
+
+def read_rows(path):
+    lines = Path(path).read_text().splitlines()
+    assert lines[0] == "time,node"
+    return lines[1:]
+
+
+def test_simulate_perfect_writes_runs_summary_and_ledger(tmp_path):
+    summary_path = tmp_path / "summary.json"
+    cfg = dict(
+        LATTICE,
+        simulation={"t_max": 5.0},
+        rng={"seed": 3, "runs": 2},
+        output={"points": str(tmp_path / "points.csv"), "summary": str(summary_path)},
+    )
+    ledger_path = tmp_path / "ledger.json"
+    code = main(["simulate-perfect", "--config", write_config(tmp_path, cfg), "--dump-ledger", str(ledger_path)])
+    assert code == EXIT_OK
+    summary = json.loads(summary_path.read_text())
+    assert summary["command"] == "simulate-perfect"
+    runs = summary["runs"]
+    assert [r["run"] for r in runs] == [0, 1]
+    for r in runs:
+        assert set(kalisim.PerfectRunStats().to_json()) <= set(r)
+        assert len(read_rows(r["file"])) == r["points"]
+    assert len({r["file"] for r in runs}) == 2
+
+    dumped = json.loads(ledger_path.read_text())
+    last = kalisim.RegionLedger()
+    model = kalisim.build_model(LATTICE["model"])
+    kalisim.perfect_sample(model, 0, 5.0, kalisim.RandomStream(3).child(1), ledger=last)
+    assert set(dumped) == set(last.to_json())
+    for node in dumped.values():
+        times = [p["time"] for p in node["points"]]
+        assert times == sorted(times)
+
+
+def test_simulate_forward_writes_runs_and_summary(tmp_path):
+    summary_path = tmp_path / "summary.json"
+    cfg = dict(
+        FINITE,
+        simulation={"t_max": 20.0},
+        rng={"seed": 5, "runs": 2},
+        output={"points": str(tmp_path / "points.csv"), "summary": str(summary_path)},
+    )
+    assert main(["simulate-forward", "--config", write_config(tmp_path, cfg)]) == EXIT_OK
+    summary = json.loads(summary_path.read_text())
+    assert summary["command"] == "simulate-forward"
+    runs = summary["runs"]
+    assert [r["run"] for r in runs] == [0, 1]
+    for r in runs:
+        assert len(read_rows(r["file"])) == r["points"] > 0
+    assert len({r["file"] for r in runs}) == 2

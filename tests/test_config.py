@@ -1,0 +1,146 @@
+import pytest
+
+from kalisim import ConfigError, RunConfig, parse_config
+from kalisim.core import ActivityCap, NoGuard, RefractoryGap
+from kalisim.models import (
+    AgeHawkesModel,
+    AnalyticHawkesModel,
+    GLModel,
+    LatticeAgeModel,
+    LinearHawkesModel,
+    TableModel,
+)
+
+LATTICE = {"family": "lattice-4.2.6", "gamma": 4, "p": 4, "delta": 0.005}
+EXP_KERNEL = {"from": 0, "to": 0, "type": "exponential", "alpha": 0.3, "beta": 1.0}
+
+FAMILIES = {
+    "linear": (
+        {"family": "linear", "nodes": [0], "mu": [0.5], "eps": 0.5, "kernels": [EXP_KERNEL]},
+        LinearHawkesModel,
+    ),
+    "age": (
+        {
+            "family": "age",
+            "nodes": [0, 1],
+            "psi": {"base": 0.5, "slope": 0.2},
+            "refractory": 0.1,
+            "kernels": [{"from": 1, "to": 0, "type": "step", "edges": [0.0, 1.0], "values": [0.4]}],
+        },
+        AgeHawkesModel,
+    ),
+    "analytic": (
+        {"family": "analytic", "nodes": [0], "psi": {"kind": "exp"}, "eps": 0.5, "kernels": [EXP_KERNEL]},
+        AnalyticHawkesModel,
+    ),
+    "gl": (
+        {
+            "family": "gl",
+            "nodes": [0, 1],
+            "psi": {"base": 0.2, "slope": 0.5},
+            "beta": [{"to": 0, "from": 1, "value": 0.3}],
+            "step": 0.5,
+        },
+        GLModel,
+    ),
+    "table": (
+        {
+            "family": "table",
+            "entries": {
+                "0": [
+                    {"weight": 0.5, "pieces": [], "bound": 1.0, "value": 0.5},
+                    {"weight": 0.5, "pieces": [[0, -1.0, 0.0]], "bound": 1.0, "value": 0.25},
+                ]
+            },
+        },
+        TableModel,
+    ),
+    "lattice-4.2.6": (LATTICE, LatticeAgeModel),
+}
+
+
+@pytest.mark.parametrize(
+    "cfg, paths",
+    [
+        (
+            {"model": {"family": 4, "gamma": "high"}, "rng": {"seed": 1.5}},
+            ["model.family", "model.gamma", "rng.seed"],
+        ),
+        (
+            {
+                "model": {"family": "linear", "nodes": [0], "mu": [-1.0], "eps": -0.5, "kernels": [EXP_KERNEL]},
+                "simulation": {"t_max": -1.0, "budget": {"max_points": 0}},
+                "rng": {"runs": 0},
+            },
+            ["model.eps", "model.mu[*]", "rng.runs", "simulation.budget.max_points", "simulation.t_max"],
+        ),
+    ],
+    ids=["schema", "ranges"],
+)
+def test_every_violation_is_reported_at_once(cfg, paths):
+    with pytest.raises(ConfigError) as info:
+        parse_config(cfg)
+    assert sorted(v.split(":")[0].split(" ")[0] for v in info.value.violations) == paths
+
+
+def test_defaults_are_filled_in():
+    run = parse_config({"model": LATTICE})
+    assert isinstance(run, RunConfig)
+    assert (run.t_max, run.n_max, run.node, run.nodes) == (10.0, 1_000_000, 0, None)
+    assert (run.budget.max_generations, run.budget.max_points) == (10_000, 1_000_000)
+    assert run.guard is None
+    assert (run.seed, run.runs) == (0, 1)
+    assert (run.points_path, run.summary_path) == ("points.csv", None)
+
+
+@pytest.mark.parametrize(
+    "section, kind, check",
+    [
+        ({"type": "none"}, NoGuard, lambda g: True),
+        ({"type": "refractory", "delta": 0.25}, RefractoryGap, lambda g: g.delta == 0.25),
+        ({"type": "activity", "t": 2.0, "k": 5}, ActivityCap, lambda g: (g.t, g.k) == (2.0, 5)),
+    ],
+    ids=["none", "refractory", "activity"],
+)
+def test_each_guard_type_is_built(section, kind, check):
+    guard = parse_config({"model": dict(LATTICE, guard=section)}).guard
+    assert isinstance(guard, kind)
+    assert check(guard)
+
+
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        ({"type": "fence"}, "unknown guard 'fence'"),
+        ({"type": "refractory"}, "missing key 'delta'"),
+        ({"type": "refractory", "delta": -1.0}, "refractory length must be positive"),
+        ({"type": "activity", "t": 2.0}, "missing key 'k'"),
+    ],
+    ids=["unknown", "missing-delta", "negative-delta", "missing-k"],
+)
+def test_bad_guard_raises_config_error(section, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config({"model": dict(LATTICE, guard=section)})
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_each_family_builds(family):
+    section, cls = FAMILIES[family]
+    assert isinstance(parse_config({"model": section}).build_model(), cls)
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        ({"model": dict(LATTICE, gama=4)}, "gama"),
+        ({"model": LATTICE, "simulation": {"window": [0.0, 1.0]}}, "window"),
+        ({"model": LATTICE, "rng": {"sead": 1}}, "sead"),
+        ({"model": LATTICE, "output": {"ledger": "ledger.json"}}, "ledger"),
+    ],
+    ids=["model", "simulation", "rng", "output"],
+)
+def test_unknown_key_is_rejected_by_name(cfg, key):
+    with pytest.raises(ConfigError) as info:
+        parse_config(cfg)
+    assert len(info.value.violations) == 1
+    assert f"'{key}' was unexpected" in info.value.violations[0]

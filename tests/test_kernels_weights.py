@@ -10,12 +10,10 @@ from kalisim.weights import (
     FiniteWeights,
     GeometricLevels,
     LadderLevels,
-    PowerLawLevels,
     TaylorWeights,
     default_atomic_weights,
 )
 from kalisim.core import EMPTY_ND, AtomND, NestedND, TaylorND
-from kalisim import series
 
 
 class TestKernels:
@@ -114,23 +112,6 @@ class TestAtomicWeights:
             assert abs(counts.get(d, 0) / n - p) < 4 * sigma + 1e-4, d
 
 
-class TestPowerLawLevels:
-    def test_pmf_normalizes_via_tail(self):
-        fam = PowerLawLevels(4.0)
-        head = sum(fam.level_pmf(k) for k in range(1, 60))
-        assert head + fam.tail_after_level(59) == pytest.approx(1.0, abs=1e-12)
-
-    def test_sampler_frequency_of_level_one(self):
-        # lambda(v_1) = 1/zeta(4)
-        fam = PowerLawLevels(4.0)
-        p1 = 1.0 / series.zeta(4.0)
-        rng = RandomStream(17)
-        n = 100_000
-        hits = sum(1 for _ in range(n) if fam.sample(rng).k == 1)
-        sigma = math.sqrt(p1 * (1 - p1) / n)
-        assert abs(hits / n - p1) < 3 * sigma
-
-
 class TestLadderAndGeometricLevels:
     def test_ladder_pmf(self):
         gamma_k = lambda k: 0.5**k
@@ -143,8 +124,8 @@ class TestLadderAndGeometricLevels:
 
     @pytest.mark.parametrize(
         "fam",
-        [PowerLawLevels(1.1), LadderLevels(lambda k: 0.5**k, total=1.0, tail=lambda n: 0.5**n)],
-        ids=["power-law", "ladder"],
+        [LadderLevels(lambda k: 0.5**k, total=1.0, tail=lambda n: 0.5**n)],
+        ids=["ladder"],
     )
     def test_walk_cap_raises_typed_error(self, fam, monkeypatch):
         class TopDraw:

@@ -7,20 +7,24 @@ import numpy as np
 import pytest
 
 from kalisim import (
+    AncestorGraph,
     Configuration,
+    Neighborhood,
     NestedND,
     NonMonotoneModelError,
     PerfectRunStats,
     RandomStream,
     RegionLedger,
+    TableEntry,
     TableModel,
     backward_clan,
     forward_accept,
     lattice_preset,
     perfect_sample,
+    perfect_sample_window,
 )
 from kalisim import perfect as perfect_module
-from kalisim.perfect import perfect_sample_window
+from kalisim.core import TableND
 from kalisim.models import LatticeAgeModel
 from kalisim.validation import two_node_clan_model
 
@@ -93,6 +97,32 @@ class TestMarkDecision:
         table = PerfectRunStats()
         perfect_sample(TableModel.constant_rate(1.0, bound=2.0), 0, 20.0, RandomStream(3), stats=table)
         assert table.mark_decided == 0
+
+
+class TestForwardAccept:
+    def test_decision_reads_accepted_neighbours_on_their_own_nodes(self):
+        seen = []
+
+        def value(x):
+            seen.append({j: x.points(j) for j in (0, 1)})
+            return 1.0
+
+        pieces = Neighborhood([(0, -1.0, 0.0), (1, -1.0, 0.0)])
+        model = TableModel(
+            {
+                0: [TableEntry(weight=1.0, neighborhood=pieces, bound=1.0, value=value)],
+                1: [TableEntry(weight=1.0, neighborhood=Neighborhood.empty(), bound=1.0)],
+            }
+        )
+        ledger = RegionLedger()
+        for node, t, decision in ((1, -0.5, True), (0, 0.25, True), (1, 0.5, True), (1, 0.75, False)):
+            ledger.add_proposal_point(node, t, mark=0.0).decision = decision
+        root = ledger.add_proposal_point(0, 1.0, mark=0.5)
+        root.neighborhood = TableND(0, 0)
+        graph = AncestorGraph(root=(0, 1.0), root_record=root, pending=[root], terminated=True)
+        forward_accept(graph, model, ledger)
+        assert seen == [{0: (-0.75,), 1: (-0.5,)}]
+        assert root.decision is True
 
 
 class TestSupremum:
