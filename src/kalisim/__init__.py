@@ -79,7 +79,6 @@ from .sampling import (
     PointRecord,
     RandomStream,
     RegionLedger,
-    sample_exponential,
     sample_poisson_region,
 )
 from .weights import AtomicWeights, FiniteWeights, GeometricLevels, LadderLevels, TaylorWeights

@@ -20,7 +20,7 @@ from . import series
 from .core import NodeId
 from .errors import DivergenceError, NonSummableError
 from .models.base import KalikowModel
-from .models.presets import LatticeAgeModel, lattice_c_gamma
+from .models.presets import lattice_c_gamma
 
 ANALYSIS_TOL = 1e-8
 # largest off-sample offspring mass at which a sample's matrix still gives E(W)

@@ -11,8 +11,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis, io
 from .config import load_config
 from .errors import BudgetExhausted, ConfigError, KalisimError

@@ -8,9 +8,8 @@ plus filled-in simulation/rng/output sections.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 import jsonschema
 

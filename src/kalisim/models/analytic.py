@@ -13,7 +13,7 @@ import math
 from itertools import product
 from typing import Mapping, Optional, Sequence
 
-from ..core import EMPTY_ND, AtomND, Configuration, DriveCap, EmptyND, Neighborhood, NodeId, TaylorND
+from ..core import EMPTY_ND, Configuration, DriveCap, EmptyND, Neighborhood, NodeId, TaylorND
 from ..errors import ExplosionGuardError
 from ..kernels import Kernel
 from ..sampling import RandomStream

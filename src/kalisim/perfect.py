@@ -209,7 +209,6 @@ def backward_clan(
     gen = 0
     while frontier:
         if gen + 1 > budget.max_generations:
-            graph.n_stop = None
             _finish_support(graph, support)
             raise BudgetExhausted(
                 f"backward construction exceeded {budget.max_generations} generations"
@@ -359,11 +358,9 @@ def perfect_sample(
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    led = ledger if ledger is not None else RegionLedger()
-    draws = rng.child(0)
-    out: list[float] = []
-    _node_sweep(model, i, 0.0, t_max, led, draws, budget, out, stats=stats)
-    return Configuration({i: out} if out else {}, window=(0.0, t_max), validate=False)
+    out = perfect_sample_window(model, [(i, (0.0, t_max))], rng, budget, ledger, stats)
+    out.window = (0.0, t_max)
+    return out
 
 
 def perfect_sample_window(
@@ -371,12 +368,15 @@ def perfect_sample_window(
     targets: Iterable[tuple[NodeId, Sequence[float]]],
     rng: RandomStream,
     budget: BackwardBudget = DEFAULT_BUDGET,
+    ledger: Optional[RegionLedger] = None,
+    stats: Optional[PerfectRunStats] = None,
 ) -> Configuration:
     """Stationary sample on a finite union of per-node windows.
 
-    Sweeps every requested (node, [a, b)) in sorted order, sharing one ledger
-    so overlapping clans are simulated only on new parts; a single-entry
-    request replays exactly the draws of :func:`perfect_sample`.
+    Sweeps every requested (node, [a, b)) in sorted order on one stream,
+    sharing one ledger so overlapping clans are simulated only on new parts;
+    :func:`perfect_sample` is the single-window case. ``ledger`` and
+    ``stats`` mean what they mean there, summed over the windows.
     """
     normalized: dict[NodeId, list[tuple[float, float]]] = {}
     for node, interval in targets:
@@ -386,13 +386,11 @@ def perfect_sample_window(
         normalized.setdefault(int(node), []).append((a, b))
     merged = {j: _merge_pieces(iv) for j, iv in normalized.items()}
 
-    ledger = RegionLedger()
+    led = ledger if ledger is not None else RegionLedger()
     draws = rng.child(0)
     collected: dict[NodeId, list[float]] = {}
     for node in sorted(merged):
         for a, b in merged[node]:
-            out: list[float] = []
-            _node_sweep(model, node, a, b, ledger, draws, budget, out)
-            collected.setdefault(node, []).extend(out)
+            _node_sweep(model, node, a, b, led, draws, budget, collected.setdefault(node, []), stats=stats)
     points = {j: tuple(sorted(ts)) for j, ts in collected.items() if ts}
     return Configuration._unsafe(points, window=None)

@@ -4,6 +4,12 @@ The ledger is the bookkeeping that makes perfect simulation exact: each
 space-time region of the dominating Poisson processes is realized exactly
 once, and every later request over the same region replays the stored points
 bit for bit.
+
+A run draws proposals, marks, neighborhoods and regions from one stream. Its
+order of draws is a deterministic function of the past, so each region request
+starts at a stopping time and the i.i.d. draws after it are independent of the
+past: the law is that of a stream per region, and the same ``(seed, path)``
+with the same calls replays the run bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -26,6 +33,9 @@ class RandomStream:
     identical draw sequences, and distinct paths yield streams that are
     independent by construction (children are keyed into the seed material,
     not derived from the parent's consumed state).
+
+    The region ledger draws from the stream it is given: a run passes one
+    long-lived stream, never a re-created one that replays spent draws.
     """
 
     __slots__ = ("seed", "path", "_gen")
@@ -54,16 +64,8 @@ class RandomStream:
             raise ValueError(f"exponential rate must be positive, got {rate}")
         return float(self.generator.exponential(1.0 / rate))
 
-    def poisson(self, mean: float) -> int:
-        return int(self.generator.poisson(mean))
-
     def __repr__(self):
         return f"RandomStream(seed={self.seed}, path={self.path})"
-
-
-def sample_exponential(rng: RandomStream, rate: float) -> float:
-    """One draw with mean 1/rate."""
-    return rng.exponential(rate)
 
 
 def sample_poisson_region(
@@ -71,8 +73,11 @@ def sample_poisson_region(
 ) -> list[float]:
     """Homogeneous Poisson points of the given rate on a disjoint interval union.
 
-    Counts per interval are Poisson(rate * length); given the counts, points
-    are i.i.d. uniform in their interval. The output is globally sorted.
+    One count is drawn, Poisson(rate * total length); each point then picks an
+    interval with probability proportional to its length and a uniform place
+    in it, from one ``random(2n)`` call. Given the total the split is
+    multinomial, so per-interval counts are independent Poisson(rate *
+    length). The output is globally sorted.
     """
     if rate <= 0:
         raise ValueError(f"poisson rate must be positive, got {rate}")
@@ -80,16 +85,16 @@ def sample_poisson_region(
     for (a, b), (c, _) in zip(ivs, ivs[1:]):
         if b > c:
             raise ValueError("region intervals must be disjoint")
-    total = sum(b - a for a, b in ivs)
+    cum = list(accumulate(b - a for a, b in ivs))
+    total = cum[-1] if cum else 0.0
     if not math.isfinite(total):
         raise ValueError("region must have finite total length")
-    out: list[float] = []
-    for a, b in ivs:
-        n = rng.poisson(rate * (b - a))
-        if n:
-            out.extend(float(u) for u in rng.generator.uniform(a, b, size=n))
-    out.sort()
-    return out
+    n = int(rng.generator.poisson(rate * total)) if total > 0 else 0
+    if not n:
+        return []
+    u = rng.generator.random(2 * n).tolist()
+    picked = (ivs[min(bisect_right(cum, p * total), len(ivs) - 1)] for p in u[:n])
+    return sorted(a + (b - a) * pos for (a, b), pos in zip(picked, u[n:]))
 
 
 @dataclass
@@ -147,7 +152,6 @@ class RegionLedger:
         self._nodes: dict[int, _NodeLedger] = {}
         self._times_used: set[float] = set()
         self._n_points = 0
-        self._request_count = 0
 
     # -- inspection ----------------------------------------------------------
 
@@ -195,19 +199,13 @@ class RegionLedger:
 
     def _uncovered(self, node: int, a: float, b: float) -> list[tuple[float, float]]:
         """Portions of [a, b) not yet covered."""
-        led = self._nodes.get(node)
-        if led is None or not led.starts:
-            return [(a, b)]
-        out = []
-        pos = a
-        k = bisect_right(led.starts, pos) - 1
-        if k >= 0 and led.ends[k] > pos:
-            pos = min(led.ends[k], b)
-        k += 1
+        led = self._node(node)
+        out, pos = [], a
+        k = max(bisect_right(led.starts, a) - 1, 0)
         while pos < b and k < len(led.starts) and led.starts[k] < b:
             if led.starts[k] > pos:
                 out.append((pos, led.starts[k]))
-            pos = min(led.ends[k], b)
+            pos = max(pos, led.ends[k])
             k += 1
         if pos < b:
             out.append((pos, b))
@@ -248,32 +246,38 @@ class RegionLedger:
         """Realize the dominating process on the not-yet-visited part of ``region``.
 
         Returns ``(new, old)``: fresh points simulated on ``region`` minus the
-        already-realized intervals, and previously realized points falling
-        inside the requested region (flagged old by membership in the second
-        list). The ledger's coverage is extended by the full request either
-        way, so re-requesting any region is idempotent.
+        already-realized intervals, and previously realized points inside
+        ``region``. The ledger's coverage is extended by the full request
+        either way, so re-requesting any region is idempotent.
+
+        The request's uncovered gaps are realized by one
+        :func:`sample_poisson_region` call on the caller's ``rng``, then their
+        marks by one ``random(n)`` call; the module docstring says why.
         """
         self._check_rate(node, rate)
         pieces = sorted((float(a), float(b)) for a, b in region)
-        for (a, b), (c, _) in zip(pieces, pieces[1:]):
-            if b > c:
-                raise LedgerError("requested region must be a disjoint interval union")
-        old: list[PointRecord] = []
-        fresh: list[PointRecord] = []
-        stream = rng.child(self._request_count)
-        self._request_count += 1
-        for a, b in pieces:
+        for k, (a, b) in enumerate(pieces):
             if not (a < b) or not (math.isfinite(a) and math.isfinite(b)):
                 raise LedgerError(f"invalid region piece [{a}, {b})")
+            if k and pieces[k - 1][1] > a:
+                raise LedgerError("requested region must be a disjoint interval union")
+        old, gaps = [], []
+        for a, b in pieces:
             old.extend(self.points_in(node, a, b))
-            for ua, ub in self._uncovered(node, a, b):
-                for t in sample_poisson_region(stream, rate, [(ua, ub)]):
-                    while t in self._times_used:
-                        t = ua + (ub - ua) * stream.uniform()
-                    fresh.append(self._store_point(node, t, mark=stream.uniform()))
+            gaps.extend(self._uncovered(node, a, b))
             self._cover(node, a, b)
+        times = sample_poisson_region(rng, rate, gaps) if gaps else []
+        if not times:
+            return [], old
+        marks = rng.generator.random(len(times)).tolist()
+        fresh: list[PointRecord] = []
+        for t, mark in zip(times, marks):
+            if t in self._times_used:  # an exact collision: resample in its own gap
+                a, b = gaps[bisect_right(gaps, (t, math.inf)) - 1]
+                while t in self._times_used:
+                    t = a + (b - a) * rng.uniform()
+            fresh.append(self._store_point(node, t, mark))
         fresh.sort(key=lambda r: r.time)
-        old.sort(key=lambda r: r.time)
         return fresh, old
 
     def register_empty(self, node: int, a: float, b: float) -> None:

@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from . import analysis, series
-from .core import Configuration, Neighborhood
+from .core import Neighborhood
 from .errors import BudgetExhausted, NonSummableError
 from .kernels import AffineRate, ExponentialKernel
 from .models import AgeHawkesModel, LinearHawkesModel, TableEntry, TableModel, lattice_preset
@@ -71,6 +70,7 @@ def total_variation(sample_a: Sequence[int], sample_b: Sequence[int]) -> float:
 def poisson_chisquare_pvalue(counts: Sequence[int], mean: float) -> float:
     """Goodness-of-fit of integer counts against Poisson(mean), pooling bins
     so that every expected count is at least 5."""
+    from scipy import stats
     counts = np.asarray(counts, dtype=int)
     n = len(counts)
     kmax = int(counts.max())
@@ -210,6 +210,7 @@ def _clan_sizes(model, runs: int, seed: int, budget: BackwardBudget) -> np.ndarr
 
 def suite_constant_rate_perfect(seed: int = 20_101) -> SuiteReport:
     """Constant intensity 1 thinned from bound 2: rate and exponential gaps."""
+    from scipy import stats
     rep = SuiteReport("constant-rate-perfect", seed)
     t0 = time.perf_counter()
     model = TableModel.constant_rate(1.0, bound=2.0)
@@ -494,6 +495,7 @@ def suite_stationarity(seed: int = 21_010, runs: int = 1_000) -> SuiteReport:
 
 def suite_poisson_sanity(seed: int = 21_111) -> SuiteReport:
     """Region sampler sanity: exponential gaps (KS) and Poisson counts (chi-square)."""
+    from scipy import stats
     rep = SuiteReport("poisson-sanity", seed)
     t0 = time.perf_counter()
     rng = RandomStream(seed)

@@ -28,13 +28,28 @@ def write_config(tmp_path, cfg) -> str:
     return str(path)
 
 
-def run_cli(*args):
-    """``kalisim`` in a fresh interpreter, so that nothing catches a traceback."""
+def run_python(*args):
+    """A fresh interpreter that imports this checkout's kalisim."""
     src = str(Path(kalisim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-m", "kalisim.cli", *args], capture_output=True, text=True, env=env, timeout=120
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def run_cli(*args):
+    """``python -m kalisim`` in a fresh interpreter, so that nothing catches a traceback."""
+    return run_python("-m", "kalisim", *args)
+
+
+def test_package_runs_as_a_module():
+    proc = run_cli("validate", "clan-size")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.startswith("suite clan-size: PASS")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # SciPy is loaded by the suites that use it, not by importing the CLI
+    proc = run_python("-c", "import sys, kalisim.cli; assert 'scipy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_analyze_lattice_sample(tmp_path, capsys):

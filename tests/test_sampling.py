@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from kalisim import LedgerError, RandomStream, RegionLedger, sample_exponential, sample_poisson_region
+from kalisim import LedgerError, RandomStream, RegionLedger, sample_poisson_region
 from kalisim.validation import poisson_chisquare_pvalue
 
 
@@ -29,7 +29,7 @@ class TestSampleExponential:
     def test_moments(self):
         rng = RandomStream(100)
         n = 100_000
-        draws = np.array([sample_exponential(rng, 2.0) for _ in range(n)])
+        draws = np.array([rng.exponential(2.0) for _ in range(n)])
         mean_sigma = 0.5 / math.sqrt(n)
         assert abs(draws.mean() - 0.5) < 3 * mean_sigma
         # Var(S^2) for the exponential: (mu4 - sigma^4)/n = (9 - 1) sigma^4 / n
@@ -37,13 +37,13 @@ class TestSampleExponential:
         assert abs(draws.var() - 0.25) < 3 * var_sigma
 
     def test_determinism(self):
-        x = sample_exponential(RandomStream(7, (1,)), 3.0)
-        y = sample_exponential(RandomStream(7, (1,)), 3.0)
+        x = RandomStream(7, (1,)).exponential(3.0)
+        y = RandomStream(7, (1,)).exponential(3.0)
         assert x == y
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
-            sample_exponential(RandomStream(1), 0.0)
+            RandomStream(1).exponential(0.0)
 
 
 class TestSamplePoissonRegion:
@@ -86,6 +86,11 @@ class TestSamplePoissonRegion:
         p = stats.chi2_contingency(table[np.ix_(keep_r, keep_c)]).pvalue
         assert p > 0.01
 
+    def test_one_count_for_the_whole_region(self):
+        for seed in range(20):
+            pts = sample_poisson_region(RandomStream(seed), 3.0, [(5.0, 6.0), (0.0, 1.5)])
+            assert len(pts) == RandomStream(seed).generator.poisson(3.0 * 2.5)
+
     def test_rejects_overlap_and_infinite(self):
         with pytest.raises(ValueError, match="disjoint"):
             sample_poisson_region(RandomStream(1), 1.0, [(0.0, 1.0), (0.5, 2.0)])
@@ -103,18 +108,70 @@ class TestRegionLedger:
 
     def test_second_identical_request_is_idempotent(self):
         led = RegionLedger()
-        new, _ = led.realize_new(0, [(-1.0, 0.0)], 2.0, RandomStream(5))
-        again_new, again_old = led.realize_new(0, [(-1.0, 0.0)], 2.0, RandomStream(5))
+        rng = RandomStream(5)
+        new, _ = led.realize_new(0, [(-1.0, 0.0)], 2.0, rng)
+        again_new, again_old = led.realize_new(0, [(-1.0, 0.0)], 2.0, rng)
         assert again_new == []
         assert [r.time for r in again_old] == [r.time for r in new]
 
     def test_growing_request_fills_only_the_gap(self):
         led = RegionLedger()
-        new1, _ = led.realize_new(0, [(-1.0, 0.0)], 2.0, RandomStream(5))
-        new2, old2 = led.realize_new(0, [(-2.0, 0.0)], 2.0, RandomStream(5))
+        rng = RandomStream(5)
+        new1, _ = led.realize_new(0, [(-1.0, 0.0)], 2.0, rng)
+        new2, old2 = led.realize_new(0, [(-2.0, 0.0)], 2.0, rng)
         assert all(-2.0 <= r.time < -1.0 for r in new2)
         assert [r.time for r in old2] == [r.time for r in new1]
         assert led.coverage(0) == [(-2.0, 0.0)]
+
+    def test_fresh_request_draws_from_the_callers_stream(self):
+        region = [(-4.0, -3.0), (0.5, 2.0), (-1.0, 0.0)]
+        for seed in range(10):
+            rng = RandomStream(seed, (3,))
+            new, old = RegionLedger().realize_new(2, region, 2.5, rng)
+            twin = RandomStream(seed, (3,))
+            times = sample_poisson_region(twin, 2.5, region)
+            assert old == []
+            assert [r.time for r in new] == times
+            assert [r.mark for r in new] == twin.generator.random(len(times)).tolist()
+            # the request consumed exactly those draws of the caller's stream
+            assert rng.uniform() == twin.uniform()
+
+    def test_straddling_request_counts_are_independent_poisson(self):
+        # [1, 2) is covered first, so [0, 3) u [4, 5) leaves three gaps of length 1
+        rate, runs = 2.0, 10_000
+        root = RandomStream(31)
+        counts = np.zeros((runs, 3), dtype=int)
+        for r in range(runs):
+            led = RegionLedger()
+            rng = root.child(r)
+            led.realize_new(0, [(1.0, 2.0)], rate, rng)
+            new, old = led.realize_new(0, [(0.0, 3.0), (4.0, 5.0)], rate, rng)
+            assert [p.time for p in old] == [p.time for p in led.points_in(0, 1.0, 2.0)]
+            assert all(not (1.0 <= p.time < 2.0) for p in new)
+            for p in new:
+                counts[r, 0 if p.time < 1.0 else 1 if p.time < 3.0 else 2] += 1
+        for k in range(3):
+            assert poisson_chisquare_pvalue(counts[:, k], rate) > 0.01
+        cap = 5
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            table = np.zeros((cap + 1, cap + 1))
+            for i, j in zip(np.minimum(counts[:, a], cap), np.minimum(counts[:, b], cap)):
+                table[i, j] += 1
+            keep_r = table.sum(axis=1) >= 20
+            keep_c = table.sum(axis=0) >= 20
+            assert stats.chi2_contingency(table[np.ix_(keep_r, keep_c)]).pvalue > 0.01
+
+    def test_equal_streams_replay_equal_ledgers(self):
+        def build(seed):
+            led = RegionLedger()
+            rng = RandomStream(seed, (1, 2))
+            led.realize_new(0, [(0.0, 2.0)], 3.0, rng)
+            led.realize_new(1, [(-1.0, 1.0), (2.0, 3.0)], 1.5, rng)
+            led.realize_new(0, [(-1.0, 0.5), (1.5, 4.0)], 3.0, rng)
+            return led.to_json()
+
+        assert build(7) == build(7)
+        assert build(7) != build(8)
 
     def test_rate_mismatch_rejected(self):
         led = RegionLedger()
