@@ -26,7 +26,6 @@ from .core import (
     ActivityCap,
     AtomND,
     Configuration,
-    DriveCap,
     EmptyND,
     EMPTY_ND,
     Neighborhood,
@@ -81,7 +80,7 @@ from .sampling import (
     RegionLedger,
     sample_poisson_region,
 )
-from .weights import AtomicWeights, FiniteWeights, GeometricLevels, LadderLevels, TaylorWeights
+from .weights import AtomicWeights, FiniteWeights, GeometricLevels, TaylorWeights
 from .config import RunConfig, build_model, load_config, parse_config
 
 __version__ = "0.1.0"

@@ -74,11 +74,6 @@ class Neighborhood:
             for a, b in ivs:
                 yield j, a, b
 
-    def shifted_pieces(self, t: float) -> Iterator[tuple[NodeId, float, float]]:
-        """Pieces of the neighborhood anchored at absolute time ``t``."""
-        for j, a, b in self.pieces():
-            yield j, a + t, b + t
-
     def contains(self, node: NodeId, t: float) -> bool:
         for a, b in self._by_node.get(node, ()):
             if a <= t < b:
@@ -406,18 +401,6 @@ class ActivityCap(SubspaceGuard):
             if hi - lo > self.k:
                 return False
         return True
-
-
-class DriveCap(SubspaceGuard):
-    """Model-supplied drive stays strictly below the radius K on every node."""
-
-    def __init__(self, k: float, drive_sup):
-        self.k = k
-        self._drive_sup = drive_sup
-        self.name = f"drive-cap(K={k:g})"
-
-    def check(self, x: Configuration) -> bool:
-        return self._drive_sup(x) < self.k
 
 
 # --------------------------------------------------------------------------

@@ -14,23 +14,33 @@ import math
 from typing import Callable, Mapping, Optional, Sequence
 
 from ..core import Configuration, Neighborhood, NestedND, NodeId, RefractoryGap
+from ..errors import NonSummableError
 from ..kernels import AffineRate, ExponentialKernel, Kernel, StepKernel
 from ..sampling import RandomStream
-from ..weights import LadderLevels
-from .base import KalikowModel, OffspringRow, require_window_covers, require_window_for_supports
+from .base import (
+    KalikowModel,
+    OffspringRow,
+    nested_levels,
+    require_window_covers,
+    require_window_for_supports,
+)
+
+_WALK_CAP = 10_000_000
 
 
 class _GammaLadder:
-    """Closed-form access to one node's per-level bounds Gamma_k.
+    """One node's per-level bounds Gamma_k and the level law they induce.
 
-    ``weighted_tail(n)`` is sum_{k>n} k Gamma_k, used for offspring means
-    (each level-k neighborhood has time depth k*delta).
+    ``total`` is Gamma = sum_k Gamma_k, ``tail(n)`` the exact mass of the
+    rungs beyond n and ``weighted_tail(n)`` is sum_{k>n} k Gamma_k, used for
+    offspring means (each level-k neighborhood has time depth k*delta). The
+    level weights are lambda(v_k) = Gamma_k / Gamma, so that every component
+    is bounded by Gamma.
     """
 
-    def level(self, k: int) -> float:
-        raise NotImplementedError
+    total: float
 
-    def total(self) -> float:
+    def level(self, k: int) -> float:
         raise NotImplementedError
 
     def tail(self, n: int) -> float:
@@ -38,6 +48,22 @@ class _GammaLadder:
 
     def weighted_tail(self, n: int) -> float:
         raise NotImplementedError
+
+    def pmf(self, desc) -> float:
+        if self.total <= 0:
+            raise ValueError("total bound must be positive")
+        return self.level(desc.k) / self.total if isinstance(desc, NestedND) and desc.k >= 1 else 0.0
+
+    def sample(self, rng: RandomStream) -> NestedND:
+        if self.total <= 0:
+            raise ValueError("total bound must be positive")
+        u = rng.uniform() * self.total
+        acc = 0.0
+        for k in range(1, _WALK_CAP):
+            acc += self.level(k)
+            if u < acc or self.tail(k) < 1e-15 * self.total:
+                return NestedND(k)
+        raise NonSummableError(f"ladder sampler walk exceeded its cap of {_WALK_CAP} levels")
 
 
 class AutoGammaLadder(_GammaLadder):
@@ -56,7 +82,7 @@ class AutoGammaLadder(_GammaLadder):
         for _, r in self.exp_terms:
             if not 0.0 < r < 1.0:
                 raise ValueError("geometric tail ratio must lie in (0, 1)")
-        self._total = sum(self.head) + self.tail(self.k_head)
+        self.total = sum(self.head) + self.tail(self.k_head)
 
     def level(self, k: int) -> float:
         if k < 1:
@@ -64,9 +90,6 @@ class AutoGammaLadder(_GammaLadder):
         if k <= self.k_head:
             return self.head[k - 1]
         return sum(a * r ** (k - 1) for a, r in self.exp_terms)
-
-    def total(self) -> float:
-        return self._total
 
     def tail(self, n: int) -> float:
         if n >= self.k_head:
@@ -92,13 +115,10 @@ class PowerGammaLadder(_GammaLadder):
         self.c = float(c)
         self.p = float(p)
         self._series = series
-        self._total = self.c * series.zeta(self.p)
+        self.total = self.c * series.zeta(self.p)
 
     def level(self, k: int) -> float:
         return self.c * k ** (-self.p) if k >= 1 else 0.0
-
-    def total(self) -> float:
-        return self._total
 
     def tail(self, n: int) -> float:
         return self.c * self._series.zeta_tail(self.p, n)
@@ -143,9 +163,7 @@ class AgeHawkesModel(KalikowModel):
         self._guard = RefractoryGap(self.refractory)
         self._ladders: dict[NodeId, _GammaLadder] = {}
         self._ladder_of = ladder
-        self._weights: dict[NodeId, LadderLevels] = {}
         self._expand_cache: dict[tuple[NodeId, int], Neighborhood] = {}
-        self._bound_cache: dict[NodeId, float] = {}
         self._sup_cache: dict[tuple[NodeId, int], float] = {}
 
     @classmethod
@@ -156,7 +174,6 @@ class AgeHawkesModel(KalikowModel):
         refractory: float,
         nodes: Sequence[NodeId],
         omega: Optional[Mapping[NodeId, Sequence[Sequence[NodeId]]]] = None,
-        gamma_override: Optional[Callable[[NodeId], _GammaLadder]] = None,
     ) -> "AgeHawkesModel":
         """Explicit finite network.
 
@@ -168,23 +185,10 @@ class AgeHawkesModel(KalikowModel):
         kernels = {(int(i), int(j)): k for (i, j), k in kernels.items()}
         psi_map = dict(psi) if isinstance(psi, Mapping) else {i: psi for i in node_tuple}
 
-        ladders_sets: dict[NodeId, list[tuple[NodeId, ...]]] = {}
+        ladders_sets = {}
         for i in node_tuple:
-            if omega and i in omega:
-                levels = [tuple(sorted(int(j) for j in lvl)) for lvl in omega[i]]
-            else:
-                levels = [(i,), node_tuple]
-            if levels[0] != (i,):
-                raise ValueError(f"omega_1 of node {i} must be {{{i}}}")
-            for a, b in zip(levels, levels[1:]):
-                if not set(a) <= set(b):
-                    raise ValueError(f"omega levels of node {i} must be nested")
             sources = {j for (ii, j) in kernels if ii == i}
-            if not sources <= set(levels[-1]):
-                raise ValueError(
-                    f"omega levels of node {i} must eventually cover every kernel source"
-                )
-            ladders_sets[i] = levels
+            ladders_sets[i] = nested_levels(i, (omega or {}).get(i), node_tuple, sources)
 
         def omega_fn(i: NodeId, k: int) -> tuple[NodeId, ...]:
             levels = ladders_sets[i]
@@ -210,7 +214,7 @@ class AgeHawkesModel(KalikowModel):
         model = cls(
             kernel=kernel_fn,
             omega=omega_fn,
-            ladder=gamma_override or default_ladder,
+            ladder=default_ladder,
             psi=lambda i: psi_map[i],
             refractory=refractory,
             nodes=node_tuple,
@@ -230,13 +234,6 @@ class AgeHawkesModel(KalikowModel):
         if lad is None:
             lad = self._ladders[i] = self._ladder_of(i)
         return lad
-
-    def _level_weights(self, i: NodeId) -> LadderLevels:
-        w = self._weights.get(i)
-        if w is None:
-            lad = self.ladder(i)
-            w = self._weights[i] = LadderLevels(lad.level, lad.total(), lad.tail)
-        return w
 
     def omega(self, i: NodeId, k: int) -> tuple[NodeId, ...]:
         return self._omega(i, k)
@@ -307,10 +304,10 @@ class AgeHawkesModel(KalikowModel):
         return psi(self._drive(i, desc.k, x)) - psi(self._drive(i, desc.k - 1, x))
 
     def pmf(self, i: NodeId, desc) -> float:
-        return self._level_weights(i).pmf(desc)
+        return self.ladder(i).pmf(desc)
 
     def sample_neighborhood(self, i: NodeId, rng: RandomStream):
-        return self._level_weights(i).sample(rng)
+        return self.ladder(i).sample(rng)
 
     def enumerate_descriptors(self, i: NodeId, x: Optional[Configuration] = None):
         k = 1
@@ -348,10 +345,7 @@ class AgeHawkesModel(KalikowModel):
         return lip * total
 
     def global_bound(self, i: NodeId) -> Optional[float]:
-        g = self._bound_cache.get(i)
-        if g is None:
-            g = self._bound_cache[i] = self.ladder(i).total()
-        return g
+        return self.ladder(i).total
 
     def descriptor_bound(self, i: NodeId, desc) -> Optional[float]:
         return self.ladder(i).level(desc.k) if isinstance(desc, NestedND) else None
@@ -373,7 +367,7 @@ class AgeHawkesModel(KalikowModel):
     ) -> float:
         # with lambda_k = Gamma_k / Gamma every component is bounded by Gamma,
         # uniformly over the refractory subspace and hence over future shifts
-        return self.ladder(i).total()
+        return self.ladder(i).total
 
     # -- branching ----------------------------------------------------------------
 
@@ -393,7 +387,7 @@ class AgeHawkesModel(KalikowModel):
         if self._nodes is None:
             raise NotImplementedError("lattice models provide their own offspring row")
         lad = self.ladder(i)
-        gamma_total = lad.total()
+        gamma_total = lad.total
         row: dict[NodeId, float] = {}
         for j in self._nodes:
             lvl = self.entry_level(i, j)
@@ -408,4 +402,4 @@ class AgeHawkesModel(KalikowModel):
             raise NotImplementedError("lattice models provide their own offspring tail")
         lad = self.ladder(i)
         g_sum = sum(self._require_bound(j) for j in self._nodes)
-        return g_sum * self.refractory * lad.weighted_tail(n) / lad.total()
+        return g_sum * self.refractory * lad.weighted_tail(n) / lad.total

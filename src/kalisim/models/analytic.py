@@ -3,8 +3,8 @@
 intensity_i(x) = psi(sum_j integral h_ij(-s) dx_j(s)) with psi analytic around
 0 with nonnegative derivatives. Each order-k summand is a product of k atomic
 bin integrals, indexed by an ordered tuple of atoms; redundant tuples are kept
-distinct. Valid on the subspace where the drive stays below psi's radius of
-convergence.
+distinct. The rate functions offered are entire, so the decomposition holds on
+every configuration.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ import math
 from itertools import product
 from typing import Mapping, Optional, Sequence
 
-from ..core import EMPTY_ND, Configuration, DriveCap, EmptyND, Neighborhood, NodeId, TaylorND
+from ..core import EMPTY_ND, Configuration, EmptyND, Neighborhood, NodeId, NoGuard, TaylorND
 from ..errors import ExplosionGuardError
 from ..kernels import Kernel
 from ..sampling import RandomStream
 from ..weights import TaylorWeights, default_atomic_weights
-from .base import KalikowModel, future_bin_bounds, require_window_covers, require_window_for_supports
+from .base import KalikowModel, atom_future_bound, require_window_covers, require_window_for_supports
 
 
 class PsiSeries:
@@ -35,10 +35,6 @@ class PsiSeries:
                 raise ValueError("derivatives at 0 must be nonnegative")
         self.kind = kind
         self.coeffs = coeffs
-
-    @property
-    def radius(self) -> float:
-        return math.inf
 
     def derivative(self, k: int) -> float:
         if self.kind == "exp":
@@ -83,13 +79,11 @@ class AnalyticHawkesModel(KalikowModel):
         nodes: Sequence[NodeId],
         order_ratio: float = 0.5,
         weights: Optional[Mapping[NodeId, TaylorWeights]] = None,
-        radius: Optional[float] = None,
     ):
         if eps <= 0:
             raise ValueError("bin width eps must be positive")
         self.psi = psi
         self.eps = float(eps)
-        self.radius = float(radius) if radius is not None else psi.radius
         self._nodes = tuple(sorted(int(n) for n in nodes))
         self.kernels = {(int(i), int(j)): k for (i, j), k in kernels.items()}
         self._incoming = {
@@ -102,7 +96,7 @@ class AnalyticHawkesModel(KalikowModel):
                 atoms = default_atomic_weights(self._incoming[i], self.eps, p_empty=0.0)
                 weights[i] = TaylorWeights(order_ratio, atoms)
         self.weights = dict(weights)
-        self._guard = DriveCap(self.radius, self._drive_sup)
+        self._guard = NoGuard()
 
     # -- structure -------------------------------------------------------------
 
@@ -119,9 +113,6 @@ class AnalyticHawkesModel(KalikowModel):
                 if s < 0.0:
                     total += ker(-s)
         return total
-
-    def _drive_sup(self, x: Configuration) -> float:
-        return max((self._drive(i, x) for i in self._nodes), default=0.0)
 
     def expand(self, i: NodeId, desc) -> Neighborhood:
         if isinstance(desc, EmptyND):
@@ -144,7 +135,6 @@ class AnalyticHawkesModel(KalikowModel):
 
     def intensity(self, i: NodeId, x: Configuration) -> float:
         require_window_for_supports(x, [k.support_end for k in self._incoming[i].values()])
-        self._guard.require(x)
         return self.psi(self._drive(i, x))
 
     def delta(self, i: NodeId, desc, x: Configuration) -> float:
@@ -218,35 +208,15 @@ class AnalyticHawkesModel(KalikowModel):
     ) -> float:
         """Bound every component value at all future shifts.
 
-        Per-atom future bounds follow the same bin-migration argument as the
-        linear model; an order-k component is then bounded by
-        psi^(k)(0)/k! * (B*)^k / ((1-kappa) kappa^k) with B* the largest
-        bounded atom ratio. The factorial wins for entire rate functions; the
-        orders are tracked until no later one can exceed the best so far.
+        With B* the largest atom ratio of ``atom_future_bound``, an order-k
+        component is bounded by psi^(k)(0)/k! * (B*)^k / ((1-kappa) kappa^k).
+        The factorial wins for entire rate functions; the orders are tracked
+        until no later one can exceed the best so far.
         With ``source=j``, B* is taken over j's atoms only; the bound is
         nondecreasing in B*, so the largest of these terms is the bound.
         """
         fam = self.weights[i]
-        atoms = fam.atoms
-        b_star = 0.0
-        for j, ker in self._incoming[i].items():
-            if source is not None and j != source:
-                continue
-            pts = x.points(j)
-            if not pts or ker.is_zero():
-                continue
-            if atoms.shares.get(j, 0.0) == 0.0:
-                raise ExplosionGuardError(
-                    f"node {i}: kernel from node {j} is active but its atoms carry no weight"
-                )
-            nmax = atoms.trunc[j]
-            if nmax is None and ker.decay_per(self.eps) >= atoms.ratios[j]:
-                raise ExplosionGuardError(
-                    f"node {i}: atom weights from node {j} decay at least as fast as the kernel"
-                )
-            for n, bound_n in future_bin_bounds(ker, pts, t, self.eps, nmax):
-                b_star = max(b_star, bound_n / atoms.atom_pmf(j, n))
-
+        b_star = atom_future_bound(i, self._incoming[i], fam.atoms, x, t, self.eps, source)
         kappa = fam.order_ratio
         best = self.psi.derivative(0) / (1.0 - kappa)
         if b_star == 0.0:

@@ -6,7 +6,7 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..core import (
     Configuration,
@@ -17,8 +17,10 @@ from ..core import (
     TableRow,
     neighborhood_measure,
 )
-from ..errors import CoverageError, NonSummableError
+from ..errors import CoverageError, ExplosionGuardError, NonSummableError
+from ..kernels import Kernel
 from ..sampling import RandomStream
+from ..weights import AtomicWeights
 
 
 @dataclass(frozen=True)
@@ -258,6 +260,72 @@ def require_window_for_supports(x: Configuration, supports: list[float]) -> None
         raise CoverageError(
             f"window {x.window} is insufficient: kernels depend on the past back to -{need:g}"
         )
+
+
+def nested_levels(
+    i: NodeId,
+    given: Optional[Sequence[Sequence[NodeId]]],
+    nodes: tuple[NodeId, ...],
+    sources: Iterable[NodeId],
+) -> list[tuple[NodeId, ...]]:
+    """Node sets omega_1, omega_2, ... of node ``i``'s nested family, checked.
+
+    ``given`` lists them level by level; the default is omega_1 = {i} and
+    omega_2 = ``nodes``. The summand of level k is the rate on omega_k minus
+    the rate on omega_{k-1}, so omega_1 must be {i}, every level must contain
+    the one before (or a summand goes negative) and the last level must hold
+    every node in ``sources`` (or the summands miss part of the intensity).
+    """
+    levels = [(i,), nodes] if given is None else [tuple(sorted(int(j) for j in lvl)) for lvl in given]
+    if not levels or levels[0] != (i,):
+        raise ValueError(f"omega_1 of node {i} must be {{{i}}}")
+    for a, b in zip(levels, levels[1:]):
+        if not set(a) <= set(b):
+            raise ValueError(f"omega levels of node {i} must be nested")
+    if not set(sources) <= set(levels[-1]):
+        raise ValueError(f"omega levels of node {i} must eventually cover every source node {i} reads")
+    return levels
+
+
+def atom_future_bound(
+    i: NodeId,
+    incoming: Mapping[NodeId, Kernel],
+    atoms: AtomicWeights,
+    x: Configuration,
+    t: float,
+    eps: float,
+    source: Optional[NodeId] = None,
+) -> float:
+    """Largest B_n / lambda(w_{j,n}) over the atoms of node ``i``'s sources.
+
+    ``incoming`` maps each source j to its kernel and ``atoms`` weighs the
+    bins w_{j,n}; B_n is the bound of ``future_bin_bounds``, so the value
+    bounds every atom's component at every future shift of ``x``'s past
+    before ``t``. ``source=j`` reads j's atoms only. Beyond the bin holding
+    the oldest point the ratios decay geometrically when the bin weights
+    decay slower than the kernel; otherwise no finite bound exists.
+    """
+    best = 0.0
+    for j, ker in incoming.items():
+        if source is not None and j != source:
+            continue
+        pts = x.points(j)
+        if not pts or ker.is_zero():
+            continue
+        share = (1.0 - atoms.p_empty) * atoms.shares.get(j, 0.0)
+        if share == 0.0:
+            raise ExplosionGuardError(
+                f"node {i}: kernel from node {j} is active but its atoms carry no weight"
+            )
+        nmax = atoms.trunc[j]
+        if nmax is None and ker.decay_per(eps) >= atoms.ratios[j]:
+            raise ExplosionGuardError(
+                f"node {i}: bin weights from node {j} decay at least as fast as the kernel"
+                " across bins; components admit no finite bound at future shifts"
+            )
+        for n, bound_n in future_bin_bounds(ker, pts, t, eps, nmax):
+            best = max(best, bound_n / (share * atoms._bin_pmf(j, n)))
+    return best
 
 
 def future_bin_bounds(ker, pts: tuple[float, ...], t: float, eps: float, nmax: Optional[int]):

@@ -19,7 +19,7 @@ from ..errors import CoverageError, ExplosionGuardError
 from ..kernels import AffineRate
 from ..sampling import RandomStream
 from ..weights import GeometricLevels
-from .base import KalikowModel, require_window_covers
+from .base import KalikowModel, nested_levels, require_window_covers
 
 
 class GLModel(KalikowModel):
@@ -55,13 +55,8 @@ class GLModel(KalikowModel):
             self.sat[(int(i), int(j))] = float(k)
         self._omega_levels = {}
         for i in self._nodes:
-            if omega and i in omega:
-                levels = [tuple(sorted(int(j) for j in lvl)) for lvl in omega[i]]
-                if levels[0] != (i,):
-                    raise ValueError(f"omega_1 of node {i} must be {{{i}}}")
-            else:
-                levels = [(i,), self._nodes]
-            self._omega_levels[i] = levels
+            sources = {j for (ii, j), b in self.beta.items() if ii == i and b > 0.0}
+            self._omega_levels[i] = nested_levels(i, (omega or {}).get(i), self._nodes, sources)
         if weights is None:
             weights = {i: GeometricLevels(p_empty=0.5, ratio=0.5) for i in self._nodes}
         self.weights = dict(weights)

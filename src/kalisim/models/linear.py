@@ -12,7 +12,7 @@ from ..weights import AtomicWeights, default_atomic_weights
 from .base import (
     KalikowModel,
     OffspringRow,
-    future_bin_bounds,
+    atom_future_bound,
     require_window_covers,
     require_window_for_supports,
 )
@@ -140,14 +140,9 @@ class LinearHawkesModel(KalikowModel):
     def local_bound(
         self, i: NodeId, x: Configuration, t: float = 0.0, source: Optional[NodeId] = None
     ) -> float:
-        """sup over neighborhoods and future shifts of the component values.
-
-        Each bin's drive is bounded at every future shift by
-        ``future_bin_bounds``. Beyond the bin currently holding the oldest
-        point these per-bin bounds decay geometrically provided the bin
-        weights decay slower than the kernel; otherwise no finite bound exists.
-        An atom reads one source: with ``source=j`` the bound is the larger
-        of the empty set's component and the maximum over j's bins.
+        """sup over neighborhoods and future shifts of the component values:
+        the larger of the empty set's component and ``atom_future_bound``.
+        An atom reads one source, so ``source=j`` bounds j's bins only.
         """
         fam = self.weights[i]
         if self.mu[i] > 0.0 and fam.p_empty == 0.0:
@@ -155,28 +150,7 @@ class LinearHawkesModel(KalikowModel):
                 f"node {i} has positive spontaneous rate but zero weight on the empty set"
             )
         best = self.mu[i] / fam.p_empty if self.mu[i] > 0.0 else 0.0
-        for j, ker in self._incoming[i].items():
-            if source is not None and j != source:
-                continue
-            pts = x.points(j)
-            if not pts or ker.is_zero():
-                continue
-            share = (1.0 - fam.p_empty) * fam.shares.get(j, 0.0)
-            if share == 0.0:
-                raise ExplosionGuardError(
-                    f"node {i}: kernel from node {j} is active but its atoms carry no weight"
-                )
-            nmax = fam.trunc[j]
-            if nmax is None:
-                ratio = ker.decay_per(self.eps) / fam.ratios[j]
-                if ratio >= 1.0:
-                    raise ExplosionGuardError(
-                        f"node {i}: bin weights from node {j} decay at least as fast as the kernel"
-                        " across bins; components admit no finite bound at future shifts"
-                    )
-            for n, bound_n in future_bin_bounds(ker, pts, t, self.eps, nmax):
-                best = max(best, bound_n / (share * fam._bin_pmf(j, n)))
-        return best
+        return max(best, atom_future_bound(i, self._incoming[i], fam, x, t, self.eps, source))
 
     # -- branching ------------------------------------------------------------------
 

@@ -82,7 +82,6 @@ class LatticeAgeModel(AgeHawkesModel):
             refractory=float(delta),
             nodes=None,
         )
-        self._power_ladder = ladder
 
     # -- translation-invariant branching reductions ---------------------------
 
@@ -111,7 +110,7 @@ class LatticeAgeModel(AgeHawkesModel):
         sum_{|d|>D} M_{i,i+d} = 2 delta C [zeta_tail(p-2, D+1) - (D+1) zeta_tail(p-1, D+1)],
         and ``err`` bounds its numerical error by the zeta tails' own bounds.
         """
-        lad = self._power_ladder
+        lad = self.ladder(i)
         dlt = self.refractory
         near: dict[NodeId, float] = {i: dlt * lad.weighted_tail(0)}
         d = 1
@@ -139,7 +138,7 @@ class LatticeAgeModel(AgeHawkesModel):
         return sum(row.near.values()) + row.far, row.err
 
     def offspring_tail(self, i: NodeId, n: int) -> float:
-        lad = self._power_ladder
+        lad = self.ladder(i)
         return self.refractory * (2.0 * lad.square_weighted_tail(n) - lad.weighted_tail(n))
 
 

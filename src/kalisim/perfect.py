@@ -19,7 +19,7 @@ unrealized is realized later, once, by whichever point needs it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import Configuration, NodeId, _merge_pieces
 from .errors import BudgetExhausted, KalisimError, LedgerError, NonMonotoneModelError, NonSummableError
@@ -79,19 +79,17 @@ class PerfectRunStats:
 class AncestorGraph:
     """Clan of ancestors of one root proposal.
 
-    ``generations[n]`` holds the points newly simulated while expanding
-    generation n-1 (the root is generation 0); ``pending`` additionally
-    contains previously realized but still undecided points the clan
-    rediscovered, in increasing time order, ending with the root.
-    ``mark_decided`` counts the members rejected from their marks alone.
+    ``pending`` holds the points the clan simulated and the previously
+    realized but still undecided points it rediscovered, in increasing time
+    order, ending with the root. ``lookback`` is how far before the root the
+    backward steps looked (0 if nowhere). ``mark_decided`` counts the members
+    rejected from their marks alone.
     """
 
     root: tuple[NodeId, float]
     root_record: PointRecord
-    generations: dict[int, tuple[PointRecord, ...]] = field(default_factory=dict)
     pending: list[PointRecord] = field(default_factory=list)
-    support: dict[NodeId, tuple[tuple[float, float], ...]] = field(default_factory=dict)
-    n_stop: Optional[int] = None
+    lookback: float = 0.0
     terminated: bool = False
     new_point_count: int = 0
     mark_decided: int = 0
@@ -100,23 +98,26 @@ class AncestorGraph:
         """Total points including the ancestor."""
         return 1 + self.new_point_count
 
-    @property
-    def lookback(self) -> float:
-        """How far into the past the backward steps looked (0 if nowhere)."""
-        starts = [iv[0][0] for iv in self.support.values() if iv]
-        if not starts:
-            return 0.0
-        return self.root[1] - min(starts)
+
+def _anchored(model, rec: PointRecord) -> Iterator[tuple[NodeId, list[tuple[float, float]]]]:
+    """Yield ``(node, pieces)`` of an expanded record's neighborhood anchored
+    at its time: each piece [a, b) becomes [a + t, b + t). The one place a
+    neighborhood is put at a point's time, for both the backward and the
+    forward pass."""
+    t = rec.time
+    nb = model.expand(rec.node, rec.neighborhood)
+    for j in nb.nodes():
+        yield j, [(a + t, b + t) for a, b in nb.intervals(j)]
 
 
 def _children(ledger: RegionLedger, model, rec: PointRecord) -> list[PointRecord]:
-    """Realized points inside an expanded record's neighborhood anchored at its
-    time, piece by piece (no simulation). The one read of a neighborhood's
-    points, for both the backward and the forward pass."""
-    nb = model.expand(rec.node, rec.neighborhood)
+    """Realized points inside an expanded record's anchored neighborhood,
+    piece by piece (no simulation). The one read of a neighborhood's points,
+    for both the backward and the forward pass."""
     out = []
-    for j, a, b in nb.shifted_pieces(rec.time):
-        out.extend(ledger.points_in(j, a, b))
+    for j, region in _anchored(model, rec):
+        for a, b in region:
+            out.extend(ledger.points_in(j, a, b))
     return out
 
 
@@ -163,32 +164,29 @@ def backward_clan(
         root.generation = 0
 
     graph = AncestorGraph(root=(i, t), root_record=root)
-    graph.generations[0] = (root,)
 
     seen: set[int] = {id(root)}
     pending: list[PointRecord] = [] if root.decision is not None else [root]
-    support: dict[NodeId, list[tuple[float, float]]] = {}
     old_stack: list[PointRecord] = []
 
     def expand(rec: PointRecord) -> tuple[list[PointRecord], list[PointRecord]]:
         if _decided_by_mark(model, rec, rng):
             graph.mark_decided += 1
             return [], []
-        nb = model.expand(rec.node, rec.neighborhood)
         new: list[PointRecord] = []
         old: list[PointRecord] = []
-        for j in nb.nodes():
+        for j, region in _anchored(model, rec):
             gam = model.global_bound(j)
             if gam is None:
                 raise NonSummableError(
                     f"{type(model).__name__} has no global bound for node {j}; "
                     "backward simulation needs the bounded regime"
                 )
-            region = [(a + rec.time, b + rec.time) for a, b in nb.intervals(j)]
             fresh, found = ledger.realize_new(j, region, gam, rng)
             new.extend(fresh)
             old.extend(found)
-            support.setdefault(j, []).extend(region)
+            # pieces are sorted, so the first starts earliest
+            graph.lookback = max(graph.lookback, t - region[0][0])
         return new, old
 
     def traverse_old(rec: PointRecord) -> None:
@@ -209,7 +207,6 @@ def backward_clan(
     gen = 0
     while frontier:
         if gen + 1 > budget.max_generations:
-            _finish_support(graph, support)
             raise BudgetExhausted(
                 f"backward construction exceeded {budget.max_generations} generations"
                 " (supercritical weights or too small a budget)",
@@ -225,8 +222,6 @@ def backward_clan(
                 pending.append(child)
                 graph.new_point_count += 1
                 if graph.new_point_count > budget.max_points:
-                    graph.generations[gen + 1] = tuple(next_frontier)
-                    _finish_support(graph, support)
                     raise BudgetExhausted(
                         f"backward construction exceeded {budget.max_points} points",
                         graph=graph,
@@ -238,18 +233,11 @@ def backward_clan(
         while old_stack:
             traverse_old(old_stack.pop())
         gen += 1
-        graph.generations[gen] = tuple(next_frontier)
         frontier = next_frontier
 
-    graph.n_stop = gen
     graph.terminated = True
-    _finish_support(graph, support)
     graph.pending = sorted(pending, key=lambda r: (r.time, r.node))
     return graph
-
-
-def _finish_support(graph: AncestorGraph, support: dict[NodeId, list[tuple[float, float]]]) -> None:
-    graph.support = {j: _merge_pieces(iv) for j, iv in support.items()}
 
 
 def forward_accept(graph: AncestorGraph, model, ledger: RegionLedger) -> AncestorGraph:

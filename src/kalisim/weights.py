@@ -12,10 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .core import EMPTY_ND, AtomND, EmptyND, NestedND, TaylorND
-from .errors import NonSummableError
 from .sampling import RandomStream
-
-_WALK_CAP = 10_000_000
 
 
 class FiniteWeights:
@@ -155,39 +152,6 @@ class AtomicWeights:
         return (1.0 - self.p_empty) * sum(
             self.shares[j] * self._bin_tail(j, n) for j in self.nodes
         )
-
-
-class LadderLevels:
-    """lambda(v_k) = gamma_k / Gamma over nested levels, from closed-form gammas.
-
-    ``gamma_k(k)`` evaluates one rung, ``total`` is the full sum and
-    ``tail(n)`` the exact mass of rungs beyond n.
-    """
-
-    def __init__(self, gamma_k, total: float, tail):
-        if total <= 0:
-            raise ValueError("total bound must be positive")
-        self.gamma_k = gamma_k
-        self.total = float(total)
-        self.tail = tail
-
-    def level_pmf(self, k: int) -> float:
-        return self.gamma_k(k) / self.total if k >= 1 else 0.0
-
-    def pmf(self, desc) -> float:
-        return self.level_pmf(desc.k) if isinstance(desc, NestedND) else 0.0
-
-    def sample(self, rng: RandomStream):
-        u = rng.uniform() * self.total
-        acc = 0.0
-        for k in range(1, _WALK_CAP):
-            acc += self.gamma_k(k)
-            if u < acc or self.tail(k) < 1e-15 * self.total:
-                return NestedND(k)
-        raise NonSummableError(f"ladder sampler walk exceeded its cap of {_WALK_CAP} levels")
-
-    def tail_after_level(self, n: int) -> float:
-        return self.tail(n) / self.total
 
 
 class GeometricLevels:

@@ -5,11 +5,13 @@ import statistics
 import pytest
 
 from kalisim import (
+    AnalyticHawkesModel,
     AtomicWeights,
     Configuration,
     ExponentialKernel,
     LinearHawkesModel,
     NonMonotoneModelError,
+    PsiSeries,
     RandomStream,
     RefractoryGap,
 )
@@ -190,6 +192,19 @@ def test_golden_ring_run():
     assert (pts[0], pts[-1]) == ((0.2858700632059988, 2), (9.962455736998251, 0))
     digest = hashlib.sha256(",".join(f"{i}:{s.hex()}" for s, i in pts).encode()).hexdigest()
     assert digest == "695385d7963f9a788cb398e9f9fb5591ebd1a4aa303ff061dc008121e92e1210"
+
+
+def test_golden_analytic_run():
+    # two exp-rate nodes: every proposal reads the Taylor family's local_bound
+    kernels = {(i, j): ExponentialKernel(0.2 if i == j else 0.1, 1.5) for i in (0, 1) for j in (0, 1)}
+    model = AnalyticHawkesModel(PsiSeries("exp"), kernels, eps=0.5, nodes=[0, 1])
+    run = forward_simulate(model, (0, 1), 5.0, 10_000, None, RandomStream(3))
+    assert run.stop_reason == TIME_REACHED
+    pts = sorted((s, i) for i in (0, 1) for s in run.accepted.points(i))
+    assert (len(pts), run.proposals) == (18, 1204)
+    assert (pts[0], pts[-1]) == ((0.005620742981310831, 0), (4.820828550510584, 1))
+    digest = hashlib.sha256(",".join(f"{i}:{s.hex()}" for s, i in pts).encode()).hexdigest()
+    assert digest == "c91ea1b6099a5610d6e8eadb7a3d034076df39247298c612d2b0868a1a9f6817"
 
 
 def test_closed_form_value():

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from kalisim import AffineRate, ExponentialKernel, NonSummableError, RandomStream, StepKernel
-from kalisim import weights
+from kalisim.models import age
+from kalisim.models.age import AutoGammaLadder
 from kalisim.weights import (
     AtomicWeights,
     FiniteWeights,
     GeometricLevels,
-    LadderLevels,
     TaylorWeights,
     default_atomic_weights,
 )
@@ -112,19 +112,23 @@ class TestAtomicWeights:
             assert abs(counts.get(d, 0) / n - p) < 4 * sigma + 1e-4, d
 
 
+def halving_ladder():
+    """Gamma_k = 2^{-k}: a two-rung head, then one geometric term; Gamma = 1."""
+    return AutoGammaLadder(lambda k: 0.5**k, 2, [(0.5, 0.5)])
+
+
 class TestLadderAndGeometricLevels:
     def test_ladder_pmf(self):
-        gamma_k = lambda k: 0.5**k
-        fam = LadderLevels(gamma_k, total=1.0, tail=lambda n: 0.5**n)
-        assert fam.level_pmf(2) == pytest.approx(0.25)
-        assert fam.tail_after_level(3) == pytest.approx(0.125)
+        fam = halving_ladder()
+        assert fam.pmf(NestedND(2)) == pytest.approx(0.25)
+        assert fam.tail(3) / fam.total == pytest.approx(0.125)
         rng = RandomStream(23)
         draws = [fam.sample(rng).k for _ in range(20_000)]
         assert abs(np.mean([d == 1 for d in draws]) - 0.5) < 0.015
 
     @pytest.mark.parametrize(
         "fam",
-        [LadderLevels(lambda k: 0.5**k, total=1.0, tail=lambda n: 0.5**n)],
+        [halving_ladder()],
         ids=["ladder"],
     )
     def test_walk_cap_raises_typed_error(self, fam, monkeypatch):
@@ -132,7 +136,7 @@ class TestLadderAndGeometricLevels:
             def uniform(self):
                 return 0.999
 
-        monkeypatch.setattr(weights, "_WALK_CAP", 3)
+        monkeypatch.setattr(age, "_WALK_CAP", 3)
         with pytest.raises(NonSummableError, match="walk exceeded its cap"):
             fam.sample(TopDraw())
 

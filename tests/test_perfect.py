@@ -25,7 +25,7 @@ from kalisim import (
 )
 from kalisim.core import TableND
 from kalisim.models import LatticeAgeModel
-from kalisim.validation import two_node_clan_model
+from kalisim.validation import bounded_age_model, two_node_clan_model
 
 GAMMA = P = 4.0
 DELTA = 0.005
@@ -238,6 +238,35 @@ class TestGoldenLattice:
             assert _times_digest(pts) == digest
         assert ledger.n_points() == 969
         assert _ledger_digest(ledger) == "edfe91963e95ed8bf95db2a0651430aeabd0a01823a733389490cf0232374ba4"
+
+
+class TestGoldenBoundedAge:
+    """Seeded outputs of the finite age model, whose levels are drawn from an
+    ``AutoGammaLadder``; seed 9 realizes a clan before time 0."""
+
+    @pytest.mark.parametrize(
+        "seed, count, ends, digest, n_points, ledger_digest, lookbacks",
+        [
+            (1, 15, (0.5684330385363696, 27.668154447635555),
+             "2febb427de944553535af60d46b95cdde956bc37707f9fdfdced4c492c9fa765",
+             23, "bbb3ce6664212cf10fe573b4594f42842d1511064abee96a8c0bd1a84cd07802", (2.0, 17.5)),
+            (9, 14, (0.257385023186668, 29.508233194515388),
+             "b04629109cfc8883daa239c4bab7ca92092c14dc97fec8f457126a58fffbe693",
+             20, "5b0100522be2209c11c738447ae0a7507df51c1a3c7ecec52c265ece9c792ef9",
+             (2.7750315915117345, 11.775031591511734)),
+        ],
+        ids=["seed1", "seed9"],
+    )
+    def test_perfect_sample(self, seed, count, ends, digest, n_points, ledger_digest, lookbacks):
+        ledger, stats = RegionLedger(), PerfectRunStats()
+        out = perfect_sample(bounded_age_model(), 0, 30.0, RandomStream(seed), ledger=ledger, stats=stats)
+        pts = out.points(0)
+        assert len(pts) == count
+        assert (pts[0], pts[-1]) == ends
+        assert _times_digest(pts) == digest
+        assert ledger.n_points() == n_points
+        assert _ledger_digest(ledger) == ledger_digest
+        assert (max(stats.lookbacks), sum(stats.lookbacks)) == lookbacks
 
 
 def test_window_stats_sum_over_the_windows():
