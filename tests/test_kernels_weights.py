@@ -196,3 +196,36 @@ class TestDefaultAtomicWeights:
     def test_no_live_kernels_all_mass_on_empty(self):
         fam = default_atomic_weights({0: ExponentialKernel(0.0, 1.0)}, eps=0.5)
         assert fam.p_empty == 1.0
+
+
+def walked_level(ladder, u):
+    """The level law's inverse CDF as a plain walk over the rungs, for ``u`` in [0, Gamma)."""
+    acc = 0.0
+    for k in range(1, 10_000_000):
+        acc += ladder.level(k)
+        if u < acc or ladder.tail(k) < 1e-15 * ladder.total:
+            return k
+
+
+class TestLadderLevelSampling:
+    class Draws:
+        def __init__(self, values):
+            self.values = list(values)
+
+        def uniform(self):
+            return self.values.pop(0)
+
+    @pytest.mark.parametrize(
+        "ladder",
+        [halving_ladder(), age.PowerGammaLadder(2.5, 4.0)],
+        ids=["auto", "power"],
+    )
+    def test_sample_is_the_walked_level(self, ladder):
+        top = 1.0 - 2.0**-53
+        sweep = [0.3, 0.0, 0.5, 0.1, 0.74, 0.75, 0.9, 0.999, 1 - 1e-9, 1 - 1e-13, top, 0.2, 0.99999]
+        sweep += sweep[::-1]  # the second half draws after the levels were reached once
+        draws = self.Draws(sweep)
+        got = [ladder.sample(draws).k for _ in sweep]
+        assert got == [walked_level(ladder, u * ladder.total) for u in sweep]
+        # the top draw lies past every running sum below the stop level
+        assert ladder.tail(max(got)) < 1e-15 * ladder.total

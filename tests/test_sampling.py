@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -311,3 +312,219 @@ class TestRegionLedger:
             cursor = rec.time
         per_node = sum(len(led.points_in(j, -10.0, 10.0)) for j in (0, 1, 2))
         assert per_node == led.n_points() > 0
+
+
+class ReferenceLedger:
+    """Per-piece ledger logic: the reference ``RegionLedger`` is checked against.
+
+    Each piece of a request reads its stored points, finds its uncovered gaps
+    and merges itself into the coverage on its own, and ``advance`` registers
+    every stretch it walks through ``register_empty``. Draws, collision rule
+    and error messages are those of ``RegionLedger``. Points are ``(time,
+    mark)`` pairs.
+    """
+
+    def __init__(self):
+        self.starts, self.ends, self.times, self.marks = {}, {}, {}, {}
+        self.rates = {}
+        self.used = set()
+
+    def _node(self, node):
+        for lists in (self.starts, self.ends, self.times, self.marks):
+            lists.setdefault(node, [])
+
+    def _check_rate(self, node, rate):
+        if rate <= 0:
+            raise LedgerError(f"dominating rate must be positive, got {rate} for node {node}")
+        self._node(node)
+        if node not in self.rates:
+            self.rates[node] = rate
+        elif self.rates[node] != rate:
+            raise LedgerError(
+                f"node {node} was realized at rate {self.rates[node]} but is now requested at {rate};"
+                " dominating bounds must be constant within a run"
+            )
+
+    def coverage(self, node):
+        return list(zip(self.starts.get(node, []), self.ends.get(node, [])))
+
+    def points(self, node):
+        return list(zip(self.times.get(node, []), self.marks.get(node, [])))
+
+    def n_points(self):
+        return len(self.used)
+
+    def points_in(self, node, a, b):
+        times = self.times[node]
+        lo, hi = bisect_left(times, a), bisect_left(times, b)
+        return list(zip(times[lo:hi], self.marks[node][lo:hi]))
+
+    def _uncovered(self, node, a, b):
+        starts, ends = self.starts[node], self.ends[node]
+        out, pos = [], a
+        k = max(bisect_right(starts, a) - 1, 0)
+        while pos < b and k < len(starts) and starts[k] < b:
+            if starts[k] > pos:
+                out.append((pos, starts[k]))
+            pos = max(pos, ends[k])
+            k += 1
+        if pos < b:
+            out.append((pos, b))
+        return out
+
+    def _cover(self, node, a, b):
+        starts, ends = self.starts[node], self.ends[node]
+        lo = bisect_left(ends, a)
+        hi = bisect_right(starts, b)
+        if lo < hi:
+            a = min(a, starts[lo])
+            b = max(b, ends[hi - 1])
+            del starts[lo:hi]
+            del ends[lo:hi]
+        starts.insert(lo, a)
+        ends.insert(lo, b)
+
+    def _store(self, node, t, mark):
+        k = bisect_right(self.times[node], t)
+        self.times[node].insert(k, t)
+        self.marks[node].insert(k, mark)
+        self.used.add(t)
+        return t, mark
+
+    def realize_new(self, node, region, rate, rng):
+        self._check_rate(node, rate)
+        pieces = sorted((float(a), float(b)) for a, b in region)
+        for k, (a, b) in enumerate(pieces):
+            if not (a < b) or not (math.isfinite(a) and math.isfinite(b)):
+                raise LedgerError(f"invalid region piece [{a}, {b})")
+            if k and pieces[k - 1][1] > a:
+                raise LedgerError("requested region must be a disjoint interval union")
+        old, gaps = [], []
+        for a, b in pieces:
+            old.extend(self.points_in(node, a, b))
+            gaps.extend(self._uncovered(node, a, b))
+            self._cover(node, a, b)
+        times = sample_poisson_region(rng, rate, gaps) if gaps else []
+        if not times:
+            return [], old
+        marks = rng.generator.random(len(times)).tolist()
+        fresh = []
+        for t, mark in zip(times, marks):
+            if t in self.used:
+                a, b = gaps[bisect_right(gaps, (t, math.inf)) - 1]
+                while t in self.used:
+                    t = a + (b - a) * rng.uniform()
+            fresh.append(self._store(node, t, mark))
+        return sorted(fresh), old
+
+    def register_empty(self, node, a, b):
+        if a >= b:
+            return
+        self._node(node)
+        if self._uncovered(node, a, b) != [(a, b)]:
+            raise LedgerError(f"register_empty would overlap realized coverage on node {node}: [{a}, {b})")
+        if any(t != a for t, _ in self.points_in(node, a, b)):
+            raise LedgerError(f"register_empty over stored points on node {node}: [{a}, {b})")
+        self._cover(node, a, b)
+
+    def advance(self, node, cursor, limit, rate, rng):
+        self._check_rate(node, rate)
+        starts, ends, times = self.starts[node], self.ends[node], self.times[node]
+        pos = cursor
+        while pos < limit:
+            k = bisect_right(starts, pos) - 1
+            if k >= 0 and pos < ends[k]:
+                end = ends[k]
+                lo = bisect_right(times, pos)
+                if lo < len(times) and times[lo] < min(end, limit):
+                    return times[lo], self.marks[node][lo]
+                pos = end
+                continue
+            gap_end = starts[k + 1] if k + 1 < len(starts) else math.inf
+            cand = pos + rng.exponential(rate)
+            while cand in self.used:
+                cand = pos + rng.exponential(rate)
+            if cand < min(gap_end, limit):
+                self.register_empty(node, pos, cand)
+                return self._store(node, cand, rng.uniform())
+            if gap_end <= limit:
+                self.register_empty(node, pos, gap_end)
+                pos = gap_end
+            else:
+                self.register_empty(node, pos, limit)
+                return None
+        return None
+
+
+_quarter = st.integers(-24, 24).map(lambda i: i / 4)
+_width = st.integers(0, 12).map(lambda i: i / 4)
+
+
+def _chosen_segments(cuts_and_mask):
+    """Disjoint pieces, abutting where neighbouring segments are both chosen."""
+    cuts, mask = sorted(cuts_and_mask[0]), cuts_and_mask[1] + [True] * 10
+    return [seg for seg, keep in zip(zip(cuts, cuts[1:]), mask) if keep]
+
+
+_segments = st.tuples(st.lists(_quarter, min_size=2, max_size=10, unique=True), st.lists(st.booleans())).map(
+    _chosen_segments
+)
+_any_pieces = st.lists(st.tuples(_quarter, _width).map(lambda p: (p[0], p[0] + p[1])), min_size=1, max_size=5)
+_ledger_op = st.one_of(
+    st.tuples(
+        st.just("realize"),
+        st.sampled_from([0, 1]),
+        st.one_of(_segments.filter(bool), _any_pieces),
+        st.sampled_from([2.0, 2.0, 2.0, 3.0]),
+    ),
+    st.tuples(st.just("advance"), st.sampled_from([0, 1]), _quarter, _width),
+    st.tuples(st.just("empty"), st.sampled_from([0, 1]), _quarter, _width),
+    st.tuples(st.just("empty_from_point"), st.sampled_from([0, 1]), st.integers(0, 60), _width),
+)
+
+
+class TestLedgerAgainstReference:
+    @staticmethod
+    def _apply(led, op, rng):
+        kind, node, x, y = op
+        is_ref = isinstance(led, ReferenceLedger)
+        pairs = (lambda recs: recs) if is_ref else (lambda recs: [(r.time, r.mark) for r in recs])
+        if kind == "realize":
+            new, old = led.realize_new(node, x, y, rng)
+            return pairs(new), pairs(old)
+        if kind == "advance":
+            walked, cursor = [], x
+            while len(walked) < 4:
+                rec = led.advance(node, cursor, x + y, 2.0, rng)
+                if rec is None:
+                    break
+                walked.append(rec if is_ref else (rec.time, rec.mark))
+                cursor = walked[-1][0]
+            return walked
+        if kind == "empty":
+            return led.register_empty(node, x, x + y)
+        times = [t for t, _ in (led.points(node) if is_ref else pairs(led.points_in(node, -math.inf, math.inf)))]
+        if times:
+            t = times[x % len(times)]
+            return led.register_empty(node, t, t + y)
+        return None
+
+    @given(st.lists(_ledger_op, min_size=1, max_size=25))
+    @settings(max_examples=200, deadline=None)
+    def test_multi_piece_requests_and_walks_match_the_per_piece_reference(self, ops):
+        led, ref = RegionLedger(), ReferenceLedger()
+        rng, ref_rng = RandomStream(29), RandomStream(29)
+        for op in ops:
+            outcomes = []
+            for ledger, stream in ((led, rng), (ref, ref_rng)):
+                try:
+                    outcomes.append(("ok", self._apply(ledger, op, stream)))
+                except LedgerError as exc:
+                    outcomes.append(("error", str(exc)))
+            assert outcomes[0] == outcomes[1], op
+            for node in (0, 1):
+                assert led.coverage(node) == ref.coverage(node)
+                recs = led.points_in(node, -math.inf, math.inf)
+                assert [(r.time, r.mark) for r in recs] == ref.points(node)
+            assert led.n_points() == ref.n_points()
+        assert rng.uniform() == ref_rng.uniform()
