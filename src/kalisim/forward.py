@@ -39,8 +39,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .core import ActivityCap, Configuration, NodeId, SubspaceGuard
 from .errors import ExplosionGuardError, NonMonotoneModelError
 from .sampling import RandomStream
@@ -116,7 +114,7 @@ def forward_simulate(
         return Configuration._unsafe(pts, window=(-math.inf, window_hi))
 
     def finish(reason: str, tau: float) -> ForwardRun:
-        hi = tau if reason != STEP_BUDGET else float(np.nextafter(tau, math.inf))
+        hi = tau if reason != STEP_BUDGET else math.nextafter(tau, math.inf)
         return ForwardRun(
             accepted=snapshot(hi),
             stop_reason=reason,
@@ -179,7 +177,7 @@ def forward_simulate(
         t = t_cand
         if rng.uniform() < value / pick_bound:
             times[pick].append(t_cand)
-            candidate = snapshot(float(np.nextafter(t_cand, math.inf)))
+            candidate = snapshot(math.nextafter(t_cand, math.inf))
             if not all(g.check(candidate) for g in guards):
                 times[pick].pop()
                 return finish(GUARD_EXIT, t_cand)

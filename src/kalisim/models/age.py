@@ -11,6 +11,7 @@ the perfect simulator needs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Callable, Mapping, Optional, Sequence
 
 from ..core import Configuration, Neighborhood, NestedND, NodeId, RefractoryGap
@@ -36,9 +37,17 @@ class _GammaLadder:
     offspring means (each level-k neighborhood has time depth k*delta). The
     level weights are lambda(v_k) = Gamma_k / Gamma, so that every component
     is bounded by Gamma.
+
+    ``sample`` inverts the level CDF by bisection on the running sums of the
+    rungs, grown on demand and kept; the list stops growing at the first
+    level whose tail is negligible, which takes every higher draw.
     """
 
     total: float
+
+    def __init__(self):
+        self._cum: list[float] = []
+        self._stop_reached = False
 
     def level(self, k: int) -> float:
         raise NotImplementedError
@@ -58,12 +67,15 @@ class _GammaLadder:
         if self.total <= 0:
             raise ValueError("total bound must be positive")
         u = rng.uniform() * self.total
-        acc = 0.0
-        for k in range(1, _WALK_CAP):
-            acc += self.level(k)
-            if u < acc or self.tail(k) < 1e-15 * self.total:
-                return NestedND(k)
-        raise NonSummableError(f"ladder sampler walk exceeded its cap of {_WALK_CAP} levels")
+        cum = self._cum
+        while not (self._stop_reached or (cum and u < cum[-1])):
+            k = len(cum) + 1
+            if k >= _WALK_CAP:
+                raise NonSummableError(f"ladder sampler walk exceeded its cap of {_WALK_CAP} levels")
+            cum.append((cum[-1] if cum else 0.0) + self.level(k))
+            self._stop_reached = self.tail(k) < 1e-15 * self.total
+        # below the stop level cum[-1] > u, so the cap only binds at the stop level
+        return NestedND(min(bisect_right(cum, u) + 1, len(cum)))
 
 
 class AutoGammaLadder(_GammaLadder):
@@ -76,6 +88,7 @@ class AutoGammaLadder(_GammaLadder):
 
     def __init__(self, gamma_bar: Callable[[int], float], k_head: int,
                  exp_terms: Sequence[tuple[float, float]]):
+        super().__init__()
         self.k_head = max(2, k_head)
         self.head = [gamma_bar(k) for k in range(1, self.k_head + 1)]
         self.exp_terms = [(a, r) for a, r in exp_terms if a > 0.0]
@@ -110,6 +123,7 @@ class PowerGammaLadder(_GammaLadder):
     def __init__(self, c: float, p: float):
         from .. import series
 
+        super().__init__()
         if p <= 2.0:
             raise ValueError("power ladder needs p > 2 for finite offspring means")
         self.c = float(c)

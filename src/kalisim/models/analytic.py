@@ -144,7 +144,14 @@ class AnalyticHawkesModel(KalikowModel):
             raise KeyError(f"descriptor {desc!r} is not a Taylor tuple")
         require_window_covers(x, self.expand(i, desc))
         k = desc.order()
-        coef = self.psi.derivative(k) / math.factorial(k)
+        coef = self.psi.derivative(k)
+        if k <= 170:
+            coef /= math.factorial(k)
+        else:
+            # k! exceeds the float range: divide as integers, which rounds once
+            # and underflows to 0.0 instead of overflowing
+            num, den = coef.as_integer_ratio()
+            coef = num / (den * math.factorial(k))
         if coef == 0.0:
             return 0.0
         for j, n in desc.alphas:

@@ -97,7 +97,7 @@ def sample_poisson_region(
     return sorted(a + (b - a) * pos for (a, b), pos in zip(picked, u[n:]))
 
 
-@dataclass
+@dataclass(slots=True)
 class PointRecord:
     """One realized point of a dominating process, with its attached marks.
 
@@ -185,7 +185,7 @@ class RegionLedger:
             led = self._nodes[node] = _NodeLedger()
         return led
 
-    def _check_rate(self, node: int, rate: float) -> None:
+    def _check_rate(self, node: int, rate: float) -> _NodeLedger:
         if rate <= 0:
             raise LedgerError(f"dominating rate must be positive, got {rate} for node {node}")
         led = self._node(node)
@@ -196,37 +196,40 @@ class RegionLedger:
                 f"node {node} was realized at rate {led.rate} but is now requested at {rate};"
                 " dominating bounds must be constant within a run"
             )
+        return led
 
-    def _uncovered(self, node: int, a: float, b: float) -> list[tuple[float, float]]:
-        """Portions of [a, b) not yet covered."""
-        led = self._node(node)
-        out, pos = [], a
-        k = max(bisect_right(led.starts, a) - 1, 0)
-        while pos < b and k < len(led.starts) and led.starts[k] < b:
-            if led.starts[k] > pos:
-                out.append((pos, led.starts[k]))
-            pos = max(pos, led.ends[k])
-            k += 1
-        if pos < b:
-            out.append((pos, b))
-        return out
+    def _cover_gap(self, node: int, led: _NodeLedger, k: int, a: float, b: float) -> None:
+        """Cover [a, b), which must lie in the gap after coverage interval ``k``.
 
-    def _cover(self, node: int, a: float, b: float) -> None:
-        """Add [a, b) to the coverage, merging overlaps and adjacency."""
-        led = self._node(node)
-        lo = bisect_left(led.ends, a)
-        hi = bisect_right(led.starts, b)
-        if lo < hi:
-            a = min(a, led.starts[lo])
-            b = max(b, led.ends[hi - 1])
-            del led.starts[lo:hi]
-            del led.ends[lo:hi]
-        led.starts.insert(lo, a)
-        led.ends.insert(lo, b)
+        ``k`` is the last interval starting at or before ``a`` (-1 if none).
+        The gap must hold no stored point beyond a possible one at ``a``. The
+        stretch is merged with the intervals it abuts, as the coverage keeps
+        abutting intervals merged.
+        """
+        if a >= b:  # an exponential step can round to zero
+            return
+        starts, ends, times = led.starts, led.ends, led.times
+        after = k + 1 < len(starts)
+        if (k >= 0 and ends[k] > a) or (after and starts[k + 1] < b):
+            raise LedgerError(f"register_empty would overlap realized coverage on node {node}: [{a}, {b})")
+        lo = bisect_right(times, a)
+        if lo < len(times) and times[lo] < b:
+            raise LedgerError(f"register_empty over stored points on node {node}: [{a}, {b})")
+        joins_next = after and starts[k + 1] == b
+        if k >= 0 and ends[k] == a:
+            if joins_next:
+                ends[k] = ends[k + 1]
+                del starts[k + 1], ends[k + 1]
+            else:
+                ends[k] = b
+        elif joins_next:
+            starts[k + 1] = a
+        else:
+            starts.insert(k + 1, a)
+            ends.insert(k + 1, b)
 
-    def _store_point(self, node: int, t: float, mark: float) -> PointRecord:
+    def _store_point(self, node: int, led: _NodeLedger, t: float, mark: float) -> PointRecord:
         rec = PointRecord(node=node, time=t, mark=mark)
-        led = self._node(node)
         k = bisect_right(led.times, t)
         led.times.insert(k, t)
         led.records.insert(k, rec)
@@ -254,29 +257,75 @@ class RegionLedger:
         :func:`sample_poisson_region` call on the caller's ``rng``, then their
         marks by one ``random(n)`` call; the module docstring says why.
         """
-        self._check_rate(node, rate)
+        led = self._check_rate(node, rate)
         pieces = sorted((float(a), float(b)) for a, b in region)
         for k, (a, b) in enumerate(pieces):
             if not (a < b) or not (math.isfinite(a) and math.isfinite(b)):
                 raise LedgerError(f"invalid region piece [{a}, {b})")
             if k and pieces[k - 1][1] > a:
                 raise LedgerError("requested region must be a disjoint interval union")
-        old, gaps = [], []
+        if not pieces:
+            return [], []
+        starts, ends, times, records = led.starts, led.ends, led.times, led.records
+        # the coverage intervals that touch or abut the request: one walk over
+        # them and the pieces, in order of start, collects each piece's stored
+        # points and uncovered gaps and the merged coverage
+        lo = bisect_left(ends, pieces[0][0])
+        hi = bisect_right(starts, pieces[-1][1])
+        old: list[PointRecord] = []
+        gaps: list[tuple[float, float]] = []
+        cover_s: list[float] = []
+        cover_e: list[float] = []
+        j, last_end, p = lo, -math.inf, 0
         for a, b in pieces:
-            old.extend(self.points_in(node, a, b))
-            gaps.extend(self._uncovered(node, a, b))
-            self._cover(node, a, b)
-        times = sample_poisson_region(rng, rate, gaps) if gaps else []
-        if not times:
+            p = bisect_left(times, a, p)
+            p_end = bisect_left(times, b, p)
+            old += records[p:p_end]
+            p = p_end
+            # coverage before the piece; the last interval may reach into it
+            while j < hi and starts[j] <= a:
+                s, last_end = starts[j], ends[j]
+                if cover_e and s <= cover_e[-1]:
+                    if last_end > cover_e[-1]:
+                        cover_e[-1] = last_end
+                else:
+                    cover_s.append(s)
+                    cover_e.append(last_end)
+                j += 1
+            if cover_e and a <= cover_e[-1]:
+                if b > cover_e[-1]:
+                    cover_e[-1] = b
+            else:
+                cover_s.append(a)
+                cover_e.append(b)
+            # coverage starting inside the piece cuts it into gaps and merges with it
+            pos = max(a, last_end)
+            while j < hi and starts[j] < b:
+                s, last_end = starts[j], ends[j]
+                if s > pos:
+                    gaps.append((pos, s))
+                pos = max(pos, last_end)
+                if last_end > cover_e[-1]:
+                    cover_e[-1] = last_end
+                j += 1
+            if pos < b:
+                gaps.append((pos, b))
+        # an interval abutting the last piece
+        if j < hi:
+            cover_e[-1] = ends[j]
+        starts[lo:hi] = cover_s
+        ends[lo:hi] = cover_e
+        drawn = sample_poisson_region(rng, rate, gaps) if gaps else []
+        if not drawn:
             return [], old
-        marks = rng.generator.random(len(times)).tolist()
+        marks = rng.generator.random(len(drawn)).tolist()
         fresh: list[PointRecord] = []
-        for t, mark in zip(times, marks):
+        for t, mark in zip(drawn, marks):
             if t in self._times_used:  # an exact collision: resample in its own gap
                 a, b = gaps[bisect_right(gaps, (t, math.inf)) - 1]
                 while t in self._times_used:
                     t = a + (b - a) * rng.uniform()
-            fresh.append(self._store_point(node, t, mark))
+            fresh.append(self._store_point(node, led, t, mark))
         fresh.sort(key=lambda r: r.time)
         return fresh, old
 
@@ -289,18 +338,14 @@ class RegionLedger:
         """
         if a >= b:
             return
-        if self._uncovered(node, a, b) != [(a, b)]:
-            raise LedgerError(f"register_empty would overlap realized coverage on node {node}: [{a}, {b})")
-        inside = self.points_in(node, a, b)
-        if any(rec.time != a for rec in inside):
-            raise LedgerError(f"register_empty over stored points on node {node}: [{a}, {b})")
-        self._cover(node, a, b)
+        led = self._node(node)
+        self._cover_gap(node, led, bisect_right(led.starts, a) - 1, a, b)
 
     def add_proposal_point(self, node: int, t: float, mark: float) -> PointRecord:
         """Store a proposal point learned from an exponential step."""
         if self.record(node, t) is not None:
             raise LedgerError(f"point ({node}, {t}) already realized")
-        return self._store_point(node, t, mark)
+        return self._store_point(node, self._node(node), t, mark)
 
     def advance(
         self, node: int, cursor: float, limit: float, rate: float, rng: RandomStream
@@ -313,32 +358,33 @@ class RegionLedger:
         gap certifies the gap empty; one overshooting ``limit`` certifies
         emptiness up to ``limit`` and returns ``None``.
         """
-        self._check_rate(node, rate)
-        led = self._node(node)
+        led = self._check_rate(node, rate)
+        starts, ends, times = led.starts, led.ends, led.times
         pos = cursor
         while pos < limit:
-            k = bisect_right(led.starts, pos) - 1
-            if k >= 0 and pos < led.ends[k]:
+            k = bisect_right(starts, pos) - 1
+            if k >= 0 and pos < ends[k]:
                 # inside realized coverage: replay stored points
-                end = led.ends[k]
-                lo = bisect_right(led.times, pos)
-                if lo < len(led.times) and led.times[lo] < min(end, limit):
+                end = ends[k]
+                lo = bisect_right(times, pos)
+                if lo < len(times) and times[lo] < min(end, limit):
                     return led.records[lo]
                 pos = end
                 continue
-            gap_end = led.starts[k + 1] if k + 1 < len(led.starts) else math.inf
+            # in the gap after interval k: each stretch walked is covered in place
+            gap_end = starts[k + 1] if k + 1 < len(starts) else math.inf
             cand = pos + rng.exponential(rate)
-            while cand in self._times_used:
+            while cand in self._times_used:  # also keeps the new point's time unique
                 cand = pos + rng.exponential(rate)
             if cand < min(gap_end, limit):
-                self.register_empty(node, pos, cand)
-                return self.add_proposal_point(node, cand, mark=rng.uniform())
+                self._cover_gap(node, led, k, pos, cand)
+                return self._store_point(node, led, cand, rng.uniform())
             if gap_end <= limit:
                 # gap exhausted without a point: [pos, gap_end) is empty
-                self.register_empty(node, pos, gap_end)
+                self._cover_gap(node, led, k, pos, gap_end)
                 pos = gap_end
             else:
-                self.register_empty(node, pos, limit)
+                self._cover_gap(node, led, k, pos, limit)
                 return None
         return None
 

@@ -1,6 +1,7 @@
 """Kalikow identity of the analytic (Taylor) and Galves-Löcherbach families,
 and the nested-level checks their node sets share with the age model."""
 
+import math
 from itertools import product
 
 import numpy as np
@@ -57,6 +58,15 @@ class TestAnalyticIdentity:
                 assert all(b >= a for a, b in zip(partial, partial[1:]))
                 assert partial[-1] <= target * (1.0 + 1e-12)
                 assert target - partial[-1] < 1e-9
+
+    def test_orders_past_170_add_nothing_instead_of_overflowing(self):
+        m = AnalyticHawkesModel(PsiSeries("exp"), {(0, 0): ExponentialKernel(0.3, 1.5)}, eps=0.5, nodes=[0])
+        x = Configuration({0: [-0.2]})
+        # one live atom: the n-th descriptor is the order-(n - 1) tuple
+        at_171 = evaluate_decomposition(m, 0, x, 171)
+        at_173 = evaluate_decomposition(m, 0, x, 173)
+        assert math.isfinite(at_173) and at_173 >= at_171
+        assert abs(at_173 - m.intensity(0, x)) < 1e-12
 
     def test_weights_sum_to_one(self):
         m = analytic_pair()

@@ -328,6 +328,7 @@ class ReferenceLedger:
         self.starts, self.ends, self.times, self.marks = {}, {}, {}, {}
         self.rates = {}
         self.used = set()
+        self.count = 0
 
     def _node(self, node):
         for lists in (self.starts, self.ends, self.times, self.marks):
@@ -348,13 +349,12 @@ class ReferenceLedger:
     def coverage(self, node):
         return list(zip(self.starts.get(node, []), self.ends.get(node, [])))
 
-    def points(self, node):
-        return list(zip(self.times.get(node, []), self.marks.get(node, [])))
-
     def n_points(self):
-        return len(self.used)
+        return self.count
 
     def points_in(self, node, a, b):
+        if node not in self.times:
+            return []
         times = self.times[node]
         lo, hi = bisect_left(times, a), bisect_left(times, b)
         return list(zip(times[lo:hi], self.marks[node][lo:hi]))
@@ -389,6 +389,7 @@ class ReferenceLedger:
         self.times[node].insert(k, t)
         self.marks[node].insert(k, mark)
         self.used.add(t)
+        self.count += 1
         return t, mark
 
     def realize_new(self, node, region, rate, rng):
@@ -426,6 +427,12 @@ class ReferenceLedger:
         if any(t != a for t, _ in self.points_in(node, a, b)):
             raise LedgerError(f"register_empty over stored points on node {node}: [{a}, {b})")
         self._cover(node, a, b)
+
+    def add_proposal_point(self, node, t, mark):
+        self._node(node)
+        if t in self.times[node]:
+            raise LedgerError(f"point ({node}, {t}) already realized")
+        return self._store(node, t, mark)
 
     def advance(self, node, cursor, limit, rate, rng):
         self._check_rate(node, rate)
@@ -470,47 +477,59 @@ _segments = st.tuples(st.lists(_quarter, min_size=2, max_size=10, unique=True), 
     _chosen_segments
 )
 _any_pieces = st.lists(st.tuples(_quarter, _width).map(lambda p: (p[0], p[0] + p[1])), min_size=1, max_size=5)
+_realize_op = st.tuples(
+    st.just("realize"),
+    st.sampled_from([0, 1]),
+    st.one_of(_segments.filter(bool), _any_pieces),
+    st.sampled_from([2.0, 2.0, 2.0, 3.0]),
+)
 _ledger_op = st.one_of(
-    st.tuples(
-        st.just("realize"),
-        st.sampled_from([0, 1]),
-        st.one_of(_segments.filter(bool), _any_pieces),
-        st.sampled_from([2.0, 2.0, 2.0, 3.0]),
-    ),
+    _realize_op,
+    _realize_op,
     st.tuples(st.just("advance"), st.sampled_from([0, 1]), _quarter, _width),
     st.tuples(st.just("empty"), st.sampled_from([0, 1]), _quarter, _width),
     st.tuples(st.just("empty_from_point"), st.sampled_from([0, 1]), st.integers(0, 60), _width),
+    st.tuples(st.just("propose"), st.sampled_from([0, 1]), st.integers(-48, 48).map(lambda i: i / 8), st.just(0.5)),
 )
+
+
+def _pairs(points):
+    """``(time, mark)`` pairs of ledger records; the reference's points already are."""
+    return [p if isinstance(p, tuple) else (p.time, p.mark) for p in points]
+
+
+def _all_points(led, node):
+    return _pairs(led.points_in(node, -math.inf, math.inf))
 
 
 class TestLedgerAgainstReference:
     @staticmethod
     def _apply(led, op, rng):
         kind, node, x, y = op
-        is_ref = isinstance(led, ReferenceLedger)
-        pairs = (lambda recs: recs) if is_ref else (lambda recs: [(r.time, r.mark) for r in recs])
         if kind == "realize":
             new, old = led.realize_new(node, x, y, rng)
-            return pairs(new), pairs(old)
+            return _pairs(new), _pairs(old)
         if kind == "advance":
             walked, cursor = [], x
             while len(walked) < 4:
                 rec = led.advance(node, cursor, x + y, 2.0, rng)
                 if rec is None:
                     break
-                walked.append(rec if is_ref else (rec.time, rec.mark))
+                walked += _pairs([rec])
                 cursor = walked[-1][0]
             return walked
         if kind == "empty":
             return led.register_empty(node, x, x + y)
-        times = [t for t, _ in (led.points(node) if is_ref else pairs(led.points_in(node, -math.inf, math.inf)))]
+        if kind == "propose":
+            return _pairs([led.add_proposal_point(node, x, mark=y)])
+        times = [t for t, _ in _all_points(led, node)]
         if times:
             t = times[x % len(times)]
             return led.register_empty(node, t, t + y)
         return None
 
-    @given(st.lists(_ledger_op, min_size=1, max_size=25))
-    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_ledger_op, min_size=5, max_size=30))
+    @settings(max_examples=300, deadline=None)
     def test_multi_piece_requests_and_walks_match_the_per_piece_reference(self, ops):
         led, ref = RegionLedger(), ReferenceLedger()
         rng, ref_rng = RandomStream(29), RandomStream(29)
@@ -524,7 +543,6 @@ class TestLedgerAgainstReference:
             assert outcomes[0] == outcomes[1], op
             for node in (0, 1):
                 assert led.coverage(node) == ref.coverage(node)
-                recs = led.points_in(node, -math.inf, math.inf)
-                assert [(r.time, r.mark) for r in recs] == ref.points(node)
+                assert _all_points(led, node) == _all_points(ref, node)
             assert led.n_points() == ref.n_points()
         assert rng.uniform() == ref_rng.uniform()
