@@ -47,16 +47,20 @@ def branching_matrix(model: KalikowModel, nodes: Sequence[NodeId]) -> np.ndarray
     mass landing outside the node set is not part of the matrix; use
     :func:`branching_summary` to see it.
     """
-    m, _ = _matrix_with_offmass(model, nodes)
+    m, _, _ = _matrix_with_offmass(model, nodes)
     return m
 
 
 def _matrix_with_offmass(model: KalikowModel, nodes: Sequence[NodeId]):
+    """M over the sample, each row's off-sample mass and each node's row total."""
     node_list = tuple(int(n) for n in nodes)
+    if not node_list:
+        raise ValueError("need a nonempty node sample")
     _require_bounds(model, node_list)
     index = {j: k for k, j in enumerate(node_list)}
     m = np.zeros((len(node_list), len(node_list)))
     off = np.zeros(len(node_list))
+    total: dict[NodeId, float] = {}
     for row_pos, i in enumerate(node_list):
         row = model.offspring_row(i, tol=ANALYSIS_TOL)
         if not math.isfinite(row.far + row.err):
@@ -68,7 +72,8 @@ def _matrix_with_offmass(model: KalikowModel, nodes: Sequence[NodeId]):
                 off[row_pos] += mass
         # conservative: the far mass plus the bound on its error
         off[row_pos] += row.far + row.err
-    return m, off
+        total[i] = sum(row.near.values()) + row.far + row.err
+    return m, off, total
 
 
 @dataclass(frozen=True)
@@ -92,8 +97,9 @@ def subcriticality_gamma(
 
     With ``invariant=True`` (or for translation-invariant lattice models with
     no node sample given) the scalar closed form of the constant row sum is
-    used; otherwise each sampled node's total offspring mass is accumulated
-    directly from the expanded neighborhoods and the product measure.
+    used. Otherwise each sampled node's gamma_i is the total of its
+    ``offspring_row``: every listed entry, inside the sample or not, plus the
+    far mass and the bound on its error, so gamma is conservative.
     """
     if invariant or (nodes is None and model.node_set() is None):
         if not _translation_invariant(model):
@@ -101,15 +107,10 @@ def subcriticality_gamma(
         g = model.invariant_offspring_mean()
         return GammaVerdict(gamma=g, subcritical=g < 1.0, invariant=True)
     node_list = tuple(nodes) if nodes is not None else model.node_set()
-    if not node_list:
-        raise ValueError("need a nonempty node sample")
-    _require_bounds(model, node_list)
-    per = {}
-    for i in node_list:
-        total, tail = model.offspring_total(i, tol=ANALYSIS_TOL)
-        if not math.isfinite(total) or not math.isfinite(tail):
-            raise NonSummableError(f"offspring series of node {i} diverges")
-        per[i] = total + tail  # conservative: include the unsummed tail bound
+    return _row_total_verdict(_matrix_with_offmass(model, node_list)[2])
+
+
+def _row_total_verdict(per: dict[NodeId, float]) -> GammaVerdict:
     g = max(per.values())
     return GammaVerdict(gamma=g, subcritical=g < 1.0, per_node=per)
 
@@ -169,8 +170,8 @@ def branching_summary(model: KalikowModel, nodes: Optional[Sequence[NodeId]] = N
             scalar_reduction=True,
         )
     node_list = tuple(nodes) if nodes is not None else model.node_set()
-    m, off = _matrix_with_offmass(model, node_list)
-    verdict = subcriticality_gamma(model, node_list)
+    m, off, total = _matrix_with_offmass(model, node_list)
+    verdict = _row_total_verdict(total)
     expected = {}
     note = None
     if not verdict.subcritical:

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, io
-from .config import load_config
+from .config import RunConfig, load_config
 from .errors import BudgetExhausted, ConfigError, KalisimError
 from .forward import forward_simulate
 from .perfect import PerfectRunStats, perfect_sample
@@ -27,7 +27,7 @@ EXIT_CONFIG = 2
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="JSON run configuration")
     p.add_argument("--seed", type=int, default=None, help="override rng.seed")
-    p.add_argument("--out", default=None, help="override output.points path")
+    p.add_argument("--out", default=None, help="override output.points")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,14 +39,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fwd = sub.add_parser("simulate-forward", help="forward simulation from empty past")
     _add_common(p_fwd)
-    p_fwd.add_argument("--t-max", type=float, default=None)
-    p_fwd.add_argument("--n-max", type=int, default=None)
+    p_fwd.add_argument("--t-max", type=float, default=None, help="override simulation.t_max")
+    p_fwd.add_argument("--n-max", type=int, default=None, help="override simulation.n_max")
 
     p_perf = sub.add_parser("simulate-perfect", help="perfect simulation of one node")
     _add_common(p_perf)
-    p_perf.add_argument("--t-max", type=float, default=None)
-    p_perf.add_argument("--node", type=int, default=None)
-    p_perf.add_argument("--runs", type=int, default=None)
+    p_perf.add_argument("--t-max", type=float, default=None, help="override simulation.t_max")
+    p_perf.add_argument("--node", type=int, default=None, help="override simulation.node")
+    p_perf.add_argument("--runs", type=int, default=None, help="override rng.runs")
     p_perf.add_argument("--dump-ledger", default=None, help="write the region ledger as JSON")
 
     p_an = sub.add_parser("analyze", help="branching-cost analysis report")
@@ -63,30 +63,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _seed_of(args, cfg) -> int:
-    return args.seed if args.seed is not None else cfg.seed
+def _load(args, overrides: dict) -> RunConfig:
+    """The run configuration, with the common flags and ``overrides`` put in
+    place of the file's values before validation."""
+    return load_config(args.config, {"rng.seed": args.seed, "output.points": args.out, **overrides})
 
 
 def _cmd_forward(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load(args, {"simulation.t_max": args.t_max, "simulation.n_max": args.n_max})
     model = cfg.build_model()
-    t_max = args.t_max if args.t_max is not None else cfg.t_max
-    n_max = args.n_max if args.n_max is not None else cfg.n_max
+    if model.node_set() is None:
+        family = cfg.model_section["family"]
+        raise ConfigError([f"simulate-forward needs a finite network; {family} has infinitely many nodes"])
     nodes = cfg.nodes if cfg.nodes is not None else model.node_set()
-    seed = _seed_of(args, cfg)
-    out_path = args.out or cfg.points_path
 
-    runs = cfg.runs
     summaries = []
-    base = RandomStream(seed)
-    for r in range(runs):
-        run = forward_simulate(model, nodes, t_max, n_max, cfg.guard, base.child(r))
-        path = _run_path(out_path, r, runs)
+    base = RandomStream(cfg.seed)
+    for r in range(cfg.runs):
+        run = forward_simulate(model, nodes, cfg.t_max, cfg.n_max, cfg.guard, base.child(r))
+        path = _run_path(cfg.points_path, r, cfg.runs)
         n = io.emit_points(path, run.accepted)
         summaries.append(
             {
                 "run": r,
-                "seed_path": [seed, r],
+                "seed_path": [cfg.seed, r],
                 "points": n,
                 "stop_reason": run.stop_reason,
                 "tau": run.tau,
@@ -109,13 +109,9 @@ def _run_path(base: str, r: int, runs: int) -> str:
 
 
 def _cmd_perfect(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load(args, {"simulation.t_max": args.t_max, "simulation.node": args.node, "rng.runs": args.runs})
     model = cfg.build_model()
-    t_max = args.t_max if args.t_max is not None else cfg.t_max
-    node = args.node if args.node is not None else cfg.node
-    runs = args.runs if args.runs is not None else cfg.runs
-    seed = _seed_of(args, cfg)
-    out_path = args.out or cfg.points_path
+    t_max, node, runs, seed = cfg.t_max, cfg.node, cfg.runs, cfg.seed
 
     summaries = []
     exhausted = 0
@@ -134,7 +130,7 @@ def _cmd_perfect(args) -> int:
             print(f"run {r}: backward budget exhausted ({exc})", file=sys.stderr)
             summaries.append({"run": r, "seed_path": [seed, r], "budget_exhausted": True})
             continue
-        path = _run_path(out_path, r, runs)
+        path = _run_path(cfg.points_path, r, runs)
         n = io.emit_points(path, sample)
         entry = {
             "run": r,
@@ -164,7 +160,16 @@ def _cmd_perfect(args) -> int:
     return EXIT_OK
 
 
+def _floats(flag: str, text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError([f"{flag} must be comma-separated numbers, got {text!r}"]) from None
+
+
 def _cmd_analyze(args) -> int:
+    if args.nodes is not None and args.nodes < 1:
+        raise ConfigError([f"--nodes must be >= 1, got {args.nodes}"])
     cfg = load_config(args.config)
     model = cfg.build_model()
     report: dict = {"family": cfg.model_section.get("family")}
@@ -197,9 +202,12 @@ def _cmd_analyze(args) -> int:
         if summary.off_mass:
             report["off_sample_mass"] = {str(k): v for k, v in summary.off_mass.items()}
         if args.theta is not None:
-            theta = [float(v) for v in args.theta.split(",")]
+            theta = _floats("--theta", args.theta)
             off = analysis.OffspringModel.from_model(model, nodes)
-            state = analysis.log_laplace_fixed_point(off, theta)
+            try:
+                state = analysis.log_laplace_fixed_point(off, theta)
+            except ValueError as exc:  # theta of the wrong length
+                raise ConfigError([f"--theta: {exc}"]) from None
             report["log_laplace"] = {
                 "theta": theta,
                 "fixed_point": state.fixed_point.tolist(),
@@ -211,8 +219,11 @@ def _cmd_analyze(args) -> int:
         sec = cfg.model_section
         if sec.get("family") != "lattice-4.2.6":
             raise ConfigError(["--p-grid needs the lattice-4.2.6 preset (gamma and delta)"])
-        grid = [float(v) for v in args.p_grid.split(",")]
-        curve = analysis.weight_cost_curve(float(sec["gamma"]), float(sec["delta"]), grid)
+        grid = _floats("--p-grid", args.p_grid)
+        try:
+            curve = analysis.weight_cost_curve(float(sec["gamma"]), float(sec["delta"]), grid)
+        except ValueError as exc:  # a weight exponent above gamma
+            raise ConfigError([f"--p-grid: {exc}"]) from None
         report["cost_curve"] = {
             "c_gamma": curve.c_gamma,
             "argmin_p": curve.argmin_p,

@@ -223,11 +223,14 @@ def parse_config(cfg: dict) -> RunConfig:
     # build the guard and the model now so config-level problems surface as ConfigError
     try:
         guard = _build_guard(cfg["model"].get("guard"))
-        build_model(cfg["model"])
+        known = build_model(cfg["model"]).node_set()
     except KeyError as exc:
         raise ConfigError([f"model: missing key {exc}"]) from exc
     except ValueError as exc:
         raise ConfigError([f"model: {exc}"]) from exc
+    stray = sorted(set(sim.get("nodes") or ()) - set(known)) if known is not None else []
+    if stray:
+        raise ConfigError([f"simulation.nodes: {stray} are not nodes of the model"])
     return RunConfig(
         model_section=cfg["model"],
         t_max=float(sim.get("t_max", 10.0)),
@@ -246,7 +249,13 @@ def parse_config(cfg: dict) -> RunConfig:
     )
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
+    """Read and validate a JSON config file.
+
+    ``overrides`` maps ``"section.key"`` to a value that replaces the file's
+    before validation (None values are skipped), so a command-line flag meets
+    the same checks as the file.
+    """
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -254,6 +263,12 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError([f"config file not found: {path}"]) from None
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config is not valid JSON: {exc}"]) from None
+    if isinstance(cfg, dict):
+        for key, value in (overrides or {}).items():
+            section, name = key.split(".")
+            # a malformed section is left for the schema to report
+            if value is not None and isinstance(cfg.setdefault(section, {}), dict):
+                cfg[section][name] = value
     return parse_config(cfg)
 
 

@@ -205,9 +205,10 @@ class Configuration:
         """Points of the configuration inside ``v`` (complete by construction)."""
         out = {}
         for j in v.nodes():
+            # sorted, disjoint intervals of sorted slices: already in order
             kept = [t for a, b in v.intervals(j) for t in self.points_in(j, a, b)]
             if kept:
-                out[j] = tuple(sorted(kept))
+                out[j] = tuple(kept)
         return Configuration._unsafe(out, window=None)
 
     def restrict_at(self, v: Neighborhood, t: float) -> "Configuration":

@@ -410,10 +410,3 @@ class AgeHawkesModel(KalikowModel):
             mean_depth = lad.weighted_tail(lvl - 1) / gamma_total
             row[j] = self._require_bound(j) * self.refractory * mean_depth
         return OffspringRow(row)
-
-    def offspring_tail(self, i: NodeId, n: int) -> float:
-        if self._nodes is None:
-            raise NotImplementedError("lattice models provide their own offspring tail")
-        lad = self.ladder(i)
-        g_sum = sum(self._require_bound(j) for j in self._nodes)
-        return g_sum * self.refractory * lad.weighted_tail(n) / lad.total

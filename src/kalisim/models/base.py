@@ -15,7 +15,6 @@ from ..core import (
     NodeId,
     SubspaceGuard,
     TableRow,
-    neighborhood_measure,
 )
 from ..errors import CoverageError, ExplosionGuardError, NonSummableError
 from ..kernels import Kernel
@@ -182,38 +181,17 @@ class KalikowModel(ABC):
     def offspring_row(self, i: NodeId, tol: float = 1e-8) -> OffspringRow:
         """Mean offspring counts per child type: M_ij = sum_v lambda_i(v) Gamma^j mu(p_j(v)).
 
+        This is the one source of offspring means: the branching matrix M,
+        the subcriticality constant gamma (the supremum of the row totals) and
+        the expected clan size E(W) are all read from it, so a family
+        implements it in closed form and nothing else.
+
         ``near`` lists the entries (every node a finite family touches; the
         entries of at least ``tol`` for infinite families), ``far`` is the
         exact mass of the unlisted entries and ``err`` < ``tol`` bounds the
         numerical error of ``far``.
         """
         raise NotImplementedError
-
-    def offspring_tail(self, i: NodeId, n: int) -> float:
-        """Rigorous bound on sum_v lambda(v) P(v) beyond the first n descriptors."""
-        raise NotImplementedError
-
-    def offspring_total(self, i: NodeId, tol: float = 1e-8, max_terms: int = 2_000) -> tuple[float, float]:
-        """sum_v lambda_i(v) P(v): the mean number of backward children of type-i points.
-
-        Generic route: enumerate descriptors, expand each to its neighborhood
-        and integrate the product measure directly; stop once the model's
-        closed-form tail bound drops below ``tol``. This is deliberately a
-        different code path from ``offspring_row``. Heavy-tailed lazy families
-        (power-law level weights) stop at ``max_terms`` instead and report the
-        remaining tail bound alongside the partial sum.
-        """
-        gammas = _GammaLookup(self)
-        total = 0.0
-        count = 0
-        for desc in self.enumerate_descriptors(i):
-            if self.offspring_tail(i, count) < tol or count >= max_terms:
-                break
-            lam = self.pmf(i, desc)
-            if lam > 0.0:
-                total += lam * neighborhood_measure(self.expand(i, desc), gammas)
-            count += 1
-        return total, self.offspring_tail(i, count)
 
     # -- helpers shared by concrete families -------------------------------------------
 
@@ -224,22 +202,6 @@ class KalikowModel(ABC):
                 f"{type(self).__name__} exposes no global bound for node {i}; "
                 "this operation needs the bounded decomposition regime"
             )
-        return g
-
-
-class _GammaLookup:
-    """Mapping view of per-node global bounds, erroring on missing ones."""
-
-    def __init__(self, model: KalikowModel):
-        self._model = model
-
-    def __contains__(self, j) -> bool:
-        return self._model.global_bound(j) is not None
-
-    def __getitem__(self, j) -> float:
-        g = self._model.global_bound(j)
-        if g is None:
-            raise KeyError(j)
         return g
 
 

@@ -162,16 +162,3 @@ class LinearHawkesModel(KalikowModel):
             if mass > 0.0:
                 row[j] = self._require_bound(j) * self.eps * mass
         return OffspringRow(row)
-
-    def offspring_tail(self, i: NodeId, n: int) -> float:
-        fam = self.weights[i]
-        if not fam.nodes:
-            return 0.0
-        if n == 0:
-            level = 0
-        else:
-            level = (n - 1) // len(fam.nodes)
-        return sum(
-            self._require_bound(j) * self.eps * (1.0 - fam.p_empty) * fam.shares[j] * fam._bin_tail(j, level)
-            for j in fam.nodes
-        )

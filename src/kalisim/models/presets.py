@@ -92,9 +92,6 @@ class LatticeAgeModel(AgeHawkesModel):
         """Mean backward children per point: C_gamma * delta * f(p)."""
         return self.c_gamma * self.refractory * series.offspring_f(self.p)
 
-    def entry_level(self, i: NodeId, j: NodeId) -> int:
-        return abs(j - i) + 1
-
     def component_sup(self, i: NodeId, desc):
         # node 0 stands for every node, so the cache holds one entry per
         # level instead of one per node visited
@@ -127,19 +124,6 @@ class LatticeAgeModel(AgeHawkesModel):
                 f"offspring row far mass certified only to {err:g}, not below tol = {tol:g}"
             )
         return OffspringRow(near, far, err)
-
-    def offspring_total(self, i: NodeId, tol: float = 1e-8, max_terms: int = 2_000) -> tuple[float, float]:
-        """Row total sum(near) + far of ``offspring_row``, with ``err`` as the tail.
-
-        Equals ``invariant_offspring_mean``; the generic walk would expand
-        ``max_terms`` nested levels of O(k) nodes each and still stop short.
-        """
-        row = self.offspring_row(i, tol)
-        return sum(row.near.values()) + row.far, row.err
-
-    def offspring_tail(self, i: NodeId, n: int) -> float:
-        lad = self.ladder(i)
-        return self.refractory * (2.0 * lad.square_weighted_tail(n) - lad.weighted_tail(n))
 
 
 def lattice_preset(gamma: float, p: float, delta: float) -> LatticeAgeModel:

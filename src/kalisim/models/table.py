@@ -142,12 +142,3 @@ class TableModel(KalikowModel):
             for j, a, b in entry.neighborhood.pieces():
                 row[j] = row.get(j, 0.0) + entry.weight * self._require_bound(j) * (b - a)
         return OffspringRow(row)
-
-    def offspring_tail(self, i: NodeId, n: int) -> float:
-        total = 0.0
-        for entry in self._entries[i][n:]:
-            if entry.weight:
-                total += entry.weight * sum(
-                    self._require_bound(j) * (b - a) for j, a, b in entry.neighborhood.pieces()
-                )
-        return total

@@ -265,7 +265,8 @@ def forward_accept(graph: AncestorGraph, model, ledger: RegionLedger) -> Ancesto
                 )
             if child.decision:
                 kept.setdefault(child.node, []).append(child.time - rec.time)
-        x = Configuration._unsafe({j: tuple(sorted(ts)) for j, ts in kept.items()}, window=None)
+        # _children reads each node's sorted pieces in order, so ts is sorted
+        x = Configuration._unsafe({j: tuple(ts) for j, ts in kept.items()}, window=None)
         gam = model.global_bound(rec.node)
         value = model.component_value(rec.node, rec.neighborhood, x)
         prob = value / gam

@@ -20,6 +20,13 @@ FINITE = {
         "kernels": [{"from": 0, "to": 0, "type": "exponential", "alpha": 0.3, "beta": 1.0}],
     }
 }
+TABLE = {
+    "model": {
+        "family": "table",
+        "entries": {"0": [{"weight": 1.0, "pieces": [[0, -1.0, -0.5]], "bound": 1.0}]},
+        "bounds": {"0": 1.0},
+    }
+}
 
 
 def write_config(tmp_path, cfg) -> str:
@@ -71,15 +78,41 @@ def test_analyze_lattice_sample(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "cfg, extra, expected",
+    "command, cfg, extra, expected",
     [
-        ({"model": {"family": "no-such-family"}}, [], EXIT_CONFIG),
-        (FINITE, ["--invariant"], EXIT_VALIDATION),
+        ("analyze", {"model": {"family": "no-such-family"}}, [], EXIT_CONFIG),
+        ("analyze", FINITE, ["--invariant"], EXIT_VALIDATION),
+        ("analyze", TABLE, ["--nodes", "0"], EXIT_CONFIG),
+        ("analyze", TABLE, ["--nodes", "-1"], EXIT_CONFIG),
+        ("analyze", TABLE, ["--theta", "0.1,0.2"], EXIT_CONFIG),
+        ("analyze", LATTICE, ["--p-grid", "abc"], EXIT_CONFIG),
+        ("analyze", LATTICE, ["--p-grid", "4.5"], EXIT_CONFIG),
+        ("simulate-perfect", LATTICE, ["--t-max", "-1"], EXIT_CONFIG),
+        ("simulate-perfect", LATTICE, ["--runs", "0"], EXIT_CONFIG),
+        ("simulate-forward", FINITE, ["--t-max", "0"], EXIT_CONFIG),
+        ("simulate-forward", FINITE, ["--n-max", "-3"], EXIT_CONFIG),
+        ("simulate-forward", LATTICE, [], EXIT_CONFIG),
+        ("simulate-forward", dict(FINITE, simulation={"nodes": [5]}), [], EXIT_CONFIG),
     ],
-    ids=["invalid-config", "invariant-on-finite-model"],
+    ids=[
+        "invalid-config",
+        "invariant-on-finite-model",
+        "zero-nodes",
+        "negative-nodes",
+        "theta-of-wrong-length",
+        "p-grid-not-numbers",
+        "p-grid-above-gamma",
+        "perfect-negative-t-max",
+        "perfect-zero-runs",
+        "forward-zero-t-max",
+        "forward-negative-n-max",
+        "forward-on-the-lattice",
+        "forward-unknown-nodes",
+    ],
 )
-def test_analyze_failure_exit_codes(tmp_path, cfg, extra, expected):
-    proc = run_cli("analyze", "--config", write_config(tmp_path, cfg), *extra)
+def test_analyze_failure_exit_codes(tmp_path, command, cfg, extra, expected):
+    out = str(tmp_path / "out")
+    proc = run_cli(command, "--config", write_config(tmp_path, cfg), "--out", out, *extra)
     assert proc.returncode == expected
     assert proc.stderr.strip()
     assert "Traceback" not in proc.stderr + proc.stdout
@@ -142,3 +175,35 @@ def test_simulate_forward_writes_runs_and_summary(tmp_path):
     for r in runs:
         assert len(read_rows(r["file"])) == r["points"] > 0
     assert len({r["file"] for r in runs}) == 2
+
+
+def flagged_run(tmp_path, command, cfg, flags):
+    """Summary of ``command`` run with ``flags`` over a config that sets
+    t_max 20, seed 5 and one run, all writing under ``tmp_path``."""
+    summary_path = tmp_path / "summary.json"
+    cfg = dict(
+        cfg,
+        simulation={"t_max": 20.0},
+        rng={"seed": 5, "runs": 1},
+        output={"points": str(tmp_path / "points.csv"), "summary": str(summary_path)},
+    )
+    assert main([command, "--config", write_config(tmp_path, cfg), *flags]) == EXIT_OK
+    return json.loads(summary_path.read_text())
+
+
+def test_perfect_flags_override_the_config(tmp_path):
+    out = str(tmp_path / "flagged.csv")
+    flags = ["--t-max", "2", "--runs", "2", "--seed", "7", "--node", "4", "--out", out]
+    summary = flagged_run(tmp_path, "simulate-perfect", LATTICE, flags)
+    assert (summary["t_max"], summary["node"]) == (2.0, 4)
+    assert [r["seed_path"] for r in summary["runs"]] == [[7, 0], [7, 1]]
+    assert all(Path(r["file"]).name.startswith("flagged_run") for r in summary["runs"])
+
+
+def test_forward_flags_override_the_config(tmp_path):
+    out = str(tmp_path / "flagged.csv")
+    flags = ["--t-max", "3", "--n-max", "2", "--seed", "7", "--out", out]
+    (run,) = flagged_run(tmp_path, "simulate-forward", FINITE, flags)["runs"]
+    assert run["seed_path"] == [7, 0]
+    assert run["file"] == out
+    assert run["points"] <= 2 and run["tau"] <= 3.0

@@ -224,7 +224,7 @@ class TestLatticeOffspring:
     def test_off_sample_mass_includes_far_mass(self):
         m = lattice_preset(4.0, 4.0, 0.005)
         row = m.offspring_row(0, tol=analysis.ANALYSIS_TOL)
-        mat, off = analysis._matrix_with_offmass(m, [-1, 0, 1])
+        mat, off, _ = analysis._matrix_with_offmass(m, [-1, 0, 1])
         listed_off = sum(v for j, v in row.near.items() if j not in (-1, 0, 1))
         assert off[1] == pytest.approx(listed_off + row.far + row.err, rel=1e-12)
         assert mat[1].sum() + off[1] >= m.invariant_offspring_mean() * (1 - 1e-12)
