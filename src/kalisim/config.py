@@ -231,6 +231,8 @@ def parse_config(cfg: dict) -> RunConfig:
     stray = sorted(set(sim.get("nodes") or ()) - set(known)) if known is not None else []
     if stray:
         raise ConfigError([f"simulation.nodes: {stray} are not nodes of the model"])
+    if known is not None and "node" in sim and sim["node"] not in known:
+        raise ConfigError([f"simulation.node: {sim['node']} is not a node of the model"])
     return RunConfig(
         model_section=cfg["model"],
         t_max=float(sim.get("t_max", 10.0)),

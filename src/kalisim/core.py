@@ -205,8 +205,17 @@ class Configuration:
         """Points of the configuration inside ``v`` (complete by construction)."""
         out = {}
         for j in v.nodes():
-            # sorted, disjoint intervals of sorted slices: already in order
-            kept = [t for a, b in v.intervals(j) for t in self.points_in(j, a, b)]
+            ts = self._points.get(j)
+            if not ts:
+                continue
+            # sorted, disjoint intervals: each bisect starts where the last ended
+            kept: list[float] = []
+            lo = 0
+            for a, b in v.intervals(j):
+                lo = bisect_left(ts, a, lo)
+                hi = bisect_left(ts, b, lo)
+                kept += ts[lo:hi]
+                lo = hi
             if kept:
                 out[j] = tuple(kept)
         return Configuration._unsafe(out, window=None)

@@ -25,8 +25,9 @@ class TableEntry:
     value: float | Callable[[Configuration], float] = 0.0
 
     def evaluate(self, x: Configuration) -> float:
+        """The summand at ``x``; only a callable needs ``x`` restricted."""
         if callable(self.value):
-            return float(self.value(x))
+            return float(self.value(x.restrict(self.neighborhood)))
         return float(self.value)
 
 
@@ -84,13 +85,13 @@ class TableModel(KalikowModel):
         total = 0.0
         for row in self._entries[i]:
             require_window_covers(x, row.neighborhood)
-            total += row.evaluate(x.restrict(row.neighborhood))
+            total += row.evaluate(x)
         return total
 
     def delta(self, i: NodeId, desc, x: Configuration) -> float:
         row = self._row(i, desc)
         require_window_covers(x, row.neighborhood)
-        return row.evaluate(x.restrict(row.neighborhood))
+        return row.evaluate(x)
 
     def pmf(self, i: NodeId, desc) -> float:
         try:

@@ -6,7 +6,10 @@ the clan of every realized point that can influence its decision by walking
 backward through randomly drawn neighborhoods, then decide all undecided
 points forward in time order. One region ledger spans the whole run, so no
 space-time region is ever simulated twice and overlapping clans share their
-realizations exactly.
+realizations exactly. A point's neighborhood is realized whole when the point
+is expanded and cannot gain points afterwards, so the expansion stores the
+points it returns on the record as its children; a later clan that
+rediscovers the point, and the forward pass, read those instead of the ledger.
 
 A point with drawn neighborhood v is accepted when its uniform mark is below
 phi_v(x)/Gamma. When the model bounds phi_v by ``component_sup`` and the mark
@@ -110,15 +113,14 @@ def _anchored(model, rec: PointRecord) -> Iterator[tuple[NodeId, list[tuple[floa
         yield j, [(a + t, b + t) for a, b in nb.intervals(j)]
 
 
-def _children(ledger: RegionLedger, model, rec: PointRecord) -> list[PointRecord]:
-    """Realized points inside an expanded record's anchored neighborhood,
-    piece by piece (no simulation). The one read of a neighborhood's points,
-    for both the backward and the forward pass."""
-    out = []
-    for j, region in _anchored(model, rec):
-        for a, b in region:
-            out.extend(ledger.points_in(j, a, b))
-    return out
+def _expanded_children(rec: PointRecord) -> list[PointRecord]:
+    """The children an undecided record's expansion stored on it."""
+    if rec.children is None:
+        raise LedgerError(
+            f"undecided point {rec!r} was never expanded; the ledger carries state"
+            " from an aborted run"
+        )
+    return rec.children
 
 
 def _decided_by_mark(model, rec: PointRecord, rng: RandomStream) -> bool:
@@ -175,6 +177,7 @@ def backward_clan(
             return [], []
         new: list[PointRecord] = []
         old: list[PointRecord] = []
+        children: list[PointRecord] = []
         for j, region in _anchored(model, rec):
             gam = model.global_bound(j)
             if gam is None:
@@ -185,20 +188,18 @@ def backward_clan(
             fresh, found = ledger.realize_new(j, region, gam, rng)
             new.extend(fresh)
             old.extend(found)
+            children.extend(fresh)
+            children.extend(found)
             # pieces are sorted, so the first starts earliest
             graph.lookback = max(graph.lookback, t - region[0][0])
+        rec.children = children
         return new, old
 
     def traverse_old(rec: PointRecord) -> None:
         # already-realized, still-undecided point: its neighborhood was fully
-        # realized when it was first expanded, so only a read is needed
-        if rec.neighborhood is None:
-            raise LedgerError(
-                f"undecided point {rec!r} was never expanded; the ledger carries state"
-                " from an aborted run"
-            )
+        # realized when it was first expanded, and its children stored then
         pending.append(rec)
-        for child in _children(ledger, model, rec):
+        for child in _expanded_children(rec):
             if child.decision is None and id(child) not in seen:
                 seen.add(id(child))
                 old_stack.append(child)
@@ -244,12 +245,14 @@ def forward_accept(graph: AncestorGraph, model, ledger: RegionLedger) -> Ancesto
     """Decide every pending point of the clan in increasing time order.
 
     A point is accepted with probability phi_v(x)/Gamma, where v is its drawn
-    neighborhood and x the already-accepted points inside v (children are
-    strictly earlier in time, so they are always decided first); the uniform
-    mark attached to the point at creation carries the decision. The root,
-    being latest, is decided last. Points already decided from their marks
-    are skipped. A value above Gamma, or above the model's ``component_sup``,
-    raises ``NonMonotoneModelError``: the backward pass trusted that bound.
+    neighborhood and x its accepted children, the points of v that the
+    backward pass stored on it (children are strictly earlier in time, so
+    they are always decided first); the uniform mark attached to the point at
+    creation carries the decision. The root, being latest, is decided last.
+    Points already decided from their marks are skipped. A value above Gamma,
+    or above the model's ``component_sup``, raises ``NonMonotoneModelError``:
+    the backward pass trusted that bound. The ledger is not read: every
+    pending point was expanded, so its children are on its record.
     """
     if not graph.terminated:
         raise KalisimError("cannot run the forward pass on a non-terminated clan")
@@ -257,7 +260,7 @@ def forward_accept(graph: AncestorGraph, model, ledger: RegionLedger) -> Ancesto
         if rec.decision is not None:
             continue
         kept: dict[NodeId, list[float]] = {}
-        for child in _children(ledger, model, rec):
+        for child in _expanded_children(rec):
             if child.decision is None:
                 raise KalisimError(
                     f"undecided dependency {child!r} while deciding {rec!r};"
@@ -265,8 +268,8 @@ def forward_accept(graph: AncestorGraph, model, ledger: RegionLedger) -> Ancesto
                 )
             if child.decision:
                 kept.setdefault(child.node, []).append(child.time - rec.time)
-        # _children reads each node's sorted pieces in order, so ts is sorted
-        x = Configuration._unsafe({j: tuple(ts) for j, ts in kept.items()}, window=None)
+        # a node's children are its fresh points, then the ones found
+        x = Configuration._unsafe({j: tuple(sorted(ts)) for j, ts in kept.items()}, window=None)
         gam = model.global_bound(rec.node)
         value = model.component_value(rec.node, rec.neighborhood, x)
         prob = value / gam

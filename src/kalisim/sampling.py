@@ -85,14 +85,20 @@ def sample_poisson_region(
     for (a, b), (c, _) in zip(ivs, ivs[1:]):
         if b > c:
             raise ValueError("region intervals must be disjoint")
+    if not math.isfinite(sum(b - a for a, b in ivs)):
+        raise ValueError("region must have finite total length")
+    return _poisson_on_sorted(rng.generator, rate, ivs)
+
+
+def _poisson_on_sorted(gen: np.random.Generator, rate: float, ivs: list[tuple[float, float]]) -> list[float]:
+    """The draws of :func:`sample_poisson_region` on intervals the caller
+    already knows to be sorted, disjoint and finite, at a positive rate."""
     cum = list(accumulate(b - a for a, b in ivs))
     total = cum[-1] if cum else 0.0
-    if not math.isfinite(total):
-        raise ValueError("region must have finite total length")
-    n = int(rng.generator.poisson(rate * total)) if total > 0 else 0
+    n = int(gen.poisson(rate * total)) if total > 0 else 0
     if not n:
         return []
-    u = rng.generator.random(2 * n).tolist()
+    u = gen.random(2 * n).tolist()
     picked = (ivs[min(bisect_right(cum, p * total), len(ivs) - 1)] for p in u[:n])
     return sorted(a + (b - a) * pos for (a, b), pos in zip(picked, u[n:]))
 
@@ -102,8 +108,10 @@ class PointRecord:
     """One realized point of a dominating process, with its attached marks.
 
     ``mark`` is the uniform thinning mark drawn at creation time;
-    ``neighborhood`` is the descriptor drawn at first expansion; ``decision``
-    is set exactly once by the forward pass.
+    ``neighborhood`` is the descriptor drawn at first expansion; ``children``
+    are the realized points of that neighborhood, stored when the expansion
+    realizes it (the region cannot gain points afterwards); ``decision`` is
+    set exactly once by the forward pass.
     """
 
     node: int
@@ -112,6 +120,7 @@ class PointRecord:
     neighborhood: object = None
     decision: Optional[bool] = None
     generation: Optional[int] = None
+    children: Optional[list["PointRecord"]] = None
 
     def __repr__(self):
         state = "undecided" if self.decision is None else ("accepted" if self.decision else "rejected")
@@ -139,7 +148,8 @@ class RegionLedger:
     when abutting (endpoints compared exactly, no epsilon merging), and its
     realized points, stored once each as a ``PointRecord`` in a list sorted by
     time. Records carry their marks and are shared by every simulation step of
-    one run; every read of the points goes through that list.
+    one run. A region request returns the records it finds and makes, so a
+    caller that keeps them never reads a realized region again.
 
     No two points share a time, on any node, because ``Configuration`` forbids
     simultaneous points. An exact collision (a measure-zero event realized by
@@ -253,7 +263,7 @@ class RegionLedger:
         ``region``. The ledger's coverage is extended by the full request
         either way, so re-requesting any region is idempotent.
 
-        The request's uncovered gaps are realized by one
+        The request's uncovered gaps are realized by the draws of one
         :func:`sample_poisson_region` call on the caller's ``rng``, then their
         marks by one ``random(n)`` call; the module docstring says why.
         """
@@ -315,10 +325,13 @@ class RegionLedger:
             cover_e[-1] = ends[j]
         starts[lo:hi] = cover_s
         ends[lo:hi] = cover_e
-        drawn = sample_poisson_region(rng, rate, gaps) if gaps else []
+        if not gaps:
+            return [], old
+        gen = rng.generator
+        drawn = _poisson_on_sorted(gen, rate, gaps)
         if not drawn:
             return [], old
-        marks = rng.generator.random(len(drawn)).tolist()
+        marks = gen.random(len(drawn)).tolist()
         fresh: list[PointRecord] = []
         for t, mark in zip(drawn, marks):
             if t in self._times_used:  # an exact collision: resample in its own gap

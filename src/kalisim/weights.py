@@ -92,16 +92,6 @@ class AtomicWeights:
             g /= 1.0 - r**nmax
         return g
 
-    def _bin_tail(self, j: int, n: int) -> float:
-        """Mass of bins > n for node j (within the atom share)."""
-        r = self.ratios[j]
-        nmax = self.trunc[j]
-        if nmax is None:
-            return r**n
-        if n >= nmax:
-            return 0.0
-        return (r**n - r**nmax) / (1.0 - r**nmax)
-
     def pmf(self, desc) -> float:
         if isinstance(desc, EmptyND):
             return self.p_empty
@@ -147,12 +137,6 @@ class AtomicWeights:
         tr = [self.trunc[j] for j in self.nodes]
         return max(t for t in tr) if all(t is not None for t in tr) else None
 
-    def tail_after_level(self, n: int) -> float:
-        """Mass of all atoms with bin index > n."""
-        return (1.0 - self.p_empty) * sum(
-            self.shares[j] * self._bin_tail(j, n) for j in self.nodes
-        )
-
 
 class GeometricLevels:
     """lambda(empty) = p_empty, lambda(v_k) = (1 - p_empty)(1 - r) r^{k-1}."""
@@ -179,9 +163,6 @@ class GeometricLevels:
         if self.p_empty and rng.uniform() < self.p_empty:
             return EMPTY_ND
         return NestedND(int(rng.generator.geometric(1.0 - self.ratio)))
-
-    def tail_after_level(self, n: int) -> float:
-        return (1.0 - self.p_empty) * self.ratio**n
 
 
 @dataclass

@@ -89,6 +89,7 @@ def test_analyze_lattice_sample(tmp_path, capsys):
         ("analyze", LATTICE, ["--p-grid", "4.5"], EXIT_CONFIG),
         ("simulate-perfect", LATTICE, ["--t-max", "-1"], EXIT_CONFIG),
         ("simulate-perfect", LATTICE, ["--runs", "0"], EXIT_CONFIG),
+        ("simulate-perfect", TABLE, ["--node", "7"], EXIT_CONFIG),
         ("simulate-forward", FINITE, ["--t-max", "0"], EXIT_CONFIG),
         ("simulate-forward", FINITE, ["--n-max", "-3"], EXIT_CONFIG),
         ("simulate-forward", LATTICE, [], EXIT_CONFIG),
@@ -104,6 +105,7 @@ def test_analyze_lattice_sample(tmp_path, capsys):
         "p-grid-above-gamma",
         "perfect-negative-t-max",
         "perfect-zero-runs",
+        "perfect-unknown-node",
         "forward-zero-t-max",
         "forward-negative-n-max",
         "forward-on-the-lattice",

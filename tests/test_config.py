@@ -93,6 +93,15 @@ def test_defaults_are_filled_in():
     assert (run.points_path, run.summary_path) == ("points.csv", None)
 
 
+@pytest.mark.parametrize("key, value", [("nodes", [0, 7]), ("node", 7)])
+def test_a_node_the_finite_model_lacks_is_a_config_error(key, value):
+    section, _ = FAMILIES["table"]
+    with pytest.raises(ConfigError, match=f"simulation.{key}: .*7"):
+        parse_config({"model": section, "simulation": {key: value}})
+    # an infinite network has every node
+    assert parse_config({"model": LATTICE, "simulation": {"node": 7}}).node == 7
+
+
 @pytest.mark.parametrize(
     "section, kind, check",
     [

@@ -118,6 +118,31 @@ class TestConfiguration:
         assert r.points(0) == (-0.4,)
         assert r.points(1) == ()
 
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.floats(-20.0, -1e-3), st.floats(1e-3, 5.0)),
+            max_size=10,
+        ),
+        st.lists(st.tuples(st.integers(0, 4), st.floats(-25.0, 0.0)), max_size=30),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_restrict_matches_the_per_piece_reads(self, raw, drawn):
+        pieces = [(j, a, min(a + w, 0.0)) for j, a, w in raw]
+        v = Neighborhood(pieces)
+        # points on every piece's edges, where a walk that skips ahead would err
+        pts: dict[int, set[float]] = {}
+        for j, a, b in pieces:
+            pts.setdefault(j, set()).update((a, b))
+        for j, t in drawn:
+            pts.setdefault(j, set()).add(t)
+        x = Configuration({j: sorted(ts) for j, ts in pts.items()}, validate=False)
+        reference = {}
+        for j in v.nodes():
+            kept = tuple(t for a, b in v.intervals(j) for t in x.points_in(j, a, b))
+            if kept:
+                reference[j] = kept
+        assert list(x.restrict(v).items()) == list(reference.items())
+
 
 class TestAgreesOn:
     def test_reflexive(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kalisim import AffineRate, ExponentialKernel, NonSummableError, RandomStream, StepKernel
+from kalisim import AffineRate, ExponentialKernel, LinearHawkesModel, NonSummableError, RandomStream, StepKernel
 from kalisim.models import age
 from kalisim.models.age import AutoGammaLadder
 from kalisim.weights import (
@@ -82,11 +82,13 @@ class TestAtomicWeights:
 
     def test_tail_matches_brute_force(self):
         fam = self.make()
+        model = LinearHawkesModel({0: 1.0, 1: 1.0}, {}, eps=1.0, weights={0: fam, 1: fam})
         for lvl in (0, 1, 3, 6):
             brute = sum(
                 fam.pmf(AtomND(j, n)) for n in range(lvl + 1, 400) for j in (0, 1)
             )
-            assert fam.tail_after_level(lvl) == pytest.approx(brute, abs=1e-12)
+            # the empty set, then one bin per source and level
+            assert model.weight_tail(0, 1 + 2 * lvl) == pytest.approx(brute, abs=1e-12)
 
     def test_truncation_respected(self):
         fam = self.make()

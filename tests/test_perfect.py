@@ -9,6 +9,7 @@ import pytest
 from kalisim import (
     AncestorGraph,
     Configuration,
+    LedgerError,
     Neighborhood,
     NestedND,
     NonMonotoneModelError,
@@ -98,6 +99,18 @@ class TestMarkDecision:
         assert table.mark_decided == 0
 
 
+def pieces_table_model(value):
+    """Node 0's one row reads [-1, 0) on both nodes through ``value``; node 1
+    is a constant rate."""
+    pieces = Neighborhood([(0, -1.0, 0.0), (1, -1.0, 0.0)])
+    return TableModel(
+        {
+            0: [TableEntry(weight=1.0, neighborhood=pieces, bound=1.0, value=value)],
+            1: [TableEntry(weight=1.0, neighborhood=Neighborhood.empty(), bound=1.0)],
+        }
+    )
+
+
 class TestForwardAccept:
     def test_decision_reads_accepted_neighbours_on_their_own_nodes(self):
         seen = []
@@ -106,22 +119,115 @@ class TestForwardAccept:
             seen.append({j: x.points(j) for j in (0, 1)})
             return 1.0
 
-        pieces = Neighborhood([(0, -1.0, 0.0), (1, -1.0, 0.0)])
-        model = TableModel(
-            {
-                0: [TableEntry(weight=1.0, neighborhood=pieces, bound=1.0, value=value)],
-                1: [TableEntry(weight=1.0, neighborhood=Neighborhood.empty(), bound=1.0)],
-            }
-        )
+        model = pieces_table_model(value)
         ledger = RegionLedger()
         for node, t, decision in ((1, -0.5, True), (0, 0.25, True), (1, 0.5, True), (1, 0.75, False)):
             ledger.add_proposal_point(node, t, mark=0.0).decision = decision
+        # the root's neighborhood, [0, 1) on both nodes, holds no other point
+        for node, a, b in ((0, 0.0, 0.25), (0, 0.25, 1.0), (1, 0.0, 0.5), (1, 0.5, 0.75), (1, 0.75, 1.0)):
+            ledger.register_empty(node, a, b)
         root = ledger.add_proposal_point(0, 1.0, mark=0.5)
         root.neighborhood = TableND(0, 0)
-        graph = AncestorGraph(root=(0, 1.0), root_record=root, pending=[root], terminated=True)
+        graph = backward_clan(model, 0, 1.0, ledger, RandomStream(0), root_record=root)
+        assert [(c.node, c.time) for c in root.children] == [(0, 0.25), (1, 0.5), (1, 0.75)]
+        assert len(graph.pending) == 1 and graph.pending[0] is root
         forward_accept(graph, model, ledger)
         assert seen == [{0: (-0.75,), 1: (-0.5,)}]
         assert root.decision is True
+
+    def test_found_and_fresh_children_reach_the_component_in_time_order(self):
+        seen = []
+
+        def value(x):
+            seen.append(x.points(1))
+            return 1.0
+
+        model = TableModel(
+            {
+                0: [TableEntry(weight=1.0, neighborhood=Neighborhood([(1, -1.0, 0.0)]), bound=1.0, value=value)],
+                1: [TableEntry(weight=1.0, neighborhood=Neighborhood.empty(), bound=8.0, value=8.0)],
+            }
+        )
+        ledger, rng = RegionLedger(), RandomStream(2)
+        earlier, _ = ledger.realize_new(1, [(0.0, 0.5)], 8.0, rng)
+        for rec in earlier:
+            rec.decision = True
+        graph = backward_clan(model, 0, 1.0, ledger, rng)
+        # the root's children on node 1: its own fresh points, then the found ones
+        times = [c.time for c in graph.root_record.children]
+        assert 0 < len(earlier) < len(times) and times != sorted(times)
+        forward_accept(graph, model, ledger)
+        assert seen == [tuple(t - 1.0 for t in sorted(times))]
+
+    def test_an_unexpanded_pending_point_is_a_ledger_error(self):
+        model = pieces_table_model(1.0)
+        root = RegionLedger().add_proposal_point(0, 1.0, mark=0.5)
+        root.neighborhood = TableND(0, 0)
+        graph = AncestorGraph(root=(0, 1.0), root_record=root, pending=[root], terminated=True)
+        with pytest.raises(LedgerError, match="never expanded"):
+            forward_accept(graph, model, RegionLedger())
+
+    def test_rediscovering_an_unexpanded_point_is_a_ledger_error(self):
+        model = pieces_table_model(1.0)
+        ledger = RegionLedger()
+        ledger.add_proposal_point(1, 0.5, mark=0.0)
+        with pytest.raises(LedgerError, match="never expanded"):
+            backward_clan(model, 0, 1.0, ledger, RandomStream(0))
+
+    def test_the_forward_pass_reads_no_ledger(self, monkeypatch):
+        model = two_node_clan_model()
+        ledger = RegionLedger()
+        graph = backward_clan(model, 0, 0.0, ledger, RandomStream(3))
+        assert graph.clan_size() > 1
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the forward pass read the ledger")
+
+        monkeypatch.setattr(RegionLedger, "points_in", refuse)
+        monkeypatch.setattr(RegionLedger, "realize_new", refuse)
+        forward_accept(graph, model, ledger)
+        assert all(rec.decision is not None for rec in graph.pending)
+
+
+def _expanded_records(ledger):
+    for node in ledger.to_json():
+        for rec in ledger.points_in(int(node), -math.inf, math.inf):
+            if rec.children is not None:
+                yield rec
+
+
+class TestRealizedOnce:
+    """An expanded point's neighborhood is realized whole at its expansion, so
+    the children stored then are all the points the region ever holds."""
+
+    def assert_children_match_the_ledger(self, model, ledger):
+        checked = 0
+        for rec in _expanded_records(ledger):
+            nb = model.expand(rec.node, rec.neighborhood)
+            reference = [
+                child
+                for j in nb.nodes()
+                for a, b in nb.intervals(j)
+                for child in ledger.points_in(j, a + rec.time, b + rec.time)
+            ]
+            stored = sorted(rec.children, key=lambda r: (r.node, r.time))
+            assert [id(c) for c in stored] == [id(c) for c in reference]
+            # grouped by node in the neighborhood's order
+            assert [c.node for c in rec.children] == [c.node for c in reference]
+            checked += 1
+        assert checked > 0
+
+    def test_lattice_perfect_sample(self):
+        model, ledger = lattice_preset(GAMMA, P, DELTA), RegionLedger()
+        perfect_sample(model, 0, 5.0, RandomStream(1), ledger=ledger)
+        self.assert_children_match_the_ledger(model, ledger)
+
+    def test_table_clans_on_one_ledger(self):
+        model, ledger, rng = two_node_clan_model(), RegionLedger(), RandomStream(4)
+        # roots closer than a piece's length, so later clans find earlier points
+        for t in (0.0, 0.02, 0.04, 0.06):
+            forward_accept(backward_clan(model, 0, t, ledger, rng), model, ledger)
+        self.assert_children_match_the_ledger(model, ledger)
 
 
 class TestSupremum:
