@@ -91,6 +91,8 @@ def _cmd_forward(args) -> int:
                 "stop_reason": run.stop_reason,
                 "tau": run.tau,
                 "proposals": run.proposals,
+                "accept_ratio": n / run.proposals if run.proposals else 0.0,
+                "bound_terms": run.bound_terms,
                 "rate": n / run.tau if run.tau > 0 else 0.0,
                 "file": str(path),
             }

@@ -228,15 +228,14 @@ class Configuration:
         across the piece's edge. Costs O(points in v), not O(points).
         """
         out = {}
-        age = lambda s: s - t
-        for j in v.nodes():
+        for j, ivs in v._by_node.items():
             ts = self._points.get(j)
             if not ts:
                 continue
             kept = []
-            for a, b in v.intervals(j):
-                lo = bisect_left(ts, a, key=age)
-                kept.extend(s - t for s in ts[lo:bisect_left(ts, b, lo, key=age)])
+            for a, b in ivs:
+                lo = _first_aged(ts, t, a)
+                kept.extend(s - t for s in ts[lo : _first_aged(ts, t, b, lo)])
             if kept:
                 out[j] = tuple(kept)
         return Configuration._unsafe(out, window=None)
@@ -251,6 +250,21 @@ class Configuration:
     def __repr__(self) -> str:
         n = self.n_points()
         return f"Configuration({n} point{'s' if n != 1 else ''} on {len(self._points)} node(s), window={self.window})"
+
+
+def _first_aged(ts: tuple[float, ...], t: float, a: float, lo: int = 0) -> int:
+    """The first index i >= lo with ts[i] - t >= a, for increasing ``ts``.
+
+    The shifted time s - t, as rounded, never decreases as s grows, so the
+    bisect on absolute times is off only where rounding moves a point across
+    ``a``; the two steps move it to the exact boundary.
+    """
+    i = bisect_left(ts, a + t, lo)
+    while i > lo and ts[i - 1] - t >= a:
+        i -= 1
+    while i < len(ts) and ts[i] - t < a:
+        i += 1
+    return i
 
 
 def agrees_on(x: Configuration, y: Configuration, v: Neighborhood) -> bool:

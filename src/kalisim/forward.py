@@ -26,17 +26,25 @@ every source no term has been renewed for. So the largest term dominates
 every component value, and the piecewise constant rate between two
 acceptances dominates the intensity throughout.
 
-A proposal's component value is read from the accepted points inside the
-drawn neighborhood only, shifted to the proposal time
+Costs. A proposal's component value is read from the accepted points
+inside the drawn neighborhood only, shifted to the proposal time
 (``Configuration.restrict_at``): ``delta`` is cylindrical on the expanded
 neighborhood, so the rest of the past cannot change it, and a proposal costs
-O(points in the neighborhood) instead of O(history).
+O(points in the drawn neighborhood) instead of O(history). What every
+proposal until the next renewal shares (the waiting time's scale and the
+cumulative bounds the node is picked from) is computed once per renewal. A
+term costs O(points in its live window): the per-source bound walks the
+source's bins from its newest point and stops once no older bin can raise it
+(``models.base.future_bin_bounds``). An acceptance copies the accepted
+node's tuple of points, not the whole history.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .core import ActivityCap, Configuration, NodeId, SubspaceGuard
@@ -53,7 +61,11 @@ EXPLOSION_CAP = 1_000_000
 
 @dataclass(frozen=True)
 class ForwardRun:
-    """Outcome of one forward simulation."""
+    """Outcome of one forward simulation.
+
+    ``bound_terms`` counts the ``local_bound`` calls: each node's whole bound
+    at the start, then every term renewed after an acceptance.
+    """
 
     accepted: Configuration
     stop_reason: str
@@ -62,6 +74,7 @@ class ForwardRun:
     t_max: float
     n_max: int
     guard_name: str
+    bound_terms: int
 
     def count(self, node: Optional[NodeId] = None) -> int:
         if node is None:
@@ -104,25 +117,25 @@ def forward_simulate(
         guards.insert(0, guard)
     guard_name = guards[0].name
 
-    times: dict[NodeId, list[float]] = {j: [] for j in node_list}
+    # accepted times of the nodes that have any, in node order; an acceptance
+    # replaces the dict and the accepted node's tuple, never changes them
+    points: dict[NodeId, tuple[float, ...]] = {}
     t = 0.0
     n_accepted = 0
     proposals = 0
-
-    def snapshot(window_hi: float) -> Configuration:
-        pts = {j: tuple(ts) for j, ts in times.items() if ts}
-        return Configuration._unsafe(pts, window=(-math.inf, window_hi))
+    bound_terms = 0
 
     def finish(reason: str, tau: float) -> ForwardRun:
         hi = tau if reason != STEP_BUDGET else math.nextafter(tau, math.inf)
         return ForwardRun(
-            accepted=snapshot(hi),
+            accepted=Configuration._unsafe(points, window=(-math.inf, hi)),
             stop_reason=reason,
             tau=tau,
             proposals=proposals,
             t_max=t_max,
             n_max=n_max,
             guard_name=guard_name,
+            bound_terms=bound_terms,
         )
 
     # (node index, term key) pairs to renew: every whole-node term at the
@@ -135,37 +148,41 @@ def forward_simulate(
     due = [(k, None) for k in range(len(node_list))]
     terms: list[dict[Optional[NodeId], float]] = [{} for _ in node_list]
     bounds = [0.0] * len(node_list)
-    past = snapshot(0.0)  # the accepted points in absolute time
+    past = Configuration._unsafe(points, window=(-math.inf, 0.0))  # absolute times
+    gen = None  # the stream's generator, fetched at the first draw
     while True:
         if n_accepted >= n_max:
             return finish(STEP_BUDGET, t)
         if due:
             try:
                 for k, key in due:
+                    bound_terms += 1
                     terms[k][key] = model.local_bound(node_list[k], past, t, source=key)
                     bounds[k] = max(terms[k].values())
             except ExplosionGuardError:
                 return finish(GUARD_EXIT, t)
             due = ()
             total = sum(bounds)
-        if total <= 0.0:
-            return finish(TIME_REACHED, t_max)
+            if total <= 0.0:
+                return finish(TIME_REACHED, t_max)
+            # what every proposal until the next renewal reads: the waiting
+            # time's scale, the cumulative bounds a uniform is placed in, and
+            # the last positive bound for a uniform rounded past them
+            scale = 1.0 / total
+            cumulative = list(accumulate(bounds))
+            last = max(k for k, bd in enumerate(bounds) if bd > 0.0)
+            if gen is None:
+                gen = rng.generator
 
-        t_cand = t + rng.exponential(total)
+        t_cand = t + float(gen.exponential(scale))
         if t_cand > t_max:
             return finish(TIME_REACHED, t_max)
         proposals += 1
 
-        u = rng.uniform() * total
-        acc = 0.0
-        pick, pick_bound = next(
-            (j, bd) for j, bd in zip(reversed(node_list), reversed(bounds)) if bd > 0.0
-        )
-        for j, bd in zip(node_list, bounds):
-            acc += bd
-            if u < acc:
-                pick, pick_bound = j, bd
-                break
+        k = bisect_right(cumulative, gen.random() * total)
+        if k == len(cumulative):
+            k = last
+        pick, pick_bound = node_list[k], bounds[k]
 
         desc = model.sample_neighborhood(pick, rng)
         value = model.component_value(pick, desc, past.restrict_at(model.expand(pick, desc), t_cand))
@@ -175,12 +192,13 @@ def forward_simulate(
                 f" at t={t_cand:g}; the model violates the monotone-bound assumption"
             )
         t = t_cand
-        if rng.uniform() < value / pick_bound:
-            times[pick].append(t_cand)
-            candidate = snapshot(math.nextafter(t_cand, math.inf))
+        if gen.random() < value / pick_bound:
+            grown = {**points, pick: points.get(pick, ()) + (t_cand,)}
+            if len(grown) > len(points):  # the node's first point: keep node order
+                grown = {j: grown[j] for j in node_list if j in grown}
+            candidate = Configuration._unsafe(grown, window=(-math.inf, math.nextafter(t_cand, math.inf)))
             if not all(g.check(candidate) for g in guards):
-                times[pick].pop()
                 return finish(GUARD_EXIT, t_cand)
             n_accepted += 1
-            past = candidate
+            points, past = grown, candidate
             due = renewals[pick]

@@ -17,6 +17,10 @@ from .base import (
     require_window_for_supports,
 )
 
+# the empty set's neighborhood, shared by every expansion (neighborhoods are
+# never changed after construction)
+_EMPTY_NEIGHBORHOOD = Neighborhood.empty()
+
 
 class LinearHawkesModel(KalikowModel):
     """intensity_i(x) = mu_i + sum_j integral h_ij(-s) dx_j(s).
@@ -78,7 +82,7 @@ class LinearHawkesModel(KalikowModel):
 
     def expand(self, i: NodeId, desc) -> Neighborhood:
         if isinstance(desc, EmptyND):
-            return Neighborhood.empty()
+            return _EMPTY_NEIGHBORHOOD
         if isinstance(desc, AtomND):
             key = (desc.j, desc.n)
             nb = self._expand_cache.get(key)

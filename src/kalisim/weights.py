@@ -81,6 +81,10 @@ class AtomicWeights:
                 raise ValueError(f"bin ratio for node {j} must lie in (0, 1), got {r}")
             self.ratios[j] = r
         self.trunc = {j: (trunc or {}).get(j) for j in self.nodes}
+        # lambda(w_{j,n}) by node and bin, filled on first use
+        self._bin_weights: dict[int, dict[int, float]] = {j: {} for j in self.nodes}
+        # one descriptor per atom drawn, shared by every draw of it
+        self._atoms: dict[tuple[int, int], AtomND] = {}
 
     def _bin_pmf(self, j: int, n: int) -> float:
         r = self.ratios[j]
@@ -92,11 +96,20 @@ class AtomicWeights:
             g /= 1.0 - r**nmax
         return g
 
+    def bin_weight(self, j: int, n: int) -> float:
+        """lambda(w_{j,n}) for a node j with atoms, cached: every proposal and
+        every walked bin of the forward bound reads it."""
+        row = self._bin_weights[j]
+        w = row.get(n)
+        if w is None:
+            w = row[n] = (1.0 - self.p_empty) * self.shares[j] * self._bin_pmf(j, n)
+        return w
+
     def pmf(self, desc) -> float:
         if isinstance(desc, EmptyND):
             return self.p_empty
         if isinstance(desc, AtomND) and desc.j in self.shares:
-            return (1.0 - self.p_empty) * self.shares[desc.j] * self._bin_pmf(desc.j, desc.n)
+            return self.bin_weight(desc.j, desc.n)
         return 0.0
 
     def atom_pmf(self, j: int, n: int) -> float:
@@ -106,7 +119,8 @@ class AtomicWeights:
         return self.shares[j] * self._bin_pmf(j, n)
 
     def sample_atom(self, rng: RandomStream) -> tuple[int, int]:
-        u = rng.uniform()
+        gen = rng.generator
+        u = gen.random()
         acc = 0.0
         j = self.nodes[-1]
         for cand in self.nodes:
@@ -117,15 +131,18 @@ class AtomicWeights:
         r = self.ratios[j]
         nmax = self.trunc[j]
         while True:
-            n = int(rng.generator.geometric(1.0 - r))
+            n = int(gen.geometric(1.0 - r))
             if nmax is None or n <= nmax:
                 return j, n
 
     def sample(self, rng: RandomStream):
-        if rng.uniform() < self.p_empty:
+        if rng.generator.random() < self.p_empty:
             return EMPTY_ND
-        j, n = self.sample_atom(rng)
-        return AtomND(j, n)
+        atom = self.sample_atom(rng)
+        desc = self._atoms.get(atom)
+        if desc is None:
+            desc = self._atoms[atom] = AtomND(*atom)
+        return desc
 
     def enumerate_level(self, n: int):
         for j in self.nodes:

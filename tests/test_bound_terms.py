@@ -2,6 +2,8 @@
 simulator reads."""
 
 import random
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 
 import pytest
 
@@ -9,9 +11,12 @@ from kalisim import (
     AffineRate,
     AgeHawkesModel,
     AnalyticHawkesModel,
+    AtomicWeights,
     Configuration,
+    ExplosionGuardError,
     ExponentialKernel,
     GLModel,
+    LinearHawkesModel,
     Neighborhood,
     PsiSeries,
     RandomStream,
@@ -19,10 +24,47 @@ from kalisim import (
     TableEntry,
     TableModel,
     TaylorND,
+    TaylorWeights,
     shift_to_origin,
 )
-from kalisim.models.base import future_bin_bounds
+from kalisim.models import analytic, linear
 from kalisim.validation import hawkes_ring
+
+
+def full_walk_bins(ker, pts, t, eps, nmax):
+    """Reference: ``(n, B_n)`` for every bin with B_n > 0, walking every bin up
+    to one past the oldest point's (or ``nmax``), with the ages' kernel prefix
+    sums built newest first."""
+    ages = [t - s for s in reversed(pts[: bisect_right(pts, t)])]
+    if not ages:
+        return
+    prefix = list(accumulate(map(ker, ages), initial=0.0))
+    n_stop = int(ages[-1] / eps) + 2
+    if nmax is not None:
+        n_stop = min(n_stop, nmax)
+    for n in range(1, n_stop + 1):
+        lo_edge = (n - 1) * eps
+        k_lo = bisect_left(ages, lo_edge)
+        k_hi = bisect_left(ages, n * eps)
+        bound_n = (prefix[k_hi] - prefix[k_lo]) + k_lo * ker(lo_edge)
+        if bound_n > 0.0:
+            yield n, bound_n
+
+
+def full_walk_bound(i, incoming, atoms, x, t, eps, source=None):
+    """Reference for ``atom_future_bound``: the largest B_n / lambda(w_{j,n})
+    over every bin of every source, with no early stop."""
+    best = 0.0
+    for j, ker in incoming.items():
+        if source is not None and j != source:
+            continue
+        pts = x.points(j)
+        if not pts or ker.is_zero():
+            continue
+        share = (1.0 - atoms.p_empty) * atoms.shares[j]
+        for n, bound_n in full_walk_bins(ker, pts, t, eps, atoms.trunc[j]):
+            best = max(best, bound_n / (share * atoms._bin_pmf(j, n)))
+    return best
 
 
 def analytic_triangle() -> AnalyticHawkesModel:
@@ -83,6 +125,108 @@ class TestTermSplit:
         assert TableModel.constant_rate(1.0).bound_sources(0) is None
 
 
+def linear_mixed() -> LinearHawkesModel:
+    """Step kernels, on untruncated and truncated weights, beside exponential ones."""
+    kernels = {
+        (0, 0): StepKernel([0.0, 0.6, 1.3], [0.4, 0.2]),
+        (0, 1): ExponentialKernel(0.3, 1.0),
+        (1, 0): ExponentialKernel(0.2, 2.0),
+        (1, 1): StepKernel([0.0, 2.2], [0.3]),
+    }
+    weights = {
+        0: AtomicWeights(0.5, {0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.8}),
+        1: AtomicWeights(0.4, {0: 0.3, 1: 0.7}, {0: 0.6, 1: 0.9}, {1: 5}),
+    }
+    return LinearHawkesModel(mu={0: 0.5, 1: 0.3}, kernels=kernels, eps=0.5, weights=weights)
+
+
+def analytic_truncated() -> AnalyticHawkesModel:
+    """Truncated weights: from node 0 they decay faster than the kernel, so
+    that walk runs to the truncation; from node 1 slower, so it may stop."""
+    kernels = {(i, j): ExponentialKernel(0.2 if j == 0 else 0.1, 0.5 if j == 0 else 1.5) for i in (0, 1) for j in (0, 1)}
+    atoms = AtomicWeights(0.0, {0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.7}, {0: 40, 1: 30})
+    weights = {i: TaylorWeights(0.5, atoms) for i in (0, 1)}
+    return AnalyticHawkesModel(PsiSeries("poly", [1.0, 1.0, 0.5]), kernels, eps=0.5, nodes=[0, 1], weights=weights)
+
+
+def crowded_past(rng: random.Random, nodes, t: float, eps: float) -> Configuration:
+    """``random_past`` plus 500-700 points older than 5 on one node, with every
+    bin edge from the 12th on among them."""
+    x = random_past(rng, nodes, t, eps)
+    pts = {j: set(x.points(j)) for j in nodes}
+    j = rng.choice(nodes)
+    crowd = {rng.uniform(0.0, t - 5.0) for _ in range(rng.randrange(500, 700))}
+    crowd |= {t - n * eps for n in range(12, int(t / eps))}
+    pts[j] |= crowd - {s for k in nodes if k != j for s in pts[k]}
+    return Configuration({k: sorted(ts) for k, ts in pts.items()})
+
+
+def bound_or_error(m, i, x, t, source):
+    try:
+        return m.local_bound(i, x, t, source=source)
+    except ExplosionGuardError as err:
+        return type(err)
+
+
+class CountingKernel(ExponentialKernel):
+    """An exponential kernel that counts its evaluations."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, alpha: float, beta: float):
+        super().__init__(alpha, beta)
+        self.calls = 0
+
+    def __call__(self, t: float) -> float:
+        self.calls += 1
+        return super().__call__(t)
+
+
+class TestCappedWalk:
+    """The bin walk stops early, yet every bound is the float the walk over
+    every bin gives."""
+
+    @pytest.mark.parametrize(
+        "make, module",
+        [
+            pytest.param(hawkes_ring, linear, id="linear"),
+            pytest.param(linear_mixed, linear, id="linear-step"),
+            pytest.param(analytic_triangle, analytic, id="analytic"),
+            pytest.param(analytic_truncated, analytic, id="analytic-truncated"),
+        ],
+    )
+    def test_capped_bound_is_the_full_walk(self, make, module, monkeypatch):
+        m = make()
+        rng = random.Random(31)
+        cases = []
+        for trial in range(16):
+            t = rng.uniform(30.0, 80.0)
+            x = (crowded_past if trial % 2 else random_past)(rng, m.node_set(), t, m.eps)
+            for i in m.node_set():
+                for source in (None, *sorted(m.bound_sources(i))):
+                    cases.append((i, x, t, source, bound_or_error(m, i, x, t, source)))
+        assert max(x.n_points() for _, x, *_ in cases) >= 500
+        monkeypatch.setattr(module, "atom_future_bound", full_walk_bound)
+        for i, x, t, source, capped in cases:
+            assert bound_or_error(m, i, x, t, source) == capped
+
+    def test_cost_flat_in_history(self):
+        # one recent point and n_old points aged 40-100: the walk reads the
+        # recent point's bins and bounds the old points by one kernel value
+        # (the full walk evaluates the kernel n_old + 200 times)
+        calls = {}
+        for n_old in (500, 2000, 4000):
+            ker = CountingKernel(0.3, 1.0)
+            m = LinearHawkesModel(mu={0: 0.5}, kernels={(0, 0): ker}, eps=0.5)
+            rng = random.Random(41)
+            x = Configuration({0: sorted({100.0 - rng.uniform(40.0, 100.0) for _ in range(n_old)} | {99.7})})
+            ker.calls = 0
+            bound = m.local_bound(0, x, 100.0, source=0)
+            calls[n_old] = ker.calls
+            assert bound == max(1.0, full_walk_bound(0, {0: ker}, m.weights[0], x, 100.0, m.eps))
+        assert calls[500] == calls[2000] == calls[4000] <= 10
+
+
 class TestAnalyticOrderSearch:
     def test_cosh_bound_covers_orders_after_a_zero_derivative(self):
         # where B*/kappa lies in (sqrt 2, 2) the order-2 bound exceeds the
@@ -102,7 +246,7 @@ class TestAnalyticOrderSearch:
         m = AnalyticHawkesModel(PsiSeries("exp"), {(0, 0): ExponentialKernel(1.0, 1.0)}, eps=0.5, nodes=[0])
         pts = (-0.3, -0.2, -0.1)
         atoms, kappa = m.weights[0].atoms, m.weights[0].order_ratio
-        bins = future_bin_bounds(m.kernels[(0, 0)], pts, 0.0, m.eps, None)
+        bins = full_walk_bins(m.kernels[(0, 0)], pts, 0.0, m.eps, None)
         b_star = max(bound_n / atoms.atom_pmf(0, n) for n, bound_n in bins)
         term, best = 1.0, 1.0 / (1.0 - kappa)
         for k in range(1, 200):

@@ -176,7 +176,26 @@ def test_simulate_forward_writes_runs_and_summary(tmp_path):
     assert [r["run"] for r in runs] == [0, 1]
     for r in runs:
         assert len(read_rows(r["file"])) == r["points"] > 0
+        assert r["accept_ratio"] == r["points"] / r["proposals"]
+        # one node reading itself: its whole bound at the start, then its one
+        # term after each acceptance
+        assert r["bound_terms"] == 1 + r["points"]
     assert len({r["file"] for r in runs}) == 2
+
+
+def test_simulate_forward_step_kernel_on_untruncated_weights(tmp_path):
+    # a compact-support kernel on geometric weights of any ratio has a finite bound
+    model = {
+        "family": "linear",
+        "nodes": [0],
+        "mu": [0.5],
+        "eps": 0.5,
+        "kernels": [{"from": 0, "to": 0, "type": "step", "edges": [0, 0.6, 1.3], "values": [0.4, 0.2]}],
+        "weights": {"empty": 0.5, "shares": {"0": 1.0}, "ratios": {"0": 0.5}},
+    }
+    summary = flagged_run(tmp_path, "simulate-forward", {"model": model}, [])
+    (run,) = summary["runs"]
+    assert run["stop_reason"] == "time-reached" and run["points"] > 0
 
 
 def flagged_run(tmp_path, command, cfg, flags):

@@ -76,7 +76,7 @@ class TestBoundRefresh:
         assert run.stop_reason == TIME_REACHED
         assert run.proposals > run.count()  # some proposals were rejected
         assert m.bound_calls == expected_terms(run, run.count())
-        assert len(m.bound_calls) == len(RING) + 3 * run.count()
+        assert len(m.bound_calls) == len(RING) + 3 * run.count() == run.bound_terms
 
     def test_step_budget_skips_the_last_refresh(self):
         m = CountingRing()
@@ -84,7 +84,7 @@ class TestBoundRefresh:
         assert run.stop_reason == STEP_BUDGET
         assert run.count() == 5
         assert m.bound_calls == expected_terms(run, 4)
-        assert len(m.bound_calls) == len(RING) + 3 * 4
+        assert len(m.bound_calls) == len(RING) + 3 * 4 == run.bound_terms
 
     def test_whole_node_models_renew_every_node(self):
         class WholeRing(CountingRing):
@@ -95,6 +95,7 @@ class TestBoundRefresh:
         run = forward_simulate(m, RING, T_MAX, 10_000, None, RandomStream(5))
         assert run.stop_reason == TIME_REACHED
         assert m.bound_calls == [(i, None) for i in RING] * (run.count() + 1)
+        assert run.bound_terms == len(m.bound_calls)
 
 
 class TestStops:

@@ -15,6 +15,7 @@ from kalisim import (
     RandomStream,
     StepKernel,
 )
+from kalisim.forward import TIME_REACHED, forward_simulate
 
 
 def one_node(mu=1.0, alpha=1.0, beta=1.0, eps=0.5, **kw):
@@ -106,6 +107,28 @@ class TestLocalBound:
         m = one_node(weights={1: AtomicWeights(0.5, {1: 1.0}, {1: 0.5})})
         with pytest.raises(ExplosionGuardError, match="decay"):
             m.local_bound(1, Configuration({1: [-0.3]}))
+
+    def test_step_kernel_on_untruncated_weights(self):
+        # past its support every B_n is 0, so a compact-support kernel needs no
+        # decay against the bin weights, whose ratio here is below any kernel's
+        m = LinearHawkesModel(
+            mu={0: 0.5},
+            kernels={(0, 0): StepKernel(edges=[0.0, 0.6, 1.3], values=[0.4, 0.2])},
+            eps=0.5,
+            weights={0: AtomicWeights(0.5, {0: 1.0}, {0: 0.5})},
+        )
+        rng = np.random.default_rng(8)
+        for trial in range(30):
+            pts = sorted(rng.uniform(-4.0, -1e-9, size=rng.integers(1, 6)))
+            bound = m.local_bound(0, Configuration({0: pts}))
+            for shift in [0.0, 0.05, 0.21, 0.4, 0.6, 1.3, 2.7]:
+                shifted = Configuration({0: [t - shift for t in pts]})
+                assert m.component_value(0, EMPTY_ND, shifted) <= bound * (1 + 1e-9)
+                for n in range(1, 20):
+                    val = m.component_value(0, AtomND(0, n), shifted)
+                    assert val <= bound * (1 + 1e-9), (trial, shift, n)
+        run = forward_simulate(m, [0], 20.0, 10_000, None, RandomStream(4))
+        assert run.stop_reason == TIME_REACHED and run.count() > 0
 
     def test_compact_kernels_never_explode(self):
         m = LinearHawkesModel(
