@@ -33,8 +33,9 @@ neighborhood, so the rest of the past cannot change it, and a proposal costs
 O(points in the drawn neighborhood) instead of O(history). What every
 proposal until the next renewal shares (the waiting time's scale and the
 cumulative bounds the node is picked from) is computed once per renewal. A
-term costs O(points in its live window): the per-source bound walks the
-source's bins from its newest point and stops once no older bin can raise it
+term costs O(points in its live window), plus O(log N) bins for N points of
+its source: the per-source bound walks the source's bins from its newest
+point and stops once no older bin can raise it
 (``models.base.future_bin_bounds``). An acceptance copies the accepted
 node's tuple of points, not the whole history.
 """

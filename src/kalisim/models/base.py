@@ -251,10 +251,8 @@ def nested_levels(
 
 
 # Relative rounding allowance of the capped bin walk (derived in
-# ``future_bin_bounds``): the roundings it covers come to below 2**-40.
+# ``future_bin_bounds``): the relative roundings it covers come to below 2**-40.
 _WALK_ALLOWANCE = 1.0 + 2.0**-32
-# half an ulp of 1.0: a rounded sum is at most this, relative, off
-_UNIT_ROUNDOFF = 2.0**-53
 
 
 def atom_future_bound(
@@ -273,17 +271,18 @@ def atom_future_bound(
     bounds every atom's component at every future shift of ``x``'s past
     before ``t``. ``source=j`` reads j's atoms only.
 
-    Each source's walk starts at its newest point. When the kernel decays
-    faster across one bin than the bin weights (``decay_per(eps)`` below the
-    ratio), the ratio envelope count * h((n-1)*eps) / lambda(w_{j,n}) falls
-    with n, and the walk stops at the first bin where that envelope, with a
-    rounding allowance, is at most the largest ratio found so far over the
-    sources already read: no later bin can raise the maximum, so the value is
-    the same float the walk over every bin gives (the rule and its proof are
-    in ``future_bin_bounds``). On untruncated weights an infinite-support
-    kernel must decay so, or the ratios grow without bound along future shifts
-    and no finite bound exists. A compact-support kernel has B_n = 0 past its
-    support and needs no decay; its walk ends at the support's last bin.
+    When an infinite-support kernel decays faster across one bin than the
+    bin weights (``decay_per(eps)`` below the ratio), the envelope
+    count * h((n-1)*eps) / lambda(w_{j,n}) falls with n, and each source's walk
+    stops at the first bin where that envelope, with a rounding allowance, is
+    at most the largest ratio found so far over the sources already read:
+    no later bin can raise the maximum, so the value is the same float the
+    walk over every bin gives (the rule and its proof are in
+    ``future_bin_bounds``). On untruncated weights such a kernel must decay
+    so, or the ratios grow without bound along future shifts and no finite
+    bound exists. Otherwise the walk runs to the truncation, or, for a
+    compact-support kernel on untruncated weights, to the support's last bin:
+    past it every B_n is 0, so no decay is needed.
     """
     best = 0.0
     for j, ker in incoming.items():
@@ -297,18 +296,15 @@ def atom_future_bound(
                 f"node {i}: kernel from node {j} is active but its atoms carry no weight"
             )
         nmax = atoms.trunc[j]
-        theta = None
+        falls = False
         if math.isinf(ker.support_end):
-            decay, ratio = ker.decay_per(eps), atoms.ratios[j]
-            if decay < ratio:
-                # decay**theta <= ratio, theta rounded up so that it still holds
-                theta = 2.0**-30 if decay == 0.0 else min(1.0, math.log(ratio) / math.log(decay) + 2.0**-30)
-            elif nmax is None:
+            falls = ker.decay_per(eps) < atoms.ratios[j]
+            if not falls and nmax is None:
                 raise ExplosionGuardError(
                     f"node {i}: bin weights from node {j} decay at least as fast as the kernel"
                     " across bins; components admit no finite bound at future shifts"
                 )
-        best = future_bin_bounds(ker, pts, t, eps, nmax, partial(atoms.bin_weight, j), best, theta)
+        best = future_bin_bounds(ker, pts, t, eps, nmax, partial(atoms.bin_weight, j), best, falls)
     return best
 
 
@@ -331,7 +327,7 @@ def future_bin_bounds(
     nmax: Optional[int],
     weight: Callable[[int], float],
     best: float = 0.0,
-    theta: Optional[float] = None,
+    falls: bool = False,
 ) -> float:
     """The largest of ``best`` and the ratios B_n / weight(n) over the bins n >= 1.
 
@@ -341,89 +337,60 @@ def future_bin_bounds(
     A point of age a can reach bin n at a later time iff a < n*eps, and its
     kernel value there is at most h(max(a, (n-1)*eps)), the kernel being
     nonincreasing. So B_n is the kernel sum over the points in bin n plus
-    h((n-1)*eps) times the number of younger points. Only bins with B_n > 0
-    count, up to one past the bin of the oldest point and to ``nmax`` when
-    the weights truncate; the walk ends at the first bin whose lower edge
-    the kernel is 0 at (past a compact support), as every later B_n is 0.
+    h((n-1)*eps) times the number of younger points. The walk reads the
+    points newest first, building their kernel values' prefix sums in that
+    order. It starts at the newest point's bin (every earlier B_n is 0) and
+    ends at the first bin whose lower edge the kernel is 0 at, as every later
+    B_n is 0, or at ``nmax`` when the weights truncate. When ``falls`` it
+    ends, at the latest, at the bin past the oldest point's: beyond it B_n is
+    the count of points times h((n-1)*eps), whose ratio falls with n.
+    Otherwise the ratios may rise up to the last bin, so the walk covers the
+    truncation or the compact support whole.
 
-    The walk reads the points newest first, building their kernel values'
-    prefix sums in that order, and stops early, so a bin costs O(1) beyond
-    the points it reads and every B_n it computes is the same float as when
-    every bin is walked.
-
-    *Stopping rule.* ``theta``, when given, is an exponent in (0, 1] with
-    decay**theta <= ratio, where the kernel shrinks by at most ``decay`` and
-    ``weight`` by at least ``ratio`` from one bin to the next, decay < ratio.
-    Write h_m = h((m-1)*eps) and w_m = weight(m); then h_m / w_m, and even
-    h_m**theta / w_m, are nonincreasing in m. Number the N points 0, 1, ...
-    from the newest, and say points 0..K-1 are read before bin n (their ages
-    are below (n-1)*eps). For m >= n, B_m <= C_m h_m plus the rounding e_m
-    of each unread point (below), where C_m counts the points younger than
-    m*eps. C_m < 2**j below the bin of point 2**j - 1, the anchor j. So with
-    i the first anchor past K, C_m h_m / w_m is at most
-    min(2**i - 1, N) h_n / w_n below anchor i's bin, and at most
-    min(2**(j+1) - 1, N) h_m / w_m at anchor j's bin m from there to anchor
-    j+1's; once N h_m / w_m at an anchor's bin is below the limit, no later
-    anchor can pass it, and past the last anchor no point is left. The walk
-    stops once these bounds, with the rounding and times
-    ``_WALK_ALLOWANCE``, are at most ``best``: no later bin can raise the
-    maximum, which is then the one the full walk finds. Each anchor costs
-    one kernel value, however many older points it bounds, so a term costs
-    O(points in its live window) however long the history.
-
-    *Rounding allowance.* Adding a kernel value v >= 0 to a prefix sum moves
-    the rounded sum by v plus at most min(2v, half an ulp of the result): the
-    sum does not move while v is below half an ulp, and otherwise the excess
-    is at most one ulp of the old sum, below 2v. An unread point has
-    v <= h_n, and every prefix sum is below P = 2 (prefix(K) + (N-K) h_n), so
-    e_m <= min(2 h_m, 2**-53 P) <= (2 h_m)**theta (2**-53 P)**(1-theta), and
-    the N-K unread points add at most
-    (N-K) (2 h_n)**theta (2**-53 P)**(1-theta) / w_n to any ratio. Every other
-    rounding is relative: the product, the sum and the division in B_m and
-    in the bounds, the bin edges, the kernel's and the weight's evaluation,
-    and a kernel evaluation that is nonincreasing only to within 2**-50.
-    While values stay in the normal float range these come to below 2**-40,
-    which ``_WALK_ALLOWANCE`` covers; ``theta`` is rounded up by 2**-30, so
-    that decay**theta <= ratio holds for the rounded decay and ratio too.
+    *Stopping rule.* ``falls`` says that h_n / w_n is nonincreasing in n, with
+    h_n = h((n-1)*eps) and w_n = weight(n): the kernel decays faster across a
+    bin than the weights. Say N points are at or before ``t`` and the K
+    newest are read before bin n (their ages are below (n-1)*eps). For
+    m >= n a point younger than bin m adds h_m to B_m, and a point in bin m
+    adds its kernel value v <= h_m plus the rounding of its addition to the
+    prefix sums, which is at most v: a rounded sum is no farther from the
+    exact one than the old sum is. The K read points are younger than bin m,
+    so B_m <= (2N - K) h_m and B_m / w_m <= (2N - K) h_n / w_n. The walk
+    stops at the first bin n where this envelope, times
+    ``_WALK_ALLOWANCE``, is at most the running maximum: no later bin can
+    raise it, so the result is the float that the walk over every bin gives.
+    The walk reads the points in the live window and then
+    log(2N / K') / log(ratio / decay) bins or fewer, K' being the count that
+    set the maximum: O(log N) however long the history. The allowance covers
+    every other
+    rounding, each relative: the product, sum and difference in B_m, the
+    envelope's product and division, the bin edges, the kernel's and the
+    weight's evaluation, and a kernel evaluation that is nonincreasing only
+    to within 2**-50. While values stay in the normal float range these come
+    to below 2**-40.
     """
     hi = bisect_right(pts, t)
     if not hi:
         return best
-    n_stop = int((t - pts[0]) / eps) + 2
-    if nmax is not None:
-        n_stop = min(n_stop, nmax)
+    if falls:
+        n_stop = int((t - pts[0]) / eps) + 2
+        if nmax is not None:
+            n_stop = min(n_stop, nmax)
+    elif nmax is not None:
+        n_stop = nmax
+    else:
+        n_stop = int(ker.support_end / eps) + 2
     prefix = [0.0]  # kernel-value prefix sums, newest point first
     k = 0  # points read: those younger than the current bin
-    anchors: dict[int, Optional[float]] = {}  # j -> h_m / w_m at the bin of point 2**j - 1
-    # the bins before the newest point's are empty with no younger point
     n = _bin_of(t - pts[hi - 1], eps)
     while n <= n_stop:
-        lo_edge = (n - 1) * eps
-        c = ker(lo_edge)
+        c = ker((n - 1) * eps)
         if c == 0.0:
             break  # the kernel is 0 from here on, and so is every B_m
         w = weight(n)
+        if falls and (2 * hi - k) * c / w * _WALK_ALLOWANCE <= best:
+            break  # no later bin can raise the maximum
         k_lo = k
-        if theta is not None:
-            # the bound of every later ratio, first over the bins before the
-            # first anchor j past the read points, then anchor by anchor
-            j = (k + 1).bit_length()
-            far = min(2**j - 1, hi) * c / w
-            limit = best / _WALK_ALLOWANCE  # what the bound must not pass
-            if far <= limit:
-                p_max = 2.0 * (prefix[k] + (hi - k) * c)
-                limit -= (hi - k) * (2.0 * c) ** theta * (_UNIT_ROUNDOFF * p_max) ** (1.0 - theta) / w
-            while far <= limit:
-                if 2**j - 1 >= hi:
-                    return best  # no point is left past the anchors
-                if j not in anchors:
-                    b = _bin_of(t - pts[hi - 2**j], eps)
-                    anchors[j] = ker((b - 1) * eps) / weight(b) if b <= n_stop else None
-                g = anchors[j]
-                if g is None or hi * g <= limit:
-                    return best  # nor can any later anchor pass it
-                far = max(far, min(2 ** (j + 1) - 1, hi) * g)
-                j += 1
         hi_edge = n * eps
         while k < hi and (age := t - pts[hi - 1 - k]) < hi_edge:
             prefix.append(prefix[k] + ker(age))

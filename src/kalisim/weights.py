@@ -83,8 +83,6 @@ class AtomicWeights:
         self.trunc = {j: (trunc or {}).get(j) for j in self.nodes}
         # lambda(w_{j,n}) by node and bin, filled on first use
         self._bin_weights: dict[int, dict[int, float]] = {j: {} for j in self.nodes}
-        # one descriptor per atom drawn, shared by every draw of it
-        self._atoms: dict[tuple[int, int], AtomND] = {}
 
     def _bin_pmf(self, j: int, n: int) -> float:
         r = self.ratios[j]
@@ -138,11 +136,8 @@ class AtomicWeights:
     def sample(self, rng: RandomStream):
         if rng.generator.random() < self.p_empty:
             return EMPTY_ND
-        atom = self.sample_atom(rng)
-        desc = self._atoms.get(atom)
-        if desc is None:
-            desc = self._atoms[atom] = AtomND(*atom)
-        return desc
+        j, n = self.sample_atom(rng)
+        return AtomND(j, n)
 
     def enumerate_level(self, n: int):
         for j in self.nodes:

@@ -1,6 +1,7 @@
 """Per-source bound terms and the neighborhood-restricted past the forward
 simulator reads."""
 
+import math
 import random
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
@@ -27,19 +28,27 @@ from kalisim import (
     TaylorWeights,
     shift_to_origin,
 )
+from kalisim.forward import TIME_REACHED, forward_simulate
 from kalisim.models import analytic, linear
+from kalisim.models.base import future_bin_bounds
 from kalisim.validation import hawkes_ring
 
 
-def full_walk_bins(ker, pts, t, eps, nmax):
-    """Reference: ``(n, B_n)`` for every bin with B_n > 0, walking every bin up
-    to one past the oldest point's (or ``nmax``), with the ages' kernel prefix
-    sums built newest first."""
+def full_walk_bins(ker, pts, t, eps, nmax, falls):
+    """Reference: ``(n, B_n)`` for every bin with B_n > 0, with the ages' kernel
+    prefix sums built newest first. The walk covers every bin up to one past
+    the oldest point's when the ratios fall from there (``falls``), else to
+    the compact support's end, and never past ``nmax``."""
     ages = [t - s for s in reversed(pts[: bisect_right(pts, t)])]
     if not ages:
         return
     prefix = list(accumulate(map(ker, ages), initial=0.0))
-    n_stop = int(ages[-1] / eps) + 2
+    if falls:
+        n_stop = int(ages[-1] / eps) + 2
+    elif nmax is None:
+        n_stop = int(ker.support_end / eps) + 2
+    else:
+        n_stop = nmax
     if nmax is not None:
         n_stop = min(n_stop, nmax)
     for n in range(1, n_stop + 1):
@@ -62,7 +71,8 @@ def full_walk_bound(i, incoming, atoms, x, t, eps, source=None):
         if not pts or ker.is_zero():
             continue
         share = (1.0 - atoms.p_empty) * atoms.shares[j]
-        for n, bound_n in full_walk_bins(ker, pts, t, eps, atoms.trunc[j]):
+        falls = math.isinf(ker.support_end) and ker.decay_per(eps) < atoms.ratios[j]
+        for n, bound_n in full_walk_bins(ker, pts, t, eps, atoms.trunc[j], falls):
             best = max(best, bound_n / (share * atoms._bin_pmf(j, n)))
     return best
 
@@ -142,7 +152,8 @@ def linear_mixed() -> LinearHawkesModel:
 
 def analytic_truncated() -> AnalyticHawkesModel:
     """Truncated weights: from node 0 they decay faster than the kernel, so
-    that walk runs to the truncation; from node 1 slower, so it may stop."""
+    that walk runs to the truncation; from node 1 slower, so it may stop
+    early."""
     kernels = {(i, j): ExponentialKernel(0.2 if j == 0 else 0.1, 0.5 if j == 0 else 1.5) for i in (0, 1) for j in (0, 1)}
     atoms = AtomicWeights(0.0, {0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.7}, {0: 40, 1: 30})
     weights = {i: TaylorWeights(0.5, atoms) for i in (0, 1)}
@@ -211,9 +222,9 @@ class TestCappedWalk:
             assert bound_or_error(m, i, x, t, source) == capped
 
     def test_cost_flat_in_history(self):
-        # one recent point and n_old points aged 40-100: the walk reads the
-        # recent point's bins and bounds the old points by one kernel value
-        # (the full walk evaluates the kernel n_old + 200 times)
+        # one recent point and n_old points aged 40-100: the walk stops within
+        # O(log n_old) bins of the recent point and never reads an old point,
+        # while the full walk evaluates the kernel n_old + 200 times
         calls = {}
         for n_old in (500, 2000, 4000):
             ker = CountingKernel(0.3, 1.0)
@@ -224,7 +235,51 @@ class TestCappedWalk:
             bound = m.local_bound(0, x, 100.0, source=0)
             calls[n_old] = ker.calls
             assert bound == max(1.0, full_walk_bound(0, {0: ker}, m.weights[0], x, 100.0, m.eps))
-        assert calls[500] == calls[2000] == calls[4000] <= 10
+        assert max(calls.values()) <= 48, calls
+
+    def test_rounding_allowance_is_needed(self):
+        # 3000 kernel values just above half an ulp of a prefix sum of 1.0 each
+        # round the sum up by a whole ulp, so the computed B_37 comes to 4/3 of
+        # count * h_37: a stop at count * h_n / w_n, without the allowance for
+        # the unread points' rounding, would end the walk at bin 37 and miss it
+        beta = (53 * math.log(2.0) - math.log(1.5)) / 36.0  # h(36) = 1.5 * 2**-53
+        ker = ExponentialKernel(1.0, beta)
+        t = 100.0
+        pts = sorted([t - 36.05 - 0.25 * i / 3000 for i in range(3000)] + [t])
+
+        def weight(n):
+            return 0.45 ** (n - 1)  # slower than the kernel's exp(-beta) ~ 0.36
+
+        envelope = len(pts) * ker(36.0) / weight(37)
+        best = 1.15 * envelope  # what the sources read before reached
+        full = max(best, *(b / weight(n) for n, b in full_walk_bins(ker, pts, t, 1.0, None, True)))
+        assert full > 1.3 * envelope
+        assert future_bin_bounds(ker, pts, t, 1.0, None, weight, best, True) == full
+
+    def test_truncated_bound_dominates_where_the_ratios_rise(self):
+        # bin weights that decay faster than the kernel, truncated at bin 6,
+        # with a recent past: the ratios rise up to the truncation, past the
+        # oldest point's bin, and the bound must cover every order there
+        atoms = AtomicWeights(0.0, {0: 1.0}, {0: 0.5}, {0: 6})
+        m = AnalyticHawkesModel(
+            PsiSeries("poly", [1.0, 1.0, 0.5]),
+            {(0, 0): ExponentialKernel(0.2, 0.5)},
+            eps=0.5,
+            nodes=[0],
+            weights={0: TaylorWeights(0.5, atoms)},
+        )
+        rng = random.Random(17)
+        pasts = [[-0.1]] + [sorted(rng.uniform(-4.0, -1e-9) for _ in range(rng.randrange(1, 6))) for _ in range(20)]
+        descs = [TaylorND(())] + [TaylorND(((0, n),)) for n in range(1, 7)]
+        descs += [TaylorND(((0, a), (0, b))) for a in range(1, 7) for b in range(1, 7)]
+        for pts in pasts:
+            bound = m.local_bound(0, Configuration({0: pts}))
+            for shift in [0.05 * k for k in range(80)]:
+                shifted = Configuration({0: [s - shift for s in pts]})
+                for desc in descs:
+                    assert m.component_value(0, desc, shifted) <= bound * (1.0 + 1e-9), (pts, shift, desc)
+        run = forward_simulate(m, [0], 5.0, 10_000, None, RandomStream(4))
+        assert run.stop_reason == TIME_REACHED and run.count() > 0
 
 
 class TestAnalyticOrderSearch:
@@ -246,7 +301,7 @@ class TestAnalyticOrderSearch:
         m = AnalyticHawkesModel(PsiSeries("exp"), {(0, 0): ExponentialKernel(1.0, 1.0)}, eps=0.5, nodes=[0])
         pts = (-0.3, -0.2, -0.1)
         atoms, kappa = m.weights[0].atoms, m.weights[0].order_ratio
-        bins = full_walk_bins(m.kernels[(0, 0)], pts, 0.0, m.eps, None)
+        bins = full_walk_bins(m.kernels[(0, 0)], pts, 0.0, m.eps, None, True)
         b_star = max(bound_n / atoms.atom_pmf(0, n) for n, bound_n in bins)
         term, best = 1.0, 1.0 / (1.0 - kappa)
         for k in range(1, 200):

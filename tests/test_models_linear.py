@@ -108,25 +108,29 @@ class TestLocalBound:
         with pytest.raises(ExplosionGuardError, match="decay"):
             m.local_bound(1, Configuration({1: [-0.3]}))
 
-    def test_step_kernel_on_untruncated_weights(self):
-        # past its support every B_n is 0, so a compact-support kernel needs no
-        # decay against the bin weights, whose ratio here is below any kernel's
-        m = LinearHawkesModel(
-            mu={0: 0.5},
-            kernels={(0, 0): StepKernel(edges=[0.0, 0.6, 1.3], values=[0.4, 0.2])},
-            eps=0.5,
-            weights={0: AtomicWeights(0.5, {0: 1.0}, {0: 0.5})},
-        )
+    @pytest.mark.parametrize(
+        "kernel, weights",
+        [
+            pytest.param(StepKernel([0.0, 0.6, 1.3], [0.4, 0.2]), AtomicWeights(0.5, {0: 1.0}, {0: 0.5}), id="step-untruncated"),
+            pytest.param(StepKernel([0.0, 2.2], [0.3]), AtomicWeights(0.5, {0: 1.0}, {0: 0.5}), id="long-step-untruncated"),
+            pytest.param(StepKernel([0.0, 2.2], [0.3]), None, id="long-step-default"),
+        ],
+    )
+    def test_bound_dominates_where_the_ratios_rise(self, kernel, weights):
+        # on a compact support B_n / lambda(w_n) may rise past the oldest
+        # point's bin up to the support's last one, and the bound must cover it
+        m = LinearHawkesModel(mu={0: 0.5}, kernels={(0, 0): kernel}, eps=0.5, weights=weights and {0: weights})
+        nmax = m.weights[0].trunc[0] or 20
         rng = np.random.default_rng(8)
-        for trial in range(30):
-            pts = sorted(rng.uniform(-4.0, -1e-9, size=rng.integers(1, 6)))
+        pasts = [[-0.1]] + [sorted(rng.uniform(-4.0, -1e-9, size=rng.integers(1, 6))) for _ in range(30)]
+        for pts in pasts:
             bound = m.local_bound(0, Configuration({0: pts}))
-            for shift in [0.0, 0.05, 0.21, 0.4, 0.6, 1.3, 2.7]:
+            for shift in [0.0, 0.05, 0.21, *np.arange(0.4, 6.0, 0.3)]:
                 shifted = Configuration({0: [t - shift for t in pts]})
                 assert m.component_value(0, EMPTY_ND, shifted) <= bound * (1 + 1e-9)
-                for n in range(1, 20):
+                for n in range(1, nmax + 1):
                     val = m.component_value(0, AtomND(0, n), shifted)
-                    assert val <= bound * (1 + 1e-9), (trial, shift, n)
+                    assert val <= bound * (1 + 1e-9), (pts, shift, n)
         run = forward_simulate(m, [0], 20.0, 10_000, None, RandomStream(4))
         assert run.stop_reason == TIME_REACHED and run.count() > 0
 
