@@ -249,10 +249,12 @@ class OffspringModel:
             ws: list[float] = []
             ms: list[np.ndarray] = []
             count = 0
+            listed = 0.0  # weight of the descriptors read so far, in enumeration order
             for desc in model.enumerate_descriptors(i):
-                if model.weight_tail(i, count) < tol:
+                if 1.0 - listed < tol:
                     break
                 lam = model.pmf(i, desc)
+                listed += lam
                 count += 1
                 if lam <= 0.0:
                     continue

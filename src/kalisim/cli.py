@@ -243,7 +243,8 @@ def _cmd_analyze(args) -> int:
 
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        with io.open_output(args.out) as fh:
+            fh.write(text + "\n")
         print(f"analysis report -> {args.out}")
     else:
         print(text)

@@ -259,12 +259,15 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
     the same checks as the file.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError([f"config file not found: {path}"]) from None
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config is not valid JSON: {exc}"]) from None
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not UTF-8
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError([f"cannot read config file {path}: {reason}"]) from None
     if isinstance(cfg, dict):
         for key, value in (overrides or {}).items():
             section, name = key.split(".")

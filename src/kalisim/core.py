@@ -428,41 +428,17 @@ class ActivityCap(SubspaceGuard):
 
 
 # --------------------------------------------------------------------------
-# Decomposition tables and the Kalikow identity evaluator
+# The Kalikow identity evaluator
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TableRow:
-    descriptor: object
-    weight: float
-    bound: Optional[float]
-
-
-@dataclass(frozen=True)
-class DecompositionTable:
-    """Finite prefix of one node's decomposition, with closed-form tail masses.
-
-    ``weight_tail``/``bound_tail`` are the masses beyond the listed rows;
-    weights sum to 1 once the tail is added, and ``total_bound`` equals the sum
-    of all row bounds plus the bound tail when bounds exist.
-    """
-
-    node: NodeId
-    rows: tuple[TableRow, ...]
-    weight_tail: float
-    bound_tail: Optional[float]
-    total_bound: Optional[float]
-
-    def weight_sum(self) -> float:
-        return sum(r.weight for r in self.rows) + self.weight_tail
 
 
 def evaluate_decomposition(model, i: NodeId, x: Configuration, n: int) -> float:
     """Truncated Kalikow sum  sum_{first n neighborhoods} lambda(v) * phi_v(x).
 
     Terms are nonnegative, so the value is nondecreasing in ``n`` and converges
-    to the intensity phi_i(x) on the model's guard subspace.
+    to the intensity phi_i(x) on the model's guard subspace. For the age
+    models every summand is at most its level bound Gamma_k, so the sum falls
+    short of the intensity by at most ``model.ladder(i).tail(n)``.
     """
     model.guard().require(x)
     total = 0.0

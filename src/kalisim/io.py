@@ -11,6 +11,15 @@ import json
 from typing import Iterable
 
 from .core import Configuration
+from .errors import ConfigError
+
+
+def open_output(path: str, newline: str | None = None):
+    """``path`` opened for writing; a path that cannot be written is a ConfigError."""
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise ConfigError([f"cannot write output file {path}: {exc.strerror or exc}"]) from None
 
 
 def emit_points(path: str, points: Iterable[tuple[float, int]] | Configuration) -> int:
@@ -20,7 +29,7 @@ def emit_points(path: str, points: Iterable[tuple[float, int]] | Configuration) 
     else:
         rows = [(float(t), int(j)) for t, j in points]
     rows.sort()
-    with open(path, "w", newline="") as fh:
+    with open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "node"])
         for t, j in rows:
@@ -29,6 +38,6 @@ def emit_points(path: str, points: Iterable[tuple[float, int]] | Configuration) 
 
 
 def write_summary(path: str, summary: dict) -> None:
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

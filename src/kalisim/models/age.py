@@ -361,9 +361,6 @@ class AgeHawkesModel(KalikowModel):
     def global_bound(self, i: NodeId) -> Optional[float]:
         return self.ladder(i).total
 
-    def descriptor_bound(self, i: NodeId, desc) -> Optional[float]:
-        return self.ladder(i).level(desc.k) if isinstance(desc, NestedND) else None
-
     def component_sup(self, i: NodeId, desc) -> Optional[float]:
         # gamma_bar(i, 1) = psi(0) is delta_1 on every alive configuration, and
         # for k >= 2 gamma_bar bounds delta_k on the refractory subspace
@@ -372,9 +369,6 @@ class AgeHawkesModel(KalikowModel):
         if sup is None:
             sup = self._sup_cache[key] = self.gamma_bar(i, desc.k) / self.pmf(i, desc)
         return sup
-
-    def bound_tail(self, i: NodeId, n: int) -> Optional[float]:
-        return self.ladder(i).tail(n)
 
     def local_bound(
         self, i: NodeId, x: Configuration, t: float = 0.0, source: Optional[NodeId] = None

@@ -9,14 +9,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from ..core import (
-    Configuration,
-    DecompositionTable,
-    Neighborhood,
-    NodeId,
-    SubspaceGuard,
-    TableRow,
-)
+from ..core import Configuration, Neighborhood, NodeId, SubspaceGuard
 from ..errors import CoverageError, ExplosionGuardError, NonSummableError
 from ..kernels import Kernel
 from ..sampling import RandomStream
@@ -44,9 +37,9 @@ class KalikowModel(ABC):
     The decomposition writes the generic intensity of node ``i`` as
     ``sum_v lambda_i(v) * phi_v`` over a countable family of finite past
     neighborhoods, with ``phi_v(x) = delta(i, v, x) / pmf(i, v)`` (0/0 = 0)
-    cylindrical on ``v``. Models in the bounded regime additionally expose
-    per-neighborhood bounds whose total dominates the intensity; those are the
-    models the perfect simulator accepts.
+    cylindrical on ``v``. Models in the bounded regime additionally expose a
+    global bound dominating the intensity; those are the models the perfect
+    simulator accepts.
     """
 
     # -- structure -----------------------------------------------------------
@@ -99,10 +92,6 @@ class KalikowModel(ABC):
         """Deterministic bound dominating phi_i and every phi_v, or None."""
         return None
 
-    def descriptor_bound(self, i: NodeId, desc) -> Optional[float]:
-        """Per-neighborhood bound Gamma_v >= sup_x delta_v(x), or None."""
-        return None
-
     def component_sup(self, i: NodeId, desc) -> Optional[float]:
         """Bound on sup_x phi_v(x) over the guard's subspace, or None.
 
@@ -113,38 +102,6 @@ class KalikowModel(ABC):
         value above it. None declares no bound, and every point is expanded.
         """
         return None
-
-    def bound_tail(self, i: NodeId, n: int) -> Optional[float]:
-        """sum of Gamma_v beyond the first n enumerated descriptors, or None."""
-        return None
-
-    def weight_tail(self, i: NodeId, n: int) -> float:
-        """Weight mass beyond the first n enumerated descriptors (exact: the
-        weights are a probability, so the tail is 1 minus the listed mass)."""
-        acc = 0.0
-        for count, desc in enumerate(self.enumerate_descriptors(i)):
-            if count >= n:
-                break
-            acc += self.pmf(i, desc)
-        return max(0.0, 1.0 - acc)
-
-    def decomposition_table(self, i: NodeId, rows: int) -> DecompositionTable:
-        """Finite table view of the first ``rows`` descriptors plus tail masses."""
-        listed = []
-        for count, desc in enumerate(self.enumerate_descriptors(i)):
-            if count >= rows:
-                break
-            listed.append(TableRow(desc, self.pmf(i, desc), self.descriptor_bound(i, desc)))
-        n = len(listed)
-        bt = self.bound_tail(i, n)
-        total = self.global_bound(i)
-        return DecompositionTable(
-            node=i,
-            rows=tuple(listed),
-            weight_tail=self.weight_tail(i, n),
-            bound_tail=bt,
-            total_bound=total,
-        )
 
     # -- forward simulation -------------------------------------------------------
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from ..core import EMPTY_ND, AtomND, Configuration, EmptyND, Neighborhood, NodeId, NoGuard
-from ..errors import ExplosionGuardError
+from ..errors import CoverageError, ExplosionGuardError
 from ..kernels import Kernel
 from ..sampling import RandomStream
 from ..weights import AtomicWeights, default_atomic_weights
@@ -13,7 +13,6 @@ from .base import (
     KalikowModel,
     OffspringRow,
     atom_future_bound,
-    require_window_covers,
     require_window_for_supports,
 )
 
@@ -108,11 +107,14 @@ class LinearHawkesModel(KalikowModel):
             return self.mu[i]
         if not isinstance(desc, AtomND):
             raise KeyError(f"descriptor {desc!r} is not atomic")
-        require_window_covers(x, self.expand(i, desc))
+        a, b = -desc.n * self.eps, -(desc.n - 1) * self.eps
+        if x.window is not None and not (x.window[0] <= a and b <= x.window[1]):
+            raise CoverageError(
+                f"configuration window {x.window} does not cover the bin [{a:g}, {b:g}) of node {desc.j}"
+            )
         ker = self._incoming[i].get(desc.j)
         if ker is None:
             return 0.0
-        a, b = -desc.n * self.eps, -(desc.n - 1) * self.eps
         return sum(ker(-s) for s in x.points_in(desc.j, a, b))
 
     def pmf(self, i: NodeId, desc) -> float:

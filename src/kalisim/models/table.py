@@ -113,15 +113,6 @@ class TableModel(KalikowModel):
     def global_bound(self, i: NodeId) -> Optional[float]:
         return self._bounds.get(i)
 
-    def descriptor_bound(self, i: NodeId, desc) -> Optional[float]:
-        return self._row(i, desc).bound
-
-    def bound_tail(self, i: NodeId, n: int) -> Optional[float]:
-        return sum(r.bound for r in self._entries[i][n:])
-
-    def weight_tail(self, i: NodeId, n: int) -> float:
-        return self._weights[i].tail_after(n)
-
     def local_bound(
         self, i: NodeId, x: Configuration, t: float = 0.0, source: Optional[NodeId] = None
     ) -> float:

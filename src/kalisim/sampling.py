@@ -24,6 +24,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import LedgerError
+from .io import open_output
 
 
 class RandomStream:
@@ -345,9 +346,9 @@ class RegionLedger:
     def register_empty(self, node: int, a: float, b: float) -> None:
         """Mark [a, b) as realized with no points beyond a possible one at ``a``.
 
-        Used for the segments walked through by proposal steps: the stretch
-        after the previous proposal point (which sits exactly at ``a``) is
-        empty by definition of the exponential step.
+        The public way to declare a stretch of a node's dominating process
+        empty; ``advance`` covers the segments its proposal steps walk
+        through itself, through ``_cover_gap``.
         """
         if a >= b:
             return
@@ -417,5 +418,5 @@ class RegionLedger:
         return out
 
     def dump(self, path: str) -> None:
-        with open(path, "w") as fh:
+        with open_output(path) as fh:
             json.dump(self.to_json(), fh, indent=2)

@@ -1,8 +1,9 @@
 """Samplable weight distributions over neighborhood families.
 
-Every family exposes an exact pmf, an exact sampler and closed-form tail
-masses; the lazy (infinite-support) families need all three for simulation
-and for the branching-cost analysis.
+Every family exposes an exact pmf and an exact sampler; the lazy
+(infinite-support) families need both for simulation, and the branching-cost
+analysis reads the pmf. Level tails of the age models live on their
+Gamma-ladders (``models.age``), not here.
 """
 
 from __future__ import annotations
@@ -41,20 +42,13 @@ class FiniteWeights:
                 return d
         return self.entries[-1][0]
 
-    def enumerate(self):
-        for d, _ in self.entries:
-            yield d
-
-    def tail_after(self, n: int) -> float:
-        return sum(w for _, w in self.entries[n:])
-
 
 class AtomicWeights:
     """Weights over {empty} and single-node time bins w_{j,n}, n >= 1.
 
     lambda(empty) = p_empty and lambda(w_{j,n}) = (1 - p_empty) * share_j *
     geometric(ratio_j) in n, optionally truncated at n <= trunc_j. Geometric in
-    the bin index keeps exact samplers and tail masses available.
+    the bin index keeps an exact sampler available.
     """
 
     def __init__(
@@ -207,17 +201,11 @@ class TaylorWeights:
                 return 0.0
         return w
 
-    def order_pmf(self, k: int) -> float:
-        return (1.0 - self.order_ratio) * self.order_ratio**k
-
     def sample(self, rng: RandomStream):
         k = int(rng.generator.geometric(1.0 - self.order_ratio)) - 1
         if k == 0:
             return EMPTY_ND
         return TaylorND(tuple(self.atoms.sample_atom(rng) for _ in range(k)))
-
-    def tail_after_order(self, n: int) -> float:
-        return self.order_ratio ** (n + 1)
 
 
 def default_atomic_weights(

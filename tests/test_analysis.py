@@ -1,6 +1,9 @@
+from itertools import islice
+
+import numpy as np
 import pytest
 
-from kalisim import analysis, lattice_preset
+from kalisim import AtomicWeights, LinearHawkesModel, TableModel, analysis, lattice_preset
 from kalisim.validation import (
     atomic_gate_model,
     bounded_age_model,
@@ -60,3 +63,84 @@ def test_gamma_of_a_node_sample_is_its_row_total(model, nodes, expected):
         assert verdict.per_node[j] == pytest.approx(g, abs=1e-9)
     assert verdict.gamma == max(verdict.per_node.values())
     assert analysis.branching_summary(m, nodes).gamma == verdict.gamma
+
+
+def linear_pair(ratio):
+    """Two linear nodes on geometric bins of the given ratio, declared bound 1."""
+    fam = AtomicWeights(0.5, {0: 0.5, 1: 0.5}, {0: ratio, 1: ratio})
+    bounds = {0: 1.0, 1: 1.0}
+    return LinearHawkesModel({0: 0.3, 1: 0.3}, {}, eps=0.5, weights={0: fam, 1: fam}, declared_bounds=bounds)
+
+
+def tail_walk_offspring(model, nodes, tol=1e-10):
+    """``OffspringModel.from_model`` on its former stop rule: before each
+    descriptor, the weight beyond the ones read so far is found by walking
+    the listed weights again from the first (a table model summed the rows
+    after them instead). The walk reads cached pmfs, in the same order."""
+    index = {j: k for k, j in enumerate(nodes)}
+    weights, means = [], []
+    for i in nodes:
+        ws, ms, read = [], [], []
+        for desc in model.enumerate_descriptors(i):
+            if isinstance(model, TableModel):
+                tail = sum(model.pmf(i, d) for d in islice(model.enumerate_descriptors(i), len(read), None))
+            else:
+                acc = 0.0
+                for lam in read:
+                    acc += lam
+                tail = max(0.0, 1.0 - acc)
+            if tail < tol:
+                break
+            lam = model.pmf(i, desc)
+            read.append(lam)
+            if lam <= 0.0:
+                continue
+            row = np.zeros(len(nodes))
+            for j, a, b in model.expand(i, desc).pieces():
+                row[index[j]] += model.global_bound(j) * (b - a)
+            ws.append(lam)
+            ms.append(row)
+        weights.append(np.asarray(ws) / sum(ws))
+        means.append(np.vstack(ms))
+    return weights, means
+
+
+@pytest.mark.parametrize(
+    "model, nodes",
+    [
+        (lambda: linear_pair(0.5), [0, 1]),
+        (lambda: linear_pair(0.9), [0, 1]),
+        (lambda: linear_pair(0.97), [0, 1]),
+        (bounded_age_model, [0]),
+        (two_node_clan_model, [0, 1]),
+        (lambda: spread_gate_model(1.0), [0]),
+        (lambda: atomic_gate_model(1.0), [0]),
+    ],
+    ids=["linear-0.5", "linear-0.9", "linear-0.97", "bounded-age", "clan", "spread", "atomic"],
+)
+def test_offspring_model_stops_where_the_tail_walk_did(model, nodes):
+    m = model()
+    got = analysis.OffspringModel.from_model(m, nodes)
+    weights, means = tail_walk_offspring(m, nodes)
+    assert len(got.weights) == len(weights)
+    for a, b in zip(got.weights + got.means, weights + means):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_offspring_model_reads_each_weight_once():
+    m = linear_pair(0.97)
+    calls = 0
+    pmf = m.pmf
+
+    def counted_pmf(i, desc):
+        nonlocal calls
+        calls += 1
+        return pmf(i, desc)
+
+    m.pmf = counted_pmf
+    off = analysis.OffspringModel.from_model(m, [0, 1])
+    # every weight here is positive, so each descriptor read is listed
+    read = sum(len(w) for w in off.weights)
+    assert read > 1000
+    # one pmf per descriptor read, plus at most one per node where it stops
+    assert calls <= read + 2

@@ -28,6 +28,11 @@ TABLE = {
     }
 }
 
+# the test's own directory stands in for the config file
+CONFIG_DIR = "<tmp_path>"
+# below a file, so no process can create it, whatever its permissions
+UNWRITABLE = os.path.join(os.devnull, "out")
+
 
 def write_config(tmp_path, cfg) -> str:
     path = tmp_path / "config.json"
@@ -94,6 +99,13 @@ def test_analyze_lattice_sample(tmp_path, capsys):
         ("simulate-forward", FINITE, ["--n-max", "-3"], EXIT_CONFIG),
         ("simulate-forward", LATTICE, [], EXIT_CONFIG),
         ("simulate-forward", dict(FINITE, simulation={"nodes": [5]}), [], EXIT_CONFIG),
+        ("analyze", CONFIG_DIR, [], EXIT_CONFIG),
+        ("analyze", b'{"model": "\xff"}', [], EXIT_CONFIG),
+        ("analyze", TABLE, ["--out", UNWRITABLE], EXIT_CONFIG),
+        ("simulate-perfect", LATTICE, ["--t-max", "1", "--out", UNWRITABLE], EXIT_CONFIG),
+        ("simulate-perfect", LATTICE, ["--t-max", "1", "--dump-ledger", UNWRITABLE], EXIT_CONFIG),
+        ("simulate-forward", FINITE, ["--t-max", "1", "--out", UNWRITABLE], EXIT_CONFIG),
+        ("simulate-forward", dict(FINITE, output={"summary": UNWRITABLE}), ["--t-max", "1"], EXIT_CONFIG),
     ],
     ids=[
         "invalid-config",
@@ -110,11 +122,25 @@ def test_analyze_lattice_sample(tmp_path, capsys):
         "forward-negative-n-max",
         "forward-on-the-lattice",
         "forward-unknown-nodes",
+        "config-is-a-directory",
+        "config-not-utf-8",
+        "analyze-unwritable-out",
+        "perfect-unwritable-out",
+        "perfect-unwritable-ledger",
+        "forward-unwritable-out",
+        "forward-unwritable-summary",
     ],
 )
 def test_analyze_failure_exit_codes(tmp_path, command, cfg, extra, expected):
     out = str(tmp_path / "out")
-    proc = run_cli(command, "--config", write_config(tmp_path, cfg), "--out", out, *extra)
+    if cfg is CONFIG_DIR:
+        config = str(tmp_path)
+    elif isinstance(cfg, bytes):
+        config = str(tmp_path / "config.json")
+        Path(config).write_bytes(cfg)
+    else:
+        config = write_config(tmp_path, cfg)
+    proc = run_cli(command, "--config", config, "--out", out, *extra)
     assert proc.returncode == expected
     assert proc.stderr.strip()
     assert "Traceback" not in proc.stderr + proc.stdout

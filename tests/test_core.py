@@ -260,7 +260,7 @@ class TestEvaluateDecomposition:
         x = Configuration.empty()
         for n in (1, 3, 10):
             part = evaluate_decomposition(m, 0, x, n)
-            assert abs(part - 1.0) <= m.bound_tail(0, n) + 1e-12
+            assert abs(part - 1.0) <= m.ladder(0).tail(n) + 1e-12
         assert evaluate_decomposition(m, 0, x, 1) == pytest.approx(1.0)
 
     def test_guard_violation_identified(self):
@@ -269,25 +269,3 @@ class TestEvaluateDecomposition:
         with pytest.raises(GuardViolation, match="refractory"):
             evaluate_decomposition(m, 0, bad, 3)
 
-
-class TestDecompositionTable:
-    def test_weights_sum_to_one_with_tail(self):
-        from kalisim import AtomicWeights, ExponentialKernel
-
-        m = LinearHawkesModel(
-            mu={0: 0.3},
-            kernels={(0, 0): ExponentialKernel(1.0, 1.0)},
-            eps=0.5,
-            weights={0: AtomicWeights(0.5, {0: 1.0}, {0: 0.7})},
-        )
-        table = m.decomposition_table(0, 12)
-        assert table.weight_sum() == pytest.approx(1.0, abs=1e-12)
-        assert len(table.rows) == 12
-
-    def test_age_table_carries_bounds(self):
-        m = lattice_preset(4.0, 4.0, 0.25)
-        table = m.decomposition_table(0, 6)
-        assert table.total_bound == pytest.approx(m.global_bound(0))
-        listed = sum(r.bound for r in table.rows)
-        assert listed + table.bound_tail == pytest.approx(table.total_bound, rel=1e-12)
-        assert table.weight_sum() == pytest.approx(1.0, abs=1e-12)

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from kalisim import AffineRate, ExponentialKernel, LinearHawkesModel, NonSummableError, RandomStream, StepKernel
+from kalisim import (
+    AffineRate,
+    ExponentialKernel,
+    NonSummableError,
+    RandomStream,
+    StepKernel,
+    lattice_preset,
+    validation,
+)
 from kalisim.models import age
 from kalisim.models.age import AutoGammaLadder
 from kalisim.weights import (
@@ -49,11 +57,10 @@ class TestKernels:
 
 
 class TestFiniteWeights:
-    def test_pmf_and_tail(self):
+    def test_pmf(self):
         fam = FiniteWeights([("a", 0.25), ("b", 0.75)])
         assert fam.pmf("a") == 0.25
         assert fam.pmf("zzz") == 0.0
-        assert fam.tail_after(1) == pytest.approx(0.75)
 
     def test_rejects_bad_total(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -79,16 +86,6 @@ class TestAtomicWeights:
             for d in fam.enumerate_level(n):
                 total += fam.pmf(d)
         assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_tail_matches_brute_force(self):
-        fam = self.make()
-        model = LinearHawkesModel({0: 1.0, 1: 1.0}, {}, eps=1.0, weights={0: fam, 1: fam})
-        for lvl in (0, 1, 3, 6):
-            brute = sum(
-                fam.pmf(AtomND(j, n)) for n in range(lvl + 1, 400) for j in (0, 1)
-            )
-            # the empty set, then one bin per source and level
-            assert model.weight_tail(0, 1 + 2 * lvl) == pytest.approx(brute, abs=1e-12)
 
     def test_truncation_respected(self):
         fam = self.make()
@@ -142,6 +139,15 @@ class TestLadderAndGeometricLevels:
         with pytest.raises(NonSummableError, match="walk exceeded its cap"):
             fam.sample(TopDraw())
 
+    def test_levels_and_tail_sum_to_total(self):
+        # the first six rungs plus the tail beyond them make up Gamma, for the
+        # closed-form power ladder and for a Lipschitz ladder past its head
+        for m in (lattice_preset(4.0, 4.0, 0.25), validation.bounded_age_model()):
+            ladder = m.ladder(0)
+            assert m.global_bound(0) == ladder.total
+            listed = sum(ladder.level(k) for k in range(1, 7))
+            assert listed + ladder.tail(6) == pytest.approx(ladder.total, rel=1e-12)
+
     def test_geometric_levels(self):
         fam = GeometricLevels(p_empty=0.5, ratio=0.5)
         assert fam.pmf(EMPTY_ND) == 0.5
@@ -177,11 +183,12 @@ class TestTaylorWeights:
         for _ in range(n):
             d = fam.sample(rng)
             orders.append(0 if d is EMPTY_ND or not isinstance(d, TaylorND) else d.order())
-        for k in (0, 1, 2, 3):
-            p = fam.order_pmf(k)
-            sigma = math.sqrt(p * (1 - p) / n)
-            assert abs(np.mean([o == k for o in orders]) - p) < 4 * sigma
-        assert fam.tail_after_order(2) == pytest.approx(0.125)
+        kappa = fam.order_ratio
+        # P(order = k) = (1 - kappa) kappa^k, so P(order > 2) = kappa^3
+        checks = [(np.mean([o == k for o in orders]), (1 - kappa) * kappa**k) for k in (0, 1, 2, 3)]
+        checks.append((np.mean([o > 2 for o in orders]), kappa**3))
+        for freq, p in checks:
+            assert abs(freq - p) < 4 * math.sqrt(p * (1 - p) / n)
 
 
 class TestDefaultAtomicWeights:

@@ -112,7 +112,7 @@ class TestDeltaAndIntensity:
             target = m.intensity(0, x)
             for n in (1, 3, 8):
                 part = evaluate_decomposition(m, 0, x, n)
-                assert abs(target - part) <= m.bound_tail(0, n) + 1e-12
+                assert abs(target - part) <= m.ladder(0).tail(n) + 1e-12
 
     def test_guard_violation(self):
         m = finite_model(delta=0.5)
@@ -125,7 +125,8 @@ class TestWeights:
     def test_level_weights_normalize(self):
         m = finite_model()
         head = sum(m.pmf(0, NestedND(k)) for k in range(1, 60))
-        assert head + m.weight_tail(0, 59) == pytest.approx(1.0, abs=1e-12)
+        ladder = m.ladder(0)
+        assert head + ladder.tail(59) / ladder.total == pytest.approx(1.0, abs=1e-12)
         assert head == pytest.approx(1.0, abs=1e-9)
 
     def test_lattice_power_law_sampler(self):

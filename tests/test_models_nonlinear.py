@@ -76,7 +76,7 @@ class TestAnalyticIdentity:
         for k in (1, 2):
             total += sum(m.pmf(0, TaylorND(tup)) for tup in product(atoms, repeat=k))
         # orders above 2 carry kappa^3; the atoms beyond bin 89 carry < 1e-13
-        assert total + fam.tail_after_order(2) == pytest.approx(1.0, abs=1e-12)
+        assert total + fam.order_ratio**3 == pytest.approx(1.0, abs=1e-12)
 
 
 class TestGLIdentity:
