@@ -1,17 +1,23 @@
-"""Run configuration: JSON schema, validation, model construction.
+"""Run configuration: shape check, validation, model construction.
 
-Every violation found is reported at once (schema shape first, then range and
-consistency checks), and a validated config expands into a model instance
-plus filled-in simulation/rng/output sections.
+``SCHEMA`` describes a config's shape as a JSON Schema (draft 2020-12) dict,
+and ``_shape_errors`` checks a config against it in the repo: the keywords
+``type``, ``required``, ``enum``, ``additionalProperties: false``,
+``properties`` and ``items``, with jsonschema's messages and paths. It adds
+one check jsonschema lacks: every ``number``, and every float in a section
+the schema leaves free-form, must be finite, since ``json`` reads ``NaN`` and
+``Infinity``. Every violation found is reported at once
+(shape first, then range and consistency checks), and a validated config
+expands into a model instance plus filled-in simulation/rng/output sections.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
-
-import jsonschema
 
 from .core import Neighborhood, RefractoryGap, ActivityCap, NoGuard, SubspaceGuard
 from .errors import ConfigError
@@ -113,6 +119,55 @@ SCHEMA = {
 }
 
 
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    # JSON Schema counts 2.0 as an integer and no bool as a number
+    "integer": lambda v: not isinstance(v, bool) and (isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+    "number": lambda v: not isinstance(v, bool) and isinstance(v, numbers.Number),
+}
+
+
+def _shape_errors(value, schema: dict, path: tuple, errors: list) -> None:
+    """Append ``(path, message)`` for each way ``value`` breaks ``schema``,
+    taking the keywords in the schema's order as jsonschema does."""
+    if isinstance(value, float) and not math.isfinite(value) and schema.get("type", "number") == "number":
+        errors.append((path, f"{value!r} is not a finite number"))
+    for key, rule in schema.items():
+        if key == "type":
+            if not _TYPES[rule](value):
+                errors.append((path, f"{value!r} is not of type {rule!r}"))
+        elif key == "enum":
+            if value not in rule:
+                errors.append((path, f"{value!r} is not one of {rule!r}"))
+        elif key == "items":
+            if isinstance(value, list):
+                for k, item in enumerate(value):
+                    _shape_errors(item, rule, path + (k,), errors)
+        elif not isinstance(value, dict):
+            continue
+        elif key == "required":
+            errors.extend((path, f"{name!r} is a required property") for name in rule if name not in value)
+        elif key == "additionalProperties" and not rule:
+            extras = sorted(set(value) - set(schema.get("properties", ())), key=str)
+            if extras:
+                listed = ", ".join(repr(x) for x in extras)
+                verb = "was" if len(extras) == 1 else "were"
+                errors.append((path, f"Additional properties are not allowed ({listed} {verb} unexpected)"))
+        elif key == "properties":
+            for name, sub in rule.items():
+                if name in value:
+                    _shape_errors(value[name], sub, path + (name,), errors)
+    # sections whose contents the schema leaves free still hold no NaN or infinity
+    if isinstance(value, dict) and "properties" not in schema:
+        for name, item in value.items():
+            _shape_errors(item, {}, path + (name,), errors)
+    elif isinstance(value, list) and "items" not in schema:
+        for k, item in enumerate(value):
+            _shape_errors(item, {}, path + (k,), errors)
+
+
 @dataclass
 class RunConfig:
     """Validated configuration with defaults filled."""
@@ -207,10 +262,10 @@ def _build_guard(section: Optional[dict]) -> Optional[SubspaceGuard]:
 def parse_config(cfg: dict) -> RunConfig:
     """Validate a raw mapping; raises ConfigError listing every violation."""
     errors: list[str] = []
-    validator = jsonschema.Draft202012Validator(SCHEMA)
-    for err in sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path)):
-        path = ".".join(str(p) for p in err.absolute_path) or "(root)"
-        errors.append(f"{path}: {err.message}")
+    shape: list[tuple[tuple, str]] = []
+    _shape_errors(cfg, SCHEMA, (), shape)
+    for path, message in sorted(shape, key=lambda e: e[0]):
+        errors.append(f"{'.'.join(map(str, path)) or '(root)'}: {message}")
     if not errors:
         _semantic_checks(cfg, errors)
     if errors:
@@ -304,6 +359,9 @@ def _atomic_weights(section: Optional[dict], nodes) -> Optional[dict]:
     trunc = {int(j): v for j, v in section.get("trunc", {}).items()}
     if not shares:
         return None
+    missing = sorted(set(shares) - set(ratios))
+    if missing:
+        raise ConfigError([f"model.weights.ratios: no ratio for node {j}" for j in missing])
     fam = AtomicWeights(p_empty, shares, ratios, trunc)
     return {int(i): fam for i in nodes}
 

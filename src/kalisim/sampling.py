@@ -104,6 +104,31 @@ def _poisson_on_sorted(gen: np.random.Generator, rate: float, ivs: list[tuple[fl
     return sorted(a + (b - a) * pos for (a, b), pos in zip(picked, u[n:]))
 
 
+def _ordered_pieces(region: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
+    """A ledger request's pieces as floats sorted by start, checked to be
+    finite, non-empty and disjoint; raises :class:`LedgerError` otherwise.
+
+    Anchored neighbourhoods arrive as sorted lists of float pairs, so one pass
+    that finds them in order returns the request itself; anything else is
+    converted, sorted and checked again.
+    """
+    pieces = region if isinstance(region, list) else list(region)
+    end = -math.inf
+    for a, b in pieces:
+        if not (type(a) is float and type(b) is float and -math.inf < a and end <= a < b < math.inf):
+            break
+        end = b
+    else:
+        return pieces
+    pieces = sorted((float(a), float(b)) for a, b in pieces)
+    for k, (a, b) in enumerate(pieces):
+        if not (a < b) or not (math.isfinite(a) and math.isfinite(b)):
+            raise LedgerError(f"invalid region piece [{a}, {b})")
+        if k and pieces[k - 1][1] > a:
+            raise LedgerError("requested region must be a disjoint interval union")
+    return pieces
+
+
 @dataclass(slots=True)
 class PointRecord:
     """One realized point of a dominating process, with its attached marks.
@@ -269,12 +294,7 @@ class RegionLedger:
         marks by one ``random(n)`` call; the module docstring says why.
         """
         led = self._check_rate(node, rate)
-        pieces = sorted((float(a), float(b)) for a, b in region)
-        for k, (a, b) in enumerate(pieces):
-            if not (a < b) or not (math.isfinite(a) and math.isfinite(b)):
-                raise LedgerError(f"invalid region piece [{a}, {b})")
-            if k and pieces[k - 1][1] > a:
-                raise LedgerError("requested region must be a disjoint interval union")
+        pieces = _ordered_pieces(region)
         if not pieces:
             return [], []
         starts, ends, times, records = led.starts, led.ends, led.times, led.records
@@ -334,13 +354,16 @@ class RegionLedger:
             return [], old
         marks = gen.random(len(drawn)).tolist()
         fresh: list[PointRecord] = []
+        resampled = False
         for t, mark in zip(drawn, marks):
             if t in self._times_used:  # an exact collision: resample in its own gap
                 a, b = gaps[bisect_right(gaps, (t, math.inf)) - 1]
                 while t in self._times_used:
                     t = a + (b - a) * rng.uniform()
+                resampled = True
             fresh.append(self._store_point(node, led, t, mark))
-        fresh.sort(key=lambda r: r.time)
+        if resampled:  # the draws come sorted; only a resampled time can break the order
+            fresh.sort(key=lambda r: r.time)
         return fresh, old
 
     def register_empty(self, node: int, a: float, b: float) -> None:

@@ -59,9 +59,11 @@ def test_package_runs_as_a_module():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # SciPy is loaded by the suites that use it, not by importing the CLI
-    proc = run_python("-c", "import sys, kalisim.cli; assert 'scipy' not in sys.modules")
-    assert proc.returncode == 0, proc.stderr
+    # SciPy is loaded by the suites that use it, and jsonschema only by the
+    # tests, which check the package's own config shape check against it
+    for module in ("kalisim", "kalisim.cli"):
+        proc = run_python("-c", f"import sys, {module}; assert not {{'jsonschema', 'scipy'}} & set(sys.modules)")
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_analyze_lattice_sample(tmp_path, capsys):
@@ -106,6 +108,8 @@ def test_analyze_lattice_sample(tmp_path, capsys):
         ("simulate-perfect", LATTICE, ["--t-max", "1", "--dump-ledger", UNWRITABLE], EXIT_CONFIG),
         ("simulate-forward", FINITE, ["--t-max", "1", "--out", UNWRITABLE], EXIT_CONFIG),
         ("simulate-forward", dict(FINITE, output={"summary": UNWRITABLE}), ["--t-max", "1"], EXIT_CONFIG),
+        ("simulate-perfect", dict(LATTICE, simulation={"t_max": float("inf")}), [], EXIT_CONFIG),
+        ("simulate-forward", {"model": dict(FINITE["model"], eps=float("nan"))}, ["--t-max", "1"], EXIT_CONFIG),
     ],
     ids=[
         "invalid-config",
@@ -129,6 +133,8 @@ def test_analyze_lattice_sample(tmp_path, capsys):
         "perfect-unwritable-ledger",
         "forward-unwritable-out",
         "forward-unwritable-summary",
+        "perfect-infinite-t-max",
+        "forward-nan-eps",
     ],
 )
 def test_analyze_failure_exit_codes(tmp_path, command, cfg, extra, expected):

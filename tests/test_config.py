@@ -1,6 +1,7 @@
 import pytest
 
 from kalisim import ConfigError, RunConfig, parse_config
+from kalisim.config import SCHEMA, _shape_errors
 from kalisim.core import ActivityCap, NoGuard, RefractoryGap
 from kalisim.models import (
     AgeHawkesModel,
@@ -153,3 +154,93 @@ def test_unknown_key_is_rejected_by_name(cfg, key):
         parse_config(cfg)
     assert len(info.value.violations) == 1
     assert f"'{key}' was unexpected" in info.value.violations[0]
+
+
+# the one intended difference from jsonschema, which accepts every float as a number
+NON_FINITE = [
+    ({"model": dict(LATTICE, delta=float("nan"))}, "model.delta: nan is not a finite number"),
+    ({"model": LATTICE, "simulation": {"t_max": float("inf")}}, "simulation.t_max: inf is not a finite number"),
+    ({"model": dict(FAMILIES["linear"][0], mu=[0.5, -float("inf")])}, "model.mu.1: -inf is not a finite number"),
+    (
+        {"model": dict(FAMILIES["linear"][0], kernels=[dict(EXP_KERNEL, edges=[float("nan")])])},
+        "model.kernels.0.edges.0: nan is not a finite number",
+    ),
+    # free-form sections too
+    ({"model": dict(FAMILIES["age"][0], psi={"base": float("nan")})}, "model.psi.base: nan is not a finite number"),
+    (
+        {"model": dict(FAMILIES["gl"][0], beta=[{"to": 0, "from": 1, "value": float("inf")}])},
+        "model.beta.0.value: inf is not a finite number",
+    ),
+]
+
+
+@pytest.mark.parametrize("cfg, violation", NON_FINITE, ids=["nan", "infinity", "in-array", "nested", "free-form", "free-form-array"])
+def test_a_non_finite_number_is_rejected_by_path(cfg, violation):
+    with pytest.raises(ConfigError) as info:
+        parse_config(cfg)
+    assert info.value.violations == [violation]
+
+
+def test_a_missing_bin_ratio_names_the_field_and_node():
+    section = dict(FAMILIES["linear"][0], weights={"shares": {"0": 1.0}})
+    with pytest.raises(ConfigError) as info:
+        parse_config({"model": section})
+    assert info.value.violations == ["model.weights.ratios: no ratio for node 0"]
+
+
+# Malformed configs for the differential test below: wrong types at each
+# level, bools where numbers go, integer-valued floats for integer fields,
+# bad array items, unknown keys in each section, missing model and family.
+SHAPE_CORPUS = [
+    {},
+    [],
+    "model",
+    None,
+    {"model": None},
+    {"model": []},
+    {"model": {}},
+    {"model": {"gamma": 4}},
+    {"model": {"family": None}},
+    {"model": {"family": 4, "gamma": "high"}, "rng": {"seed": 1.5}},
+    {"model": dict(LATTICE, gama=4, zeta=1)},
+    {"model": dict(LATTICE, gamma=True, p=False)},
+    {"model": dict(LATTICE, psi=[], weights="w", guard=1, entries=[], beta={}, saturation=0)},
+    {"model": dict(FAMILIES["linear"][0], mu=[0.5, "a", None, True, [1.0]])},
+    {"model": dict(FAMILIES["linear"][0], nodes=[0.0, 1.5, "2", True])},
+    {"model": dict(FAMILIES["linear"][0], mu=0.5, nodes=0, kernels={})},
+    {"model": dict(FAMILIES["linear"][0], kernels=[3, {}, {"from": "0", "to": 0.0, "type": "gauss"}])},
+    {"model": dict(FAMILIES["linear"][0], kernels=[dict(EXP_KERNEL, alpha=True, beta="1", extra=1)])},
+    {"model": dict(FAMILIES["linear"][0], kernels=[dict(EXP_KERNEL, type=None, edges=[0, "x"], values=5)])},
+    {"model": LATTICE, "simulation": None},
+    {"model": LATTICE, "simulation": {"t_max": "10", "n_max": 2.0, "node": 1.5, "nodes": [0, 1.0, False]}},
+    {"model": LATTICE, "simulation": {"t_max": True, "window": [0, 1], "budget": []}},
+    {"model": LATTICE, "simulation": {"budget": {"max_points": 1.5, "max_generations": "9", "depth": 2}}},
+    {"model": LATTICE, "rng": {"seed": True, "runs": 2.0, "sead": 1}},
+    {"model": LATTICE, "rng": [1]},
+    {"model": LATTICE, "output": {"points": 1, "summary": None, "ledger": "l.json"}},
+    {"model": LATTICE, "output": "out.csv", "extra": {"anything": 1}},
+    {"simulation": {"t_max": "x"}, "rng": {"runs": "y"}},
+    {"model": LATTICE, "simulation": {"t_max": 5.0, "n_max": 3}, "rng": {"seed": 7, "runs": 2}},
+    {"model": FAMILIES["table"][0], "output": {"points": "p.csv", "summary": "s.json"}},
+]
+
+
+def walker_violations(cfg):
+    found = []
+    _shape_errors(cfg, SCHEMA, (), found)
+    return [(".".join(map(str, path)), message) for path, message in sorted(found, key=lambda e: e[0])]
+
+
+@pytest.mark.parametrize("cfg", SHAPE_CORPUS, ids=range(len(SHAPE_CORPUS)))
+def test_shape_check_agrees_with_jsonschema(cfg):
+    jsonschema = pytest.importorskip("jsonschema")
+    reference = sorted(jsonschema.Draft202012Validator(SCHEMA).iter_errors(cfg), key=lambda e: list(e.absolute_path))
+    expected = [(".".join(map(str, e.absolute_path)), e.message) for e in reference]
+    assert walker_violations(cfg) == expected
+
+
+@pytest.mark.parametrize("cfg, violation", NON_FINITE, ids=["nan", "infinity", "in-array", "nested", "free-form", "free-form-array"])
+def test_shape_check_rejects_non_finite_numbers_jsonschema_accepts(cfg, violation):
+    jsonschema = pytest.importorskip("jsonschema")
+    assert list(jsonschema.Draft202012Validator(SCHEMA).iter_errors(cfg)) == []
+    assert [f"{path}: {message}" for path, message in walker_violations(cfg)] == [violation]

@@ -137,6 +137,46 @@ class TestRegionLedger:
             # the request consumed exactly those draws of the caller's stream
             assert rng.uniform() == twin.uniform()
 
+    def test_request_order_and_number_types_do_not_matter(self):
+        region = [(-4.0, -3.0), (-1.0, 0.0), (0.5, 2.0)]
+        expected = RegionLedger()
+        expected.realize_new(0, region, 2.5, RandomStream(6))
+        for request in ([(0.5, 2), (-4, -3.0), (-1.0, 0)], iter(region), tuple(region)):
+            led = RegionLedger()
+            led.realize_new(0, request, 2.5, RandomStream(6))
+            assert led.to_json() == expected.to_json()
+
+    @pytest.mark.parametrize(
+        "region",
+        [
+            [(0.0, 0.0)],
+            [(1.0, 0.0)],
+            [(-math.inf, 0.0)],
+            [(0.0, math.inf)],
+            [(math.nan, 0.0)],
+            [(-2.0, -1.0), (0.0, math.nan)],
+            [(0.0, 2.0), (1.0, 3.0)],
+            [(1.0, 3.0), (0.0, 2.0)],
+        ],
+    )
+    def test_invalid_request_is_rejected(self, region):
+        with pytest.raises(LedgerError):
+            RegionLedger().realize_new(0, region, 1.0, RandomStream(1))
+
+    def test_collision_resample_keeps_fresh_points_sorted(self):
+        region = [(-4.0, -3.0), (-1.0, 0.0), (0.5, 2.0)]
+        times = sample_poisson_region(RandomStream(0, (3,)), 2.5, region)
+        led = RegionLedger()
+        # another node's point takes the first time the request will draw
+        led.add_proposal_point(9, times[0], mark=0.5)
+        new, _ = led.realize_new(2, region, 2.5, RandomStream(0, (3,)))
+        got = [r.time for r in new]
+        (moved,) = set(got) - set(times)
+        assert len(got) == len(times) and times[0] not in got
+        # the resampled time lands behind later draws, and the output is still sorted
+        assert moved > times[1]
+        assert got == sorted(got)
+
     def test_straddling_request_counts_are_independent_poisson(self):
         # [1, 2) is covered first, so [0, 3) u [4, 5) leaves three gaps of length 1
         rate, runs = 2.0, 10_000
