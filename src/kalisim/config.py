@@ -362,6 +362,15 @@ def _atomic_weights(section: Optional[dict], nodes) -> Optional[dict]:
     missing = sorted(set(shares) - set(ratios))
     if missing:
         raise ConfigError([f"model.weights.ratios: no ratio for node {j}" for j in missing])
+    # a bin count: a positive integer (2.0 counts as one, as in the shape check) or null
+    bad = [
+        f"model.weights.trunc.{j}: {v!r} is not a positive integer or null"
+        for j, v in sorted(trunc.items())
+        if v is not None and not (type(v) in (int, float) and float(v).is_integer() and v >= 1)
+    ]
+    if bad:
+        raise ConfigError(bad)
+    trunc = {j: None if v is None else int(v) for j, v in trunc.items()}
     fam = AtomicWeights(p_empty, shares, ratios, trunc)
     return {int(i): fam for i in nodes}
 

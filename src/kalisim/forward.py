@@ -31,8 +31,8 @@ inside the drawn neighborhood only, shifted to the proposal time
 (``Configuration.restrict_at``): ``delta`` is cylindrical on the expanded
 neighborhood, so the rest of the past cannot change it, and a proposal costs
 O(points in the drawn neighborhood) instead of O(history). What every
-proposal until the next renewal shares (the waiting time's scale and the
-cumulative bounds the node is picked from) is computed once per renewal. A
+proposal until the next renewal shares (the total rate and the cumulative
+bounds the node is picked from) is computed once per renewal. A
 term costs O(points in its live window), plus O(log N) bins for N points of
 its source: the per-source bound walks the source's bins from its newest
 point and stops once no older bin can raise it
@@ -150,7 +150,6 @@ def forward_simulate(
     terms: list[dict[Optional[NodeId], float]] = [{} for _ in node_list]
     bounds = [0.0] * len(node_list)
     past = Configuration._unsafe(points, window=(-math.inf, 0.0))  # absolute times
-    gen = None  # the stream's generator, fetched at the first draw
     while True:
         if n_accepted >= n_max:
             return finish(STEP_BUDGET, t)
@@ -166,21 +165,18 @@ def forward_simulate(
             total = sum(bounds)
             if total <= 0.0:
                 return finish(TIME_REACHED, t_max)
-            # what every proposal until the next renewal reads: the waiting
-            # time's scale, the cumulative bounds a uniform is placed in, and
-            # the last positive bound for a uniform rounded past them
-            scale = 1.0 / total
+            # what every proposal until the next renewal reads: the cumulative
+            # bounds a uniform is placed in, and the last positive bound for a
+            # uniform rounded past them
             cumulative = list(accumulate(bounds))
             last = max(k for k, bd in enumerate(bounds) if bd > 0.0)
-            if gen is None:
-                gen = rng.generator
 
-        t_cand = t + float(gen.exponential(scale))
+        t_cand = t + rng.exponential(total)
         if t_cand > t_max:
             return finish(TIME_REACHED, t_max)
         proposals += 1
 
-        k = bisect_right(cumulative, gen.random() * total)
+        k = bisect_right(cumulative, rng.uniform() * total)
         if k == len(cumulative):
             k = last
         pick, pick_bound = node_list[k], bounds[k]
@@ -193,7 +189,7 @@ def forward_simulate(
                 f" at t={t_cand:g}; the model violates the monotone-bound assumption"
             )
         t = t_cand
-        if gen.random() < value / pick_bound:
+        if rng.uniform() < value / pick_bound:
             grown = {**points, pick: points.get(pick, ()) + (t_cand,)}
             if len(grown) > len(points):  # the node's first point: keep node order
                 grown = {j: grown[j] for j in node_list if j in grown}

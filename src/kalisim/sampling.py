@@ -5,6 +5,11 @@ space-time region of the dominating Poisson processes is realized exactly
 once, and every later request over the same region replays the stored points
 bit for bit.
 
+Every draw of a run goes through one :class:`RandomStream`, which hands out
+its generator's i.i.d. uniform doubles in order from a buffer it refills in
+blocks. Exponential steps, geometric levels and the points of a region are
+exact inversions of those uniforms, so no draw pays for a NumPy scalar call.
+
 A run draws proposals, marks, neighborhoods and regions from one stream. Its
 order of draws is a deterministic function of the past, so each region request
 starts at a stopping time and the i.i.d. draws after it are independent of the
@@ -18,13 +23,18 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import LedgerError
 from .io import open_output
+
+# Uniforms a stream draws from its generator at its first refill; each refill
+# doubles the block up to the cap, so a stream that draws little pays little.
+_FIRST_BLOCK = 32
+_MAX_BLOCK = 1024
 
 
 class RandomStream:
@@ -35,16 +45,25 @@ class RandomStream:
     independent by construction (children are keyed into the seed material,
     not derived from the parent's consumed state).
 
+    Every draw is made from the generator's uniform doubles, read in order
+    from a buffer: ``uniform`` and ``uniforms`` return them as they are, and
+    ``exponential`` and ``geometric`` invert one each. The buffer is refilled
+    with ``generator.random(n)``, n growing from ``_FIRST_BLOCK`` to
+    ``_MAX_BLOCK``; the uniforms a stream returns are those of one
+    ``generator.random`` call of their total length.
+
     The region ledger draws from the stream it is given: a run passes one
     long-lived stream, never a re-created one that replays spent draws.
     """
 
-    __slots__ = ("seed", "path", "_gen")
+    __slots__ = ("seed", "path", "_gen", "_buf", "_block")
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
         self.seed = int(seed)
         self.path = tuple(int(p) for p in path)
         self._gen = None  # constructed on first draw; many streams never draw
+        self._buf = iter(())  # the uniforms drawn from the generator and not yet used
+        self._block = _FIRST_BLOCK
 
     def child(self, *indices: int) -> "RandomStream":
         return RandomStream(self.seed, self.path + tuple(indices))
@@ -57,13 +76,38 @@ class RandomStream:
             )
         return self._gen
 
+    def _refill(self) -> None:
+        n = self._block
+        self._block = min(2 * n, _MAX_BLOCK)
+        self._buf = iter(self.generator.random(n).tolist())
+
     def uniform(self) -> float:
-        return float(self.generator.random())
+        """The next uniform of [0, 1)."""
+        try:
+            return next(self._buf)
+        except StopIteration:
+            self._refill()
+            return next(self._buf)
+
+    def uniforms(self, n: int) -> list[float]:
+        """The next ``n`` uniforms, in order."""
+        out = list(islice(self._buf, n))
+        while len(out) < n:
+            self._refill()
+            out += islice(self._buf, n - len(out))
+        return out
 
     def exponential(self, rate: float) -> float:
+        """An exponential step of the given rate, ``-log(1 - u) / rate``; u = 0 gives 0."""
         if rate <= 0:
             raise ValueError(f"exponential rate must be positive, got {rate}")
-        return float(self.generator.exponential(1.0 / rate))
+        return -math.log1p(-self.uniform()) / rate
+
+    def geometric(self, p: float) -> int:
+        """The number of trials up to the first success of probability ``p``
+        in (0, 1], at least 1: P(G > k) = (1 - p)^k."""
+        u = self.uniform()
+        return 1 if p == 1.0 else 1 + int(math.log1p(-u) / math.log1p(-p))
 
     def __repr__(self):
         return f"RandomStream(seed={self.seed}, path={self.path})"
@@ -74,11 +118,12 @@ def sample_poisson_region(
 ) -> list[float]:
     """Homogeneous Poisson points of the given rate on a disjoint interval union.
 
-    One count is drawn, Poisson(rate * total length); each point then picks an
-    interval with probability proportional to its length and a uniform place
-    in it, from one ``random(2n)`` call. Given the total the split is
-    multinomial, so per-interval counts are independent Poisson(rate *
-    length). The output is globally sorted.
+    The intervals are laid end to end in order and walked with exponential
+    steps of the given rate; a step that overshoots an interval's end carries
+    the overshoot into the next interval, which by memorylessness is again an
+    exponential step. Per-interval counts are thus independent Poisson(rate *
+    length), and the output comes globally sorted. The walk makes one
+    exponential draw per point and one for the final overshoot.
     """
     if rate <= 0:
         raise ValueError(f"poisson rate must be positive, got {rate}")
@@ -88,20 +133,24 @@ def sample_poisson_region(
             raise ValueError("region intervals must be disjoint")
     if not math.isfinite(sum(b - a for a, b in ivs)):
         raise ValueError("region must have finite total length")
-    return _poisson_on_sorted(rng.generator, rate, ivs)
+    return _poisson_on_sorted(rng, rate, ivs)
 
 
-def _poisson_on_sorted(gen: np.random.Generator, rate: float, ivs: list[tuple[float, float]]) -> list[float]:
+def _poisson_on_sorted(rng: RandomStream, rate: float, ivs: list[tuple[float, float]]) -> list[float]:
     """The draws of :func:`sample_poisson_region` on intervals the caller
     already knows to be sorted, disjoint and finite, at a positive rate."""
-    cum = list(accumulate(b - a for a, b in ivs))
-    total = cum[-1] if cum else 0.0
-    n = int(gen.poisson(rate * total)) if total > 0 else 0
-    if not n:
+    if not ivs:
         return []
-    u = gen.random(2 * n).tolist()
-    picked = (ivs[min(bisect_right(cum, p * total), len(ivs) - 1)] for p in u[:n])
-    return sorted(a + (b - a) * pos for (a, b), pos in zip(picked, u[n:]))
+    step = rng.exponential
+    out: list[float] = []
+    over = step(rate)  # from the next interval's start to the next point
+    for a, b in ivs:
+        t = a + over
+        while t < b:
+            out.append(t)
+            t += step(rate)
+        over = t - b
+    return out
 
 
 def _ordered_pieces(region: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -290,8 +339,8 @@ class RegionLedger:
         either way, so re-requesting any region is idempotent.
 
         The request's uncovered gaps are realized by the draws of one
-        :func:`sample_poisson_region` call on the caller's ``rng``, then their
-        marks by one ``random(n)`` call; the module docstring says why.
+        :func:`sample_poisson_region` call on the caller's ``rng``, then the
+        points' marks by one ``uniforms`` call; the module docstring says why.
         """
         led = self._check_rate(node, rate)
         pieces = _ordered_pieces(region)
@@ -346,13 +395,10 @@ class RegionLedger:
             cover_e[-1] = ends[j]
         starts[lo:hi] = cover_s
         ends[lo:hi] = cover_e
-        if not gaps:
-            return [], old
-        gen = rng.generator
-        drawn = _poisson_on_sorted(gen, rate, gaps)
+        drawn = _poisson_on_sorted(rng, rate, gaps)
         if not drawn:
             return [], old
-        marks = gen.random(len(drawn)).tolist()
+        marks = rng.uniforms(len(drawn))
         fresh: list[PointRecord] = []
         resampled = False
         for t, mark in zip(drawn, marks):

@@ -111,8 +111,7 @@ class AtomicWeights:
         return self.shares[j] * self._bin_pmf(j, n)
 
     def sample_atom(self, rng: RandomStream) -> tuple[int, int]:
-        gen = rng.generator
-        u = gen.random()
+        u = rng.uniform()
         acc = 0.0
         j = self.nodes[-1]
         for cand in self.nodes:
@@ -123,12 +122,12 @@ class AtomicWeights:
         r = self.ratios[j]
         nmax = self.trunc[j]
         while True:
-            n = int(gen.geometric(1.0 - r))
+            n = rng.geometric(1.0 - r)
             if nmax is None or n <= nmax:
                 return j, n
 
     def sample(self, rng: RandomStream):
-        if rng.generator.random() < self.p_empty:
+        if rng.uniform() < self.p_empty:
             return EMPTY_ND
         j, n = self.sample_atom(rng)
         return AtomND(j, n)
@@ -168,7 +167,7 @@ class GeometricLevels:
     def sample(self, rng: RandomStream):
         if self.p_empty and rng.uniform() < self.p_empty:
             return EMPTY_ND
-        return NestedND(int(rng.generator.geometric(1.0 - self.ratio)))
+        return NestedND(rng.geometric(1.0 - self.ratio))
 
 
 @dataclass
@@ -202,7 +201,7 @@ class TaylorWeights:
         return w
 
     def sample(self, rng: RandomStream):
-        k = int(rng.generator.geometric(1.0 - self.order_ratio)) - 1
+        k = rng.geometric(1.0 - self.order_ratio) - 1
         if k == 0:
             return EMPTY_ND
         return TaylorND(tuple(self.atoms.sample_atom(rng) for _ in range(k)))

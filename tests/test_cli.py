@@ -28,6 +28,14 @@ TABLE = {
     }
 }
 
+
+def truncated(trunc):
+    """FINITE with a kernel reaching back two bins and atom weights truncated at ``trunc``."""
+    kernel = {"from": 0, "to": 0, "type": "step", "edges": [0.0, 1.0], "values": [0.4]}
+    weights = {"shares": {"0": 1.0}, "ratios": {"0": 0.5}, "trunc": {"0": trunc}}
+    return {"model": dict(FINITE["model"], kernels=[kernel], weights=weights)}
+
+
 # the test's own directory stands in for the config file
 CONFIG_DIR = "<tmp_path>"
 # below a file, so no process can create it, whatever its permissions
@@ -110,6 +118,8 @@ def test_analyze_lattice_sample(tmp_path, capsys):
         ("simulate-forward", dict(FINITE, output={"summary": UNWRITABLE}), ["--t-max", "1"], EXIT_CONFIG),
         ("simulate-perfect", dict(LATTICE, simulation={"t_max": float("inf")}), [], EXIT_CONFIG),
         ("simulate-forward", {"model": dict(FINITE["model"], eps=float("nan"))}, ["--t-max", "1"], EXIT_CONFIG),
+        ("simulate-forward", truncated("x"), ["--t-max", "1"], EXIT_CONFIG),
+        ("simulate-forward", truncated(2.5), ["--t-max", "1"], EXIT_CONFIG),
     ],
     ids=[
         "invalid-config",
@@ -135,6 +145,8 @@ def test_analyze_lattice_sample(tmp_path, capsys):
         "forward-unwritable-summary",
         "perfect-infinite-t-max",
         "forward-nan-eps",
+        "forward-trunc-not-a-number",
+        "forward-trunc-not-an-integer",
     ],
 )
 def test_analyze_failure_exit_codes(tmp_path, command, cfg, extra, expected):

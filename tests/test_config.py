@@ -188,6 +188,27 @@ def test_a_missing_bin_ratio_names_the_field_and_node():
     assert info.value.violations == ["model.weights.ratios: no ratio for node 0"]
 
 
+STEP_KERNEL = {"from": 0, "to": 0, "type": "step", "edges": [0.0, 1.0], "values": [0.4]}
+
+
+@pytest.mark.parametrize("trunc", ["x", 2.5, 0, -3, True, [2]], ids=["string", "fraction", "zero", "negative", "bool", "list"])
+def test_a_bad_bin_truncation_names_the_field_and_node(trunc):
+    # the step kernel reaches back 1.0, two bins of 0.5, so a truncation at 2 or more is valid
+    weights = {"shares": {"0": 1.0}, "ratios": {"0": 0.5}, "trunc": {"0": trunc}}
+    section = dict(FAMILIES["linear"][0], kernels=[STEP_KERNEL], weights=weights)
+    with pytest.raises(ConfigError) as info:
+        parse_config({"model": section})
+    assert info.value.violations == [f"model.weights.trunc.0: {trunc!r} is not a positive integer or null"]
+
+
+@pytest.mark.parametrize("trunc, nmax", [(2, 2), (3.0, 3), (None, None)])
+def test_a_bin_truncation_reaches_the_model_as_an_integer(trunc, nmax):
+    weights = {"shares": {"0": 1.0}, "ratios": {"0": 0.5}, "trunc": {"0": trunc}}
+    section = dict(FAMILIES["linear"][0], kernels=[STEP_KERNEL], weights=weights)
+    got = parse_config({"model": section}).build_model().weights[0].trunc[0]
+    assert got == nmax and type(got) is type(nmax)
+
+
 # Malformed configs for the differential test below: wrong types at each
 # level, bools where numbers go, integer-valued floats for integer fields,
 # bad array items, unknown keys in each section, missing model and family.

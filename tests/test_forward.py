@@ -189,10 +189,10 @@ def test_golden_ring_run():
     run = forward_simulate(hawkes_ring(), RING, T_MAX, 10_000, None, RandomStream(2104))
     assert run.stop_reason == TIME_REACHED
     pts = sorted((s, i) for i in RING for s in run.accepted.points(i))
-    assert (len(pts), run.proposals) == (35, 496)
-    assert (pts[0], pts[-1]) == ((0.2858700632059988, 2), (9.962455736998251, 0))
+    assert (len(pts), run.proposals) == (58, 625)
+    assert (pts[0], pts[-1]) == ((0.4302724767254979, 2), (9.962197326291957, 3))
     digest = hashlib.sha256(",".join(f"{i}:{s.hex()}" for s, i in pts).encode()).hexdigest()
-    assert digest == "695385d7963f9a788cb398e9f9fb5591ebd1a4aa303ff061dc008121e92e1210"
+    assert digest == "0b24d1ca095e4971784c39c2bda18d19fbbef94e76228d6e9eff2d08ae3fd0cc"
 
 
 def test_golden_analytic_run():
@@ -202,10 +202,10 @@ def test_golden_analytic_run():
     run = forward_simulate(model, (0, 1), 5.0, 10_000, None, RandomStream(3))
     assert run.stop_reason == TIME_REACHED
     pts = sorted((s, i) for i in (0, 1) for s in run.accepted.points(i))
-    assert (len(pts), run.proposals) == (18, 1204)
-    assert (pts[0], pts[-1]) == ((0.005620742981310831, 0), (4.820828550510584, 1))
+    assert (len(pts), run.proposals) == (14, 2518)
+    assert (pts[0], pts[-1]) == ((0.011587733931588575, 0), (4.9667855581540055, 1))
     digest = hashlib.sha256(",".join(f"{i}:{s.hex()}" for s, i in pts).encode()).hexdigest()
-    assert digest == "c91ea1b6099a5610d6e8eadb7a3d034076df39247298c612d2b0868a1a9f6817"
+    assert digest == "dc0dbc052c32cbef4d6f264452c71b06644c9fcfa87a1e7b2e4b121a18ef605c"
 
 
 def test_closed_form_value():

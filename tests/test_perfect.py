@@ -82,8 +82,9 @@ class TestMarkDecision:
 
     def test_mark_below_the_supremum_expands_the_root(self):
         model, ledger, rec, graph = self.root(mark=0.0)
-        assert rec.decision is None
-        assert graph.mark_decided == 0
+        assert rec.decision is None and rec.children is not None
+        # the members decided from their marks are the root's descendants only
+        assert graph.mark_decided == sum(1 for r in graph.pending if r.decision is False)
         assert any(a <= 3.0 - DELTA and b >= 3.0 for a, b in ledger.coverage(0))
         forward_accept(graph, model, ledger)
         assert rec.decision is not None
@@ -176,9 +177,13 @@ class TestForwardAccept:
 
     def test_the_forward_pass_reads_no_ledger(self, monkeypatch):
         model = two_node_clan_model()
-        ledger = RegionLedger()
-        graph = backward_clan(model, 0, 0.0, ledger, RandomStream(3))
-        assert graph.clan_size() > 1
+        ledger, rng = RegionLedger(), RandomStream(3)
+        # an undecided clan inside the root's first piece on node 1, which the
+        # root's clan finds, so the forward pass decides more than the root
+        a, b = model.expand(0, TableND(0, 0)).intervals(1)[0]
+        inner = backward_clan(model, 1, (a + b) / 2, ledger, rng)
+        graph = backward_clan(model, 0, 0.0, ledger, rng)
+        assert inner.root_record in graph.pending and len(graph.pending) > 1
 
         def refuse(*args, **kwargs):
             raise AssertionError("the forward pass read the ledger")
@@ -276,15 +281,15 @@ class TestGoldenWithoutSupremum:
     def test_constant_rate_perfect_sample(self):
         out = perfect_sample(TableModel.constant_rate(1.0, bound=2.0), 0, 50.0, RandomStream(7))
         pts = out.points(0)
-        assert len(pts) == 61
-        assert (pts[0], pts[-1]) == (0.081749125736161, 49.926891944406826)
+        assert len(pts) == 65
+        assert (pts[0], pts[-1]) == (0.07941635414451365, 49.999687536469274)
         digest = hashlib.sha256(",".join(map(float.hex, pts)).encode()).hexdigest()
-        assert digest == "49533dd9b38892072fcc914df26fedafd02a7093b4681d870cf6bc723c124238"
+        assert digest == "af76b03e1f75b5ffcec736da02aa2761b79e2b81a76d98b2eac654d0cfeed477"
 
     def test_two_node_clan_sizes(self):
         model = two_node_clan_model()
         sizes = [backward_clan(model, 0, 0.0, RegionLedger(), RandomStream(s)).clan_size() for s in range(20)]
-        assert sizes == [1, 4, 2, 9, 3, 1, 1, 1, 3, 2, 1, 6, 3, 6, 1, 1, 1, 1, 3, 1]
+        assert sizes == [7, 2, 1, 1, 1, 2, 1, 6, 1, 1, 1, 1, 1, 1, 1, 3, 1, 1, 1, 1]
 
 
 def _times_digest(ts):
@@ -301,18 +306,18 @@ class TestGoldenLattice:
     @pytest.mark.parametrize(
         "seed, count, ends, digest, n_points, ledger_digest",
         [
-            (1, 24, (0.14177314028481805, 19.895962455384684),
-             "c1ede971d96744b44f54458eac05a2d48a156b05c12bcafe04d4b0288a11b27a",
-             910, "d38c22b653d777490bd780fb0581db5ffb070492fcb81a1f011e0a24a0c79778"),
-            (2, 24, (1.2135177787716043, 19.92947672498659),
-             "77e82ea35793c6f9f70294b94388ee0b967568c13a1137f23846b81804822746",
-             901, "a19ee4c7eb038541d60c681f5f0e5948f2ef43a275fbe3d4371f4fe30ebe192d"),
-            (3, 27, (0.5345126562616926, 18.964228918364217),
-             "2b83c53b3764b5fd35f7f4a00b9101e806acba5db13da18ff1603694fd87d12b",
-             880, "7a7fda8a95722e820c50bc300fd115c15372db29d1edf9033b9e8ef41aec558e"),
-            (4, 24, (0.29500155131897404, 19.090934363810167),
-             "5ee2be3f6b1f811f6451ab852e3ec2551ac9e4fe93f42d55006e7f6ce45f9ca3",
-             935, "934ce658dff47f0588c766cd607cc457c24f78c32adaa19346dd640f08fc7bb9"),
+            (1, 18, (0.1391345220728425, 19.92645463415173),
+             "5eee30d8768c1d06aa6434119093f6a8eb7e50aeea9cd5cf732afc9d22110684",
+             897, "b530f90d94806736b2e97604e657ad021cd8f35315226e9ec8fb43154be1ae1b"),
+            (2, 14, (0.9087731901094759, 19.79197716994342),
+             "2ddf37e53124a9750a6d1da79ef27166497a51d2a5d76b84b83d59f23d5e58ab",
+             830, "a40b99007eb7787122440108f892055e5f555be486a78a2f66815ad80a3fdafc"),
+            (3, 28, (0.6136409517471587, 19.695639660583407),
+             "d43725ddc9cf180fb6f7711a52ab507362669dbe23a65d0cb13b9f643d9a347c",
+             959, "b6bff5ba1942eec7c9344010da3ba0d6817b22e77eeda227ddd5ad1aabf07aae"),
+            (4, 21, (2.1030695529277037, 18.904445759161852),
+             "3004022e9111dd5a9b96842b3b5fce271d403429bc2004ee14e7949e10e8ae1e",
+             925, "cd29ad82ad266d3d8308f68eaef393f10ce17f85eabe9a620d5e8a5c6aadaa52"),
         ],
         ids=["seed1", "seed2", "seed3", "seed4"],
     )
@@ -330,38 +335,38 @@ class TestGoldenLattice:
         windows = [(0, (0.0, 8.0)), (1, (4.0, 12.0)), (2, (6.0, 10.0))]
         out = perfect_sample_window(lattice_preset(GAMMA, P, DELTA), windows, RandomStream(5), ledger=ledger)
         expected = {
-            0: (11, (1.4952118431158072, 7.944420360471827),
-                "bd4d7f04687ee14c6c20243a6cd3bd111a968513d6b960f59d7c85026de2248c"),
-            1: (16, (4.1031806786220635, 11.341690492163867),
-                "f4f399c2ec5d3fb8f4e0c1a7c2975488325ab14364c862f5bc247be5472cdaf1"),
-            2: (5, (6.363350896070474, 9.349073417938957),
-                "f88c2d22e9183b97ae56fc3386da1e072befe4100b6416f4b3c3a4e88753ee9d"),
+            0: (13, (0.9642845590427677, 7.693908290637652),
+                "cc639483f569fe6b9304b170602921b37b1cc7fb3dda60f0d35f5848307fd0b3"),
+            1: (5, (5.050297235969619, 11.538325454137405),
+                "1974c1595e63f4befb94c5e5bb0ad43e6481c06297c025a5efbd7ffa4b9ab307"),
+            2: (3, (6.092254338515137, 8.455352992516984),
+                "30ee34f224ef9e8228848a9712f80220052d2c36fd5fb6a9a7c56f13559b03dc"),
         }
         for node, (count, ends, digest) in expected.items():
             pts = out.points(node)
             assert len(pts) == count
             assert (pts[0], pts[-1]) == ends
             assert _times_digest(pts) == digest
-        assert ledger.n_points() == 969
-        assert _ledger_digest(ledger) == "edfe91963e95ed8bf95db2a0651430aeabd0a01823a733389490cf0232374ba4"
+        assert ledger.n_points() == 920
+        assert _ledger_digest(ledger) == "038fa518dd8519a1158d1840900a3216ad6ca003db9dcc1568f8fdd6706de332"
 
 
 class TestGoldenBoundedAge:
     """Seeded outputs of the finite age model, whose levels are drawn from an
-    ``AutoGammaLadder``; seed 9 realizes a clan before time 0."""
+    ``AutoGammaLadder``; seed 7 realizes a clan before time 0."""
 
     @pytest.mark.parametrize(
         "seed, count, ends, digest, n_points, ledger_digest, lookbacks",
         [
-            (1, 15, (0.5684330385363696, 27.668154447635555),
-             "2febb427de944553535af60d46b95cdde956bc37707f9fdfdced4c492c9fa765",
-             23, "bbb3ce6664212cf10fe573b4594f42842d1511064abee96a8c0bd1a84cd07802", (2.0, 17.5)),
-            (9, 14, (0.257385023186668, 29.508233194515388),
-             "b04629109cfc8883daa239c4bab7ca92092c14dc97fec8f457126a58fffbe693",
-             20, "5b0100522be2209c11c738447ae0a7507df51c1a3c7ecec52c265ece9c792ef9",
-             (2.7750315915117345, 11.775031591511734)),
+            (1, 20, (0.3253574228089419, 28.570023228189367),
+             "e46f689de28c8943dc0c0ba27628c57a22d96c9f83f570ab7cf496a93842bb2a",
+             30, "36ef2496f6e043f136279cb5a510ee2f07ffe336ea0d155ffa437f168aba1a98", (2.0, 22.0)),
+            (7, 15, (0.06766313488900126, 29.020763106190795),
+             "0c9985174ef3e9eee9728225c2381dd88922eb3b218410bd0d8bbddab993b993",
+             25, "6ff26cb68fac1493778bf7473b9eabed3807835941a99b9d55d3292da6c066a4",
+             (1.5, 16.85091268755327)),
         ],
-        ids=["seed1", "seed9"],
+        ids=["seed1", "seed7"],
     )
     def test_perfect_sample(self, seed, count, ends, digest, n_points, ledger_digest, lookbacks):
         ledger, stats = RegionLedger(), PerfectRunStats()

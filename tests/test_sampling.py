@@ -1,5 +1,7 @@
+import ast
 import math
 from bisect import bisect_left, bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import kalisim
 from kalisim import LedgerError, RandomStream, RegionLedger, sample_poisson_region
 from kalisim.validation import poisson_chisquare_pvalue
+
+
+class ScriptedStream(RandomStream):
+    """A stream whose uniforms are the given ones, in order."""
+
+    __slots__ = ()
+
+    def __init__(self, uniforms):
+        super().__init__(0)
+        self._buf = iter(uniforms)
+
+    def _refill(self):
+        raise AssertionError("the scripted uniforms ran out")
+
+
+def step_uniform(step, rate):
+    """The uniform whose exponential draw at ``rate`` is ``step``."""
+    return -math.expm1(-rate * step)
 
 
 class TestRandomStream:
@@ -24,6 +45,52 @@ class TestRandomStream:
 
     def test_child_path(self):
         assert RandomStream(1).child(3, 4).path == (3, 4)
+
+    def test_uniforms_are_the_generators_doubles_in_order(self):
+        # single draws and runs of every length, across many refills of the buffer
+        rng = RandomStream(42, (5,))
+        got = []
+        for k in range(60):
+            got += rng.uniforms(k * 7) if k % 3 else [rng.uniform()]
+        assert len(got) > 4 * 1024
+        assert got == RandomStream(42, (5,)).generator.random(len(got)).tolist()
+
+    def test_every_draw_inverts_the_next_uniform(self):
+        rng, twin = RandomStream(11), RandomStream(11)
+        for _ in range(200):
+            assert rng.exponential(2.5) == -math.log1p(-twin.uniform()) / 2.5
+            assert rng.geometric(0.3) == 1 + int(math.log1p(-twin.uniform()) / math.log1p(-0.3))
+        assert rng.uniforms(3) == twin.uniforms(3)
+
+    def test_edge_uniforms(self):
+        assert ScriptedStream([0.0]).exponential(2.0) == 0.0
+        largest = math.nextafter(1.0, 0.0)
+        assert ScriptedStream([largest]).exponential(1.0) == -math.log1p(-largest) < 37.0
+        for u in (0.0, 0.5, largest):
+            for p in (1e-9, 0.3, 0.999999, 1.0):
+                assert ScriptedStream([u]).geometric(p) >= 1
+            assert ScriptedStream([u]).geometric(1.0) == 1
+        assert ScriptedStream([0.0]).geometric(1e-9) == 1
+
+
+class TestSampleGeometric:
+    @pytest.mark.parametrize("p", [0.5, 0.1])
+    def test_moments(self, p):
+        rng = RandomStream(101)
+        n = 100_000
+        draws = np.array([rng.geometric(p) for _ in range(n)], dtype=float)
+        mean, var = 1.0 / p, (1.0 - p) / p**2
+        assert abs(draws.mean() - mean) < 4 * math.sqrt(var / n)
+        # Var(S^2) ~ (mu4 - sigma^4)/n, with the geometric's excess kurtosis 6 + p^2/(1 - p)
+        var_sigma = var * math.sqrt((8.0 + p * p / (1.0 - p)) / n)
+        assert abs(draws.var() - var) < 4 * var_sigma
+
+    def test_pmf(self):
+        rng = RandomStream(102)
+        n, p = 100_000, 0.4
+        counts = np.bincount([min(rng.geometric(p), 9) for _ in range(n)], minlength=10)[1:]
+        expected = [n * p * (1 - p) ** (k - 1) for k in range(1, 9)] + [n * (1 - p) ** 8]
+        assert stats.chisquare(counts, expected).pvalue > 0.01
 
 
 class TestSampleExponential:
@@ -87,10 +154,34 @@ class TestSamplePoissonRegion:
         p = stats.chi2_contingency(table[np.ix_(keep_r, keep_c)]).pvalue
         assert p > 0.01
 
-    def test_one_count_for_the_whole_region(self):
+    def test_points_are_one_exponential_walk_across_the_gaps(self):
+        # the gaps laid end to end, [0, 1.5) then [5, 6), walked by exponential
+        # steps; one draw per point and one for the final overshoot
         for seed in range(20):
-            pts = sample_poisson_region(RandomStream(seed), 3.0, [(5.0, 6.0), (0.0, 1.5)])
-            assert len(pts) == RandomStream(seed).generator.poisson(3.0 * 2.5)
+            rng, twin = RandomStream(seed), RandomStream(seed)
+            pts = sample_poisson_region(rng, 3.0, [(5.0, 6.0), (0.0, 1.5)])
+            expected, pos = [], twin.exponential(3.0)
+            while pos < 2.5:
+                expected.append(pos if pos < 1.5 else 5.0 + (pos - 1.5))
+                pos += twin.exponential(3.0)
+            assert pts == pytest.approx(expected, rel=0.0, abs=1e-12)
+            assert rng.uniform() == twin.uniform()
+
+    def test_walk_points_are_sorted_inside_their_own_gaps(self):
+        root = RandomStream(10)
+        for r in range(300):
+            rng = root.child(r)
+            # gaps from a thousandth to ten times the mean spacing, some abutting
+            gaps, a = [], -20.0 * rng.uniform()
+            for _ in range(1 + int(8 * rng.uniform())):
+                b = a + 10.0 ** (3.0 * rng.uniform() - 2.0)
+                gaps.append((a, b))
+                a = b + (0.0 if rng.uniform() < 0.3 else rng.exponential(1.0))
+            pts = sample_poisson_region(rng, 2.0, gaps)
+            assert pts == sorted(pts)
+            for t in pts:
+                a, b = gaps[bisect_right(gaps, (t, math.inf)) - 1]
+                assert a <= t < b
 
     def test_rejects_overlap_and_infinite(self):
         with pytest.raises(ValueError, match="disjoint"):
@@ -133,7 +224,7 @@ class TestRegionLedger:
             times = sample_poisson_region(twin, 2.5, region)
             assert old == []
             assert [r.time for r in new] == times
-            assert [r.mark for r in new] == twin.generator.random(len(times)).tolist()
+            assert [r.mark for r in new] == twin.uniforms(len(times))
             # the request consumed exactly those draws of the caller's stream
             assert rng.uniform() == twin.uniform()
 
@@ -164,18 +255,20 @@ class TestRegionLedger:
             RegionLedger().realize_new(0, region, 1.0, RandomStream(1))
 
     def test_collision_resample_keeps_fresh_points_sorted(self):
-        region = [(-4.0, -3.0), (-1.0, 0.0), (0.5, 2.0)]
-        times = sample_poisson_region(RandomStream(0, (3,)), 2.5, region)
+        region = [(-1.0, 0.0), (0.5, 2.0)]
+        # two steps of 0.25 put two points in [-1, 0) and a long one ends the
+        # walk; then the two marks, and the uniform a resample in [-1, 0) reads
+        script = [step_uniform(s, 2.0) for s in (0.25, 0.25, 10.0)] + [0.1, 0.2, 0.9]
+        times = sample_poisson_region(ScriptedStream(script), 2.0, region)
+        assert len(times) == 2
         led = RegionLedger()
         # another node's point takes the first time the request will draw
         led.add_proposal_point(9, times[0], mark=0.5)
-        new, _ = led.realize_new(2, region, 2.5, RandomStream(0, (3,)))
-        got = [r.time for r in new]
-        (moved,) = set(got) - set(times)
-        assert len(got) == len(times) and times[0] not in got
-        # the resampled time lands behind later draws, and the output is still sorted
-        assert moved > times[1]
-        assert got == sorted(got)
+        new, _ = led.realize_new(2, region, 2.0, ScriptedStream(script))
+        # the resampled time lands behind the later draw, and the output is still sorted
+        moved = -1.0 + (0.0 - -1.0) * 0.9
+        assert times[1] < moved
+        assert [(r.time, r.mark) for r in new] == [(times[1], 0.2), (moved, 0.1)]
 
     def test_straddling_request_counts_are_independent_poisson(self):
         # [1, 2) is covered first, so [0, 3) u [4, 5) leaves three gaps of length 1
@@ -448,7 +541,7 @@ class ReferenceLedger:
         times = sample_poisson_region(rng, rate, gaps) if gaps else []
         if not times:
             return [], old
-        marks = rng.generator.random(len(times)).tolist()
+        marks = rng.uniforms(len(times))
         fresh = []
         for t, mark in zip(times, marks):
             if t in self.used:
@@ -586,3 +679,17 @@ class TestLedgerAgainstReference:
                 assert _all_points(led, node) == _all_points(ref, node)
             assert led.n_points() == ref.n_points()
         assert rng.uniform() == ref_rng.uniform()
+
+
+def test_only_the_stream_reads_its_generator():
+    # every draw goes through RandomStream's buffered uniforms, so no module
+    # but sampling.py may reach the generator behind them
+    package = Path(kalisim.__file__).parent
+    readers = sorted(
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in package.rglob("*.py")
+        if path.name != "sampling.py" or path.parent != package
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ("generator", "_gen")
+    )
+    assert readers == []
