@@ -15,6 +15,7 @@ from . import analysis, io
 from .config import RunConfig, load_config
 from .errors import BudgetExhausted, ConfigError, KalisimError
 from .forward import forward_simulate
+from .models import LinearHawkesModel
 from .perfect import PerfectRunStats, perfect_sample
 from .sampling import RandomStream, RegionLedger
 from .validation import SUITES, run_suite
@@ -92,6 +93,7 @@ def _cmd_forward(args) -> int:
                 "tau": run.tau,
                 "proposals": run.proposals,
                 "accept_ratio": n / run.proposals if run.proposals else 0.0,
+                "proposals_per_point": run.proposals / n if n else None,
                 "bound_terms": run.bound_terms,
                 "rate": n / run.tau if run.tau > 0 else 0.0,
                 "file": str(path),
@@ -99,7 +101,10 @@ def _cmd_forward(args) -> int:
         )
         print(f"run {r}: {n} points, stop {run.stop_reason} at tau={run.tau:g} -> {path}")
     if cfg.summary_path:
-        io.write_summary(cfg.summary_path, {"command": "simulate-forward", "runs": summaries})
+        summary: dict = {"command": "simulate-forward", "runs": summaries}
+        if isinstance(model, LinearHawkesModel):  # the atom family each node sampled from
+            summary["weights"] = {str(i): fam.to_json() for i, fam in model.weights.items()}
+        io.write_summary(cfg.summary_path, summary)
     return EXIT_OK
 
 

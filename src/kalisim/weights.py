@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
+import numpy as np
+
 from .core import EMPTY_ND, AtomND, EmptyND, NestedND, TaylorND
 from .sampling import RandomStream
 
@@ -77,6 +79,15 @@ class AtomicWeights:
         self.trunc = {j: (trunc or {}).get(j) for j in self.nodes}
         # lambda(w_{j,n}) by node and bin, filled on first use
         self._bin_weights: dict[int, dict[int, float]] = {j: {} for j in self.nodes}
+
+    def to_json(self) -> dict:
+        """The family under the keys of a config's ``model.weights`` section."""
+        return {
+            "empty": self.p_empty,
+            "shares": {str(j): v for j, v in self.shares.items()},
+            "ratios": {str(j): v for j, v in self.ratios.items()},
+            "trunc": {str(j): v for j, v in self.trunc.items()},
+        }
 
     def _bin_pmf(self, j: int, n: int) -> float:
         r = self.ratios[j]
@@ -210,12 +221,16 @@ class TaylorWeights:
 def default_atomic_weights(
     kernels_into: Mapping[int, object], eps: float, p_empty: float = 0.5
 ) -> AtomicWeights:
-    """Library default atom family for one target node.
+    """The model-free atom family of one target node.
 
-    Uniform shares over source nodes with a nonzero kernel; bin ratios decay
-    strictly slower than the kernel across bins (sqrt of the kernel's
-    per-bin decay, floored at 1/2) so adaptive forward bounds stay finite;
-    compact-support kernels get a finite family covering their support.
+    Weight ``p_empty`` on the empty set and uniform shares over the source
+    nodes with a nonzero kernel. Bin ratios decay strictly slower than the
+    kernel across bins (sqrt of the kernel's per-bin decay, floored at 1/2),
+    so adaptive forward bounds stay finite; compact-support kernels get a
+    finite family covering their support. A linear model built without
+    weights uses it where ``mean_field_atomic_weights`` does not apply and
+    whenever it declares global bounds; the Taylor family of the analytic
+    model takes its atoms from it with ``p_empty = 0``.
     """
     live = {j: k for j, k in kernels_into.items() if k is not None and not k.is_zero()}
     if not live:
@@ -231,3 +246,53 @@ def default_atomic_weights(
             ratios[j] = max(0.5, math.sqrt(ker.decay_per(eps)))
             trunc[j] = None
     return AtomicWeights(p_empty, shares, ratios, trunc)
+
+
+# rounding allowance of the computed spectral radius, far above its error
+_CRITICAL_MARGIN = 1e-9
+
+
+def mean_field_atomic_weights(
+    incoming: Mapping[int, Mapping[int, object]], mu: Mapping[int, float], eps: float
+) -> dict[int, AtomicWeights]:
+    """Atom families of a linear network, one per node, matched to its
+    mean-field rates m = (I - A)^{-1} mu, A_ij being the L1 mass of h_ij.
+
+    A forward proposal is accepted with intensity over bound, and the bound
+    is the largest component, so the family balances the components: the
+    empty set's mu_i / lambda(empty) equals each source's peak mean-field atom
+    component. Bin ratios and truncations stay those of
+    ``default_atomic_weights``, whose bin pmf g_j the forward bound's walk
+    relies on. With c_j = m_j * max_n eps * h_ij((n-1)*eps) / g_j(n) and
+    S = sum_j c_j, lambda(empty) = mu_i / (mu_i + S) and share_j = c_j / S.
+    The max sits at n = 1 for an infinite-support kernel, which decays faster
+    than its bin ratio; a compact one is read over its truncated bins.
+
+    A node keeps ``default_atomic_weights`` where the rule does not apply:
+    A's spectral radius is at least 1 (no finite mean field; a radius within
+    ``_CRITICAL_MARGIN`` of 1 counts, as the computed one may round below a
+    critical network's), the node reads no live source, or a source's
+    mean-field rate is 0.
+    """
+    nodes = sorted(mu)
+    families = {i: default_atomic_weights(incoming[i], eps) for i in nodes}
+    pos = {j: k for k, j in enumerate(nodes)}
+    a = np.zeros((len(nodes), len(nodes)))
+    for i in nodes:
+        for j, ker in incoming[i].items():
+            a[pos[i], pos[j]] = ker.l1
+    if not nodes or np.abs(np.linalg.eigvals(a)).max() >= 1.0 - _CRITICAL_MARGIN:
+        return families
+    m = np.linalg.solve(np.eye(len(nodes)) - a, [mu[i] for i in nodes])
+    for i, fam in families.items():
+        peaks = {}
+        for j in fam.nodes:
+            ker = incoming[i][j]
+            bins = range(1, (fam.trunc[j] or 1) + 1)
+            peaks[j] = float(m[pos[j]]) * max(eps * ker((n - 1) * eps) / fam._bin_pmf(j, n) for n in bins)
+        if not peaks or min(peaks.values()) <= 0.0:
+            continue
+        total = math.fsum(peaks.values())
+        shares = {j: c / total for j, c in peaks.items()}
+        families[i] = AtomicWeights(mu[i] / (mu[i] + total), shares, fam.ratios, fam.trunc)
+    return families

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -240,6 +241,22 @@ def test_simulate_forward_step_kernel_on_untruncated_weights(tmp_path):
     summary = flagged_run(tmp_path, "simulate-forward", {"model": model}, [])
     (run,) = summary["runs"]
     assert run["stop_reason"] == "time-reached" and run["points"] > 0
+
+
+def test_forward_summary_names_the_decomposition(tmp_path):
+    # the default: the mean-field family, with m = 0.5 / (1 - 0.3) and bin ratio exp(-1/4)
+    peak = 0.5 / 0.7 * 0.5 * 0.3 / (1.0 - math.exp(-0.25))
+    summary = flagged_run(tmp_path, "simulate-forward", FINITE, [])
+    (run,) = summary["runs"]
+    assert run["proposals_per_point"] == run["proposals"] / run["points"]
+    (fam,) = summary["weights"].values()
+    assert set(fam) == {"empty", "shares", "ratios", "trunc"}
+    assert fam["empty"] == pytest.approx(0.5 / (0.5 + peak), rel=1e-12)
+    assert fam["shares"] == {"0": 1.0} and fam["trunc"] == {"0": None}
+    # a given weights section is echoed as it was written
+    weights = {"empty": 0.4, "shares": {"0": 1.0}, "ratios": {"0": 0.85}, "trunc": {"0": None}}
+    summary = flagged_run(tmp_path, "simulate-forward", {"model": dict(FINITE["model"], weights=weights)}, [])
+    assert summary["weights"] == {"0": weights}
 
 
 def flagged_run(tmp_path, command, cfg, flags):

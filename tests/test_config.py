@@ -209,6 +209,14 @@ def test_a_bin_truncation_reaches_the_model_as_an_integer(trunc, nmax):
     assert got == nmax and type(got) is type(nmax)
 
 
+def test_a_weights_section_is_the_family_every_node_samples_from():
+    # given weights are used as they are, not replaced by the mean-field default
+    weights = {"empty": 0.35, "shares": {"0": 1.0}, "ratios": {"0": 0.8}, "trunc": {"0": None}}
+    model = parse_config({"model": dict(FAMILIES["linear"][0], weights=weights)}).build_model()
+    fam = model.weights[0]
+    assert (fam.p_empty, fam.shares, fam.ratios, fam.trunc) == (0.35, {0: 1.0}, {0: 0.8}, {0: None})
+
+
 # Malformed configs for the differential test below: wrong types at each
 # level, bools where numbers go, integer-valued floats for integer fields,
 # bad array items, unknown keys in each section, missing model and family.

@@ -102,6 +102,28 @@ class TestLocalBound:
                     val = m.component_value(1, AtomND(1, n), shifted)
                     assert val <= bound * (1 + 1e-9), (trial, shift, n)
 
+    def test_mean_field_default_dominates_at_future_shifts(self):
+        # exponential self kernels and step cross kernels (compact support,
+        # truncated bins), subcritical, so every node takes the mean-field family
+        step = StepKernel([0.0, 0.6, 1.3], [0.4, 0.2])
+        kernels = {(0, 0): ExponentialKernel(0.4, 1.2), (0, 1): step, (1, 0): step, (1, 1): ExponentialKernel(0.3, 0.8)}
+        m = LinearHawkesModel(mu={0: 0.6, 1: 0.3}, kernels=kernels, eps=0.5)
+        assert m.weights[0].p_empty != 0.5 and m.weights[1].p_empty != 0.5
+        assert m.weights[0].trunc == {0: None, 1: 3}
+        rng = np.random.default_rng(12)
+        for trial in range(30):
+            pts = {j: sorted(rng.uniform(-4.0, -1e-9, size=rng.integers(1, 6))) for j in (0, 1)}
+            x = Configuration(pts)
+            for i in (0, 1):
+                bound = m.local_bound(i, x)
+                for shift in [0.0, 0.05, 0.21, 0.4, 1.3, 2.7]:
+                    shifted = Configuration({j: [t - shift for t in ts] for j, ts in pts.items()})
+                    assert m.component_value(i, EMPTY_ND, shifted) <= bound * (1 + 1e-9)
+                    for j in (0, 1):
+                        for n in range(1, 20):
+                            val = m.component_value(i, AtomND(j, n), shifted)
+                            assert val <= bound * (1 + 1e-9), (trial, i, shift, j, n)
+
     def test_explosion_guard_when_weights_decay_too_fast(self):
         # kernel decay over a bin is exp(-0.5) ~ 0.607 > ratio 0.5
         m = one_node(weights={1: AtomicWeights(0.5, {1: 1.0}, {1: 0.5})})
