@@ -92,6 +92,7 @@ def _cmd_forward(args) -> int:
                 "stop_reason": run.stop_reason,
                 "tau": run.tau,
                 "proposals": run.proposals,
+                "rate_integral": run.rate_integral,
                 "accept_ratio": n / run.proposals if run.proposals else 0.0,
                 "proposals_per_point": run.proposals / n if n else None,
                 "bound_terms": run.bound_terms,

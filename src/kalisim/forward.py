@@ -1,43 +1,43 @@
 """Forward simulation from empty past on a finite network.
 
-Adaptive thinning driven by the decomposition. Each node's bound dominates
-every component value of the node. The next proposal arrives at the total
-bound rate and is assigned a node proportionally to the bounds, a
-neighborhood is drawn from the node's weights, and the proposal is accepted
-with component value over bound. Valid for unbounded intensities (linear or
-exponential Hawkes) because the bounds adapt to the realized past.
+Adaptive thinning driven by the decomposition, per class (Ogata's thinning
+applied to each class). The model splits node i's family into classes C
+(``proposal_classes``) of weight lambda_i(C), each with a bound M_C that
+dominates phi_v for every v in C at every later shift of the past. Proposals
+arrive at the total rate sum_{i,C} lambda_i(C) * M_C and pick (i, C) in
+proportion to those rates; v is drawn from lambda_i( . | C) and accepted with
+phi_v / M_C. So class C accepts at rate sum_{v in C} lambda_i(v) * phi_v =
+sum_{v in C} delta_v, and node i at its intensity, unbounded or not: the
+bounds adapt to the realized past.
+
+The split sets the cost. A node's rate never exceeds its largest M_C, the
+rate of thinning the whole family at once, and a node with one class of
+weight 1 runs exactly those draws. The linear model's classes are the empty
+set and each source's atoms; lambda(empty) and the shares cancel out of
+their rates (``LinearHawkesModel``).
 
 Bounds are renewed only when the past changes, and only where it changed.
-A node's bound is the largest of its terms. At the start each node has one
-term, its whole ``local_bound``. A model that declares ``bound_sources``
-splits the bound into per-source terms: the term keyed j is the bound
-computed as if node j's points were the whole past, and the largest term is
-the bound. After a point accepted on node a, only the terms keyed a are
-renewed, on the nodes whose bound reads a; every other term is kept. A model
-whose ``bound_sources`` is None keeps one whole-node term per node, renewed
-on every node after every acceptance.
+A class's bound is the largest of its terms; each class starts with one, its
+whole ``local_bound``. A class that declares ``sources`` splits it into
+per-source terms: the term keyed j is the bound computed as if node j's
+points were the whole past. After a point accepted on node a only the terms
+keyed a are renewed, and a class with no sources keeps its start-up term; a
+class whose ``sources`` is None has one term, renewed after every acceptance.
+A kept term stays valid: it dominates at every later shift of the past it
+was given, and reads only its source's past, which no rejection changes and
+every acceptance on it renews. So the piecewise constant rate between two
+acceptances dominates the intensity; ``ForwardRun.rate_integral`` is its
+integral, the proposals' compensator.
 
-A kept term stays valid (Ogata's thinning argument, applied per term).
-``local_bound`` dominates the component values at every later shift of the
-past it was given. A term keyed j reads only j's past, which no rejection
-changes and every acceptance on j renews, so it still bounds the part of
-the bound that reads j. The whole-node term from the start still covers
-every source no term has been renewed for. So the largest term dominates
-every component value, and the piecewise constant rate between two
-acceptances dominates the intensity throughout.
-
-Costs. A proposal's component value is read from the accepted points
-inside the drawn neighborhood only, shifted to the proposal time
-(``Configuration.restrict_at``): ``delta`` is cylindrical on the expanded
-neighborhood, so the rest of the past cannot change it, and a proposal costs
-O(points in the drawn neighborhood) instead of O(history). What every
-proposal until the next renewal shares (the total rate and the cumulative
-bounds the node is picked from) is computed once per renewal. A
-term costs O(points in its live window), plus O(log N) bins for N points of
-its source: the per-source bound walks the source's bins from its newest
-point and stops once no older bin can raise it
-(``models.base.future_bin_bounds``). An acceptance copies the accepted
-node's tuple of points, not the whole history.
+Costs. A proposal's component value reads the accepted points inside the
+drawn neighborhood only, shifted to the proposal time
+(``Configuration.restrict_at``), since ``delta`` is cylindrical: O(points in
+the neighborhood), not O(history). The rates the class is picked from are
+summed once per renewal. A term costs O(points in its live window) plus
+O(log N) bins for N points of its source: the bound walks the source's bins
+from its newest point and stops once no older bin can raise it
+(``models.base.future_bin_bounds``). An acceptance copies the accepted node's
+tuple of points, not the whole history.
 """
 
 from __future__ import annotations
@@ -64,18 +64,19 @@ EXPLOSION_CAP = 1_000_000
 class ForwardRun:
     """Outcome of one forward simulation.
 
-    ``bound_terms`` counts the ``local_bound`` calls: each node's whole bound
-    at the start, then every term renewed after an acceptance.
+    ``bound_terms`` counts the ``local_bound`` calls: each class's whole
+    bound at the start, then every term renewed after an acceptance.
+    ``rate_integral`` is the integral of the total proposal rate over
+    [0, tau], so ``proposals`` has that mean over runs.
     """
 
     accepted: Configuration
     stop_reason: str
     tau: float
     proposals: int
-    t_max: float
-    n_max: int
     guard_name: str
     bound_terms: int
+    rate_integral: float
 
     def count(self, node: Optional[NodeId] = None) -> int:
         if node is None:
@@ -125,6 +126,9 @@ def forward_simulate(
     n_accepted = 0
     proposals = 0
     bound_terms = 0
+    total = 0.0  # the total proposal rate since the time ``since``
+    since = 0.0
+    rate_integral = 0.0  # of the total rate over [0, since]
 
     def finish(reason: str, tau: float) -> ForwardRun:
         hi = tau if reason != STEP_BUDGET else math.nextafter(tau, math.inf)
@@ -133,22 +137,22 @@ def forward_simulate(
             stop_reason=reason,
             tau=tau,
             proposals=proposals,
-            t_max=t_max,
-            n_max=n_max,
             guard_name=guard_name,
             bound_terms=bound_terms,
+            rate_integral=rate_integral + total * (tau - since),
         )
 
-    # (node index, term key) pairs to renew: every whole-node term at the
-    # start, and after an acceptance on ``a`` the terms that read a's past
-    sources = [model.bound_sources(i) for i in node_list]
+    # one (node, class key, weight, sources) slot per class, in node order;
+    # the (slot, term key) pairs to renew: every start-up term, and after an
+    # acceptance on ``a`` the terms that read a's past
+    slots = [(i, *cls) for i in node_list for cls in model.proposal_classes(i)]
     renewals = {
-        a: [(k, None if src is None else a) for k, src in enumerate(sources) if src is None or a in src]
+        a: [(k, None if src is None else a) for k, (*_, src) in enumerate(slots) if src is None or a in src]
         for a in node_list
     }
-    due = [(k, None) for k in range(len(node_list))]
-    terms: list[dict[Optional[NodeId], float]] = [{} for _ in node_list]
-    bounds = [0.0] * len(node_list)
+    due = [(k, None) for k in range(len(slots))]
+    terms: list[dict[Optional[NodeId], float]] = [{} for _ in slots]
+    bounds, rates = [0.0] * len(slots), [0.0] * len(slots)
     past = Configuration._unsafe(points, window=(-math.inf, 0.0))  # absolute times
     while True:
         if n_accepted >= n_max:
@@ -157,19 +161,23 @@ def forward_simulate(
             try:
                 for k, key in due:
                     bound_terms += 1
-                    terms[k][key] = model.local_bound(node_list[k], past, t, source=key)
+                    node, cls, weight, _ = slots[k]
+                    terms[k][key] = model.local_bound(node, past, t, source=key, cls=cls)
                     bounds[k] = max(terms[k].values())
+                    rates[k] = weight * bounds[k]
             except ExplosionGuardError:
                 return finish(GUARD_EXIT, t)
             due = ()
-            total = sum(bounds)
+            rate_integral += total * (t - since)
+            since = t
+            total = sum(rates)
             if total <= 0.0:
                 return finish(TIME_REACHED, t_max)
             # what every proposal until the next renewal reads: the cumulative
-            # bounds a uniform is placed in, and the last positive bound for a
+            # rates a uniform is placed in, and the last positive rate for a
             # uniform rounded past them
-            cumulative = list(accumulate(bounds))
-            last = max(k for k, bd in enumerate(bounds) if bd > 0.0)
+            cumulative = list(accumulate(rates))
+            last = max(k for k, r in enumerate(rates) if r > 0.0)
 
         t_cand = t + rng.exponential(total)
         if t_cand > t_max:
@@ -179,9 +187,9 @@ def forward_simulate(
         k = bisect_right(cumulative, rng.uniform() * total)
         if k == len(cumulative):
             k = last
-        pick, pick_bound = node_list[k], bounds[k]
+        (pick, cls, _, _), pick_bound = slots[k], bounds[k]
 
-        desc = model.sample_neighborhood(pick, rng)
+        desc = model.sample_neighborhood(pick, rng, cls=cls)
         value = model.component_value(pick, desc, past.restrict_at(model.expand(pick, desc), t_cand))
         if value > pick_bound * (1.0 + 1e-9):
             raise NonMonotoneModelError(

@@ -320,7 +320,7 @@ class AgeHawkesModel(KalikowModel):
     def pmf(self, i: NodeId, desc) -> float:
         return self.ladder(i).pmf(desc)
 
-    def sample_neighborhood(self, i: NodeId, rng: RandomStream):
+    def sample_neighborhood(self, i: NodeId, rng: RandomStream, cls=None):
         return self.ladder(i).sample(rng)
 
     def enumerate_descriptors(self, i: NodeId, x: Optional[Configuration] = None):
@@ -371,7 +371,7 @@ class AgeHawkesModel(KalikowModel):
         return sup
 
     def local_bound(
-        self, i: NodeId, x: Configuration, t: float = 0.0, source: Optional[NodeId] = None
+        self, i: NodeId, x: Configuration, t: float = 0.0, source: Optional[NodeId] = None, cls=None
     ) -> float:
         # with lambda_k = Gamma_k / Gamma every component is bounded by Gamma,
         # uniformly over the refractory subspace and hence over future shifts

@@ -97,6 +97,7 @@ class AnalyticHawkesModel(KalikowModel):
                 weights[i] = TaylorWeights(order_ratio, atoms)
         self.weights = dict(weights)
         self._guard = NoGuard()
+        self._bin_tables: dict[NodeId, dict] = {i: {} for i in self._nodes}
 
     # -- structure -------------------------------------------------------------
 
@@ -163,7 +164,7 @@ class AnalyticHawkesModel(KalikowModel):
     def pmf(self, i: NodeId, desc) -> float:
         return self.weights[i].pmf(desc)
 
-    def sample_neighborhood(self, i: NodeId, rng: RandomStream):
+    def sample_neighborhood(self, i: NodeId, rng: RandomStream, cls=None):
         return self.weights[i].sample(rng)
 
     def _live_atoms(self, i: NodeId, x: Configuration) -> list[tuple[NodeId, int]]:
@@ -207,11 +208,12 @@ class AnalyticHawkesModel(KalikowModel):
 
     # -- forward simulation --------------------------------------------------------------
 
-    def bound_sources(self, i: NodeId) -> frozenset[NodeId]:
-        return frozenset(self._incoming[i])
+    def proposal_classes(self, i: NodeId) -> tuple:
+        """The whole family as one class, with one bound term per source."""
+        return ((None, 1.0, frozenset(self._incoming[i])),)
 
     def local_bound(
-        self, i: NodeId, x: Configuration, t: float = 0.0, source: Optional[NodeId] = None
+        self, i: NodeId, x: Configuration, t: float = 0.0, source: Optional[NodeId] = None, cls=None
     ) -> float:
         """Bound every component value at all future shifts.
 
@@ -223,7 +225,7 @@ class AnalyticHawkesModel(KalikowModel):
         nondecreasing in B*, so the largest of these terms is the bound.
         """
         fam = self.weights[i]
-        b_star = atom_future_bound(i, self._incoming[i], fam.atoms, x, t, self.eps, source)
+        b_star = atom_future_bound(i, self._incoming[i], fam.atoms, x, t, self.eps, source, self._bin_tables[i])
         kappa = fam.order_ratio
         best = self.psi.derivative(0) / (1.0 - kappa)
         if b_star == 0.0:

@@ -71,8 +71,9 @@ class KalikowModel(ABC):
         """Concrete neighborhood a descriptor denotes for node ``i``."""
 
     @abstractmethod
-    def sample_neighborhood(self, i: NodeId, rng: RandomStream):
-        """Draw a descriptor distributed per lambda_i."""
+    def sample_neighborhood(self, i: NodeId, rng: RandomStream, cls=None):
+        """Draw a descriptor distributed per lambda_i, or per lambda_i( . | C)
+        for the class C keyed ``cls`` of ``proposal_classes(i)``."""
 
     @abstractmethod
     def enumerate_descriptors(self, i: NodeId, x: Optional[Configuration] = None) -> Iterator:
@@ -107,7 +108,7 @@ class KalikowModel(ABC):
 
     @abstractmethod
     def local_bound(
-        self, i: NodeId, x: Configuration, t: float = 0.0, source: Optional[NodeId] = None
+        self, i: NodeId, x: Configuration, t: float = 0.0, source: Optional[NodeId] = None, cls=None
     ) -> float:
         """Finite bound dominating every component value of node ``i`` at the
         configuration shifted to ``t``, valid until the next accepted point.
@@ -117,22 +118,27 @@ class KalikowModel(ABC):
         every later shift of that same past, since it is renewed only when a
         point is accepted.
 
-        ``source=j``, for a node j of ``bound_sources(i)``, asks for the term
-        of source j: the bound computed as if j's points were the whole past.
-        The largest term over the sources equals the bound, so a term stays
-        valid until the next point accepted on j. A model whose
-        ``bound_sources`` is None answers with its whole bound, which
-        dominates every term.
+        ``cls`` keys a class of ``proposal_classes(i)`` and bounds its
+        components only; None bounds the whole family. ``source=j``, for j in
+        the class's ``sources``, asks for the term of source j: the bound
+        computed as if j's points were the whole past. The largest term is
+        the bound, so a term stays valid until the next point accepted on j.
+        A class whose ``sources`` is None answers with its whole bound.
         """
 
-    def bound_sources(self, i: NodeId) -> Optional[frozenset[NodeId]]:
-        """The nodes whose pasts node ``i``'s ``local_bound`` splits over, or None.
+    def proposal_classes(self, i: NodeId) -> tuple:
+        """Node ``i``'s family split into classes C for forward thinning, as
+        ``(key, weight, sources)`` triples: ``weight`` is lambda_i(C), the
+        class draws from lambda_i( . | C) with ``sample_neighborhood(i, rng,
+        cls=key)`` and is bounded by ``local_bound(..., cls=key)``. Every
+        descriptor outside the classes must have delta_v = 0 at every past.
 
-        None (the default) declares one whole-node bound, renewed after every
-        accepted point; a set declares one term per source, of which only the
-        accepted node's is renewed.
+        ``sources`` splits a class's bound into per-source terms, of which
+        only the accepted node's is renewed (an empty set keeps the start-up
+        term); None declares one term, renewed after every acceptance. The
+        default is the whole family with one term, ``((None, 1.0, None),)``.
         """
-        return None
+        return ((None, 1.0, None),)
 
     # -- branching analysis ----------------------------------------------------------
 
@@ -219,27 +225,23 @@ def atom_future_bound(
     x: Configuration,
     t: float,
     eps: float,
-    source: Optional[NodeId] = None,
+    source: Optional[NodeId],
+    tables: dict[NodeId, tuple[list[float], list[float]]],
 ) -> float:
     """Largest B_n / lambda(w_{j,n}) over the atoms of node ``i``'s sources.
 
     ``incoming`` maps each source j to its kernel and ``atoms`` weighs the
     bins w_{j,n}; B_n is the bound of ``future_bin_bounds``, so the value
     bounds every atom's component at every future shift of ``x``'s past
-    before ``t``. ``source=j`` reads j's atoms only.
+    before ``t``. ``source=j`` reads j's atoms only. ``tables`` is the
+    model's cache of node ``i``'s ``future_bin_bounds`` tables per source.
 
-    When an infinite-support kernel decays faster across one bin than the
-    bin weights (``decay_per(eps)`` below the ratio), the envelope
-    count * h((n-1)*eps) / lambda(w_{j,n}) falls with n, and each source's walk
-    stops at the first bin where that envelope, with a rounding allowance, is
-    at most the largest ratio found so far over the sources already read:
-    no later bin can raise the maximum, so the value is the same float the
-    walk over every bin gives (the rule and its proof are in
-    ``future_bin_bounds``). On untruncated weights such a kernel must decay
-    so, or the ratios grow without bound along future shifts and no finite
-    bound exists. Otherwise the walk runs to the truncation, or, for a
-    compact-support kernel on untruncated weights, to the support's last bin:
-    past it every B_n is 0, so no decay is needed.
+    Each source's bins are walked by ``future_bin_bounds``, which stops
+    early where an infinite-support kernel decays faster across one bin than
+    the bin weights (``decay_per(eps)`` below the ratio), yet returns the
+    float of the walk over every bin. On untruncated weights such a kernel
+    must decay so, or the ratios grow without bound along future shifts and
+    no finite bound exists; a compact support needs no decay.
     """
     best = 0.0
     for j, ker in incoming.items():
@@ -261,17 +263,18 @@ def atom_future_bound(
                     f"node {i}: bin weights from node {j} decay at least as fast as the kernel"
                     " across bins; components admit no finite bound at future shifts"
                 )
-        best = future_bin_bounds(ker, pts, t, eps, nmax, partial(atoms.bin_weight, j), best, falls)
+        table = tables.setdefault(j, ([math.nan], [math.nan]))
+        best = future_bin_bounds(ker, pts, t, eps, nmax, partial(atoms.bin_weight, j), best, falls, table)
     return best
 
 
 def _bin_of(age: float, eps: float) -> int:
-    """The bin holding ``age`` >= 0: the first n >= 1 with age < n*eps, as
+    """The bin holding ``age`` >= 0: the first n >= 1 with age <= n*eps, as
     the walk compares them."""
     n = int(age / eps) + 1
-    while n > 1 and age < (n - 1) * eps:
+    while n > 1 and age <= (n - 1) * eps:
         n -= 1
-    while age >= n * eps:
+    while age > n * eps:
         n += 1
     return n
 
@@ -285,14 +288,19 @@ def future_bin_bounds(
     weight: Callable[[int], float],
     best: float = 0.0,
     falls: bool = False,
+    table: Optional[tuple[list[float], list[float]]] = None,
 ) -> float:
     """The largest of ``best`` and the ratios B_n / weight(n) over the bins n >= 1.
 
+    ``table`` keeps h((n-1)*eps) and weight(n) at index n across calls, grown
+    only as far as a walk reads.
+
     B_n bounds the bin-n drive of ``ker`` at every later shift of the past.
     ``pts`` are one source node's absolute point times, increasing; the past
-    is the points at or before ``t``. Bin n holds ages in [(n-1)*eps, n*eps).
-    A point of age a can reach bin n at a later time iff a < n*eps, and its
-    kernel value there is at most h(max(a, (n-1)*eps)), the kernel being
+    is the points at or before ``t``. Bin n holds ages in ((n-1)*eps, n*eps],
+    as the atom w_{j,n} holds shifted times in [-n*eps, -(n-1)*eps). A point
+    of age a can be in bin n now or later iff a <= n*eps, and its kernel
+    value there is at most h(max(a, (n-1)*eps)), the kernel being
     nonincreasing. So B_n is the kernel sum over the points in bin n plus
     h((n-1)*eps) times the number of younger points. The walk reads the
     points newest first, building their kernel values' prefix sums in that
@@ -307,7 +315,7 @@ def future_bin_bounds(
     *Stopping rule.* ``falls`` says that h_n / w_n is nonincreasing in n, with
     h_n = h((n-1)*eps) and w_n = weight(n): the kernel decays faster across a
     bin than the weights. Say N points are at or before ``t`` and the K
-    newest are read before bin n (their ages are below (n-1)*eps). For
+    newest are read before bin n (their ages are at most (n-1)*eps). For
     m >= n a point younger than bin m adds h_m to B_m, and a point in bin m
     adds its kernel value v <= h_m plus the rounding of its addition to the
     prefix sums, which is at most v: a rounded sum is no farther from the
@@ -340,16 +348,21 @@ def future_bin_bounds(
     prefix = [0.0]  # kernel-value prefix sums, newest point first
     k = 0  # points read: those younger than the current bin
     n = _bin_of(t - pts[hi - 1], eps)
+    edges, weights = table or ([math.nan], [math.nan])  # index 0 is no bin
     while n <= n_stop:
-        c = ker((n - 1) * eps)
+        if n >= len(edges):
+            for m in range(len(edges), n + 1):
+                edges.append(ker((m - 1) * eps))
+                weights.append(weight(m))
+        c = edges[n]
         if c == 0.0:
             break  # the kernel is 0 from here on, and so is every B_m
-        w = weight(n)
+        w = weights[n]
         if falls and (2 * hi - k) * c / w * _WALK_ALLOWANCE <= best:
             break  # no later bin can raise the maximum
         k_lo = k
         hi_edge = n * eps
-        while k < hi and (age := t - pts[hi - 1 - k]) < hi_edge:
+        while k < hi and (age := t - pts[hi - 1 - k]) <= hi_edge:
             prefix.append(prefix[k] + ker(age))
             k += 1
         bound_n = (prefix[k] - prefix[k_lo]) + k_lo * c

@@ -143,7 +143,7 @@ class GLModel(KalikowModel):
     def pmf(self, i: NodeId, desc) -> float:
         return self.weights[i].pmf(desc)
 
-    def sample_neighborhood(self, i: NodeId, rng: RandomStream):
+    def sample_neighborhood(self, i: NodeId, rng: RandomStream, cls=None):
         return self.weights[i].sample(rng)
 
     def enumerate_descriptors(self, i: NodeId, x: Optional[Configuration] = None):
@@ -156,7 +156,7 @@ class GLModel(KalikowModel):
     # -- simulation ---------------------------------------------------------------------
 
     def local_bound(
-        self, i: NodeId, x: Configuration, t: float = 0.0, source: Optional[NodeId] = None
+        self, i: NodeId, x: Configuration, t: float = 0.0, source: Optional[NodeId] = None, cls=None
     ) -> float:
         """Finite only when no eligible driving point exists.
 

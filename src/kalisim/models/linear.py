@@ -8,7 +8,7 @@ from ..core import EMPTY_ND, AtomND, Configuration, EmptyND, Neighborhood, NodeI
 from ..errors import CoverageError, ExplosionGuardError
 from ..kernels import Kernel
 from ..sampling import RandomStream
-from ..weights import AtomicWeights, default_atomic_weights, mean_field_atomic_weights
+from ..weights import AtomicWeights, default_atomic_weights
 from .base import (
     KalikowModel,
     OffspringRow,
@@ -31,14 +31,11 @@ class LinearHawkesModel(KalikowModel):
     bounds unless they are declared by the caller (a bounded-regime assertion
     used for backward simulation and branching analysis).
 
-    ``weights`` gives each node's atom family. Without it, a model with no
-    declared bounds takes ``mean_field_atomic_weights``, which balance the
-    components at the network's mean-field rates and so lower the forward
-    bound (about 1.7x fewer proposals per point on the 4-node ring). A model
-    that declares bounds takes ``default_atomic_weights``: the perfect sampler
-    checks every component against the declared bound, and the mean-field
-    family's smaller lambda(empty) raises mu / lambda(empty) above a bound
-    declared for those weights.
+    ``weights`` gives each node's atom family, ``default_atomic_weights``
+    by default. Forward thinning per class (``proposal_classes``) proposes at
+    mu for the empty set and at max_n B_n / g_j(n) for source j's atoms (B_n
+    the bin bound of ``atom_future_bound``, g_j the bin pmf): lambda(empty)
+    and the shares cancel out, and only the bin ratios change the cost.
     """
 
     def __init__(
@@ -64,10 +61,8 @@ class LinearHawkesModel(KalikowModel):
             i: {j: self.kernels.get((i, j)) for j in self._nodes if (i, j) in self.kernels}
             for i in self._nodes
         }
-        if weights is None and declared_bounds:
+        if weights is None:
             weights = {i: default_atomic_weights(self._incoming[i], self.eps) for i in self._nodes}
-        elif weights is None:
-            weights = mean_field_atomic_weights(self._incoming, self.mu, self.eps)
         self.weights = dict(weights)
         for i in self._nodes:
             fam = self.weights[i]
@@ -81,6 +76,7 @@ class LinearHawkesModel(KalikowModel):
         self._declared = dict(declared_bounds) if declared_bounds else {}
         self._guard = NoGuard()
         self._expand_cache: dict[tuple[int, int], Neighborhood] = {}
+        self._bin_tables: dict[NodeId, dict] = {i: {} for i in self._nodes}
 
     # -- structure ----------------------------------------------------------
 
@@ -131,8 +127,12 @@ class LinearHawkesModel(KalikowModel):
     def pmf(self, i: NodeId, desc) -> float:
         return self.weights[i].pmf(desc)
 
-    def sample_neighborhood(self, i: NodeId, rng: RandomStream):
-        return self.weights[i].sample(rng)
+    def sample_neighborhood(self, i: NodeId, rng: RandomStream, cls=None):
+        if cls is None:
+            return self.weights[i].sample(rng)
+        if cls is EMPTY_ND:
+            return EMPTY_ND
+        return AtomND(cls, self.weights[i].sample_bin(cls, rng))
 
     def enumerate_descriptors(self, i: NodeId, x: Optional[Configuration] = None):
         yield EMPTY_ND
@@ -151,23 +151,35 @@ class LinearHawkesModel(KalikowModel):
 
     # -- forward simulation -------------------------------------------------------
 
-    def bound_sources(self, i: NodeId) -> frozenset[NodeId]:
-        return frozenset(self._incoming[i])
+    def proposal_classes(self, i: NodeId) -> tuple:
+        """The empty set, keyed ``EMPTY_ND``, whose bound reads no past; then
+        each live source j's atoms, keyed j, with one term renewed when j
+        accepts. A live source without atom weight is a class too, so its
+        first point ends the run at the guard."""
+        fam = self.weights[i]
+        live = [j for j, ker in self._incoming[i].items() if not ker.is_zero()]
+        atoms = ((j, (1.0 - fam.p_empty) * fam.shares.get(j, 0.0), frozenset((j,))) for j in live)
+        return ((EMPTY_ND, fam.p_empty, frozenset()), *atoms)
 
     def local_bound(
-        self, i: NodeId, x: Configuration, t: float = 0.0, source: Optional[NodeId] = None
+        self, i: NodeId, x: Configuration, t: float = 0.0, source: Optional[NodeId] = None, cls=None
     ) -> float:
-        """sup over neighborhoods and future shifts of the component values:
-        the larger of the empty set's component and ``atom_future_bound``.
+        """sup over future shifts of the component values of the class ``cls``:
+        the empty set's mu / lambda(empty), or ``atom_future_bound`` over
+        source ``cls``'s atoms; the larger of the two for the whole family.
         An atom reads one source, so ``source=j`` bounds j's bins only.
         """
         fam = self.weights[i]
+        if cls is not None and cls is not EMPTY_ND:
+            return atom_future_bound(i, self._incoming[i], fam, x, t, self.eps, cls, self._bin_tables[i])
         if self.mu[i] > 0.0 and fam.p_empty == 0.0:
             raise ExplosionGuardError(
                 f"node {i} has positive spontaneous rate but zero weight on the empty set"
             )
         best = self.mu[i] / fam.p_empty if self.mu[i] > 0.0 else 0.0
-        return max(best, atom_future_bound(i, self._incoming[i], fam, x, t, self.eps, source))
+        if cls is EMPTY_ND:
+            return best
+        return max(best, atom_future_bound(i, self._incoming[i], fam, x, t, self.eps, source, self._bin_tables[i]))
 
     # -- branching ------------------------------------------------------------------
 

@@ -102,7 +102,7 @@ class TableModel(KalikowModel):
     def expand(self, i: NodeId, desc) -> Neighborhood:
         return self._row(i, desc).neighborhood
 
-    def sample_neighborhood(self, i: NodeId, rng: RandomStream):
+    def sample_neighborhood(self, i: NodeId, rng: RandomStream, cls=None):
         return self._weights[i].sample(rng)
 
     def enumerate_descriptors(self, i: NodeId, x: Optional[Configuration] = None):
@@ -114,7 +114,7 @@ class TableModel(KalikowModel):
         return self._bounds.get(i)
 
     def local_bound(
-        self, i: NodeId, x: Configuration, t: float = 0.0, source: Optional[NodeId] = None
+        self, i: NodeId, x: Configuration, t: float = 0.0, source: Optional[NodeId] = None, cls=None
     ) -> float:
         # row bounds are sups over all configurations, so they stay valid at
         # every future shift; zero-weight rows carry no component (0/0 = 0)

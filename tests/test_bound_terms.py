@@ -3,15 +3,17 @@ simulator reads."""
 
 import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from itertools import accumulate
 
 import pytest
 
 from kalisim import (
+    EMPTY_ND,
     AffineRate,
     AgeHawkesModel,
     AnalyticHawkesModel,
+    AtomND,
     AtomicWeights,
     Configuration,
     ExplosionGuardError,
@@ -52,17 +54,18 @@ def full_walk_bins(ker, pts, t, eps, nmax, falls):
     if nmax is not None:
         n_stop = min(n_stop, nmax)
     for n in range(1, n_stop + 1):
+        # bin n holds ages in ((n-1)*eps, n*eps], as the atom's shifted times
         lo_edge = (n - 1) * eps
-        k_lo = bisect_left(ages, lo_edge)
-        k_hi = bisect_left(ages, n * eps)
+        k_lo = bisect_right(ages, lo_edge)
+        k_hi = bisect_right(ages, n * eps)
         bound_n = (prefix[k_hi] - prefix[k_lo]) + k_lo * ker(lo_edge)
         if bound_n > 0.0:
             yield n, bound_n
 
 
-def full_walk_bound(i, incoming, atoms, x, t, eps, source=None):
+def full_walk_bound(i, incoming, atoms, x, t, eps, source=None, tables=None):
     """Reference for ``atom_future_bound``: the largest B_n / lambda(w_{j,n})
-    over every bin of every source, with no early stop."""
+    over every bin of every source, with no early stop and no kept tables."""
     best = 0.0
     for j, ker in incoming.items():
         if source is not None and j != source:
@@ -100,6 +103,11 @@ def random_past(rng: random.Random, nodes, t: float, eps: float) -> Configuratio
 SPLIT_MODELS = [pytest.param(hawkes_ring, id="linear"), pytest.param(analytic_triangle, id="analytic")]
 
 
+def term_sources(m, i) -> list:
+    """Every source some class of node ``i`` splits its bound over."""
+    return sorted(set().union(*(src for _, _, src in m.proposal_classes(i) if src)))
+
+
 class TestTermSplit:
     @pytest.mark.parametrize("make", SPLIT_MODELS)
     def test_largest_term_is_the_bound(self, make):
@@ -109,8 +117,15 @@ class TestTermSplit:
             t = rng.uniform(0.5, 8.0)
             x = random_past(rng, m.node_set(), t, m.eps)
             for i in m.node_set():
-                terms = [m.local_bound(i, x, t, source=j) for j in m.bound_sources(i)]
+                # the whole family's bound, then each class's
+                terms = [m.local_bound(i, x, t, source=j) for j in term_sources(m, i)]
                 assert max(terms) == m.local_bound(i, x, t)
+                for key, _, sources in m.proposal_classes(i):
+                    bound = m.local_bound(i, x, t, cls=key)
+                    if sources:
+                        assert max(m.local_bound(i, x, t, source=j, cls=key) for j in sources) == bound
+                    else:  # a class with no sources reads no past
+                        assert bound == m.local_bound(i, Configuration.empty(), cls=key)
 
     @pytest.mark.parametrize("make", SPLIT_MODELS)
     def test_term_reads_only_its_source(self, make):
@@ -121,18 +136,24 @@ class TestTermSplit:
             x = random_past(rng, m.node_set(), t, m.eps)
             y = random_past(rng, m.node_set(), t, m.eps)
             for i in m.node_set():
-                for j in m.bound_sources(i):
-                    if set(x.points(j)) & {s for k in y.nodes() if k != j for s in y.points(k)}:
-                        continue  # mixing the two would collide
-                    mixed = Configuration({**{k: y.points(k) for k in y.nodes() if k != j}, j: x.points(j)})
-                    assert m.local_bound(i, mixed, t, source=j) == m.local_bound(i, x, t, source=j)
+                for key, _, sources in m.proposal_classes(i):
+                    for j in sources:
+                        if set(x.points(j)) & {s for k in y.nodes() if k != j for s in y.points(k)}:
+                            continue  # mixing the two would collide
+                        mixed = Configuration({**{k: y.points(k) for k in y.nodes() if k != j}, j: x.points(j)})
+                        assert m.local_bound(i, mixed, t, source=j, cls=key) == m.local_bound(i, x, t, source=j, cls=key)
 
     def test_sources_are_the_kernel_sources(self):
-        assert hawkes_ring().bound_sources(0) == frozenset({3, 0, 1})
-        assert analytic_triangle().bound_sources(0) == frozenset({0, 1})
+        ring = hawkes_ring()
+        fam = ring.weights[0]
+        assert ring.proposal_classes(0) == (
+            (EMPTY_ND, fam.p_empty, frozenset()),
+            *((j, (1.0 - fam.p_empty) * fam.shares[j], frozenset({j})) for j in (0, 1, 3)),
+        )
+        assert analytic_triangle().proposal_classes(0) == ((None, 1.0, frozenset({0, 1})),)
 
     def test_whole_node_models_declare_no_sources(self):
-        assert TableModel.constant_rate(1.0).bound_sources(0) is None
+        assert TableModel.constant_rate(1.0).proposal_classes(0) == ((None, 1.0, None),)
 
 
 def linear_mixed() -> LinearHawkesModel:
@@ -160,6 +181,59 @@ def analytic_truncated() -> AnalyticHawkesModel:
     return AnalyticHawkesModel(PsiSeries("poly", [1.0, 1.0, 0.5]), kernels, eps=0.5, nodes=[0, 1], weights=weights)
 
 
+LINEAR_MODELS = [pytest.param(hawkes_ring, id="ring"), pytest.param(linear_mixed, id="step")]
+
+
+def shifted_members(m, i, key, x, t, n_bins):
+    """(descriptor, component value) of the class keyed ``key`` over the
+    first ``n_bins`` bins, at a few later shifts of the past before ``t``."""
+    members = [EMPTY_ND] if key is EMPTY_ND else [AtomND(key, n) for n in range(1, n_bins + 1)]
+    for shift in (0.0, 0.05, 0.21, 0.5, 1.3, 2.7, 6.1):
+        rooted = shift_to_origin(x, t + shift)
+        for desc in members:
+            yield desc, m.component_value(i, desc, rooted)
+
+
+class TestProposalClasses:
+    @pytest.mark.parametrize("make", LINEAR_MODELS)
+    def test_class_bound_dominates_its_components_at_later_shifts(self, make):
+        m = make()
+        rng = random.Random(21)
+        for _ in range(30):
+            t = rng.uniform(0.5, 8.0)
+            x = random_past(rng, m.node_set(), t, m.eps)
+            for i in m.node_set():
+                for key, _, _ in m.proposal_classes(i):
+                    bound = m.local_bound(i, x, t, cls=key)
+                    for desc, value in shifted_members(m, i, key, x, t, 30):
+                        assert value <= bound * (1.0 + 1e-9), (i, key, desc)
+
+    @pytest.mark.parametrize("make", LINEAR_MODELS)
+    def test_class_weights_are_their_members_weights(self, make):
+        m = make()
+        for i in m.node_set():
+            classes = m.proposal_classes(i)
+            fam = m.weights[i]
+            assert math.fsum(w for _, w, _ in classes) == pytest.approx(1.0, abs=1e-12)
+            for key, weight, _ in classes:
+                if key is EMPTY_ND:
+                    assert weight == fam.p_empty
+                else:
+                    assert weight == pytest.approx(math.fsum(fam.pmf(AtomND(key, n)) for n in range(1, 400)), abs=1e-12)
+
+    def test_class_draws_follow_the_conditional_weights(self):
+        m = linear_mixed()
+        draws = RandomStream(8)
+        fam = m.weights[1]
+        assert m.sample_neighborhood(1, draws, cls=EMPTY_ND) is EMPTY_ND
+        n = 20_000
+        got = [m.sample_neighborhood(1, draws, cls=1) for _ in range(n)]
+        assert {d.j for d in got} == {1} and max(d.n for d in got) == 5
+        for b in range(1, 6):
+            p = m.pmf(1, AtomND(1, b)) / ((1.0 - fam.p_empty) * fam.shares[1])
+            assert abs(sum(d.n == b for d in got) / n - p) < 4.0 * math.sqrt(p * (1.0 - p) / n), b
+
+
 def crowded_past(rng: random.Random, nodes, t: float, eps: float) -> Configuration:
     """``random_past`` plus 500-700 points older than 5 on one node, with every
     bin edge from the 12th on among them."""
@@ -172,9 +246,9 @@ def crowded_past(rng: random.Random, nodes, t: float, eps: float) -> Configurati
     return Configuration({k: sorted(ts) for k, ts in pts.items()})
 
 
-def bound_or_error(m, i, x, t, source):
+def bound_or_error(m, i, x, t, source, cls=None):
     try:
-        return m.local_bound(i, x, t, source=source)
+        return m.local_bound(i, x, t, source=source, cls=cls)
     except ExplosionGuardError as err:
         return type(err)
 
@@ -214,12 +288,14 @@ class TestCappedWalk:
             t = rng.uniform(30.0, 80.0)
             x = (crowded_past if trial % 2 else random_past)(rng, m.node_set(), t, m.eps)
             for i in m.node_set():
-                for source in (None, *sorted(m.bound_sources(i))):
-                    cases.append((i, x, t, source, bound_or_error(m, i, x, t, source)))
+                keys = [(source, None) for source in (None, *term_sources(m, i))]
+                keys += [(None, key) for key, _, _ in m.proposal_classes(i) if key is not None]
+                for source, key in keys:
+                    cases.append((i, x, t, source, key, bound_or_error(m, i, x, t, source, key)))
         assert max(x.n_points() for _, x, *_ in cases) >= 500
         monkeypatch.setattr(module, "atom_future_bound", full_walk_bound)
-        for i, x, t, source, capped in cases:
-            assert bound_or_error(m, i, x, t, source) == capped
+        for i, x, t, source, key, capped in cases:
+            assert bound_or_error(m, i, x, t, source, key) == capped
 
     def test_cost_flat_in_history(self):
         # one recent point and n_old points aged 40-100: the walk stops within

@@ -222,9 +222,10 @@ def test_simulate_forward_writes_runs_and_summary(tmp_path):
     for r in runs:
         assert len(read_rows(r["file"])) == r["points"] > 0
         assert r["accept_ratio"] == r["points"] / r["proposals"]
-        # one node reading itself: its whole bound at the start, then its one
-        # term after each acceptance
-        assert r["bound_terms"] == 1 + r["points"]
+        # one node reading itself: the empty set's and its atoms' bounds at
+        # the start, then its atoms' one term after each acceptance
+        assert r["bound_terms"] == 2 + r["points"]
+        assert r["rate_integral"] > 0.0
     assert len({r["file"] for r in runs}) == 2
 
 
@@ -244,14 +245,15 @@ def test_simulate_forward_step_kernel_on_untruncated_weights(tmp_path):
 
 
 def test_forward_summary_names_the_decomposition(tmp_path):
-    # the default: the mean-field family, with m = 0.5 / (1 - 0.3) and bin ratio exp(-1/4)
-    peak = 0.5 / 0.7 * 0.5 * 0.3 / (1.0 - math.exp(-0.25))
+    # the default family: lambda(empty) = 1/2 and bin ratio exp(-1/4), the
+    # square root of the kernel's decay across a bin
     summary = flagged_run(tmp_path, "simulate-forward", FINITE, [])
     (run,) = summary["runs"]
     assert run["proposals_per_point"] == run["proposals"] / run["points"]
     (fam,) = summary["weights"].values()
     assert set(fam) == {"empty", "shares", "ratios", "trunc"}
-    assert fam["empty"] == pytest.approx(0.5 / (0.5 + peak), rel=1e-12)
+    assert fam["empty"] == 0.5
+    assert fam["ratios"]["0"] == pytest.approx(math.exp(-0.25), rel=1e-15)
     assert fam["shares"] == {"0": 1.0} and fam["trunc"] == {"0": None}
     # a given weights section is echoed as it was written
     weights = {"empty": 0.4, "shares": {"0": 1.0}, "ratios": {"0": 0.85}, "trunc": {"0": None}}

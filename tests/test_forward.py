@@ -1,10 +1,13 @@
+import functools
 import hashlib
 import math
 import statistics
 
 import pytest
+from scipy import stats
 
 from kalisim import (
+    EMPTY_ND,
     AnalyticHawkesModel,
     AtomicWeights,
     Configuration,
@@ -14,6 +17,7 @@ from kalisim import (
     PsiSeries,
     RandomStream,
     RefractoryGap,
+    StepKernel,
 )
 from kalisim.forward import GUARD_EXIT, STEP_BUDGET, TIME_REACHED, forward_simulate
 from kalisim.oracles import ogata_linear_hawkes, ogata_multivariate_linear_hawkes
@@ -29,32 +33,45 @@ def ring_kernels():
 
 
 class CountingRing(LinearHawkesModel):
-    """The ring, recording its ``local_bound`` calls as (node, source) pairs."""
+    """The ring, recording its ``local_bound`` calls as (node, class, source) triples."""
 
     def __init__(self, **kw):
         super().__init__(mu={i: MU for i in RING}, kernels=ring_kernels(), eps=EPS, **kw)
         self.bound_calls = []
 
-    def local_bound(self, i, x, t=0.0, source=None):
-        self.bound_calls.append((i, source))
-        return super().local_bound(i, x, t, source=source)
+    def local_bound(self, i, x, t=0.0, source=None, cls=None):
+        self.bound_calls.append((i, cls, source))
+        return super().local_bound(i, x, t, source=source, cls=cls)
 
 
 class HalfBoundRing(CountingRing):
     """Declares half of every true term, so the empty set's component exceeds it."""
 
-    def local_bound(self, i, x, t=0.0, source=None):
-        return 0.5 * super().local_bound(i, x, t, source=source)
+    def local_bound(self, i, x, t=0.0, source=None, cls=None):
+        return 0.5 * super().local_bound(i, x, t, source=source, cls=cls)
+
+
+class OneClassModel(LinearHawkesModel):
+    """A linear model thinned at each node's largest component bound: one
+    class, the whole family, with one bound term per source."""
+
+    def proposal_classes(self, i):
+        return ((None, 1.0, frozenset(self._incoming[i])),)
+
+
+class OneClassRing(OneClassModel, CountingRing):
+    """The counting ring thinned at each node's largest component bound."""
 
 
 def expected_terms(run, renewed: int) -> list:
-    """The whole-node term of every node at the start, then for each of the
-    first ``renewed`` accepted points, on node a, the terms keyed a of the
-    nodes that read a."""
-    calls = [(i, None) for i in RING]
+    """The start-up term of every class, node by node (the empty set's, then
+    each source's atoms), then for each of the first ``renewed`` accepted
+    points, on node a, the term keyed a of the class of a's atoms on every
+    node that reads a."""
+    calls = [(i, cls, None) for i in RING for cls in (EMPTY_ND, *sorted(j for k, j in ring_kernels() if k == i))]
     accepted = sorted((s, a) for a in RING for s in run.accepted.points(a))
     for _, a in accepted[:renewed]:
-        calls += [(i, a) for i in RING if (i, a) in ring_kernels()]
+        calls += [(i, a, a) for i in RING if (i, a) in ring_kernels()]
     return calls
 
 
@@ -76,7 +93,7 @@ class TestBoundRefresh:
         assert run.stop_reason == TIME_REACHED
         assert run.proposals > run.count()  # some proposals were rejected
         assert m.bound_calls == expected_terms(run, run.count())
-        assert len(m.bound_calls) == len(RING) + 3 * run.count() == run.bound_terms
+        assert len(m.bound_calls) == 4 * len(RING) + 3 * run.count() == run.bound_terms
 
     def test_step_budget_skips_the_last_refresh(self):
         m = CountingRing()
@@ -84,18 +101,27 @@ class TestBoundRefresh:
         assert run.stop_reason == STEP_BUDGET
         assert run.count() == 5
         assert m.bound_calls == expected_terms(run, 4)
-        assert len(m.bound_calls) == len(RING) + 3 * 4 == run.bound_terms
+        assert len(m.bound_calls) == 4 * len(RING) + 3 * 4 == run.bound_terms
 
     def test_whole_node_models_renew_every_node(self):
         class WholeRing(CountingRing):
-            def bound_sources(self, i):
-                return None
+            def proposal_classes(self, i):
+                return ((None, 1.0, None),)
 
         m = WholeRing()
         run = forward_simulate(m, RING, T_MAX, 10_000, None, RandomStream(5))
         assert run.stop_reason == TIME_REACHED
-        assert m.bound_calls == [(i, None) for i in RING] * (run.count() + 1)
+        assert m.bound_calls == [(i, None, None) for i in RING] * (run.count() + 1)
         assert run.bound_terms == len(m.bound_calls)
+
+    def test_one_class_renews_per_source_terms(self):
+        m = OneClassRing()
+        run = forward_simulate(m, RING, T_MAX, 10_000, None, RandomStream(5))
+        assert run.stop_reason == TIME_REACHED
+        calls = [(i, None, None) for i in RING]
+        for _, a in sorted((s, a) for a in RING for s in run.accepted.points(a)):
+            calls += [(i, None, a) for i in RING if (i, a) in ring_kernels()]
+        assert m.bound_calls == calls
 
 
 class TestStops:
@@ -127,8 +153,77 @@ class TestStops:
         (node,) = run.accepted.nodes()
         assert run.accepted.points(node) == (run.tau,)
 
+    def test_live_source_without_atom_weight_exits_at_the_guard(self):
+        # node 0 reads node 1 through a live kernel, but its atoms carry no
+        # weight on node 1: node 1's first point leaves no finite bound
+        m = LinearHawkesModel(
+            mu={0: MU, 1: MU},
+            kernels={(0, 0): ExponentialKernel(0.3, 1.0), (0, 1): ExponentialKernel(0.3, 1.0)},
+            eps=EPS,
+            weights={0: AtomicWeights(0.5, {0: 1.0}, {0: 0.8}), 1: AtomicWeights(1.0, {}, {})},
+        )
+        assert [key for key, _, _ in m.proposal_classes(0)] == [EMPTY_ND, 0, 1]
+        run = forward_simulate(m, (0, 1), T_MAX, 10_000, None, RandomStream(3))
+        assert run.stop_reason == GUARD_EXIT
+        assert run.accepted.points(1) == (run.tau,)
+
+
+def step_pair(model_class=LinearHawkesModel) -> LinearHawkesModel:
+    """Two nodes with compact step kernels on truncated weights whose shares,
+    empty weights and bin ratios differ per node."""
+    kernels = {
+        (0, 0): StepKernel([0.0, 0.6, 1.3], [0.4, 0.2]),
+        (0, 1): StepKernel([0.0, 1.0], [0.3]),
+        (1, 0): StepKernel([0.0, 2.2], [0.25]),
+        (1, 1): StepKernel([0.0, 0.6, 1.3], [0.3, 0.1]),
+    }
+    weights = {
+        0: AtomicWeights(0.3, {0: 0.7, 1: 0.3}, {0: 0.8, 1: 0.9}, {0: 3, 1: 2}),
+        1: AtomicWeights(0.6, {0: 0.2, 1: 0.8}, {0: 0.9, 1: 0.7}, {0: 5, 1: 3}),
+    }
+    return model_class(mu={0: 0.8, 1: 0.5}, kernels=kernels, eps=0.5, weights=weights)
+
+
+def scaled_ring(rho: float, **kw) -> LinearHawkesModel:
+    """The ring with kernel masses scaled to spectral radius ``rho``; at 0.6
+    it is ``hawkes_ring()``."""
+    kernels = {}
+    for i in RING:
+        for j, a in ((i, rho / 2), ((i - 1) % 4, rho / 4), ((i + 1) % 4, rho / 4)):
+            kernels[(i, j)] = ExponentialKernel(a, BETA)
+    return LinearHawkesModel(mu={i: MU for i in RING}, kernels=kernels, eps=EPS, **kw)
+
 
 class TestLaw:
+    def test_class_split_matches_one_class_thinning(self):
+        # the same decomposition thinned per class and at the node's largest
+        # bound: per-node and total counts agree in mean and in law
+        t_max, runs = T_MAX, 300
+        base = RandomStream(1707)
+        counts = {}
+        for arm, model in ((0, step_pair()), (1, step_pair(OneClassModel))):
+            rows = []
+            for r in range(runs):
+                run = forward_simulate(model, (0, 1), t_max, 10_000, None, base.child(arm, r))
+                assert run.stop_reason == TIME_REACHED
+                rows.append((run.count(0), run.count(1), run.count()))
+            counts[arm] = rows
+        for col in range(3):
+            a, b = [row[col] for row in counts[0]], [row[col] for row in counts[1]]
+            se = math.hypot(statistics.stdev(a), statistics.stdev(b)) / math.sqrt(runs)
+            assert abs(statistics.fmean(a) - statistics.fmean(b)) < 4.0 * se, col
+        totals = [[row[2] for row in counts[arm]] for arm in (0, 1)]
+        assert stats.ks_2samp(*totals).pvalue > 0.01
+
+    def test_proposals_are_compensated_by_the_rate_integral(self):
+        # the proposals form a point process of the total proposal rate, so
+        # over [0, T] their count has the mean of the rate's integral
+        base = RandomStream(1808)
+        runs = [forward_simulate(hawkes_ring(), RING, T_MAX, 10_000, None, base.child(r)) for r in range(200)]
+        diffs = [run.proposals - run.rate_integral for run in runs]
+        assert all(run.rate_integral > 0.0 for run in runs)
+        assert abs(statistics.fmean(diffs)) < 4.0 * statistics.stdev(diffs) / math.sqrt(len(diffs))
+
     def test_ring_mean_count_matches_closed_form(self):
         m = CountingRing()
         base = RandomStream(2021)
@@ -185,25 +280,51 @@ class TestOracle:
 
 
 def test_golden_ring_run():
-    # recorded with per-source bound terms, the neighborhood-restricted past
-    # and the mean-field atom weights
+    # recorded with per-class thinning (the empty set and each source's atoms),
+    # per-source bound terms and the neighborhood-restricted past
     run = forward_simulate(hawkes_ring(), RING, T_MAX, 10_000, None, RandomStream(2104))
     assert run.stop_reason == TIME_REACHED
     pts = sorted((s, i) for i in RING for s in run.accepted.points(i))
-    assert (len(pts), run.proposals) == (59, 454)
-    assert (pts[0], pts[-1]) == ((0.348849617877834, 2), (9.833922910531319, 1))
+    assert (len(pts), run.proposals) == (49, 211)
+    assert (pts[0], pts[-1]) == ((0.042852874415001976, 1), (9.911706523710912, 2))
     digest = hashlib.sha256(",".join(f"{i}:{s.hex()}" for s, i in pts).encode()).hexdigest()
-    assert digest == "51a84e8ff8ab07f13d52bdbc03a2f8ce7be1a6e32a24d1df846a71aa3aa68073"
+    assert digest == "5ae2d6ab40ef969bb7478476548065fbcdac18e5cb4095bd027a539079d704c6"
+
+
+@functools.lru_cache(maxsize=None)
+def ring_proposals_per_point(model_name: str, rho: float, seed: int, runs: int) -> float:
+    """Proposals per accepted point over ``runs`` fixed-seed ring runs on [0, T_MAX]."""
+    if model_name == "default":
+        model = scaled_ring(rho)
+    else:
+        # lambda(empty) and shares far from the default's 1/2 and uniform
+        ratio = math.sqrt(math.exp(-BETA * EPS))
+        model = scaled_ring(rho, weights={
+            i: AtomicWeights(0.228, {i: 0.5, (i - 1) % 4: 0.25, (i + 1) % 4: 0.25}, dict.fromkeys(RING, ratio))
+            for i in RING
+        })
+    base = RandomStream(seed)
+    out = [forward_simulate(model, RING, T_MAX, 100_000, None, base.child(r)) for r in range(runs)]
+    assert all(run.stop_reason == TIME_REACHED for run in out)
+    return sum(run.proposals for run in out) / sum(run.count() for run in out)
 
 
 def test_ring_proposals_per_point_stay_low():
-    # the algorithmic cost of the ring's default decomposition: about 7.4 on
-    # this seed block under the mean-field weights, 13.3 under lambda(empty) = 1/2
-    # with uniform shares
-    base = RandomStream(1600)
-    runs = [forward_simulate(hawkes_ring(), RING, T_MAX, 10_000, None, base.child(r)) for r in range(50)]
-    assert all(run.stop_reason == TIME_REACHED for run in runs)
-    assert sum(run.proposals for run in runs) / sum(run.count() for run in runs) < 9.0
+    # the algorithmic cost of the ring's default decomposition: about 4.5 on
+    # this seed block thinned per class, 13.3 thinned at each node's largest
+    # component bound under lambda(empty) = 1/2 with uniform shares
+    assert ring_proposals_per_point("default", 0.6, 1600, 50) < 9.0
+
+
+def test_class_split_keeps_ring_proposals_below_six():
+    assert ring_proposals_per_point("default", 0.6, 1600, 50) < 6.0
+
+
+@pytest.mark.parametrize("weights", ["default", "skewed"])
+def test_near_critical_ring_stays_cheap(weights):
+    # spectral radius 0.995: a run from an empty past stays far below the
+    # stationary rates, and the per-class rates do not depend on the weights
+    assert ring_proposals_per_point(weights, 0.995, 77, 40) < 8.0
 
 
 def test_golden_analytic_run():

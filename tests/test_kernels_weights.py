@@ -21,7 +21,6 @@ from kalisim.weights import (
     GeometricLevels,
     TaylorWeights,
     default_atomic_weights,
-    mean_field_atomic_weights,
 )
 from kalisim.core import EMPTY_ND, AtomND, NestedND, TaylorND
 
@@ -111,6 +110,26 @@ class TestAtomicWeights:
             p = fam.pmf(d)
             sigma = math.sqrt(p * (1 - p) / n)
             assert abs(counts.get(d, 0) / n - p) < 4 * sigma + 1e-4, d
+
+    def test_bin_sampler_matches_the_bin_pmf(self):
+        # the class draw of the forward simulator: a bin of one source, under
+        # the truncated geometric pmf
+        fam = self.make()
+        rng = RandomStream(4)
+        n = 20_000
+        bins = [fam.sample_bin(1, rng) for _ in range(n)]
+        assert set(bins) == {1, 2, 3, 4}
+        for b in (1, 2, 3, 4):
+            p = fam.atom_pmf(1, b) / fam.shares[1]
+            assert abs(bins.count(b) / n - p) < 4 * math.sqrt(p * (1 - p) / n), b
+
+    def test_atom_draw_reads_the_bin_draw(self):
+        fam = self.make()
+        a, b = RandomStream(9), RandomStream(9)
+        for _ in range(200):
+            j, n = fam.sample_atom(a)
+            b.uniform()  # the source pick
+            assert n == fam.sample_bin(j, b)
 
 
 def halving_ladder():
@@ -221,66 +240,27 @@ def ring_with(alpha_self: float, alpha_nb: float, **kw) -> LinearHawkesModel:
     return LinearHawkesModel(mu={i: 0.5 for i in range(4)}, kernels=kernels, eps=0.5, **kw)
 
 
-class TestMeanFieldAtomicWeights:
-    def test_ring_by_hand(self):
-        # m = 0.5 / (1 - 0.3 - 2 * 0.15) = 1.25 on every node; the bin ratio is
-        # sqrt(exp(-0.5)) and the exponential kernel peaks at bin 1, where the
-        # bin pmf is 1 - ratio
-        m = validation.hawkes_ring()
-        peak_self = 1.25 * 0.5 * 0.3 / (1.0 - math.exp(-0.25))
-        total = 2.0 * peak_self  # the self source plus two half-strength neighbours
-        for i, fam in m.weights.items():
-            assert fam.p_empty == pytest.approx(0.5 / (0.5 + total), rel=1e-12)
-            assert fam.shares == pytest.approx({i: 0.5, (i - 1) % 4: 0.25, (i + 1) % 4: 0.25}, rel=1e-12)
-            assert fam.ratios == {j: pytest.approx(math.exp(-0.25), rel=1e-15) for j in fam.nodes}
-            assert fam.trunc == {j: None for j in fam.nodes}
-            mass = fam.p_empty + sum(fam.pmf(AtomND(j, n)) for j in fam.nodes for n in range(1, 400))
-            assert mass == pytest.approx(1.0, abs=1e-12)
-            # the balance the rule is built on: the empty set's component equals
-            # every source's peak mean-field atom component
-            for j in fam.nodes:
-                peak = 1.25 * 0.5 * m.kernels[(i, j)](0.0) / fam.bin_weight(j, 1)
-                assert peak == pytest.approx(m.mu[i] / fam.p_empty, rel=1e-12)
-        assert m.weights[0].p_empty == pytest.approx(0.22775885, abs=1e-8)
-
-    def test_compact_kernel_peaks_at_a_later_bin(self):
-        # truncated at 3 bins of ratio 1/2: g = (4, 2, 1) / 7, and eps * h((n-1) eps) / g(n)
-        # reads (0.35, 0.7, 0.7), so the peak is 0.7 m, not the first bin's 0.35 m
-        ker = StepKernel([0.0, 0.6, 1.3], [0.4, 0.2])
-        m = 0.5 / (1.0 - ker.l1)
-        (fam,) = mean_field_atomic_weights({0: {0: ker}}, {0: 0.5}, 0.5).values()
-        assert fam.p_empty == pytest.approx(0.5 / (0.5 + 0.7 * m), rel=1e-12)
-        assert (fam.shares, fam.ratios, fam.trunc) == ({0: 1.0}, {0: 0.5}, {0: 3})
-
+class TestLinearModelWeights:
     @pytest.mark.parametrize(
         "model",
         [
+            pytest.param(ring_with(0.3, 0.15), id="subcritical"),
             pytest.param(ring_with(0.5, 0.3), id="supercritical"),
-            pytest.param(ring_with(0.4, 0.3), id="critical"),
             pytest.param(ring_with(0.3, 0.15, declared_bounds={i: 4.0 for i in range(4)}), id="declared-bounds"),
         ],
     )
-    def test_the_default_family_where_the_rule_does_not_apply(self, model):
+    def test_default_family_without_weights(self, model):
         for i in range(4):
             assert same_family(model.weights[i], default_atomic_weights(model._incoming[i], 0.5))
 
-    def test_nodes_without_live_sources_or_rates_keep_the_default(self):
-        # node 1 reads nothing, node 2 only a zero kernel; node 3 never fires
-        # (mu = 0, no source), so node 0, which reads it, keeps the default too,
-        # while node 4 reads node 1 alone and takes the rule
-        kernels = {
-            (0, 3): ExponentialKernel(0.2, 1.0),
-            (0, 1): ExponentialKernel(0.2, 1.0),
-            (2, 2): ExponentialKernel(0.0, 1.0),
-            (4, 1): ExponentialKernel(0.2, 1.0),
-        }
-        mu = {0: 0.5, 1: 0.5, 2: 0.5, 3: 0.0, 4: 0.5}
-        m = LinearHawkesModel(mu=mu, kernels=kernels, eps=0.5)
-        for i in (0, 1, 2, 3):
-            assert same_family(m.weights[i], default_atomic_weights(m._incoming[i], 0.5))
+    def test_sourceless_nodes_weigh_only_the_empty_set(self):
+        # node 1 reads nothing and node 2 only a zero kernel
+        kernels = {(0, 1): ExponentialKernel(0.2, 1.0), (2, 2): ExponentialKernel(0.0, 1.0)}
+        m = LinearHawkesModel(mu={0: 0.5, 1: 0.5, 2: 0.5}, kernels=kernels, eps=0.5)
         assert m.weights[1].p_empty == m.weights[2].p_empty == 1.0
-        peak = 0.5 * 0.5 * 0.2 / (1.0 - math.exp(-0.25))  # m_1 = mu_1, as node 1 reads nothing
-        assert m.weights[4].p_empty == pytest.approx(0.5 / (0.5 + peak), rel=1e-12)
+        assert m.weights[0].p_empty == 0.5
+        # a zero kernel makes no proposal class
+        assert [key for key, _, _ in m.proposal_classes(2)] == [EMPTY_ND]
 
     def test_given_weights_are_kept(self):
         given = {
