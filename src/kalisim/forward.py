@@ -17,25 +17,21 @@ set and each source's atoms; lambda(empty) and the shares cancel out of
 their rates (``LinearHawkesModel``).
 
 Bounds are renewed only when the past changes, and only where it changed.
-A class's bound is the largest of its terms; each class starts with one, its
-whole ``local_bound``. A class that declares ``sources`` splits it into
-per-source terms: the term keyed j is the bound computed as if node j's
-points were the whole past. After a point accepted on node a only the terms
-keyed a are renewed, and a class with no sources keeps its start-up term; a
-class whose ``sources`` is None has one term, renewed after every acceptance.
-A kept term stays valid: it dominates at every later shift of the past it
-was given, and reads only its source's past, which no rejection changes and
-every acceptance on it renews. So the piecewise constant rate between two
-acceptances dominates the intensity; ``ForwardRun.rate_integral`` is its
-integral, the proposals' compensator.
+A class's bound is one ``local_bound`` call, renewed after a point accepted
+on a node in the class's ``sources``: None renews it after every acceptance,
+and the empty set never. A kept bound stays valid: it dominates at every
+later shift of the past it was given, and its class reads only its sources'
+past, which no rejection changes and every acceptance on them renews. So the
+piecewise constant rate between two acceptances dominates the intensity;
+``ForwardRun.rate_integral`` is its integral, the proposals' compensator.
 
 Costs. A proposal's component value reads the accepted points inside the
 drawn neighborhood only, shifted to the proposal time
 (``Configuration.restrict_at``), since ``delta`` is cylindrical: O(points in
 the neighborhood), not O(history). The rates the class is picked from are
-summed once per renewal. A term costs O(points in its live window) plus
-O(log N) bins for N points of its source: the bound walks the source's bins
-from its newest point and stops once no older bin can raise it
+summed once per renewal. A bound costs O(points in its live window) plus
+O(log N) bins for N points of each source it reads: it walks the source's
+bins from the newest point and stops once no older bin can raise it
 (``models.base.future_bin_bounds``). An acceptance copies the accepted node's
 tuple of points, not the whole history.
 """
@@ -48,7 +44,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional, Sequence
 
-from .core import ActivityCap, Configuration, NodeId, SubspaceGuard
+from .core import Configuration, NodeId, SubspaceGuard
 from .errors import ExplosionGuardError, NonMonotoneModelError
 from .sampling import RandomStream
 
@@ -56,16 +52,13 @@ TIME_REACHED = "time-reached"
 STEP_BUDGET = "step-budget"
 GUARD_EXIT = "guard-exit"
 
-# backstop against finite-time explosion even when no guard is requested
-EXPLOSION_CAP = 1_000_000
-
 
 @dataclass(frozen=True)
 class ForwardRun:
     """Outcome of one forward simulation.
 
-    ``bound_terms`` counts the ``local_bound`` calls: each class's whole
-    bound at the start, then every term renewed after an acceptance.
+    ``bound_terms`` counts the ``local_bound`` calls: every class's bound at
+    the start, then each class renewed after an acceptance.
     ``rate_integral`` is the integral of the total proposal rate over
     [0, tau], so ``proposals`` has that mean over runs.
     """
@@ -114,10 +107,7 @@ def forward_simulate(
     if not set(node_list) <= set(known):
         raise ValueError(f"nodes {set(node_list) - set(known)} are unknown to the model")
 
-    guards: list[SubspaceGuard] = [ActivityCap(t_max, EXPLOSION_CAP)]
-    if guard is not None:
-        guards.insert(0, guard)
-    guard_name = guards[0].name
+    guard_name = "none" if guard is None else guard.name
 
     # accepted times of the nodes that have any, in node order; an acceptance
     # replaces the dict and the accepted node's tuple, never changes them
@@ -143,15 +133,11 @@ def forward_simulate(
         )
 
     # one (node, class key, weight, sources) slot per class, in node order;
-    # the (slot, term key) pairs to renew: every start-up term, and after an
-    # acceptance on ``a`` the terms that read a's past
+    # the slots to renew: all at the start, and after an acceptance on ``a``
+    # those whose sources hold a
     slots = [(i, *cls) for i in node_list for cls in model.proposal_classes(i)]
-    renewals = {
-        a: [(k, None if src is None else a) for k, (*_, src) in enumerate(slots) if src is None or a in src]
-        for a in node_list
-    }
-    due = [(k, None) for k in range(len(slots))]
-    terms: list[dict[Optional[NodeId], float]] = [{} for _ in slots]
+    renewals = {a: [k for k, (*_, src) in enumerate(slots) if src is None or a in src] for a in node_list}
+    due = range(len(slots))
     bounds, rates = [0.0] * len(slots), [0.0] * len(slots)
     past = Configuration._unsafe(points, window=(-math.inf, 0.0))  # absolute times
     while True:
@@ -159,11 +145,10 @@ def forward_simulate(
             return finish(STEP_BUDGET, t)
         if due:
             try:
-                for k, key in due:
+                for k in due:
                     bound_terms += 1
                     node, cls, weight, _ = slots[k]
-                    terms[k][key] = model.local_bound(node, past, t, source=key, cls=cls)
-                    bounds[k] = max(terms[k].values())
+                    bounds[k] = model.local_bound(node, past, t, cls=cls)
                     rates[k] = weight * bounds[k]
             except ExplosionGuardError:
                 return finish(GUARD_EXIT, t)
@@ -202,7 +187,7 @@ def forward_simulate(
             if len(grown) > len(points):  # the node's first point: keep node order
                 grown = {j: grown[j] for j in node_list if j in grown}
             candidate = Configuration._unsafe(grown, window=(-math.inf, math.nextafter(t_cand, math.inf)))
-            if not all(g.check(candidate) for g in guards):
+            if guard is not None and not guard.check(candidate):
                 return finish(GUARD_EXIT, t_cand)
             n_accepted += 1
             points, past = grown, candidate

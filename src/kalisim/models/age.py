@@ -370,9 +370,7 @@ class AgeHawkesModel(KalikowModel):
             sup = self._sup_cache[key] = self.gamma_bar(i, desc.k) / self.pmf(i, desc)
         return sup
 
-    def local_bound(
-        self, i: NodeId, x: Configuration, t: float = 0.0, source: Optional[NodeId] = None, cls=None
-    ) -> float:
+    def local_bound(self, i: NodeId, x: Configuration, t: float = 0.0, cls=None) -> float:
         # with lambda_k = Gamma_k / Gamma every component is bounded by Gamma,
         # uniformly over the refractory subspace and hence over future shifts
         return self.ladder(i).total

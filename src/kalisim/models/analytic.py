@@ -18,7 +18,7 @@ from ..errors import ExplosionGuardError
 from ..kernels import Kernel
 from ..sampling import RandomStream
 from ..weights import TaylorWeights, default_atomic_weights
-from .base import KalikowModel, atom_future_bound, require_window_covers, require_window_for_supports
+from .base import KalikowModel, _bin_of, atom_future_bound, require_window_covers, require_window_for_supports
 
 
 class PsiSeries:
@@ -168,12 +168,15 @@ class AnalyticHawkesModel(KalikowModel):
         return self.weights[i].sample(rng)
 
     def _live_atoms(self, i: NodeId, x: Configuration) -> list[tuple[NodeId, int]]:
-        """Atoms whose bin holds a point and whose kernel has not yet vanished."""
+        """Atoms whose bin holds a point and whose kernel has not yet vanished.
+
+        Atom (j, n) holds shifted times in [-n*eps, -(n-1)*eps), the bin of
+        ages ((n-1)*eps, n*eps] that ``_bin_of`` finds."""
         out = []
         for j, ker in self._incoming[i].items():
             if ker.is_zero():
                 continue
-            bins = sorted({int(-s / self.eps) + 1 for s in x.points(j) if s < 0.0})
+            bins = sorted({_bin_of(-s, self.eps) for s in x.points(j) if s < 0.0})
             out.extend((j, n) for n in bins if (n - 1) * self.eps < ker.support_end)
         return sorted(out, key=lambda a: (a[1], a[0]))
 
@@ -209,23 +212,19 @@ class AnalyticHawkesModel(KalikowModel):
     # -- forward simulation --------------------------------------------------------------
 
     def proposal_classes(self, i: NodeId) -> tuple:
-        """The whole family as one class, with one bound term per source."""
+        """The whole family as one class, renewed when any source accepts."""
         return ((None, 1.0, frozenset(self._incoming[i])),)
 
-    def local_bound(
-        self, i: NodeId, x: Configuration, t: float = 0.0, source: Optional[NodeId] = None, cls=None
-    ) -> float:
+    def local_bound(self, i: NodeId, x: Configuration, t: float = 0.0, cls=None) -> float:
         """Bound every component value at all future shifts.
 
         With B* the largest atom ratio of ``atom_future_bound``, an order-k
         component is bounded by psi^(k)(0)/k! * (B*)^k / ((1-kappa) kappa^k).
         The factorial wins for entire rate functions; the orders are tracked
         until no later one can exceed the best so far.
-        With ``source=j``, B* is taken over j's atoms only; the bound is
-        nondecreasing in B*, so the largest of these terms is the bound.
         """
         fam = self.weights[i]
-        b_star = atom_future_bound(i, self._incoming[i], fam.atoms, x, t, self.eps, source, self._bin_tables[i])
+        b_star = atom_future_bound(i, self._incoming[i], fam.atoms, x, t, self.eps, None, self._bin_tables[i])
         kappa = fam.order_ratio
         best = self.psi.derivative(0) / (1.0 - kappa)
         if b_star == 0.0:

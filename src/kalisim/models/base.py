@@ -107,9 +107,7 @@ class KalikowModel(ABC):
     # -- forward simulation -------------------------------------------------------
 
     @abstractmethod
-    def local_bound(
-        self, i: NodeId, x: Configuration, t: float = 0.0, source: Optional[NodeId] = None, cls=None
-    ) -> float:
+    def local_bound(self, i: NodeId, x: Configuration, t: float = 0.0, cls=None) -> float:
         """Finite bound dominating every component value of node ``i`` at the
         configuration shifted to ``t``, valid until the next accepted point.
 
@@ -119,11 +117,9 @@ class KalikowModel(ABC):
         point is accepted.
 
         ``cls`` keys a class of ``proposal_classes(i)`` and bounds its
-        components only; None bounds the whole family. ``source=j``, for j in
-        the class's ``sources``, asks for the term of source j: the bound
-        computed as if j's points were the whole past. The largest term is
-        the bound, so a term stays valid until the next point accepted on j.
-        A class whose ``sources`` is None answers with its whole bound.
+        components only; None bounds the whole family. A class's bound may
+        read only the points of its ``sources`` (of every node when they are
+        None), since it is kept while other nodes accept.
         """
 
     def proposal_classes(self, i: NodeId) -> tuple:
@@ -133,10 +129,10 @@ class KalikowModel(ABC):
         cls=key)`` and is bounded by ``local_bound(..., cls=key)``. Every
         descriptor outside the classes must have delta_v = 0 at every past.
 
-        ``sources`` splits a class's bound into per-source terms, of which
-        only the accepted node's is renewed (an empty set keeps the start-up
-        term); None declares one term, renewed after every acceptance. The
-        default is the whole family with one term, ``((None, 1.0, None),)``.
+        ``sources`` are the nodes whose accepted points renew the class's
+        bound: None renews it after every acceptance, and an empty set never.
+        The default is the whole family, renewed after every acceptance,
+        ``((None, 1.0, None),)``.
         """
         return ((None, 1.0, None),)
 

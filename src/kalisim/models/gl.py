@@ -155,9 +155,7 @@ class GLModel(KalikowModel):
 
     # -- simulation ---------------------------------------------------------------------
 
-    def local_bound(
-        self, i: NodeId, x: Configuration, t: float = 0.0, source: Optional[NodeId] = None, cls=None
-    ) -> float:
+    def local_bound(self, i: NodeId, x: Configuration, t: float = 0.0, cls=None) -> float:
         """Finite only when no eligible driving point exists.
 
         A point of node j after node i's last own point can enter the

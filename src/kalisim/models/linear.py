@@ -153,7 +153,7 @@ class LinearHawkesModel(KalikowModel):
 
     def proposal_classes(self, i: NodeId) -> tuple:
         """The empty set, keyed ``EMPTY_ND``, whose bound reads no past; then
-        each live source j's atoms, keyed j, with one term renewed when j
+        each live source j's atoms, keyed j, whose bound is renewed when j
         accepts. A live source without atom weight is a class too, so its
         first point ends the run at the guard."""
         fam = self.weights[i]
@@ -161,13 +161,10 @@ class LinearHawkesModel(KalikowModel):
         atoms = ((j, (1.0 - fam.p_empty) * fam.shares.get(j, 0.0), frozenset((j,))) for j in live)
         return ((EMPTY_ND, fam.p_empty, frozenset()), *atoms)
 
-    def local_bound(
-        self, i: NodeId, x: Configuration, t: float = 0.0, source: Optional[NodeId] = None, cls=None
-    ) -> float:
+    def local_bound(self, i: NodeId, x: Configuration, t: float = 0.0, cls=None) -> float:
         """sup over future shifts of the component values of the class ``cls``:
         the empty set's mu / lambda(empty), or ``atom_future_bound`` over
         source ``cls``'s atoms; the larger of the two for the whole family.
-        An atom reads one source, so ``source=j`` bounds j's bins only.
         """
         fam = self.weights[i]
         if cls is not None and cls is not EMPTY_ND:
@@ -179,7 +176,7 @@ class LinearHawkesModel(KalikowModel):
         best = self.mu[i] / fam.p_empty if self.mu[i] > 0.0 else 0.0
         if cls is EMPTY_ND:
             return best
-        return max(best, atom_future_bound(i, self._incoming[i], fam, x, t, self.eps, source, self._bin_tables[i]))
+        return max(best, atom_future_bound(i, self._incoming[i], fam, x, t, self.eps, None, self._bin_tables[i]))
 
     # -- branching ------------------------------------------------------------------
 

@@ -113,9 +113,7 @@ class TableModel(KalikowModel):
     def global_bound(self, i: NodeId) -> Optional[float]:
         return self._bounds.get(i)
 
-    def local_bound(
-        self, i: NodeId, x: Configuration, t: float = 0.0, source: Optional[NodeId] = None, cls=None
-    ) -> float:
+    def local_bound(self, i: NodeId, x: Configuration, t: float = 0.0, cls=None) -> float:
         # row bounds are sups over all configurations, so they stay valid at
         # every future shift; zero-weight rows carry no component (0/0 = 0)
         best = 0.0

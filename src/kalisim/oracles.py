@@ -9,63 +9,37 @@ agreement between the two routes is an end-to-end check of the machinery.
 from __future__ import annotations
 
 import math
-
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .sampling import RandomStream
 
 
-def ogata_linear_hawkes(
-    mu: float, alpha: float, beta: float, t_max: float, rng: RandomStream
-) -> list[float]:
-    """Single-node linear Hawkes with kernel alpha*exp(-beta t), empty past before 0.
-
-    Classic thinning: between events the intensity decays, so its value just
-    after the last event dominates until the next acceptance.
-    """
-    events: list[float] = []
-    t = 0.0
-    s = 0.0  # sum of exp(-beta (t - t_i)) over past events
-    while True:
-        bound = mu + alpha * s
-        if bound <= 0.0:
-            return events
-        w = rng.exponential(bound)
-        decay = math.exp(-beta * w)
-        t_new = t + w
-        if t_new > t_max:
-            return events
-        s *= decay
-        t = t_new
-        lam = mu + alpha * s
-        if rng.uniform() < lam / bound:
-            events.append(t)
-            s += 1.0
-
-
-def ogata_multivariate_linear_hawkes(
-    mu: Sequence[float],
+def ogata_hawkes(
+    rates: Sequence[Callable[[float], float]],
     alpha: Sequence[Sequence[float]],
     beta: Sequence[Sequence[float]],
     t_max: float,
     rng: RandomStream,
 ) -> list[list[float]]:
-    """Linear Hawkes on nodes 0..n-1 with kernels alpha[i][j]*exp(-beta[i][j] t)
-    from source j to target i, empty past before 0; the event times per node.
+    """Hawkes process on nodes 0..n-1 with intensity rates[i](drive_i), empty
+    past before 0; the event times per node. The drive of node i sums the
+    kernels alpha[i][j]*exp(-beta[i][j] t) from source j over the past events:
+    rates[i] is mu_i + u for linear Hawkes, exp for exponential Hawkes.
 
-    One exponential sum per (target, source) pair. Every intensity decays
-    between events, so their total just after the last event dominates until
-    the next acceptance; an accepted proposal goes to node i with probability
+    One exponential sum per (target, source) pair. With every alpha
+    nonnegative and every rate nondecreasing, each intensity decays between
+    events, so their total just after the last event dominates until the
+    next acceptance; an accepted proposal goes to node i with probability
     intensity_i over that total.
     """
-    n = len(mu)
+    n = len(rates)
     events: list[list[float]] = [[] for _ in range(n)]
     t = 0.0
     # s[i][j]: sum of exp(-beta[i][j] (t - t_k)) over past events t_k of node j
     s = [[0.0] * n for _ in range(n)]
 
     def intensities() -> list[float]:
-        return [mu[i] + sum(alpha[i][j] * s[i][j] for j in range(n)) for i in range(n)]
+        return [rates[i](sum(alpha[i][j] * s[i][j] for j in range(n))) for i in range(n)]
 
     while True:
         bound = sum(intensities())

@@ -8,8 +8,10 @@ The acceptance test module and the ``validate`` CLI subcommand both run these.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -18,8 +20,16 @@ from . import analysis, series
 from .core import Neighborhood
 from .errors import BudgetExhausted, NonSummableError
 from .kernels import AffineRate, ExponentialKernel
-from .models import AgeHawkesModel, LinearHawkesModel, TableEntry, TableModel, lattice_preset
-from .oracles import ogata_age_hawkes, ogata_linear_hawkes, ogata_multivariate_linear_hawkes
+from .models import (
+    AgeHawkesModel,
+    AnalyticHawkesModel,
+    LinearHawkesModel,
+    PsiSeries,
+    TableEntry,
+    TableModel,
+    lattice_preset,
+)
+from .oracles import ogata_age_hawkes, ogata_hawkes
 from .perfect import BackwardBudget, RegionLedger, backward_clan, perfect_sample
 from .forward import forward_simulate
 from .sampling import RandomStream, sample_poisson_region
@@ -178,16 +188,29 @@ def hawkes_ring(n: int = 4) -> LinearHawkesModel:
     return LinearHawkesModel(mu={i: 0.5 for i in range(n)}, kernels=kernels, eps=0.5)
 
 
-def ogata_parameters(model: LinearHawkesModel) -> tuple[list[float], list[list[float]], list[list[float]]]:
-    """(mu, alpha, beta) of an exponential-kernel linear model on nodes
-    0..n-1, as ``ogata_multivariate_linear_hawkes`` takes them."""
+def exp_hawkes(n: int) -> AnalyticHawkesModel:
+    """Exponential Hawkes on ``n`` nodes: psi = exp, and every pair of nodes
+    (self included) coupled by the kernel 0.2/n * exp(-1.5 t)."""
+    kernels = {(i, j): ExponentialKernel(0.2 / n, 1.5) for i in range(n) for j in range(n)}
+    return AnalyticHawkesModel(PsiSeries("exp"), kernels, eps=0.5, nodes=range(n))
+
+
+def ogata_parameters(model) -> tuple[list[Callable[[float], float]], list[list[float]], list[list[float]]]:
+    """(rates, alpha, beta) of an exponential-kernel linear or exp-rate model
+    on nodes 0..n-1, as ``ogata_hawkes`` takes them."""
     nodes = model.node_set()
     if nodes != tuple(range(len(nodes))):
         raise ValueError("the oracle numbers its nodes 0..n-1")
+    if isinstance(model, LinearHawkesModel):
+        rates = [partial(operator.add, model.mu[i]) for i in nodes]
+    elif model.psi.kind == "exp":
+        rates = [math.exp] * len(nodes)
+    else:
+        raise ValueError("the oracle takes linear or exp rates only")
     kernels = [[model.kernels.get((i, j)) for j in nodes] for i in nodes]
     alpha = [[0.0 if k is None else k.alpha for k in row] for row in kernels]
     beta = [[1.0 if k is None else k.beta for k in row] for row in kernels]
-    return [model.mu[i] for i in nodes], alpha, beta
+    return rates, alpha, beta
 
 
 LATTICE_DELTA = 0.005
@@ -339,49 +362,63 @@ def suite_subcriticality_gate(seed: int = 20_505, runs: int = 10_000) -> SuiteRe
 
 
 def suite_forward_oracle(seed: int = 20_606, runs: int = 10_000) -> SuiteReport:
-    """Forward simulator vs direct Ogata on the 1-node linear Hawkes, and on
-    the 4-node ring, whose per-class bound terms one node cannot show: by
-    total variation on [0, 2], and on [0, 10], over many renewals, by means
-    and a KS test of the total counts (``runs // 2`` runs)."""
+    """Forward simulator vs direct Ogata thinning, which shares no code with it.
+
+    The 1-node linear Hawkes and the 4-node ring, whose per-class bounds one
+    node cannot show, by total variation on [0, 2], and the ring on [0, 10],
+    over many renewals, by means and a KS test of the total counts
+    (``runs // 2`` runs). Exponential Hawkes (``exp_hawkes``) on [0, 2], on 1
+    node and on 2 (``runs // 2`` runs), by means and total variation.
+    """
     from scipy import stats
 
     rep = SuiteReport("forward-oracle", seed)
     t0 = time.perf_counter()
     root = RandomStream(seed)
 
-    def counts(model: LinearHawkesModel, t_max: float, n_runs: int, arm: int) -> tuple[np.ndarray, np.ndarray]:
+    def counts(model, t_max: float, n_runs: int, arm: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-node counts, then the total, forward and by the oracle."""
         nodes = model.node_set()
-        mu, alpha, beta = ogata_parameters(model)
+        rates, alpha, beta = ogata_parameters(model)
         fwd, ora = (np.empty((n_runs, len(nodes) + 1), dtype=int) for _ in range(2))
         for r in range(n_runs):
             run = forward_simulate(model, nodes, t_max, 1_000_000, None, root.child(arm, r))
             fwd[r, :-1] = [run.count(i) for i in nodes]
-            events = ogata_multivariate_linear_hawkes(mu, alpha, beta, t_max, root.child(arm + 1, r))
+            events = ogata_hawkes(rates, alpha, beta, t_max, root.child(arm + 1, r))
             ora[r, :-1] = [len(ev) for ev in events]
         fwd[:, -1], ora[:, -1] = fwd[:, :-1].sum(axis=1), ora[:, :-1].sum(axis=1)
         return fwd, ora
 
+    def labels(model) -> list[str]:
+        return [f"N_{i}" for i in model.node_set()] + ["N"]
+
+    def mean_gaps(name: str, model, fwd: np.ndarray, ora: np.ndarray, t_max: float) -> None:
+        for col, label in enumerate(labels(model)):
+            a, b = fwd[:, col], ora[:, col]
+            z = abs(a.mean() - b.mean()) / (math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(len(a)))
+            rep.add(f"{name}: mean difference of {label}[0,{t_max:g}] in SE", z, "< 4", z < 4.0)
+
     single = LinearHawkesModel(mu={0: 1.0}, kernels={(0, 0): ExponentialKernel(alpha=0.5, beta=1.0)}, eps=0.5)
-    fwd = [forward_simulate(single, [0], 2.0, 1_000_000, None, root.child(0, r)).count() for r in range(runs)]
-    ora = [len(ogata_linear_hawkes(1.0, 0.5, 1.0, 2.0, root.child(1, r))) for r in range(runs)]
-    tv = total_variation(fwd, ora)
+    fwd, ora = counts(single, 2.0, runs, 0)
+    tv = total_variation(fwd[:, -1], ora[:, -1])
     rep.add("total variation of N[0,2]", tv, "< 0.05", tv < 0.05)
 
     ring = hawkes_ring()
-    nodes = ring.node_set()
-    labels = [f"N_{i}" for i in nodes] + ["N"]
     fwd, ora = counts(ring, 2.0, runs, 2)
-    for col, label in enumerate(labels):
+    for col, label in enumerate(labels(ring)):
         tv = total_variation(fwd[:, col], ora[:, col])
         rep.add(f"ring: total variation of {label}[0,2]", tv, "< 0.05", tv < 0.05)
     fwd, ora = counts(ring, 10.0, runs // 2, 4)
-    for col, label in enumerate(labels):
-        a, b = fwd[:, col], ora[:, col]
-        z = abs(a.mean() - b.mean()) / (math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(len(a)))
-        rep.add(f"ring: mean difference of {label}[0,10] in SE", z, "< 4", z < 4.0)
+    mean_gaps("ring", ring, fwd, ora, 10.0)
     p = float(stats.ks_2samp(fwd[:, -1], ora[:, -1]).pvalue)
     rep.add("ring: KS p-value of N[0,10]", p, "> 0.01", p > 0.01)
+
+    for arm, n, n_runs in ((6, 1, runs), (8, 2, runs // 2)):
+        model = exp_hawkes(n)
+        fwd, ora = counts(model, 2.0, n_runs, arm)
+        mean_gaps(f"exp on {n} node(s)", model, fwd, ora, 2.0)
+        tv = total_variation(fwd[:, -1], ora[:, -1])
+        rep.add(f"exp on {n} node(s): total variation of N[0,2]", tv, "< 0.05", tv < 0.05)
     rep.seconds = time.perf_counter() - t0
     rep.add("runtime seconds", rep.seconds, "< 60", rep.seconds < 60.0)
     return rep

@@ -1,4 +1,4 @@
-"""Per-source bound terms and the neighborhood-restricted past the forward
+"""Proposal-class bounds and the neighborhood-restricted past the forward
 simulator reads."""
 
 import math
@@ -103,32 +103,16 @@ def random_past(rng: random.Random, nodes, t: float, eps: float) -> Configuratio
 SPLIT_MODELS = [pytest.param(hawkes_ring, id="linear"), pytest.param(analytic_triangle, id="analytic")]
 
 
-def term_sources(m, i) -> list:
-    """Every source some class of node ``i`` splits its bound over."""
-    return sorted(set().union(*(src for _, _, src in m.proposal_classes(i) if src)))
+def before_last_point(x: Configuration, j, t: float) -> tuple[Configuration, float]:
+    """Node ``j``'s past before ``t`` alone, and the time of its last point."""
+    pts = x.points(j)[: bisect_right(x.points(j), t)]
+    return Configuration({j: pts}), pts[-1]
 
 
-class TestTermSplit:
+class TestClassBounds:
     @pytest.mark.parametrize("make", SPLIT_MODELS)
-    def test_largest_term_is_the_bound(self, make):
-        m = make()
-        rng = random.Random(11)
-        for _ in range(60):
-            t = rng.uniform(0.5, 8.0)
-            x = random_past(rng, m.node_set(), t, m.eps)
-            for i in m.node_set():
-                # the whole family's bound, then each class's
-                terms = [m.local_bound(i, x, t, source=j) for j in term_sources(m, i)]
-                assert max(terms) == m.local_bound(i, x, t)
-                for key, _, sources in m.proposal_classes(i):
-                    bound = m.local_bound(i, x, t, cls=key)
-                    if sources:
-                        assert max(m.local_bound(i, x, t, source=j, cls=key) for j in sources) == bound
-                    else:  # a class with no sources reads no past
-                        assert bound == m.local_bound(i, Configuration.empty(), cls=key)
-
-    @pytest.mark.parametrize("make", SPLIT_MODELS)
-    def test_term_reads_only_its_source(self, make):
+    def test_bound_reads_only_its_sources(self, make):
+        # a kept bound stays valid while nodes outside its sources accept
         m = make()
         rng = random.Random(12)
         for _ in range(40):
@@ -137,11 +121,28 @@ class TestTermSplit:
             y = random_past(rng, m.node_set(), t, m.eps)
             for i in m.node_set():
                 for key, _, sources in m.proposal_classes(i):
-                    for j in sources:
-                        if set(x.points(j)) & {s for k in y.nodes() if k != j for s in y.points(k)}:
-                            continue  # mixing the two would collide
-                        mixed = Configuration({**{k: y.points(k) for k in y.nodes() if k != j}, j: x.points(j)})
-                        assert m.local_bound(i, mixed, t, source=j, cls=key) == m.local_bound(i, x, t, source=j, cls=key)
+                    theirs = {s for k in y.nodes() if k not in sources for s in y.points(k)}
+                    if any(set(x.points(j)) & theirs for j in sources):
+                        continue  # mixing the two would collide
+                    mixed = {k: y.points(k) for k in y.nodes() if k not in sources}
+                    mixed = Configuration({**mixed, **{j: x.points(j) for j in sources}})
+                    assert m.local_bound(i, mixed, t, cls=key) == m.local_bound(i, x, t, cls=key)
+
+    @pytest.mark.parametrize("make", SPLIT_MODELS)
+    def test_bound_is_at_most_the_largest_source_bound(self, make):
+        # every bin bound B_n at a later shift is at most its value at the
+        # source's last point, so a bound renewed on one source's point never
+        # exceeds the largest of the bounds each source alone gave when it last
+        # accepted
+        m = make()
+        rng = random.Random(11)
+        for _ in range(60):
+            t = rng.uniform(0.5, 8.0)
+            x = random_past(rng, m.node_set(), t, m.eps)
+            for i in m.node_set():
+                alone = [m.local_bound(i, Configuration.empty())]
+                alone += [m.local_bound(i, *before_last_point(x, j, t)) for j in x.nodes() if x.points(j)]
+                assert m.local_bound(i, x, t) <= max(alone) * (1.0 + 1e-12)
 
     def test_sources_are_the_kernel_sources(self):
         ring = hawkes_ring()
@@ -246,9 +247,9 @@ def crowded_past(rng: random.Random, nodes, t: float, eps: float) -> Configurati
     return Configuration({k: sorted(ts) for k, ts in pts.items()})
 
 
-def bound_or_error(m, i, x, t, source, cls=None):
+def bound_or_error(m, i, x, t, cls):
     try:
-        return m.local_bound(i, x, t, source=source, cls=cls)
+        return m.local_bound(i, x, t, cls=cls)
     except ExplosionGuardError as err:
         return type(err)
 
@@ -288,14 +289,12 @@ class TestCappedWalk:
             t = rng.uniform(30.0, 80.0)
             x = (crowded_past if trial % 2 else random_past)(rng, m.node_set(), t, m.eps)
             for i in m.node_set():
-                keys = [(source, None) for source in (None, *term_sources(m, i))]
-                keys += [(None, key) for key, _, _ in m.proposal_classes(i) if key is not None]
-                for source, key in keys:
-                    cases.append((i, x, t, source, key, bound_or_error(m, i, x, t, source, key)))
+                for key in {None, *(key for key, _, _ in m.proposal_classes(i))}:
+                    cases.append((i, x, t, key, bound_or_error(m, i, x, t, key)))
         assert max(x.n_points() for _, x, *_ in cases) >= 500
         monkeypatch.setattr(module, "atom_future_bound", full_walk_bound)
-        for i, x, t, source, key, capped in cases:
-            assert bound_or_error(m, i, x, t, source, key) == capped
+        for i, x, t, key, capped in cases:
+            assert bound_or_error(m, i, x, t, key) == capped
 
     def test_cost_flat_in_history(self):
         # one recent point and n_old points aged 40-100: the walk stops within
@@ -308,7 +307,7 @@ class TestCappedWalk:
             rng = random.Random(41)
             x = Configuration({0: sorted({100.0 - rng.uniform(40.0, 100.0) for _ in range(n_old)} | {99.7})})
             ker.calls = 0
-            bound = m.local_bound(0, x, 100.0, source=0)
+            bound = m.local_bound(0, x, 100.0)
             calls[n_old] = ker.calls
             assert bound == max(1.0, full_walk_bound(0, {0: ker}, m.weights[0], x, 100.0, m.eps))
         assert max(calls.values()) <= 48, calls

@@ -20,8 +20,8 @@ from kalisim import (
     StepKernel,
 )
 from kalisim.forward import GUARD_EXIT, STEP_BUDGET, TIME_REACHED, forward_simulate
-from kalisim.oracles import ogata_linear_hawkes, ogata_multivariate_linear_hawkes
-from kalisim.validation import hawkes_ring, ogata_parameters
+from kalisim.oracles import ogata_hawkes
+from kalisim.validation import exp_hawkes, hawkes_ring, ogata_parameters
 
 # the 4-node ring of linear Hawkes processes the benchmark's forward workload runs
 RING = (0, 1, 2, 3)
@@ -33,27 +33,27 @@ def ring_kernels():
 
 
 class CountingRing(LinearHawkesModel):
-    """The ring, recording its ``local_bound`` calls as (node, class, source) triples."""
+    """The ring, recording its ``local_bound`` calls as (node, class) pairs."""
 
     def __init__(self, **kw):
         super().__init__(mu={i: MU for i in RING}, kernels=ring_kernels(), eps=EPS, **kw)
         self.bound_calls = []
 
-    def local_bound(self, i, x, t=0.0, source=None, cls=None):
-        self.bound_calls.append((i, cls, source))
-        return super().local_bound(i, x, t, source=source, cls=cls)
+    def local_bound(self, i, x, t=0.0, cls=None):
+        self.bound_calls.append((i, cls))
+        return super().local_bound(i, x, t, cls=cls)
 
 
 class HalfBoundRing(CountingRing):
-    """Declares half of every true term, so the empty set's component exceeds it."""
+    """Declares half of every true bound, so the empty set's component exceeds it."""
 
-    def local_bound(self, i, x, t=0.0, source=None, cls=None):
-        return 0.5 * super().local_bound(i, x, t, source=source, cls=cls)
+    def local_bound(self, i, x, t=0.0, cls=None):
+        return 0.5 * super().local_bound(i, x, t, cls=cls)
 
 
 class OneClassModel(LinearHawkesModel):
     """A linear model thinned at each node's largest component bound: one
-    class, the whole family, with one bound term per source."""
+    class, the whole family, renewed when any source accepts."""
 
     def proposal_classes(self, i):
         return ((None, 1.0, frozenset(self._incoming[i])),)
@@ -63,15 +63,14 @@ class OneClassRing(OneClassModel, CountingRing):
     """The counting ring thinned at each node's largest component bound."""
 
 
-def expected_terms(run, renewed: int) -> list:
-    """The start-up term of every class, node by node (the empty set's, then
+def expected_bounds(run, renewed: int) -> list:
+    """The start-up bound of every class, node by node (the empty set's, then
     each source's atoms), then for each of the first ``renewed`` accepted
-    points, on node a, the term keyed a of the class of a's atoms on every
-    node that reads a."""
-    calls = [(i, cls, None) for i in RING for cls in (EMPTY_ND, *sorted(j for k, j in ring_kernels() if k == i))]
+    points, on node a, the class of a's atoms on every node that reads a."""
+    calls = [(i, cls) for i in RING for cls in (EMPTY_ND, *sorted(j for k, j in ring_kernels() if k == i))]
     accepted = sorted((s, a) for a in RING for s in run.accepted.points(a))
     for _, a in accepted[:renewed]:
-        calls += [(i, a, a) for i in RING if (i, a) in ring_kernels()]
+        calls += [(i, a) for i in RING if (i, a) in ring_kernels()]
     return calls
 
 
@@ -92,7 +91,7 @@ class TestBoundRefresh:
         run = forward_simulate(m, RING, T_MAX, 10_000, None, RandomStream(5))
         assert run.stop_reason == TIME_REACHED
         assert run.proposals > run.count()  # some proposals were rejected
-        assert m.bound_calls == expected_terms(run, run.count())
+        assert m.bound_calls == expected_bounds(run, run.count())
         assert len(m.bound_calls) == 4 * len(RING) + 3 * run.count() == run.bound_terms
 
     def test_step_budget_skips_the_last_refresh(self):
@@ -100,7 +99,7 @@ class TestBoundRefresh:
         run = forward_simulate(m, RING, T_MAX, 5, None, RandomStream(6))
         assert run.stop_reason == STEP_BUDGET
         assert run.count() == 5
-        assert m.bound_calls == expected_terms(run, 4)
+        assert m.bound_calls == expected_bounds(run, 4)
         assert len(m.bound_calls) == 4 * len(RING) + 3 * 4 == run.bound_terms
 
     def test_whole_node_models_renew_every_node(self):
@@ -111,17 +110,18 @@ class TestBoundRefresh:
         m = WholeRing()
         run = forward_simulate(m, RING, T_MAX, 10_000, None, RandomStream(5))
         assert run.stop_reason == TIME_REACHED
-        assert m.bound_calls == [(i, None, None) for i in RING] * (run.count() + 1)
+        assert m.bound_calls == [(i, None) for i in RING] * (run.count() + 1)
         assert run.bound_terms == len(m.bound_calls)
 
-    def test_one_class_renews_per_source_terms(self):
+    def test_one_class_renews_when_a_source_accepts(self):
         m = OneClassRing()
         run = forward_simulate(m, RING, T_MAX, 10_000, None, RandomStream(5))
         assert run.stop_reason == TIME_REACHED
-        calls = [(i, None, None) for i in RING]
+        calls = [(i, None) for i in RING]
         for _, a in sorted((s, a) for a in RING for s in run.accepted.points(a)):
-            calls += [(i, None, a) for i in RING if (i, a) in ring_kernels()]
+            calls += [(i, None) for i in RING if (i, a) in ring_kernels()]
         assert m.bound_calls == calls
+        assert run.bound_terms == len(calls)
 
 
 class TestStops:
@@ -239,49 +239,55 @@ class TestLaw:
     def test_ring_mean_counts_match_the_thinning_oracle(self):
         # per node and in total, forward simulation against the multivariate
         # Ogata oracle, which shares no code with the decomposition
-        m = hawkes_ring()
-        mu, alpha, beta = ogata_parameters(m)
-        t_max, runs = 5.0, 300
-        base = RandomStream(2104)
-        fwd, ora = [], []
-        for r in range(runs):
-            run = forward_simulate(m, RING, t_max, 10_000, None, base.child(0, r))
-            fwd.append([run.count(i) for i in RING] + [run.count()])
-            events = ogata_multivariate_linear_hawkes(mu, alpha, beta, t_max, base.child(1, r))
-            ora.append([len(ev) for ev in events] + [sum(map(len, events))])
-        for col in range(len(RING) + 1):
-            a, b = [row[col] for row in fwd], [row[col] for row in ora]
-            se = math.hypot(statistics.stdev(a), statistics.stdev(b)) / math.sqrt(runs)
-            assert abs(statistics.fmean(a) - statistics.fmean(b)) < 4.0 * se
+        assert_matches_the_oracle(hawkes_ring(), 5.0, 300, 2104)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_exp_mean_counts_match_the_thinning_oracle(self, n):
+        # the Taylor family's single class against Ogata's thinning of e^drive
+        assert_matches_the_oracle(exp_hawkes(n), 2.0, 1000 // n, 2204 + n)
+
+
+def assert_matches_the_oracle(model, t_max: float, runs: int, seed: int) -> None:
+    """Per-node and total counts on [0, t_max], forward and by ``ogata_hawkes``,
+    agree in mean within 4 SE, and the totals by a KS test."""
+    nodes = model.node_set()
+    rates, alpha, beta = ogata_parameters(model)
+    base = RandomStream(seed)
+    fwd, ora = [], []
+    for r in range(runs):
+        run = forward_simulate(model, nodes, t_max, 10_000, None, base.child(0, r))
+        assert run.stop_reason == TIME_REACHED
+        fwd.append([run.count(i) for i in nodes] + [run.count()])
+        events = ogata_hawkes(rates, alpha, beta, t_max, base.child(1, r))
+        ora.append([len(ev) for ev in events] + [sum(map(len, events))])
+    for col in range(len(nodes) + 1):
+        a, b = [row[col] for row in fwd], [row[col] for row in ora]
+        se = math.hypot(statistics.stdev(a), statistics.stdev(b)) / math.sqrt(runs)
+        assert abs(statistics.fmean(a) - statistics.fmean(b)) < 4.0 * se, col
+    assert stats.ks_2samp([row[-1] for row in fwd], [row[-1] for row in ora]).pvalue > 0.01
 
 
 class TestOracle:
-    def test_one_node_is_the_single_node_oracle(self):
-        for seed in range(20):
-            single = ogata_linear_hawkes(1.0, 0.5, 1.0, 5.0, RandomStream(seed))
-            multi = ogata_multivariate_linear_hawkes([1.0], [[0.5]], [[1.0]], 5.0, RandomStream(seed))
-            assert multi == [single]
-
     def test_ring_mean_count_matches_closed_form(self):
-        mu, alpha, beta = ogata_parameters(hawkes_ring())
+        rates, alpha, beta = ogata_parameters(hawkes_ring())
         base = RandomStream(7)
-        counts = [
-            sum(map(len, ogata_multivariate_linear_hawkes(mu, alpha, beta, T_MAX, base.child(r))))
-            for r in range(400)
-        ]
+        counts = [sum(map(len, ogata_hawkes(rates, alpha, beta, T_MAX, base.child(r)))) for r in range(400)]
         se = statistics.stdev(counts) / math.sqrt(len(counts))
         assert abs(statistics.fmean(counts) - ring_closed_form_mean()) < 4.0 * se
 
     def test_parameters_follow_the_kernels(self):
-        mu, alpha, beta = ogata_parameters(hawkes_ring())
-        assert mu == [MU] * 4
+        rates, alpha, beta = ogata_parameters(hawkes_ring())
+        assert [rate(0.0) for rate in rates] == [MU] * 4 and rates[2](1.5) == MU + 1.5
         assert alpha[1] == [ALPHA_NB, ALPHA_SELF, ALPHA_NB, 0.0]
         assert beta[1] == [BETA] * 4
+        rates, alpha, beta = ogata_parameters(exp_hawkes(2))
+        assert rates == [math.exp] * 2
+        assert alpha == [[0.1, 0.1], [0.1, 0.1]] and beta == [[1.5] * 2] * 2
 
 
 def test_golden_ring_run():
-    # recorded with per-class thinning (the empty set and each source's atoms),
-    # per-source bound terms and the neighborhood-restricted past
+    # recorded with per-class thinning (the empty set and each source's atoms)
+    # and the neighborhood-restricted past
     run = forward_simulate(hawkes_ring(), RING, T_MAX, 10_000, None, RandomStream(2104))
     assert run.stop_reason == TIME_REACHED
     pts = sorted((s, i) for i in RING for s in run.accepted.points(i))
@@ -328,16 +334,29 @@ def test_near_critical_ring_stays_cheap(weights):
 
 
 def test_golden_analytic_run():
-    # two exp-rate nodes: every proposal reads the Taylor family's local_bound
+    # two exp-rate nodes: every proposal reads the Taylor family's local_bound,
+    # one class per node renewed after an acceptance on either node
     kernels = {(i, j): ExponentialKernel(0.2 if i == j else 0.1, 1.5) for i in (0, 1) for j in (0, 1)}
     model = AnalyticHawkesModel(PsiSeries("exp"), kernels, eps=0.5, nodes=[0, 1])
     run = forward_simulate(model, (0, 1), 5.0, 10_000, None, RandomStream(3))
     assert run.stop_reason == TIME_REACHED
     pts = sorted((s, i) for i in (0, 1) for s in run.accepted.points(i))
-    assert (len(pts), run.proposals) == (14, 2518)
-    assert (pts[0], pts[-1]) == ((0.011587733931588575, 0), (4.9667855581540055, 1))
+    assert (len(pts), run.proposals) == (13, 4272)
+    assert (pts[0], pts[-1]) == ((0.011587733931588575, 0), (4.7240095536294975, 0))
     digest = hashlib.sha256(",".join(f"{i}:{s.hex()}" for s, i in pts).encode()).hexdigest()
-    assert digest == "dc0dbc052c32cbef4d6f264452c71b06644c9fcfa87a1e7b2e4b121a18ef605c"
+    assert digest == "1fc60a81b47742ea09775d03e05ad1095ef1d9043493ad962afe5a62b63a0c6f"
+
+
+def test_golden_one_node_analytic_run():
+    # one exp-rate node, whose one class reads one source
+    model = AnalyticHawkesModel(PsiSeries("exp"), {(0, 0): ExponentialKernel(0.3, 1.0)}, eps=0.5, nodes=[0])
+    run = forward_simulate(model, [0], 5.0, 10_000, None, RandomStream(505))
+    assert run.stop_reason == TIME_REACHED
+    pts = run.accepted.points(0)
+    assert (len(pts), run.proposals, run.bound_terms) == (8, 976, 9)
+    assert (pts[0], pts[-1]) == (0.23696380030400438, 4.438133426997648)
+    digest = hashlib.sha256(",".join(f"0:{s.hex()}" for s in pts).encode()).hexdigest()
+    assert digest == "47e8597c868f60e6a3a76ecdc5705ed6c379372db9bbb094076759a54ee8d222"
 
 
 def test_closed_form_value():

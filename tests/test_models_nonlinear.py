@@ -68,6 +68,15 @@ class TestAnalyticIdentity:
         assert math.isfinite(at_173) and at_173 >= at_171
         assert abs(at_173 - m.intensity(0, x)) < 1e-12
 
+    @pytest.mark.parametrize("s", [-0.5, -1.0, -1.5, -0.9999])
+    def test_a_point_on_a_bin_edge_is_in_its_atom(self, s):
+        # atom (j, n) holds shifted times in [-n*eps, -(n-1)*eps), so a point
+        # at -n*eps is in bin n, not n + 1
+        m = AnalyticHawkesModel(PsiSeries("exp"), {(0, 0): ExponentialKernel(0.5, 1.0)}, eps=0.5, nodes=[0])
+        x = Configuration({0: [s]})
+        assert m._live_atoms(0, x) == [(0, math.ceil(-s / m.eps))]
+        assert evaluate_decomposition(m, 0, x, 12) == pytest.approx(m.intensity(0, x), rel=1e-12)
+
     def test_weights_sum_to_one(self):
         m = analytic_pair()
         fam = m.weights[0]
