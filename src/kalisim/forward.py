@@ -51,6 +51,7 @@ from .sampling import RandomStream
 TIME_REACHED = "time-reached"
 STEP_BUDGET = "step-budget"
 GUARD_EXIT = "guard-exit"
+NO_BOUND = "no-bound"
 
 
 @dataclass(frozen=True)
@@ -88,8 +89,9 @@ def forward_simulate(
     """Simulate the process on ``nodes`` over [0, t_max] starting from empty past.
 
     ``n_max`` caps the number of accepted points; the run stops at t_max, at
-    the budget, or when accepting a point would leave the guard subspace
-    (that point is not included, so the output always satisfies the guard).
+    the budget, when accepting a point would leave the guard subspace (that
+    point is not included, so the output always satisfies the guard), or with
+    ``NO_BOUND`` when the model has no finite bound for the past it reached.
     The model must keep every component value below its local bound in the
     absence of new points; a violation detected at proposal time invalidates
     the run with a hard error.
@@ -151,7 +153,7 @@ def forward_simulate(
                     bounds[k] = model.local_bound(node, past, t, cls=cls)
                     rates[k] = weight * bounds[k]
             except ExplosionGuardError:
-                return finish(GUARD_EXIT, t)
+                return finish(NO_BOUND, t)
             due = ()
             rate_integral += total * (t - since)
             since = t

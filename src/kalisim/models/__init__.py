@@ -1,6 +1,6 @@
 """Built-in model families and their decompositions."""
 
-from .age import AgeHawkesModel, AutoGammaLadder, PowerGammaLadder
+from .age import AgeHawkesModel, GammaLadder
 from .analytic import AnalyticHawkesModel, PsiSeries
 from .base import KalikowModel, OffspringRow
 from .gl import GLModel
@@ -11,13 +11,12 @@ from .table import TableEntry, TableModel
 __all__ = [
     "AgeHawkesModel",
     "AnalyticHawkesModel",
-    "AutoGammaLadder",
+    "GammaLadder",
     "GLModel",
     "KalikowModel",
     "LatticeAgeModel",
     "LinearHawkesModel",
     "OffspringRow",
-    "PowerGammaLadder",
     "PsiSeries",
     "TableEntry",
     "TableModel",

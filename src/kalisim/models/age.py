@@ -14,6 +14,7 @@ import math
 from bisect import bisect_right
 from typing import Callable, Mapping, Optional, Sequence
 
+from .. import series
 from ..core import Configuration, Neighborhood, NestedND, NodeId, RefractoryGap
 from ..errors import NonSummableError
 from ..kernels import AffineRate, ExponentialKernel, Kernel, StepKernel
@@ -29,34 +30,63 @@ from .base import (
 _WALK_CAP = 10_000_000
 
 
-class _GammaLadder:
+class GammaLadder:
     """One node's per-level bounds Gamma_k and the level law they induce.
 
-    ``total`` is Gamma = sum_k Gamma_k, ``tail(n)`` the exact mass of the
-    rungs beyond n and ``weighted_tail(n)`` is sum_{k>n} k Gamma_k, used for
-    offspring means (each level-k neighborhood has time depth k*delta). The
-    level weights are lambda(v_k) = Gamma_k / Gamma, so that every component
-    is bounded by Gamma.
+    The rungs are the ``head`` values Gamma_1..Gamma_H, then closed-form tail
+    terms: each geometric ``(a, r)`` pair adds a r^{k-1} and each ``power``
+    ``(c, p)`` pair adds c k^{-p} to every rung beyond the head, so totals
+    and tails are exact. ``total`` is Gamma = sum_k Gamma_k, ``tail(n)`` the
+    mass of the rungs beyond n and ``weighted_tail(n)`` is
+    sum_{k>n} k Gamma_k, used for offspring means (each level-k neighborhood
+    has time depth k*delta). The level weights are lambda(v_k) =
+    Gamma_k / Gamma, so that every component is bounded by Gamma.
 
-    ``sample`` inverts the level CDF by bisection on the running sums of the
-    rungs, grown on demand and kept; the list stops growing at the first
-    level whose tail is negligible, which takes every higher draw.
+    Rungs are kept in a list once computed, since ``pmf`` reads one per
+    component value. ``sample`` inverts the level CDF by bisection on the
+    running sums of the rungs, grown on demand and kept; the list stops
+    growing at the first level whose tail is negligible, which takes every
+    higher draw.
     """
 
-    total: float
-
-    def __init__(self):
+    def __init__(self, head: Sequence[float] = (),
+                 geometric: Sequence[tuple[float, float]] = (),
+                 power: Sequence[tuple[float, float]] = ()):
+        self.k_head = len(head)
+        self.geometric = [(a, r) for a, r in geometric if a > 0.0]
+        for _, r in self.geometric:
+            if not 0.0 < r < 1.0:
+                raise ValueError("geometric tail ratio must lie in (0, 1)")
+        self.power = [(float(c), float(p)) for c, p in power]
+        for _, p in self.power:
+            if p <= 2.0:
+                raise ValueError("power tail needs p > 2 for finite offspring means")
+        self._rungs = list(head)
         self._cum: list[float] = []
         self._stop_reached = False
+        self.total = sum(head) + self.tail(self.k_head)
 
     def level(self, k: int) -> float:
-        raise NotImplementedError
+        rungs = self._rungs
+        while len(rungs) < k:
+            n = len(rungs) + 1
+            rungs.append(sum(a * r ** (n - 1) for a, r in self.geometric)
+                         + sum(c * n ** (-p) for c, p in self.power))
+        return rungs[k - 1] if k >= 1 else 0.0
 
     def tail(self, n: int) -> float:
-        raise NotImplementedError
+        if n >= self.k_head:
+            return (sum(a * r**n / (1.0 - r) for a, r in self.geometric)
+                    + sum(c * series.zeta_tail(p, n) for c, p in self.power))
+        return sum(self._rungs[n:self.k_head]) + self.tail(self.k_head)
 
     def weighted_tail(self, n: int) -> float:
-        raise NotImplementedError
+        if n >= self.k_head:
+            # sum_{k>n} k r^{k-1} = r^n ((n+1) - n r) / (1-r)^2
+            return (sum(a * r**n * ((n + 1) - n * r) / (1.0 - r) ** 2 for a, r in self.geometric)
+                    + sum(c * series.zeta_tail(p - 1.0, n) for c, p in self.power))
+        head_part = sum(k * self._rungs[k - 1] for k in range(n + 1, self.k_head + 1))
+        return head_part + self.weighted_tail(self.k_head)
 
     def pmf(self, desc) -> float:
         if self.total <= 0:
@@ -78,74 +108,6 @@ class _GammaLadder:
         return NestedND(min(bisect_right(cum, u) + 1, len(cum)))
 
 
-class AutoGammaLadder(_GammaLadder):
-    """Gamma_k = bar-Gamma_k from the Lipschitz bounds of the kernels.
-
-    Heads are evaluated directly; beyond the saturation depth the rungs are
-    sums of geometric sequences (one per exponential kernel), so totals and
-    tails are exact.
-    """
-
-    def __init__(self, gamma_bar: Callable[[int], float], k_head: int,
-                 exp_terms: Sequence[tuple[float, float]]):
-        super().__init__()
-        self.k_head = max(2, k_head)
-        self.head = [gamma_bar(k) for k in range(1, self.k_head + 1)]
-        self.exp_terms = [(a, r) for a, r in exp_terms if a > 0.0]
-        for _, r in self.exp_terms:
-            if not 0.0 < r < 1.0:
-                raise ValueError("geometric tail ratio must lie in (0, 1)")
-        self.total = sum(self.head) + self.tail(self.k_head)
-
-    def level(self, k: int) -> float:
-        if k < 1:
-            return 0.0
-        if k <= self.k_head:
-            return self.head[k - 1]
-        return sum(a * r ** (k - 1) for a, r in self.exp_terms)
-
-    def tail(self, n: int) -> float:
-        if n >= self.k_head:
-            return sum(a * r**n / (1.0 - r) for a, r in self.exp_terms)
-        return sum(self.head[n:]) + self.tail(self.k_head)
-
-    def weighted_tail(self, n: int) -> float:
-        if n >= self.k_head:
-            # sum_{k>n} k r^{k-1} = r^n ((n+1) - n r) / (1-r)^2
-            return sum(a * r**n * ((n + 1) - n * r) / (1.0 - r) ** 2 for a, r in self.exp_terms)
-        head_part = sum(k * self.head[k - 1] for k in range(n + 1, self.k_head + 1))
-        return head_part + self.weighted_tail(self.k_head)
-
-
-class PowerGammaLadder(_GammaLadder):
-    """Gamma_k = C * k^{-p}; totals and tails via zeta series."""
-
-    def __init__(self, c: float, p: float):
-        from .. import series
-
-        super().__init__()
-        if p <= 2.0:
-            raise ValueError("power ladder needs p > 2 for finite offspring means")
-        self.c = float(c)
-        self.p = float(p)
-        self._series = series
-        self.total = self.c * series.zeta(self.p)
-
-    def level(self, k: int) -> float:
-        return self.c * k ** (-self.p) if k >= 1 else 0.0
-
-    def tail(self, n: int) -> float:
-        return self.c * self._series.zeta_tail(self.p, n)
-
-    def weighted_tail(self, n: int) -> float:
-        return self.c * self._series.zeta_tail(self.p - 1.0, n)
-
-    def square_weighted_tail(self, n: int) -> float:
-        if self.p <= 3.0:
-            raise ValueError("square-weighted power tail needs p > 3")
-        return self.c * self._series.zeta_tail(self.p - 2.0, n)
-
-
 class AgeHawkesModel(KalikowModel):
     """Nested-family decomposition of the age-dependent Hawkes process.
 
@@ -162,7 +124,7 @@ class AgeHawkesModel(KalikowModel):
         self,
         kernel: Callable[[NodeId, NodeId], Optional[Kernel]],
         omega: Callable[[NodeId, int], tuple[NodeId, ...]],
-        ladder: Callable[[NodeId], _GammaLadder],
+        ladder: Callable[[NodeId], GammaLadder],
         psi: Callable[[NodeId], AffineRate],
         refractory: float,
         nodes: Optional[tuple[NodeId, ...]],
@@ -175,7 +137,7 @@ class AgeHawkesModel(KalikowModel):
         self._psi = psi
         self._nodes = nodes
         self._guard = RefractoryGap(self.refractory)
-        self._ladders: dict[NodeId, _GammaLadder] = {}
+        self._ladders: dict[NodeId, GammaLadder] = {}
         self._ladder_of = ladder
         self._expand_cache: dict[tuple[NodeId, int], Neighborhood] = {}
         self._sup_cache: dict[tuple[NodeId, int], float] = {}
@@ -211,8 +173,8 @@ class AgeHawkesModel(KalikowModel):
         def kernel_fn(i: NodeId, j: NodeId) -> Optional[Kernel]:
             return kernels.get((i, j))
 
-        def default_ladder(i: NodeId) -> _GammaLadder:
-            model_view = model  # bound after construction
+        def default_ladder(i: NodeId) -> GammaLadder:
+            # called on first use, once ``model`` below is bound
             k0 = len(ladders_sets[i])
             k_head = k0 + 1
             for (ii, j), ker in kernels.items():
@@ -223,7 +185,7 @@ class AgeHawkesModel(KalikowModel):
                 for (ii, j), ker in kernels.items()
                 if ii == i and isinstance(ker, ExponentialKernel) and not ker.is_zero()
             ]
-            return AutoGammaLadder(lambda k: model_view.gamma_bar(i, k), k_head, exp_terms)
+            return GammaLadder([model.gamma_bar(i, k) for k in range(1, max(2, k_head) + 1)], exp_terms)
 
         model = cls(
             kernel=kernel_fn,
@@ -243,7 +205,7 @@ class AgeHawkesModel(KalikowModel):
     def guard(self):
         return self._guard
 
-    def ladder(self, i: NodeId) -> _GammaLadder:
+    def ladder(self, i: NodeId) -> GammaLadder:
         lad = self._ladders.get(i)
         if lad is None:
             lad = self._ladders[i] = self._ladder_of(i)

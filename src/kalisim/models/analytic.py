@@ -13,8 +13,8 @@ import math
 from itertools import product
 from typing import Mapping, Optional, Sequence
 
-from ..core import EMPTY_ND, Configuration, EmptyND, Neighborhood, NodeId, NoGuard, TaylorND
-from ..errors import ExplosionGuardError
+from ..core import EMPTY_ND, Configuration, EmptyND, Neighborhood, NodeId, TaylorND
+from ..errors import ExplosionGuardError, NonSummableError
 from ..kernels import Kernel
 from ..sampling import RandomStream
 from ..weights import TaylorWeights, default_atomic_weights
@@ -96,16 +96,12 @@ class AnalyticHawkesModel(KalikowModel):
                 atoms = default_atomic_weights(self._incoming[i], self.eps, p_empty=0.0)
                 weights[i] = TaylorWeights(order_ratio, atoms)
         self.weights = dict(weights)
-        self._guard = NoGuard()
         self._bin_tables: dict[NodeId, dict] = {i: {} for i in self._nodes}
 
     # -- structure -------------------------------------------------------------
 
     def node_set(self):
         return self._nodes
-
-    def guard(self):
-        return self._guard
 
     def _drive(self, i: NodeId, x: Configuration) -> float:
         total = 0.0
@@ -181,33 +177,20 @@ class AnalyticHawkesModel(KalikowModel):
         return sorted(out, key=lambda a: (a[1], a[0]))
 
     def enumerate_descriptors(self, i: NodeId, x: Optional[Configuration] = None):
+        """The empty set, then every tuple of the atoms live on ``x`` by order.
+
+        Without ``x`` there is nothing to enumerate over: the family has no
+        global bounds, so no caller reads it unrestricted.
+        """
+        if x is None:
+            raise NonSummableError("the Taylor family is enumerated only over a configuration's live atoms")
         yield EMPTY_ND
-        if x is not None:
-            atoms = self._live_atoms(i, x)
-            k = 1
-            while True:
-                if not atoms:
-                    return
-                for tup in product(atoms, repeat=k):
-                    yield TaylorND(tup)
-                k += 1
-        else:
-            fam = self.weights[i].atoms
-            depth = 1
-            while True:
-                atoms = [
-                    (j, n)
-                    for n in range(1, depth + 1)
-                    for j in fam.nodes
-                    if fam.atom_pmf(j, n) > 0.0
-                ]
-                if not atoms:
-                    return
-                for k in range(1, depth + 1):
-                    for tup in product(atoms, repeat=k):
-                        if k == depth or max(n for _, n in tup) == depth:
-                            yield TaylorND(tup)
-                depth += 1
+        atoms = self._live_atoms(i, x)
+        k = 1
+        while atoms:
+            for tup in product(atoms, repeat=k):
+                yield TaylorND(tup)
+            k += 1
 
     # -- forward simulation --------------------------------------------------------------
 

@@ -9,11 +9,13 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from ..core import Configuration, Neighborhood, NodeId, SubspaceGuard
+from ..core import Configuration, Neighborhood, NodeId, NoGuard, SubspaceGuard
 from ..errors import CoverageError, ExplosionGuardError, NonSummableError
 from ..kernels import Kernel
 from ..sampling import RandomStream
 from ..weights import AtomicWeights
+
+_NO_GUARD = NoGuard()
 
 
 @dataclass(frozen=True)
@@ -48,9 +50,9 @@ class KalikowModel(ABC):
     def node_set(self) -> Optional[tuple[NodeId, ...]]:
         """Explicit nodes for finite models, None for lattice models."""
 
-    @abstractmethod
     def guard(self) -> SubspaceGuard:
-        """Subspace the decomposition is valid on."""
+        """Subspace the decomposition is valid on; every configuration by default."""
+        return _NO_GUARD
 
     # -- decomposition -------------------------------------------------------
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, Optional, Sequence
 
-from ..core import EMPTY_ND, Configuration, EmptyND, Neighborhood, NestedND, NodeId, NoGuard
+from ..core import EMPTY_ND, Configuration, EmptyND, Neighborhood, NestedND, NodeId
 from ..errors import CoverageError, ExplosionGuardError
 from ..kernels import AffineRate
 from ..sampling import RandomStream
@@ -60,16 +60,12 @@ class GLModel(KalikowModel):
         if weights is None:
             weights = {i: GeometricLevels(p_empty=0.5, ratio=0.5) for i in self._nodes}
         self.weights = dict(weights)
-        self._guard = NoGuard()
         self._expand_cache: dict[tuple[int, int], Neighborhood] = {}
 
     # -- structure ----------------------------------------------------------
 
     def node_set(self):
         return self._nodes
-
-    def guard(self):
-        return self._guard
 
     def omega(self, i: NodeId, k: int) -> tuple[NodeId, ...]:
         levels = self._omega_levels[i]

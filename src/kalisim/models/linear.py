@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from ..core import EMPTY_ND, AtomND, Configuration, EmptyND, Neighborhood, NodeId, NoGuard
+from ..core import EMPTY_ND, AtomND, Configuration, EmptyND, Neighborhood, NodeId
 from ..errors import CoverageError, ExplosionGuardError
 from ..kernels import Kernel
 from ..sampling import RandomStream
@@ -74,7 +74,6 @@ class LinearHawkesModel(KalikowModel):
                         f" reaches back to {ker.support_end:g}; the decomposition would be lossy"
                     )
         self._declared = dict(declared_bounds) if declared_bounds else {}
-        self._guard = NoGuard()
         self._expand_cache: dict[tuple[int, int], Neighborhood] = {}
         self._bin_tables: dict[NodeId, dict] = {i: {} for i in self._nodes}
 
@@ -82,9 +81,6 @@ class LinearHawkesModel(KalikowModel):
 
     def node_set(self):
         return self._nodes
-
-    def guard(self):
-        return self._guard
 
     def expand(self, i: NodeId, desc) -> Neighborhood:
         if isinstance(desc, EmptyND):
@@ -155,7 +151,7 @@ class LinearHawkesModel(KalikowModel):
         """The empty set, keyed ``EMPTY_ND``, whose bound reads no past; then
         each live source j's atoms, keyed j, whose bound is renewed when j
         accepts. A live source without atom weight is a class too, so its
-        first point ends the run at the guard."""
+        first point ends the run with no finite bound."""
         fam = self.weights[i]
         live = [j for j, ker in self._incoming[i].items() if not ker.is_zero()]
         atoms = ((j, (1.0 - fam.p_empty) * fam.shares.get(j, 0.0), frozenset((j,))) for j in live)

@@ -15,7 +15,7 @@ from .. import series
 from ..core import NodeId
 from ..errors import NonSummableError
 from ..kernels import AffineRate, ExponentialKernel
-from .age import AgeHawkesModel, PowerGammaLadder
+from .age import AgeHawkesModel, GammaLadder
 from .base import OffspringRow
 
 # most distances an offspring row lists on each side of its node
@@ -61,7 +61,7 @@ class LatticeAgeModel(AgeHawkesModel):
         self.gamma_exponent = float(gamma)
         self.p = float(p)
         self.c_gamma = lattice_c_gamma(gamma)
-        ladder = PowerGammaLadder(self.c_gamma, p)
+        ladder = GammaLadder(power=[(self.c_gamma, p)])
         rate = AffineRate(1.0, 1.0)
         inv_delta = 1.0 / float(delta)
 
@@ -115,8 +115,8 @@ class LatticeAgeModel(AgeHawkesModel):
             near[i - d] = near[i + d] = m
             d += 1
         # d = D + 1 is now the nearest distance left out
-        far = 2.0 * dlt * (lad.square_weighted_tail(d) - d * lad.weighted_tail(d))
-        err = 2.0 * dlt * lad.c * (
+        far = 2.0 * dlt * (self.c_gamma * series.zeta_tail(self.p - 2.0, d) - d * lad.weighted_tail(d))
+        err = 2.0 * dlt * self.c_gamma * (
             series.zeta_tail_err(self.p - 2.0, d) + d * series.zeta_tail_err(self.p - 1.0, d)
         )
         if not err < tol:

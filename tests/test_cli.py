@@ -206,6 +206,63 @@ def test_simulate_perfect_writes_runs_summary_and_ledger(tmp_path):
         assert times == sorted(times)
 
 
+def test_simulate_perfect_records_exhausted_runs(tmp_path, capsys):
+    # one neighbourhood of length 0.5 at bound 5: 2.5 children per point, so
+    # clans outgrow a three-generation budget
+    summary_path = tmp_path / "summary.json"
+    cfg = {
+        "model": dict(TABLE["model"], bounds={"0": 5.0}),
+        "simulation": {"t_max": 1.0, "budget": {"max_generations": 3}},
+        "rng": {"seed": 3, "runs": 3},
+        "output": {"points": str(tmp_path / "points.csv"), "summary": str(summary_path)},
+    }
+    assert main(["simulate-perfect", "--config", write_config(tmp_path, cfg)]) == EXIT_OK
+    summary = json.loads(summary_path.read_text())
+    assert summary["budget_exhausted_runs"] == 2
+    assert [r["budget_exhausted"] for r in summary["runs"]] == [True, True, False]
+    assert summary["runs"][0] == {"run": 0, "seed_path": [3, 0], "budget_exhausted": True}
+    assert capsys.readouterr().err.count("backward budget exhausted") == 2
+
+
+@pytest.mark.parametrize("suite", ["fixed-point", "weight-optimum", "constant-rate-perfect"])
+def test_validate_passes_a_suite_in_process(suite, capsys):
+    assert main(["validate", suite]) == EXIT_OK
+    assert capsys.readouterr().out.startswith(f"suite {suite}: PASS")
+
+
+def analyze_report(tmp_path, capsys, cfg, *flags):
+    assert main(["analyze", "--config", write_config(tmp_path, cfg), *flags]) == EXIT_OK
+    return json.loads(capsys.readouterr().out)
+
+
+def test_analyze_invariant_reduction(tmp_path, capsys):
+    report = analyze_report(tmp_path, capsys, LATTICE, "--invariant")
+    g = kalisim.lattice_preset(4, 4, 0.005).invariant_offspring_mean()
+    assert report["reduction"] == "translation-invariant scalar"
+    assert (report["gamma"], report["verdict"]) == (g, "subcritical")
+    assert report["expected_clan_size"] == 1.0 / (1.0 - g)
+
+
+def test_analyze_theta_solves_the_log_laplace_fixed_point(tmp_path, capsys):
+    # M = [[0.5]] from one neighbourhood, so Phi = theta + 0.5 (e^Phi - 1)
+    ll = analyze_report(tmp_path, capsys, TABLE, "--theta", "0.1")["log_laplace"]
+    (phi,) = ll["fixed_point"]
+    assert ll["theta"] == [0.1]
+    assert ll["residual"] < 1e-11
+    assert phi == pytest.approx(0.1 + 0.5 * math.expm1(phi), abs=1e-11)
+
+
+def test_analyze_p_grid_cost_curve(tmp_path, capsys):
+    curve = analyze_report(tmp_path, capsys, LATTICE, "--p-grid", "3.5,4")["cost_curve"]
+    assert curve["c_gamma"] == kalisim.models.lattice_c_gamma(4.0)
+    assert curve["argmin_p"] == 4.0
+    assert [pt["p"] for pt in curve["points"]] == [3.5, 4.0]
+    # at p = gamma the curve's offspring mean is the invariant reduction's
+    below, at_gamma = curve["points"]
+    assert at_gamma["offspring_mean"] == pytest.approx(kalisim.lattice_preset(4, 4, 0.005).invariant_offspring_mean())
+    assert below["offspring_mean"] > at_gamma["offspring_mean"]
+
+
 def test_simulate_forward_writes_runs_and_summary(tmp_path):
     summary_path = tmp_path / "summary.json"
     cfg = dict(

@@ -8,10 +8,12 @@ from scipy import stats
 
 from kalisim import (
     EMPTY_ND,
+    AffineRate,
     AnalyticHawkesModel,
     AtomicWeights,
     Configuration,
     ExponentialKernel,
+    GLModel,
     LinearHawkesModel,
     NonMonotoneModelError,
     PsiSeries,
@@ -19,7 +21,7 @@ from kalisim import (
     RefractoryGap,
     StepKernel,
 )
-from kalisim.forward import GUARD_EXIT, STEP_BUDGET, TIME_REACHED, forward_simulate
+from kalisim.forward import GUARD_EXIT, NO_BOUND, STEP_BUDGET, TIME_REACHED, forward_simulate
 from kalisim.oracles import ogata_hawkes
 from kalisim.validation import exp_hawkes, hawkes_ring, ogata_parameters
 
@@ -148,7 +150,8 @@ class TestStops:
             weights=weights,
         )
         run = forward_simulate(m, RING, T_MAX, 10_000, None, RandomStream(3))
-        assert run.stop_reason == GUARD_EXIT
+        assert run.stop_reason == NO_BOUND
+        assert run.guard_name == "none"
         assert run.count() == 1
         (node,) = run.accepted.nodes()
         assert run.accepted.points(node) == (run.tau,)
@@ -164,8 +167,19 @@ class TestStops:
         )
         assert [key for key, _, _ in m.proposal_classes(0)] == [EMPTY_ND, 0, 1]
         run = forward_simulate(m, (0, 1), T_MAX, 10_000, None, RandomStream(3))
-        assert run.stop_reason == GUARD_EXIT
+        assert run.stop_reason == NO_BOUND
         assert run.accepted.points(1) == (run.tau,)
+
+    def test_gl_model_has_no_bound_after_its_first_eligible_point(self):
+        # a point of node 1 drives node 0 at every later shift, with level
+        # weights that vanish, so node 0's bound is gone once node 1 fires;
+        # node 0's own points drive no node, so they leave every bound finite
+        m = GLModel(AffineRate(0.5, 1.0), {(0, 1): 0.4}, {(0, 1): 2.0}, step=0.7, nodes=[0, 1])
+        run = forward_simulate(m, (0, 1), T_MAX, 10_000, None, RandomStream(1))
+        assert run.stop_reason == NO_BOUND
+        assert run.guard_name == "none"
+        assert run.accepted.points(1) == (run.tau,)
+        assert len(run.accepted.points(0)) == 2
 
 
 def step_pair(model_class=LinearHawkesModel) -> LinearHawkesModel:

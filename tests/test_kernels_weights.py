@@ -14,7 +14,7 @@ from kalisim import (
     validation,
 )
 from kalisim.models import age
-from kalisim.models.age import AutoGammaLadder
+from kalisim.models.age import GammaLadder
 from kalisim.weights import (
     AtomicWeights,
     FiniteWeights,
@@ -134,7 +134,7 @@ class TestAtomicWeights:
 
 def halving_ladder():
     """Gamma_k = 2^{-k}: a two-rung head, then one geometric term; Gamma = 1."""
-    return AutoGammaLadder(lambda k: 0.5**k, 2, [(0.5, 0.5)])
+    return GammaLadder([0.5, 0.25], [(0.5, 0.5)])
 
 
 class TestLadderAndGeometricLevels:
@@ -159,6 +159,15 @@ class TestLadderAndGeometricLevels:
         monkeypatch.setattr(age, "_WALK_CAP", 3)
         with pytest.raises(NonSummableError, match="walk exceeded its cap"):
             fam.sample(TopDraw())
+
+    @pytest.mark.parametrize(
+        "terms, match",
+        [({"geometric": [(0.5, 1.0)]}, "ratio"), ({"power": [(2.5, 2.0)]}, "p > 2")],
+        ids=["geometric-ratio-1", "power-p-2"],
+    )
+    def test_divergent_tail_terms_are_refused(self, terms, match):
+        with pytest.raises(ValueError, match=match):
+            GammaLadder([1.0], **terms)
 
     def test_levels_and_tail_sum_to_total(self):
         # the first six rungs plus the tail beyond them make up Gamma, for the
@@ -290,7 +299,7 @@ class TestLadderLevelSampling:
 
     @pytest.mark.parametrize(
         "ladder",
-        [halving_ladder(), age.PowerGammaLadder(2.5, 4.0)],
+        [halving_ladder(), GammaLadder(power=[(2.5, 4.0)])],
         ids=["auto", "power"],
     )
     def test_sample_is_the_walked_level(self, ladder):

@@ -16,6 +16,7 @@ from kalisim import (
     ExponentialKernel,
     GLModel,
     NestedND,
+    NonSummableError,
     PsiSeries,
     TaylorND,
     evaluate_decomposition,
@@ -76,6 +77,12 @@ class TestAnalyticIdentity:
         x = Configuration({0: [s]})
         assert m._live_atoms(0, x) == [(0, math.ceil(-s / m.eps))]
         assert evaluate_decomposition(m, 0, x, 12) == pytest.approx(m.intensity(0, x), rel=1e-12)
+
+    def test_enumeration_needs_a_configuration(self):
+        m = analytic_pair()
+        with pytest.raises(NonSummableError, match="live atoms"):
+            next(m.enumerate_descriptors(0))
+        assert list(m.enumerate_descriptors(0, Configuration({}))) == [EMPTY_ND]
 
     def test_weights_sum_to_one(self):
         m = analytic_pair()

@@ -8,6 +8,8 @@ import pytest
 
 from kalisim import (
     AncestorGraph,
+    BackwardBudget,
+    BudgetExhausted,
     Configuration,
     LedgerError,
     Neighborhood,
@@ -26,7 +28,7 @@ from kalisim import (
 )
 from kalisim.core import TableND
 from kalisim.models import LatticeAgeModel
-from kalisim.validation import bounded_age_model, two_node_clan_model
+from kalisim.validation import bounded_age_model, spread_gate_model, two_node_clan_model
 
 GAMMA = P = 4.0
 DELTA = 0.005
@@ -235,6 +237,34 @@ class TestRealizedOnce:
         self.assert_children_match_the_ledger(model, ledger)
 
 
+class TestBudgetExhausted:
+    """A supercritical clan (offspring mean 5 * 0.25 = 1.25) stops at either
+    cap with an error that carries the graph built so far."""
+
+    def exhaust(self, budget, match):
+        ledger = RegionLedger()
+        with pytest.raises(BudgetExhausted, match=match) as info:
+            backward_clan(spread_gate_model(5.0), 0, 0.0, ledger, RandomStream(1), budget=budget)
+        graph = info.value.graph
+        assert graph.root == (0, 0.0)
+        assert not graph.terminated
+        # the ledger holds the root and every point the clan simulated
+        assert ledger.n_points() == 1 + graph.new_point_count
+        return graph, [r.generation for r in ledger.points_in(0, -math.inf, math.inf)]
+
+    def test_generation_cap(self):
+        graph, generations = self.exhaust(BackwardBudget(max_generations=4), "exceeded 4 generations")
+        # every generation up to the cap was simulated, and none beyond it
+        assert max(generations) == 4
+        assert graph.new_point_count == 17
+
+    def test_point_cap(self):
+        graph, generations = self.exhaust(BackwardBudget(max_points=10), "exceeded 10 points")
+        # the point past the cap raises as soon as it is simulated
+        assert graph.new_point_count == 11
+        assert max(generations) == 4
+
+
 class TestSupremum:
     def test_component_values_stay_below_the_supremum(self):
         model = lattice_preset(GAMMA, P, DELTA)
@@ -353,7 +383,7 @@ class TestGoldenLattice:
 
 class TestGoldenBoundedAge:
     """Seeded outputs of the finite age model, whose levels are drawn from an
-    ``AutoGammaLadder``; seed 7 realizes a clan before time 0."""
+    ``GammaLadder`` with a geometric tail; seed 7 realizes a clan before time 0."""
 
     @pytest.mark.parametrize(
         "seed, count, ends, digest, n_points, ledger_digest, lookbacks",
