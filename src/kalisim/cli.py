@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -23,6 +24,16 @@ from .validation import SUITES, run_suite
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
+
+
+def _emit(text: str) -> None:
+    """Print ``text`` to stdout; a reader that closed the pipe early (as
+    ``| head`` does) ends the output quietly instead of with a traceback."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the unwritten rest goes to the null device, or the flush at exit raises again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -253,21 +264,20 @@ def _cmd_analyze(args) -> int:
             fh.write(text + "\n")
         print(f"analysis report -> {args.out}")
     else:
-        print(text)
+        _emit(text)
     return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
     if args.suite == "list":
-        for name in sorted(SUITES):
-            print(name)
+        _emit("\n".join(sorted(SUITES)))
         return EXIT_OK
     try:
         report = run_suite(args.suite, seed=args.seed)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return EXIT_CONFIG
-    print(report.render())
+    _emit(report.render())
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 

@@ -13,10 +13,14 @@ rediscovers the point, and the forward pass, read those instead of the ledger.
 
 A point with drawn neighborhood v is accepted when its uniform mark is below
 phi_v(x)/Gamma. When the model bounds phi_v by ``component_sup`` and the mark
-already lies at or above that bound over Gamma, no past can accept the point:
-it is rejected as soon as v is drawn, realizes no region and has no children.
-The mark is independent of v and of x, so the law is unchanged; a region left
-unrealized is realized later, once, by whichever point needs it.
+already lies at or above that bound over Gamma, no past can accept the point.
+A root is screened that way inside the ledger's walk, right after its step,
+mark and neighborhood are drawn: it is counted as a clan of 1 and is never
+stored, so it costs those three draws and nothing else. A clan member is
+screened when its neighborhood is drawn, is rejected and realizes no region.
+The mark is independent of v and of x, and a rejected point enters no x, so
+the law is unchanged; a region left unrealized is realized later, once, by
+whichever point needs it.
 """
 
 from __future__ import annotations
@@ -123,20 +127,16 @@ def _expanded_children(rec: PointRecord) -> list[PointRecord]:
     return rec.children
 
 
-def _decided_by_mark(model, rec: PointRecord, rng: RandomStream) -> bool:
-    """Draw the record's neighborhood if it has none; reject the record when
-    its mark alone decides it, and say whether it did.
+def _decided_by_mark(model, node: NodeId, neighborhood, mark: float, gam: float) -> bool:
+    """Whether ``mark`` rejects a point of ``node`` with this neighborhood
+    whatever its past holds: whether it lies at or above the model's
+    ``component_sup`` over ``gam``, the node's global bound Gamma.
 
     ``sup / gam`` uses the float operations of ``forward_accept``'s
     ``value / gam``, so whenever value <= sup the two comparisons agree.
     """
-    if rec.neighborhood is None:
-        rec.neighborhood = model.sample_neighborhood(rec.node, rng)
-    sup = model.component_sup(rec.node, rec.neighborhood)
-    if sup is None or rec.mark < sup / model.global_bound(rec.node):
-        return False
-    rec.decision = False
-    return True
+    sup = model.component_sup(node, neighborhood)
+    return sup is not None and not mark < sup / gam
 
 
 def backward_clan(
@@ -172,7 +172,10 @@ def backward_clan(
     old_stack: list[PointRecord] = []
 
     def expand(rec: PointRecord) -> tuple[list[PointRecord], list[PointRecord]]:
-        if _decided_by_mark(model, rec, rng):
+        if rec.neighborhood is None:
+            rec.neighborhood = model.sample_neighborhood(rec.node, rng)
+        if _decided_by_mark(model, rec.node, rec.neighborhood, rec.mark, model.global_bound(rec.node)):
+            rec.decision = False
             graph.mark_decided += 1
             return [], []
         new: list[PointRecord] = []
@@ -305,26 +308,33 @@ def _node_sweep(
             f"{type(model).__name__} has no global bound for node {node}; "
             "perfect simulation needs the bounded regime"
         )
+
+    def screen(mark: float):
+        # a root its mark rejects is a clan of 1 that looks nowhere; the
+        # walk neither stores it nor covers its time on its own
+        neighborhood = model.sample_neighborhood(node, draws)
+        if not _decided_by_mark(model, node, neighborhood, mark, gam):
+            return neighborhood
+        if stats is not None:
+            stats.roots += 1
+            stats.mark_decided += 1
+            stats.clan_sizes.append(1)
+            stats.lookbacks.append(0.0)
+        return None
+
     cursor = start
     while True:
-        rec = ledger.advance(node, cursor, limit, gam, draws)
+        rec = ledger.advance(node, cursor, limit, gam, draws, screen)
         if rec is None:
             return
         cursor = rec.time
         if rec.decision is None:
-            # a root its mark decides needs no clan, so none is built
-            if _decided_by_mark(model, rec, draws):
-                if stats is not None:
-                    stats.mark_decided += 1
-                    stats.clan_sizes.append(1)
-                    stats.lookbacks.append(0.0)
-            else:
-                graph = backward_clan(model, node, rec.time, ledger, draws, budget, root_record=rec)
-                forward_accept(graph, model, ledger)
-                if stats is not None:
-                    stats.mark_decided += graph.mark_decided
-                    stats.clan_sizes.append(graph.clan_size())
-                    stats.lookbacks.append(graph.lookback)
+            graph = backward_clan(model, node, rec.time, ledger, draws, budget, root_record=rec)
+            forward_accept(graph, model, ledger)
+            if stats is not None:
+                stats.mark_decided += graph.mark_decided
+                stats.clan_sizes.append(graph.clan_size())
+                stats.lookbacks.append(graph.lookback)
         if stats is not None:
             stats.roots += 1
         if rec.decision:

@@ -2,8 +2,11 @@
 
 The ledger is the bookkeeping that makes perfect simulation exact: each
 space-time region of the dominating Poisson processes is realized exactly
-once, and every later request over the same region replays the stored points
-bit for bit.
+once, and every later request over the same region replays its stored points
+bit for bit. It stores every realized point that can affect a decision. A
+point that a walk draws in a gap and that its mark rejects whatever the past
+holds is an independent thinning of the process (the marking theorem): it
+never enters a configuration, so the walk draws it and does not store it.
 
 Every draw of a run goes through one :class:`RandomStream`, which hands out
 its generator's i.i.d. uniform doubles in order from a buffer it refills in
@@ -24,7 +27,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -183,10 +186,11 @@ class PointRecord:
     """One realized point of a dominating process, with its attached marks.
 
     ``mark`` is the uniform thinning mark drawn at creation time;
-    ``neighborhood`` is the descriptor drawn at first expansion; ``children``
-    are the realized points of that neighborhood, stored when the expansion
-    realizes it (the region cannot gain points afterwards); ``decision`` is
-    set exactly once by the forward pass.
+    ``neighborhood`` is the descriptor drawn at first expansion, or by the
+    screen of the walk that drew the point (``RegionLedger.advance``);
+    ``children`` are the realized points of that neighborhood, stored when the
+    expansion realizes it (the region cannot gain points afterwards);
+    ``decision`` is set exactly once by the forward pass.
     """
 
     node: int
@@ -221,10 +225,12 @@ class RegionLedger:
 
     Each node keeps its coverage, half-open intervals kept disjoint and merged
     when abutting (endpoints compared exactly, no epsilon merging), and its
-    realized points, stored once each as a ``PointRecord`` in a list sorted by
-    time. Records carry their marks and are shared by every simulation step of
-    one run. A region request returns the records it finds and makes, so a
-    caller that keeps them never reads a realized region again.
+    stored points, once each as a ``PointRecord`` in a list sorted by time.
+    Region requests store every point they draw; ``advance`` stores the points
+    its screen keeps, so a covered stretch holds exactly the points that can
+    affect a decision. Records carry their marks and are shared by every
+    simulation step of one run. A region request returns the records it finds
+    and makes, so a caller that keeps them never reads a realized region again.
 
     No two points share a time, on any node, because ``Configuration`` forbids
     simultaneous points. An exact collision (a measure-zero event realized by
@@ -431,18 +437,33 @@ class RegionLedger:
         return self._store_point(node, self._node(node), t, mark)
 
     def advance(
-        self, node: int, cursor: float, limit: float, rate: float, rng: RandomStream
+        self,
+        node: int,
+        cursor: float,
+        limit: float,
+        rate: float,
+        rng: RandomStream,
+        screen: Optional[Callable[[float], object]] = None,
     ) -> Optional[PointRecord]:
-        """Next point of the dominating process strictly after ``cursor``.
+        """Next stored point of the dominating process strictly after ``cursor``.
 
-        Walks forward through realized coverage (replaying stored points) and
-        extends the realization with exponential steps in the gaps, registering
-        every traversed stretch as visited. An exponential step overshooting a
-        gap certifies the gap empty; one overshooting ``limit`` certifies
-        emptiness up to ``limit`` and returns ``None``.
+        Walks forward through realized coverage, replaying stored points, and
+        through the gaps with exponential steps, each new point drawing its
+        mark right after its step. ``screen``, if given, is called with each
+        new point's mark; it draws the point's neighborhood from ``rng`` and
+        returns it, or returns None when the mark rejects the point whatever
+        the past holds. A rejected point is not stored and the walk steps on
+        from it; a kept point is stored with its neighborhood and returned.
+
+        Each stretch of a gap is covered once, when the walk stores a point or
+        leaves the gap: an exponential step overshooting the gap certifies it
+        empty of stored points, and one overshooting ``limit`` certifies that
+        up to ``limit`` and returns ``None``.
         """
         led = self._check_rate(node, rate)
         starts, ends, times = led.starts, led.ends, led.times
+        used = self._times_used
+        step, uniform = rng.exponential, rng.uniform
         pos = cursor
         while pos < limit:
             k = bisect_right(starts, pos) - 1
@@ -454,21 +475,34 @@ class RegionLedger:
                     return led.records[lo]
                 pos = end
                 continue
-            # in the gap after interval k: each stretch walked is covered in place
+            # in the gap after interval k, walked from ``start``. ``stray`` is the
+            # first stored point past it: one inside the gap is an error, which
+            # _cover_gap raises before the step past the point draws a mark, as
+            # a walk that stores every point does
             gap_end = starts[k + 1] if k + 1 < len(starts) else math.inf
-            cand = pos + rng.exponential(rate)
-            while cand in self._times_used:  # also keeps the new point's time unique
-                cand = pos + rng.exponential(rate)
-            if cand < min(gap_end, limit):
-                self._cover_gap(node, led, k, pos, cand)
-                return self._store_point(node, led, cand, rng.uniform())
-            if gap_end <= limit:
-                # gap exhausted without a point: [pos, gap_end) is empty
-                self._cover_gap(node, led, k, pos, gap_end)
-                pos = gap_end
-            else:
-                self._cover_gap(node, led, k, pos, limit)
-                return None
+            end = min(gap_end, limit)
+            lo = bisect_right(times, pos)
+            stray = times[lo] if lo < len(times) else math.inf
+            start = pos
+            while True:
+                cand = pos + step(rate)
+                while cand in used:  # also keeps the new point's time unique
+                    cand = pos + step(rate)
+                if cand >= end:
+                    break
+                if stray < cand:
+                    self._cover_gap(node, led, k, start, cand)
+                mark = uniform()
+                neighborhood = None if screen is None else screen(mark)
+                if screen is None or neighborhood is not None:
+                    self._cover_gap(node, led, k, start, cand)
+                    rec = self._store_point(node, led, cand, mark)
+                    rec.neighborhood = neighborhood
+                    return rec
+                pos = cand
+            # the step overshot the gap or ``limit``: [start, end) holds no stored point
+            self._cover_gap(node, led, k, start, end)
+            pos = end
         return None
 
     # -- serialization -------------------------------------------------------------

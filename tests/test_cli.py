@@ -49,11 +49,14 @@ def write_config(tmp_path, cfg) -> str:
     return str(path)
 
 
+def _checkout_env():
+    src = str(Path(kalisim.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_python(*args):
     """A fresh interpreter that imports this checkout's kalisim."""
-    src = str(Path(kalisim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=_checkout_env(), timeout=120)
 
 
 def run_cli(*args):
@@ -65,6 +68,43 @@ def test_package_runs_as_a_module():
     proc = run_cli("validate", "clan-size")
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stdout.startswith("suite clan-size: PASS")
+
+
+# weight exponents whose cost curve fills a report of about 350 kB, several
+# times what a pipe buffers
+LONG_P_GRID = ",".join(str(3.1 + k / 2000) for k in range(1800))
+
+
+@pytest.mark.parametrize(
+    "command, lines",
+    [
+        # a report of a few hundred bytes: the reader closes before it is written
+        ("validate", 0),
+        # a report longer than the pipe holds: the writer is still writing
+        # when the reader closes after one line
+        ("analyze", 1),
+    ],
+)
+def test_a_reader_that_closes_early_ends_the_output_quietly(tmp_path, command, lines):
+    if command == "validate":
+        args = ["validate", "fixed-point"]
+    else:
+        args = ["analyze", "--config", write_config(tmp_path, LATTICE), "--p-grid", LONG_P_GRID]
+    read_end, write_end = os.pipe()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kalisim", *args],
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_checkout_env(),
+    )
+    os.close(write_end)
+    with os.fdopen(read_end) as reader:
+        head = [reader.readline() for _ in range(lines)]
+    _, err = proc.communicate(timeout=120)
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    assert proc.returncode == EXIT_OK
+    assert head == (["{\n"] if lines else [])
 
 
 def test_cli_import_leaves_scipy_unloaded():

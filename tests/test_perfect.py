@@ -338,16 +338,16 @@ class TestGoldenLattice:
         [
             (1, 18, (0.1391345220728425, 19.92645463415173),
              "5eee30d8768c1d06aa6434119093f6a8eb7e50aeea9cd5cf732afc9d22110684",
-             897, "b530f90d94806736b2e97604e657ad021cd8f35315226e9ec8fb43154be1ae1b"),
+             154, "11056a2b3932add1013455ec5c948c0cde305f5df182582f4cad87c668093050"),
             (2, 14, (0.9087731901094759, 19.79197716994342),
              "2ddf37e53124a9750a6d1da79ef27166497a51d2a5d76b84b83d59f23d5e58ab",
-             830, "a40b99007eb7787122440108f892055e5f555be486a78a2f66815ad80a3fdafc"),
+             162, "d74ae9b03f4f481ad61affda7397e14ea13d345705f672bcaa644541913a5bab"),
             (3, 28, (0.6136409517471587, 19.695639660583407),
              "d43725ddc9cf180fb6f7711a52ab507362669dbe23a65d0cb13b9f643d9a347c",
-             959, "b6bff5ba1942eec7c9344010da3ba0d6817b22e77eeda227ddd5ad1aabf07aae"),
+             216, "e7c1ca5272a1941375437d771146bc332f9c2b87c4b53f0cd09b8bfcfe34042f"),
             (4, 21, (2.1030695529277037, 18.904445759161852),
              "3004022e9111dd5a9b96842b3b5fce271d403429bc2004ee14e7949e10e8ae1e",
-             925, "cd29ad82ad266d3d8308f68eaef393f10ce17f85eabe9a620d5e8a5c6aadaa52"),
+             179, "fdf6c48bd2890c729506e0a8312707f3b5d8fd943f677fcb31b767e6a364d365"),
         ],
         ids=["seed1", "seed2", "seed3", "seed4"],
     )
@@ -377,8 +377,28 @@ class TestGoldenLattice:
             assert len(pts) == count
             assert (pts[0], pts[-1]) == ends
             assert _times_digest(pts) == digest
-        assert ledger.n_points() == 920
-        assert _ledger_digest(ledger) == "038fa518dd8519a1158d1840900a3216ad6ca003db9dcc1568f8fdd6706de332"
+        assert ledger.n_points() == 174
+        assert _ledger_digest(ledger) == "0f45a462ee694d9d5e690f6e3bbfe2ea62b7b420c709cbcb4c7268f15d947989"
+
+    @pytest.mark.parametrize(
+        "seed, roots, accepted, mark_decided, histogram, max_lookback",
+        [
+            (1, 816, 18, 815, {1: 780, 2: 19, 3: 6, 4: 6, 5: 2, 6: 1, 9: 1, 12: 1}, 0.03602296124601523),
+            (2, 747, 14, 744, {1: 709, 2: 21, 3: 6, 4: 4, 5: 3, 6: 1, 7: 1, 8: 1, 9: 1}, 0.029233386325248745),
+            (3, 837, 28, 851, {1: 799, 2: 20, 3: 9, 4: 1, 5: 2, 6: 1, 7: 1, 11: 1, 15: 2, 25: 1},
+             0.053266206650371295),
+            (4, 826, 21, 834, {1: 787, 2: 19, 3: 7, 4: 6, 5: 3, 7: 1, 8: 2, 17: 1}, 0.03000000000000025),
+        ],
+        ids=["seed1", "seed2", "seed3", "seed4"],
+    )
+    def test_run_stats(self, seed, roots, accepted, mark_decided, histogram, max_lookback):
+        # every root, decision and clan of the run, whatever the ledger stores
+        stats = PerfectRunStats()
+        perfect_sample(lattice_preset(GAMMA, P, DELTA), 0, 20.0, RandomStream(seed), stats=stats)
+        report = stats.to_json()
+        assert (report["roots"], report["accepted"], report["mark_decided"]) == (roots, accepted, mark_decided)
+        assert report["clan_size_histogram"] == {str(k): v for k, v in histogram.items()}
+        assert report["max_lookback"] == max_lookback
 
 
 class TestGoldenBoundedAge:
@@ -415,7 +435,13 @@ def test_window_stats_sum_over_the_windows():
     windows = [(0, (0.0, 3.0)), (1, (2.0, 5.0)), (0, (4.0, 6.0))]
     model = lattice_preset(GAMMA, P, DELTA)
     out = perfect_sample_window(model, windows, RandomStream(8), ledger=ledger, stats=stats)
-    # every point of a swept window is one root, decided once
-    per_window = [len(ledger.points_in(node, a, b)) for node, (a, b) in windows]
-    assert stats.roots == sum(per_window) > 0
+    # the walk draws every root of a ledger that stores them all
+    assert stats.roots == 325
+    # a root is either stored and decided once, or rejected by its mark as the
+    # walk drew it and never stored: a clan of 1 that looked nowhere
+    stored = [rec for node, (a, b) in windows for rec in ledger.points_in(node, a, b)]
+    assert all(rec.decision is not None for rec in stored)
+    screened = sum(1 for size, back in zip(stats.clan_sizes, stats.lookbacks) if (size, back) == (1, 0.0))
+    assert stats.roots == len(stored) + screened
+    assert 0 < len(stored) < stats.roots
     assert stats.accepted == len(out.points(0)) + len(out.points(1)) > 0

@@ -409,6 +409,51 @@ class TestRegionLedger:
 
         assert walk(99) == walk(99)
 
+    def test_screened_walk_keeps_the_draws_of_the_plain_walk(self):
+        # the screen draws each point's neighborhood and rejects marks >= 0.5;
+        # the plain walk stores every point and its caller draws the same
+        def screen_of(rng):
+            return lambda mark: (rng.uniform(),) if mark < 0.5 else None
+
+        def walk(screened):
+            led, rng = RegionLedger(), RandomStream(31)
+            led.realize_new(0, [(2.0, 3.0)], 4.0, rng)
+            screen = screen_of(rng) if screened else None
+            kept, cursor = [], 0.0
+            while (rec := led.advance(0, cursor, 6.0, 4.0, rng, screen)) is not None:
+                cursor = rec.time
+                if 2.0 <= rec.time < 3.0:
+                    continue  # a replayed point draws nothing
+                if screen is None:
+                    rec.neighborhood = screen_of(rng)(rec.mark)
+                if rec.neighborhood is not None:
+                    kept.append((rec.time, rec.mark, rec.neighborhood))
+            return kept, led, rng.uniform()
+
+        (plain, plain_led, plain_next), (kept, led, after) = walk(False), walk(True)
+        assert kept and kept == plain and after == plain_next
+        assert led.coverage(0) == plain_led.coverage(0) == [(0.0, 6.0)]
+        # the rejected points were never stored
+        replayed = len(led.points_in(0, 2.0, 3.0))
+        assert led.n_points() == len(kept) + replayed < plain_led.n_points()
+
+    def test_a_stored_point_in_a_gap_raises_before_the_step_past_it_draws_a_mark(self):
+        # the reference walk stores every point; the screened one rejects them all
+        def walk(led, *screen):
+            rng = RandomStream(8)
+            led.add_proposal_point(0, 1.5, mark=0.0)
+            cursor = 0.0
+            with pytest.raises(LedgerError, match="stored points"):
+                while (rec := led.advance(0, cursor, 6.0, 4.0, rng, *screen)) is not None:
+                    cursor = rec[0] if isinstance(rec, tuple) else rec.time
+            return rng.uniform()
+
+        reference, screened = ReferenceLedger(), RegionLedger()
+        assert walk(screened, lambda mark: None) == walk(reference)
+        assert reference.n_points() > 1
+        # the screened walk stored nothing and wrote no coverage before raising
+        assert screened.n_points() == 1 and screened.coverage(0) == []
+
     def test_dump_roundtrip(self, tmp_path):
         led = RegionLedger()
         led.realize_new(1, [(-1.0, 0.0)], 2.0, RandomStream(5))
