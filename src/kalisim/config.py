@@ -400,7 +400,7 @@ def build_model(section: dict):
         omega = None
         if section.get("omega"):
             omega = {int(i): lv for i, lv in section["omega"].items()}
-        return AgeHawkesModel.finite(
+        return AgeHawkesModel(
             psi=AffineRate(float(psi.get("base", 1.0)), float(psi.get("slope", 1.0))),
             kernels=_kernel_map(section),
             refractory=float(section["refractory"]),

@@ -11,8 +11,8 @@ the perfect simulator needs.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from typing import Callable, Mapping, Optional, Sequence
+from bisect import bisect_left, bisect_right
+from typing import Mapping, Optional, Sequence
 
 from .. import series
 from ..core import Configuration, Neighborhood, NestedND, NodeId, RefractoryGap
@@ -23,6 +23,7 @@ from .base import (
     KalikowModel,
     OffspringRow,
     nested_levels,
+    require_known_nodes,
     require_window_covers,
     require_window_for_supports,
 )
@@ -109,93 +110,43 @@ class GammaLadder:
 
 
 class AgeHawkesModel(KalikowModel):
-    """Nested-family decomposition of the age-dependent Hawkes process.
+    """Nested-family decomposition of the age-dependent Hawkes process on a
+    finite network, held as data: ``kernels[(i, j)]`` is the kernel through
+    which node j drives node i, ``psi`` the rate of every node (or a map from
+    node to rate) and ``omega[i]`` node i's nested node sets level by level
+    (default omega_1 = {i}, omega_2 = every node). Beyond the last level the
+    node set saturates while the time window keeps deepening.
 
-    Construction is strategy-based so a translation-invariant lattice model
-    and an explicit finite network share the machinery:
-
-    * ``kernel(i, j)`` returns the interaction kernel or None,
-    * ``omega(i, k)`` returns the k-th nested node set (omega_1 = {i}),
-    * ``ladder(i)`` returns the Gamma ladder of node i,
-    * ``psi(i)`` returns the rate function of node i.
+    The network is read only through ``kernel``, ``omega``, ``psi`` and
+    ``ladder``; ``LatticeAgeModel`` overrides those four for the integers.
     """
 
     def __init__(
         self,
-        kernel: Callable[[NodeId, NodeId], Optional[Kernel]],
-        omega: Callable[[NodeId, int], tuple[NodeId, ...]],
-        ladder: Callable[[NodeId], GammaLadder],
-        psi: Callable[[NodeId], AffineRate],
-        refractory: float,
-        nodes: Optional[tuple[NodeId, ...]],
-    ):
-        if refractory <= 0:
-            raise ValueError("refractory length must be positive")
-        self.refractory = float(refractory)
-        self._kernel = kernel
-        self._omega = omega
-        self._psi = psi
-        self._nodes = nodes
-        self._guard = RefractoryGap(self.refractory)
-        self._ladders: dict[NodeId, GammaLadder] = {}
-        self._ladder_of = ladder
-        self._expand_cache: dict[tuple[NodeId, int], Neighborhood] = {}
-        self._sup_cache: dict[tuple[NodeId, int], float] = {}
-
-    @classmethod
-    def finite(
-        cls,
         psi: AffineRate | Mapping[NodeId, AffineRate],
         kernels: Mapping[tuple[NodeId, NodeId], Kernel],
         refractory: float,
         nodes: Sequence[NodeId],
         omega: Optional[Mapping[NodeId, Sequence[Sequence[NodeId]]]] = None,
-    ) -> "AgeHawkesModel":
-        """Explicit finite network.
+    ):
+        self._nodes = tuple(sorted(int(n) for n in nodes))
+        self.kernels = {(int(i), int(j)): k for (i, j), k in kernels.items()}
+        require_known_nodes(self.kernels, self._nodes, "kernel")
+        self._psi = dict(psi) if isinstance(psi, Mapping) else {i: psi for i in self._nodes}
+        self._levels = {
+            i: nested_levels(i, (omega or {}).get(i), self._nodes, {j for (ii, j) in self.kernels if ii == i})
+            for i in self._nodes
+        }
+        self._set_refractory(refractory)
 
-        ``omega[i]`` lists the nested node sets per level; the default is
-        omega_1 = {i} and omega_2 = every node. Beyond the last listed level
-        the node set saturates while the time window keeps deepening.
-        """
-        node_tuple = tuple(sorted(int(n) for n in nodes))
-        kernels = {(int(i), int(j)): k for (i, j), k in kernels.items()}
-        psi_map = dict(psi) if isinstance(psi, Mapping) else {i: psi for i in node_tuple}
-
-        ladders_sets = {}
-        for i in node_tuple:
-            sources = {j for (ii, j) in kernels if ii == i}
-            ladders_sets[i] = nested_levels(i, (omega or {}).get(i), node_tuple, sources)
-
-        def omega_fn(i: NodeId, k: int) -> tuple[NodeId, ...]:
-            levels = ladders_sets[i]
-            return levels[min(k, len(levels)) - 1]
-
-        def kernel_fn(i: NodeId, j: NodeId) -> Optional[Kernel]:
-            return kernels.get((i, j))
-
-        def default_ladder(i: NodeId) -> GammaLadder:
-            # called on first use, once ``model`` below is bound
-            k0 = len(ladders_sets[i])
-            k_head = k0 + 1
-            for (ii, j), ker in kernels.items():
-                if ii == i and isinstance(ker, StepKernel):
-                    k_head = max(k_head, math.ceil(ker.support_end / refractory) + 1)
-            exp_terms = [
-                (psi_map[i].lipschitz * ker.alpha, math.exp(-ker.beta * refractory))
-                for (ii, j), ker in kernels.items()
-                if ii == i and isinstance(ker, ExponentialKernel) and not ker.is_zero()
-            ]
-            return GammaLadder([model.gamma_bar(i, k) for k in range(1, max(2, k_head) + 1)], exp_terms)
-
-        model = cls(
-            kernel=kernel_fn,
-            omega=omega_fn,
-            ladder=default_ladder,
-            psi=lambda i: psi_map[i],
-            refractory=refractory,
-            nodes=node_tuple,
-        )
-        return model
+    def _set_refractory(self, refractory: float) -> None:
+        if refractory <= 0:
+            raise ValueError("refractory length must be positive")
+        self.refractory = float(refractory)
+        self._guard = RefractoryGap(self.refractory)
+        self._ladders: dict[NodeId, GammaLadder] = {}
+        self._expand_cache: dict[tuple[NodeId, int], Neighborhood] = {}
+        self._sup_cache: dict[tuple[NodeId, int], float] = {}
 
     # -- structure ----------------------------------------------------------
 
@@ -205,17 +156,39 @@ class AgeHawkesModel(KalikowModel):
     def guard(self):
         return self._guard
 
+    def kernel(self, i: NodeId, j: NodeId) -> Optional[Kernel]:
+        """The kernel through which node j drives node i, or None."""
+        return self.kernels.get((i, j))
+
+    def omega(self, i: NodeId, k: int) -> tuple[NodeId, ...]:
+        """The k-th nested node set of node i (omega_1 = {i}), in increasing order."""
+        levels = self._levels[i]
+        return levels[min(k, len(levels)) - 1]
+
+    def psi(self, i: NodeId) -> AffineRate:
+        return self._psi[i]
+
     def ladder(self, i: NodeId) -> GammaLadder:
         lad = self._ladders.get(i)
         if lad is None:
-            lad = self._ladders[i] = self._ladder_of(i)
+            lad = self._ladders[i] = self._build_ladder(i)
         return lad
 
-    def omega(self, i: NodeId, k: int) -> tuple[NodeId, ...]:
-        return self._omega(i, k)
-
-    def kernel(self, i: NodeId, j: NodeId) -> Optional[Kernel]:
-        return self._kernel(i, j)
+    def _build_ladder(self, i: NodeId) -> GammaLadder:
+        """bar-Gamma_k up to the first level past the listed node sets and the
+        step kernels' supports, then L alpha e^{-beta (k-1) delta} per
+        exponential kernel into i."""
+        incoming = [ker for (ii, _), ker in self.kernels.items() if ii == i]
+        k_head = len(self._levels[i]) + 1
+        for ker in incoming:
+            if isinstance(ker, StepKernel):
+                k_head = max(k_head, math.ceil(ker.support_end / self.refractory) + 1)
+        exp_terms = [
+            (self.psi(i).lipschitz * ker.alpha, math.exp(-ker.beta * self.refractory))
+            for ker in incoming
+            if isinstance(ker, ExponentialKernel) and not ker.is_zero()
+        ]
+        return GammaLadder([self.gamma_bar(i, k) for k in range(1, k_head + 1)], exp_terms)
 
     def expand(self, i: NodeId, desc) -> Neighborhood:
         if not isinstance(desc, NestedND):
@@ -224,7 +197,7 @@ class AgeHawkesModel(KalikowModel):
         nb = self._expand_cache.get(key)
         if nb is None:
             d = desc.k * self.refractory
-            nb = Neighborhood([(j, -d, 0.0) for j in self._omega(i, desc.k)])
+            nb = Neighborhood([(j, -d, 0.0) for j in self.omega(i, desc.k)])
             self._expand_cache[key] = nb
         return nb
 
@@ -234,38 +207,40 @@ class AgeHawkesModel(KalikowModel):
         """1{age_i(x) > delta}: no own point within the trailing refractory window."""
         return x.count_in(i, -self.refractory, 0.0) == 0
 
-    def _drive(self, i: NodeId, k: int, x: Configuration) -> float:
-        if k < 1:
-            return 0.0
-        lo = -k * self.refractory
-        total = 0.0
-        for j in self._omega(i, k):
-            ker = self._kernel(i, j)
+    def _drives(self, i: NodeId, k: int, x: Configuration) -> tuple[float, float]:
+        """The drives truncated to v_{k-1} and to v_k (k >= 2), from one walk
+        over v_k's points. omega_{k-1} lists its nodes in omega_k's order, so
+        each drive adds the same values in the same order as its own walk."""
+        lo, lo_prev = -k * self.refractory, -(k - 1) * self.refractory
+        inner = self.omega(i, k - 1)
+        prev = cur = 0.0
+        for j in self.omega(i, k):
+            ker = self.kernel(i, j)
             if ker is None:
                 continue
-            for s in x.points_in(j, lo, 0.0):
-                total += ker(-s)
-        return total
+            pts = x.points_in(j, lo, 0.0)
+            split = bisect_left(pts, lo_prev) if j in inner else len(pts)
+            for s in pts[:split]:
+                cur += ker(-s)
+            for s in pts[split:]:
+                v = ker(-s)
+                cur += v
+                prev += v
+        return prev, cur
 
     def intensity(self, i: NodeId, x: Configuration) -> float:
-        sources = x.nodes() if self._nodes is None else self._nodes
-        supports = []
-        for j in sources:
-            ker = self._kernel(i, j)
-            if ker is not None:
-                supports.append(ker.support_end)
-        require_window_for_supports(x, supports)
+        nodes = self.node_set()
+        sources = x.nodes() if nodes is None else nodes
+        incoming = [(j, ker) for j in sources if (ker := self.kernel(i, j)) is not None]
+        require_window_for_supports(x, [ker.support_end for _, ker in incoming])
         if not self._alive(i, x):
             return 0.0
         total = 0.0
-        for j in sources:
-            ker = self._kernel(i, j)
-            if ker is None:
-                continue
+        for j, ker in incoming:
             for s in x.points(j):
                 if s < 0.0:
                     total += ker(-s)
-        return self._psi(i)(total)
+        return self.psi(i)(total)
 
     def delta(self, i: NodeId, desc, x: Configuration) -> float:
         if not isinstance(desc, NestedND):
@@ -273,11 +248,12 @@ class AgeHawkesModel(KalikowModel):
         require_window_covers(x, self.expand(i, desc))
         if not self._alive(i, x):
             return 0.0
-        psi = self._psi(i)
+        psi = self.psi(i)
         if desc.k == 1:
             # within v_1 the indicator forces an empty own-window drive
             return psi.at_zero
-        return psi(self._drive(i, desc.k, x)) - psi(self._drive(i, desc.k - 1, x))
+        prev, cur = self._drives(i, desc.k, x)
+        return psi(cur) - psi(prev)
 
     def pmf(self, i: NodeId, desc) -> float:
         return self.ladder(i).pmf(desc)
@@ -302,16 +278,14 @@ class AgeHawkesModel(KalikowModel):
         """
         if k < 1:
             raise ValueError("level index must be >= 1")
-        psi = self._psi(i)
+        psi = self.psi(i)
         if k == 1:
             return psi.at_zero
         lip = psi.lipschitz
-        cur = self._omega(i, k)
-        prev = self._omega(i, k - 1)
-        prev_set = set(prev)
+        prev_set = set(self.omega(i, k - 1))
         total = 0.0
-        for j in cur:
-            ker = self._kernel(i, j)
+        for j in self.omega(i, k):
+            ker = self.kernel(i, j)
             if ker is None:
                 continue
             if j in prev_set:
@@ -339,28 +313,16 @@ class AgeHawkesModel(KalikowModel):
 
     # -- branching ----------------------------------------------------------------
 
-    def entry_level(self, i: NodeId, j: NodeId) -> Optional[int]:
-        """First level whose node set contains j (None if never)."""
-        prev = None
-        for k in range(1, 1_000_001):
-            members = self._omega(i, k)
-            if j in members:
-                return k
-            if members == prev:
-                return None  # saturated without ever containing j
-            prev = members
-        return None
-
     def offspring_row(self, i: NodeId, tol: float = 1e-8) -> OffspringRow:
-        if self._nodes is None:
-            raise NotImplementedError("lattice models provide their own offspring row")
+        """M_ij = Gamma_j delta sum_{k >= k_j} k Gamma_k / Gamma_i, over the
+        levels k at or past the first level k_j whose node set holds j."""
         lad = self.ladder(i)
         gamma_total = lad.total
         row: dict[NodeId, float] = {}
         for j in self._nodes:
-            lvl = self.entry_level(i, j)
-            if lvl is None:
+            entry = next((k for k, members in enumerate(self._levels[i], 1) if j in members), None)
+            if entry is None:
                 continue
-            mean_depth = lad.weighted_tail(lvl - 1) / gamma_total
+            mean_depth = lad.weighted_tail(entry - 1) / gamma_total
             row[j] = self._require_bound(j) * self.refractory * mean_depth
         return OffspringRow(row)

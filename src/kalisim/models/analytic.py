@@ -18,7 +18,14 @@ from ..errors import ExplosionGuardError, NonSummableError
 from ..kernels import Kernel
 from ..sampling import RandomStream
 from ..weights import TaylorWeights, default_atomic_weights
-from .base import KalikowModel, _bin_of, atom_future_bound, require_window_covers, require_window_for_supports
+from .base import (
+    KalikowModel,
+    _bin_of,
+    atom_future_bound,
+    require_known_nodes,
+    require_window_covers,
+    require_window_for_supports,
+)
 
 
 class PsiSeries:
@@ -86,6 +93,7 @@ class AnalyticHawkesModel(KalikowModel):
         self.eps = float(eps)
         self._nodes = tuple(sorted(int(n) for n in nodes))
         self.kernels = {(int(i), int(j)): k for (i, j), k in kernels.items()}
+        require_known_nodes(self.kernels, self._nodes, "kernel")
         self._incoming = {
             i: {j: self.kernels.get((i, j)) for j in self._nodes if (i, j) in self.kernels}
             for i in self._nodes
@@ -208,10 +216,10 @@ class AnalyticHawkesModel(KalikowModel):
         """
         fam = self.weights[i]
         b_star = atom_future_bound(i, self._incoming[i], fam.atoms, x, t, self.eps, None, self._bin_tables[i])
-        kappa = fam.order_ratio
-        best = self.psi.derivative(0) / (1.0 - kappa)
+        best = self.psi.derivative(0) / fam.p_empty
         if b_star == 0.0:
             return best
+        kappa = fam.order_ratio
         term_base = b_star / kappa
         max_order = self.psi.max_order()
         d_sup = self.psi.derivative_sup()

@@ -186,6 +186,14 @@ def require_window_for_supports(x: Configuration, supports: list[float]) -> None
         )
 
 
+def require_known_nodes(pairs: Iterable[tuple[NodeId, NodeId]], nodes: Iterable[NodeId], what: str) -> None:
+    """Raise ValueError on the first (target, source) pair naming a node outside ``nodes``."""
+    known = set(nodes)
+    for i, j in pairs:
+        if i not in known or j not in known:
+            raise ValueError(f"{what} ({i},{j}) references an unknown node")
+
+
 def nested_levels(
     i: NodeId,
     given: Optional[Sequence[Sequence[NodeId]]],
@@ -197,8 +205,9 @@ def nested_levels(
     ``given`` lists them level by level; the default is omega_1 = {i} and
     omega_2 = ``nodes``. The summand of level k is the rate on omega_k minus
     the rate on omega_{k-1}, so omega_1 must be {i}, every level must contain
-    the one before (or a summand goes negative) and the last level must hold
-    every node in ``sources`` (or the summands miss part of the intensity).
+    the one before (or a summand goes negative), the last level must hold
+    every node in ``sources`` (or the summands miss part of the intensity) and
+    no level may name a node outside ``nodes``.
     """
     levels = [(i,), nodes] if given is None else [tuple(sorted(int(j) for j in lvl)) for lvl in given]
     if not levels or levels[0] != (i,):
@@ -206,6 +215,9 @@ def nested_levels(
     for a, b in zip(levels, levels[1:]):
         if not set(a) <= set(b):
             raise ValueError(f"omega levels of node {i} must be nested")
+    stray = sorted(set(levels[-1]) - set(nodes))
+    if stray:
+        raise ValueError(f"omega levels of node {i} reference unknown nodes {stray}")
     if not set(sources) <= set(levels[-1]):
         raise ValueError(f"omega levels of node {i} must eventually cover every source node {i} reads")
     return levels

@@ -19,7 +19,7 @@ from ..errors import CoverageError, ExplosionGuardError
 from ..kernels import AffineRate
 from ..sampling import RandomStream
 from ..weights import GeometricLevels
-from .base import KalikowModel, nested_levels, require_window_covers
+from .base import KalikowModel, nested_levels, require_known_nodes, require_window_covers
 
 
 class GLModel(KalikowModel):
@@ -53,6 +53,8 @@ class GLModel(KalikowModel):
             if k < 0:
                 raise ValueError("saturation thresholds must be nonnegative")
             self.sat[(int(i), int(j))] = float(k)
+        require_known_nodes(self.beta, self._nodes, "beta")
+        require_known_nodes(self.sat, self._nodes, "saturation")
         self._omega_levels = {}
         for i in self._nodes:
             sources = {j for (ii, j), b in self.beta.items() if ii == i and b > 0.0}

@@ -13,6 +13,7 @@ from .base import (
     KalikowModel,
     OffspringRow,
     atom_future_bound,
+    require_known_nodes,
     require_window_for_supports,
 )
 
@@ -53,9 +54,7 @@ class LinearHawkesModel(KalikowModel):
             raise ValueError("spontaneous rates must be nonnegative")
         self.eps = float(eps)
         self.kernels = {(int(i), int(j)): k for (i, j), k in kernels.items()}
-        for i, j in self.kernels:
-            if i not in self.mu or j not in self.mu:
-                raise ValueError(f"kernel ({i},{j}) references an unknown node")
+        require_known_nodes(self.kernels, self.mu, "kernel")
         self._nodes = tuple(sorted(self.mu))
         self._incoming = {
             i: {j: self.kernels.get((i, j)) for j in self._nodes if (i, j) in self.kernels}

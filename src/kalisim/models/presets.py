@@ -1,10 +1,11 @@
-"""Named model presets; chiefly the integer-lattice age model.
+"""The integer-lattice age model, the paper's infinite-network example.
 
-The lattice preset is the fully worked infinite-network example: nodes are
-the integers, psi(u) = 1 + u (psi(0) = 1, Lipschitz constant 1), interaction
-kernels h_ij(t) = beta_ij exp(-t/delta) with beta_ii = 1 and
-beta_ij = 1 / (2 |j-i|^g) for j != i, nested node sets growing symmetrically,
-and per-level bounds Gamma_k = C_g k^{-p} for a weight exponent p in (3, g].
+Nodes are the integers, psi(u) = 1 + u (psi(0) = 1, Lipschitz constant 1),
+interaction kernels h_ij(t) = beta_ij exp(-t/delta) with beta_ii = 1 and
+beta_ij = 1 / (2 |j-i|^g) for j != i, nested node sets
+omega_k = {i-k+1, ..., i+k-1} growing symmetrically, and per-level bounds
+Gamma_k = C_g k^{-p} for a weight exponent p in (3, g]. ``LatticeAgeModel``
+overrides the network methods of ``AgeHawkesModel`` and keeps the rest.
 """
 
 from __future__ import annotations
@@ -61,27 +62,32 @@ class LatticeAgeModel(AgeHawkesModel):
         self.gamma_exponent = float(gamma)
         self.p = float(p)
         self.c_gamma = lattice_c_gamma(gamma)
-        ladder = GammaLadder(power=[(self.c_gamma, p)])
-        rate = AffineRate(1.0, 1.0)
-        inv_delta = 1.0 / float(delta)
+        self._ladder = GammaLadder(power=[(self.c_gamma, p)])
+        self._rate = AffineRate(1.0, 1.0)
+        self._by_distance: dict[int, ExponentialKernel] = {}
+        self._set_refractory(float(delta))
 
-        def kernel(i: NodeId, j: NodeId) -> ExponentialKernel:
-            beta = 1.0 if j == i else 0.5 / abs(j - i) ** gamma
-            return ExponentialKernel(alpha=beta, beta=inv_delta)
+    # -- the network: every node alike, kernels by distance ----------------------
 
-        def omega(i: NodeId, k: int):
-            if k == 1:
-                return (i,)
-            return tuple(range(i - k + 1, i + k))
+    def node_set(self):
+        return None
 
-        super().__init__(
-            kernel=kernel,
-            omega=omega,
-            ladder=lambda i: ladder,
-            psi=lambda i: rate,
-            refractory=float(delta),
-            nodes=None,
-        )
+    def kernel(self, i: NodeId, j: NodeId) -> ExponentialKernel:
+        d = abs(j - i)
+        ker = self._by_distance.get(d)
+        if ker is None:
+            beta = 1.0 if d == 0 else 0.5 / d**self.gamma_exponent
+            ker = self._by_distance[d] = ExponentialKernel(alpha=beta, beta=1.0 / self.refractory)
+        return ker
+
+    def omega(self, i: NodeId, k: int) -> tuple[NodeId, ...]:
+        return (i,) if k == 1 else tuple(range(i - k + 1, i + k))
+
+    def psi(self, i: NodeId) -> AffineRate:
+        return self._rate
+
+    def ladder(self, i: NodeId) -> GammaLadder:
+        return self._ladder
 
     # -- translation-invariant branching reductions ---------------------------
 

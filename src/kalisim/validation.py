@@ -115,7 +115,7 @@ def poisson_chisquare_pvalue(counts: Sequence[int], mean: float) -> float:
 
 def bounded_age_model() -> AgeHawkesModel:
     """1-node age-dependent model safely inside the bounded regime."""
-    return AgeHawkesModel.finite(
+    return AgeHawkesModel(
         psi=AffineRate(0.5, 0.5),
         kernels={(0, 0): ExponentialKernel(alpha=0.8, beta=2.0)},
         refractory=0.5,

@@ -189,7 +189,8 @@ class TaylorWeights:
     (1 - kappa) kappa^k * prod_m q(alpha_m), with q from an atomic family.
 
     Redundant descriptors (equal unions with different index tuples) stay
-    distinct and carry their own mass.
+    distinct and carry their own mass. A node that no kernel drives has no
+    atoms, and its family is the empty set alone, with weight 1.
     """
 
     order_ratio: float
@@ -198,12 +199,13 @@ class TaylorWeights:
     def __post_init__(self):
         if not 0.0 < self.order_ratio < 1.0:
             raise ValueError("order ratio must lie in (0, 1)")
-        if self.atoms.p_empty != 0.0:
+        if self.atoms.nodes and self.atoms.p_empty != 0.0:
             raise ValueError("the Taylor atom distribution must not contain the empty set")
+        self.p_empty = 1.0 - self.order_ratio if self.atoms.nodes else 1.0
 
     def pmf(self, desc) -> float:
         if isinstance(desc, EmptyND):
-            return 1.0 - self.order_ratio
+            return self.p_empty
         if not isinstance(desc, TaylorND):
             return 0.0
         w = (1.0 - self.order_ratio) * self.order_ratio ** desc.order()
@@ -214,6 +216,8 @@ class TaylorWeights:
         return w
 
     def sample(self, rng: RandomStream):
+        if not self.atoms.nodes:
+            return EMPTY_ND
         k = rng.geometric(1.0 - self.order_ratio) - 1
         if k == 0:
             return EMPTY_ND

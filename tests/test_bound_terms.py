@@ -390,7 +390,7 @@ def gl_pair() -> GLModel:
 
 
 def age_pair() -> AgeHawkesModel:
-    return AgeHawkesModel.finite(
+    return AgeHawkesModel(
         psi=AffineRate(0.5, 0.5),
         kernels={(0, 0): ExponentialKernel(0.8, 2.0), (0, 1): StepKernel([0.0, 0.6, 1.3], [0.4, 0.2]), (1, 0): ExponentialKernel(0.5, 1.0)},
         refractory=0.4,

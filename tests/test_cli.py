@@ -29,6 +29,19 @@ TABLE = {
     }
 }
 
+AGE = {
+    "model": {
+        "family": "age",
+        "nodes": [0, 1],
+        "psi": {"base": 0.5, "slope": 0.2},
+        "refractory": 0.1,
+        "kernels": [{"from": 0, "to": 0, "type": "exponential", "alpha": 0.3, "beta": 1.0}],
+    }
+}
+# levels that reach node 5, which is not a node of the network
+AGE_STRAY_LEVEL = {"model": dict(AGE["model"], omega={"0": [[0], [0, 5]]})}
+AGE_STRAY_KERNEL = {"model": dict(AGE["model"], kernels=[dict(AGE["model"]["kernels"][0], to=7)])}
+
 
 def truncated(trunc):
     """FINITE with a kernel reaching back two bins and atom weights truncated at ``trunc``."""
@@ -161,6 +174,9 @@ def test_analyze_lattice_sample(tmp_path, capsys):
         ("simulate-forward", {"model": dict(FINITE["model"], eps=float("nan"))}, ["--t-max", "1"], EXIT_CONFIG),
         ("simulate-forward", truncated("x"), ["--t-max", "1"], EXIT_CONFIG),
         ("simulate-forward", truncated(2.5), ["--t-max", "1"], EXIT_CONFIG),
+        ("simulate-perfect", AGE_STRAY_LEVEL, ["--t-max", "200", "--runs", "3"], EXIT_CONFIG),
+        ("analyze", AGE_STRAY_LEVEL, [], EXIT_CONFIG),
+        ("analyze", AGE_STRAY_KERNEL, [], EXIT_CONFIG),
     ],
     ids=[
         "invalid-config",
@@ -188,6 +204,9 @@ def test_analyze_lattice_sample(tmp_path, capsys):
         "forward-nan-eps",
         "forward-trunc-not-a-number",
         "forward-trunc-not-an-integer",
+        "perfect-level-names-unknown-node",
+        "analyze-level-names-unknown-node",
+        "analyze-kernel-to-unknown-node",
     ],
 )
 def test_analyze_failure_exit_codes(tmp_path, command, cfg, extra, expected):

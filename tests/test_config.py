@@ -181,6 +181,28 @@ def test_a_non_finite_number_is_rejected_by_path(cfg, violation):
     assert info.value.violations == [violation]
 
 
+@pytest.mark.parametrize(
+    "family, change, violation",
+    [
+        ("age", {"omega": {"0": [[0], [0, 5]]}}, "model: omega levels of node 0 reference unknown nodes [5]"),
+        ("age", {"kernels": [dict(EXP_KERNEL, to=7)]}, "model: kernel (7,0) references an unknown node"),
+        ("analytic", {"kernels": [dict(EXP_KERNEL, **{"from": 7})]}, "model: kernel (0,7) references an unknown node"),
+        ("gl", {"beta": [{"to": 7, "from": 1, "value": 0.3}]}, "model: beta (7,1) references an unknown node"),
+    ],
+    ids=["age-level", "age-kernel", "analytic-kernel", "gl-beta"],
+)
+def test_a_reference_to_an_unknown_node_is_rejected(family, change, violation):
+    with pytest.raises(ConfigError) as info:
+        parse_config({"model": dict(FAMILIES[family][0], **change)})
+    assert info.value.violations == [violation]
+
+
+def test_an_analytic_node_that_no_kernel_drives_builds():
+    model = parse_config({"model": dict(FAMILIES["analytic"][0], nodes=[0, 1])}).build_model()
+    assert model.node_set() == (0, 1)
+    assert model.weights[1].p_empty == 1.0
+
+
 def test_a_missing_bin_ratio_names_the_field_and_node():
     section = dict(FAMILIES["linear"][0], weights={"shares": {"0": 1.0}})
     with pytest.raises(ConfigError) as info:

@@ -260,10 +260,20 @@ class TestLaw:
         # the Taylor family's single class against Ogata's thinning of e^drive
         assert_matches_the_oracle(exp_hawkes(n), 2.0, 1000 // n, 2204 + n)
 
+    def test_a_node_no_kernel_drives_fires_at_psi_zero(self):
+        # node 1 reads no kernel, so its family is the empty set alone, at
+        # psi(0) = 1; node 0 is an exponential Hawkes process on its own
+        model = AnalyticHawkesModel(PsiSeries("exp"), {(0, 0): ExponentialKernel(0.2, 1.5)}, eps=0.5, nodes=[0, 1])
+        t_max, runs = 2.0, 500
+        counts = [row[1] for row in assert_matches_the_oracle(model, t_max, runs, 2304)]
+        se = statistics.stdev(counts) / math.sqrt(runs)
+        assert abs(statistics.fmean(counts) - t_max) < 4.0 * se
 
-def assert_matches_the_oracle(model, t_max: float, runs: int, seed: int) -> None:
+
+def assert_matches_the_oracle(model, t_max: float, runs: int, seed: int) -> list[list[int]]:
     """Per-node and total counts on [0, t_max], forward and by ``ogata_hawkes``,
-    agree in mean within 4 SE, and the totals by a KS test."""
+    agree in mean within 4 SE, and the totals by a KS test. Returns the
+    forward runs' per-node counts, each row ending with the total."""
     nodes = model.node_set()
     rates, alpha, beta = ogata_parameters(model)
     base = RandomStream(seed)
@@ -279,6 +289,7 @@ def assert_matches_the_oracle(model, t_max: float, runs: int, seed: int) -> None
         se = math.hypot(statistics.stdev(a), statistics.stdev(b)) / math.sqrt(runs)
         assert abs(statistics.fmean(a) - statistics.fmean(b)) < 4.0 * se, col
     assert stats.ks_2samp([row[-1] for row in fwd], [row[-1] for row in ora]).pvalue > 0.01
+    return fwd
 
 
 class TestOracle:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,9 +10,12 @@ from kalisim import (
     ExponentialKernel,
     GuardViolation,
     NestedND,
+    PerfectRunStats,
     RandomStream,
+    StepKernel,
     evaluate_decomposition,
     lattice_preset,
+    perfect_sample,
 )
 from kalisim.errors import NonSummableError
 from kalisim.models import AgeHawkesModel, OffspringRow, lattice_c_gamma, lattice_gamma_bar
@@ -20,11 +24,27 @@ from kalisim import analysis, series
 
 
 def finite_model(psi0=0.5, slope=0.5, alpha=0.8, beta=2.0, delta=0.5):
-    return AgeHawkesModel.finite(
+    return AgeHawkesModel(
         psi=AffineRate(psi0, slope),
         kernels={(0, 0): ExponentialKernel(alpha, beta)},
         refractory=delta,
         nodes=[0],
+    )
+
+
+def two_node_model():
+    """Node 1 drives node 0 through an exponential kernel and node 0 drives
+    node 1 through a step kernel; node 0 lists three levels, node 1 the default
+    two."""
+    return AgeHawkesModel(
+        psi=AffineRate(0.4, 0.4),
+        kernels={
+            (0, 1): ExponentialKernel(alpha=0.5, beta=3.0),
+            (1, 0): StepKernel(edges=[0.0, 0.4, 1.2], values=[0.4, 0.1]),
+        },
+        refractory=0.25,
+        nodes=[0, 1],
+        omega={0: [[0], [0, 1], [0, 1]]},
     )
 
 
@@ -235,6 +255,120 @@ class TestLatticeOffspring:
         assert isinstance(row, OffspringRow)
         assert set(row.near) == {0}
         assert row.far == 0.0 and row.err == 0.0
+
+
+def drive_walk(m, i, k, x):
+    """The drive truncated to v_k, from a walk of that level alone."""
+    total = 0.0
+    for j in m.omega(i, k):
+        ker = m.kernel(i, j)
+        if ker is not None:
+            for s in x.points_in(j, -k * m.refractory, 0.0):
+                total += ker(-s)
+    return total
+
+
+def random_refractory_past(rng, nodes, delta, depth):
+    """Points on ``nodes`` over [-depth, 0), each node's gaps in (delta, 2 delta)."""
+    pts = {}
+    for j in nodes:
+        ts, t = [], -rng.uniform(0.0, 2.0 * delta)
+        while t > -depth:
+            ts.append(t)
+            t -= delta * (1.0 + rng.uniform(1e-6, 1.0))
+        pts[j] = sorted(ts)
+    return Configuration(pts)
+
+
+class TestDrives:
+    """One walk gives both truncated drives, each as its own level's walk
+    would sum it, bit for bit."""
+
+    def test_lattice(self):
+        m = lattice_preset(4.0, 4.0, 0.005)
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            x = random_refractory_past(rng, range(-6, 7), 0.005, 6 * 0.005)
+            for i in (-1, 0, 2):
+                for k in range(2, 7):
+                    prev, cur = m._drives(i, k, x)
+                    assert cur > 0.0
+                    assert (prev, cur) == (drive_walk(m, i, k - 1, x), drive_walk(m, i, k, x))
+
+    def test_two_node_model(self):
+        m = two_node_model()
+        rng = np.random.default_rng(22)
+        for _ in range(40):
+            x = random_refractory_past(rng, (0, 1), 0.25, 6 * 0.25)
+            for i in (0, 1):
+                for k in range(2, 7):
+                    assert m._drives(i, k, x) == (drive_walk(m, i, k - 1, x), drive_walk(m, i, k, x))
+
+    def test_lattice_kernels_are_built_once_per_distance(self):
+        m = lattice_preset(4.0, 4.0, 0.005)
+        assert m.kernel(0, 3) is m.kernel(5, 2)
+        assert m.kernel(4, 4) is m.kernel(-1, -1)
+        assert (m.kernel(0, 3).alpha, m.kernel(0, 3).beta) == (0.5 / 3**4.0, 1.0 / 0.005)
+
+
+def test_a_node_entering_after_a_repeated_level_is_in_the_offspring_row():
+    # omega_2 = omega_1, and node 1 enters at level 3
+    m = AgeHawkesModel(
+        psi=AffineRate(0.4, 0.4),
+        kernels={(0, 1): ExponentialKernel(alpha=0.5, beta=3.0)},
+        refractory=0.25,
+        nodes=[0, 1],
+        omega={0: [[0], [0], [0, 1]]},
+    )
+    lad = m.ladder(0)
+    row = m.offspring_row(0).near
+    assert row[0] == m.global_bound(0) * 0.25 * (lad.weighted_tail(0) / lad.total)
+    assert row[1] == m.global_bound(1) * 0.25 * (lad.weighted_tail(2) / lad.total)
+
+
+class TestGoldenTwoNodeAge:
+    """Seeded outputs and branching values of the two-node model, bit for bit:
+    custom levels, a step-kernel head and drives read across both nodes."""
+
+    @pytest.mark.parametrize(
+        "seed, node, count, ends, digest, stats",
+        [
+            (1, 0, 11, (3.2563190710814016, 27.2510951208139),
+             "5ef22a138c0a577628f11d5fb47b6bff59f8772bd6d2423a8ca2d444bd9a0007",
+             {"roots": 32, "accepted": 11, "mark_decided": 0,
+              "clan_size_histogram": {"1": 24, "2": 6, "3": 1, "4": 1},
+              "mean_clan_size": 1.34375, "max_lookback": 1.4989071666012652,
+              "mean_lookback": 0.4908374948832495}),
+            (2, 1, 7, (7.234015988964516, 29.252767749226965),
+             "05fa656965d0823a8481594012d0075d310e29781139d3e36722aac6c19940d6",
+             {"roots": 26, "accepted": 7, "mark_decided": 0,
+              "clan_size_histogram": {"1": 23, "2": 2, "3": 1},
+              "mean_clan_size": 1.1538461538461537, "max_lookback": 1.135500634376493,
+              "mean_lookback": 0.4492185420710125}),
+        ],
+        ids=["seed1-node0", "seed2-node1"],
+    )
+    def test_perfect_sample(self, seed, node, count, ends, digest, stats):
+        run = PerfectRunStats()
+        pts = perfect_sample(two_node_model(), node, 30.0, RandomStream(seed), stats=run).points(node)
+        assert len(pts) == count
+        assert (pts[0], pts[-1]) == ends
+        assert hashlib.sha256(",".join(map(float.hex, pts)).encode()).hexdigest() == digest
+        assert run.to_json() == stats
+
+    def test_offspring_rows_and_gamma(self):
+        m = two_node_model()
+        rows = {i: m.offspring_row(i) for i in (0, 1)}
+        assert {i: {j: v.hex() for j, v in row.near.items()} for i, row in rows.items()} == {
+            0: {0: "0x1.a9ac49125c30ap-2", 1: "0x1.6997945e0ca5fp-2"},
+            1: {0: "0x1.66de94ebdf0f3p-2", 1: "0x1.f7ced916872b2p-2"},
+        }
+        assert all(row.far == 0.0 and row.err == 0.0 for row in rows.values())
+        verdict = analysis.subcriticality_gamma(m)
+        assert verdict.gamma.hex() == "0x1.af56b701331d2p-1"
+        assert {i: g.hex() for i, g in verdict.per_node.items()} == {
+            0: "0x1.89a1eeb8346b4p-1", 1: "0x1.af56b701331d2p-1"
+        }
 
 
 class TestZetaTailError:

@@ -18,6 +18,7 @@ from kalisim import (
     NestedND,
     NonSummableError,
     PsiSeries,
+    RandomStream,
     TaylorND,
     evaluate_decomposition,
 )
@@ -123,6 +124,11 @@ class TestNestedLevels:
         with pytest.raises(ValueError, match="nested"):
             gl_triangle(omega={0: [[0], [0, 1], [0, 2]]})
 
+    def test_gl_rejects_levels_that_name_an_unknown_node(self):
+        # node 5 is not a node of the network
+        with pytest.raises(ValueError, match=r"unknown nodes \[5\]"):
+            gl_triangle(omega={0: [[0], [0, 1, 2, 5]]})
+
     def test_gl_rejects_levels_that_miss_a_source(self):
         # node 0 reads node 2, which no level reaches
         with pytest.raises(ValueError, match="cover"):
@@ -135,9 +141,57 @@ class TestNestedLevels:
 
     @pytest.mark.parametrize(
         "omega, match",
-        [({0: [[0], [0, 1], [0]]}, "nested"), ({0: [[0], [0, 1]]}, "cover"), ({0: [[1], [0, 1]]}, "omega_1")],
+        [
+            ({0: [[0], [0, 1], [0]]}, "nested"),
+            ({0: [[0], [0, 1]]}, "cover"),
+            ({0: [[1], [0, 1]]}, "omega_1"),
+            ({0: [[0], [0, 1, 2, 5]]}, "unknown nodes"),
+        ],
     )
     def test_age_model_applies_the_same_checks(self, omega, match):
         kernels = {(0, 0): ExponentialKernel(0.5, 2.0), (0, 2): ExponentialKernel(0.2, 2.0)}
         with pytest.raises(ValueError, match=match):
-            AgeHawkesModel.finite(AffineRate(0.5, 0.5), kernels, refractory=0.5, nodes=[0, 1, 2], omega=omega)
+            AgeHawkesModel(AffineRate(0.5, 0.5), kernels, refractory=0.5, nodes=[0, 1, 2], omega=omega)
+
+
+class TestUnknownNodes:
+    """Every family refuses an interaction that names a node it does not have."""
+
+    @pytest.mark.parametrize("pair", [(7, 0), (0, 7)], ids=["target", "source"])
+    def test_age_kernel(self, pair):
+        with pytest.raises(ValueError, match=rf"kernel \({pair[0]},{pair[1]}\) references an unknown node"):
+            AgeHawkesModel(AffineRate(0.5, 0.5), {pair: ExponentialKernel(0.5, 2.0)}, refractory=0.5, nodes=[0, 1])
+
+    @pytest.mark.parametrize("pair", [(7, 0), (0, 7)], ids=["target", "source"])
+    def test_analytic_kernel(self, pair):
+        with pytest.raises(ValueError, match=rf"kernel \({pair[0]},{pair[1]}\) references an unknown node"):
+            AnalyticHawkesModel(PsiSeries("exp"), {pair: ExponentialKernel(0.3, 1.5)}, eps=0.5, nodes=[0, 1])
+
+    @pytest.mark.parametrize("section", ["beta", "saturation"])
+    def test_gl_interactions(self, section):
+        beta = {(0, 1): 0.4}
+        saturation = {(0, 1): 0.6}
+        (beta if section == "beta" else saturation)[(7, 0)] = 0.5
+        with pytest.raises(ValueError, match=rf"{section} \(7,0\) references an unknown node"):
+            GLModel(AffineRate(0.5, 1.0), beta, saturation, step=0.7, nodes=[0, 1])
+
+
+class TestUndrivenAnalyticNode:
+    """Node 1 has no incoming kernel, so its Taylor family is the empty set alone."""
+
+    def model(self):
+        return AnalyticHawkesModel(PsiSeries("exp"), {(0, 0): ExponentialKernel(0.3, 1.0)}, eps=0.5, nodes=[0, 1])
+
+    def test_family_is_the_empty_set_at_psi_zero(self):
+        m = self.model()
+        x = Configuration({0: [-0.3, -0.1]})
+        assert m.pmf(1, EMPTY_ND) == 1.0
+        assert m.component_value(1, EMPTY_ND, x) == m.intensity(1, x) == 1.0
+        assert [m.component_value(1, d, x) for d in m.enumerate_descriptors(1, x)] == [1.0]
+        assert m.local_bound(1, x) == 1.0
+        assert m.proposal_classes(1) == ((None, 1.0, frozenset()),)
+
+    def test_sampling_draws_only_the_empty_set(self):
+        m = self.model()
+        rng = RandomStream(3)
+        assert {m.sample_neighborhood(1, rng) for _ in range(200)} == {EMPTY_ND}
