@@ -397,15 +397,12 @@ def build_model(section: dict):
     if family == "age":
         nodes = section["nodes"]
         psi = section.get("psi", {})
-        omega = None
-        if section.get("omega"):
-            omega = {int(i): lv for i, lv in section["omega"].items()}
         return AgeHawkesModel(
             psi=AffineRate(float(psi.get("base", 1.0)), float(psi.get("slope", 1.0))),
             kernels=_kernel_map(section),
             refractory=float(section["refractory"]),
             nodes=nodes,
-            omega=omega,
+            omega=section.get("omega"),
         )
     if family == "analytic":
         nodes = section["nodes"]
@@ -436,6 +433,7 @@ def build_model(section: dict):
             saturation=sat,
             step=float(section["step"]),
             nodes=nodes,
+            omega=section.get("omega"),
             weights=weights,
         )
     if family == "table":

@@ -133,10 +133,7 @@ class AgeHawkesModel(KalikowModel):
         self.kernels = {(int(i), int(j)): k for (i, j), k in kernels.items()}
         require_known_nodes(self.kernels, self._nodes, "kernel")
         self._psi = dict(psi) if isinstance(psi, Mapping) else {i: psi for i in self._nodes}
-        self._levels = {
-            i: nested_levels(i, (omega or {}).get(i), self._nodes, {j for (ii, j) in self.kernels if ii == i})
-            for i in self._nodes
-        }
+        self._levels = nested_levels(omega, self._nodes, self.kernels)
         self._set_refractory(refractory)
 
     def _set_refractory(self, refractory: float) -> None:

@@ -7,7 +7,7 @@ from abc import ABC, abstractmethod
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..core import Configuration, Neighborhood, NodeId, NoGuard, SubspaceGuard
 from ..errors import CoverageError, ExplosionGuardError, NonSummableError
@@ -195,32 +195,40 @@ def require_known_nodes(pairs: Iterable[tuple[NodeId, NodeId]], nodes: Iterable[
 
 
 def nested_levels(
-    i: NodeId,
-    given: Optional[Sequence[Sequence[NodeId]]],
+    omega: Optional[Mapping[NodeId, Sequence[Sequence[NodeId]]]],
     nodes: tuple[NodeId, ...],
-    sources: Iterable[NodeId],
-) -> list[tuple[NodeId, ...]]:
-    """Node sets omega_1, omega_2, ... of node ``i``'s nested family, checked.
+    pairs: Collection[tuple[NodeId, NodeId]],
+) -> dict[NodeId, list[tuple[NodeId, ...]]]:
+    """Node sets omega_1, omega_2, ... of every node's nested family, checked.
 
-    ``given`` lists them level by level; the default is omega_1 = {i} and
-    omega_2 = ``nodes``. The summand of level k is the rate on omega_k minus
-    the rate on omega_{k-1}, so omega_1 must be {i}, every level must contain
-    the one before (or a summand goes negative), the last level must hold
-    every node in ``sources`` (or the summands miss part of the intensity) and
-    no level may name a node outside ``nodes``.
+    ``omega[i]`` lists node i's levels; the default is omega_1 = {i} and
+    omega_2 = ``nodes``, and ``omega`` may name no node outside ``nodes``.
+    ``pairs`` are the (target, source) pairs the intensities read. The summand
+    of level k is the rate on omega_k minus the rate on omega_{k-1}, so
+    omega_1 must be {i}, every level must contain the one before (or a summand
+    goes negative), the last level must hold every source of i (or the
+    summands miss part of the intensity) and no level may name a node outside
+    ``nodes``.
     """
-    levels = [(i,), nodes] if given is None else [tuple(sorted(int(j) for j in lvl)) for lvl in given]
-    if not levels or levels[0] != (i,):
-        raise ValueError(f"omega_1 of node {i} must be {{{i}}}")
-    for a, b in zip(levels, levels[1:]):
-        if not set(a) <= set(b):
-            raise ValueError(f"omega levels of node {i} must be nested")
-    stray = sorted(set(levels[-1]) - set(nodes))
+    given = {int(i): lv for i, lv in (omega or {}).items()}
+    stray = sorted(set(given) - set(nodes))
     if stray:
-        raise ValueError(f"omega levels of node {i} reference unknown nodes {stray}")
-    if not set(sources) <= set(levels[-1]):
-        raise ValueError(f"omega levels of node {i} must eventually cover every source node {i} reads")
-    return levels
+        raise ValueError(f"omega names unknown nodes {stray}")
+    out = {}
+    for i in nodes:
+        levels = [(i,), nodes] if i not in given else [tuple(sorted(int(j) for j in lvl)) for lvl in given[i]]
+        if not levels or levels[0] != (i,):
+            raise ValueError(f"omega_1 of node {i} must be {{{i}}}")
+        for a, b in zip(levels, levels[1:]):
+            if not set(a) <= set(b):
+                raise ValueError(f"omega levels of node {i} must be nested")
+        stray = sorted(set(levels[-1]) - set(nodes))
+        if stray:
+            raise ValueError(f"omega levels of node {i} reference unknown nodes {stray}")
+        if not {j for ii, j in pairs if ii == i} <= set(levels[-1]):
+            raise ValueError(f"omega levels of node {i} must eventually cover every source node {i} reads")
+        out[i] = levels
+    return out
 
 
 # Relative rounding allowance of the capped bin walk (derived in

@@ -55,10 +55,7 @@ class GLModel(KalikowModel):
             self.sat[(int(i), int(j))] = float(k)
         require_known_nodes(self.beta, self._nodes, "beta")
         require_known_nodes(self.sat, self._nodes, "saturation")
-        self._omega_levels = {}
-        for i in self._nodes:
-            sources = {j for (ii, j), b in self.beta.items() if ii == i and b > 0.0}
-            self._omega_levels[i] = nested_levels(i, (omega or {}).get(i), self._nodes, sources)
+        self._omega_levels = nested_levels(omega, self._nodes, [p for p, b in self.beta.items() if b > 0.0])
         if weights is None:
             weights = {i: GeometricLevels(p_empty=0.5, ratio=0.5) for i in self._nodes}
         self.weights = dict(weights)

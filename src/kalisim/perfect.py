@@ -8,8 +8,10 @@ points forward in time order. One region ledger spans the whole run, so no
 space-time region is ever simulated twice and overlapping clans share their
 realizations exactly. A point's neighborhood is realized whole when the point
 is expanded and cannot gain points afterwards, so the expansion stores the
-points it returns on the record as its children; a later clan that
-rediscovers the point, and the forward pass, read those instead of the ledger.
+points it returns on the record as its children; the forward pass reads
+those instead of the ledger. Every clan is decided before the next root is
+proposed, so a clan consists of its root and the points it simulates: the
+realized points it finds were decided by earlier clans.
 
 A point with drawn neighborhood v is accepted when its uniform mark is below
 phi_v(x)/Gamma. When the model bounds phi_v by ``component_sup`` and the mark
@@ -86,11 +88,11 @@ class PerfectRunStats:
 class AncestorGraph:
     """Clan of ancestors of one root proposal.
 
-    ``pending`` holds the points the clan simulated and the previously
-    realized but still undecided points it rediscovered, in increasing time
-    order, ending with the root. ``lookback`` is how far before the root the
-    backward steps looked (0 if nowhere). ``mark_decided`` counts the members
-    rejected from their marks alone.
+    ``pending`` holds the root and the points the clan simulated, in
+    increasing time order, ending with the root; the realized points the
+    clan found were decided by earlier clans. ``lookback`` is how far before
+    the root the backward steps looked (0 if nowhere). ``mark_decided``
+    counts the members rejected from their marks alone.
     """
 
     root: tuple[NodeId, float]
@@ -117,16 +119,6 @@ def _anchored(model, rec: PointRecord) -> Iterator[tuple[NodeId, list[tuple[floa
         yield j, [(a + t, b + t) for a, b in nb.intervals(j)]
 
 
-def _expanded_children(rec: PointRecord) -> list[PointRecord]:
-    """The children an undecided record's expansion stored on it."""
-    if rec.children is None:
-        raise LedgerError(
-            f"undecided point {rec!r} was never expanded; the ledger carries state"
-            " from an aborted run"
-        )
-    return rec.children
-
-
 def _decided_by_mark(model, node: NodeId, neighborhood, mark: float, gam: float) -> bool:
     """Whether ``mark`` rejects a point of ``node`` with this neighborhood
     whatever its past holds: whether it lies at or above the model's
@@ -150,36 +142,33 @@ def backward_clan(
 ) -> AncestorGraph:
     """Build the clan of ancestors of the proposal (i, t).
 
-    Every point to expand draws its neighborhood (once, stored on the record),
-    the dominating Poisson process is realized on the never-visited part of
-    the shifted neighborhood at the node's global bound, and freshly simulated
-    points form the next generation. Construction stops at the first empty
-    generation. Previously realized undecided points rediscovered along the
-    way are traversed without simulation and queued for the forward pass.
-    A point whose mark alone rejects it (see the module docstring) is decided
-    when its neighborhood is drawn and is not expanded.
+    The root is ``root_record``, which must be undecided, or else a new
+    proposal point stored at (i, t). Every point to expand draws its
+    neighborhood (once, stored on the record), the dominating Poisson process
+    is realized on the never-visited part of the shifted neighborhood at the
+    node's global bound, and freshly simulated points form the next
+    generation. Construction stops at the first empty generation. Realized
+    points found along the way were decided by earlier clans; they become
+    children of the point that found them and are not traversed. A point
+    whose mark alone rejects it (see the module docstring) is decided when
+    its neighborhood is drawn and is not expanded.
     """
-    root = root_record if root_record is not None else ledger.record(i, t)
-    if root is None:
-        root = ledger.add_proposal_point(i, t, mark=rng.uniform())
-    if root.generation is None:
-        root.generation = 0
+    root = root_record if root_record is not None else ledger.add_proposal_point(i, t, mark=rng.uniform())
+    if root.decision is not None:
+        raise LedgerError(f"root {root!r} is already decided")
+    root.generation = 0
 
     graph = AncestorGraph(root=(i, t), root_record=root)
+    pending: list[PointRecord] = [root]
 
-    seen: set[int] = {id(root)}
-    pending: list[PointRecord] = [] if root.decision is not None else [root]
-    old_stack: list[PointRecord] = []
-
-    def expand(rec: PointRecord) -> tuple[list[PointRecord], list[PointRecord]]:
+    def expand(rec: PointRecord) -> list[PointRecord]:
         if rec.neighborhood is None:
             rec.neighborhood = model.sample_neighborhood(rec.node, rng)
         if _decided_by_mark(model, rec.node, rec.neighborhood, rec.mark, model.global_bound(rec.node)):
             rec.decision = False
             graph.mark_decided += 1
-            return [], []
+            return []
         new: list[PointRecord] = []
-        old: list[PointRecord] = []
         children: list[PointRecord] = []
         for j, region in _anchored(model, rec):
             gam = model.global_bound(j)
@@ -190,22 +179,12 @@ def backward_clan(
                 )
             fresh, found = ledger.realize_new(j, region, gam, rng)
             new.extend(fresh)
-            old.extend(found)
             children.extend(fresh)
             children.extend(found)
             # pieces are sorted, so the first starts earliest
             graph.lookback = max(graph.lookback, t - region[0][0])
         rec.children = children
-        return new, old
-
-    def traverse_old(rec: PointRecord) -> None:
-        # already-realized, still-undecided point: its neighborhood was fully
-        # realized when it was first expanded, and its children stored then
-        pending.append(rec)
-        for child in _expanded_children(rec):
-            if child.decision is None and id(child) not in seen:
-                seen.add(id(child))
-                old_stack.append(child)
+        return new
 
     frontier = [root]
     gen = 0
@@ -218,10 +197,8 @@ def backward_clan(
             )
         next_frontier: list[PointRecord] = []
         for rec in sorted(frontier, key=lambda r: (r.time, r.node)):
-            new, old = expand(rec)
-            for child in new:
+            for child in expand(rec):
                 child.generation = gen + 1
-                seen.add(id(child))
                 next_frontier.append(child)
                 pending.append(child)
                 graph.new_point_count += 1
@@ -230,12 +207,6 @@ def backward_clan(
                         f"backward construction exceeded {budget.max_points} points",
                         graph=graph,
                     )
-            for found in old:
-                if found.decision is None and id(found) not in seen:
-                    seen.add(id(found))
-                    old_stack.append(found)
-        while old_stack:
-            traverse_old(old_stack.pop())
         gen += 1
         frontier = next_frontier
 
@@ -249,25 +220,33 @@ def forward_accept(graph: AncestorGraph, model, ledger: RegionLedger) -> Ancesto
 
     A point is accepted with probability phi_v(x)/Gamma, where v is its drawn
     neighborhood and x its accepted children, the points of v that the
-    backward pass stored on it (children are strictly earlier in time, so
-    they are always decided first); the uniform mark attached to the point at
-    creation carries the decision. The root, being latest, is decided last.
-    Points already decided from their marks are skipped. A value above Gamma,
-    or above the model's ``component_sup``, raises ``NonMonotoneModelError``:
-    the backward pass trusted that bound. The ledger is not read: every
-    pending point was expanded, so its children are on its record.
+    backward pass stored on it; the uniform mark attached to the point at
+    creation carries the decision. Children are strictly earlier in time, so
+    a child the clan simulated is decided before its parent, and a child it
+    found was decided by an earlier clan; an undecided child is foreign, left
+    by an aborted or undecided clan, and raises ``LedgerError``. The root,
+    being latest, is decided last. Points already decided from their marks
+    are skipped. A value above Gamma, or above the model's ``component_sup``,
+    raises ``NonMonotoneModelError``: the backward pass trusted that bound.
+    The ledger is not read: every pending point was expanded, so its
+    children are on its record.
     """
     if not graph.terminated:
         raise KalisimError("cannot run the forward pass on a non-terminated clan")
     for rec in graph.pending:
         if rec.decision is not None:
             continue
+        if rec.children is None:
+            raise LedgerError(
+                f"undecided point {rec!r} was never expanded; the ledger carries state"
+                " from an aborted run"
+            )
         kept: dict[NodeId, list[float]] = {}
-        for child in _expanded_children(rec):
+        for child in rec.children:
             if child.decision is None:
-                raise KalisimError(
-                    f"undecided dependency {child!r} while deciding {rec!r};"
-                    " forward order violated"
+                raise LedgerError(
+                    f"undecided point {child!r} found by {rec!r} is foreign to this clan;"
+                    " the ledger carries state from an aborted or undecided clan"
                 )
             if child.decision:
                 kept.setdefault(child.node, []).append(child.time - rec.time)

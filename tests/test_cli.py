@@ -41,6 +41,8 @@ AGE = {
 # levels that reach node 5, which is not a node of the network
 AGE_STRAY_LEVEL = {"model": dict(AGE["model"], omega={"0": [[0], [0, 5]]})}
 AGE_STRAY_KERNEL = {"model": dict(AGE["model"], kernels=[dict(AGE["model"]["kernels"][0], to=7)])}
+# levels given for node 5, which is not a node of the network
+AGE_STRAY_OMEGA = {"model": dict(AGE["model"], omega={"5": [[5], [5, 0]]})}
 
 
 def truncated(trunc):
@@ -177,6 +179,7 @@ def test_analyze_lattice_sample(tmp_path, capsys):
         ("simulate-perfect", AGE_STRAY_LEVEL, ["--t-max", "200", "--runs", "3"], EXIT_CONFIG),
         ("analyze", AGE_STRAY_LEVEL, [], EXIT_CONFIG),
         ("analyze", AGE_STRAY_KERNEL, [], EXIT_CONFIG),
+        ("analyze", AGE_STRAY_OMEGA, [], EXIT_CONFIG),
     ],
     ids=[
         "invalid-config",
@@ -207,6 +210,7 @@ def test_analyze_lattice_sample(tmp_path, capsys):
         "perfect-level-names-unknown-node",
         "analyze-level-names-unknown-node",
         "analyze-kernel-to-unknown-node",
+        "analyze-levels-for-unknown-node",
     ],
 )
 def test_analyze_failure_exit_codes(tmp_path, command, cfg, extra, expected):

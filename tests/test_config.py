@@ -188,13 +188,27 @@ def test_a_non_finite_number_is_rejected_by_path(cfg, violation):
         ("age", {"kernels": [dict(EXP_KERNEL, to=7)]}, "model: kernel (7,0) references an unknown node"),
         ("analytic", {"kernels": [dict(EXP_KERNEL, **{"from": 7})]}, "model: kernel (0,7) references an unknown node"),
         ("gl", {"beta": [{"to": 7, "from": 1, "value": 0.3}]}, "model: beta (7,1) references an unknown node"),
+        ("age", {"omega": {"5": [[5], [5, 0]]}}, "model: omega names unknown nodes [5]"),
+        ("gl", {"omega": {"7": [[7]]}}, "model: omega names unknown nodes [7]"),
     ],
-    ids=["age-level", "age-kernel", "analytic-kernel", "gl-beta"],
+    ids=["age-level", "age-kernel", "analytic-kernel", "gl-beta", "age-levels-for", "gl-levels-for"],
 )
 def test_a_reference_to_an_unknown_node_is_rejected(family, change, violation):
     with pytest.raises(ConfigError) as info:
         parse_config({"model": dict(FAMILIES[family][0], **change)})
     assert info.value.violations == [violation]
+
+
+def test_gl_levels_are_checked():
+    with pytest.raises(ConfigError) as info:
+        parse_config({"model": dict(FAMILIES["gl"][0], omega={"0": [[0], [0, 1], [0]]})})
+    assert info.value.violations == ["model: omega levels of node 0 must be nested"]
+
+
+def test_gl_levels_reach_the_model():
+    section = dict(FAMILIES["gl"][0], omega={"0": [[0], [0, 1], [0, 1]]})
+    model = parse_config({"model": section}).build_model()
+    assert model._omega_levels == {0: [(0,), (0, 1), (0, 1)], 1: [(1,), (0, 1)]}
 
 
 def test_an_analytic_node_that_no_kernel_drives_builds():

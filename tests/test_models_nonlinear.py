@@ -157,6 +157,12 @@ class TestNestedLevels:
 class TestUnknownNodes:
     """Every family refuses an interaction that names a node it does not have."""
 
+    def test_levels_for_an_unknown_node(self):
+        with pytest.raises(ValueError, match=r"omega names unknown nodes \[7\]"):
+            gl_triangle(omega={7: [[7]]})
+        with pytest.raises(ValueError, match=r"omega names unknown nodes \[5\]"):
+            AgeHawkesModel(AffineRate(0.5, 0.5), {}, refractory=0.5, nodes=[0, 1], omega={5: [[5], [5, 0]]})
+
     @pytest.mark.parametrize("pair", [(7, 0), (0, 7)], ids=["target", "source"])
     def test_age_kernel(self, pair):
         with pytest.raises(ValueError, match=rf"kernel \({pair[0]},{pair[1]}\) references an unknown node"):

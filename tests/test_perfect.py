@@ -174,18 +174,29 @@ class TestForwardAccept:
         model = pieces_table_model(1.0)
         ledger = RegionLedger()
         ledger.add_proposal_point(1, 0.5, mark=0.0)
-        with pytest.raises(LedgerError, match="never expanded"):
-            backward_clan(model, 0, 1.0, ledger, RandomStream(0))
+        graph = backward_clan(model, 0, 1.0, ledger, RandomStream(0))
+        with pytest.raises(LedgerError, match="foreign"):
+            forward_accept(graph, model, ledger)
 
-    def test_the_forward_pass_reads_no_ledger(self, monkeypatch):
+    def test_an_undecided_clan_found_by_a_later_clan_is_a_ledger_error(self):
         model = two_node_clan_model()
         ledger, rng = RegionLedger(), RandomStream(3)
-        # an undecided clan inside the root's first piece on node 1, which the
-        # root's clan finds, so the forward pass decides more than the root
+        # an undecided clan inside the root's first piece on node 1: a sampler
+        # decides every clan before it builds the next, so this one is foreign
         a, b = model.expand(0, TableND(0, 0)).intervals(1)[0]
         inner = backward_clan(model, 1, (a + b) / 2, ledger, rng)
         graph = backward_clan(model, 0, 0.0, ledger, rng)
-        assert inner.root_record in graph.pending and len(graph.pending) > 1
+        assert inner.root_record in graph.root_record.children
+        assert inner.root_record not in graph.pending
+        with pytest.raises(LedgerError, match="foreign"):
+            forward_accept(graph, model, ledger)
+
+    def test_the_forward_pass_reads_no_ledger(self, monkeypatch):
+        model = two_node_clan_model()
+        ledger = RegionLedger()
+        # a clan with points besides its root, so the forward pass decides more than the root
+        graph = backward_clan(model, 0, 0.0, ledger, RandomStream(0))
+        assert len(graph.pending) > 1
 
         def refuse(*args, **kwargs):
             raise AssertionError("the forward pass read the ledger")
@@ -195,12 +206,47 @@ class TestForwardAccept:
         forward_accept(graph, model, ledger)
         assert all(rec.decision is not None for rec in graph.pending)
 
+    def test_a_decided_root_is_refused(self):
+        model = two_node_clan_model()
+        ledger = RegionLedger()
+        graph = forward_accept(backward_clan(model, 0, 0.0, ledger, RandomStream(0)), model, ledger)
+        with pytest.raises(LedgerError, match="already decided"):
+            backward_clan(model, 0, 0.0, ledger, RandomStream(1), root_record=graph.root_record)
+
+
+def _ledger_records(ledger):
+    for node in ledger.to_json():
+        yield from ledger.points_in(int(node), -math.inf, math.inf)
+
 
 def _expanded_records(ledger):
-    for node in ledger.to_json():
-        for rec in ledger.points_in(int(node), -math.inf, math.inf):
-            if rec.children is not None:
-                yield rec
+    return (rec for rec in _ledger_records(ledger) if rec.children is not None)
+
+
+class TestEveryPointDecided:
+    """A sampler decides every clan before it proposes the next root, so a
+    finished sample leaves no undecided point in its ledger: a clan finds
+    only decided points."""
+
+    def assert_all_decided(self, ledger):
+        records = list(_ledger_records(ledger))
+        assert records and all(rec.decision is not None for rec in records)
+
+    def test_lattice_perfect_sample(self):
+        ledger = RegionLedger()
+        perfect_sample(lattice_preset(GAMMA, P, DELTA), 0, 5.0, RandomStream(1), ledger=ledger)
+        self.assert_all_decided(ledger)
+
+    def test_bounded_age_perfect_sample(self):
+        ledger = RegionLedger()
+        perfect_sample(bounded_age_model(), 0, 30.0, RandomStream(7), ledger=ledger)
+        self.assert_all_decided(ledger)
+
+    def test_lattice_perfect_sample_window(self):
+        ledger = RegionLedger()
+        windows = [(0, (0.0, 3.0)), (1, (2.0, 5.0)), (0, (4.0, 6.0))]
+        perfect_sample_window(lattice_preset(GAMMA, P, DELTA), windows, RandomStream(8), ledger=ledger)
+        self.assert_all_decided(ledger)
 
 
 class TestRealizedOnce:
@@ -428,6 +474,26 @@ class TestGoldenBoundedAge:
         assert ledger.n_points() == n_points
         assert _ledger_digest(ledger) == ledger_digest
         assert (max(stats.lookbacks), sum(stats.lookbacks)) == lookbacks
+
+
+class TestWindowMerge:
+    """Windows of one node are merged before the sweep, so overlapping or
+    abutting windows sample their union once."""
+
+    @pytest.mark.parametrize(
+        "windows", [((0.0, 3.0), (2.0, 5.0)), ((0.0, 2.5), (2.5, 5.0))], ids=["overlapping", "abutting"]
+    )
+    def test_windows_sample_their_union(self, windows):
+        model = lattice_preset(GAMMA, P, DELTA)
+        whole = perfect_sample(model, 0, 5.0, RandomStream(3)).points(0)
+        out = perfect_sample_window(model, [(0, w) for w in windows], RandomStream(3))
+        assert len(whole) == 7
+        assert out.points(0) == whole
+
+    @pytest.mark.parametrize("window", [(2.0, 2.0), (3.0, 1.0)], ids=["empty", "reversed"])
+    def test_an_empty_window_is_refused(self, window):
+        with pytest.raises(ValueError, match="empty window"):
+            perfect_sample_window(lattice_preset(GAMMA, P, DELTA), [(0, (0.0, 1.0)), (0, window)], RandomStream(3))
 
 
 def test_window_stats_sum_over_the_windows():
