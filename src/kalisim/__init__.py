@@ -10,7 +10,6 @@ in time order). A branching-process toolkit predicts the algorithmic cost.
 
 from .analysis import (
     BranchingSummary,
-    GammaVerdict,
     LogLaplaceState,
     OffspringModel,
     WeightCostCurve,
@@ -34,7 +33,6 @@ from .core import (
     RefractoryGap,
     SubspaceGuard,
     TaylorND,
-    agrees_on,
     evaluate_decomposition,
     neighborhood_measure,
     shift_to_origin,

@@ -1,11 +1,18 @@
 """Branching-process cost analysis for the backward construction.
 
-Every expanded point spawns, per child node j, a Poisson number of children
-with mean Gamma_j * mu(p_j(v)) given the drawn neighborhood v. The toolkit
-computes the mean offspring matrix, the subcriticality constant (sup of row
-sums), expected total clan sizes via the Neumann series, the log-Laplace
-fixed point of the total progeny, and the cost curve of the lattice preset's
-one-parameter weight family.
+Every expanded point draws one neighborhood v and then spawns, per child
+node j, a Poisson number of children with mean Gamma_j * mu(p_j(v)). The
+toolkit computes the mean offspring matrix, the subcriticality constant (sup
+of row sums), expected total clan sizes via the Neumann series, the
+log-Laplace fixed point of the total progeny, and the cost curve of the
+lattice preset's one-parameter weight family.
+
+:func:`branching_summary` is the one place that picks a reduction. The
+scalar reduction reads a translation-invariant model's common row total
+(``invariant_offspring_mean``) as gamma and gives E(W) = 1/(1 - gamma); the
+sample reduction builds M over a finite node sample, takes gamma as the
+largest row total and E(W) from one solve of (Id - M) w = 1.
+:class:`BranchingSummary` says which fields each one fills.
 """
 
 from __future__ import annotations
@@ -25,10 +32,6 @@ from .models.presets import lattice_c_gamma
 ANALYSIS_TOL = 1e-8
 # largest off-sample offspring mass at which a sample's matrix still gives E(W)
 OFF_MASS_TOL = 1e-6
-
-
-def _translation_invariant(model: KalikowModel) -> bool:
-    return hasattr(model, "translation_invariant") and model.translation_invariant()
 
 
 def _require_bounds(model: KalikowModel, nodes) -> None:
@@ -76,51 +79,21 @@ def _matrix_with_offmass(model: KalikowModel, nodes: Sequence[NodeId]):
     return m, off, total
 
 
-@dataclass(frozen=True)
-class GammaVerdict:
-    gamma: float
-    subcritical: bool
-    per_node: dict[NodeId, float] = field(default_factory=dict)
-    invariant: bool = False
-
-    @property
-    def verdict(self) -> str:
-        return "subcritical" if self.subcritical else "supercritical"
-
-
 def subcriticality_gamma(
     model: KalikowModel,
     nodes: Optional[Sequence[NodeId]] = None,
     invariant: bool = False,
-) -> GammaVerdict:
+) -> BranchingSummary:
     """gamma = sup_i sum_v P(v) lambda_i(v); backward steps terminate a.s. iff < 1.
 
-    With ``invariant=True`` (or for translation-invariant lattice models with
-    no node sample given) the scalar closed form of the constant row sum is
-    used. Otherwise each sampled node's gamma_i is the total of its
-    ``offspring_row``: every listed entry, inside the sample or not, plus the
-    far mass and the bound on its error, so gamma is conservative.
+    The same reduction as :func:`branching_summary`, under the name the
+    subcriticality gate reads it by.
     """
-    if invariant or (nodes is None and model.node_set() is None):
-        if not _translation_invariant(model):
-            raise NonSummableError("no invariance certificate: pass an explicit node sample")
-        g = model.invariant_offspring_mean()
-        return GammaVerdict(gamma=g, subcritical=g < 1.0, invariant=True)
-    node_list = tuple(nodes) if nodes is not None else model.node_set()
-    return _row_total_verdict(_matrix_with_offmass(model, node_list)[2])
+    return branching_summary(model, nodes, invariant)
 
 
-def _row_total_verdict(per: dict[NodeId, float]) -> GammaVerdict:
-    g = max(per.values())
-    return GammaVerdict(gamma=g, subcritical=g < 1.0, per_node=per)
-
-
-def expected_clan_size(m: np.ndarray, i: int) -> float:
-    """E_i(W) = (row i of (Id - M)^{-1}) . 1, the ancestor included.
-
-    Requires every row sum of M below 1; otherwise the Neumann series
-    sum_k M^k diverges.
-    """
+def _clan_sizes(m: np.ndarray) -> np.ndarray:
+    """w = (Id - M)^{-1} 1, every type's E(W) in one solve."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("M must be square")
@@ -131,17 +104,34 @@ def expected_clan_size(m: np.ndarray, i: int) -> float:
         raise NonSummableError(
             f"non-summable Neumann series: max row sum {rows.max():g} >= 1"
         )
-    ones = np.ones(m.shape[0])
-    sol = np.linalg.solve(np.eye(m.shape[0]) - m, ones)
-    return float(sol[i])
+    return np.linalg.solve(np.eye(m.shape[0]) - m, np.ones(m.shape[0]))
+
+
+def expected_clan_size(m: np.ndarray, i: int) -> float:
+    """E_i(W) = (row i of (Id - M)^{-1}) . 1, the ancestor included.
+
+    Requires every row sum of M below 1; otherwise the Neumann series
+    sum_k M^k diverges.
+    """
+    return float(_clan_sizes(m)[i])
 
 
 @dataclass(frozen=True)
 class BranchingSummary:
-    """One-stop view of the branching reduction used for a model.
+    """The branching reduction of a model: gamma, the verdict and E(W).
 
-    ``expected_w_note`` says why ``expected_w`` is empty, and is None when it
-    is not.
+    The scalar reduction (``invariant``) holds for a translation-invariant
+    family: ``matrix`` is [[gamma]], ``per_node`` and ``off_mass`` are empty,
+    and ``expected_w`` has the one key 0. The sample reduction fills
+    ``matrix`` with M over the node sample, ``per_node`` with each sampled
+    node's row total (every listed entry, inside the sample or not, plus the
+    far mass and the bound on its error, so gamma is conservative),
+    ``off_mass`` with each row's mass outside the sample where it is
+    positive, and ``expected_w`` with every sampled node's E(W).
+
+    ``expected_w`` is empty when gamma >= 1, or when a sample that is not
+    invariant leaks more than ``OFF_MASS_TOL``; ``expected_w_note`` then
+    says why, and is None otherwise.
     """
 
     matrix: np.ndarray
@@ -149,7 +139,8 @@ class BranchingSummary:
     subcritical: bool
     expected_w: dict[NodeId, float]
     off_mass: dict[NodeId, float]
-    scalar_reduction: bool
+    invariant: bool
+    per_node: dict[NodeId, float] = field(default_factory=dict)
     expected_w_note: Optional[str] = None
 
     @property
@@ -157,32 +148,38 @@ class BranchingSummary:
         return "subcritical" if self.subcritical else "supercritical"
 
 
-def branching_summary(model: KalikowModel, nodes: Optional[Sequence[NodeId]] = None) -> BranchingSummary:
-    if nodes is None and model.node_set() is None:
-        g = subcriticality_gamma(model, invariant=True).gamma
-        ew = 1.0 / (1.0 - g) if g < 1.0 else math.inf
-        return BranchingSummary(
-            matrix=np.array([[g]]),
-            gamma=g,
-            subcritical=g < 1.0,
-            expected_w={0: ew},
-            off_mass={},
-            scalar_reduction=True,
-        )
-    node_list = tuple(nodes) if nodes is not None else model.node_set()
-    m, off, total = _matrix_with_offmass(model, node_list)
-    verdict = _row_total_verdict(total)
+def branching_summary(
+    model: KalikowModel,
+    nodes: Optional[Sequence[NodeId]] = None,
+    invariant: bool = False,
+) -> BranchingSummary:
+    """Gamma, the verdict and E(W) of ``model`` by one of two reductions.
+
+    The scalar reduction, taken with ``invariant=True`` or for an infinite
+    network given no node sample, needs the model's
+    ``invariant_offspring_mean``. The sample reduction works over ``nodes``
+    (every node of a finite network by default); on an invariant model its
+    E(W) is exact whatever mass leaves the sample.
+    """
+    mean = model.invariant_offspring_mean()
+    invariant = invariant or (nodes is None and model.node_set() is None)
+    if invariant:
+        if mean is None:
+            raise NonSummableError("no invariance certificate: pass an explicit node sample")
+        node_list, m, off, per, gamma = (0,), np.array([[mean]]), np.zeros(1), {}, mean
+    else:
+        node_list = tuple(nodes) if nodes is not None else model.node_set()
+        m, off, per = _matrix_with_offmass(model, node_list)
+        gamma = max(per.values())
     expected = {}
     note = None
-    if not verdict.subcritical:
-        note = f"supercritical (gamma = {verdict.gamma:g}): the clan size has no finite mean"
-    elif _translation_invariant(model):
-        # exact for every node by invariance, whatever mass leaves the sample
-        ew = 1.0 / (1.0 - model.invariant_offspring_mean())
-        expected = {j: ew for j in node_list}
+    if gamma >= 1.0:
+        note = f"supercritical (gamma = {gamma:g}): the clan size has no finite mean"
+    elif mean is not None:
+        expected = dict.fromkeys(node_list, 1.0 / (1.0 - mean))
     elif off.max(initial=0.0) < OFF_MASS_TOL:
-        for pos, j in enumerate(node_list):
-            expected[j] = expected_clan_size(m, pos)
+        w = _clan_sizes(m)
+        expected = {j: float(w[pos]) for pos, j in enumerate(node_list)}
     else:
         pos = int(off.argmax())
         note = (
@@ -191,11 +188,12 @@ def branching_summary(model: KalikowModel, nodes: Optional[Sequence[NodeId]] = N
         )
     return BranchingSummary(
         matrix=m,
-        gamma=verdict.gamma,
-        subcritical=verdict.subcritical,
+        gamma=gamma,
+        subcritical=gamma < 1.0,
         expected_w=expected,
         off_mass={j: float(off[pos]) for pos, j in enumerate(node_list) if off[pos] > 0},
-        scalar_reduction=False,
+        invariant=invariant,
+        per_node=per,
         expected_w_note=note,
     )
 
@@ -210,8 +208,11 @@ class OffspringModel:
     """Per-type offspring structure: mixture weights over neighborhoods and the
     Poisson means Gamma_j mu(p_j(v)) each neighborhood induces per child type.
 
-    ``weights[i]`` has one entry per neighborhood of type i; ``means[i]`` is
-    the matching (n_v, n_types) array of Poisson means.
+    A point of type i draws one neighborhood v, with probability
+    ``weights[i][v]``, and then independent Poisson children of every type j
+    with means ``means[i][v, j]``: a multitype Poisson mixture, whose child
+    counts of different types are dependent through the shared v.
+    ``means[i]`` is the (n_v, n_types) array of those means.
     """
 
     weights: tuple[np.ndarray, ...]
@@ -278,12 +279,13 @@ class OffspringModel:
         return cls(weights=tuple(weights), means=tuple(means))
 
     def log_laplace(self, theta: np.ndarray) -> np.ndarray:
-        """phi_i(theta) = sum_j log sum_v lambda_i(v) exp[(e^theta_j - 1) mean_vj]."""
+        """phi_i(theta) = log sum_v lambda_i(v) exp[sum_j (e^theta_j - 1) mean_vj],
+        one draw of v for every child type."""
         factor = np.expm1(theta)
         out = np.empty(self.n_types)
         for i, (w, m) in enumerate(zip(self.weights, self.means)):
             with np.errstate(over="raise"):
-                out[i] = np.log(np.exp(m * factor[None, :]).T.dot(w)).sum()
+                out[i] = np.log(np.exp(m @ factor) @ w)
         return out
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import analysis, io
 from .config import RunConfig, load_config
-from .errors import BudgetExhausted, ConfigError, KalisimError
+from .errors import BudgetExhausted, ConfigError, KalisimError, NonSummableError
 from .forward import forward_simulate
 from .models import LinearHawkesModel
 from .perfect import PerfectRunStats, perfect_sample
@@ -189,32 +189,31 @@ def _floats(flag: str, text: str) -> list[float]:
 def _cmd_analyze(args) -> int:
     if args.nodes is not None and args.nodes < 1:
         raise ConfigError([f"--nodes must be >= 1, got {args.nodes}"])
+    if args.invariant and args.nodes is not None:
+        raise ConfigError(["--invariant takes no --nodes: the scalar reduction has no node sample"])
     cfg = load_config(args.config)
     model = cfg.build_model()
     report: dict = {"family": cfg.model_section.get("family")}
 
-    if args.invariant or (model.node_set() is None and args.nodes is None):
-        verdict = analysis.subcriticality_gamma(model, invariant=True)
+    nodes = model.node_set()
+    if nodes is not None:
+        nodes = list(nodes)[: args.nodes]
+    elif args.nodes is not None:
+        half = args.nodes // 2
+        nodes = list(range(-half, args.nodes - half))
+    summary = analysis.branching_summary(model, nodes, args.invariant)
+    if summary.invariant and args.theta is not None:
+        raise ConfigError(["--theta needs a node sample; the scalar reduction has none (pass --nodes)"])
+    report["gamma"] = summary.gamma
+    report["verdict"] = summary.verdict
+    if summary.invariant:
         report["reduction"] = "translation-invariant scalar"
-        report["gamma"] = verdict.gamma
-        report["verdict"] = verdict.verdict
-        if verdict.subcritical:
-            report["expected_clan_size"] = 1.0 / (1.0 - verdict.gamma)
+        if summary.subcritical:
+            report["expected_clan_size"] = summary.expected_w[0]
     else:
-        if args.nodes is not None:
-            if model.node_set() is None:
-                half = args.nodes // 2
-                nodes = list(range(-half, args.nodes - half))
-            else:
-                nodes = list(model.node_set())[: args.nodes]
-        else:
-            nodes = list(model.node_set())
-        summary = analysis.branching_summary(model, nodes)
         report["reduction"] = "finite node sample"
         report["nodes"] = nodes
         report["M"] = summary.matrix.tolist()
-        report["gamma"] = summary.gamma
-        report["verdict"] = summary.verdict
         report["expected_clan_size"] = {str(k): v for k, v in summary.expected_w.items()}
         if summary.expected_w_note:
             report["expected_clan_size_note"] = summary.expected_w_note
@@ -241,7 +240,7 @@ def _cmd_analyze(args) -> int:
         grid = _floats("--p-grid", args.p_grid)
         try:
             curve = analysis.weight_cost_curve(float(sec["gamma"]), float(sec["delta"]), grid)
-        except ValueError as exc:  # a weight exponent above gamma
+        except (ValueError, NonSummableError) as exc:  # a weight exponent above gamma, or not above 3
             raise ConfigError([f"--p-grid: {exc}"]) from None
         report["cost_curve"] = {
             "c_gamma": curve.c_gamma,

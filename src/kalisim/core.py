@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import CoverageError, GuardViolation
+from .errors import GuardViolation
 
 NodeId = int
 
@@ -73,12 +73,6 @@ class Neighborhood:
         for j, ivs in self._by_node.items():
             for a, b in ivs:
                 yield j, a, b
-
-    def contains(self, node: NodeId, t: float) -> bool:
-        for a, b in self._by_node.get(node, ()):
-            if a <= t < b:
-                return True
-        return False
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Neighborhood) and self._by_node == other._by_node
@@ -265,22 +259,6 @@ def _first_aged(ts: tuple[float, ...], t: float, a: float, lo: int = 0) -> int:
     while i < len(ts) and ts[i] - t < a:
         i += 1
     return i
-
-
-def agrees_on(x: Configuration, y: Configuration, v: Neighborhood) -> bool:
-    """True iff the restrictions of ``x`` and ``y`` to ``v`` are the same point set.
-
-    Both configurations must cover ``v`` with their windows: equality cannot be
-    decided on a region where knowledge is incomplete.
-    """
-    for z, name in ((x, "first"), (y, "second")):
-        if not z.covers(v):
-            raise CoverageError(f"{name} configuration's window does not cover {v!r}")
-    for j in v.nodes():
-        for a, b in v.intervals(j):
-            if x.points_in(j, a, b) != y.points_in(j, a, b):
-                return False
-    return True
 
 
 def shift_to_origin(x: Configuration, t: float) -> Configuration:

@@ -155,6 +155,12 @@ class KalikowModel(ABC):
         """
         raise NotImplementedError
 
+    def invariant_offspring_mean(self) -> Optional[float]:
+        """The row total every node shares, for a translation-invariant family,
+        and None otherwise. A value certifies the scalar branching reduction:
+        gamma equals it and E(W) = 1/(1 - gamma) at every node."""
+        return None
+
     # -- helpers shared by concrete families -------------------------------------------
 
     def _require_bound(self, i: NodeId) -> float:

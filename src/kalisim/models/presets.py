@@ -89,10 +89,7 @@ class LatticeAgeModel(AgeHawkesModel):
     def ladder(self, i: NodeId) -> GammaLadder:
         return self._ladder
 
-    # -- translation-invariant branching reductions ---------------------------
-
-    def translation_invariant(self) -> bool:
-        return True
+    # -- translation-invariant branching reduction ----------------------------
 
     def invariant_offspring_mean(self) -> float:
         """Mean backward children per point: C_gamma * delta * f(p)."""

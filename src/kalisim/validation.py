@@ -263,9 +263,12 @@ def suite_thinning_equivalence(seed: int = 20_202, runs: int = 10_000) -> SuiteR
         out = perfect_sample(model, 0, window, root.child(0, r))
         perfect_counts[r] = len(out.points(0))
     burn = 50.0 / gamma
+    psi, ker = model.psi(0), model.kernel(0, 0)
     oracle_counts = np.empty(runs, dtype=int)
     for r in range(runs):
-        ev = ogata_age_hawkes(0.5, 0.5, 0.8, 2.0, 0.5, burn + window, root.child(1, r))
+        ev = ogata_age_hawkes(
+            psi.base, psi.slope, ker.alpha, ker.beta, model.refractory, burn + window, root.child(1, r)
+        )
         oracle_counts[r] = sum(1 for t in ev if t >= burn)
     tv = total_variation(perfect_counts, oracle_counts)
     rep.seconds = time.perf_counter() - t0

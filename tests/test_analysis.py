@@ -1,9 +1,10 @@
+import math
 from itertools import islice
 
 import numpy as np
 import pytest
 
-from kalisim import AtomicWeights, LinearHawkesModel, TableModel, analysis, lattice_preset
+from kalisim import AtomicWeights, LinearHawkesModel, Neighborhood, TableEntry, TableModel, analysis, lattice_preset
 from kalisim.validation import (
     atomic_gate_model,
     bounded_age_model,
@@ -144,3 +145,22 @@ def test_offspring_model_reads_each_weight_once():
     assert read > 1000
     # one pmf per descriptor read, plus at most one per node where it stops
     assert calls <= read + 2
+
+
+def test_log_laplace_draws_one_neighborhood_for_every_child_type():
+    # node 0: with weight 1/2 a neighborhood of length 1/2 on both nodes, else none
+    both = Neighborhood([(0, -1.0, -0.5), (1, -1.0, -0.5)])
+    m = TableModel(
+        {
+            0: [TableEntry(0.5, both, 1.0, 0.0), TableEntry(0.5, Neighborhood.empty(), 1.0, 0.0)],
+            1: [TableEntry(1.0, Neighborhood.empty(), 1.0, 0.0)],
+        },
+        bounds={0: 1.0, 1: 1.0},
+    )
+    off = analysis.OffspringModel.from_model(m, [0, 1])
+    f = math.expm1(0.7)
+    # E exp(0.7 (N0 + N1)) where N0, N1 ~ Poisson(1/2) share the one draw of v
+    want = math.log(0.5 * math.exp(0.5 * f + 0.5 * f) + 0.5)
+    got = off.log_laplace(np.array([0.7, 0.7]))
+    assert got[0] == pytest.approx(want, rel=1e-12)
+    assert got[1] == 0.0

@@ -158,6 +158,10 @@ def test_analyze_lattice_sample(tmp_path, capsys):
         ("analyze", TABLE, ["--theta", "0.1,0.2"], EXIT_CONFIG),
         ("analyze", LATTICE, ["--p-grid", "abc"], EXIT_CONFIG),
         ("analyze", LATTICE, ["--p-grid", "4.5"], EXIT_CONFIG),
+        ("analyze", LATTICE, ["--p-grid", "3.0"], EXIT_CONFIG),
+        ("analyze", LATTICE, ["--invariant", "--theta", "0.1"], EXIT_CONFIG),
+        ("analyze", LATTICE, ["--invariant", "--nodes", "3"], EXIT_CONFIG),
+        ("analyze", LATTICE, ["--theta", "0.1"], EXIT_CONFIG),
         ("simulate-perfect", LATTICE, ["--t-max", "-1"], EXIT_CONFIG),
         ("simulate-perfect", LATTICE, ["--runs", "0"], EXIT_CONFIG),
         ("simulate-perfect", TABLE, ["--node", "7"], EXIT_CONFIG),
@@ -189,6 +193,10 @@ def test_analyze_lattice_sample(tmp_path, capsys):
         "theta-of-wrong-length",
         "p-grid-not-numbers",
         "p-grid-above-gamma",
+        "p-grid-not-above-3",
+        "invariant-with-theta",
+        "invariant-with-nodes",
+        "theta-without-a-node-sample",
         "perfect-negative-t-max",
         "perfect-zero-runs",
         "perfect-unknown-node",

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from kalisim import (
     ActivityCap,
     Configuration,
-    CoverageError,
     GuardViolation,
     Neighborhood,
     NoGuard,
     RefractoryGap,
-    agrees_on,
     evaluate_decomposition,
     neighborhood_measure,
     shift_to_origin,
@@ -42,11 +40,6 @@ class TestNeighborhood:
         a = Neighborhood([(0, -1.0, -0.5), (1, -2.0, -1.0)])
         b = Neighborhood([(1, -2.0, -1.0), (0, -1.0, -0.5)])
         assert a == b and hash(a) == hash(b)
-
-    def test_contains_half_open(self):
-        v = Neighborhood([(3, -1.0, -0.5)])
-        assert v.contains(3, -1.0)
-        assert not v.contains(3, -0.5)
 
 
 class TestNeighborhoodMeasure:
@@ -142,31 +135,6 @@ class TestConfiguration:
             if kept:
                 reference[j] = kept
         assert list(x.restrict(v).items()) == list(reference.items())
-
-
-class TestAgreesOn:
-    def test_reflexive(self):
-        x = Configuration({1: [-0.3]})
-        v = Neighborhood([(1, -0.5, -1e-12)])
-        assert agrees_on(x, x, v)
-
-    def test_point_inside_only_one(self):
-        x = Configuration({1: [-0.3]})
-        y = Configuration.empty()
-        v = Neighborhood([(1, -0.5, -1e-12)])
-        assert not agrees_on(x, y, v)
-
-    def test_point_outside_is_invisible(self):
-        x = Configuration({1: [-0.7]})
-        y = Configuration.empty()
-        v = Neighborhood([(1, -0.5, -1e-12)])
-        assert agrees_on(x, y, v)
-
-    def test_uncovered_window_rejected(self):
-        x = Configuration({1: [-0.3]}, window=(-0.4, 0.0))
-        v = Neighborhood([(1, -0.5, -1e-12)])
-        with pytest.raises(CoverageError):
-            agrees_on(x, Configuration.empty(), v)
 
 
 class TestShiftToOrigin:
