@@ -34,7 +34,6 @@ from .core import (
     SubspaceGuard,
     TaylorND,
     evaluate_decomposition,
-    neighborhood_measure,
     shift_to_origin,
 )
 from .errors import (

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import series
 from .core import NodeId
-from .errors import DivergenceError, NonSummableError
+from .errors import ConfigError, DivergenceError, NonSummableError
 from .models.base import KalikowModel
 from .models.presets import lattice_c_gamma
 
@@ -157,13 +157,16 @@ def branching_summary(
 
     The scalar reduction, taken with ``invariant=True`` or for an infinite
     network given no node sample, needs the model's
-    ``invariant_offspring_mean``. The sample reduction works over ``nodes``
-    (every node of a finite network by default); on an invariant model its
-    E(W) is exact whatever mass leaves the sample.
+    ``invariant_offspring_mean`` and takes no ``nodes`` (``ConfigError``).
+    The sample reduction works over ``nodes`` (every node of a finite network
+    by default); on an invariant model its E(W) is exact whatever mass leaves
+    the sample.
     """
     mean = model.invariant_offspring_mean()
     invariant = invariant or (nodes is None and model.node_set() is None)
     if invariant:
+        if nodes is not None:
+            raise ConfigError(["the scalar reduction takes no node sample"])
         if mean is None:
             raise NonSummableError("no invariance certificate: pass an explicit node sample")
         node_list, m, off, per, gamma = (0,), np.array([[mean]]), np.zeros(1), {}, mean

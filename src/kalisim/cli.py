@@ -189,18 +189,14 @@ def _floats(flag: str, text: str) -> list[float]:
 def _cmd_analyze(args) -> int:
     if args.nodes is not None and args.nodes < 1:
         raise ConfigError([f"--nodes must be >= 1, got {args.nodes}"])
-    if args.invariant and args.nodes is not None:
-        raise ConfigError(["--invariant takes no --nodes: the scalar reduction has no node sample"])
     cfg = load_config(args.config)
     model = cfg.build_model()
     report: dict = {"family": cfg.model_section.get("family")}
 
-    nodes = model.node_set()
-    if nodes is not None:
-        nodes = list(nodes)[: args.nodes]
-    elif args.nodes is not None:
-        half = args.nodes // 2
-        nodes = list(range(-half, args.nodes - half))
+    nodes = None
+    if args.nodes is not None:
+        listed, half = model.node_set(), args.nodes // 2
+        nodes = list(range(-half, args.nodes - half)) if listed is None else list(listed)[: args.nodes]
     summary = analysis.branching_summary(model, nodes, args.invariant)
     if summary.invariant and args.theta is not None:
         raise ConfigError(["--theta needs a node sample; the scalar reduction has none (pass --nodes)"])
@@ -212,7 +208,7 @@ def _cmd_analyze(args) -> int:
             report["expected_clan_size"] = summary.expected_w[0]
     else:
         report["reduction"] = "finite node sample"
-        report["nodes"] = nodes
+        nodes = report["nodes"] = list(summary.per_node)
         report["M"] = summary.matrix.tolist()
         report["expected_clan_size"] = {str(k): v for k, v in summary.expected_w.items()}
         if summary.expected_w_note:

@@ -87,19 +87,6 @@ class Neighborhood:
         return f"Neighborhood({body})"
 
 
-def neighborhood_measure(v: Neighborhood, gamma: Mapping[NodeId, float]) -> float:
-    """Product measure of a neighborhood, P(v) = sum_j Gamma^j * length(p_j(v)).
-
-    ``gamma`` must provide a bound for every node appearing in ``v``.
-    """
-    total = 0.0
-    for j, a, b in v.pieces():
-        if j not in gamma:
-            raise KeyError(f"no bound known for node {j}")
-        total += gamma[j] * (b - a)
-    return total
-
-
 class Configuration:
     """Finite realized point sets per node, with an optional knowledge window.
 

@@ -47,7 +47,9 @@ class GammaLadder:
     component value. ``sample`` inverts the level CDF by bisection on the
     running sums of the rungs, grown on demand and kept; the list stops
     growing at the first level whose tail is negligible, which takes every
-    higher draw.
+    higher draw. Each level grown gets one ``NestedND``, which every draw of
+    that level returns, so a draw below the last running sum is one bisection
+    and no allocation.
     """
 
     def __init__(self, head: Sequence[float] = (),
@@ -64,6 +66,7 @@ class GammaLadder:
                 raise ValueError("power tail needs p > 2 for finite offspring means")
         self._rungs = list(head)
         self._cum: list[float] = []
+        self._descs: list[NestedND] = []
         self._stop_reached = False
         self.total = sum(head) + self.tail(self.k_head)
 
@@ -95,18 +98,21 @@ class GammaLadder:
         return self.level(desc.k) / self.total if isinstance(desc, NestedND) and desc.k >= 1 else 0.0
 
     def sample(self, rng: RandomStream) -> NestedND:
-        if self.total <= 0:
-            raise ValueError("total bound must be positive")
         u = rng.uniform() * self.total
         cum = self._cum
+        if cum and u < cum[-1]:
+            return self._descs[bisect_right(cum, u)]
+        if self.total <= 0:
+            raise ValueError("total bound must be positive")
         while not (self._stop_reached or (cum and u < cum[-1])):
             k = len(cum) + 1
             if k >= _WALK_CAP:
                 raise NonSummableError(f"ladder sampler walk exceeded its cap of {_WALK_CAP} levels")
             cum.append((cum[-1] if cum else 0.0) + self.level(k))
+            self._descs.append(NestedND(k))
             self._stop_reached = self.tail(k) < 1e-15 * self.total
         # below the stop level cum[-1] > u, so the cap only binds at the stop level
-        return NestedND(min(bisect_right(cum, u) + 1, len(cum)))
+        return self._descs[min(bisect_right(cum, u), len(cum) - 1)]
 
 
 class AgeHawkesModel(KalikowModel):
@@ -206,13 +212,14 @@ class AgeHawkesModel(KalikowModel):
 
     def _drives(self, i: NodeId, k: int, x: Configuration) -> tuple[float, float]:
         """The drives truncated to v_{k-1} and to v_k (k >= 2), from one walk
-        over v_k's points. omega_{k-1} lists its nodes in omega_k's order, so
-        each drive adds the same values in the same order as its own walk."""
+        over the nodes of omega_k that hold points of x, in increasing order:
+        omega_k and omega_{k-1} list their nodes in that order, so each drive
+        adds the same values in the same order as its own walk."""
         lo, lo_prev = -k * self.refractory, -(k - 1) * self.refractory
-        inner = self.omega(i, k - 1)
+        omega, inner = self.omega(i, k), self.omega(i, k - 1)
         prev = cur = 0.0
-        for j in self.omega(i, k):
-            ker = self.kernel(i, j)
+        for j in sorted(x.nodes()):
+            ker = self.kernel(i, j) if j in omega else None
             if ker is None:
                 continue
             pts = x.points_in(j, lo, 0.0)

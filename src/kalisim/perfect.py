@@ -17,9 +17,11 @@ A point with drawn neighborhood v is accepted when its uniform mark is below
 phi_v(x)/Gamma. When the model bounds phi_v by ``component_sup`` and the mark
 already lies at or above that bound over Gamma, no past can accept the point.
 A root is screened that way inside the ledger's walk, right after its step,
-mark and neighborhood are drawn: it is counted as a clan of 1 and is never
-stored, so it costs those three draws and nothing else. A clan member is
-screened when its neighborhood is drawn, is rejected and realizes no region.
+mark and neighborhood are drawn: the sweep keeps each descriptor's mark limit,
+that bound over Gamma, and compares the mark with it. A screened root is
+counted as a clan of 1 and is never stored, so it costs those three draws, a
+lookup and a comparison. A clan member is screened when its neighborhood is
+drawn, is rejected and realizes no region.
 The mark is independent of v and of x, and a rejected point enters no x, so
 the law is unchanged; a region left unrealized is realized later, once, by
 whichever point needs it.
@@ -27,8 +29,10 @@ whichever point needs it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from operator import attrgetter
+from typing import Iterable, Optional, Sequence
 
 from .core import Configuration, NodeId, _merge_pieces
 from .errors import BudgetExhausted, KalisimError, LedgerError, NonMonotoneModelError, NonSummableError
@@ -108,27 +112,7 @@ class AncestorGraph:
         return 1 + self.new_point_count
 
 
-def _anchored(model, rec: PointRecord) -> Iterator[tuple[NodeId, list[tuple[float, float]]]]:
-    """Yield ``(node, pieces)`` of an expanded record's neighborhood anchored
-    at its time: each piece [a, b) becomes [a + t, b + t). The one place a
-    neighborhood is put at a point's time, for both the backward and the
-    forward pass."""
-    t = rec.time
-    nb = model.expand(rec.node, rec.neighborhood)
-    for j in nb.nodes():
-        yield j, [(a + t, b + t) for a, b in nb.intervals(j)]
-
-
-def _decided_by_mark(model, node: NodeId, neighborhood, mark: float, gam: float) -> bool:
-    """Whether ``mark`` rejects a point of ``node`` with this neighborhood
-    whatever its past holds: whether it lies at or above the model's
-    ``component_sup`` over ``gam``, the node's global bound Gamma.
-
-    ``sup / gam`` uses the float operations of ``forward_accept``'s
-    ``value / gam``, so whenever value <= sup the two comparisons agree.
-    """
-    sup = model.component_sup(node, neighborhood)
-    return sup is not None and not mark < sup / gam
+_by_time = attrgetter("time", "node")
 
 
 def backward_clan(
@@ -160,30 +144,41 @@ def backward_clan(
 
     graph = AncestorGraph(root=(i, t), root_record=root)
     pending: list[PointRecord] = [root]
+    realize, bound = ledger.realize_new, model.global_bound
 
     def expand(rec: PointRecord) -> list[PointRecord]:
         if rec.neighborhood is None:
             rec.neighborhood = model.sample_neighborhood(rec.node, rng)
-        if _decided_by_mark(model, rec.node, rec.neighborhood, rec.mark, model.global_bound(rec.node)):
+        # sup / gam rounds as forward_accept's value / gam does, so whenever
+        # value <= sup a mark at or above it is rejected there too
+        sup = model.component_sup(rec.node, rec.neighborhood)
+        if sup is not None and not rec.mark < sup / bound(rec.node):
             rec.decision = False
             graph.mark_decided += 1
             return []
+        # each piece [a, b) of the neighborhood is requested at the point's time s
+        s = rec.time
+        nb = model.expand(rec.node, rec.neighborhood)
         new: list[PointRecord] = []
         children: list[PointRecord] = []
-        for j, region in _anchored(model, rec):
-            gam = model.global_bound(j)
+        first = math.inf
+        for j in nb.nodes():
+            gam = bound(j)
             if gam is None:
                 raise NonSummableError(
                     f"{type(model).__name__} has no global bound for node {j}; "
                     "backward simulation needs the bounded regime"
                 )
-            fresh, found = ledger.realize_new(j, region, gam, rng)
+            pieces = nb.intervals(j)
+            first = min(first, pieces[0][0])  # pieces are sorted
+            fresh, found = realize(j, [(a + s, b + s) for a, b in pieces], gam, rng)
             new.extend(fresh)
             children.extend(fresh)
             children.extend(found)
-            # pieces are sorted, so the first starts earliest
-            graph.lookback = max(graph.lookback, t - region[0][0])
         rec.children = children
+        # a + s rounds monotonically in a, so this is the largest t - (a + s)
+        # of every piece; an empty neighborhood looks nowhere (t - inf)
+        graph.lookback = max(graph.lookback, t - (first + s))
         return new
 
     frontier = [root]
@@ -195,8 +190,10 @@ def backward_clan(
                 " (supercritical weights or too small a budget)",
                 graph=graph,
             )
+        if len(frontier) > 1:
+            frontier.sort(key=_by_time)
         next_frontier: list[PointRecord] = []
-        for rec in sorted(frontier, key=lambda r: (r.time, r.node)):
+        for rec in frontier:
             for child in expand(rec):
                 child.generation = gen + 1
                 next_frontier.append(child)
@@ -211,7 +208,9 @@ def backward_clan(
         frontier = next_frontier
 
     graph.terminated = True
-    graph.pending = sorted(pending, key=lambda r: (r.time, r.node))
+    if len(pending) > 1:
+        pending.sort(key=_by_time)
+    graph.pending = pending
     return graph
 
 
@@ -288,11 +287,20 @@ def _node_sweep(
             "perfect simulation needs the bounded regime"
         )
 
+    sample = model.sample_neighborhood
+    # each descriptor's mark limit, component_sup over gam as in expand: a
+    # mark at or above it rejects the root whatever its past
+    mark_limits: dict = {}
+
     def screen(mark: float):
         # a root its mark rejects is a clan of 1 that looks nowhere; the
         # walk neither stores it nor covers its time on its own
-        neighborhood = model.sample_neighborhood(node, draws)
-        if not _decided_by_mark(model, node, neighborhood, mark, gam):
+        neighborhood = sample(node, draws)
+        bar = mark_limits.get(neighborhood)
+        if bar is None:
+            sup = model.component_sup(node, neighborhood)
+            bar = mark_limits[neighborhood] = math.inf if sup is None else sup / gam
+        if mark < bar:
             return neighborhood
         if stats is not None:
             stats.roots += 1

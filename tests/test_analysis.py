@@ -4,7 +4,16 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from kalisim import AtomicWeights, LinearHawkesModel, Neighborhood, TableEntry, TableModel, analysis, lattice_preset
+from kalisim import (
+    AtomicWeights,
+    ConfigError,
+    LinearHawkesModel,
+    Neighborhood,
+    TableEntry,
+    TableModel,
+    analysis,
+    lattice_preset,
+)
 from kalisim.validation import (
     atomic_gate_model,
     bounded_age_model,
@@ -164,3 +173,13 @@ def test_log_laplace_draws_one_neighborhood_for_every_child_type():
     got = off.log_laplace(np.array([0.7, 0.7]))
     assert got[0] == pytest.approx(want, rel=1e-12)
     assert got[1] == 0.0
+
+
+def test_the_scalar_reduction_refuses_a_node_sample():
+    lattice = lattice_preset(4, 4, 0.005)
+    for reduce in (analysis.branching_summary, analysis.subcriticality_gamma):
+        with pytest.raises(ConfigError, match="no node sample"):
+            reduce(lattice, [-1, 0, 1], invariant=True)
+    # the sample itself is taken without the flag, and the scalar with neither
+    assert not analysis.branching_summary(lattice, [-1, 0, 1]).invariant
+    assert analysis.branching_summary(lattice).invariant

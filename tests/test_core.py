@@ -13,7 +13,6 @@ from kalisim import (
     NoGuard,
     RefractoryGap,
     evaluate_decomposition,
-    neighborhood_measure,
     shift_to_origin,
 )
 from kalisim.models import LinearHawkesModel, lattice_preset
@@ -40,45 +39,6 @@ class TestNeighborhood:
         a = Neighborhood([(0, -1.0, -0.5), (1, -2.0, -1.0)])
         b = Neighborhood([(1, -2.0, -1.0), (0, -1.0, -0.5)])
         assert a == b and hash(a) == hash(b)
-
-
-class TestNeighborhoodMeasure:
-    def test_empty_is_zero(self):
-        assert neighborhood_measure(Neighborhood.empty(), {}) == 0.0
-
-    def test_single_piece(self):
-        v = Neighborhood([(3, -1.0, -0.5)])
-        assert neighborhood_measure(v, {3: 2.0}) == pytest.approx(1.0)
-
-    def test_union(self):
-        v = Neighborhood([(1, -2.0, -1.0), (2, -1.0, -1e-9)])
-        got = neighborhood_measure(v, {1: 1.0, 2: 3.0})
-        assert got == pytest.approx(1.0 + 3.0 * (1.0 - 1e-9))
-
-    def test_missing_node_named(self):
-        v = Neighborhood([(7, -1.0, -0.5)])
-        with pytest.raises(KeyError, match="7"):
-            neighborhood_measure(v, {1: 1.0})
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(0, 3),
-                st.floats(-50.0, -1e-3, allow_nan=False),
-                st.floats(0.01, 10.0),
-            ),
-            min_size=1,
-            max_size=8,
-        )
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_additive_over_disjoint_nodes(self, raw):
-        # place every piece on its own node id offset so pieces never merge
-        pieces = [(1000 + k, a, a + min(w, -a / 2)) for k, (j, a, w) in enumerate(raw)]
-        gamma = {j: 1.0 + (j % 5) for j, _, _ in pieces}
-        whole = neighborhood_measure(Neighborhood(pieces), gamma)
-        parts = sum(neighborhood_measure(Neighborhood([p]), gamma) for p in pieces)
-        assert whole == pytest.approx(parts, rel=1e-12)
 
 
 class TestConfiguration:

@@ -311,3 +311,27 @@ class TestLadderLevelSampling:
         assert got == [walked_level(ladder, u * ladder.total) for u in sweep]
         # the top draw lies past every running sum below the stop level
         assert ladder.tail(max(got)) < 1e-15 * ladder.total
+
+    def test_every_level_is_the_inverted_level_and_one_object(self):
+        # a head, a geometric and a power term; the power tail sets the stop
+        # level, about 70
+        ladder = GammaLadder([1.0, 0.6, 0.3], geometric=[(0.2, 0.5)], power=[(0.1, 8.0)])
+        stop = next(k for k in range(1, 1000) if ladder.tail(k) < 1e-15 * ladder.total)
+        sums = [0.0]
+        for k in range(1, stop + 1):
+            sums.append(sums[-1] + ladder.level(k))
+        # the middle of each level's stretch of the CDF, then draws at and past
+        # the stop level's running sum
+        sweep = [(lo + hi) / 2.0 / ladder.total for lo, hi in zip(sums, sums[1:])]
+        sweep += [sums[-1] / ladder.total, 1.0 - 2.0**-53]
+        sweep += sweep[::-1]  # the second half draws after every level was grown
+        draws = self.Draws(sweep)
+        got = [ladder.sample(draws) for _ in sweep]
+        assert [d.k for d in got] == [walked_level(ladder, u * ladder.total) for u in sweep]
+        # every level the doubles can tell apart is drawn, and nothing past the stop level
+        resolved = {k for k in range(1, stop + 1) if ladder.level(k) > 1e-12 * ladder.total}
+        assert resolved <= {d.k for d in got} and max(d.k for d in got) == stop
+        # one descriptor per level, whichever draw reached it
+        first = {}
+        for d in got:
+            assert first.setdefault(d.k, d) is d

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import statistics
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from kalisim import (
     backward_clan,
     forward_accept,
     lattice_preset,
+    perfect,
     perfect_sample,
     perfect_sample_window,
 )
@@ -39,6 +41,21 @@ class NoSupLattice(LatticeAgeModel):
 
     def component_sup(self, i, desc):
         return None
+
+
+class CountingSupLattice(LatticeAgeModel):
+    """The lattice preset counting the ``component_sup`` questions it is asked
+    while no clan is being built or decided, per (node, descriptor)."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.asked = Counter()
+        self.in_clan = False
+
+    def component_sup(self, i, desc):
+        if not self.in_clan:
+            self.asked[(i, desc)] += 1
+        return super().component_sup(i, desc)
 
 
 class UnderstatedSupLattice(LatticeAgeModel):
@@ -90,6 +107,34 @@ class TestMarkDecision:
         assert any(a <= 3.0 - DELTA and b >= 3.0 for a, b in ledger.coverage(0))
         forward_accept(graph, model, ledger)
         assert rec.decision is not None
+
+    def test_the_root_screen_asks_once_per_descriptor(self, monkeypatch):
+        # outside clans only the screen asks; it keeps each descriptor's mark limit
+        model = CountingSupLattice(GAMMA, P, DELTA)
+
+        def in_clan(step):
+            def run(*args, **kwargs):
+                model.in_clan = True
+                try:
+                    return step(*args, **kwargs)
+                finally:
+                    model.in_clan = False
+            return run
+
+        monkeypatch.setattr(perfect, "backward_clan", in_clan(perfect.backward_clan))
+        monkeypatch.setattr(perfect, "forward_accept", in_clan(perfect.forward_accept))
+        stats = PerfectRunStats()
+        perfect_sample(model, 0, 20.0, RandomStream(1), stats=stats)
+        assert stats.roots == 816
+        assert {i for i, _ in model.asked} == {0} and len(model.asked) >= 3
+        assert max(model.asked.values()) == 1
+
+    def test_without_a_supremum_every_root_is_expanded(self):
+        ledger, stats = RegionLedger(), PerfectRunStats()
+        perfect_sample(NoSupLattice(GAMMA, P, DELTA), 0, 3.0, RandomStream(2), ledger=ledger, stats=stats)
+        roots = ledger.points_in(0, 0.0, 3.0)
+        assert stats.mark_decided == 0 and stats.roots == len(roots) == len(stats.clan_sizes) > 50
+        assert all(rec.children is not None and rec.decision is not None for rec in roots)
 
     def test_run_stats_count_mark_decisions(self):
         stats = PerfectRunStats()
@@ -511,3 +556,43 @@ def test_window_stats_sum_over_the_windows():
     assert stats.roots == len(stored) + screened
     assert 0 < len(stored) < stats.roots
     assert stats.accepted == len(out.points(0)) + len(out.points(1)) > 0
+
+
+def _perfect_outputs_digest():
+    """sha256 over seeded perfect-sampling outputs: points, run stats, clan
+    sizes, lookbacks and ledgers of the lattice (with and without its
+    supremum) and of the finite age model, one lattice window, and
+    ``two_node_clan_model()`` clans, each built and decided on a fresh ledger."""
+    h = hashlib.sha256()
+
+    def put(obj):
+        h.update(json.dumps(obj, sort_keys=True).encode())
+
+    runs = [
+        (lattice_preset(GAMMA, P, DELTA), 8.0),
+        (NoSupLattice(GAMMA, P, DELTA), 2.0),
+        (bounded_age_model(), 20.0),
+    ]
+    for model, t_max in runs:
+        for seed in range(6):
+            ledger, stats = RegionLedger(), PerfectRunStats()
+            pts = perfect_sample(model, 0, t_max, RandomStream(seed), ledger=ledger, stats=stats).points(0)
+            put([list(map(float.hex, pts)), stats.to_json(), stats.clan_sizes,
+                 list(map(float.hex, stats.lookbacks)), ledger.to_json()])
+    ledger, stats = RegionLedger(), PerfectRunStats()
+    windows = [(0, (0.0, 3.0)), (1, (2.0, 5.0)), (-3, (1.0, 4.0))]
+    out = perfect_sample_window(lattice_preset(GAMMA, P, DELTA), windows, RandomStream(9), ledger=ledger, stats=stats)
+    put([{str(j): list(map(float.hex, out.points(j))) for j in out.nodes()}, stats.to_json(), ledger.to_json()])
+    model = two_node_clan_model()
+    for seed in range(150):
+        ledger = RegionLedger()
+        graph = forward_accept(backward_clan(model, seed % 2, 0.0, ledger, RandomStream(seed)), model, ledger)
+        put([graph.clan_size(), graph.lookback.hex(), graph.mark_decided,
+             [(r.node, r.time.hex(), r.decision, r.generation) for r in graph.pending], ledger.to_json()])
+    return h.hexdigest()
+
+
+def test_perfect_outputs_digest():
+    # one pin over every seeded output of the perfect sampler; a change that
+    # claims its draws and decisions unchanged must leave it as it is
+    assert _perfect_outputs_digest() == "9c4fa3189480def26134036105fa61d87461cbca6e162c3ba154a3ea2b6da892"
