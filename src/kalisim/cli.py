@@ -192,6 +192,8 @@ def _cmd_analyze(args) -> int:
     cfg = load_config(args.config)
     model = cfg.build_model()
     report: dict = {"family": cfg.model_section.get("family")}
+    if args.theta is not None and model.node_set() is None:
+        raise ConfigError([f"--theta needs a closed finite family; {report['family']} has infinitely many nodes"])
 
     nodes = None
     if args.nodes is not None:

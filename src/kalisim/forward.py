@@ -25,15 +25,18 @@ past, which no rejection changes and every acceptance on them renews. So the
 piecewise constant rate between two acceptances dominates the intensity;
 ``ForwardRun.rate_integral`` is its integral, the proposals' compensator.
 
-Costs. A proposal's component value reads the accepted points inside the
-drawn neighborhood only, shifted to the proposal time
-(``Configuration.restrict_at``), since ``delta`` is cylindrical: O(points in
-the neighborhood), not O(history). The rates the class is picked from are
-summed once per renewal. A bound costs O(points in its live window) plus
-O(log N) bins for N points of each source it reads: it walks the source's
-bins from the newest point and stops once no older bin can raise it
-(``models.base.future_bin_bounds``). An acceptance copies the accepted node's
-tuple of points, not the whole history.
+Costs. A proposal is one model call, ``sample_component``: it draws v from
+the picked class and reads the accepted points inside v only, shifted to the
+proposal time, since ``delta`` is cylindrical: O(points in the neighborhood),
+not O(history). The linear family does it with one bin draw, one bin weight
+and a kernel sum over the source's points in the bin; other families take
+the generic route through ``Configuration.restrict_at``. The rates the class
+is picked from are summed once per renewal. A bound costs O(points in its
+live window) plus O(log N) bins for N points of each source it reads: it
+walks the source's bins from the newest point and stops once no older bin
+can raise it (``models.base.future_bin_bounds``), and each source's walk is
+set up once per model. An acceptance copies the accepted node's tuple of
+points, not the whole history.
 """
 
 from __future__ import annotations
@@ -164,7 +167,7 @@ def forward_simulate(
             # rates a uniform is placed in, and the last positive rate for a
             # uniform rounded past them
             cumulative = list(accumulate(rates))
-            last = max(k for k, r in enumerate(rates) if r > 0.0)
+            last = next(k for k in reversed(range(len(rates))) if rates[k] > 0.0)
 
         t_cand = t + rng.exponential(total)
         if t_cand > t_max:
@@ -176,8 +179,7 @@ def forward_simulate(
             k = last
         (pick, cls, _, _), pick_bound = slots[k], bounds[k]
 
-        desc = model.sample_neighborhood(pick, rng, cls=cls)
-        value = model.component_value(pick, desc, past.restrict_at(model.expand(pick, desc), t_cand))
+        value = model.sample_component(pick, cls, rng, past, t_cand)
         if value > pick_bound * (1.0 + 1e-9):
             raise NonMonotoneModelError(
                 f"component value {value:g} exceeds the bound {pick_bound:g} of node {pick}"

@@ -22,6 +22,7 @@ from .base import (
     KalikowModel,
     _bin_of,
     atom_future_bound,
+    bin_drive,
     require_known_nodes,
     require_window_covers,
     require_window_for_supports,
@@ -104,7 +105,7 @@ class AnalyticHawkesModel(KalikowModel):
                 atoms = default_atomic_weights(self._incoming[i], self.eps, p_empty=0.0)
                 weights[i] = TaylorWeights(order_ratio, atoms)
         self.weights = dict(weights)
-        self._bin_tables: dict[NodeId, dict] = {i: {} for i in self._nodes}
+        self._walks: dict[NodeId, dict] = {i: {} for i in self._nodes}
 
     # -- structure -------------------------------------------------------------
 
@@ -131,10 +132,7 @@ class AnalyticHawkesModel(KalikowModel):
     def atom_value(self, i: NodeId, j: NodeId, n: int, x: Configuration) -> float:
         """a_{(j,n)}(x): kernel integral over bin n of node j."""
         ker = self._incoming[i].get(j)
-        if ker is None:
-            return 0.0
-        a, b = -n * self.eps, -(n - 1) * self.eps
-        return sum(ker(-s) for s in x.points_in(j, a, b))
+        return 0.0 if ker is None else bin_drive(ker, x.points(j), 0.0, n, self.eps)
 
     # -- decomposition --------------------------------------------------------------
 
@@ -215,7 +213,7 @@ class AnalyticHawkesModel(KalikowModel):
         until no later one can exceed the best so far.
         """
         fam = self.weights[i]
-        b_star = atom_future_bound(i, self._incoming[i], fam.atoms, x, t, self.eps, None, self._bin_tables[i])
+        b_star = atom_future_bound(i, self._incoming[i], fam.atoms, x, t, self.eps, None, self._walks[i])
         best = self.psi.derivative(0) / fam.p_empty
         if b_star == 0.0:
             return best

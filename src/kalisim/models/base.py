@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
-from ..core import Configuration, Neighborhood, NodeId, NoGuard, SubspaceGuard
+from ..core import Configuration, Neighborhood, NodeId, NoGuard, SubspaceGuard, _first_aged
 from ..errors import CoverageError, ExplosionGuardError, NonSummableError
 from ..kernels import Kernel
 from ..sampling import RandomStream
@@ -88,6 +88,19 @@ class KalikowModel(ABC):
         if lam == 0.0:
             return 0.0
         return self.delta(i, desc, x) / lam
+
+    def sample_component(self, i: NodeId, cls, rng: RandomStream, x: Configuration, t: float) -> float:
+        """Draw v from lambda_i( . | C) for the class keyed ``cls`` and return
+        phi_v at the past of ``x`` shifted to ``t``: one forward proposal.
+
+        ``x`` holds absolute times. The default draws with
+        ``sample_neighborhood``, reads the points inside v with
+        ``Configuration.restrict_at`` and evaluates ``component_value``; a
+        family may override it with a route that consumes the same draws and
+        returns the same float.
+        """
+        desc = self.sample_neighborhood(i, rng, cls=cls)
+        return self.component_value(i, desc, x.restrict_at(self.expand(i, desc), t))
 
     # -- bounded regime --------------------------------------------------------
 
@@ -250,15 +263,16 @@ def atom_future_bound(
     t: float,
     eps: float,
     source: Optional[NodeId],
-    tables: dict[NodeId, tuple[list[float], list[float]]],
+    walks: dict,
 ) -> float:
     """Largest B_n / lambda(w_{j,n}) over the atoms of node ``i``'s sources.
 
     ``incoming`` maps each source j to its kernel and ``atoms`` weighs the
     bins w_{j,n}; B_n is the bound of ``future_bin_bounds``, so the value
     bounds every atom's component at every future shift of ``x``'s past
-    before ``t``. ``source=j`` reads j's atoms only. ``tables`` is the
-    model's cache of node ``i``'s ``future_bin_bounds`` tables per source.
+    before ``t``. ``source=j`` reads j's atoms only. ``walks`` is the
+    model's cache of node ``i``'s per-source set-up (``_source_walk``),
+    filled on a source's first points.
 
     Each source's bins are walked by ``future_bin_bounds``, which stops
     early where an infinite-support kernel decays faster across one bin than
@@ -268,28 +282,55 @@ def atom_future_bound(
     no finite bound exists; a compact support needs no decay.
     """
     best = 0.0
-    for j, ker in incoming.items():
-        if source is not None and j != source:
-            continue
+    for j in incoming if source is None else (source,):
         pts = x.points(j)
-        if not pts or ker.is_zero():
+        if not pts:
             continue
-        if (1.0 - atoms.p_empty) * atoms.shares.get(j, 0.0) == 0.0:
-            raise ExplosionGuardError(
-                f"node {i}: kernel from node {j} is active but its atoms carry no weight"
-            )
-        nmax = atoms.trunc[j]
-        falls = False
-        if math.isinf(ker.support_end):
-            falls = ker.decay_per(eps) < atoms.ratios[j]
-            if not falls and nmax is None:
-                raise ExplosionGuardError(
-                    f"node {i}: bin weights from node {j} decay at least as fast as the kernel"
-                    " across bins; components admit no finite bound at future shifts"
-                )
-        table = tables.setdefault(j, ([math.nan], [math.nan]))
-        best = future_bin_bounds(ker, pts, t, eps, nmax, partial(atoms.bin_weight, j), best, falls, table)
+        walk = walks.get(j)
+        if walk is None:
+            walk = walks[j] = _source_walk(i, j, incoming.get(j), atoms, eps)
+        if not walk:
+            continue
+        if isinstance(walk, str):
+            raise ExplosionGuardError(walk)
+        ker, nmax, falls, weight, table = walk
+        best = future_bin_bounds(ker, pts, t, eps, nmax, weight, best, falls, table)
     return best
+
+
+def _source_walk(i: NodeId, j: NodeId, ker: Optional[Kernel], atoms: AtomicWeights, eps: float):
+    """What every bound walk of node ``i`` over source ``j``'s bins reads,
+    as ``(kernel, nmax, falls, weight, table)`` for ``future_bin_bounds``.
+
+    () when no kernel, or a zero one, drives i from j: its atoms' components
+    are 0. The message of the ``ExplosionGuardError`` to raise when the
+    components admit no finite bound once j has points: the atoms carry no
+    weight, or untruncated weights decay at least as fast as the kernel.
+    """
+    if ker is None or ker.is_zero():
+        return ()
+    if (1.0 - atoms.p_empty) * atoms.shares.get(j, 0.0) == 0.0:
+        return f"node {i}: kernel from node {j} is active but its atoms carry no weight"
+    nmax = atoms.trunc[j]
+    falls = False
+    if math.isinf(ker.support_end):
+        falls = ker.decay_per(eps) < atoms.ratios[j]
+        if not falls and nmax is None:
+            return (
+                f"node {i}: bin weights from node {j} decay at least as fast as the kernel"
+                " across bins; components admit no finite bound at future shifts"
+            )
+    return ker, nmax, falls, partial(atoms.bin_weight, j), ([math.nan], [math.nan])
+
+
+def bin_drive(ker: Kernel, pts: tuple[float, ...], t: float, n: int, eps: float) -> float:
+    """The drive of the atom w_{j,n}: the kernel sum over the points ``pts``
+    of node j (increasing) whose time shifted to ``t`` lies in the bin
+    [-n*eps, -(n-1)*eps). The points are found as
+    ``Configuration.restrict_at`` finds them, which at ``t`` = 0 is
+    ``Configuration.points_in``, and summed in time order."""
+    lo = _first_aged(pts, t, -n * eps)
+    return sum([ker(-(s - t)) for s in pts[lo : _first_aged(pts, t, -(n - 1) * eps, lo)]])
 
 
 def _bin_of(age: float, eps: float) -> int:
@@ -369,7 +410,7 @@ def future_bin_bounds(
         n_stop = nmax
     else:
         n_stop = int(ker.support_end / eps) + 2
-    prefix = [0.0]  # kernel-value prefix sums, newest point first
+    acc = 0.0  # the kernel values' prefix sum over the points read, newest first
     k = 0  # points read: those younger than the current bin
     n = _bin_of(t - pts[hi - 1], eps)
     edges, weights = table or ([math.nan], [math.nan])  # index 0 is no bin
@@ -384,13 +425,13 @@ def future_bin_bounds(
         w = weights[n]
         if falls and (2 * hi - k) * c / w * _WALK_ALLOWANCE <= best:
             break  # no later bin can raise the maximum
-        k_lo = k
+        k_lo, acc_lo = k, acc
         hi_edge = n * eps
         while k < hi and (age := t - pts[hi - 1 - k]) <= hi_edge:
-            prefix.append(prefix[k] + ker(age))
+            acc += ker(age)
             k += 1
-        bound_n = (prefix[k] - prefix[k_lo]) + k_lo * c
-        if bound_n > 0.0:
-            best = max(best, bound_n / w)
+        bound_n = (acc - acc_lo) + k_lo * c
+        if bound_n > 0.0 and (ratio := bound_n / w) > best:
+            best = ratio
         n += 1
     return best

@@ -13,6 +13,7 @@ from .base import (
     KalikowModel,
     OffspringRow,
     atom_future_bound,
+    bin_drive,
     require_known_nodes,
     require_window_for_supports,
 )
@@ -36,7 +37,10 @@ class LinearHawkesModel(KalikowModel):
     by default. Forward thinning per class (``proposal_classes``) proposes at
     mu for the empty set and at max_n B_n / g_j(n) for source j's atoms (B_n
     the bin bound of ``atom_future_bound``, g_j the bin pmf): lambda(empty)
-    and the shares cancel out, and only the bin ratios change the cost.
+    and the shares cancel out, and only the bin ratios change the cost. A
+    proposal (``sample_component``) draws a bin of its source and sums the
+    kernel over the source's points in it, with no descriptor, neighborhood
+    or restricted configuration; ``delta`` reads an atom the same way.
     """
 
     def __init__(
@@ -74,7 +78,7 @@ class LinearHawkesModel(KalikowModel):
                     )
         self._declared = dict(declared_bounds) if declared_bounds else {}
         self._expand_cache: dict[tuple[int, int], Neighborhood] = {}
-        self._bin_tables: dict[NodeId, dict] = {i: {} for i in self._nodes}
+        self._walks: dict[NodeId, dict] = {i: {} for i in self._nodes}
 
     # -- structure ----------------------------------------------------------
 
@@ -114,10 +118,12 @@ class LinearHawkesModel(KalikowModel):
             raise CoverageError(
                 f"configuration window {x.window} does not cover the bin [{a:g}, {b:g}) of node {desc.j}"
             )
-        ker = self._incoming[i].get(desc.j)
-        if ker is None:
-            return 0.0
-        return sum(ker(-s) for s in x.points_in(desc.j, a, b))
+        return self._bin_drive(i, desc.j, desc.n, x, 0.0)
+
+    def _bin_drive(self, i: NodeId, j: NodeId, n: int, x: Configuration, t: float) -> float:
+        """delta of the atom w_{j,n} at the past of ``x`` shifted to ``t``."""
+        ker = self._incoming[i].get(j)
+        return 0.0 if ker is None else bin_drive(ker, x.points(j), t, n, self.eps)
 
     def pmf(self, i: NodeId, desc) -> float:
         return self.weights[i].pmf(desc)
@@ -128,6 +134,23 @@ class LinearHawkesModel(KalikowModel):
         if cls is EMPTY_ND:
             return EMPTY_ND
         return AtomND(cls, self.weights[i].sample_bin(cls, rng))
+
+    def sample_component(self, i: NodeId, cls, rng: RandomStream, x: Configuration, t: float) -> float:
+        """One forward proposal of the class ``cls``, read straight from the
+        source's points: the empty set's mu / lambda(empty) (0/0 = 0), or a
+        bin n of source ``cls`` drawn with ``sample_bin`` and its drive at the
+        shifted past over lambda(w_{cls,n}). The draws and the float are the
+        default route's; the whole family (``cls`` None) takes that route."""
+        if cls is None:
+            return super().sample_component(i, cls, rng, x, t)
+        fam = self.weights[i]
+        if cls is EMPTY_ND:
+            return self.mu[i] / fam.p_empty if fam.p_empty else 0.0
+        n = fam.sample_bin(cls, rng)
+        lam = fam.bin_weight(cls, n)
+        if lam == 0.0:
+            return 0.0
+        return self._bin_drive(i, cls, n, x, t) / lam
 
     def enumerate_descriptors(self, i: NodeId, x: Optional[Configuration] = None):
         yield EMPTY_ND
@@ -163,7 +186,7 @@ class LinearHawkesModel(KalikowModel):
         """
         fam = self.weights[i]
         if cls is not None and cls is not EMPTY_ND:
-            return atom_future_bound(i, self._incoming[i], fam, x, t, self.eps, cls, self._bin_tables[i])
+            return atom_future_bound(i, self._incoming[i], fam, x, t, self.eps, cls, self._walks[i])
         if self.mu[i] > 0.0 and fam.p_empty == 0.0:
             raise ExplosionGuardError(
                 f"node {i} has positive spontaneous rate but zero weight on the empty set"
@@ -171,7 +194,7 @@ class LinearHawkesModel(KalikowModel):
         best = self.mu[i] / fam.p_empty if self.mu[i] > 0.0 else 0.0
         if cls is EMPTY_ND:
             return best
-        return max(best, atom_future_bound(i, self._incoming[i], fam, x, t, self.eps, None, self._bin_tables[i]))
+        return max(best, atom_future_bound(i, self._incoming[i], fam, x, t, self.eps, None, self._walks[i]))
 
     # -- branching ------------------------------------------------------------------
 

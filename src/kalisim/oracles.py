@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
+from .errors import ExplosionGuardError
 from .sampling import RandomStream
 
 
@@ -30,7 +31,8 @@ def ogata_hawkes(
     nonnegative and every rate nondecreasing, each intensity decays between
     events, so their total just after the last event dominates until the
     next acceptance; an accepted proposal goes to node i with probability
-    intensity_i over that total.
+    intensity_i over that total. Raises ``ExplosionGuardError`` when an
+    intensity or their total overflows the float range.
     """
     n = len(rates)
     events: list[list[float]] = [[] for _ in range(n)]
@@ -38,13 +40,21 @@ def ogata_hawkes(
     # s[i][j]: sum of exp(-beta[i][j] (t - t_k)) over past events t_k of node j
     s = [[0.0] * n for _ in range(n)]
 
+    def overflow() -> ExplosionGuardError:
+        return ExplosionGuardError(f"the intensities overflow at t={t:g} after {sum(map(len, events))} events")
+
     def intensities() -> list[float]:
-        return [rates[i](sum(alpha[i][j] * s[i][j] for j in range(n))) for i in range(n)]
+        try:
+            return [rates[i](sum(alpha[i][j] * s[i][j] for j in range(n))) for i in range(n)]
+        except OverflowError:
+            raise overflow() from None
 
     while True:
         bound = sum(intensities())
         if bound <= 0.0:
             return events
+        if bound == math.inf:
+            raise overflow()
         w = rng.exponential(bound)
         t_new = t + w
         if t_new > t_max:

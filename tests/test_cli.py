@@ -162,6 +162,7 @@ def test_analyze_lattice_sample(tmp_path, capsys):
         ("analyze", LATTICE, ["--invariant", "--theta", "0.1"], EXIT_CONFIG),
         ("analyze", LATTICE, ["--invariant", "--nodes", "3"], EXIT_CONFIG),
         ("analyze", LATTICE, ["--theta", "0.1"], EXIT_CONFIG),
+        ("analyze", LATTICE, ["--nodes", "3", "--theta", "0.1,0.1,0.1"], EXIT_CONFIG),
         ("simulate-perfect", LATTICE, ["--t-max", "-1"], EXIT_CONFIG),
         ("simulate-perfect", LATTICE, ["--runs", "0"], EXIT_CONFIG),
         ("simulate-perfect", TABLE, ["--node", "7"], EXIT_CONFIG),
@@ -197,6 +198,7 @@ def test_analyze_lattice_sample(tmp_path, capsys):
         "invariant-with-theta",
         "invariant-with-nodes",
         "theta-without-a-node-sample",
+        "theta-on-an-infinite-family",
         "perfect-negative-t-max",
         "perfect-zero-runs",
         "perfect-unknown-node",

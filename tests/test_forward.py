@@ -12,6 +12,7 @@ from kalisim import (
     AnalyticHawkesModel,
     AtomicWeights,
     Configuration,
+    ExplosionGuardError,
     ExponentialKernel,
     GLModel,
     LinearHawkesModel,
@@ -300,6 +301,10 @@ class TestOracle:
         se = statistics.stdev(counts) / math.sqrt(len(counts))
         assert abs(statistics.fmean(counts) - ring_closed_form_mean()) < 4.0 * se
 
+    def test_an_exploding_intensity_is_a_typed_error(self):
+        with pytest.raises(ExplosionGuardError, match=r"overflow at t=0\.069\d* after 142 events"):
+            ogata_hawkes([math.exp], [[5.0]], [[0.1]], 100.0, RandomStream(1))
+
     def test_parameters_follow_the_kernels(self):
         rates, alpha, beta = ogata_parameters(hawkes_ring())
         assert [rate(0.0) for rate in rates] == [MU] * 4 and rates[2](1.5) == MU + 1.5
@@ -320,6 +325,40 @@ def test_golden_ring_run():
     assert (pts[0], pts[-1]) == ((0.042852874415001976, 1), (9.911706523710912, 2))
     digest = hashlib.sha256(",".join(f"{i}:{s.hex()}" for s, i in pts).encode()).hexdigest()
     assert digest == "5ae2d6ab40ef969bb7478476548065fbcdac18e5cb4095bd027a539079d704c6"
+
+
+def test_ring_proposals_skip_the_generic_route(monkeypatch):
+    # the linear family reads a class's component straight from its source's
+    # points: the golden ring run, with the generic proposal route refused
+    want = forward_simulate(hawkes_ring(), RING, T_MAX, 10_000, None, RandomStream(2104))
+    model = hawkes_ring()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a proposal took the generic route")
+
+    monkeypatch.setattr(Configuration, "restrict_at", refuse)
+    monkeypatch.setattr(model, "expand", refuse)
+    monkeypatch.setattr(model, "component_value", refuse)
+    run = forward_simulate(model, RING, T_MAX, 10_000, None, RandomStream(2104))
+    assert (run.accepted, run.proposals, run.rate_integral) == (want.accepted, want.proposals, want.rate_integral)
+    assert run.proposals == 211
+
+
+def test_each_source_walk_is_set_up_once(monkeypatch):
+    # a class bound's per-source set-up (kernel decay against the bin ratio)
+    # is kept: once per (node, source) pair over every run of one model
+    model = hawkes_ring()
+    calls = []
+    decay_per = ExponentialKernel.decay_per
+
+    def counting(kernel, step):
+        calls.append(id(kernel))
+        return decay_per(kernel, step)
+
+    monkeypatch.setattr(ExponentialKernel, "decay_per", counting)
+    runs = [forward_simulate(model, RING, T_MAX, 10_000, None, RandomStream(2104).child(r)) for r in range(3)]
+    assert sum(run.bound_terms for run in runs) > 100
+    assert len(calls) == len(set(calls)) <= len(model.kernels) == 12
 
 
 @functools.lru_cache(maxsize=None)

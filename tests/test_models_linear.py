@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,13 +10,17 @@ from kalisim import (
     Configuration,
     CoverageError,
     EMPTY_ND,
+    EmptyND,
     ExplosionGuardError,
     ExponentialKernel,
+    KalikowModel,
     LinearHawkesModel,
     RandomStream,
     StepKernel,
+    shift_to_origin,
 )
 from kalisim.forward import TIME_REACHED, forward_simulate
+from kalisim.validation import hawkes_ring
 
 
 def one_node(mu=1.0, alpha=1.0, beta=1.0, eps=0.5, **kw):
@@ -182,3 +187,83 @@ class TestKalikowIdentity:
             residuals = [abs(target - evaluate_decomposition(m, 1, x, n)) for n in (1, 5, 15, 40)]
             assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
             assert residuals[-1] < 1e-9
+
+
+def points_in_delta(m, i, desc, x):
+    """The atom summand as a window check, ``points_in`` and a kernel sum."""
+    if isinstance(desc, EmptyND):
+        return m.mu[i]
+    a, b = -desc.n * m.eps, -(desc.n - 1) * m.eps
+    if x.window is not None and not (x.window[0] <= a and b <= x.window[1]):
+        raise CoverageError(f"window {x.window} does not cover [{a:g}, {b:g})")
+    ker = m._incoming[i].get(desc.j)
+    if ker is None:
+        return 0.0
+    return sum(ker(-s) for s in x.points_in(desc.j, a, b))
+
+
+def step_pair():
+    """Two nodes driven by step kernels, which the default weights truncate."""
+    kernels = {
+        (0, 0): StepKernel([0.0, 0.7, 1.6], [0.4, 0.2]),
+        (0, 1): StepKernel([0.0, 1.0], [0.3]),
+        (1, 1): StepKernel([0.0, 0.3, 2.1], [0.5, 0.1]),
+    }
+    return LinearHawkesModel(mu={0: 0.6, 1: 0.4}, kernels=kernels, eps=0.25)
+
+
+def zero_share_pair():
+    """Node 1's own kernel is live but its atoms carry no share, and node 0
+    puts no weight on the empty set (its empty component is 0/0 = 0)."""
+    kernels = {(i, j): ExponentialKernel(0.2 + 0.1 * j, 1.5) for i in (0, 1) for j in (0, 1)}
+    weights = {
+        0: AtomicWeights(0.0, {0: 0.5, 1: 0.5}, {0: 0.6, 1: 0.6}),
+        1: AtomicWeights(0.5, {0: 1.0, 1: 0.0}, {0: 0.6, 1: 0.6}),
+    }
+    return LinearHawkesModel(mu={0: 0.5, 1: 0.5}, kernels=kernels, eps=0.4, weights=weights)
+
+
+def edge_pasts(nodes, eps, count, seed):
+    """``count`` pasts before a time t, with points exactly at t - n*eps
+    (each such time on one node only, as a realized path has)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        t = rng.uniform(1.0, 12.0)
+        edges = [t - n * eps for n in rng.sample(range(1, 16), 8) if t - n * eps >= 0.0]
+        pts = {}
+        for j in nodes:
+            ts = {rng.uniform(0.0, t) for _ in range(rng.randrange(0, 8))}
+            ts |= {edges.pop() for _ in range(min(len(edges), rng.randrange(0, 4)))}
+            pts[j] = sorted(ts)
+        yield Configuration(pts), t
+
+
+class TestSampleComponent:
+    """The linear family's one-call proposal against the generic route."""
+
+    @pytest.mark.parametrize("make", [hawkes_ring, step_pair, zero_share_pair], ids=["ring", "step", "zero-share"])
+    def test_matches_the_generic_route_draw_for_draw(self, make):
+        m = make()
+        values = []
+        for k, (x, t) in enumerate(edge_pasts(m.node_set(), m.eps, 200, seed=17)):
+            for i in m.node_set():
+                for key in (None, *(key for key, _, _ in m.proposal_classes(i))):
+                    fast, generic = RandomStream(k, (i,)), RandomStream(k, (i,))
+                    got = m.sample_component(i, key, fast, x, t)
+                    want = KalikowModel.sample_component(m, i, key, generic, x, t)
+                    assert got == want, (k, i, key)
+                    assert fast.uniform() == generic.uniform(), (k, i, key)
+                    values.append(got)
+        assert sum(v > 0.0 for v in values) > 200
+
+    @pytest.mark.parametrize("make", [hawkes_ring, step_pair, zero_share_pair], ids=["ring", "step", "zero-share"])
+    def test_delta_is_the_points_in_sum(self, make):
+        m = make()
+        for x, t in edge_pasts(m.node_set(), m.eps, 50, seed=23):
+            past = shift_to_origin(x, t)
+            for i in m.node_set():
+                assert m.delta(i, EMPTY_ND, past) == points_in_delta(m, i, EMPTY_ND, past)
+                for j in m.node_set():
+                    for n in range(1, 40):
+                        desc = AtomND(j, n)
+                        assert m.delta(i, desc, past) == points_in_delta(m, i, desc, past), (i, desc)
