@@ -5,7 +5,7 @@ node j, a Poisson number of children with mean Gamma_j * mu(p_j(v)). The
 toolkit computes the mean offspring matrix, the subcriticality constant (sup
 of row sums), expected total clan sizes via the Neumann series, the
 log-Laplace fixed point of the total progeny, and the cost curve of the
-lattice preset's one-parameter weight family.
+paper's one-parameter power-ladder family on the lattice.
 
 :func:`branching_summary` is the one place that picks a reduction. The
 scalar reduction reads a translation-invariant model's common row total
@@ -395,11 +395,13 @@ class WeightCostCurve:
 def weight_cost_curve(
     gamma_exponent: float, delta: float, p_grid: Sequence[float]
 ) -> WeightCostCurve:
-    """Expected clan size of the lattice preset along its weight exponent grid.
+    """Expected clan size of the lattice on the paper's power ladder
+    Gamma_k = C_gamma k^{-p}, C_gamma = ``lattice_c_gamma``, along a grid of p;
+    the preset itself simulates on its Lipschitz envelope, a smaller clan.
 
-    For level weights proportional to k^{-p} the mean offspring count is
-    C_gamma * delta * f(p) with f(p) = sum (2k-1) k^{1-p} (finite iff p > 3),
-    and the translation-invariant reduction gives E(W) = 1/(1 - mean).
+    The mean offspring count is C_gamma * delta * f(p) with
+    f(p) = sum (2k-1) k^{1-p} (finite iff p > 3), and the
+    translation-invariant reduction gives E(W) = 1/(1 - mean).
     Supercritical grid points are flagged and excluded from the argmin.
     """
     if gamma_exponent <= 3.0:

@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--nodes", type=int, default=None, help="size of the node sample")
     p_an.add_argument("--invariant", action="store_true", help="use the translation-invariant reduction")
     p_an.add_argument("--theta", default=None, help="comma-separated vector for the log-Laplace fixed point")
-    p_an.add_argument("--p-grid", default=None, help="comma-separated weight exponents for the cost curve")
+    p_an.add_argument("--p-grid", default=None, help="comma-separated exponents p for the power-ladder cost curve")
     p_an.add_argument("--out", default=None, help="write the JSON report here (default stdout)")
 
     p_val = sub.add_parser("validate", help="run a named statistical/property suite")

@@ -31,16 +31,27 @@ from .base import (
 _WALK_CAP = 10_000_000
 
 
+def _geometric_tail(a: float, q: float, n: int, r: int) -> float:
+    """sum_{k>n} k^r a q^{k-1} for r = 0, 1, 2."""
+    if r == 0:
+        return a * q**n / (1.0 - q)
+    if r == 1:
+        return a * q**n * ((n + 1) - n * q) / (1.0 - q) ** 2
+    return a * q**n * (n * n / (1.0 - q) + 2 * n / (1.0 - q) ** 2 + (1.0 + q) / (1.0 - q) ** 3)
+
+
 class GammaLadder:
     """One node's per-level bounds Gamma_k and the level law they induce.
 
     The rungs are the ``head`` values Gamma_1..Gamma_H, then closed-form tail
-    terms: each geometric ``(a, r)`` pair adds a r^{k-1} and each ``power``
-    ``(c, p)`` pair adds c k^{-p} to every rung beyond the head, so totals
-    and tails are exact. ``total`` is Gamma = sum_k Gamma_k, ``tail(n)`` the
-    mass of the rungs beyond n and ``weighted_tail(n)`` is
-    sum_{k>n} k Gamma_k, used for offspring means (each level-k neighborhood
-    has time depth k*delta). The level weights are lambda(v_k) =
+    terms added to every rung beyond the head: each geometric ``(a, r)`` pair
+    adds a r^{k-1}, each ``power`` ``(c, p)`` pair adds c k^{-p}, and
+    ``lipschitz`` = gamma adds the lattice's Lipschitz envelope
+    bar-Gamma_k = 2/(k-1)^gamma + e^{-(k-1)} (1 + H_gamma(k-2)), whose
+    harmonic sum H_gamma is kept running as the rungs grow. ``total`` is
+    Gamma = sum_k Gamma_k and ``tail(n, r)`` is sum_{k>n} k^r Gamma_k for
+    r = 0, 1, 2, all exact; r = 1, 2 give offspring means (each level-k
+    neighborhood has time depth k*delta). The level weights are lambda(v_k) =
     Gamma_k / Gamma, so that every component is bounded by Gamma.
 
     Rungs are kept in a list once computed, since ``pmf`` reads one per
@@ -54,7 +65,8 @@ class GammaLadder:
 
     def __init__(self, head: Sequence[float] = (),
                  geometric: Sequence[tuple[float, float]] = (),
-                 power: Sequence[tuple[float, float]] = ()):
+                 power: Sequence[tuple[float, float]] = (),
+                 lipschitz: Optional[float] = None):
         self.k_head = len(head)
         self.geometric = [(a, r) for a, r in geometric if a > 0.0]
         for _, r in self.geometric:
@@ -64,6 +76,11 @@ class GammaLadder:
         for _, p in self.power:
             if p <= 2.0:
                 raise ValueError("power tail needs p > 2 for finite offspring means")
+        self.lipschitz = lipschitz
+        if lipschitz is not None:
+            if not (lipschitz > 3.0 and self.k_head >= 1):
+                raise ValueError("a Lipschitz tail needs gamma > 3 and a head holding Gamma_1")
+            self._harmonic = series.harmonic_partial(lipschitz, self.k_head - 1)
         self._rungs = list(head)
         self._cum: list[float] = []
         self._descs: list[NestedND] = []
@@ -72,25 +89,52 @@ class GammaLadder:
 
     def level(self, k: int) -> float:
         rungs = self._rungs
+        g = self.lipschitz
         while len(rungs) < k:
             n = len(rungs) + 1
-            rungs.append(sum(a * r ** (n - 1) for a, r in self.geometric)
-                         + sum(c * n ** (-p) for c, p in self.power))
+            rung = (sum(a * r ** (n - 1) for a, r in self.geometric)
+                    + sum(c * n ** (-p) for c, p in self.power))
+            if g is not None:
+                rung += 2.0 / (n - 1) ** g + math.exp(-(n - 1)) * (1.0 + self._harmonic)
+                self._harmonic += (n - 1) ** (-g)
+            rungs.append(rung)
         return rungs[k - 1] if k >= 1 else 0.0
 
-    def tail(self, n: int) -> float:
-        if n >= self.k_head:
-            return (sum(a * r**n / (1.0 - r) for a, r in self.geometric)
-                    + sum(c * series.zeta_tail(p, n) for c, p in self.power))
-        return sum(self._rungs[n:self.k_head]) + self.tail(self.k_head)
+    def tail(self, n: int, r: int = 0) -> float:
+        """sum_{k>n} k^r Gamma_k for r = 0, 1, 2."""
+        if n < self.k_head:
+            head = sum(k**r * self._rungs[k - 1] for k in range(n + 1, self.k_head + 1))
+            return head + self.tail(self.k_head, r)
+        out = sum(_geometric_tail(a, q, n, r) for a, q in self.geometric)
+        out += sum(c * series.zeta_tail(p - r, n) for c, p in self.power)
+        if self.lipschitz is not None:
+            out += self._lipschitz_tail(n, r)
+        return out
 
-    def weighted_tail(self, n: int) -> float:
-        if n >= self.k_head:
-            # sum_{k>n} k r^{k-1} = r^n ((n+1) - n r) / (1-r)^2
-            return (sum(a * r**n * ((n + 1) - n * r) / (1.0 - r) ** 2 for a, r in self.geometric)
-                    + sum(c * series.zeta_tail(p - 1.0, n) for c, p in self.power))
-        head_part = sum(k * self._rungs[k - 1] for k in range(n + 1, self.k_head + 1))
-        return head_part + self.weighted_tail(self.k_head)
+    def _lipschitz_tail(self, n: int, r: int) -> float:
+        """sum_{k>n} k^r bar-Gamma_k for n >= 1. With m = k - 1, zeta tails give
+        2 sum_{m>=n} (m+1)^r m^{-gamma}; sum_{m>=n} (m+1)^r e^{-m} (1 + H_gamma(m-1))
+        is summed until its remainder, below (1 + zeta(3)) sum_j (1+j)^2 e^{-j}
+        (m+1)^r e^{-m} < 12 (m+1)^r e^{-m}, is below rounding."""
+        g = self.lipschitz
+        out = 2.0 * sum(math.comb(r, i) * series.zeta_tail(g - i, n - 1) for i in range(r + 1))
+        m, h = n, None
+        while 12.0 * (m + 1) ** r * math.exp(-m) >= 2.0**-53 * out:
+            if h is None:
+                h = series.harmonic_partial(g, m - 1)
+            out += (m + 1) ** r * math.exp(-m) * (1.0 + h)
+            h += m ** (-g)
+            m += 1
+        return out
+
+    def tail_err(self, n: int, r: int = 0) -> float:
+        """Bound on the numerical error of ``tail(n, r)`` for n at or past the
+        head: the zeta tails' own bounds, and a relative rounding allowance."""
+        err = sum(c * series.zeta_tail_err(p - r, n) for c, p in self.power)
+        if self.lipschitz is not None:
+            g = self.lipschitz
+            err += 2.0 * sum(math.comb(r, i) * series.zeta_tail_err(g - i, n - 1) for i in range(r + 1))
+        return err + 2.0**-45 * self.tail(n, r)
 
     def pmf(self, desc) -> float:
         if self.total <= 0:
@@ -149,7 +193,6 @@ class AgeHawkesModel(KalikowModel):
         self._guard = RefractoryGap(self.refractory)
         self._ladders: dict[NodeId, GammaLadder] = {}
         self._expand_cache: dict[tuple[NodeId, int], Neighborhood] = {}
-        self._sup_cache: dict[tuple[NodeId, int], float] = {}
 
     # -- structure ----------------------------------------------------------
 
@@ -301,15 +344,6 @@ class AgeHawkesModel(KalikowModel):
     def global_bound(self, i: NodeId) -> Optional[float]:
         return self.ladder(i).total
 
-    def component_sup(self, i: NodeId, desc) -> Optional[float]:
-        # gamma_bar(i, 1) = psi(0) is delta_1 on every alive configuration, and
-        # for k >= 2 gamma_bar bounds delta_k on the refractory subspace
-        key = (i, desc.k)
-        sup = self._sup_cache.get(key)
-        if sup is None:
-            sup = self._sup_cache[key] = self.gamma_bar(i, desc.k) / self.pmf(i, desc)
-        return sup
-
     def local_bound(self, i: NodeId, x: Configuration, t: float = 0.0, cls=None) -> float:
         # with lambda_k = Gamma_k / Gamma every component is bounded by Gamma,
         # uniformly over the refractory subspace and hence over future shifts
@@ -327,6 +361,6 @@ class AgeHawkesModel(KalikowModel):
             entry = next((k for k, members in enumerate(self._levels[i], 1) if j in members), None)
             if entry is None:
                 continue
-            mean_depth = lad.weighted_tail(entry - 1) / gamma_total
+            mean_depth = lad.tail(entry - 1, 1) / gamma_total
             row[j] = self._require_bound(j) * self.refractory * mean_depth
         return OffspringRow(row)

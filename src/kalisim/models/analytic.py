@@ -19,6 +19,7 @@ from ..kernels import Kernel
 from ..sampling import RandomStream
 from ..weights import TaylorWeights, default_atomic_weights
 from .base import (
+    EMPTY_NEIGHBORHOOD,
     KalikowModel,
     _bin_of,
     atom_future_bound,
@@ -122,7 +123,7 @@ class AnalyticHawkesModel(KalikowModel):
 
     def expand(self, i: NodeId, desc) -> Neighborhood:
         if isinstance(desc, EmptyND):
-            return Neighborhood.empty()
+            return EMPTY_NEIGHBORHOOD
         if isinstance(desc, TaylorND):
             return Neighborhood(
                 (j, -n * self.eps, -(n - 1) * self.eps) for j, n in desc.alphas
@@ -145,7 +146,8 @@ class AnalyticHawkesModel(KalikowModel):
             return self.psi.derivative(0)
         if not isinstance(desc, TaylorND):
             raise KeyError(f"descriptor {desc!r} is not a Taylor tuple")
-        require_window_covers(x, self.expand(i, desc))
+        if x.window is not None:  # a windowless configuration covers everything
+            require_window_covers(x, self.expand(i, desc))
         k = desc.order()
         coef = self.psi.derivative(k)
         if k <= 170:

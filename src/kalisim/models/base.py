@@ -16,6 +16,7 @@ from ..sampling import RandomStream
 from ..weights import AtomicWeights
 
 _NO_GUARD = NoGuard()
+EMPTY_NEIGHBORHOOD = Neighborhood.empty()  # shared by every expansion of the empty set
 
 
 @dataclass(frozen=True)
@@ -106,17 +107,6 @@ class KalikowModel(ABC):
 
     def global_bound(self, i: NodeId) -> Optional[float]:
         """Deterministic bound dominating phi_i and every phi_v, or None."""
-        return None
-
-    def component_sup(self, i: NodeId, desc) -> Optional[float]:
-        """Bound on sup_x phi_v(x) over the guard's subspace, or None.
-
-        The perfect simulator rejects a point whose mark is at least this
-        bound over Gamma without realizing its neighborhood, so the bound
-        must hold at every configuration the simulator can meet;
-        ``forward_accept`` raises ``NonMonotoneModelError`` on a component
-        value above it. None declares no bound, and every point is expanded.
-        """
         return None
 
     # -- forward simulation -------------------------------------------------------

@@ -10,6 +10,7 @@ from ..kernels import Kernel
 from ..sampling import RandomStream
 from ..weights import AtomicWeights, default_atomic_weights
 from .base import (
+    EMPTY_NEIGHBORHOOD,
     KalikowModel,
     OffspringRow,
     atom_future_bound,
@@ -17,10 +18,6 @@ from .base import (
     require_known_nodes,
     require_window_for_supports,
 )
-
-# the empty set's neighborhood, shared by every expansion (neighborhoods are
-# never changed after construction)
-_EMPTY_NEIGHBORHOOD = Neighborhood.empty()
 
 
 class LinearHawkesModel(KalikowModel):
@@ -87,7 +84,7 @@ class LinearHawkesModel(KalikowModel):
 
     def expand(self, i: NodeId, desc) -> Neighborhood:
         if isinstance(desc, EmptyND):
-            return _EMPTY_NEIGHBORHOOD
+            return EMPTY_NEIGHBORHOOD
         if isinstance(desc, AtomND):
             key = (desc.j, desc.n)
             nb = self._expand_cache.get(key)

@@ -2,10 +2,16 @@
 
 Nodes are the integers, psi(u) = 1 + u (psi(0) = 1, Lipschitz constant 1),
 interaction kernels h_ij(t) = beta_ij exp(-t/delta) with beta_ii = 1 and
-beta_ij = 1 / (2 |j-i|^g) for j != i, nested node sets
-omega_k = {i-k+1, ..., i+k-1} growing symmetrically, and per-level bounds
-Gamma_k = C_g k^{-p} for a weight exponent p in (3, g]. ``LatticeAgeModel``
+beta_ij = 1 / (2 |j-i|^g) for j != i, and nested node sets
+omega_k = {i-k+1, ..., i+k-1} growing symmetrically. ``LatticeAgeModel``
 overrides the network methods of ``AgeHawkesModel`` and keeps the rest.
+
+The model simulates on its Lipschitz envelope, Gamma_k = bar-Gamma_k at
+every level (Gamma = 3.966 at g = 4). The paper's weight family, the power
+ladder C_g k^{-p} with C_g = ``lattice_c_gamma(g)`` (Gamma = 41.0 at
+g = p = 4), is another decomposition of the same intensity, and only the cost
+curve (:func:`kalisim.analysis.weight_cost_curve`) reads its exponent p. The
+preset still checks ``p`` in (3, g], because configs carry it.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ NEAR_MAX = 100_000
 
 
 def lattice_gamma_bar(gamma: float, k: int) -> float:
-    """Closed form of the Lipschitz envelope bar-Gamma_k on the lattice.
+    """Closed form of the Lipschitz envelope bar-Gamma_k: the preset's rungs.
 
     bar-Gamma_1 = 1 and, for k >= 2,
     bar-Gamma_k = 2/(k-1)^gamma + e^{-(k-1)} (1 + sum_{m=1}^{k-2} m^{-gamma}).
@@ -33,12 +39,12 @@ def lattice_gamma_bar(gamma: float, k: int) -> float:
         raise ValueError("level index must be >= 1")
     if k == 1:
         return 1.0
-    return 2.0 / (k - 1) ** gamma + math.exp(-(k - 1)) * (
-        1.0 + series.harmonic_partial(gamma, k - 2)
-    )
+    return 2.0 / (k - 1) ** gamma + math.exp(-(k - 1)) * (1.0 + series.harmonic_partial(gamma, k - 2))
+
 
 def lattice_c_gamma(gamma: float) -> float:
-    """Smallest constant with C k^{-gamma} >= bar-Gamma_k for every level.
+    """Smallest constant with C k^{-gamma} >= bar-Gamma_k for every level: the
+    constant of the paper's power ladder, which only the cost curve reads.
 
     k^gamma bar-Gamma_k = 2 (k/(k-1))^gamma + k^gamma e^{-(k-1)} (1 + ...);
     both pieces are decreasing once k exceeds max(gamma, a few), and their
@@ -47,8 +53,8 @@ def lattice_c_gamma(gamma: float) -> float:
     """
     if gamma <= 3.0:
         raise ValueError("lattice preset needs gamma > 3")
-    k_star = max(50, math.ceil(3.0 * gamma))
-    return max(k**gamma * lattice_gamma_bar(gamma, k) for k in range(1, k_star + 1))
+    envelope = GammaLadder([1.0], lipschitz=gamma)
+    return max(k**gamma * envelope.level(k) for k in range(1, max(50, math.ceil(3.0 * gamma)) + 1))
 
 
 class LatticeAgeModel(AgeHawkesModel):
@@ -60,9 +66,7 @@ class LatticeAgeModel(AgeHawkesModel):
         if not 3.0 < p <= gamma:
             raise ValueError("weight exponent must satisfy 3 < p <= gamma")
         self.gamma_exponent = float(gamma)
-        self.p = float(p)
-        self.c_gamma = lattice_c_gamma(gamma)
-        self._ladder = GammaLadder(power=[(self.c_gamma, p)])
+        self._ladder = GammaLadder([1.0], lipschitz=self.gamma_exponent)
         self._rate = AffineRate(1.0, 1.0)
         self._by_distance: dict[int, ExponentialKernel] = {}
         self._set_refractory(float(delta))
@@ -92,36 +96,30 @@ class LatticeAgeModel(AgeHawkesModel):
     # -- translation-invariant branching reduction ----------------------------
 
     def invariant_offspring_mean(self) -> float:
-        """Mean backward children per point: C_gamma * delta * f(p)."""
-        return self.c_gamma * self.refractory * series.offspring_f(self.p)
-
-    def component_sup(self, i: NodeId, desc):
-        # node 0 stands for every node, so the cache holds one entry per
-        # level instead of one per node visited
-        return super().component_sup(0, desc)
+        """Mean backward children per point: 2k - 1 child nodes at level k, each
+        at mean delta k Gamma_k, so delta (2 tail(0, 2) - tail(0, 1))."""
+        return self.refractory * (2.0 * self.ladder(0).tail(0, 2) - self.ladder(0).tail(0, 1))
 
     def offspring_row(self, i: NodeId, tol: float = 1e-8) -> OffspringRow:
-        """Row of M in closed form: M_{i,i+d} = delta C zeta_tail(p-1, |d|).
+        """Row of M in closed form: M_{i,i+d} = delta sum_{k>|d|} k Gamma_k.
 
         ``near`` lists the distances d = -D..D whose entry is at least ``tol``
-        (at most ``NEAR_MAX`` on each side, since the entries of p near 3
+        (at most ``NEAR_MAX`` on each side, since the entries of gamma near 3
         decay too slowly to list down to ``tol``). ``far`` is the exact
-        mass beyond D,
-        sum_{|d|>D} M_{i,i+d} = 2 delta C [zeta_tail(p-2, D+1) - (D+1) zeta_tail(p-1, D+1)],
-        and ``err`` bounds its numerical error by the zeta tails' own bounds.
+        mass beyond D: with d = D + 1,
+        sum_{|d'|>D} M_{i,i+d'} = 2 delta [tail(d, 2) - d tail(d, 1)],
+        and ``err`` bounds its numerical error by the ladder's own bounds.
         """
         lad = self.ladder(i)
         dlt = self.refractory
-        near: dict[NodeId, float] = {i: dlt * lad.weighted_tail(0)}
+        near: dict[NodeId, float] = {i: dlt * lad.tail(0, 1)}
         d = 1
-        while d <= NEAR_MAX and (m := dlt * lad.weighted_tail(d)) >= tol:
+        while d <= NEAR_MAX and (m := dlt * lad.tail(d, 1)) >= tol:
             near[i - d] = near[i + d] = m
             d += 1
         # d = D + 1 is now the nearest distance left out
-        far = 2.0 * dlt * (self.c_gamma * series.zeta_tail(self.p - 2.0, d) - d * lad.weighted_tail(d))
-        err = 2.0 * dlt * self.c_gamma * (
-            series.zeta_tail_err(self.p - 2.0, d) + d * series.zeta_tail_err(self.p - 1.0, d)
-        )
+        far = 2.0 * dlt * (lad.tail(d, 2) - d * lad.tail(d, 1))
+        err = 2.0 * dlt * (lad.tail_err(d, 2) + d * lad.tail_err(d, 1))
         if not err < tol:
             raise NonSummableError(
                 f"offspring row far mass certified only to {err:g}, not below tol = {tol:g}"

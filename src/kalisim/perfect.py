@@ -14,17 +14,11 @@ proposed, so a clan consists of its root and the points it simulates: the
 realized points it finds were decided by earlier clans.
 
 A point with drawn neighborhood v is accepted when its uniform mark is below
-phi_v(x)/Gamma. When the model bounds phi_v by ``component_sup`` and the mark
-already lies at or above that bound over Gamma, no past can accept the point.
-A root is screened that way inside the ledger's walk, right after its step,
-mark and neighborhood are drawn: the sweep keeps each descriptor's mark limit,
-that bound over Gamma, and compares the mark with it. A screened root is
-counted as a clan of 1 and is never stored, so it costs those three draws, a
-lookup and a comparison. A clan member is screened when its neighborhood is
-drawn, is rejected and realizes no region.
-The mark is independent of v and of x, and a rejected point enters no x, so
-the law is unchanged; a region left unrealized is realized later, once, by
-whichever point needs it.
+phi_v(x)/Gamma, so a model must bound every component value by Gamma, and
+every root is stored and expanded. A model that simulates on its per-level
+envelope, Gamma_k = bar-Gamma_k, leaves no mark that rejects a point whatever
+its past: such points would be an independent thinning of a larger
+dominating process (the marking theorem), which is never drawn.
 """
 
 from __future__ import annotations
@@ -61,15 +55,11 @@ DEFAULT_BUDGET = BackwardBudget()
 
 @dataclass
 class PerfectRunStats:
-    """Per-run accounting of the backward/forward machinery.
-
-    ``mark_decided`` counts the roots and clan members rejected from their
-    marks alone; a root decided that way counts as a clan of 1.
-    """
+    """Per-run accounting of the backward/forward machinery: every root
+    proposed, every root accepted, and each root's clan size and lookback."""
 
     roots: int = 0
     accepted: int = 0
-    mark_decided: int = 0
     clan_sizes: list[int] = field(default_factory=list)
     lookbacks: list[float] = field(default_factory=list)
 
@@ -80,7 +70,6 @@ class PerfectRunStats:
         return {
             "roots": self.roots,
             "accepted": self.accepted,
-            "mark_decided": self.mark_decided,
             "clan_size_histogram": {str(k): v for k, v in sorted(hist.items())},
             "mean_clan_size": (sum(self.clan_sizes) / len(self.clan_sizes)) if self.clan_sizes else None,
             "max_lookback": max(self.lookbacks, default=0.0),
@@ -95,8 +84,7 @@ class AncestorGraph:
     ``pending`` holds the root and the points the clan simulated, in
     increasing time order, ending with the root; the realized points the
     clan found were decided by earlier clans. ``lookback`` is how far before
-    the root the backward steps looked (0 if nowhere). ``mark_decided``
-    counts the members rejected from their marks alone.
+    the root the backward steps looked (0 if nowhere).
     """
 
     root: tuple[NodeId, float]
@@ -105,7 +93,6 @@ class AncestorGraph:
     lookback: float = 0.0
     terminated: bool = False
     new_point_count: int = 0
-    mark_decided: int = 0
 
     def clan_size(self) -> int:
         """Total points including the ancestor."""
@@ -133,9 +120,7 @@ def backward_clan(
     node's global bound, and freshly simulated points form the next
     generation. Construction stops at the first empty generation. Realized
     points found along the way were decided by earlier clans; they become
-    children of the point that found them and are not traversed. A point
-    whose mark alone rejects it (see the module docstring) is decided when
-    its neighborhood is drawn and is not expanded.
+    children of the point that found them and are not traversed.
     """
     root = root_record if root_record is not None else ledger.add_proposal_point(i, t, mark=rng.uniform())
     if root.decision is not None:
@@ -149,13 +134,6 @@ def backward_clan(
     def expand(rec: PointRecord) -> list[PointRecord]:
         if rec.neighborhood is None:
             rec.neighborhood = model.sample_neighborhood(rec.node, rng)
-        # sup / gam rounds as forward_accept's value / gam does, so whenever
-        # value <= sup a mark at or above it is rejected there too
-        sup = model.component_sup(rec.node, rec.neighborhood)
-        if sup is not None and not rec.mark < sup / bound(rec.node):
-            rec.decision = False
-            graph.mark_decided += 1
-            return []
         # each piece [a, b) of the neighborhood is requested at the point's time s
         s = rec.time
         nb = model.expand(rec.node, rec.neighborhood)
@@ -224,17 +202,14 @@ def forward_accept(graph: AncestorGraph, model, ledger: RegionLedger) -> Ancesto
     a child the clan simulated is decided before its parent, and a child it
     found was decided by an earlier clan; an undecided child is foreign, left
     by an aborted or undecided clan, and raises ``LedgerError``. The root,
-    being latest, is decided last. Points already decided from their marks
-    are skipped. A value above Gamma, or above the model's ``component_sup``,
-    raises ``NonMonotoneModelError``: the backward pass trusted that bound.
-    The ledger is not read: every pending point was expanded, so its
+    being latest, is decided last. A value above Gamma raises
+    ``NonMonotoneModelError``: the model's declared bounds are wrong. The
+    ledger is not read: every pending point was expanded, so its
     children are on its record.
     """
     if not graph.terminated:
         raise KalisimError("cannot run the forward pass on a non-terminated clan")
     for rec in graph.pending:
-        if rec.decision is not None:
-            continue
         if rec.children is None:
             raise LedgerError(
                 f"undecided point {rec!r} was never expanded; the ledger carries state"
@@ -259,12 +234,6 @@ def forward_accept(graph: AncestorGraph, model, ledger: RegionLedger) -> Ancesto
                 f"component value {value:g} exceeds the dominating bound {gam:g}"
                 f" for {rec!r}; the model's declared bounds are wrong"
             )
-        sup = model.component_sup(rec.node, rec.neighborhood)
-        if sup is not None and value > sup * (1.0 + 1e-9):
-            raise NonMonotoneModelError(
-                f"component value {value:g} exceeds the declared supremum {sup:g}"
-                f" for {rec!r}; the model's component_sup is wrong"
-            )
         rec.decision = rec.mark < prob
     return graph
 
@@ -287,46 +256,19 @@ def _node_sweep(
             "perfect simulation needs the bounded regime"
         )
 
-    sample = model.sample_neighborhood
-    # each descriptor's mark limit, component_sup over gam as in expand: a
-    # mark at or above it rejects the root whatever its past
-    mark_limits: dict = {}
-
-    def screen(mark: float):
-        # a root its mark rejects is a clan of 1 that looks nowhere; the
-        # walk neither stores it nor covers its time on its own
-        neighborhood = sample(node, draws)
-        bar = mark_limits.get(neighborhood)
-        if bar is None:
-            sup = model.component_sup(node, neighborhood)
-            bar = mark_limits[neighborhood] = math.inf if sup is None else sup / gam
-        if mark < bar:
-            return neighborhood
-        if stats is not None:
-            stats.roots += 1
-            stats.mark_decided += 1
-            stats.clan_sizes.append(1)
-            stats.lookbacks.append(0.0)
-        return None
-
     cursor = start
-    while True:
-        rec = ledger.advance(node, cursor, limit, gam, draws, screen)
-        if rec is None:
-            return
+    while (rec := ledger.advance(node, cursor, limit, gam, draws)) is not None:
         cursor = rec.time
         if rec.decision is None:
             graph = backward_clan(model, node, rec.time, ledger, draws, budget, root_record=rec)
             forward_accept(graph, model, ledger)
             if stats is not None:
-                stats.mark_decided += graph.mark_decided
                 stats.clan_sizes.append(graph.clan_size())
                 stats.lookbacks.append(graph.lookback)
         if stats is not None:
             stats.roots += 1
+            stats.accepted += rec.decision
         if rec.decision:
-            if stats is not None:
-                stats.accepted += 1
             out.append(rec.time)
 
 

@@ -3,10 +3,7 @@
 The ledger is the bookkeeping that makes perfect simulation exact: each
 space-time region of the dominating Poisson processes is realized exactly
 once, and every later request over the same region replays its stored points
-bit for bit. It stores every realized point that can affect a decision. A
-point that a walk draws in a gap and that its mark rejects whatever the past
-holds is an independent thinning of the process (the marking theorem): it
-never enters a configuration, so the walk draws it and does not store it.
+bit for bit. It stores every point it draws, with its mark.
 
 Every draw of a run goes through one :class:`RandomStream`, which hands out
 its generator's i.i.d. uniform doubles in order from a buffer it refills in
@@ -27,7 +24,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -186,8 +183,7 @@ class PointRecord:
     """One realized point of a dominating process, with its attached marks.
 
     ``mark`` is the uniform thinning mark drawn at creation time;
-    ``neighborhood`` is the descriptor drawn at first expansion, or by the
-    screen of the walk that drew the point (``RegionLedger.advance``);
+    ``neighborhood`` is the descriptor drawn at first expansion;
     ``children`` are the realized points of that neighborhood, stored when the
     expansion realizes it (the region cannot gain points afterwards);
     ``decision`` is set exactly once by the forward pass.
@@ -226,11 +222,11 @@ class RegionLedger:
     Each node keeps its coverage, half-open intervals kept disjoint and merged
     when abutting (endpoints compared exactly, no epsilon merging), and its
     stored points, once each as a ``PointRecord`` in a list sorted by time.
-    Region requests store every point they draw; ``advance`` stores the points
-    its screen keeps, so a covered stretch holds exactly the points that can
-    affect a decision. Records carry their marks and are shared by every
-    simulation step of one run. A region request returns the records it finds
-    and makes, so a caller that keeps them never reads a realized region again.
+    Region requests and ``advance`` store every point they draw, so a covered
+    stretch holds exactly the dominating process's points there. Records
+    carry their marks and are shared by every simulation step of one run. A
+    region request returns the records it finds and makes, so a caller that
+    keeps them never reads a realized region again.
 
     No two points share a time, on any node, because ``Configuration`` forbids
     simultaneous points. An exact collision (a measure-zero event realized by
@@ -353,54 +349,60 @@ class RegionLedger:
         if not pieces:
             return [], []
         starts, ends, times, records = led.starts, led.ends, led.times, led.records
-        # the coverage intervals that touch or abut the request: one walk over
-        # them and the pieces, in order of start, collects each piece's stored
-        # points and uncovered gaps and the merged coverage
+        # the coverage intervals that touch or abut the request
         lo = bisect_left(ends, pieces[0][0])
         hi = bisect_right(starts, pieces[-1][1])
-        old: list[PointRecord] = []
-        gaps: list[tuple[float, float]] = []
-        cover_s: list[float] = []
-        cover_e: list[float] = []
-        j, last_end, p = lo, -math.inf, 0
-        for a, b in pieces:
-            p = bisect_left(times, a, p)
-            p_end = bisect_left(times, b, p)
-            old += records[p:p_end]
-            p = p_end
-            # coverage before the piece; the last interval may reach into it
-            while j < hi and starts[j] <= a:
-                s, last_end = starts[j], ends[j]
-                if cover_e and s <= cover_e[-1]:
+        if lo == hi and len(pieces) == 1:
+            # one piece that meets no coverage is its own gap and a new interval
+            gaps = pieces
+            a, b = pieces[0]
+            p = bisect_left(times, a)
+            old = records[p:bisect_left(times, b, p)]
+            starts.insert(lo, a)
+            ends.insert(lo, b)
+        else:
+            # one walk over those intervals and the pieces, in order of start,
+            # collects the stored points, the uncovered gaps and the new coverage
+            old, gaps, cover_s, cover_e = [], [], [], []
+            j, last_end, p = lo, -math.inf, 0
+            for a, b in pieces:
+                p = bisect_left(times, a, p)
+                p_end = bisect_left(times, b, p)
+                old += records[p:p_end]
+                p = p_end
+                # coverage before the piece; the last interval may reach into it
+                while j < hi and starts[j] <= a:
+                    s, last_end = starts[j], ends[j]
+                    if cover_e and s <= cover_e[-1]:
+                        if last_end > cover_e[-1]:
+                            cover_e[-1] = last_end
+                    else:
+                        cover_s.append(s)
+                        cover_e.append(last_end)
+                    j += 1
+                if cover_e and a <= cover_e[-1]:
+                    if b > cover_e[-1]:
+                        cover_e[-1] = b
+                else:
+                    cover_s.append(a)
+                    cover_e.append(b)
+                # coverage starting inside the piece cuts it into gaps and merges with it
+                pos = max(a, last_end)
+                while j < hi and starts[j] < b:
+                    s, last_end = starts[j], ends[j]
+                    if s > pos:
+                        gaps.append((pos, s))
+                    pos = max(pos, last_end)
                     if last_end > cover_e[-1]:
                         cover_e[-1] = last_end
-                else:
-                    cover_s.append(s)
-                    cover_e.append(last_end)
-                j += 1
-            if cover_e and a <= cover_e[-1]:
-                if b > cover_e[-1]:
-                    cover_e[-1] = b
-            else:
-                cover_s.append(a)
-                cover_e.append(b)
-            # coverage starting inside the piece cuts it into gaps and merges with it
-            pos = max(a, last_end)
-            while j < hi and starts[j] < b:
-                s, last_end = starts[j], ends[j]
-                if s > pos:
-                    gaps.append((pos, s))
-                pos = max(pos, last_end)
-                if last_end > cover_e[-1]:
-                    cover_e[-1] = last_end
-                j += 1
-            if pos < b:
-                gaps.append((pos, b))
-        # an interval abutting the last piece
-        if j < hi:
-            cover_e[-1] = ends[j]
-        starts[lo:hi] = cover_s
-        ends[lo:hi] = cover_e
+                    j += 1
+                if pos < b:
+                    gaps.append((pos, b))
+            # an interval abutting the last piece
+            if j < hi:
+                cover_e[-1] = ends[j]
+            starts[lo:hi] = cover_s
+            ends[lo:hi] = cover_e
         drawn = _poisson_on_sorted(rng, rate, gaps)
         if not drawn:
             return [], old
@@ -443,22 +445,15 @@ class RegionLedger:
         limit: float,
         rate: float,
         rng: RandomStream,
-        screen: Optional[Callable[[float], object]] = None,
     ) -> Optional[PointRecord]:
-        """Next stored point of the dominating process strictly after ``cursor``.
+        """Next point of the dominating process strictly after ``cursor``.
 
         Walks forward through realized coverage, replaying stored points, and
-        through the gaps with exponential steps, each new point drawing its
-        mark right after its step. ``screen``, if given, is called with each
-        new point's mark; it draws the point's neighborhood from ``rng`` and
-        returns it, or returns None when the mark rejects the point whatever
-        the past holds. A rejected point is not stored and the walk steps on
-        from it; a kept point is stored with its neighborhood and returned.
-
-        Each stretch of a gap is covered once, when the walk stores a point or
-        leaves the gap: an exponential step overshooting the gap certifies it
-        empty of stored points, and one overshooting ``limit`` certifies that
-        up to ``limit`` and returns ``None``.
+        through the gaps with one exponential step: a new point draws its
+        mark right after its step and is stored and returned, its gap covered
+        up to it. A step overshooting the gap certifies it empty of stored
+        points, and one overshooting ``limit`` certifies that up to ``limit``
+        and returns ``None``.
         """
         led = self._check_rate(node, rate)
         starts, ends, times = led.starts, led.ends, led.times
@@ -475,33 +470,18 @@ class RegionLedger:
                     return led.records[lo]
                 pos = end
                 continue
-            # in the gap after interval k, walked from ``start``. ``stray`` is the
-            # first stored point past it: one inside the gap is an error, which
-            # _cover_gap raises before the step past the point draws a mark, as
-            # a walk that stores every point does
+            # in the gap after interval k. A stored point inside the gap is an
+            # error, which _cover_gap raises before the step past it draws a mark
             gap_end = starts[k + 1] if k + 1 < len(starts) else math.inf
             end = min(gap_end, limit)
-            lo = bisect_right(times, pos)
-            stray = times[lo] if lo < len(times) else math.inf
-            start = pos
-            while True:
+            cand = pos + step(rate)
+            while cand in used:  # also keeps the new point's time unique
                 cand = pos + step(rate)
-                while cand in used:  # also keeps the new point's time unique
-                    cand = pos + step(rate)
-                if cand >= end:
-                    break
-                if stray < cand:
-                    self._cover_gap(node, led, k, start, cand)
-                mark = uniform()
-                neighborhood = None if screen is None else screen(mark)
-                if screen is None or neighborhood is not None:
-                    self._cover_gap(node, led, k, start, cand)
-                    rec = self._store_point(node, led, cand, mark)
-                    rec.neighborhood = neighborhood
-                    return rec
-                pos = cand
-            # the step overshot the gap or ``limit``: [start, end) holds no stored point
-            self._cover_gap(node, led, k, start, end)
+            if cand < end:
+                self._cover_gap(node, led, k, pos, cand)
+                return self._store_point(node, led, cand, uniform())
+            # the step overshot the gap or ``limit``: [pos, end) holds no stored point
+            self._cover_gap(node, led, k, pos, end)
             pos = end
         return None
 

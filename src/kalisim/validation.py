@@ -29,6 +29,8 @@ from .models import (
     TableModel,
     lattice_preset,
 )
+from .models.age import GammaLadder
+from .models.presets import LatticeAgeModel, lattice_c_gamma
 from .oracles import ogata_age_hawkes, ogata_hawkes
 from .perfect import BackwardBudget, RegionLedger, backward_clan, perfect_sample
 from .forward import forward_simulate
@@ -75,6 +77,34 @@ def total_variation(sample_a: Sequence[int], sample_b: Sequence[int]) -> float:
     a = np.pad(a, (0, width - len(a))) / a.sum()
     b = np.pad(b, (0, width - len(b))) / b.sum()
     return 0.5 * float(np.abs(a - b).sum())
+
+
+def law_pair(rep: SuiteReport, name: str, a: Sequence, b: Sequence) -> None:
+    """Add the checks that two arms' window counts share one law to ``rep``.
+
+    ``a`` and ``b`` hold one row per run and one column per node 0, 1, ...;
+    with more than one column their row sums are a last, total column. Each
+    column's means must agree within 4 SE. The totals must pass a two-sample
+    KS test (p > 0.01), and their TV distance must stay below twice the mean
+    TV of two same-law samples of these sizes, sum_k sigma_k / sqrt(2 pi) with
+    sigma_k^2 = p_k (1 - p_k) (1/n_a + 1/n_b) at the pooled frequencies p_k.
+    """
+    from scipy import stats
+    a, b = np.asarray(a, dtype=int), np.asarray(b, dtype=int)
+    if a.shape[1] > 1:
+        a, b = np.column_stack([a, a.sum(axis=1)]), np.column_stack([b, b.sum(axis=1)])
+    for c in range(a.shape[1]):
+        col = "total" if c == a.shape[1] - 1 and c > 0 else f"node {c}"
+        se = math.sqrt(a[:, c].var(ddof=1) / len(a) + b[:, c].var(ddof=1) / len(b))
+        diff = abs(float(a[:, c].mean() - b[:, c].mean()))
+        rep.add(f"{name}: {col} mean difference", diff, f"< 4 SE = {4 * se:.3g}", diff < 4 * se)
+    ta, tb = a[:, -1], b[:, -1]
+    p = float(stats.ks_2samp(ta, tb).pvalue)
+    rep.add(f"{name}: KS p-value of the totals", p, "> 0.01", p > 0.01)
+    pooled = np.bincount(np.concatenate([ta, tb])) / (len(ta) + len(tb))
+    null_tv = float(np.sqrt(pooled * (1.0 - pooled) * (1.0 / len(ta) + 1.0 / len(tb))).sum()) / math.sqrt(2 * math.pi)
+    tv = total_variation(ta, tb)
+    rep.add(f"{name}: TV of the totals", tv, f"< {2 * null_tv:.3g}", tv < 2 * null_tv)
 
 
 def poisson_chisquare_pvalue(counts: Sequence[int], mean: float) -> float:
@@ -178,14 +208,14 @@ def spread_gate_model(bound: float) -> TableModel:
     return TableModel({0: rows}, bounds={0: bound})
 
 
-def hawkes_ring(n: int = 4) -> LinearHawkesModel:
-    """Ring of linear Hawkes processes: mu = 0.5, exponential kernels with
-    beta = 1, alpha = 0.3 on each node itself and 0.15 to each neighbour."""
+def hawkes_ring(n: int = 4, eps: float = 0.5) -> LinearHawkesModel:
+    """Ring of linear Hawkes processes on bins of width ``eps``: mu = 0.5, exponential
+    kernels with beta = 1, alpha = 0.3 on each node itself and 0.15 to each neighbour."""
     kernels = {}
     for i in range(n):
         for j, a in ((i, 0.3), ((i - 1) % n, 0.15), ((i + 1) % n, 0.15)):
             kernels[(i, j)] = ExponentialKernel(a, 1.0)
-    return LinearHawkesModel(mu={i: 0.5 for i in range(n)}, kernels=kernels, eps=0.5)
+    return LinearHawkesModel(mu={i: 0.5 for i in range(n)}, kernels=kernels, eps=eps)
 
 
 def exp_hawkes(n: int) -> AnalyticHawkesModel:
@@ -214,6 +244,19 @@ def ogata_parameters(model) -> tuple[list[Callable[[float], float]], list[list[f
 
 
 LATTICE_DELTA = 0.005
+
+
+class PowerLadderLattice(LatticeAgeModel):
+    """The lattice preset on the paper's power ladder, Gamma_k = C_g k^{-p} with
+    C_g = ``lattice_c_gamma(g)`` (Gamma = 41.0 at g = p = 4): a second
+    decomposition of the same intensity, dominating bar-Gamma_k with slack."""
+
+    def __init__(self, gamma: float, p: float, delta: float):
+        super().__init__(gamma, p, delta)
+        self._power = GammaLadder(power=[(lattice_c_gamma(gamma), p)])
+
+    def ladder(self, i):
+        return self._power
 
 
 def _clan_sizes(model, runs: int, seed: int, budget: BackwardBudget) -> np.ndarray:
@@ -369,58 +412,41 @@ def suite_forward_oracle(seed: int = 20_606, runs: int = 10_000) -> SuiteReport:
 
     The 1-node linear Hawkes and the 4-node ring, whose per-class bounds one
     node cannot show, by total variation on [0, 2], and the ring on [0, 10],
-    over many renewals, by means and a KS test of the total counts
-    (``runs // 2`` runs). Exponential Hawkes (``exp_hawkes``) on [0, 2], on 1
-    node and on 2 (``runs // 2`` runs), by means and total variation.
+    over many renewals, by :func:`law_pair` (``runs // 2`` runs). Exponential
+    Hawkes (``exp_hawkes``) on [0, 2], on 1 node and on 2 (``runs // 2``
+    runs), by :func:`law_pair` and total variation.
     """
-    from scipy import stats
-
     rep = SuiteReport("forward-oracle", seed)
     t0 = time.perf_counter()
     root = RandomStream(seed)
 
     def counts(model, t_max: float, n_runs: int, arm: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-node counts, then the total, forward and by the oracle."""
+        """Per-node counts, forward and by the oracle."""
         nodes = model.node_set()
         rates, alpha, beta = ogata_parameters(model)
-        fwd, ora = (np.empty((n_runs, len(nodes) + 1), dtype=int) for _ in range(2))
+        fwd, ora = (np.empty((n_runs, len(nodes)), dtype=int) for _ in range(2))
         for r in range(n_runs):
             run = forward_simulate(model, nodes, t_max, 1_000_000, None, root.child(arm, r))
-            fwd[r, :-1] = [run.count(i) for i in nodes]
-            events = ogata_hawkes(rates, alpha, beta, t_max, root.child(arm + 1, r))
-            ora[r, :-1] = [len(ev) for ev in events]
-        fwd[:, -1], ora[:, -1] = fwd[:, :-1].sum(axis=1), ora[:, :-1].sum(axis=1)
+            fwd[r] = [run.count(i) for i in nodes]
+            ora[r] = [len(ev) for ev in ogata_hawkes(rates, alpha, beta, t_max, root.child(arm + 1, r))]
         return fwd, ora
-
-    def labels(model) -> list[str]:
-        return [f"N_{i}" for i in model.node_set()] + ["N"]
-
-    def mean_gaps(name: str, model, fwd: np.ndarray, ora: np.ndarray, t_max: float) -> None:
-        for col, label in enumerate(labels(model)):
-            a, b = fwd[:, col], ora[:, col]
-            z = abs(a.mean() - b.mean()) / (math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(len(a)))
-            rep.add(f"{name}: mean difference of {label}[0,{t_max:g}] in SE", z, "< 4", z < 4.0)
 
     single = LinearHawkesModel(mu={0: 1.0}, kernels={(0, 0): ExponentialKernel(alpha=0.5, beta=1.0)}, eps=0.5)
     fwd, ora = counts(single, 2.0, runs, 0)
-    tv = total_variation(fwd[:, -1], ora[:, -1])
+    tv = total_variation(fwd[:, 0], ora[:, 0])
     rep.add("total variation of N[0,2]", tv, "< 0.05", tv < 0.05)
 
     ring = hawkes_ring()
     fwd, ora = counts(ring, 2.0, runs, 2)
-    for col, label in enumerate(labels(ring)):
-        tv = total_variation(fwd[:, col], ora[:, col])
+    for label, a, b in zip(["N_0", "N_1", "N_2", "N_3", "N"], [*fwd.T, fwd.sum(axis=1)], [*ora.T, ora.sum(axis=1)]):
+        tv = total_variation(a, b)
         rep.add(f"ring: total variation of {label}[0,2]", tv, "< 0.05", tv < 0.05)
-    fwd, ora = counts(ring, 10.0, runs // 2, 4)
-    mean_gaps("ring", ring, fwd, ora, 10.0)
-    p = float(stats.ks_2samp(fwd[:, -1], ora[:, -1]).pvalue)
-    rep.add("ring: KS p-value of N[0,10]", p, "> 0.01", p > 0.01)
+    law_pair(rep, "ring on [0,10]", *counts(ring, 10.0, runs // 2, 4))
 
     for arm, n, n_runs in ((6, 1, runs), (8, 2, runs // 2)):
-        model = exp_hawkes(n)
-        fwd, ora = counts(model, 2.0, n_runs, arm)
-        mean_gaps(f"exp on {n} node(s)", model, fwd, ora, 2.0)
-        tv = total_variation(fwd[:, -1], ora[:, -1])
+        fwd, ora = counts(exp_hawkes(n), 2.0, n_runs, arm)
+        law_pair(rep, f"exp on {n} node(s), [0,2]", fwd, ora)
+        tv = total_variation(fwd.sum(axis=1), ora.sum(axis=1))
         rep.add(f"exp on {n} node(s): total variation of N[0,2]", tv, "< 0.05", tv < 0.05)
     rep.seconds = time.perf_counter() - t0
     rep.add("runtime seconds", rep.seconds, "< 60", rep.seconds < 60.0)
@@ -573,6 +599,33 @@ def suite_poisson_sanity(seed: int = 21_111) -> SuiteReport:
     return rep
 
 
+def suite_decomposition_equivalence(
+    seed: int = 21_212, lattice_runs: int = 1_000, ring_runs: int = 2_000
+) -> SuiteReport:
+    """Two decompositions of one intensity give one law (:func:`law_pair`):
+    node-0 counts on [0, 10) of the lattice preset against
+    :class:`PowerLadderLattice`, and per-node counts on [0, 10] of the 4-node
+    Hawkes ring on bins of width 0.5 against width 2. Tests run it smaller."""
+    rep = SuiteReport("decomposition-equivalence", seed)
+    t0 = time.perf_counter()
+    root = RandomStream(seed)
+
+    def lattice_counts(arm, model, r):
+        return [len(perfect_sample(model, 0, 10.0, root.child(0, arm, r)).points(0))]
+
+    def ring_counts(arm, model, r):
+        run = forward_simulate(model, range(4), 10.0, 1_000_000, None, root.child(1, arm, r))
+        return [run.count(j) for j in range(4)]
+
+    lattice = (lattice_preset(4.0, 4.0, LATTICE_DELTA), PowerLadderLattice(4.0, 4.0, LATTICE_DELTA))
+    for name, runs, counts, arms in (("lattice", lattice_runs, lattice_counts, lattice),
+                                     ("ring", ring_runs, ring_counts, (hawkes_ring(4, 0.5), hawkes_ring(4, 2.0)))):
+        law_pair(rep, name, *([counts(arm, m, r) for r in range(runs)] for arm, m in enumerate(arms)))
+    rep.seconds = time.perf_counter() - t0
+    rep.add("runtime seconds", rep.seconds, "< 30", rep.seconds < 30.0)
+    return rep
+
+
 SUITES: dict[str, Callable[..., SuiteReport]] = {
     "constant-rate-perfect": suite_constant_rate_perfect,
     "thinning-equivalence": suite_thinning_equivalence,
@@ -585,6 +638,7 @@ SUITES: dict[str, Callable[..., SuiteReport]] = {
     "deviation-tail": suite_deviation_tail,
     "stationarity": suite_stationarity,
     "poisson-sanity": suite_poisson_sanity,
+    "decomposition-equivalence": suite_decomposition_equivalence,
 }
 
 

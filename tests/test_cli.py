@@ -10,6 +10,7 @@ import pytest
 
 import kalisim
 from kalisim.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
+from kalisim.validation import PowerLadderLattice
 
 LATTICE = {"model": {"family": "lattice-4.2.6", "gamma": 4, "p": 4, "delta": 0.005}}
 FINITE = {
@@ -139,10 +140,10 @@ def test_analyze_lattice_sample(tmp_path, capsys):
     assert report["nodes"] == [-1, 0, 1]
     assert set(report["off_sample_mass"]) == {"-1", "0", "1"}
     assert report["verdict"] == "subcritical"
-    # exact for every node by translation invariance: E(W) = 1/(1 - 0.3955)
+    # exact for every node by translation invariance: E(W) = 1/(1 - 0.1481)
     ew = 1.0 / (1.0 - kalisim.lattice_preset(4, 4, 0.005).invariant_offspring_mean())
     assert report["expected_clan_size"] == {"-1": ew, "0": ew, "1": ew}
-    assert ew == pytest.approx(1.654, abs=1e-3)
+    assert ew == pytest.approx(1.174, abs=1e-3)
     assert "expected_clan_size_note" not in report
     # the row totals come in closed form; walking the nested levels took minutes
     assert elapsed < 20.0
@@ -330,10 +331,13 @@ def test_analyze_p_grid_cost_curve(tmp_path, capsys):
     assert curve["c_gamma"] == kalisim.models.lattice_c_gamma(4.0)
     assert curve["argmin_p"] == 4.0
     assert [pt["p"] for pt in curve["points"]] == [3.5, 4.0]
-    # at p = gamma the curve's offspring mean is the invariant reduction's
+    # at p = gamma the curve's offspring mean is that of the lattice simulated
+    # on the power ladder, above the preset's own Lipschitz ladder
     below, at_gamma = curve["points"]
-    assert at_gamma["offspring_mean"] == pytest.approx(kalisim.lattice_preset(4, 4, 0.005).invariant_offspring_mean())
+    power = PowerLadderLattice(4, 4, 0.005).invariant_offspring_mean()
+    assert at_gamma["offspring_mean"] == pytest.approx(power, rel=1e-12)
     assert below["offspring_mean"] > at_gamma["offspring_mean"]
+    assert at_gamma["offspring_mean"] > kalisim.lattice_preset(4, 4, 0.005).invariant_offspring_mean()
 
 
 def test_simulate_forward_writes_runs_and_summary(tmp_path):

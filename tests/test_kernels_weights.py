@@ -15,6 +15,7 @@ from kalisim import (
 )
 from kalisim.models import age
 from kalisim.models.age import GammaLadder
+from kalisim.models.presets import lattice_gamma_bar
 from kalisim.weights import (
     AtomicWeights,
     FiniteWeights,
@@ -171,12 +172,48 @@ class TestLadderAndGeometricLevels:
 
     def test_levels_and_tail_sum_to_total(self):
         # the first six rungs plus the tail beyond them make up Gamma, for the
-        # closed-form power ladder and for a Lipschitz ladder past its head
+        # lattice's Lipschitz ladder and for a geometric tail past a head
         for m in (lattice_preset(4.0, 4.0, 0.25), validation.bounded_age_model()):
             ladder = m.ladder(0)
             assert m.global_bound(0) == ladder.total
             listed = sum(ladder.level(k) for k in range(1, 7))
             assert listed + ladder.tail(6) == pytest.approx(ladder.total, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "ladder, stop",
+        [
+            (GammaLadder([1.0, 0.6, 0.3], geometric=[(0.2, 0.5), (0.1, 0.9)]), 2000),
+            (GammaLadder([1.0, 0.5], power=[(0.3, 5.0)]), 50_000),
+            (GammaLadder([1.0], lipschitz=4.0), 50_000),
+            (GammaLadder([1.0, 0.7], lipschitz=3.5, power=[(0.1, 6.0)]), 50_000),
+        ],
+        ids=["geometric", "power", "lipschitz", "lipschitz-head-power"],
+    )
+    def test_weighted_tails_are_the_sums_of_the_rungs(self, ladder, stop):
+        # sum_{k>n} k^r Gamma_k for r = 0, 1, 2, against the rungs summed from
+        # the far end; past ``stop`` the tail of a zeta term is left to an integral
+        ks = np.arange(stop, 0, -1)
+        rungs = np.array([ladder.level(int(k)) for k in ks])
+        for r in (0, 1, 2):
+            weighted = ks.astype(float) ** r * rungs
+            beyond = sum(c * stop ** (r + 1.0 - p) / (p - r - 1.0) for c, p in ladder.power)
+            if ladder.lipschitz is not None:
+                beyond += 2.0 * stop ** (r + 1.0 - ladder.lipschitz) / (ladder.lipschitz - r - 1.0)
+            for n in (0, 1, 2, 3, 7, 40, 100):
+                brute = float(weighted[: stop - n].sum()) + beyond
+                assert ladder.tail(n, r) == pytest.approx(brute, rel=1e-6 if r == 2 else 1e-8)
+        assert ladder.total == ladder.tail(0)
+
+    def test_lipschitz_rungs_are_the_lattice_envelope(self):
+        ladder = GammaLadder([1.0], lipschitz=4.5)
+        for k in range(1, 300):
+            assert ladder.level(k) == pytest.approx(lattice_gamma_bar(4.5, k), rel=1e-15)
+        assert ladder.tail_err(10, 2) > 0.0 and ladder.tail_err(10, 2) < 1e-12 * ladder.tail(10, 2)
+
+    @pytest.mark.parametrize("head, gamma", [((), 4.0), ((1.0,), 3.0)], ids=["no-head", "gamma-3"])
+    def test_a_lipschitz_tail_needs_a_first_rung_and_gamma_above_3(self, head, gamma):
+        with pytest.raises(ValueError, match="Lipschitz"):
+            GammaLadder(head, lipschitz=gamma)
 
     def test_geometric_levels(self):
         fam = GeometricLevels(p_empty=0.5, ratio=0.5)
@@ -299,8 +336,8 @@ class TestLadderLevelSampling:
 
     @pytest.mark.parametrize(
         "ladder",
-        [halving_ladder(), GammaLadder(power=[(2.5, 4.0)])],
-        ids=["auto", "power"],
+        [halving_ladder(), GammaLadder(power=[(2.5, 4.0)]), GammaLadder([1.0], lipschitz=4.0)],
+        ids=["auto", "power", "lipschitz"],
     )
     def test_sample_is_the_walked_level(self, ladder):
         top = 1.0 - 2.0**-53

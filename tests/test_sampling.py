@@ -11,6 +11,7 @@ from scipy import stats
 
 import kalisim
 from kalisim import LedgerError, RandomStream, RegionLedger, sample_poisson_region
+from kalisim import sampling
 from kalisim.validation import poisson_chisquare_pvalue
 
 
@@ -409,50 +410,46 @@ class TestRegionLedger:
 
         assert walk(99) == walk(99)
 
-    def test_screened_walk_keeps_the_draws_of_the_plain_walk(self):
-        # the screen draws each point's neighborhood and rejects marks >= 0.5;
-        # the plain walk stores every point and its caller draws the same
-        def screen_of(rng):
-            return lambda mark: (rng.uniform(),) if mark < 0.5 else None
-
-        def walk(screened):
-            led, rng = RegionLedger(), RandomStream(31)
-            led.realize_new(0, [(2.0, 3.0)], 4.0, rng)
-            screen = screen_of(rng) if screened else None
-            kept, cursor = [], 0.0
-            while (rec := led.advance(0, cursor, 6.0, 4.0, rng, screen)) is not None:
-                cursor = rec.time
-                if 2.0 <= rec.time < 3.0:
-                    continue  # a replayed point draws nothing
-                if screen is None:
-                    rec.neighborhood = screen_of(rng)(rec.mark)
-                if rec.neighborhood is not None:
-                    kept.append((rec.time, rec.mark, rec.neighborhood))
-            return kept, led, rng.uniform()
-
-        (plain, plain_led, plain_next), (kept, led, after) = walk(False), walk(True)
-        assert kept and kept == plain and after == plain_next
-        assert led.coverage(0) == plain_led.coverage(0) == [(0.0, 6.0)]
-        # the rejected points were never stored
-        replayed = len(led.points_in(0, 2.0, 3.0))
-        assert led.n_points() == len(kept) + replayed < plain_led.n_points()
-
     def test_a_stored_point_in_a_gap_raises_before_the_step_past_it_draws_a_mark(self):
-        # the reference walk stores every point; the screened one rejects them all
-        def walk(led, *screen):
+        # both walks store every point up to the stray one at 1.5 and raise at
+        # the step past it, before its mark: the next uniform is the same
+        def walk(led):
             rng = RandomStream(8)
             led.add_proposal_point(0, 1.5, mark=0.0)
             cursor = 0.0
             with pytest.raises(LedgerError, match="stored points"):
-                while (rec := led.advance(0, cursor, 6.0, 4.0, rng, *screen)) is not None:
+                while (rec := led.advance(0, cursor, 6.0, 4.0, rng)) is not None:
                     cursor = rec[0] if isinstance(rec, tuple) else rec.time
-            return rng.uniform()
+            return rng.uniform(), led.n_points()
 
-        reference, screened = ReferenceLedger(), RegionLedger()
-        assert walk(screened, lambda mark: None) == walk(reference)
-        assert reference.n_points() > 1
-        # the screened walk stored nothing and wrote no coverage before raising
-        assert screened.n_points() == 1 and screened.coverage(0) == []
+        ledger, reference = RegionLedger(), ReferenceLedger()
+        assert walk(ledger) == walk(reference)
+        assert ledger.n_points() > 1
+        # the coverage ends at the last point stored before the stray one
+        (start, end), = ledger.coverage(0)
+        assert start == 0.0 and end < 1.5
+
+    def test_a_lone_piece_off_the_coverage_is_its_own_gap(self, monkeypatch):
+        # a one-piece request that touches and abuts no coverage interval, on a
+        # new node or between intervals, draws on the request itself: no walk
+        # builds a list of gaps for it
+        drawn_on = []
+        poisson = sampling._poisson_on_sorted
+        monkeypatch.setattr(sampling, "_poisson_on_sorted", lambda *a: drawn_on.append(a[2]) or poisson(*a))
+        led, rng = RegionLedger(), RandomStream(17)
+        stray = led.add_proposal_point(0, 2.5, mark=0.0)
+        lone = [[(0.0, 1.0)], [(4.0, 5.0)], [(2.0, 3.0)]]
+        found = [led.realize_new(0, region, 3.0, rng)[1] for region in lone]
+        assert all(gaps is region for gaps, region in zip(drawn_on, lone))
+        # a stored point outside the coverage is returned as found
+        assert found == [[], [], [stray]]
+        assert led.coverage(0) == [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)]
+        # touching, abutting or two-piece requests take the walk
+        walked = [[(0.5, 1.5)], [(5.0, 6.0)], [(7.0, 8.0), (9.0, 10.0)]]
+        for region in walked:
+            led.realize_new(0, region, 3.0, rng)
+        assert drawn_on[3:] == [[(1.0, 1.5)], [(5.0, 6.0)], [(7.0, 8.0), (9.0, 10.0)]]
+        assert not any(gaps is region for gaps, region in zip(drawn_on[3:], walked))
 
     def test_dump_roundtrip(self, tmp_path):
         led = RegionLedger()
