@@ -396,8 +396,10 @@ def weight_cost_curve(
     gamma_exponent: float, delta: float, p_grid: Sequence[float]
 ) -> WeightCostCurve:
     """Expected clan size of the lattice on the paper's power ladder
-    Gamma_k = C_gamma k^{-p}, C_gamma = ``lattice_c_gamma``, along a grid of p;
-    the preset itself simulates on its Lipschitz envelope, a smaller clan.
+    Gamma_k = C_gamma k^{-p}, C_gamma = ``lattice_c_gamma`` (31.20 at
+    gamma = 4), along a grid of p; the preset itself simulates on its
+    refractory Lipschitz envelope bar-Gamma_k, a smaller clan (E(W) = 1.142
+    at gamma = 4, delta = 0.005).
 
     The mean offspring count is C_gamma * delta * f(p) with
     f(p) = sum (2k-1) k^{1-p} (finite iff p > 3), and the

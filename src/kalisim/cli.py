@@ -204,13 +204,19 @@ def _cmd_analyze(args) -> int:
         raise ConfigError(["--theta needs a node sample; the scalar reduction has none (pass --nodes)"])
     report["gamma"] = summary.gamma
     report["verdict"] = summary.verdict
+    # Gamma, the rate of the dominating process: Gamma over the node's rate is
+    # the number of roots a perfect sweep proposes per accepted point
     if summary.invariant:
         report["reduction"] = "translation-invariant scalar"
         if summary.subcritical:
             report["expected_clan_size"] = summary.expected_w[0]
+        if (gam := model.global_bound(0)) is not None:
+            report["dominating_rate"] = gam
     else:
         report["reduction"] = "finite node sample"
         nodes = report["nodes"] = list(summary.per_node)
+        if rates := {str(j): g for j in nodes if (g := model.global_bound(j)) is not None}:
+            report["dominating_rate"] = rates
         report["M"] = summary.matrix.tolist()
         report["expected_clan_size"] = {str(k): v for k, v in summary.expected_w.items()}
         if summary.expected_w_note:

@@ -29,6 +29,8 @@ from .base import (
 )
 
 _WALK_CAP = 10_000_000
+# 1 - 1/e, since sum_{m<k} e^{-m} = (1 - e^{-k}) / (1 - 1/e)
+_ONE_MINUS_INV_E = -math.expm1(-1.0)
 
 
 def _geometric_tail(a: float, q: float, n: int, r: int) -> float:
@@ -47,12 +49,13 @@ class GammaLadder:
     terms added to every rung beyond the head: each geometric ``(a, r)`` pair
     adds a r^{k-1}, each ``power`` ``(c, p)`` pair adds c k^{-p}, and
     ``lipschitz`` = gamma adds the lattice's Lipschitz envelope
-    bar-Gamma_k = 2/(k-1)^gamma + e^{-(k-1)} (1 + H_gamma(k-2)), whose
-    harmonic sum H_gamma is kept running as the rungs grow. ``total`` is
-    Gamma = sum_k Gamma_k and ``tail(n, r)`` is sum_{k>n} k^r Gamma_k for
-    r = 0, 1, 2, all exact; r = 1, 2 give offspring means (each level-k
-    neighborhood has time depth k*delta). The level weights are lambda(v_k) =
-    Gamma_k / Gamma, so that every component is bounded by Gamma.
+    bar-Gamma_k = (1 - e^{-k}) / ((1 - e^{-1}) (k-1)^gamma)
+    + e^{-(k-1)} (1 + H_gamma(k-2)), whose harmonic sum H_gamma is kept
+    running as the rungs grow. ``total`` is Gamma = sum_k Gamma_k and
+    ``tail(n, r)`` is sum_{k>n} k^r Gamma_k for r = 0, 1, 2, all exact;
+    r = 1, 2 give offspring means (each level-k neighborhood has time depth
+    k*delta). The level weights are lambda(v_k) = Gamma_k / Gamma, so that
+    every component is bounded by Gamma.
 
     Rungs are kept in a list once computed, since ``pmf`` reads one per
     component value. ``sample`` inverts the level CDF by bisection on the
@@ -95,7 +98,8 @@ class GammaLadder:
             rung = (sum(a * r ** (n - 1) for a, r in self.geometric)
                     + sum(c * n ** (-p) for c, p in self.power))
             if g is not None:
-                rung += 2.0 / (n - 1) ** g + math.exp(-(n - 1)) * (1.0 + self._harmonic)
+                rung += (-math.expm1(-n) / (_ONE_MINUS_INV_E * (n - 1) ** g)
+                         + math.exp(-(n - 1)) * (1.0 + self._harmonic))
                 self._harmonic += (n - 1) ** (-g)
             rungs.append(rung)
         return rungs[k - 1] if k >= 1 else 0.0
@@ -112,17 +116,20 @@ class GammaLadder:
         return out
 
     def _lipschitz_tail(self, n: int, r: int) -> float:
-        """sum_{k>n} k^r bar-Gamma_k for n >= 1. With m = k - 1, zeta tails give
-        2 sum_{m>=n} (m+1)^r m^{-gamma}; sum_{m>=n} (m+1)^r e^{-m} (1 + H_gamma(m-1))
-        is summed until its remainder, below (1 + zeta(3)) sum_j (1+j)^2 e^{-j}
-        (m+1)^r e^{-m} < 12 (m+1)^r e^{-m}, is below rounding."""
+        """sum_{k>n} k^r bar-Gamma_k for n >= 1. With m = k - 1, the rung's
+        first term splits into (m+1)^r m^{-gamma} / (1 - e^{-1}), whose sum over
+        m >= n zeta tails give, and -(m+1)^r e^{-m} m^{-gamma} / (e - 1), which
+        joins the positive series sum_{m>=n} (m+1)^r e^{-m}
+        (1 + H_gamma(m-1) - m^{-gamma} / (e - 1)). That series is summed until
+        its remainder, below (1 + zeta(3)) sum_j (1+j)^2 e^{-j} (m+1)^r e^{-m}
+        < 12 (m+1)^r e^{-m}, is below rounding."""
         g = self.lipschitz
-        out = 2.0 * sum(math.comb(r, i) * series.zeta_tail(g - i, n - 1) for i in range(r + 1))
+        out = sum(math.comb(r, i) * series.zeta_tail(g - i, n - 1) for i in range(r + 1)) / _ONE_MINUS_INV_E
         m, h = n, None
         while 12.0 * (m + 1) ** r * math.exp(-m) >= 2.0**-53 * out:
             if h is None:
                 h = series.harmonic_partial(g, m - 1)
-            out += (m + 1) ** r * math.exp(-m) * (1.0 + h)
+            out += (m + 1) ** r * math.exp(-m) * (1.0 + h - m ** (-g) / math.expm1(1.0))
             h += m ** (-g)
             m += 1
         return out
@@ -133,7 +140,7 @@ class GammaLadder:
         err = sum(c * series.zeta_tail_err(p - r, n) for c, p in self.power)
         if self.lipschitz is not None:
             g = self.lipschitz
-            err += 2.0 * sum(math.comb(r, i) * series.zeta_tail_err(g - i, n - 1) for i in range(r + 1))
+            err += sum(math.comb(r, i) * series.zeta_tail_err(g - i, n - 1) for i in range(r + 1)) / _ONE_MINUS_INV_E
         return err + 2.0**-45 * self.tail(n, r)
 
     def pmf(self, desc) -> float:
@@ -292,13 +299,16 @@ class AgeHawkesModel(KalikowModel):
     def delta(self, i: NodeId, desc, x: Configuration) -> float:
         if not isinstance(desc, NestedND):
             raise KeyError(f"descriptor {desc!r} is not a nested level")
-        require_window_covers(x, self.expand(i, desc))
+        if x.window is not None:
+            require_window_covers(x, self.expand(i, desc))
         if not self._alive(i, x):
             return 0.0
         psi = self.psi(i)
         if desc.k == 1:
             # within v_1 the indicator forces an empty own-window drive
             return psi.at_zero
+        if x.is_empty():
+            return psi(0.0) - psi(0.0)
         prev, cur = self._drives(i, desc.k, x)
         return psi(cur) - psi(prev)
 
@@ -319,9 +329,13 @@ class AgeHawkesModel(KalikowModel):
     def gamma_bar(self, i: NodeId, k: int) -> float:
         """Lipschitz lower envelope for admissible per-level bounds.
 
-        bar-Gamma_1 = psi(0); for k >= 2 it combines the full mass of kernels
-        from nodes entering at level k with the (k-1)delta kernel values of
-        nodes already present (at most one point per refractory window).
+        bar-Gamma_1 = psi(0); for k >= 2 it is L times the largest drive that
+        v_k adds to v_{k-1} over refractory pasts, whose points on each node
+        lie more than delta apart, through kernels that are all nonincreasing.
+        A node already present adds at most one point, of age at least
+        (k-1) delta: h((k-1) delta). A node entering at level k holds at most k
+        points in [-k delta, 0), the m-th latest (m = 0, 1, ...) of age at
+        least m delta: sum_{m<k} h(m delta).
         """
         if k < 1:
             raise ValueError("level index must be >= 1")
@@ -338,7 +352,7 @@ class AgeHawkesModel(KalikowModel):
             if j in prev_set:
                 total += ker((k - 1) * self.refractory)
             else:
-                total += ker.at_zero + ker.l1 / self.refractory
+                total += sum(ker(m * self.refractory) for m in range(k))
         return lip * total
 
     def global_bound(self, i: NodeId) -> Optional[float]:

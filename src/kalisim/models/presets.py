@@ -6,11 +6,12 @@ beta_ij = 1 / (2 |j-i|^g) for j != i, and nested node sets
 omega_k = {i-k+1, ..., i+k-1} growing symmetrically. ``LatticeAgeModel``
 overrides the network methods of ``AgeHawkesModel`` and keeps the rest.
 
-The model simulates on its Lipschitz envelope, Gamma_k = bar-Gamma_k at
-every level (Gamma = 3.966 at g = 4). The paper's weight family, the power
-ladder C_g k^{-p} with C_g = ``lattice_c_gamma(g)`` (Gamma = 41.0 at
-g = p = 4), is another decomposition of the same intensity, and only the cost
-curve (:func:`kalisim.analysis.weight_cost_curve`) reads its exponent p. The
+The model simulates on its refractory Lipschitz envelope, Gamma_k =
+bar-Gamma_k at every level (Gamma = 3.294 at g = 4). The paper's weight
+family, the power ladder C_g k^{-p} with C_g = ``lattice_c_gamma(g)`` (C_g =
+31.20 and Gamma = 33.76 at g = p = 4), is another decomposition of the same
+intensity, and only the cost curve
+(:func:`kalisim.analysis.weight_cost_curve`) reads its exponent p. The
 preset still checks ``p`` in (3, g], because configs carry it.
 """
 
@@ -33,23 +34,30 @@ def lattice_gamma_bar(gamma: float, k: int) -> float:
     """Closed form of the Lipschitz envelope bar-Gamma_k: the preset's rungs.
 
     bar-Gamma_1 = 1 and, for k >= 2,
-    bar-Gamma_k = 2/(k-1)^gamma + e^{-(k-1)} (1 + sum_{m=1}^{k-2} m^{-gamma}).
+    bar-Gamma_k = (1 - e^{-k}) / ((1 - e^{-1}) (k-1)^gamma)
+                  + e^{-(k-1)} (1 + sum_{m=1}^{k-2} m^{-gamma}):
+    the two nodes entering at distance k-1 add at most k points each, at ages
+    past 0, delta, ..., (k-1) delta, through kernels (k-1)^{-gamma} e^{-t/delta}
+    / 2, and each node already present adds one point of age past (k-1) delta.
     """
     if k < 1:
         raise ValueError("level index must be >= 1")
     if k == 1:
         return 1.0
-    return 2.0 / (k - 1) ** gamma + math.exp(-(k - 1)) * (1.0 + series.harmonic_partial(gamma, k - 2))
+    return (math.expm1(-k) / math.expm1(-1.0) / (k - 1) ** gamma
+            + math.exp(-(k - 1)) * (1.0 + series.harmonic_partial(gamma, k - 2)))
 
 
 def lattice_c_gamma(gamma: float) -> float:
-    """Smallest constant with C k^{-gamma} >= bar-Gamma_k for every level: the
-    constant of the paper's power ladder, which only the cost curve reads.
+    """Smallest constant with C k^{-gamma} >= bar-Gamma_k for every level, on
+    the envelope the preset simulates on: the constant of the paper's power
+    ladder, which only the cost curve reads.
 
-    k^gamma bar-Gamma_k = 2 (k/(k-1))^gamma + k^gamma e^{-(k-1)} (1 + ...);
-    both pieces are decreasing once k exceeds max(gamma, a few), and their
-    value there is far below the k=2 term 2^gamma (2 + 1/e), so the supremum
-    is attained on a short explicit prefix.
+    k^gamma bar-Gamma_k = (1 - e^{-k}) / (1 - e^{-1}) (k/(k-1))^gamma
+    + k^gamma e^{-(k-1)} (1 + H_gamma(k-2)); both pieces decrease from
+    k = 2 gamma on (the second by a factor below e^{gamma/k - 1}
+    (1 + (k-1)^{-gamma}) per level), so the supremum is attained on the
+    explicit prefix k <= max(50, 3 gamma): at k = 4 for gamma = 4, C = 31.20.
     """
     if gamma <= 3.0:
         raise ValueError("lattice preset needs gamma > 3")

@@ -100,6 +100,8 @@ class AncestorGraph:
 
 
 _by_time = attrgetter("time", "node")
+# the past of a point that keeps no accepted child; shared, so never mutated
+_EMPTY_PAST = Configuration._unsafe({})
 
 
 def backward_clan(
@@ -209,14 +211,16 @@ def forward_accept(graph: AncestorGraph, model, ledger: RegionLedger) -> Ancesto
     """
     if not graph.terminated:
         raise KalisimError("cannot run the forward pass on a non-terminated clan")
+    bound, value_of = model.global_bound, model.component_value
     for rec in graph.pending:
-        if rec.children is None:
+        children = rec.children
+        if children is None:
             raise LedgerError(
                 f"undecided point {rec!r} was never expanded; the ledger carries state"
                 " from an aborted run"
             )
         kept: dict[NodeId, list[float]] = {}
-        for child in rec.children:
+        for child in children:
             if child.decision is None:
                 raise LedgerError(
                     f"undecided point {child!r} found by {rec!r} is foreign to this clan;"
@@ -225,9 +229,9 @@ def forward_accept(graph: AncestorGraph, model, ledger: RegionLedger) -> Ancesto
             if child.decision:
                 kept.setdefault(child.node, []).append(child.time - rec.time)
         # a node's children are its fresh points, then the ones found
-        x = Configuration._unsafe({j: tuple(sorted(ts)) for j, ts in kept.items()}, window=None)
-        gam = model.global_bound(rec.node)
-        value = model.component_value(rec.node, rec.neighborhood, x)
+        x = Configuration._unsafe({j: tuple(sorted(ts)) for j, ts in kept.items()}) if kept else _EMPTY_PAST
+        gam = bound(rec.node)
+        value = value_of(rec.node, rec.neighborhood, x)
         prob = value / gam
         if prob > 1.0 + 1e-9:
             raise NonMonotoneModelError(

@@ -248,8 +248,9 @@ LATTICE_DELTA = 0.005
 
 class PowerLadderLattice(LatticeAgeModel):
     """The lattice preset on the paper's power ladder, Gamma_k = C_g k^{-p} with
-    C_g = ``lattice_c_gamma(g)`` (Gamma = 41.0 at g = p = 4): a second
-    decomposition of the same intensity, dominating bar-Gamma_k with slack."""
+    C_g = ``lattice_c_gamma(g)`` (Gamma = 33.76 at g = p = 4, against 3.294
+    on bar-Gamma_k): a second decomposition of the same intensity, dominating
+    bar-Gamma_k with slack."""
 
     def __init__(self, gamma: float, p: float, delta: float):
         super().__init__(gamma, p, delta)

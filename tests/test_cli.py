@@ -140,10 +140,10 @@ def test_analyze_lattice_sample(tmp_path, capsys):
     assert report["nodes"] == [-1, 0, 1]
     assert set(report["off_sample_mass"]) == {"-1", "0", "1"}
     assert report["verdict"] == "subcritical"
-    # exact for every node by translation invariance: E(W) = 1/(1 - 0.1481)
+    # exact for every node by translation invariance: E(W) = 1/(1 - 0.1246)
     ew = 1.0 / (1.0 - kalisim.lattice_preset(4, 4, 0.005).invariant_offspring_mean())
     assert report["expected_clan_size"] == {"-1": ew, "0": ew, "1": ew}
-    assert ew == pytest.approx(1.174, abs=1e-3)
+    assert ew == pytest.approx(1.142, abs=1e-3)
     assert "expected_clan_size_note" not in report
     # the row totals come in closed form; walking the nested levels took minutes
     assert elapsed < 20.0
@@ -315,6 +315,15 @@ def test_analyze_invariant_reduction(tmp_path, capsys):
     assert report["reduction"] == "translation-invariant scalar"
     assert (report["gamma"], report["verdict"]) == (g, "subcritical")
     assert report["expected_clan_size"] == 1.0 / (1.0 - g)
+
+
+def test_analyze_reports_the_dominating_rate(tmp_path, capsys):
+    gam = kalisim.lattice_preset(4, 4, 0.005).global_bound(0)
+    assert analyze_report(tmp_path, capsys, LATTICE)["dominating_rate"] == gam
+    assert gam == pytest.approx(3.294, abs=1e-3)
+    sample = analyze_report(tmp_path, capsys, LATTICE, "--nodes", "3")["dominating_rate"]
+    assert sample == {"-1": gam, "0": gam, "1": gam}
+    assert analyze_report(tmp_path, capsys, TABLE)["dominating_rate"] == {"0": 1.0}
 
 
 def test_analyze_theta_solves_the_log_laplace_fixed_point(tmp_path, capsys):

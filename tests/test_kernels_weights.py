@@ -198,7 +198,7 @@ class TestLadderAndGeometricLevels:
             weighted = ks.astype(float) ** r * rungs
             beyond = sum(c * stop ** (r + 1.0 - p) / (p - r - 1.0) for c, p in ladder.power)
             if ladder.lipschitz is not None:
-                beyond += 2.0 * stop ** (r + 1.0 - ladder.lipschitz) / (ladder.lipschitz - r - 1.0)
+                beyond += stop ** (r + 1.0 - ladder.lipschitz) / (ladder.lipschitz - r - 1.0) / (1.0 - math.exp(-1.0))
             for n in (0, 1, 2, 3, 7, 40, 100):
                 brute = float(weighted[: stop - n].sum()) + beyond
                 assert ladder.tail(n, r) == pytest.approx(brute, rel=1e-6 if r == 2 else 1e-8)

@@ -16,11 +16,13 @@ from kalisim import (
     evaluate_decomposition,
     lattice_preset,
     perfect_sample,
+    perfect_sample_window,
 )
 from kalisim.errors import NonSummableError
 from kalisim.models import AgeHawkesModel, OffspringRow, lattice_c_gamma, lattice_gamma_bar
 from kalisim.models.presets import NEAR_MAX
 from kalisim import analysis, series
+from kalisim.validation import SuiteReport, law_pair
 
 
 def finite_model(psi0=0.5, slope=0.5, alpha=0.8, beta=2.0, delta=0.5):
@@ -32,11 +34,11 @@ def finite_model(psi0=0.5, slope=0.5, alpha=0.8, beta=2.0, delta=0.5):
     )
 
 
-def two_node_model():
+def two_node_model(cls=AgeHawkesModel):
     """Node 1 drives node 0 through an exponential kernel and node 0 drives
     node 1 through a step kernel; node 0 lists three levels, node 1 the default
     two."""
-    return AgeHawkesModel(
+    return cls(
         psi=AffineRate(0.4, 0.4),
         kernels={
             (0, 1): ExponentialKernel(alpha=0.5, beta=3.0),
@@ -60,8 +62,10 @@ def random_refractory_config(rng, delta=0.5, horizon=8.0, node=0):
 class TestGammaBar:
     def test_lattice_values(self):
         assert lattice_gamma_bar(4.0, 1) == 1.0
-        assert lattice_gamma_bar(4.0, 2) == pytest.approx(2.0 + math.exp(-1.0))
-        assert lattice_gamma_bar(4.0, 3) == pytest.approx(0.125 + 2.0 * math.exp(-2.0))
+        # (1 - e^{-k}) / (1 - e^{-1}) = 1 + e^{-1} + ... + e^{-(k-1)}
+        assert lattice_gamma_bar(4.0, 2) == pytest.approx(1.0 + 2.0 * math.exp(-1.0))
+        expect = (1.0 + math.exp(-1.0) + math.exp(-2.0)) / 16.0 + 2.0 * math.exp(-2.0)
+        assert lattice_gamma_bar(4.0, 3) == pytest.approx(expect)
 
     def test_model_matches_closed_form(self):
         m = lattice_preset(4.0, 4.0, 1.0)
@@ -150,7 +154,7 @@ class TestWeights:
         assert head == pytest.approx(1.0, abs=1e-9)
 
     def test_lattice_power_law_sampler(self):
-        # level 1 carries Gamma_1 / Gamma = 1 / 3.966 of the Lipschitz ladder
+        # level 1 carries Gamma_1 / Gamma = 1 / 3.294 of the Lipschitz ladder
         m = lattice_preset(4.0, 4.0, 0.01)
         rng = RandomStream(6)
         p1 = 1.0 / m.global_bound(0)
@@ -177,10 +181,14 @@ class TestBoundsAndExpansion:
         assert m.global_bound(0) == pytest.approx(expect, rel=1e-12)
 
     def test_lattice_bound(self):
-        # Gamma = 1 + 2 zeta(4) + sum_{m>=1} e^{-m} (1 + H_4(m-1)), zeta(4) = pi^4/90
+        # Gamma = 1 + zeta(4) / (1 - e^{-1}) + sum_{m>=1} e^{-m} (1 + H_4(m-1) - m^{-4} / (e - 1)),
+        # zeta(4) = pi^4/90
         m = lattice_preset(4.0, 4.0, 0.005)
-        exp_part = sum(math.exp(-j) * (1.0 + sum(r**-4.0 for r in range(1, j))) for j in range(1, 60))
-        assert m.global_bound(0) == pytest.approx(1.0 + 2.0 * math.pi**4 / 90.0 + exp_part, rel=1e-14)
+        exp_part = sum(math.exp(-j) * (1.0 + sum(r**-4.0 for r in range(1, j)) - j**-4.0 / (math.e - 1.0))
+                       for j in range(1, 60))
+        zeta_part = math.pi**4 / 90.0 / (1.0 - math.exp(-1.0))
+        assert m.global_bound(0) == pytest.approx(1.0 + zeta_part + exp_part, rel=1e-14)
+        assert m.global_bound(0) == pytest.approx(3.294, abs=1e-3)
 
     def test_local_bound_is_global(self):
         m = finite_model()
@@ -336,18 +344,18 @@ class TestGoldenTwoNodeAge:
     @pytest.mark.parametrize(
         "seed, node, count, ends, digest, stats",
         [
-            (1, 0, 11, (3.2563190710814016, 27.2510951208139),
-             "5ef22a138c0a577628f11d5fb47b6bff59f8772bd6d2423a8ca2d444bd9a0007",
-             {"roots": 32, "accepted": 11,
-              "clan_size_histogram": {"1": 24, "2": 6, "3": 1, "4": 1},
-              "mean_clan_size": 1.34375, "max_lookback": 1.4989071666012652,
-              "mean_lookback": 0.4908374948832495}),
-            (2, 1, 7, (7.234015988964516, 29.252767749226965),
-             "05fa656965d0823a8481594012d0075d310e29781139d3e36722aac6c19940d6",
-             {"roots": 26, "accepted": 7,
-              "clan_size_histogram": {"1": 23, "2": 2, "3": 1},
-              "mean_clan_size": 1.1538461538461537, "max_lookback": 1.135500634376493,
-              "mean_lookback": 0.4492185420710125}),
+            (1, 0, 18, (0.9339424037805668, 28.598895184286263),
+             "bdb4917871a31cb11f27d6f14a734699c9b752f1b4c180a8c2b378fa109bfaad",
+             {"roots": 30, "accepted": 18,
+              "clan_size_histogram": {"1": 26, "2": 4},
+              "mean_clan_size": 1.1333333333333333, "max_lookback": 1.0437680506062001,
+              "mean_lookback": 0.41312509380198564}),
+            (2, 1, 8, (5.097444142086881, 19.157624531536726),
+             "ca340bb1599a3147482fbe1c5ddf42c818090ec990aaf4692e173db6f5a5936a",
+             {"roots": 22, "accepted": 8,
+              "clan_size_histogram": {"1": 18, "2": 3, "4": 1},
+              "mean_clan_size": 1.2727272727272727, "max_lookback": 1.5289073781631224,
+              "mean_lookback": 0.48155985594713174}),
         ],
         ids=["seed1-node0", "seed2-node1"],
     )
@@ -363,15 +371,48 @@ class TestGoldenTwoNodeAge:
         m = two_node_model()
         rows = {i: m.offspring_row(i) for i in (0, 1)}
         assert {i: {j: v.hex() for j, v in row.near.items()} for i, row in rows.items()} == {
-            0: {0: "0x1.a9ac49125c30ap-2", 1: "0x1.6997945e0ca5fp-2"},
-            1: {0: "0x1.66de94ebdf0f3p-2", 1: "0x1.f7ced916872b2p-2"},
+            0: {0: "0x1.51828ed020242p-2", 1: "0x1.fb01f19db7aeep-3"},
+            1: {0: "0x1.09ea84787d362p-2", 1: "0x1.851eb851eb853p-2"},
         }
         assert all(row.far == 0.0 and row.err == 0.0 for row in rows.values())
         verdict = analysis.subcriticality_gamma(m)
-        assert verdict.gamma.hex() == "0x1.af56b701331d2p-1"
+        assert verdict.gamma.hex() == "0x1.47849e65345dap-1"
         assert {i: g.hex() for i, g in verdict.per_node.items()} == {
-            0: "0x1.89a1eeb8346b4p-1", 1: "0x1.af56b701331d2p-1"
+            0: "0x1.2781c3cf7dfdcp-1", 1: "0x1.47849e65345dap-1"
         }
+
+
+class EntryMassEnvelope(AgeHawkesModel):
+    """The age model on a larger envelope: a node entering at level k adds
+    h(0) + |h|_1 / delta, which bounds its drive without counting its points.
+    A second decomposition of the same intensity."""
+
+    def gamma_bar(self, i, k):
+        if k == 1:
+            return super().gamma_bar(i, k)
+        present = set(self.omega(i, k - 1))
+        total = 0.0
+        for j in self.omega(i, k):
+            ker = self.kernel(i, j)
+            if ker is not None:
+                total += ker((k - 1) * self.refractory) if j in present else ker.at_zero + ker.l1 / self.refractory
+        return self.psi(i).lipschitz * total
+
+
+def test_the_refractory_envelope_keeps_the_law_of_the_two_node_model():
+    # node-0 and node-1 counts on [0, 10), 1 200 runs an arm (about 2 s)
+    sharp, loose = two_node_model(), two_node_model(EntryMassEnvelope)
+    assert all(sharp.global_bound(i) < loose.global_bound(i) for i in (0, 1))
+    root = RandomStream(5)
+
+    def counts(arm, model):
+        runs = (perfect_sample_window(model, [(0, (0.0, 10.0)), (1, (0.0, 10.0))], root.child(arm, r))
+                for r in range(1_200))
+        return [[len(x.points(0)), len(x.points(1))] for x in runs]
+
+    rep = SuiteReport("finite-age pair", 5)
+    law_pair(rep, "two-node age", counts(0, sharp), counts(1, loose))
+    assert rep.passed, rep.render()
 
 
 class TestZetaTailError:
@@ -386,12 +427,13 @@ class TestZetaTailError:
 
 def packed_refractory_past(rng, nodes, delta, target, levels=8):
     """Each node's points just past ages 0, delta, 2 delta, ...: the m-th at
-    age m delta + eta_m, eta increasing from about 1e-7 delta, so every gap
-    just exceeds delta; a point is left out with probability 1/5. The target
-    node starts at age delta + eta_1, so it is alive."""
+    age m delta + eta_m, eta increasing and below delta/100 (each node draws
+    its scale between 1e-9 delta and 1e-3 delta), so every gap just exceeds
+    delta; a point is left out with probability 1/5. The target node starts
+    at age delta + eta_1, so it is alive."""
     pts = {}
     for j in nodes:
-        eta = np.cumsum(rng.uniform(1e-9, 1e-7, levels)) * delta
+        eta = np.cumsum(rng.uniform(0.0, 1.0, levels)) * 10.0 ** rng.uniform(-9.0, -3.0) * delta
         pts[j] = sorted(-(m * delta + eta[m]) for m in range(1 if j == target else 0, levels) if rng.uniform() > 0.2)
     return Configuration(pts)
 
@@ -402,17 +444,20 @@ def packed_refractory_past(rng, nodes, delta, target, levels=8):
     ids=["lattice", "exp-step"],
 )
 def test_packed_pasts_stay_below_the_simulated_ladder(make, nodes, targets):
+    # bar-Gamma_k bounds the level-k contribution over refractory pasts, and
     # the ladder simulated on is bar-Gamma_k itself, with no slack to spare:
-    # a step kernel attains it, up to the rounding of psi(cur) - psi(prev)
+    # packed pasts come within 1% of it, and a step kernel attains it up to
+    # the rounding of psi(cur) - psi(prev)
     m = make()
     rng = np.random.default_rng(31)
     worst = 0.0
     for _ in range(200):
         for i in targets:
             x = packed_refractory_past(rng, nodes, m.refractory, i)
-            for k in range(2, 8):
-                value, rung = m.delta(i, NestedND(k), x), m.ladder(i).level(k)
-                assert value <= rung * (1.0 + 1e-12)
-                worst = max(worst, value / rung if rung else 0.0)
-    # the packed pasts come close to the envelope
+            for k in range(1, 9):
+                value, bound = m.delta(i, NestedND(k), x), m.gamma_bar(i, k)
+                assert value <= bound * (1.0 + 1e-12)
+                assert m.ladder(i).level(k) == pytest.approx(bound, rel=1e-12)
+                if k >= 2 and bound > 0.0:
+                    worst = max(worst, value / bound)
     assert worst > 0.9
