@@ -39,7 +39,6 @@ from .core import (
 from .errors import (
     BudgetExhausted,
     ConfigError,
-    CoverageError,
     DivergenceError,
     ExplosionGuardError,
     GuardViolation,

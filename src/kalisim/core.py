@@ -88,38 +88,23 @@ class Neighborhood:
 
 
 class Configuration:
-    """Finite realized point sets per node, with an optional knowledge window.
+    """Finite realized point sets per node, complete everywhere.
 
-    ``window=(a, b)`` asserts the points are complete on ``[a, b)`` (``a`` may
-    be ``-inf``); ``window=None`` means the configuration is complete
-    everywhere. Points are strictly increasing per node and collisions across
-    nodes are rejected (a realized counting path never has simultaneous
-    points).
+    A configuration is a whole past: every point of the path is listed, so
+    a component reads ``x.restrict(v)`` and nothing outside ``v``. Points
+    are strictly increasing per node and collisions across nodes are
+    rejected (a realized counting path never has simultaneous points).
     """
 
-    __slots__ = ("_points", "window")
+    __slots__ = ("_points",)
 
-    def __init__(
-        self,
-        points: Mapping[NodeId, Sequence[float]] | Iterable[tuple[NodeId, float]] = (),
-        window: Optional[tuple[float, float]] = None,
-        validate: bool = True,
-    ):
-        if isinstance(points, Mapping):
-            data = {int(j): tuple(sorted(float(t) for t in ts)) for j, ts in points.items() if len(ts)}
-        else:
-            tmp: dict[int, list[float]] = {}
-            for j, t in points:
-                tmp.setdefault(int(j), []).append(float(t))
-            data = {j: tuple(sorted(ts)) for j, ts in tmp.items()}
-        self._points = data
-        self.window = window
+    def __init__(self, points: Mapping[NodeId, Sequence[float]], validate: bool = True):
+        self._points = {int(j): tuple(sorted(float(t) for t in ts)) for j, ts in points.items() if len(ts)}
         if validate:
             self._validate()
 
     def _validate(self) -> None:
         seen: dict[float, NodeId] = {}
-        lo, hi = self.window if self.window is not None else (_NEG_INF, math.inf)
         for j, ts in self._points.items():
             prev = _NEG_INF
             for t in ts:
@@ -129,21 +114,18 @@ class Configuration:
                     raise ValueError(f"points of node {j} not strictly increasing at {t}")
                 if t in seen and seen[t] != j:
                     raise ValueError(f"exact time collision at {t} between nodes {seen[t]} and {j}")
-                if not (lo <= t < hi):
-                    raise ValueError(f"point ({j}, {t}) lies outside the window [{lo}, {hi})")
                 seen[t] = j
                 prev = t
 
     @classmethod
-    def empty(cls, window: Optional[tuple[float, float]] = None) -> "Configuration":
-        return cls((), window=window, validate=False)
+    def empty(cls) -> "Configuration":
+        return cls._unsafe({})
 
     @classmethod
-    def _unsafe(cls, points: dict[NodeId, tuple[float, ...]], window=None) -> "Configuration":
+    def _unsafe(cls, points: dict[NodeId, tuple[float, ...]]) -> "Configuration":
         """Fast path for internally produced, already-consistent data."""
         obj = cls.__new__(cls)
         obj._points = points
-        obj.window = window
         return obj
 
     def nodes(self) -> tuple[NodeId, ...]:
@@ -175,13 +157,6 @@ class Configuration:
         k = bisect_left(ts, t)
         return ts[k - 1] if k else None
 
-    def covers(self, v: Neighborhood) -> bool:
-        """True if every piece of ``v`` lies inside the knowledge window."""
-        if self.window is None:
-            return True
-        lo, hi = self.window
-        return all(lo <= a and b <= hi for _, a, b in v.pieces())
-
     def restrict(self, v: Neighborhood) -> "Configuration":
         """Points of the configuration inside ``v`` (complete by construction)."""
         out = {}
@@ -199,7 +174,7 @@ class Configuration:
                 lo = hi
             if kept:
                 out[j] = tuple(kept)
-        return Configuration._unsafe(out, window=None)
+        return Configuration._unsafe(out)
 
     def restrict_at(self, v: Neighborhood, t: float) -> "Configuration":
         """Points inside ``v`` anchored at ``t``, shifted so that ``t`` is time 0.
@@ -219,18 +194,14 @@ class Configuration:
                 kept.extend(s - t for s in ts[lo : _first_aged(ts, t, b, lo)])
             if kept:
                 out[j] = tuple(kept)
-        return Configuration._unsafe(out, window=None)
+        return Configuration._unsafe(out)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Configuration)
-            and self._points == other._points
-            and self.window == other.window
-        )
+        return isinstance(other, Configuration) and self._points == other._points
 
     def __repr__(self) -> str:
         n = self.n_points()
-        return f"Configuration({n} point{'s' if n != 1 else ''} on {len(self._points)} node(s), window={self.window})"
+        return f"Configuration({n} point{'s' if n != 1 else ''} on {len(self._points)} node(s))"
 
 
 def _first_aged(ts: tuple[float, ...], t: float, a: float, lo: int = 0) -> int:
@@ -252,19 +223,14 @@ def shift_to_origin(x: Configuration, t: float) -> Configuration:
     """View the past of ``x`` strictly before ``t`` as a configuration rooted at 0.
 
     Every point ``s < t`` maps to ``s - t``; points at or after ``t`` are
-    dropped; the knowledge window shifts along.
+    dropped.
     """
     out = {}
     for j, ts in x.items():
         k = bisect_left(ts, t)
         if k:
             out[j] = tuple(s - t for s in ts[:k])
-    if x.window is None:
-        window = None
-    else:
-        lo, hi = x.window
-        window = (lo - t, min(hi, t) - t)
-    return Configuration._unsafe(out, window=window)
+    return Configuration._unsafe(out)
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,10 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+A configuration is a complete past, so every neighborhood can be read from
+it and no error reports a region it does not know: the errors below concern
+invalid input, a model outside its decomposition's regime, or a run that
+cannot finish.
+"""
 
 
 class KalisimError(Exception):
@@ -15,10 +21,6 @@ class ConfigError(KalisimError):
 
 class GuardViolation(KalisimError):
     """A configuration lies outside the subspace a decomposition is valid on."""
-
-
-class CoverageError(KalisimError):
-    """A configuration's window does not cover the region an operation needs."""
 
 
 class ExplosionGuardError(KalisimError):

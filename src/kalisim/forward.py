@@ -41,7 +41,6 @@ points, not the whole history.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -126,9 +125,8 @@ def forward_simulate(
     rate_integral = 0.0  # of the total rate over [0, since]
 
     def finish(reason: str, tau: float) -> ForwardRun:
-        hi = tau if reason != STEP_BUDGET else math.nextafter(tau, math.inf)
         return ForwardRun(
-            accepted=Configuration._unsafe(points, window=(-math.inf, hi)),
+            accepted=Configuration._unsafe(points),
             stop_reason=reason,
             tau=tau,
             proposals=proposals,
@@ -144,7 +142,7 @@ def forward_simulate(
     renewals = {a: [k for k, (*_, src) in enumerate(slots) if src is None or a in src] for a in node_list}
     due = range(len(slots))
     bounds, rates = [0.0] * len(slots), [0.0] * len(slots)
-    past = Configuration._unsafe(points, window=(-math.inf, 0.0))  # absolute times
+    past = Configuration._unsafe(points)  # absolute times
     while True:
         if n_accepted >= n_max:
             return finish(STEP_BUDGET, t)
@@ -190,7 +188,7 @@ def forward_simulate(
             grown = {**points, pick: points.get(pick, ()) + (t_cand,)}
             if len(grown) > len(points):  # the node's first point: keep node order
                 grown = {j: grown[j] for j in node_list if j in grown}
-            candidate = Configuration._unsafe(grown, window=(-math.inf, math.nextafter(t_cand, math.inf)))
+            candidate = Configuration._unsafe(grown)
             if guard is not None and not guard.check(candidate):
                 return finish(GUARD_EXIT, t_cand)
             n_accepted += 1

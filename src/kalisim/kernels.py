@@ -1,8 +1,10 @@
 """Interaction kernels and rate functions.
 
-Kernels are restricted to parametric forms with exact pointwise evaluation,
-exact L1 norm and exact value at zero; every decomposition bound needs those
-three functionals in closed form.
+Kernels are restricted to nonnegative, nonincreasing parametric forms with
+exact pointwise evaluation. The decomposition bounds read kernels only
+through their values: being nonincreasing, a kernel is largest at the
+nearer edge of a bin or level. Weights and truncations also read where the
+support ends and, for the exponential, the decay across one bin.
 """
 
 from __future__ import annotations
@@ -29,14 +31,6 @@ class ExponentialKernel:
         if t < 0:
             return 0.0
         return self.alpha * math.exp(-self.beta * t)
-
-    @property
-    def at_zero(self) -> float:
-        return self.alpha
-
-    @property
-    def l1(self) -> float:
-        return self.alpha / self.beta
 
     @property
     def support_end(self) -> float:
@@ -77,14 +71,6 @@ class StepKernel:
         if t < 0 or t >= self.edges[-1]:
             return 0.0
         return self.values[bisect_right(self.edges, t) - 1]
-
-    @property
-    def at_zero(self) -> float:
-        return self.values[0] if self.values else 0.0
-
-    @property
-    def l1(self) -> float:
-        return sum(v * (b - a) for v, a, b in zip(self.values, self.edges, self.edges[1:]))
 
     @property
     def support_end(self) -> float:

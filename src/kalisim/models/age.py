@@ -24,8 +24,6 @@ from .base import (
     OffspringRow,
     nested_levels,
     require_known_nodes,
-    require_window_covers,
-    require_window_for_supports,
 )
 
 _WALK_CAP = 10_000_000
@@ -286,7 +284,6 @@ class AgeHawkesModel(KalikowModel):
         nodes = self.node_set()
         sources = x.nodes() if nodes is None else nodes
         incoming = [(j, ker) for j in sources if (ker := self.kernel(i, j)) is not None]
-        require_window_for_supports(x, [ker.support_end for _, ker in incoming])
         if not self._alive(i, x):
             return 0.0
         total = 0.0
@@ -299,8 +296,6 @@ class AgeHawkesModel(KalikowModel):
     def delta(self, i: NodeId, desc, x: Configuration) -> float:
         if not isinstance(desc, NestedND):
             raise KeyError(f"descriptor {desc!r} is not a nested level")
-        if x.window is not None:
-            require_window_covers(x, self.expand(i, desc))
         if not self._alive(i, x):
             return 0.0
         psi = self.psi(i)

@@ -25,8 +25,6 @@ from .base import (
     atom_future_bound,
     bin_drive,
     require_known_nodes,
-    require_window_covers,
-    require_window_for_supports,
 )
 
 
@@ -138,7 +136,6 @@ class AnalyticHawkesModel(KalikowModel):
     # -- decomposition --------------------------------------------------------------
 
     def intensity(self, i: NodeId, x: Configuration) -> float:
-        require_window_for_supports(x, [k.support_end for k in self._incoming[i].values()])
         return self.psi(self._drive(i, x))
 
     def delta(self, i: NodeId, desc, x: Configuration) -> float:
@@ -146,8 +143,6 @@ class AnalyticHawkesModel(KalikowModel):
             return self.psi.derivative(0)
         if not isinstance(desc, TaylorND):
             raise KeyError(f"descriptor {desc!r} is not a Taylor tuple")
-        if x.window is not None:  # a windowless configuration covers everything
-            require_window_covers(x, self.expand(i, desc))
         k = desc.order()
         coef = self.psi.derivative(k)
         if k <= 170:

@@ -10,7 +10,7 @@ from functools import partial
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..core import Configuration, Neighborhood, NodeId, NoGuard, SubspaceGuard, _first_aged
-from ..errors import CoverageError, ExplosionGuardError, NonSummableError
+from ..errors import ExplosionGuardError, NonSummableError
 from ..kernels import Kernel
 from ..sampling import RandomStream
 from ..weights import AtomicWeights
@@ -63,7 +63,10 @@ class KalikowModel(ABC):
 
     @abstractmethod
     def delta(self, i: NodeId, desc, x: Configuration) -> float:
-        """Nonnegative summand delta_v(x), cylindrical on the expanded neighborhood."""
+        """Nonnegative summand delta_v(x). It is cylindrical: it reads the
+        complete past ``x`` only through ``x.restrict(self.expand(i, desc))``,
+        the points inside v, so ``delta(i, desc, x)`` equals
+        ``delta(i, desc, x.restrict(v))`` exactly (``TestCylindricity``)."""
 
     @abstractmethod
     def pmf(self, i: NodeId, desc) -> float:
@@ -174,25 +177,6 @@ class KalikowModel(ABC):
                 "this operation needs the bounded decomposition regime"
             )
         return g
-
-
-def require_window_covers(x: Configuration, v: Neighborhood) -> None:
-    if not x.covers(v):
-        raise CoverageError(f"configuration window {x.window} does not cover {v!r}")
-
-
-def require_window_for_supports(x: Configuration, supports: list[float]) -> None:
-    """Window must reach back to every kernel's support (or be complete)."""
-    if x.window is None:
-        return
-    lo, hi = x.window
-    if hi < 0.0:
-        raise CoverageError(f"window {x.window} does not reach time 0")
-    need = max(supports, default=0.0)
-    if need > 0.0 and lo > -need:
-        raise CoverageError(
-            f"window {x.window} is insufficient: kernels depend on the past back to -{need:g}"
-        )
 
 
 def require_known_nodes(pairs: Iterable[tuple[NodeId, NodeId]], nodes: Iterable[NodeId], what: str) -> None:

@@ -15,11 +15,11 @@ import math
 from typing import Mapping, Optional, Sequence
 
 from ..core import EMPTY_ND, Configuration, EmptyND, Neighborhood, NestedND, NodeId
-from ..errors import CoverageError, ExplosionGuardError
+from ..errors import ExplosionGuardError
 from ..kernels import AffineRate
 from ..sampling import RandomStream
 from ..weights import GeometricLevels
-from .base import KalikowModel, nested_levels, require_known_nodes, require_window_covers
+from .base import KalikowModel, nested_levels, require_known_nodes
 
 
 class GLModel(KalikowModel):
@@ -106,14 +106,6 @@ class GLModel(KalikowModel):
 
     def intensity(self, i: NodeId, x: Configuration) -> float:
         age = self._age(i, x)
-        if x.window is not None:
-            lo, hi = x.window
-            if hi < 0.0:
-                raise CoverageError(f"window {x.window} does not reach time 0")
-            if lo > -age:
-                raise CoverageError(
-                    f"window {x.window} does not cover the age window (-{age:g}, 0)"
-                )
         total = 0.0
         for j in self._nodes:
             b = self.beta.get((i, j), 0.0)
@@ -130,7 +122,6 @@ class GLModel(KalikowModel):
             return self.psi.at_zero
         if not isinstance(desc, NestedND):
             raise KeyError(f"descriptor {desc!r} is not a nested level")
-        require_window_covers(x, self.expand(i, desc))
         return self.psi(self._sat_drive(i, desc.k, x)) - self.psi(
             self._sat_drive(i, desc.k - 1, x)
         )

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from ..core import EMPTY_ND, AtomND, Configuration, EmptyND, Neighborhood, NodeId
-from ..errors import CoverageError, ExplosionGuardError
+from ..errors import ExplosionGuardError
 from ..kernels import Kernel
 from ..sampling import RandomStream
 from ..weights import AtomicWeights, default_atomic_weights
@@ -16,7 +16,6 @@ from .base import (
     atom_future_bound,
     bin_drive,
     require_known_nodes,
-    require_window_for_supports,
 )
 
 
@@ -97,7 +96,6 @@ class LinearHawkesModel(KalikowModel):
     # -- decomposition ---------------------------------------------------------
 
     def intensity(self, i: NodeId, x: Configuration) -> float:
-        require_window_for_supports(x, [k.support_end for k in self._incoming[i].values()])
         total = self.mu[i]
         for j, ker in self._incoming[i].items():
             for s in x.points(j):
@@ -110,11 +108,6 @@ class LinearHawkesModel(KalikowModel):
             return self.mu[i]
         if not isinstance(desc, AtomND):
             raise KeyError(f"descriptor {desc!r} is not atomic")
-        a, b = -desc.n * self.eps, -(desc.n - 1) * self.eps
-        if x.window is not None and not (x.window[0] <= a and b <= x.window[1]):
-            raise CoverageError(
-                f"configuration window {x.window} does not cover the bin [{a:g}, {b:g}) of node {desc.j}"
-            )
         return self._bin_drive(i, desc.j, desc.n, x, 0.0)
 
     def _bin_drive(self, i: NodeId, j: NodeId, n: int, x: Configuration, t: float) -> float:

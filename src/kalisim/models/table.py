@@ -8,7 +8,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from ..core import Configuration, Neighborhood, NodeId, NoGuard, SubspaceGuard, TableND
 from ..sampling import RandomStream
 from ..weights import FiniteWeights
-from .base import KalikowModel, OffspringRow, require_window_covers
+from .base import KalikowModel, OffspringRow
 
 
 @dataclass(frozen=True)
@@ -84,14 +84,11 @@ class TableModel(KalikowModel):
         self._guard.require(x)
         total = 0.0
         for row in self._entries[i]:
-            require_window_covers(x, row.neighborhood)
             total += row.evaluate(x)
         return total
 
     def delta(self, i: NodeId, desc, x: Configuration) -> float:
-        row = self._row(i, desc)
-        require_window_covers(x, row.neighborhood)
-        return row.evaluate(x)
+        return self._row(i, desc).evaluate(x)
 
     def pmf(self, i: NodeId, desc) -> float:
         try:

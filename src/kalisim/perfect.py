@@ -293,9 +293,7 @@ def perfect_sample(
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    out = perfect_sample_window(model, [(i, (0.0, t_max))], rng, budget, ledger, stats)
-    out.window = (0.0, t_max)
-    return out
+    return perfect_sample_window(model, [(i, (0.0, t_max))], rng, budget, ledger, stats)
 
 
 def perfect_sample_window(
@@ -328,4 +326,4 @@ def perfect_sample_window(
         for a, b in merged[node]:
             _node_sweep(model, node, a, b, led, draws, budget, collected.setdefault(node, []), stats=stats)
     points = {j: tuple(sorted(ts)) for j, ts in collected.items() if ts}
-    return Configuration._unsafe(points, window=None)
+    return Configuration._unsafe(points)

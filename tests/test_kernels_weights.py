@@ -32,8 +32,6 @@ class TestKernels:
         assert k(0.0) == pytest.approx(0.8)
         assert k(1.5) == pytest.approx(0.8 * math.exp(-3.0))
         assert k(-0.1) == 0.0
-        assert k.l1 == pytest.approx(0.4)
-        assert k.at_zero == 0.8
         assert k.support_end == math.inf
         assert k.decay_per(0.5) == pytest.approx(math.exp(-1.0))
 
@@ -43,7 +41,6 @@ class TestKernels:
         assert k(0.999) == 2.0
         assert k(1.0) == 0.5
         assert k(3.0) == 0.0
-        assert k.l1 == pytest.approx(2.0 * 1.0 + 0.5 * 2.0)
         assert k.support_end == 3.0
 
     def test_step_kernel_must_be_nonincreasing(self):

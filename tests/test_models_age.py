@@ -382,6 +382,13 @@ class TestGoldenTwoNodeAge:
         }
 
 
+def kernel_mass(ker):
+    """|h|_1 of an exponential or step kernel."""
+    if isinstance(ker, ExponentialKernel):
+        return ker.alpha / ker.beta
+    return sum(v * (b - a) for v, a, b in zip(ker.values, ker.edges, ker.edges[1:]))
+
+
 class EntryMassEnvelope(AgeHawkesModel):
     """The age model on a larger envelope: a node entering at level k adds
     h(0) + |h|_1 / delta, which bounds its drive without counting its points.
@@ -395,7 +402,7 @@ class EntryMassEnvelope(AgeHawkesModel):
         for j in self.omega(i, k):
             ker = self.kernel(i, j)
             if ker is not None:
-                total += ker((k - 1) * self.refractory) if j in present else ker.at_zero + ker.l1 / self.refractory
+                total += ker((k - 1) * self.refractory) if j in present else ker(0.0) + kernel_mass(ker) / self.refractory
         return self.psi(i).lipschitz * total
 
 

@@ -5,22 +5,27 @@ import numpy as np
 import pytest
 
 from kalisim import (
+    AffineRate,
     AtomND,
     AtomicWeights,
     Configuration,
-    CoverageError,
     EMPTY_ND,
     EmptyND,
     ExplosionGuardError,
     ExponentialKernel,
+    GLModel,
     KalikowModel,
     LinearHawkesModel,
+    Neighborhood,
     RandomStream,
     StepKernel,
+    TableEntry,
+    TableModel,
+    lattice_preset,
     shift_to_origin,
 )
 from kalisim.forward import TIME_REACHED, forward_simulate
-from kalisim.validation import hawkes_ring
+from kalisim.validation import bounded_age_model, exp_hawkes, hawkes_ring
 
 
 def one_node(mu=1.0, alpha=1.0, beta=1.0, eps=0.5, **kw):
@@ -50,12 +55,6 @@ class TestDelta:
         expect = math.exp(-0.45) + math.exp(-0.1)
         assert m.delta(1, AtomND(1, 1), x) == pytest.approx(expect)
 
-    def test_window_must_cover_the_bin(self):
-        m = one_node()
-        x = Configuration({1: [-0.3]}, window=(-0.4, 0.0))
-        with pytest.raises(CoverageError):
-            m.delta(1, AtomND(1, 2), x)
-
 
 class TestIntensity:
     def test_empty_past(self):
@@ -67,14 +66,65 @@ class TestIntensity:
         x = Configuration({1: [-2.0, -0.3]})
         assert m.intensity(1, x) == pytest.approx(0.5 + math.exp(-2.0) + math.exp(-0.3))
 
-    def test_insufficient_window_for_infinite_support(self):
-        m = one_node()
-        x = Configuration({1: [-0.3]}, window=(-1.0, 0.0))
-        with pytest.raises(CoverageError, match="insufficient"):
-            m.intensity(1, x)
+
+def gl_pair():
+    return GLModel(AffineRate(0.5, 1.0), {(0, 1): 0.4, (1, 0): 0.3}, {(0, 1): 0.6, (1, 0): 1.0}, step=0.7, nodes=[0, 1])
+
+
+def table_reader_pair():
+    """Two nodes whose rows read their neighborhood's points through a callable."""
+
+    def reader(x):
+        return sum(abs(s) for _, ts in x.items() for s in ts)
+
+    rows = [
+        TableEntry(0.25, Neighborhood.empty(), 1.0, 0.5),
+        TableEntry(0.25, Neighborhood([(0, -1.0, -0.3)]), 50.0, reader),
+        TableEntry(0.5, Neighborhood([(0, -2.5, -2.0), (1, -2.0, 0.0)]), 50.0, reader),
+    ]
+    return TableModel({0: rows, 1: [TableEntry(1.0, Neighborhood([(0, -0.5, 0.0)]), 50.0, reader)]})
+
+
+CYLINDRICAL_FAMILIES = {
+    "age": bounded_age_model,
+    "lattice": lambda: lattice_preset(4, 4, 0.005),
+    "linear": hawkes_ring,
+    "analytic": lambda: exp_hawkes(2),
+    "gl": gl_pair,
+    "table": table_reader_pair,
+}
 
 
 class TestCylindricity:
+    """Each family's summand delta_v reads a complete past x only through
+    x ∩ v, the points inside its neighborhood, as the decomposition needs."""
+
+    @pytest.mark.parametrize("make", CYLINDRICAL_FAMILIES.values(), ids=CYLINDRICAL_FAMILIES.keys())
+    def test_delta_reads_only_its_neighborhood(self, make):
+        m = make()
+        nodes = m.node_set() or tuple(range(-3, 4))
+        gap = getattr(m, "refractory", 0.0)
+        rng = random.Random(11)
+        read = 0  # positive summands read from a past with points inside and outside v
+        for k in range(300):
+            i = rng.choice(nodes)
+            desc = m.sample_neighborhood(i, RandomStream(11, (k,)))
+            v = m.expand(i, desc)
+            depth = 2.0 * max((-a for _, a, _ in v.pieces()), default=1.0)
+            pts = {}
+            for j in set(nodes) | set(v.nodes()):
+                kept = []  # same-node gaps above the refractory length
+                for s in sorted(rng.uniform(-depth, 0.0) for _ in range(rng.randrange(8))):
+                    if not kept or s - kept[-1] > gap:
+                        kept.append(s)
+                pts[j] = kept
+            x = Configuration(pts)
+            inside = x.restrict(v)
+            got = m.delta(i, desc, x)
+            assert got == m.delta(i, desc, inside), (k, i, desc)
+            read += got > 0.0 and 0 < inside.n_points() < x.n_points()
+        assert read >= 20
+
     def test_components_ignore_points_outside_their_neighborhood(self):
         m = one_node()
         rng = np.random.default_rng(2)
@@ -190,12 +240,10 @@ class TestKalikowIdentity:
 
 
 def points_in_delta(m, i, desc, x):
-    """The atom summand as a window check, ``points_in`` and a kernel sum."""
+    """The atom summand as ``points_in`` and a kernel sum."""
     if isinstance(desc, EmptyND):
         return m.mu[i]
     a, b = -desc.n * m.eps, -(desc.n - 1) * m.eps
-    if x.window is not None and not (x.window[0] <= a and b <= x.window[1]):
-        raise CoverageError(f"window {x.window} does not cover [{a:g}, {b:g})")
     ker = m._incoming[i].get(desc.j)
     if ker is None:
         return 0.0

@@ -86,9 +86,8 @@ class TestAnalyticIdentity:
             next(m.enumerate_descriptors(0))
         assert list(m.enumerate_descriptors(0, Configuration({}))) == [EMPTY_ND]
 
-    def test_a_windowless_delta_builds_no_neighborhood(self, monkeypatch):
-        # a configuration without a window covers every neighborhood, so delta
-        # reads the atoms without expanding the tuple; a windowed one still checks
+    def test_delta_builds_no_neighborhood(self, monkeypatch):
+        # delta reads the atoms straight from the tuple, without expanding it
         m = analytic_pair()
         x = Configuration({0: [-0.2, -1.3], 1: [-0.7]})
         desc = TaylorND(((0, 1), (1, 2), (0, 3)))
@@ -97,8 +96,6 @@ class TestAnalyticIdentity:
         expand = m.expand
         monkeypatch.setattr(m, "expand", lambda *a: calls.append(a) or expand(*a))
         assert m.delta(0, desc, x) == want and calls == []
-        m.delta(0, desc, Configuration({0: [-0.2]}, window=(-5.0, 0.0)))
-        assert calls == [(0, desc)]
 
     def test_the_empty_set_expands_to_one_shared_neighborhood(self):
         m = analytic_pair()
