@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import ItemsView, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import GuardViolation
 
@@ -68,6 +68,12 @@ class Neighborhood:
     def intervals(self, node: NodeId) -> tuple[tuple[float, float], ...]:
         """Projection of the neighborhood onto one node (may be empty)."""
         return self._by_node.get(node, ())
+
+    def by_node(self) -> ItemsView[NodeId, tuple[tuple[float, float], ...]]:
+        """Every node with its projection, ``(node, intervals)`` in increasing
+        node order; the intervals are sorted and disjoint, as ``intervals``
+        returns them."""
+        return self._by_node.items()
 
     def pieces(self) -> Iterator[tuple[NodeId, float, float]]:
         for j, ivs in self._by_node.items():
@@ -160,14 +166,14 @@ class Configuration:
     def restrict(self, v: Neighborhood) -> "Configuration":
         """Points of the configuration inside ``v`` (complete by construction)."""
         out = {}
-        for j in v.nodes():
+        for j, ivs in v.by_node():
             ts = self._points.get(j)
             if not ts:
                 continue
             # sorted, disjoint intervals: each bisect starts where the last ended
             kept: list[float] = []
             lo = 0
-            for a, b in v.intervals(j):
+            for a, b in ivs:
                 lo = bisect_left(ts, a, lo)
                 hi = bisect_left(ts, b, lo)
                 kept += ts[lo:hi]
@@ -184,7 +190,7 @@ class Configuration:
         across the piece's edge. Costs O(points in v), not O(points).
         """
         out = {}
-        for j, ivs in v._by_node.items():
+        for j, ivs in v.by_node():
             ts = self._points.get(j)
             if not ts:
                 continue

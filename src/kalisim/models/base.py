@@ -17,6 +17,7 @@ from ..weights import AtomicWeights
 
 _NO_GUARD = NoGuard()
 EMPTY_NEIGHBORHOOD = Neighborhood.empty()  # shared by every expansion of the empty set
+_EMPTY_PAST = Configuration.empty()  # the past every memoized empty-past value reads
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,23 @@ class KalikowModel(ABC):
         if lam == 0.0:
             return 0.0
         return self.delta(i, desc, x) / lam
+
+    def empty_past_value(self, i: NodeId, desc) -> float:
+        """phi_v on the empty past: ``component_value(i, desc,
+        Configuration.empty())``, computed once per ``(i, desc)`` and then
+        kept on the model, as its expansions and ladders are kept.
+
+        The value depends on nothing but the pair, so the perfect sweep
+        reads it for every point that keeps no accepted child.
+        """
+        try:
+            memo = self._empty_values
+        except AttributeError:
+            memo = self._empty_values = {}
+        value = memo.get((i, desc))
+        if value is None:
+            value = memo[i, desc] = self.component_value(i, desc, _EMPTY_PAST)
+        return value
 
     def sample_component(self, i: NodeId, cls, rng: RandomStream, x: Configuration, t: float) -> float:
         """Draw v from lambda_i( . | C) for the class keyed ``cls`` and return

@@ -13,6 +13,13 @@ those instead of the ledger. Every clan is decided before the next root is
 proposed, so a clan consists of its root and the points it simulates: the
 realized points it finds were decided by earlier clans.
 
+Most roots realize no fresh point, so their clan is the root alone, and most
+points keep no accepted child, so they are decided on the empty past. The
+root is therefore expanded before the generation loop, which it skips when
+the root finds nothing new, and the model keeps each (node, descriptor)'s
+value on the empty past after its first evaluation
+(``KalikowModel.empty_past_value``). Neither changes a draw or a float.
+
 A point with drawn neighborhood v is accepted when its uniform mark is below
 phi_v(x)/Gamma, so a model must bound every component value by Gamma, and
 every root is stored and expanded. A model that simulates on its per-level
@@ -100,8 +107,6 @@ class AncestorGraph:
 
 
 _by_time = attrgetter("time", "node")
-# the past of a point that keeps no accepted child; shared, so never mutated
-_EMPTY_PAST = Configuration._unsafe({})
 
 
 def backward_clan(
@@ -123,6 +128,10 @@ def backward_clan(
     generation. Construction stops at the first empty generation. Realized
     points found along the way were decided by earlier clans; they become
     children of the point that found them and are not traversed.
+
+    The root is expanded first, on its own: most roots realize no fresh
+    point, and their clan is the root alone. Otherwise its fresh points are
+    generation 1, and each later generation is expanded in time order.
     """
     root = root_record if root_record is not None else ledger.add_proposal_point(i, t, mark=rng.uniform())
     if root.decision is not None:
@@ -138,31 +147,50 @@ def backward_clan(
             rec.neighborhood = model.sample_neighborhood(rec.node, rng)
         # each piece [a, b) of the neighborhood is requested at the point's time s
         s = rec.time
-        nb = model.expand(rec.node, rec.neighborhood)
         new: list[PointRecord] = []
         children: list[PointRecord] = []
         first = math.inf
-        for j in nb.nodes():
+        for j, pieces in model.expand(rec.node, rec.neighborhood).by_node():
             gam = bound(j)
             if gam is None:
                 raise NonSummableError(
                     f"{type(model).__name__} has no global bound for node {j}; "
                     "backward simulation needs the bounded regime"
                 )
-            pieces = nb.intervals(j)
-            first = min(first, pieces[0][0])  # pieces are sorted
+            if pieces[0][0] < first:  # pieces are sorted
+                first = pieces[0][0]
             fresh, found = realize(j, [(a + s, b + s) for a, b in pieces], gam, rng)
-            new.extend(fresh)
-            children.extend(fresh)
-            children.extend(found)
+            if fresh:
+                new += fresh
+                children += fresh
+            if found:
+                children += found
         rec.children = children
         # a + s rounds monotonically in a, so this is the largest t - (a + s)
         # of every piece; an empty neighborhood looks nowhere (t - inf)
         graph.lookback = max(graph.lookback, t - (first + s))
         return new
 
-    frontier = [root]
-    gen = 0
+    def adopt(fresh: list[PointRecord], gen: int) -> list[PointRecord]:
+        # the point past the cap raises as soon as it is simulated
+        for child in fresh:
+            child.generation = gen
+            pending.append(child)
+            graph.new_point_count += 1
+            if graph.new_point_count > budget.max_points:
+                raise BudgetExhausted(
+                    f"backward construction exceeded {budget.max_points} points",
+                    graph=graph,
+                )
+        return fresh
+
+    frontier = expand(root)
+    if not frontier:
+        graph.terminated = True
+        graph.pending = pending
+        return graph
+    adopt(frontier, 1)
+    gen = 1
     while frontier:
         if gen + 1 > budget.max_generations:
             raise BudgetExhausted(
@@ -174,22 +202,12 @@ def backward_clan(
             frontier.sort(key=_by_time)
         next_frontier: list[PointRecord] = []
         for rec in frontier:
-            for child in expand(rec):
-                child.generation = gen + 1
-                next_frontier.append(child)
-                pending.append(child)
-                graph.new_point_count += 1
-                if graph.new_point_count > budget.max_points:
-                    raise BudgetExhausted(
-                        f"backward construction exceeded {budget.max_points} points",
-                        graph=graph,
-                    )
+            next_frontier += adopt(expand(rec), gen + 1)
         gen += 1
         frontier = next_frontier
 
     graph.terminated = True
-    if len(pending) > 1:
-        pending.sort(key=_by_time)
+    pending.sort(key=_by_time)
     graph.pending = pending
     return graph
 
@@ -204,14 +222,16 @@ def forward_accept(graph: AncestorGraph, model, ledger: RegionLedger) -> Ancesto
     a child the clan simulated is decided before its parent, and a child it
     found was decided by an earlier clan; an undecided child is foreign, left
     by an aborted or undecided clan, and raises ``LedgerError``. The root,
-    being latest, is decided last. A value above Gamma raises
-    ``NonMonotoneModelError``: the model's declared bounds are wrong. The
-    ledger is not read: every pending point was expanded, so its
-    children are on its record.
+    being latest, is decided last. A point that keeps no accepted child is
+    decided on the empty past, whose value the model keeps per (node,
+    descriptor) (``empty_past_value``). A value above Gamma raises
+    ``NonMonotoneModelError`` at every point, memoized or not: the model's
+    declared bounds are wrong. The ledger is not read: every pending point
+    was expanded, so its children are on its record.
     """
     if not graph.terminated:
         raise KalisimError("cannot run the forward pass on a non-terminated clan")
-    bound, value_of = model.global_bound, model.component_value
+    bound, value_of, empty_value = model.global_bound, model.component_value, model.empty_past_value
     for rec in graph.pending:
         children = rec.children
         if children is None:
@@ -228,10 +248,13 @@ def forward_accept(graph: AncestorGraph, model, ledger: RegionLedger) -> Ancesto
                 )
             if child.decision:
                 kept.setdefault(child.node, []).append(child.time - rec.time)
-        # a node's children are its fresh points, then the ones found
-        x = Configuration._unsafe({j: tuple(sorted(ts)) for j, ts in kept.items()}) if kept else _EMPTY_PAST
+        if kept:
+            # a node's children are its fresh points, then the ones found
+            x = Configuration._unsafe({j: tuple(sorted(ts)) for j, ts in kept.items()})
+            value = value_of(rec.node, rec.neighborhood, x)
+        else:
+            value = empty_value(rec.node, rec.neighborhood)
         gam = bound(rec.node)
-        value = value_of(rec.node, rec.neighborhood, x)
         prob = value / gam
         if prob > 1.0 + 1e-9:
             raise NonMonotoneModelError(

@@ -138,17 +138,20 @@ def sample_poisson_region(
 
 def _poisson_on_sorted(rng: RandomStream, rate: float, ivs: list[tuple[float, float]]) -> list[float]:
     """The draws of :func:`sample_poisson_region` on intervals the caller
-    already knows to be sorted, disjoint and finite, at a positive rate."""
+    already knows to be sorted, disjoint and finite, at a positive rate.
+
+    Each step is ``-log1p(-u) / rate`` of the next uniform, the float
+    ``RandomStream.exponential(rate)`` returns, taken inline."""
     if not ivs:
         return []
-    step = rng.exponential
+    uniform, log1p = rng.uniform, math.log1p
     out: list[float] = []
-    over = step(rate)  # from the next interval's start to the next point
+    over = -log1p(-uniform()) / rate  # from the next interval's start to the next point
     for a, b in ivs:
         t = a + over
         while t < b:
             out.append(t)
-            t += step(rate)
+            t += -log1p(-uniform()) / rate
         over = t - b
     return out
 
@@ -273,6 +276,10 @@ class RegionLedger:
         return led
 
     def _check_rate(self, node: int, rate: float) -> _NodeLedger:
+        """The node's ledger, its rate set on a first request or checked.
+
+        Requests at the node's set rate skip this call: a set rate passed
+        this check, so it is positive."""
         if rate <= 0:
             raise LedgerError(f"dominating rate must be positive, got {rate} for node {node}")
         led = self._node(node)
@@ -344,7 +351,9 @@ class RegionLedger:
         :func:`sample_poisson_region` call on the caller's ``rng``, then the
         points' marks by one ``uniforms`` call; the module docstring says why.
         """
-        led = self._check_rate(node, rate)
+        led = self._nodes.get(node)
+        if led is None or led.rate != rate:
+            led = self._check_rate(node, rate)
         pieces = _ordered_pieces(region)
         if not pieces:
             return [], []
@@ -455,7 +464,9 @@ class RegionLedger:
         points, and one overshooting ``limit`` certifies that up to ``limit``
         and returns ``None``.
         """
-        led = self._check_rate(node, rate)
+        led = self._nodes.get(node)
+        if led is None or led.rate != rate:
+            led = self._check_rate(node, rate)
         starts, ends, times = led.starts, led.ends, led.times
         used = self._times_used
         step, uniform = rng.exponential, rng.uniform

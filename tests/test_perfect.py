@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from kalisim import (
     BackwardBudget,
     BudgetExhausted,
     Configuration,
+    ExponentialKernel,
     LedgerError,
+    LinearHawkesModel,
     Neighborhood,
     NestedND,
     NonMonotoneModelError,
@@ -295,6 +299,124 @@ class TestBudgetExhausted:
         # the point past the cap raises as soon as it is simulated
         assert graph.new_point_count == 11
         assert max(generations) == 4
+
+
+class TestRootFirst:
+    """The root is expanded before the generation loop; a root that realizes
+    no fresh point is its own clan."""
+
+    def test_a_root_on_covered_ground_is_its_own_clan(self):
+        model, ledger = lattice_preset(GAMMA, P, DELTA), RegionLedger()
+        k, depth = 3, 3 * DELTA
+        for j in model.omega(0, k):
+            ledger.register_empty(j, -depth, 0.0)
+        root = ledger.add_proposal_point(0, 0.0, mark=0.5)
+        root.neighborhood = NestedND(k)
+        rng = RandomStream(1)
+        graph = backward_clan(model, 0, 0.0, ledger, rng, root_record=root)
+        assert graph.pending == [root] and graph.clan_size() == 1
+        assert root.generation == 0 and graph.terminated
+        assert root.children == [] and graph.lookback == depth
+        # the covered region draws nothing
+        assert rng.uniform() == RandomStream(1).uniform()
+
+    def test_a_root_with_no_fresh_point_looks_back_its_neighborhoods_depth(self):
+        model, alone = lattice_preset(GAMMA, P, DELTA), 0
+        for seed in range(60):
+            graph = backward_clan(model, 0, 0.0, RegionLedger(), RandomStream(seed))
+            root = graph.root_record
+            if graph.new_point_count:
+                continue
+            alone += 1
+            depth = -min(a for _, a, _ in model.expand(0, root.neighborhood).pieces())
+            assert graph.pending == [root] and graph.clan_size() == 1
+            assert root.generation == 0 and graph.terminated
+            assert graph.lookback == depth
+        assert 30 < alone < 60
+
+    @pytest.mark.parametrize("model", [spread_gate_model(5.0), two_node_clan_model()], ids=["supercritical", "table"])
+    def test_a_one_generation_budget_raises_iff_the_root_realizes_a_fresh_point(self, model):
+        outcomes = set()
+        for seed in range(30):
+            # the root's own expansion, replayed on a twin ledger and stream
+            twin_ledger, twin = RegionLedger(), RandomStream(seed)
+            twin_ledger.add_proposal_point(0, 0.0, mark=twin.uniform())
+            v = model.expand(0, model.sample_neighborhood(0, twin))
+            fresh = sum(
+                len(twin_ledger.realize_new(j, list(ivs), model.global_bound(j), twin)[0]) for j, ivs in v.by_node()
+            )
+            budget = BackwardBudget(max_generations=1)
+            if fresh:
+                with pytest.raises(BudgetExhausted, match="exceeded 1 generations") as info:
+                    backward_clan(model, 0, 0.0, RegionLedger(), RandomStream(seed), budget=budget)
+                assert info.value.graph.new_point_count == fresh
+            else:
+                graph = backward_clan(model, 0, 0.0, RegionLedger(), RandomStream(seed), budget=budget)
+                assert graph.terminated and graph.clan_size() == 1
+            outcomes.add(bool(fresh))
+        assert outcomes == {True, False}
+
+
+def linear_with_declared_bounds():
+    kernels = {
+        (0, 0): ExponentialKernel(0.3, 1.0),
+        (0, 1): ExponentialKernel(0.2, 2.0),
+        (1, 0): ExponentialKernel(0.1, 1.0),
+    }
+    return LinearHawkesModel({0: 0.5, 1: 0.25}, kernels, eps=0.5, declared_bounds={0: 4.0, 1: 3.0})
+
+
+class TestEmptyPastMemo:
+    """A point that keeps no accepted child is decided on the empty past, whose
+    value the model computes once per (node, descriptor) and keeps."""
+
+    @pytest.mark.parametrize(
+        "make, descriptors",
+        [
+            pytest.param(lambda: lattice_preset(GAMMA, P, DELTA), 6, id="lattice"),
+            pytest.param(bounded_age_model, 6, id="bounded-age"),
+            pytest.param(two_node_clan_model, 1, id="two-node-table"),
+            pytest.param(linear_with_declared_bounds, 8, id="linear-declared-bounds"),
+        ],
+    )
+    def test_the_memo_is_the_component_on_the_empty_past(self, make, descriptors):
+        model = make()
+        for i in model.node_set() or (0, 5):
+            for desc in itertools.islice(model.enumerate_descriptors(i), descriptors):
+                expected = model.component_value(i, desc, Configuration.empty())
+                assert model.empty_past_value(i, desc) == expected
+                assert model.empty_past_value(i, desc) == expected  # a memo hit
+
+    def test_lattice_runs_evaluate_each_empty_past_once(self):
+        model = lattice_preset(GAMMA, P, DELTA)
+        value_of, empty, kept = model.component_value, Counter(), 0
+
+        def counting(i, desc, x):
+            nonlocal kept
+            if x.is_empty():
+                empty[i, desc.k] += 1
+            else:
+                kept += 1
+            return value_of(i, desc, x)
+
+        model.component_value = counting
+        for seed in range(20):
+            perfect_sample(model, 0, 5.0, RandomStream(seed))
+        assert len(empty) > 10 and set(empty.values()) == {1}
+        assert kept > 0
+
+    def test_an_understated_bound_raises_on_a_memo_hit_too(self):
+        model = TableModel({0: [TableEntry(1.0, Neighborhood.empty(), 1.0, 1.0)]}, bounds={0: 0.5})
+        calls = []
+        value_of = model.component_value
+        model.component_value = lambda *args: calls.append(args) or value_of(*args)
+        ledger, rng = RegionLedger(), RandomStream(3)
+        for t in (1.0, 2.0):
+            graph = backward_clan(model, 0, t, ledger, rng)
+            with pytest.raises(NonMonotoneModelError, match="dominating bound 0.5"):
+                forward_accept(graph, model, ledger)
+        # the first decision computed the value, the second read the memo
+        assert len(calls) == 1
 
 
 class TestSupremum:

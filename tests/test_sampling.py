@@ -168,6 +168,28 @@ class TestSamplePoissonRegion:
             assert pts == pytest.approx(expected, rel=0.0, abs=1e-12)
             assert rng.uniform() == twin.uniform()
 
+    @pytest.mark.parametrize(
+        "region", [[(0.0, 2.0)], [(-3.0, -2.5), (0.0, 1.5), (4.0, 4.25)]], ids=["one-gap", "three-gaps"]
+    )
+    def test_walk_takes_the_streams_exponential_steps_bit_for_bit(self, region):
+        # the gaps laid end to end and walked by ``exponential`` steps; a step
+        # that overshoots a gap's end carries its overshoot into the next gap
+        drawn = 0
+        for seed in range(30):
+            rng, twin = RandomStream(seed, (4,)), RandomStream(seed, (4,))
+            expected, over = [], twin.exponential(3.0)
+            for a, b in region:
+                t = a + over
+                while t < b:
+                    expected.append(t)
+                    t += twin.exponential(3.0)
+                over = t - b
+            pts = sample_poisson_region(rng, 3.0, region)
+            assert pts == expected
+            assert rng.uniform() == twin.uniform()
+            drawn += len(pts)
+        assert drawn > 60
+
     def test_walk_points_are_sorted_inside_their_own_gaps(self):
         root = RandomStream(10)
         for r in range(300):
@@ -313,6 +335,28 @@ class TestRegionLedger:
         led.realize_new(0, [(-1.0, 0.0)], 2.0, RandomStream(5))
         with pytest.raises(LedgerError, match="rate"):
             led.realize_new(0, [(-3.0, -2.0)], 3.0, RandomStream(5))
+        # node 0 is realized at rate 2 and node 2 holds a proposal point only;
+        # a request at another rate, or a first one at rate 0, raises the
+        # reference ledger's message before drawing
+        requests = [
+            lambda led, rng: led.advance(0, 2.0, 3.0, 3.0, rng),
+            lambda led, rng: led.advance(0, 2.0, 3.0, 0.0, rng),
+            lambda led, rng: led.realize_new(1, [(0.0, 1.0)], 0.0, rng),
+            lambda led, rng: led.advance(1, 0.0, 1.0, 0.0, rng),
+            lambda led, rng: led.realize_new(2, [(0.0, 1.0)], 0.0, rng),
+        ]
+        for request in requests:
+            messages = []
+            for led in (RegionLedger(), ReferenceLedger()):
+                led.realize_new(0, [(-1.0, 0.0)], 2.0, RandomStream(5))
+                led.add_proposal_point(2, 0.5, mark=0.5)
+                rng = RandomStream(6)
+                with pytest.raises(LedgerError) as info:
+                    request(led, rng)
+                messages.append(str(info.value))
+                assert rng.uniform() == RandomStream(6).uniform()
+            assert messages[0] == messages[1]
+            assert ("realized at rate 2.0" in messages[0]) != ("must be positive, got 0.0" in messages[0])
 
     def test_register_empty_rejects_overlap(self):
         led = RegionLedger()
