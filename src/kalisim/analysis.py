@@ -32,14 +32,8 @@ from .models.presets import lattice_c_gamma
 ANALYSIS_TOL = 1e-8
 # largest off-sample offspring mass at which a sample's matrix still gives E(W)
 OFF_MASS_TOL = 1e-6
-
-
-def _require_bounds(model: KalikowModel, nodes) -> None:
-    for j in nodes:
-        if model.global_bound(j) is None:
-            raise NonSummableError(
-                f"node {j} has no global bound; branching analysis needs the bounded regime"
-            )
+FAMILY_TOL = 1e-10  # neighbourhood mass an offspring model leaves unlisted
+MAX_ITER = 200_000  # log-Laplace fixed-point iterations
 
 
 def branching_matrix(model: KalikowModel, nodes: Sequence[NodeId]) -> np.ndarray:
@@ -59,7 +53,8 @@ def _matrix_with_offmass(model: KalikowModel, nodes: Sequence[NodeId]):
     node_list = tuple(int(n) for n in nodes)
     if not node_list:
         raise ValueError("need a nonempty node sample")
-    _require_bounds(model, node_list)
+    for j in node_list:
+        model.require_bound(j)  # refuses a node outside the bounded regime
     index = {j: k for k, j in enumerate(node_list)}
     m = np.zeros((len(node_list), len(node_list)))
     off = np.zeros(len(node_list))
@@ -243,9 +238,8 @@ class OffspringModel:
         )
 
     @classmethod
-    def from_model(cls, model: KalikowModel, nodes: Sequence[NodeId], tol: float = 1e-10) -> "OffspringModel":
+    def from_model(cls, model: KalikowModel, nodes: Sequence[NodeId]) -> "OffspringModel":
         node_list = tuple(int(n) for n in nodes)
-        _require_bounds(model, node_list)
         index = {j: k for k, j in enumerate(node_list)}
         weights = []
         means = []
@@ -255,7 +249,7 @@ class OffspringModel:
             count = 0
             listed = 0.0  # weight of the descriptors read so far, in enumeration order
             for desc in model.enumerate_descriptors(i):
-                if 1.0 - listed < tol:
+                if 1.0 - listed < FAMILY_TOL:
                     break
                 lam = model.pmf(i, desc)
                 listed += lam
@@ -269,7 +263,7 @@ class OffspringModel:
                             f"neighborhood of node {i} reaches node {j} outside the type set;"
                             " the log-Laplace reduction needs a closed finite family"
                         )
-                    row[index[j]] += model.global_bound(j) * (b - a)
+                    row[index[j]] += model.require_bound(j) * (b - a)
                 ws.append(lam)
                 ms.append(row)
                 if count > 1_000_000:
@@ -308,7 +302,6 @@ def log_laplace_fixed_point(
     offspring: OffspringModel,
     theta: Sequence[float],
     tol: float = 1e-12,
-    max_iter: int = 200_000,
 ) -> LogLaplaceState:
     """Iterate Phi^(n) = theta + phi(Phi^(n-1)) from Phi^(0) = theta.
 
@@ -323,7 +316,7 @@ def log_laplace_fixed_point(
     phi = offspring.log_laplace
     cur = theta.copy()
     cap = 50.0 + 10.0 * float(np.abs(theta).max())
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         try:
             nxt = theta + phi(cur)
         except FloatingPointError:
@@ -349,16 +342,14 @@ def log_laplace_fixed_point(
                 converged=True,
             )
     raise DivergenceError(
-        f"fixed-point iteration did not converge in {max_iter} steps",
-        state=LogLaplaceState(theta, phi(cur), cur, max_iter, residual, False),
+        f"fixed-point iteration did not converge in {MAX_ITER} steps",
+        state=LogLaplaceState(theta, phi(cur), cur, MAX_ITER, residual, False),
     )
 
 
-def fixed_point_jacobian(
-    offspring: OffspringModel, step: float = 1e-6, tol: float = 1e-13
-) -> np.ndarray:
+def fixed_point_jacobian(offspring: OffspringModel) -> np.ndarray:
     """d Phi / d theta at 0 by central differences; equals (Id - M)^{-1}."""
-    n = offspring.n_types
+    n, step, tol = offspring.n_types, 1e-6, 1e-13
     jac = np.empty((n, n))
     for j in range(n):
         e = np.zeros(n)

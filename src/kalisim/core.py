@@ -62,17 +62,9 @@ class Neighborhood:
     def is_empty(self) -> bool:
         return not self._by_node
 
-    def nodes(self) -> tuple[NodeId, ...]:
-        return tuple(self._by_node)
-
-    def intervals(self, node: NodeId) -> tuple[tuple[float, float], ...]:
-        """Projection of the neighborhood onto one node (may be empty)."""
-        return self._by_node.get(node, ())
-
     def by_node(self) -> ItemsView[NodeId, tuple[tuple[float, float], ...]]:
         """Every node with its projection, ``(node, intervals)`` in increasing
-        node order; the intervals are sorted and disjoint, as ``intervals``
-        returns them."""
+        node order; the intervals are sorted and disjoint."""
         return self._by_node.items()
 
     def pieces(self) -> Iterator[tuple[NodeId, float, float]]:
@@ -104,10 +96,9 @@ class Configuration:
 
     __slots__ = ("_points",)
 
-    def __init__(self, points: Mapping[NodeId, Sequence[float]], validate: bool = True):
+    def __init__(self, points: Mapping[NodeId, Sequence[float]]):
         self._points = {int(j): tuple(sorted(float(t) for t in ts)) for j, ts in points.items() if len(ts)}
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         seen: dict[float, NodeId] = {}

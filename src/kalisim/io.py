@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import json
-from typing import Iterable
 
 from .core import Configuration
 from .errors import ConfigError
@@ -22,13 +21,9 @@ def open_output(path: str, newline: str | None = None):
         raise ConfigError([f"cannot write output file {path}: {exc.strerror or exc}"]) from None
 
 
-def emit_points(path: str, points: Iterable[tuple[float, int]] | Configuration) -> int:
+def emit_points(path: str, points: Configuration) -> int:
     """Write rows ``time,node`` sorted by time; returns the row count."""
-    if isinstance(points, Configuration):
-        rows = [(t, j) for j, ts in points.items() for t in ts]
-    else:
-        rows = [(float(t), int(j)) for t, j in points]
-    rows.sort()
+    rows = sorted((t, j) for j, ts in points.items() for t in ts)
     with open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "node"])

@@ -21,8 +21,10 @@ from ..kernels import AffineRate, ExponentialKernel, Kernel, StepKernel
 from ..sampling import RandomStream
 from .base import (
     KalikowModel,
+    NestedLevels,
     OffspringRow,
     nested_levels,
+    past_drive,
     require_known_nodes,
 )
 
@@ -197,7 +199,7 @@ class AgeHawkesModel(KalikowModel):
         self.refractory = float(refractory)
         self._guard = RefractoryGap(self.refractory)
         self._ladders: dict[NodeId, GammaLadder] = {}
-        self._expand_cache: dict[tuple[NodeId, int], Neighborhood] = {}
+        self._expansions = NestedLevels(self.omega, self.refractory)
 
     # -- structure ----------------------------------------------------------
 
@@ -244,13 +246,7 @@ class AgeHawkesModel(KalikowModel):
     def expand(self, i: NodeId, desc) -> Neighborhood:
         if not isinstance(desc, NestedND):
             raise KeyError(f"descriptor {desc!r} is not a nested level")
-        key = (i, desc.k)
-        nb = self._expand_cache.get(key)
-        if nb is None:
-            d = desc.k * self.refractory
-            nb = Neighborhood([(j, -d, 0.0) for j in self.omega(i, desc.k)])
-            self._expand_cache[key] = nb
-        return nb
+        return self._expansions[i, desc.k]
 
     # -- intensity and summands ------------------------------------------------
 
@@ -281,17 +277,12 @@ class AgeHawkesModel(KalikowModel):
         return prev, cur
 
     def intensity(self, i: NodeId, x: Configuration) -> float:
+        if not self._alive(i, x):
+            return 0.0
         nodes = self.node_set()
         sources = x.nodes() if nodes is None else nodes
         incoming = [(j, ker) for j in sources if (ker := self.kernel(i, j)) is not None]
-        if not self._alive(i, x):
-            return 0.0
-        total = 0.0
-        for j, ker in incoming:
-            for s in x.points(j):
-                if s < 0.0:
-                    total += ker(-s)
-        return self.psi(i)(total)
+        return self.psi(i)(past_drive(incoming, x))
 
     def delta(self, i: NodeId, desc, x: Configuration) -> float:
         if not isinstance(desc, NestedND):
@@ -302,8 +293,6 @@ class AgeHawkesModel(KalikowModel):
         if desc.k == 1:
             # within v_1 the indicator forces an empty own-window drive
             return psi.at_zero
-        if x.is_empty():
-            return psi(0.0) - psi(0.0)
         prev, cur = self._drives(i, desc.k, x)
         return psi(cur) - psi(prev)
 
@@ -371,5 +360,5 @@ class AgeHawkesModel(KalikowModel):
             if entry is None:
                 continue
             mean_depth = lad.tail(entry - 1, 1) / gamma_total
-            row[j] = self._require_bound(j) * self.refractory * mean_depth
+            row[j] = self.require_bound(j) * self.refractory * mean_depth
         return OffspringRow(row)

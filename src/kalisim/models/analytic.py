@@ -24,6 +24,7 @@ from .base import (
     _bin_of,
     atom_future_bound,
     bin_drive,
+    past_drive,
     require_known_nodes,
 )
 
@@ -74,8 +75,8 @@ class AnalyticHawkesModel(KalikowModel):
     members are ordered tuples (alpha_1, ..., alpha_k) of single-node bins,
     with summand psi^(k)(0)/k! * a_{alpha_1}(x) * ... * a_{alpha_k}(x) where
     a_{(j,n)} integrates the kernel over bin n of node j. Intensities may
-    explode, so there are no global bounds; the forward simulator drives it
-    with adaptive local bounds.
+    explode, so no rate Gamma_i dominates them; the forward simulator drives
+    it with adaptive local bounds.
     """
 
     def __init__(
@@ -111,14 +112,6 @@ class AnalyticHawkesModel(KalikowModel):
     def node_set(self):
         return self._nodes
 
-    def _drive(self, i: NodeId, x: Configuration) -> float:
-        total = 0.0
-        for j, ker in self._incoming[i].items():
-            for s in x.points(j):
-                if s < 0.0:
-                    total += ker(-s)
-        return total
-
     def expand(self, i: NodeId, desc) -> Neighborhood:
         if isinstance(desc, EmptyND):
             return EMPTY_NEIGHBORHOOD
@@ -136,7 +129,7 @@ class AnalyticHawkesModel(KalikowModel):
     # -- decomposition --------------------------------------------------------------
 
     def intensity(self, i: NodeId, x: Configuration) -> float:
-        return self.psi(self._drive(i, x))
+        return self.psi(past_drive(self._incoming[i].items(), x))
 
     def delta(self, i: NodeId, desc, x: Configuration) -> float:
         if isinstance(desc, EmptyND):

@@ -1,4 +1,8 @@
-"""Model interface: the contract every decomposable intensity family satisfies."""
+"""Model interface: the contract every decomposable intensity family satisfies,
+and what the families share, once each: ``KalikowModel.require_bound`` (the
+one reader of Gamma_i), ``past_drive``, ``NestedLevels`` (v_k = omega_k x
+[-k*depth, 0)), the node checks ``nested_levels`` and ``require_known_nodes``,
+and the atomic families' ``bin_drive`` and ``atom_future_bound``."""
 
 from __future__ import annotations
 
@@ -127,8 +131,29 @@ class KalikowModel(ABC):
     # -- bounded regime --------------------------------------------------------
 
     def global_bound(self, i: NodeId) -> Optional[float]:
-        """Deterministic bound dominating phi_i and every phi_v, or None."""
+        """Deterministic bound Gamma_i dominating phi_i and every phi_v, or
+        None; callers read it through ``require_bound``."""
         return None
+
+    def require_bound(self, i: NodeId) -> float:
+        """Gamma_i, read from ``global_bound`` once and kept on the model, as
+        ``empty_past_value`` keeps its values. The one place where a node
+        without a bound, outside the bounded regime that perfect simulation
+        and the branching analysis need, raises ``NonSummableError``."""
+        try:
+            return self._gammas[i]
+        except KeyError:
+            pass
+        except AttributeError:
+            self._gammas = {}
+        g = self.global_bound(i)
+        if g is None:
+            raise NonSummableError(
+                f"{type(self).__name__} exposes no global bound for node {i}; "
+                "this operation needs the bounded decomposition regime"
+            )
+        self._gammas[i] = g
+        return g
 
     # -- forward simulation -------------------------------------------------------
 
@@ -185,17 +210,6 @@ class KalikowModel(ABC):
         gamma equals it and E(W) = 1/(1 - gamma) at every node."""
         return None
 
-    # -- helpers shared by concrete families -------------------------------------------
-
-    def _require_bound(self, i: NodeId) -> float:
-        g = self.global_bound(i)
-        if g is None:
-            raise NonSummableError(
-                f"{type(self).__name__} exposes no global bound for node {i}; "
-                "this operation needs the bounded decomposition regime"
-            )
-        return g
-
 
 def require_known_nodes(pairs: Iterable[tuple[NodeId, NodeId]], nodes: Iterable[NodeId], what: str) -> None:
     """Raise ValueError on the first (target, source) pair naming a node outside ``nodes``."""
@@ -240,6 +254,32 @@ def nested_levels(
             raise ValueError(f"omega levels of node {i} must eventually cover every source node {i} reads")
         out[i] = levels
     return out
+
+
+class NestedLevels(dict):
+    """The expansions v_k = omega(i, k) x [-k*depth, 0) of a nested family,
+    keyed ``(i, k)``: each is built on its first read and then kept."""
+
+    def __init__(self, omega: Callable[[NodeId, int], Sequence[NodeId]], depth: float):
+        super().__init__()
+        self._omega, self._depth = omega, depth
+
+    def __missing__(self, key: tuple[NodeId, int]) -> Neighborhood:
+        i, k = key
+        d = k * self._depth
+        nb = self[key] = Neighborhood([(j, -d, 0.0) for j in self._omega(i, k)])
+        return nb
+
+
+def past_drive(incoming: Iterable[tuple[NodeId, Kernel]], x: Configuration, total: float = 0.0) -> float:
+    """``total`` plus the kernel values of every point of ``x`` before time 0,
+    added source by source in the order of ``incoming``'s (node, kernel)
+    pairs and in time order within a source."""
+    for j, ker in incoming:
+        for s in x.points(j):
+            if s < 0.0:
+                total += ker(-s)
+    return total
 
 
 # Relative rounding allowance of the capped bin walk (derived in

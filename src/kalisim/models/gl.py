@@ -19,7 +19,7 @@ from ..errors import ExplosionGuardError
 from ..kernels import AffineRate
 from ..sampling import RandomStream
 from ..weights import GeometricLevels
-from .base import KalikowModel, nested_levels, require_known_nodes
+from .base import EMPTY_NEIGHBORHOOD, KalikowModel, NestedLevels, nested_levels, require_known_nodes
 
 
 class GLModel(KalikowModel):
@@ -59,7 +59,7 @@ class GLModel(KalikowModel):
         if weights is None:
             weights = {i: GeometricLevels(p_empty=0.5, ratio=0.5) for i in self._nodes}
         self.weights = dict(weights)
-        self._expand_cache: dict[tuple[int, int], Neighborhood] = {}
+        self._expansions = NestedLevels(self.omega, self.step)
 
     # -- structure ----------------------------------------------------------
 
@@ -72,16 +72,10 @@ class GLModel(KalikowModel):
 
     def expand(self, i: NodeId, desc) -> Neighborhood:
         if isinstance(desc, EmptyND):
-            return Neighborhood.empty()
+            return EMPTY_NEIGHBORHOOD
         if not isinstance(desc, NestedND):
             raise KeyError(f"descriptor {desc!r} is not a nested level")
-        key = (i, desc.k)
-        nb = self._expand_cache.get(key)
-        if nb is None:
-            d = desc.k * self.step
-            nb = Neighborhood([(j, -d, 0.0) for j in self.omega(i, desc.k)])
-            self._expand_cache[key] = nb
-        return nb
+        return self._expansions[i, desc.k]
 
     # -- drive --------------------------------------------------------------------
 

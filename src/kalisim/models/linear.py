@@ -15,6 +15,7 @@ from .base import (
     OffspringRow,
     atom_future_bound,
     bin_drive,
+    past_drive,
     require_known_nodes,
 )
 
@@ -96,12 +97,7 @@ class LinearHawkesModel(KalikowModel):
     # -- decomposition ---------------------------------------------------------
 
     def intensity(self, i: NodeId, x: Configuration) -> float:
-        total = self.mu[i]
-        for j, ker in self._incoming[i].items():
-            for s in x.points(j):
-                if s < 0.0:
-                    total += ker(-s)
-        return total
+        return past_drive(self._incoming[i].items(), x, self.mu[i])
 
     def delta(self, i: NodeId, desc, x: Configuration) -> float:
         if isinstance(desc, EmptyND):
@@ -194,5 +190,5 @@ class LinearHawkesModel(KalikowModel):
         for j in fam.nodes:
             mass = (1.0 - fam.p_empty) * fam.shares[j]
             if mass > 0.0:
-                row[j] = self._require_bound(j) * self.eps * mass
+                row[j] = self.require_bound(j) * self.eps * mass
         return OffspringRow(row)

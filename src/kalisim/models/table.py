@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
-from ..core import Configuration, Neighborhood, NodeId, NoGuard, SubspaceGuard, TableND
+from ..core import Configuration, Neighborhood, NodeId, TableND
 from ..sampling import RandomStream
 from ..weights import FiniteWeights
 from .base import KalikowModel, OffspringRow
@@ -43,7 +43,6 @@ class TableModel(KalikowModel):
     def __init__(
         self,
         entries: Mapping[NodeId, Sequence[TableEntry]],
-        guard: Optional[SubspaceGuard] = None,
         bounds: Optional[Mapping[NodeId, float]] = None,
     ):
         self._entries = {int(i): tuple(rows) for i, rows in entries.items()}
@@ -51,7 +50,6 @@ class TableModel(KalikowModel):
             i: FiniteWeights([(TableND(i, k), row.weight) for k, row in enumerate(rows)])
             for i, rows in self._entries.items()
         }
-        self._guard = guard if guard is not None else NoGuard()
         self._bounds = {}
         for i, rows in self._entries.items():
             declared = None if bounds is None else bounds.get(i)
@@ -59,19 +57,16 @@ class TableModel(KalikowModel):
             self._bounds[i] = float(declared) if declared is not None else row_sum
 
     @classmethod
-    def constant_rate(cls, rate: float, bound: Optional[float] = None, node: NodeId = 0) -> "TableModel":
-        """Single node, constant intensity: lambda(empty) = 1 with summand ``rate``."""
+    def constant_rate(cls, rate: float, bound: Optional[float] = None) -> "TableModel":
+        """Node 0 alone, constant intensity: lambda(empty) = 1 with summand ``rate``."""
         b = float(bound) if bound is not None else float(rate)
         entry = TableEntry(weight=1.0, neighborhood=Neighborhood.empty(), bound=b, value=float(rate))
-        return cls({node: [entry]})
+        return cls({0: [entry]})
 
     # -- structure ---------------------------------------------------------------
 
     def node_set(self):
         return tuple(sorted(self._entries))
-
-    def guard(self):
-        return self._guard
 
     def _row(self, i: NodeId, desc) -> TableEntry:
         if not isinstance(desc, TableND) or desc.node != i:
@@ -81,7 +76,6 @@ class TableModel(KalikowModel):
     # -- decomposition -------------------------------------------------------------
 
     def intensity(self, i: NodeId, x: Configuration) -> float:
-        self._guard.require(x)
         total = 0.0
         for row in self._entries[i]:
             total += row.evaluate(x)
@@ -127,5 +121,5 @@ class TableModel(KalikowModel):
             if entry.weight == 0.0:
                 continue
             for j, a, b in entry.neighborhood.pieces():
-                row[j] = row.get(j, 0.0) + entry.weight * self._require_bound(j) * (b - a)
+                row[j] = row.get(j, 0.0) + entry.weight * self.require_bound(j) * (b - a)
         return OffspringRow(row)

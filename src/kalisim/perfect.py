@@ -19,6 +19,8 @@ root is therefore expanded before the generation loop, which it skips when
 the root finds nothing new, and the model keeps each (node, descriptor)'s
 value on the empty past after its first evaluation
 (``KalikowModel.empty_past_value``). Neither changes a draw or a float.
+Each node's dominating rate Gamma_i is read once per model, through
+``KalikowModel.require_bound``, which also refuses a node without one.
 
 A point with drawn neighborhood v is accepted when its uniform mark is below
 phi_v(x)/Gamma, so a model must bound every component value by Gamma, and
@@ -36,7 +38,7 @@ from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .core import Configuration, NodeId, _merge_pieces
-from .errors import BudgetExhausted, KalisimError, LedgerError, NonMonotoneModelError, NonSummableError
+from .errors import BudgetExhausted, KalisimError, LedgerError, NonMonotoneModelError
 from .sampling import PointRecord, RandomStream, RegionLedger
 
 
@@ -89,21 +91,21 @@ class AncestorGraph:
     """Clan of ancestors of one root proposal.
 
     ``pending`` holds the root and the points the clan simulated, in
-    increasing time order, ending with the root; the realized points the
-    clan found were decided by earlier clans. ``lookback`` is how far before
-    the root the backward steps looked (0 if nowhere).
+    increasing time order, ending with the root, once the clan terminated;
+    the realized points the clan found were decided by earlier clans. A clan
+    that exceeds its budget carries the points simulated so far, in the order
+    they were simulated after the root. ``lookback`` is how far before the
+    root the backward steps looked (0 if nowhere).
     """
 
-    root: tuple[NodeId, float]
     root_record: PointRecord
     pending: list[PointRecord] = field(default_factory=list)
     lookback: float = 0.0
     terminated: bool = False
-    new_point_count: int = 0
 
     def clan_size(self) -> int:
         """Total points including the ancestor."""
-        return 1 + self.new_point_count
+        return len(self.pending)
 
 
 _by_time = attrgetter("time", "node")
@@ -138,9 +140,9 @@ def backward_clan(
         raise LedgerError(f"root {root!r} is already decided")
     root.generation = 0
 
-    graph = AncestorGraph(root=(i, t), root_record=root)
-    pending: list[PointRecord] = [root]
-    realize, bound = ledger.realize_new, model.global_bound
+    graph = AncestorGraph(root_record=root, pending=[root])
+    pending = graph.pending
+    realize, bound = ledger.realize_new, model.require_bound
 
     def expand(rec: PointRecord) -> list[PointRecord]:
         if rec.neighborhood is None:
@@ -151,15 +153,9 @@ def backward_clan(
         children: list[PointRecord] = []
         first = math.inf
         for j, pieces in model.expand(rec.node, rec.neighborhood).by_node():
-            gam = bound(j)
-            if gam is None:
-                raise NonSummableError(
-                    f"{type(model).__name__} has no global bound for node {j}; "
-                    "backward simulation needs the bounded regime"
-                )
             if pieces[0][0] < first:  # pieces are sorted
                 first = pieces[0][0]
-            fresh, found = realize(j, [(a + s, b + s) for a, b in pieces], gam, rng)
+            fresh, found = realize(j, [(a + s, b + s) for a, b in pieces], bound(j), rng)
             if fresh:
                 new += fresh
                 children += fresh
@@ -171,13 +167,15 @@ def backward_clan(
         graph.lookback = max(graph.lookback, t - (first + s))
         return new
 
+    # the root and at most max_points simulated points
+    cap = budget.max_points + 1
+
     def adopt(fresh: list[PointRecord], gen: int) -> list[PointRecord]:
         # the point past the cap raises as soon as it is simulated
         for child in fresh:
             child.generation = gen
             pending.append(child)
-            graph.new_point_count += 1
-            if graph.new_point_count > budget.max_points:
+            if len(pending) > cap:
                 raise BudgetExhausted(
                     f"backward construction exceeded {budget.max_points} points",
                     graph=graph,
@@ -187,7 +185,6 @@ def backward_clan(
     frontier = expand(root)
     if not frontier:
         graph.terminated = True
-        graph.pending = pending
         return graph
     adopt(frontier, 1)
     gen = 1
@@ -208,7 +205,6 @@ def backward_clan(
 
     graph.terminated = True
     pending.sort(key=_by_time)
-    graph.pending = pending
     return graph
 
 
@@ -231,7 +227,7 @@ def forward_accept(graph: AncestorGraph, model, ledger: RegionLedger) -> Ancesto
     """
     if not graph.terminated:
         raise KalisimError("cannot run the forward pass on a non-terminated clan")
-    bound, value_of, empty_value = model.global_bound, model.component_value, model.empty_past_value
+    bound, value_of, empty_value = model.require_bound, model.component_value, model.empty_past_value
     for rec in graph.pending:
         children = rec.children
         if children is None:
@@ -276,13 +272,7 @@ def _node_sweep(
     out: list[float],
     stats: Optional[PerfectRunStats] = None,
 ) -> None:
-    gam = model.global_bound(node)
-    if gam is None:
-        raise NonSummableError(
-            f"{type(model).__name__} has no global bound for node {node}; "
-            "perfect simulation needs the bounded regime"
-        )
-
+    gam = model.require_bound(node)
     cursor = start
     while (rec := ledger.advance(node, cursor, limit, gam, draws)) is not None:
         cursor = rec.time

@@ -19,12 +19,12 @@ from .sampling import RandomStream
 class FiniteWeights:
     """Explicit finite family [(descriptor, weight)]; weights sum to 1."""
 
-    def __init__(self, entries: Sequence[tuple[object, float]], tol: float = 1e-12):
+    def __init__(self, entries: Sequence[tuple[object, float]]):
         self.entries = [(d, float(w)) for d, w in entries]
         if any(w < 0 for _, w in self.entries):
             raise ValueError("weights must be nonnegative")
         total = sum(w for _, w in self.entries)
-        if abs(total - 1.0) > tol:
+        if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {total}")
         self._pmf = {}
         for d, w in self.entries:

@@ -9,6 +9,7 @@ from kalisim import (
     ConfigError,
     LinearHawkesModel,
     Neighborhood,
+    NonSummableError,
     TableEntry,
     TableModel,
     analysis,
@@ -17,9 +18,23 @@ from kalisim import (
 from kalisim.validation import (
     atomic_gate_model,
     bounded_age_model,
+    hawkes_ring,
     spread_gate_model,
     two_node_clan_model,
 )
+
+
+@pytest.mark.parametrize(
+    "reduce",
+    [
+        lambda m: analysis.branching_summary(m, [0, 1]),
+        lambda m: analysis.OffspringModel.from_model(m, [0]),
+    ],
+    ids=["branching-summary", "offspring-model"],
+)
+def test_a_model_without_bounds_is_refused_naming_the_family_and_the_node(reduce):
+    with pytest.raises(NonSummableError, match="LinearHawkesModel exposes no global bound for node 0"):
+        reduce(hawkes_ring())
 
 
 def test_summary_names_the_off_sample_mass_it_omits_e_w_for():

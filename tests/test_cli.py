@@ -280,6 +280,14 @@ def test_simulate_perfect_writes_runs_summary_and_ledger(tmp_path):
         assert times == sorted(times)
 
 
+def test_simulate_perfect_refuses_a_model_without_bounds(tmp_path, capsys):
+    cfg = dict(FINITE, output={"points": str(tmp_path / "points.csv")})
+    assert main(["simulate-perfect", "--config", write_config(tmp_path, cfg), "--t-max", "1"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: LinearHawkesModel exposes no global bound for node 0;"
+                   " this operation needs the bounded decomposition regime"]
+
+
 def test_simulate_perfect_records_exhausted_runs(tmp_path, capsys):
     # one neighbourhood of length 0.5 at bound 5: 2.5 children per point, so
     # clans outgrow a three-generation budget

@@ -34,8 +34,7 @@ class TestNeighborhood:
 
     def test_normalizes_same_node_pieces(self):
         v = Neighborhood([(0, -1.0, -0.5), (0, -0.7, -0.2), (1, -1.0, -0.9)])
-        assert v.intervals(0) == ((-1.0, -0.2),)
-        assert v.intervals(1) == ((-1.0, -0.9),)
+        assert list(v.by_node()) == [(0, ((-1.0, -0.2),)), (1, ((-1.0, -0.9),))]
 
     def test_equality_ignores_piece_order(self):
         a = Neighborhood([(0, -1.0, -0.5), (1, -2.0, -1.0)])
@@ -82,10 +81,10 @@ class TestConfiguration:
             pts.setdefault(j, set()).update((a, b))
         for j, t in drawn:
             pts.setdefault(j, set()).add(t)
-        x = Configuration({j: sorted(ts) for j, ts in pts.items()}, validate=False)
+        x = Configuration._unsafe({j: tuple(sorted(ts)) for j, ts in pts.items()})
         reference = {}
-        for j in v.nodes():
-            kept = tuple(t for a, b in v.intervals(j) for t in x.points_in(j, a, b))
+        for j, ivs in v.by_node():
+            kept = tuple(t for a, b in ivs for t in x.points_in(j, a, b))
             if kept:
                 reference[j] = kept
         assert list(x.restrict(v).items()) == list(reference.items())
@@ -115,7 +114,7 @@ class TestRestrictAt:
             # shifted comparisons can round apart
             pts = {0: sorted({rng.uniform(0, 10) for _ in range(5)} | {t - 1.5, t - 1.0, t - 0.5}),
                    1: sorted({rng.uniform(0, 10) for _ in range(5)} | {t - 2.0, t - 0.1})}
-            x = Configuration(pts, validate=False)
+            x = Configuration._unsafe({j: tuple(ts) for j, ts in pts.items()})
             got = x.restrict_at(v, t)
             want = shift_to_origin(x, t).restrict(v)
             assert {j: got.points(j) for j in (0, 1)} == {j: want.points(j) for j in (0, 1)}

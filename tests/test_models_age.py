@@ -197,8 +197,7 @@ class TestBoundsAndExpansion:
     def test_expansion_geometry(self):
         m = lattice_preset(4.0, 4.0, 0.25)
         nb = m.expand(5, NestedND(3))
-        assert nb.nodes() == (3, 4, 5, 6, 7)
-        assert nb.intervals(5) == ((-0.75, 0.0),)
+        assert list(nb.by_node()) == [(j, ((-0.75, 0.0),)) for j in (3, 4, 5, 6, 7)]
 
     def test_components_below_global_bound_on_refractory_configs(self):
         m = finite_model()

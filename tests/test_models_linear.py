@@ -112,7 +112,7 @@ class TestCylindricity:
             v = m.expand(i, desc)
             depth = 2.0 * max((-a for _, a, _ in v.pieces()), default=1.0)
             pts = {}
-            for j in set(nodes) | set(v.nodes()):
+            for j in set(nodes) | {j for j, _ in v.by_node()}:
                 kept = []  # same-node gaps above the refractory length
                 for s in sorted(rng.uniform(-depth, 0.0) for _ in range(rng.randrange(8))):
                     if not kept or s - kept[-1] > gap:

@@ -1,12 +1,15 @@
+import ast
 import hashlib
 import itertools
 import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kalisim
 from kalisim import (
     AncestorGraph,
     BackwardBudget,
@@ -18,6 +21,7 @@ from kalisim import (
     Neighborhood,
     NestedND,
     NonMonotoneModelError,
+    NonSummableError,
     PerfectRunStats,
     RandomStream,
     RegionLedger,
@@ -32,7 +36,7 @@ from kalisim import (
 from kalisim.core import TableND
 from kalisim.models import LatticeAgeModel
 from kalisim.models.age import GammaLadder
-from kalisim.validation import bounded_age_model, spread_gate_model, two_node_clan_model
+from kalisim.validation import bounded_age_model, exp_hawkes, hawkes_ring, spread_gate_model, two_node_clan_model
 
 GAMMA = P = 4.0
 DELTA = 0.005
@@ -156,7 +160,7 @@ class TestForwardAccept:
         model = pieces_table_model(1.0)
         root = RegionLedger().add_proposal_point(0, 1.0, mark=0.5)
         root.neighborhood = TableND(0, 0)
-        graph = AncestorGraph(root=(0, 1.0), root_record=root, pending=[root], terminated=True)
+        graph = AncestorGraph(root_record=root, pending=[root], terminated=True)
         with pytest.raises(LedgerError, match="never expanded"):
             forward_accept(graph, model, RegionLedger())
 
@@ -173,7 +177,7 @@ class TestForwardAccept:
         ledger, rng = RegionLedger(), RandomStream(3)
         # an undecided clan inside the root's first piece on node 1: a sampler
         # decides every clan before it builds the next, so this one is foreign
-        a, b = model.expand(0, TableND(0, 0)).intervals(1)[0]
+        a, b = dict(model.expand(0, TableND(0, 0)).by_node())[1][0]
         inner = backward_clan(model, 1, (a + b) / 2, ledger, rng)
         graph = backward_clan(model, 0, 0.0, ledger, rng)
         assert inner.root_record in graph.root_record.children
@@ -249,8 +253,8 @@ class TestRealizedOnce:
             nb = model.expand(rec.node, rec.neighborhood)
             reference = [
                 child
-                for j in nb.nodes()
-                for a, b in nb.intervals(j)
+                for j, ivs in nb.by_node()
+                for a, b in ivs
                 for child in ledger.points_in(j, a + rec.time, b + rec.time)
             ]
             stored = sorted(rec.children, key=lambda r: (r.node, r.time))
@@ -282,23 +286,37 @@ class TestBudgetExhausted:
         with pytest.raises(BudgetExhausted, match=match) as info:
             backward_clan(spread_gate_model(5.0), 0, 0.0, ledger, RandomStream(1), budget=budget)
         graph = info.value.graph
-        assert graph.root == (0, 0.0)
+        root = graph.root_record
+        assert (root.node, root.time) == (0, 0.0)
         assert not graph.terminated
         # the ledger holds the root and every point the clan simulated
-        assert ledger.n_points() == 1 + graph.new_point_count
+        assert ledger.n_points() == graph.clan_size()
         return graph, [r.generation for r in ledger.points_in(0, -math.inf, math.inf)]
 
     def test_generation_cap(self):
         graph, generations = self.exhaust(BackwardBudget(max_generations=4), "exceeded 4 generations")
         # every generation up to the cap was simulated, and none beyond it
         assert max(generations) == 4
-        assert graph.new_point_count == 17
+        assert graph.clan_size() == 18
 
     def test_point_cap(self):
         graph, generations = self.exhaust(BackwardBudget(max_points=10), "exceeded 10 points")
         # the point past the cap raises as soon as it is simulated
-        assert graph.new_point_count == 11
+        assert graph.clan_size() == 12
         assert max(generations) == 4
+
+    def test_an_exhausted_clan_carries_its_points(self):
+        ledger = RegionLedger()
+        with pytest.raises(BudgetExhausted, match="exceeded 50 points") as info:
+            backward_clan(spread_gate_model(5.0), 0, 0.0, ledger, RandomStream(0), budget=BackwardBudget(max_points=50))
+        graph = info.value.graph
+        # the root, then the 51 points simulated before the cap raised
+        assert graph.clan_size() == 52 and graph.pending[0] is graph.root_record
+        assert graph.root_record.generation == 0
+        simulated = graph.pending[1:]
+        assert len(simulated) == 51 and all(rec.generation >= 1 for rec in simulated)
+        # all in the ledger, which also holds the rest of the last batch realized
+        assert {id(rec) for rec in graph.pending} < {id(rec) for rec in _ledger_records(ledger)}
 
 
 class TestRootFirst:
@@ -325,7 +343,7 @@ class TestRootFirst:
         for seed in range(60):
             graph = backward_clan(model, 0, 0.0, RegionLedger(), RandomStream(seed))
             root = graph.root_record
-            if graph.new_point_count:
+            if graph.clan_size() > 1:
                 continue
             alone += 1
             depth = -min(a for _, a, _ in model.expand(0, root.neighborhood).pieces())
@@ -349,7 +367,7 @@ class TestRootFirst:
             if fresh:
                 with pytest.raises(BudgetExhausted, match="exceeded 1 generations") as info:
                     backward_clan(model, 0, 0.0, RegionLedger(), RandomStream(seed), budget=budget)
-                assert info.value.graph.new_point_count == fresh
+                assert info.value.graph.clan_size() == 1 + fresh
             else:
                 graph = backward_clan(model, 0, 0.0, RegionLedger(), RandomStream(seed), budget=budget)
                 assert graph.terminated and graph.clan_size() == 1
@@ -364,6 +382,56 @@ def linear_with_declared_bounds():
         (1, 0): ExponentialKernel(0.1, 1.0),
     }
     return LinearHawkesModel({0: 0.5, 1: 0.25}, kernels, eps=0.5, declared_bounds={0: 4.0, 1: 3.0})
+
+
+class CountingBoundLattice(LatticeAgeModel):
+    """The lattice preset, counting its ``global_bound`` calls per node."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.bound_calls = Counter()
+
+    def global_bound(self, i):
+        self.bound_calls[i] += 1
+        return super().global_bound(i)
+
+
+class TestBoundedRegime:
+    """Perfect simulation needs a dominating rate Gamma_j at every node it
+    reaches; a node without one is refused with the family and the node."""
+
+    def test_a_root_without_a_bound_is_refused(self):
+        with pytest.raises(NonSummableError, match="LinearHawkesModel exposes no global bound for node 0"):
+            perfect_sample(hawkes_ring(), 0, 1.0, RandomStream(0))
+
+    def test_a_neighbourhood_without_a_bound_is_refused(self):
+        # seed 2's root draws a nonempty neighbourhood; the empty set reads no Gamma
+        with pytest.raises(NonSummableError, match="AnalyticHawkesModel exposes no global bound for node 0"):
+            backward_clan(exp_hawkes(1), 0, 0.0, RegionLedger(), RandomStream(2))
+
+    def test_the_expansion_names_the_node_it_reaches(self):
+        # node 0 is bounded, but every atom it draws lies on node 1
+        kernels = {(0, 1): ExponentialKernel(0.2, 2.0), (1, 0): ExponentialKernel(0.1, 1.0)}
+        model = LinearHawkesModel({0: 0.5, 1: 0.25}, kernels, eps=0.5, declared_bounds={0: 4.0})
+        with pytest.raises(NonSummableError, match="LinearHawkesModel exposes no global bound for node 1"):
+            backward_clan(model, 0, 0.0, RegionLedger(), RandomStream(2))
+
+    def test_each_bound_is_read_once_per_node(self):
+        model, plain = CountingBoundLattice(GAMMA, P, DELTA), lattice_preset(GAMMA, P, DELTA)
+        for seed in range(20):
+            out = perfect_sample(model, 0, 2.0, RandomStream(seed))
+            assert out.points(0) == perfect_sample(plain, 0, 2.0, RandomStream(seed)).points(0)
+        assert len(model.bound_calls) > 3 and set(model.bound_calls.values()) == {1}
+
+
+def test_the_sampler_and_the_analysis_read_gamma_only_through_require_bound():
+    # Gamma_j is checked and kept in one place, KalikowModel.require_bound
+    package = Path(kalisim.__file__).parent
+    for name in ("perfect.py", "analysis.py"):
+        tree = ast.parse((package / name).read_text(), name)
+        attrs = [(node.attr, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+        assert [f"{name}:{line}" for attr, line in attrs if attr == "global_bound"] == []
+        assert any(attr == "require_bound" for attr, _ in attrs), name
 
 
 class TestEmptyPastMemo:
