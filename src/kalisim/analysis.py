@@ -13,6 +13,12 @@ scalar reduction reads a translation-invariant model's common row total
 sample reduction builds M over a finite node sample, takes gamma as the
 largest row total and E(W) from one solve of (Id - M) w = 1.
 :class:`BranchingSummary` says which fields each one fills.
+
+E(W) is the mean total progeny of a Galton-Watson tree that realizes every
+drawn neighbourhood in full. A clan realizes each region once, and a child's
+fresh region lies inside its neighbourhood minus what its ancestors covered,
+so the tree dominates the clan: E(W) is an upper bound on the mean clan, and
+the verdict gamma < 1 is sufficient for termination, not necessary.
 """
 
 from __future__ import annotations
@@ -103,7 +109,8 @@ def _clan_sizes(m: np.ndarray) -> np.ndarray:
 
 
 def expected_clan_size(m: np.ndarray, i: int) -> float:
-    """E_i(W) = (row i of (Id - M)^{-1}) . 1, the ancestor included.
+    """E_i(W) = (row i of (Id - M)^{-1}) . 1, the ancestor included: an upper
+    bound on the mean clan of node i (see the module docstring).
 
     Requires every row sum of M below 1; otherwise the Neumann series
     sum_k M^k diverges.
@@ -122,7 +129,8 @@ class BranchingSummary:
     node's row total (every listed entry, inside the sample or not, plus the
     far mass and the bound on its error, so gamma is conservative),
     ``off_mass`` with each row's mass outside the sample where it is
-    positive, and ``expected_w`` with every sampled node's E(W).
+    positive, and ``expected_w`` with every sampled node's E(W), an upper
+    bound on its mean clan.
 
     ``expected_w`` is empty when gamma >= 1, or when a sample that is not
     invariant leaks more than ``OFF_MASS_TOL``; ``expected_w_note`` then
@@ -388,9 +396,10 @@ def weight_cost_curve(
 ) -> WeightCostCurve:
     """Expected clan size of the lattice on the paper's power ladder
     Gamma_k = C_gamma k^{-p}, C_gamma = ``lattice_c_gamma`` (31.20 at
-    gamma = 4), along a grid of p; the preset itself simulates on its
-    refractory Lipschitz envelope bar-Gamma_k, a smaller clan (E(W) = 1.142
-    at gamma = 4, delta = 0.005).
+    gamma = 4), along a grid of p, on the diagonal levels (k-1, k); the preset
+    itself simulates on its refractory Lipschitz envelope over a searched
+    nesting, a smaller clan (E(W) = 1.099 at gamma = 4, delta = 0.005, and
+    1.142 on the diagonal levels).
 
     The mean offspring count is C_gamma * delta * f(p) with
     f(p) = sum (2k-1) k^{1-p} (finite iff p > 3), and the

@@ -16,7 +16,7 @@ from . import analysis, io
 from .config import RunConfig, load_config
 from .errors import BudgetExhausted, ConfigError, KalisimError, NonSummableError
 from .forward import forward_simulate
-from .models import LinearHawkesModel
+from .models import LatticeAgeModel, LinearHawkesModel
 from .perfect import PerfectRunStats, perfect_sample
 from .sampling import RandomStream, RegionLedger
 from .validation import SUITES, run_suite
@@ -236,6 +236,11 @@ def _cmd_analyze(args) -> int:
                 "iterations": state.iterations,
                 "residual": state.residual,
             }
+    if isinstance(model, LatticeAgeModel):
+        # the nesting's head levels (radius, depth), and the nodes of a drawn
+        # neighbourhood, which times the mean clan gives the ledger requests per root
+        report["level_head"] = [list(level) for level in model.head]
+        report["nodes_per_neighborhood"] = model.nodes_per_neighborhood()
 
     if args.p_grid is not None:
         sec = cfg.model_section

@@ -259,7 +259,7 @@ class AtomND:
 
 @dataclass(frozen=True)
 class NestedND:
-    """k-th member of a nested family omega_k x [-k*delta, 0), k >= 1."""
+    """k-th member of a nested family omega_k x [-D_k delta, 0), k >= 1."""
 
     k: int
 

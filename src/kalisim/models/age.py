@@ -2,10 +2,12 @@
 
 intensity_i(x) = psi_i( sum_j integral h_ij(-s) dx_j(s) ) * 1{age_i(x) > delta}
 
-The neighborhood family is nested: v_k = omega_k x [-k*delta, 0) with
-omega_1 = {i} and omega_k growing to the whole index set. Lipschitz rate
-functions give per-level bounds whose total is finite, which is the regime
-the perfect simulator needs.
+The neighborhood family is nested: level k is a pair of a node set omega_k
+and a depth D_k in units of delta, v_k = omega_k x [-D_k delta, 0), with
+omega_1 = {i}, D_1 = 1 and both growing along the levels. A finite network
+deepens one delta per level, D_k = k; the lattice preset chooses its pairs
+(``kalisim.models.presets``). Lipschitz rate functions give per-level bounds
+whose total is finite, which is the regime the perfect simulator needs.
 """
 
 from __future__ import annotations
@@ -46,16 +48,19 @@ class GammaLadder:
     """One node's per-level bounds Gamma_k and the level law they induce.
 
     The rungs are the ``head`` values Gamma_1..Gamma_H, then closed-form tail
-    terms added to every rung beyond the head: each geometric ``(a, r)`` pair
-    adds a r^{k-1}, each ``power`` ``(c, p)`` pair adds c k^{-p}, and
-    ``lipschitz`` = gamma adds the lattice's Lipschitz envelope
-    bar-Gamma_k = (1 - e^{-k}) / ((1 - e^{-1}) (k-1)^gamma)
-    + e^{-(k-1)} (1 + H_gamma(k-2)), whose harmonic sum H_gamma is kept
+    terms, each read at the tail index n = k + s of level k > H, where the
+    first tail level takes index ``start`` (H + 1 by default, so s = 0 and
+    n = k): each geometric ``(a, r)`` pair adds a r^{n-1}, each ``power``
+    ``(c, p)`` pair adds c n^{-p}, and ``lipschitz`` = gamma adds the
+    lattice's diagonal Lipschitz envelope
+    bar-Gamma_n = (1 - e^{-n}) / ((1 - e^{-1}) (n-1)^gamma)
+    + e^{-(n-1)} (1 + H_gamma(n-2)), whose harmonic sum H_gamma is kept
     running as the rungs grow. ``total`` is Gamma = sum_k Gamma_k and
-    ``tail(n, r)`` is sum_{k>n} k^r Gamma_k for r = 0, 1, 2, all exact;
-    r = 1, 2 give offspring means (each level-k neighborhood has time depth
-    k*delta). The level weights are lambda(v_k) = Gamma_k / Gamma, so that
-    every component is bounded by Gamma.
+    ``tail(k, r)`` is sum_{l>k} n_l^r Gamma_l for r = 0, 1, 2, all exact:
+    r = 1, 2 give offspring means where a level's depth is its index, as on
+    a finite network (D_k = k) and on the lattice's diagonal tail (D = n).
+    The level weights are lambda(v_k) = Gamma_k / Gamma, so that every
+    component is bounded by Gamma.
 
     Rungs are kept in a list once computed, since ``pmf`` reads one per
     component value. ``sample`` inverts the level CDF by bisection on the
@@ -69,8 +74,11 @@ class GammaLadder:
     def __init__(self, head: Sequence[float] = (),
                  geometric: Sequence[tuple[float, float]] = (),
                  power: Sequence[tuple[float, float]] = (),
-                 lipschitz: Optional[float] = None):
+                 lipschitz: Optional[float] = None,
+                 start: Optional[int] = None):
         self.k_head = len(head)
+        # level k > H is read at tail index k + shift
+        self.shift = 0 if start is None else start - self.k_head - 1
         self.geometric = [(a, r) for a, r in geometric if a > 0.0]
         for _, r in self.geometric:
             if not 0.0 < r < 1.0:
@@ -81,9 +89,9 @@ class GammaLadder:
                 raise ValueError("power tail needs p > 2 for finite offspring means")
         self.lipschitz = lipschitz
         if lipschitz is not None:
-            if not (lipschitz > 3.0 and self.k_head >= 1):
-                raise ValueError("a Lipschitz tail needs gamma > 3 and a head holding Gamma_1")
-            self._harmonic = series.harmonic_partial(lipschitz, self.k_head - 1)
+            if not (lipschitz > 3.0 and self.k_head >= 1 and self.k_head + self.shift >= 1):
+                raise ValueError("a Lipschitz tail needs gamma > 3, a head holding Gamma_1 and a start of 2 or more")
+            self._harmonic = series.harmonic_partial(lipschitz, self.k_head + self.shift - 1)
         self._rungs = list(head)
         self._cum: list[float] = []
         self._descs: list[NestedND] = []
@@ -94,7 +102,7 @@ class GammaLadder:
         rungs = self._rungs
         g = self.lipschitz
         while len(rungs) < k:
-            n = len(rungs) + 1
+            n = len(rungs) + 1 + self.shift
             rung = (sum(a * r ** (n - 1) for a, r in self.geometric)
                     + sum(c * n ** (-p) for c, p in self.power))
             if g is not None:
@@ -105,10 +113,15 @@ class GammaLadder:
         return rungs[k - 1] if k >= 1 else 0.0
 
     def tail(self, n: int, r: int = 0) -> float:
-        """sum_{k>n} k^r Gamma_k for r = 0, 1, 2."""
+        """sum_{l>n} n_l^r Gamma_l for r = 0, 1, 2, where n_l is level l's
+        index (l on the head, the tail index past it). A shifted head has no
+        tail index, so below it only the sum (r = 0) is defined."""
         if n < self.k_head:
+            if r and self.shift:
+                raise ValueError("a shifted ladder weights only its tail levels")
             head = sum(k**r * self._rungs[k - 1] for k in range(n + 1, self.k_head + 1))
             return head + self.tail(self.k_head, r)
+        n += self.shift
         out = sum(_geometric_tail(a, q, n, r) for a, q in self.geometric)
         out += sum(c * series.zeta_tail(p - r, n) for c, p in self.power)
         if self.lipschitz is not None:
@@ -137,11 +150,13 @@ class GammaLadder:
     def tail_err(self, n: int, r: int = 0) -> float:
         """Bound on the numerical error of ``tail(n, r)`` for n at or past the
         head: the zeta tails' own bounds, and a relative rounding allowance."""
+        tail = self.tail(n, r)
+        n += self.shift
         err = sum(c * series.zeta_tail_err(p - r, n) for c, p in self.power)
         if self.lipschitz is not None:
             g = self.lipschitz
             err += sum(math.comb(r, i) * series.zeta_tail_err(g - i, n - 1) for i in range(r + 1)) / _ONE_MINUS_INV_E
-        return err + 2.0**-45 * self.tail(n, r)
+        return err + 2.0**-45 * tail
 
     def pmf(self, desc) -> float:
         if self.total <= 0:
@@ -174,8 +189,9 @@ class AgeHawkesModel(KalikowModel):
     (default omega_1 = {i}, omega_2 = every node). Beyond the last level the
     node set saturates while the time window keeps deepening.
 
-    The network is read only through ``kernel``, ``omega``, ``psi`` and
-    ``ladder``; ``LatticeAgeModel`` overrides those four for the integers.
+    The network is read only through ``kernel``, ``omega``, ``depth``,
+    ``psi`` and ``ladder``; ``LatticeAgeModel`` overrides those five for the
+    integers.
     """
 
     def __init__(
@@ -199,7 +215,7 @@ class AgeHawkesModel(KalikowModel):
         self.refractory = float(refractory)
         self._guard = RefractoryGap(self.refractory)
         self._ladders: dict[NodeId, GammaLadder] = {}
-        self._expansions = NestedLevels(self.omega, self.refractory)
+        self._expansions = NestedLevels(self.omega, self.refractory, self.depth)
 
     # -- structure ----------------------------------------------------------
 
@@ -217,6 +233,11 @@ class AgeHawkesModel(KalikowModel):
         """The k-th nested node set of node i (omega_1 = {i}), in increasing order."""
         levels = self._levels[i]
         return levels[min(k, len(levels)) - 1]
+
+    def depth(self, i: NodeId, k: int) -> int:
+        """D_k, the time depth of node i's k-th level in units of delta: k on
+        a finite network."""
+        return k
 
     def psi(self, i: NodeId) -> AffineRate:
         return self._psi[i]
@@ -258,8 +279,9 @@ class AgeHawkesModel(KalikowModel):
         """The drives truncated to v_{k-1} and to v_k (k >= 2), from one walk
         over the nodes of omega_k that hold points of x, in increasing order:
         omega_k and omega_{k-1} list their nodes in that order, so each drive
-        adds the same values in the same order as its own walk."""
-        lo, lo_prev = -k * self.refractory, -(k - 1) * self.refractory
+        adds the same values in the same order as its own walk. A node of
+        omega_{k-1} counts in the inner drive from depth D_{k-1} on."""
+        lo, lo_prev = -self.depth(i, k) * self.refractory, -self.depth(i, k - 1) * self.refractory
         omega, inner = self.omega(i, k), self.omega(i, k - 1)
         prev = cur = 0.0
         for j in sorted(x.nodes()):
@@ -316,27 +338,30 @@ class AgeHawkesModel(KalikowModel):
         bar-Gamma_1 = psi(0); for k >= 2 it is L times the largest drive that
         v_k adds to v_{k-1} over refractory pasts, whose points on each node
         lie more than delta apart, through kernels that are all nonincreasing.
-        A node already present adds at most one point, of age at least
-        (k-1) delta: h((k-1) delta). A node entering at level k holds at most k
-        points in [-k delta, 0), the m-th latest (m = 0, 1, ...) of age at
-        least m delta: sum_{m<k} h(m delta).
+        One rule covers every node of omega_k: read by v_{k-1} down to depth
+        D_prev, it holds at most one point per delta of
+        [-D_k delta, -D_prev delta), the m-th latest of age at least m delta,
+        and adds sum_{D_prev <= m < D_k} h(m delta); a node entering at level k
+        has D_prev = 0. A packed past, one point just past each age m delta on
+        every node (on node i from delta on), comes as close as one likes to
+        all of these at once, so they sum to the sup of the intensity whatever
+        the pairs (omega_k, D_k).
         """
         if k < 1:
             raise ValueError("level index must be >= 1")
         psi = self.psi(i)
         if k == 1:
             return psi.at_zero
-        lip = psi.lipschitz
+        lip, unit = psi.lipschitz, self.refractory
+        depth, depth_prev = self.depth(i, k), self.depth(i, k - 1)
         prev_set = set(self.omega(i, k - 1))
         total = 0.0
         for j in self.omega(i, k):
             ker = self.kernel(i, j)
             if ker is None:
                 continue
-            if j in prev_set:
-                total += ker((k - 1) * self.refractory)
-            else:
-                total += sum(ker(m * self.refractory) for m in range(k))
+            start = depth_prev if j in prev_set else 0
+            total += sum(ker(m * unit) for m in range(start, depth))
         return lip * total
 
     def global_bound(self, i: NodeId) -> Optional[float]:
@@ -350,8 +375,9 @@ class AgeHawkesModel(KalikowModel):
     # -- branching ----------------------------------------------------------------
 
     def offspring_row(self, i: NodeId, tol: float = 1e-8) -> OffspringRow:
-        """M_ij = Gamma_j delta sum_{k >= k_j} k Gamma_k / Gamma_i, over the
-        levels k at or past the first level k_j whose node set holds j."""
+        """M_ij = Gamma_j delta sum_{k >= k_j} D_k Gamma_k / Gamma_i, over the
+        levels k at or past the first level k_j whose node set holds j: each
+        level weighs by its volume |omega_k| D_k delta, with D_k = k here."""
         lad = self.ladder(i)
         gamma_total = lad.total
         row: dict[NodeId, float] = {}

@@ -1,7 +1,7 @@
 """Model interface: the contract every decomposable intensity family satisfies,
 and what the families share, once each: ``KalikowModel.require_bound`` (the
 one reader of Gamma_i), ``past_drive``, ``NestedLevels`` (v_k = omega_k x
-[-k*depth, 0)), the node checks ``nested_levels`` and ``require_known_nodes``,
+[-D_k*unit, 0)), the node checks ``nested_levels`` and ``require_known_nodes``,
 and the atomic families' ``bin_drive`` and ``atom_future_bound``."""
 
 from __future__ import annotations
@@ -207,7 +207,8 @@ class KalikowModel(ABC):
     def invariant_offspring_mean(self) -> Optional[float]:
         """The row total every node shares, for a translation-invariant family,
         and None otherwise. A value certifies the scalar branching reduction:
-        gamma equals it and E(W) = 1/(1 - gamma) at every node."""
+        gamma equals it and E(W) = 1/(1 - gamma) at every node, an upper bound
+        on the mean clan (``kalisim.analysis`` says why)."""
         return None
 
 
@@ -257,16 +258,22 @@ def nested_levels(
 
 
 class NestedLevels(dict):
-    """The expansions v_k = omega(i, k) x [-k*depth, 0) of a nested family,
-    keyed ``(i, k)``: each is built on its first read and then kept."""
+    """The expansions v_k = omega(i, k) x [-D_k*unit, 0) of a nested family,
+    keyed ``(i, k)``, with the depth D_k = ``depth(i, k)`` (k by default):
+    each is built on its first read and then kept."""
 
-    def __init__(self, omega: Callable[[NodeId, int], Sequence[NodeId]], depth: float):
+    def __init__(
+        self,
+        omega: Callable[[NodeId, int], Sequence[NodeId]],
+        unit: float,
+        depth: Callable[[NodeId, int], int] = lambda i, k: k,
+    ):
         super().__init__()
-        self._omega, self._depth = omega, depth
+        self._omega, self._unit, self._depth = omega, unit, depth
 
     def __missing__(self, key: tuple[NodeId, int]) -> Neighborhood:
         i, k = key
-        d = k * self._depth
+        d = self._depth(i, k) * self._unit
         nb = self[key] = Neighborhood([(j, -d, 0.0) for j in self._omega(i, k)])
         return nb
 

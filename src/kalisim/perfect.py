@@ -171,15 +171,16 @@ def backward_clan(
     cap = budget.max_points + 1
 
     def adopt(fresh: list[PointRecord], gen: int) -> list[PointRecord]:
-        # the point past the cap raises as soon as it is simulated
+        # the batch that passes the cap raises as soon as it is simulated, and
+        # the clan carries all of it: the ledger holds no point outside the graph
         for child in fresh:
             child.generation = gen
-            pending.append(child)
-            if len(pending) > cap:
-                raise BudgetExhausted(
-                    f"backward construction exceeded {budget.max_points} points",
-                    graph=graph,
-                )
+        pending.extend(fresh)
+        if len(pending) > cap:
+            raise BudgetExhausted(
+                f"backward construction exceeded {budget.max_points} points",
+                graph=graph,
+            )
         return fresh
 
     frontier = expand(root)

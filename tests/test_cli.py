@@ -140,10 +140,10 @@ def test_analyze_lattice_sample(tmp_path, capsys):
     assert report["nodes"] == [-1, 0, 1]
     assert set(report["off_sample_mass"]) == {"-1", "0", "1"}
     assert report["verdict"] == "subcritical"
-    # exact for every node by translation invariance: E(W) = 1/(1 - 0.1246)
+    # exact for every node by translation invariance: E(W) = 1/(1 - 0.0902)
     ew = 1.0 / (1.0 - kalisim.lattice_preset(4, 4, 0.005).invariant_offspring_mean())
     assert report["expected_clan_size"] == {"-1": ew, "0": ew, "1": ew}
-    assert ew == pytest.approx(1.142, abs=1e-3)
+    assert ew == pytest.approx(1.099, abs=1e-3)
     assert "expected_clan_size_note" not in report
     # the row totals come in closed form; walking the nested levels took minutes
     assert elapsed < 20.0
@@ -323,6 +323,17 @@ def test_analyze_invariant_reduction(tmp_path, capsys):
     assert report["reduction"] == "translation-invariant scalar"
     assert (report["gamma"], report["verdict"]) == (g, "subcritical")
     assert report["expected_clan_size"] == 1.0 / (1.0 - g)
+
+
+def test_analyze_reports_the_lattice_nesting(tmp_path, capsys):
+    model = kalisim.lattice_preset(4, 4, 0.005)
+    for flags in ((), ("--nodes", "3")):
+        report = analyze_report(tmp_path, capsys, LATTICE, *flags)
+        assert report["level_head"] == [list(level) for level in model.head]
+        assert report["level_head"][:3] == [[0, 1], [1, 1], [1, 2]] and report["level_head"][-1] == [7, 8]
+        assert report["nodes_per_neighborhood"] == model.nodes_per_neighborhood()
+        assert report["nodes_per_neighborhood"] == pytest.approx(2.553, abs=1e-3)
+    assert "level_head" not in analyze_report(tmp_path, capsys, TABLE)
 
 
 def test_analyze_reports_the_dominating_rate(tmp_path, capsys):

@@ -6,9 +6,10 @@ The ``decomposition-equivalence`` suite runs the same pairs at full size.
 import numpy as np
 import pytest
 
-from kalisim import lattice_preset
+from kalisim import RandomStream, lattice_preset, perfect_sample
 from kalisim.validation import (
     LATTICE_DELTA,
+    DiagonalLattice,
     PowerLadderLattice,
     SuiteReport,
     law_pair,
@@ -45,17 +46,30 @@ class TestLawPair:
 
 
 def test_the_power_ladder_is_a_second_decomposition_of_the_lattice():
-    power, lipschitz = PowerLadderLattice(4.0, 4.0, LATTICE_DELTA), lattice_preset(4.0, 4.0, LATTICE_DELTA)
+    # both on the diagonal levels, where the power ladder dominates the envelope
+    power, lipschitz = PowerLadderLattice(4.0, 4.0, LATTICE_DELTA), DiagonalLattice(4.0, 4.0, LATTICE_DELTA)
     assert power.global_bound(0) == pytest.approx(33.764, abs=1e-3)
     assert lipschitz.global_bound(0) == pytest.approx(3.294, abs=1e-3)
     for k in range(1, 200):
+        assert power.level(k) == lipschitz.level(k) == (k - 1, k)
         assert power.ladder(0).level(k) >= lipschitz.ladder(0).level(k)
+
+
+def test_the_diagonal_and_the_searched_nesting_give_one_law():
+    # node-0 counts on [0, 10), 1 000 runs an arm (about 1.5 s)
+    root = RandomStream(17)
+    arms = (lattice_preset(4.0, 4.0, LATTICE_DELTA), DiagonalLattice(4.0, 4.0, LATTICE_DELTA))
+    counts = ([[len(perfect_sample(m, 0, 10.0, root.child(arm, r)).points(0))] for r in range(1_000)]
+              for arm, m in enumerate(arms))
+    rep = pair_report(*counts)
+    assert rep.passed, rep.render()
 
 
 def test_lattice_ladders_and_ring_bin_widths_give_one_law():
     rep = suite_decomposition_equivalence(seed=7, lattice_runs=150, ring_runs=300)
     assert rep.passed, rep.render()
     assert [c.label for c in rep.checks if "mean" in c.label] == [
-        "lattice: node 0 mean difference", "ring: node 0 mean difference", "ring: node 1 mean difference",
-        "ring: node 2 mean difference", "ring: node 3 mean difference", "ring: total mean difference",
+        "lattice: node 0 mean difference", "nesting: node 0 mean difference", "ring: node 0 mean difference",
+        "ring: node 1 mean difference", "ring: node 2 mean difference", "ring: node 3 mean difference",
+        "ring: total mean difference",
     ]

@@ -20,9 +20,9 @@ from kalisim import (
 )
 from kalisim.errors import NonSummableError
 from kalisim.models import AgeHawkesModel, OffspringRow, lattice_c_gamma, lattice_gamma_bar
-from kalisim.models.presets import NEAR_MAX
-from kalisim import analysis, series
-from kalisim.validation import SuiteReport, law_pair
+from kalisim.models.presets import NEAR_MAX, NESTING_GRID, lattice_envelope
+from kalisim import analysis, series, validation
+from kalisim.validation import DiagonalLattice, PowerLadderLattice, SuiteReport, law_pair
 
 
 def finite_model(psi0=0.5, slope=0.5, alpha=0.8, beta=2.0, delta=0.5):
@@ -68,9 +68,12 @@ class TestGammaBar:
         assert lattice_gamma_bar(4.0, 3) == pytest.approx(expect)
 
     def test_model_matches_closed_form(self):
-        m = lattice_preset(4.0, 4.0, 1.0)
-        for k in range(1, 12):
-            assert m.gamma_bar(0, k) == pytest.approx(lattice_gamma_bar(4.0, k), rel=1e-12)
+        # the diagonal levels' rungs, and every level's rung as the increment of F
+        diagonal, m = DiagonalLattice(4.0, 4.0, 1.0), lattice_preset(4.0, 4.0, 1.0)
+        for k in range(1, 30):
+            assert diagonal.gamma_bar(0, k) == pytest.approx(lattice_gamma_bar(4.0, k), rel=1e-12)
+            before = lattice_envelope(4.0, *m.level(k - 1)) if k > 1 else 0.0
+            assert m.gamma_bar(0, k) == pytest.approx(lattice_envelope(4.0, *m.level(k)) - before, rel=1e-12)
 
     def test_c_gamma_dominates_envelope(self):
         for g in (3.5, 4.0, 5.0):
@@ -195,9 +198,12 @@ class TestBoundsAndExpansion:
         assert m.local_bound(0, Configuration({0: [-0.7]})) == m.global_bound(0)
 
     def test_expansion_geometry(self):
+        # level 3 is (R, D) = (1, 2) on the preset's nesting, (2, 3) on the diagonal
         m = lattice_preset(4.0, 4.0, 0.25)
-        nb = m.expand(5, NestedND(3))
-        assert list(nb.by_node()) == [(j, ((-0.75, 0.0),)) for j in (3, 4, 5, 6, 7)]
+        assert list(m.expand(5, NestedND(3)).by_node()) == [(j, ((-0.5, 0.0),)) for j in (4, 5, 6)]
+        assert list(m.expand(5, NestedND(16)).by_node()) == [(j, ((-2.25, 0.0),)) for j in range(-3, 14)]
+        diagonal = DiagonalLattice(4.0, 4.0, 0.25)
+        assert list(diagonal.expand(5, NestedND(3)).by_node()) == [(j, ((-0.75, 0.0),)) for j in (3, 4, 5, 6, 7)]
 
     def test_components_below_global_bound_on_refractory_configs(self):
         m = finite_model()
@@ -267,13 +273,75 @@ class TestLatticeOffspring:
         assert row.far == 0.0 and row.err == 0.0
 
 
+class TestNesting:
+    """The preset's levels (R, D): a searched head, then the diagonal."""
+
+    def test_levels_are_a_monotone_path_of_unit_steps_that_rejoins_the_diagonal(self):
+        m = lattice_preset(4.0, 4.0, 0.005)
+        levels = [m.level(k) for k in range(1, len(m.head) + 30)]
+        assert levels[0] == (0, 1)
+        steps = [(r1 - r0, d1 - d0) for (r0, d0), (r1, d1) in zip(levels, levels[1:])]
+        head = len(m.head)
+        assert set(steps[: head - 1]) == {(1, 0), (0, 1)}
+        assert levels[head - 1] == (NESTING_GRID - 1, NESTING_GRID)
+        assert set(steps[head - 1:]) == {(1, 1)}
+        assert m.head == ((0, 1), (1, 1), (1, 2), (1, 3), (1, 4), (2, 4), (2, 5), (2, 6),
+                          (3, 6), (3, 7), (4, 7), (4, 8), (5, 8), (6, 8), (7, 8))
+        assert [m.omega(0, k) for k in (1, 2, 16)] == [(0,), (-1, 0, 1), tuple(range(-8, 9))]
+        assert [m.depth(0, k) for k in (1, 2, 16)] == [1, 1, 9]
+
+    @pytest.mark.parametrize("make", [lattice_preset, DiagonalLattice], ids=["searched", "diagonal"])
+    def test_the_rungs_sum_to_the_packed_past_sup(self, make):
+        m = make(4.0, 4.0, 0.005)
+        ladder = m.ladder(0)
+        sup = 1.0 + 1.0 / math.expm1(1.0) + series.zeta(4.0) / -math.expm1(-1.0)
+        assert ladder.total == pytest.approx(sup, rel=1e-14)
+        head = sum(ladder.level(k) for k in range(1, len(m.head) + 1))
+        assert head + ladder.tail(len(m.head)) == pytest.approx(sup, rel=1e-14)
+
+    @pytest.mark.parametrize("make", [lattice_preset, DiagonalLattice, PowerLadderLattice],
+                             ids=["searched", "diagonal", "power"])
+    def test_the_mean_is_the_closed_form_row_total(self, make):
+        m = make(4.0, 4.0, 0.005)
+        mean = m.invariant_offspring_mean()
+        for tol in (1e-3, 1e-6, 1e-10):
+            row = m.offspring_row(0, tol=tol)
+            assert sum(row.near.values()) + row.far == pytest.approx(mean, rel=1e-12)
+        # the volumes summed level by level, and the diagonal remainder
+        # sum_{n>N} (2n - 1) n bar-Gamma_n = 2 / (N (1 - e^{-1})) + O(N^-2) beyond level N
+        n = 5_000
+        volumes = sum((2 * r + 1) * d * m.ladder(0).level(k) for k in range(1, n + 1) for r, d in [m.level(k)])
+        c = lattice_c_gamma(4.0) if make is PowerLadderLattice else 1.0 / -math.expm1(-1.0)
+        assert m.refractory * (volumes + 2.0 * c / m.level(n)[1]) == pytest.approx(mean, rel=1e-6)
+
+    def test_the_search_cuts_the_offspring_mean_and_the_nodes_per_draw(self):
+        m, diagonal = lattice_preset(4.0, 4.0, 0.005), DiagonalLattice(4.0, 4.0, 0.005)
+        assert 1.0 / (1.0 - m.invariant_offspring_mean()) == pytest.approx(1.0991, abs=1e-4)
+        assert 1.0 / (1.0 - diagonal.invariant_offspring_mean()) == pytest.approx(1.1423, abs=1e-4)
+        assert m.nodes_per_neighborhood() == pytest.approx(2.553, abs=1e-3)
+        assert diagonal.nodes_per_neighborhood() == pytest.approx(2.924, abs=1e-3)
+        # the same Gamma, within rounding
+        assert m.global_bound(0) == pytest.approx(diagonal.global_bound(0), rel=1e-14)
+
+    def test_fresh_ledger_clans_stay_below_their_own_expected_size(self):
+        # E(W) bounds the clan from above (kalisim.analysis), so the check is
+        # one-sided: clans sit measurably below E(W) at 40 000 runs
+        means = {}
+        for name, m in (("searched", lattice_preset(4.0, 4.0, 0.005)), ("diagonal", DiagonalLattice(4.0, 4.0, 0.005))):
+            sizes = validation._clan_sizes(m, 4_000, 11, validation.BackwardBudget())
+            mean, se = sizes.mean(), sizes.std(ddof=1) / math.sqrt(len(sizes))
+            assert mean <= 1.0 / (1.0 - m.invariant_offspring_mean()) + 4.0 * se
+            means[name] = mean
+        assert means["searched"] < means["diagonal"]
+
+
 def drive_walk(m, i, k, x):
     """The drive truncated to v_k, from a walk of that level alone."""
     total = 0.0
     for j in m.omega(i, k):
         ker = m.kernel(i, j)
         if ker is not None:
-            for s in x.points_in(j, -k * m.refractory, 0.0):
+            for s in x.points_in(j, -m.depth(i, k) * m.refractory, 0.0):
                 total += ker(-s)
     return total
 
@@ -295,14 +363,15 @@ class TestDrives:
     would sum it, bit for bit."""
 
     def test_lattice(self):
+        # every head level and the first diagonal ones; a level of depth 1 may hold no point
         m = lattice_preset(4.0, 4.0, 0.005)
         rng = np.random.default_rng(21)
         for _ in range(40):
-            x = random_refractory_past(rng, range(-6, 7), 0.005, 6 * 0.005)
+            x = random_refractory_past(rng, range(-11, 14), 0.005, 10 * 0.005)
             for i in (-1, 0, 2):
-                for k in range(2, 7):
+                for k in range(2, 18):
                     prev, cur = m._drives(i, k, x)
-                    assert cur > 0.0
+                    assert cur > 0.0 or m.depth(i, k) == 1
                     assert (prev, cur) == (drive_walk(m, i, k - 1, x), drive_walk(m, i, k, x))
 
     def test_two_node_model(self):
@@ -446,21 +515,25 @@ def packed_refractory_past(rng, nodes, delta, target, levels=8):
 
 @pytest.mark.parametrize(
     "make, nodes, targets",
-    [(lambda: lattice_preset(4.0, 4.0, 0.005), range(-8, 9), (0, 3)), (two_node_model, (0, 1), (0, 1))],
-    ids=["lattice", "exp-step"],
+    [(lambda: lattice_preset(4.0, 4.0, 0.005), range(-12, 13), (0, 3)),
+     (lambda: DiagonalLattice(4.0, 4.0, 0.005), range(-12, 13), (0, 3)),
+     (two_node_model, (0, 1), (0, 1))],
+    ids=["lattice", "diagonal-lattice", "exp-step"],
 )
 def test_packed_pasts_stay_below_the_simulated_ladder(make, nodes, targets):
     # bar-Gamma_k bounds the level-k contribution over refractory pasts, and
     # the ladder simulated on is bar-Gamma_k itself, with no slack to spare:
     # packed pasts come within 1% of it, and a step kernel attains it up to
-    # the rounding of psi(cur) - psi(prev)
+    # the rounding of psi(cur) - psi(prev). Every head level is checked, and
+    # at least the first eight.
     m = make()
     rng = np.random.default_rng(31)
     worst = 0.0
+    levels = max(8, m.ladder(0).k_head)
     for _ in range(200):
         for i in targets:
-            x = packed_refractory_past(rng, nodes, m.refractory, i)
-            for k in range(1, 9):
+            x = packed_refractory_past(rng, nodes, m.refractory, i, levels=m.depth(i, levels))
+            for k in range(1, levels + 1):
                 value, bound = m.delta(i, NestedND(k), x), m.gamma_bar(i, k)
                 assert value <= bound * (1.0 + 1e-12)
                 assert m.ladder(i).level(k) == pytest.approx(bound, rel=1e-12)

@@ -36,15 +36,23 @@ from kalisim import (
 from kalisim.core import TableND
 from kalisim.models import LatticeAgeModel
 from kalisim.models.age import GammaLadder
-from kalisim.validation import bounded_age_model, exp_hawkes, hawkes_ring, spread_gate_model, two_node_clan_model
+from kalisim.validation import (
+    DiagonalLattice,
+    bounded_age_model,
+    exp_hawkes,
+    hawkes_ring,
+    spread_gate_model,
+    two_node_clan_model,
+)
 
 GAMMA = P = 4.0
 DELTA = 0.005
 
 
-class UnderstatedLattice(LatticeAgeModel):
-    """The lattice preset simulated on a ladder whose first rung, 0.9, lies
-    below psi(0) = 1: its level-1 component value exceeds Gamma."""
+class UnderstatedLattice(DiagonalLattice):
+    """The lattice on its diagonal nesting, simulated on a ladder whose first
+    rung, 0.9, lies below psi(0) = 1: its level-1 component value exceeds
+    Gamma."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -305,18 +313,33 @@ class TestBudgetExhausted:
         assert graph.clan_size() == 12
         assert max(generations) == 4
 
+    def test_the_ledger_holds_exactly_an_exhausted_clan(self):
+        exhausted = 0
+        for seed, max_points in itertools.product(range(6), (1, 7, 50)):
+            ledger = RegionLedger()
+            try:
+                backward_clan(spread_gate_model(5.0), 0, 0.0, ledger, RandomStream(seed),
+                              budget=BackwardBudget(max_points=max_points))
+            except BudgetExhausted as exc:
+                graph, exhausted = exc.graph, exhausted + 1
+                assert ledger.n_points() == graph.clan_size() > max_points + 1
+                assert all(rec.generation is not None for rec in graph.pending)
+        assert exhausted >= 5
+
     def test_an_exhausted_clan_carries_its_points(self):
         ledger = RegionLedger()
         with pytest.raises(BudgetExhausted, match="exceeded 50 points") as info:
             backward_clan(spread_gate_model(5.0), 0, 0.0, ledger, RandomStream(0), budget=BackwardBudget(max_points=50))
         graph = info.value.graph
-        # the root, then the 51 points simulated before the cap raised
-        assert graph.clan_size() == 52 and graph.pending[0] is graph.root_record
+        # the root, then the 52 points simulated before the cap raised: the
+        # batch that passed the cap is adopted whole
+        assert graph.clan_size() == 53 and graph.pending[0] is graph.root_record
         assert graph.root_record.generation == 0
         simulated = graph.pending[1:]
-        assert len(simulated) == 51 and all(rec.generation >= 1 for rec in simulated)
-        # all in the ledger, which also holds the rest of the last batch realized
-        assert {id(rec) for rec in graph.pending} < {id(rec) for rec in _ledger_records(ledger)}
+        assert len(simulated) == 52 and all(rec.generation >= 1 for rec in simulated)
+        # the ledger holds exactly the clan's points
+        assert {id(rec) for rec in graph.pending} == {id(rec) for rec in _ledger_records(ledger)}
+        assert ledger.n_points() == graph.clan_size()
 
 
 class TestRootFirst:
@@ -325,7 +348,8 @@ class TestRootFirst:
 
     def test_a_root_on_covered_ground_is_its_own_clan(self):
         model, ledger = lattice_preset(GAMMA, P, DELTA), RegionLedger()
-        k, depth = 3, 3 * DELTA
+        k = 3
+        depth = model.depth(0, k) * DELTA
         for j in model.omega(0, k):
             ledger.register_empty(j, -depth, 0.0)
         root = ledger.add_proposal_point(0, 0.0, mark=0.5)
@@ -551,18 +575,18 @@ class TestGoldenLattice:
     @pytest.mark.parametrize(
         "seed, count, ends, digest, n_points, ledger_digest",
         [
-            (1, 16, (1.2117884948237552, 15.177922857237911),
-             "2988e044fab8e4f1a02e09fd21f1d3762994c16c3e01a8ef5fc4a0a160cb4d81",
-             76, "48a37d5596340f2bd2197d89000d1116162cd6a9a961d0c24c86ba6dfb9ff165"),
-            (2, 18, (1.689741925845088, 19.852416286985584),
-             "984415ca0d9e49347febe82e75696a2e8c66402f62f082065d03860630ab0d3b",
-             69, "9ee0913dad9e4627a144502b80ceb764e9e05b488a6fcd3f81be471bb09ad3a6"),
-            (3, 24, (0.18997970353854218, 19.85961171086368),
-             "6142ad5758ac06e39c7308a5bd7dd84afcf5b6553d8efa21e2ed9a4481c97f33",
-             72, "c22259ec7d125e01a11818d71e24190a1faea62195289fd384502b916972f7da"),
-            (4, 23, (0.860720126238071, 18.92955800947943),
-             "7be27e6e3e87c48be0343400ec888640deebb870ac9217006024d2fdcef20474",
-             67, "3c1e6c85d2a3c5a2a09b0fee0ea6c3cbe039975dbb23907c0022c464d17e48cc"),
+            (1, 24, (1.2117884948237547, 19.898339040121623),
+             "58396b65b306d4429540d93b84d74b3fc8ad1462a1412bb2afe2dd19d25a397b",
+             80, "17e0bf7d21b3209c8039dfc0311348fb49e22a2c8d773ff0627ada4577307721"),
+            (2, 14, (1.6897419258450874, 18.83179701232326),
+             "c0615fc61265f2b68df95442e6825d894d4b856fa36ab0739ec3d2fd25b60529",
+             69, "54b5cb44584379100c4f9f1fb55e98a508055f1954ba402243733c4c1335c0bc"),
+            (3, 25, (0.18997970353854213, 19.29796048492093),
+             "38599a6731857abcb03d208309ef95bc4328c089e1bd381d7c72c00c7931c615",
+             69, "d78b656e4257b13d020a42d946865d2103b25dde7e89c75900a4fe64f55a8e53"),
+            (4, 21, (0.8607201262380707, 17.93755205106212),
+             "1dbbcc606492ea1f1a9a4c06120865dc9b5e2f06d9ab97fbadc112065c88a080",
+             71, "8d9313fdceb78c9817852bfe772ad215fc6802b612014eb328ef0373bc955991"),
         ],
         ids=["seed1", "seed2", "seed3", "seed4"],
     )
@@ -580,28 +604,28 @@ class TestGoldenLattice:
         windows = [(0, (0.0, 8.0)), (1, (4.0, 12.0)), (2, (6.0, 10.0))]
         out = perfect_sample_window(lattice_preset(GAMMA, P, DELTA), windows, RandomStream(5), ledger=ledger)
         expected = {
-            0: (6, (1.5792566422559677, 7.091092408550633),
-                "a45078b13900dc1422897b94305ac99e37dec2014a6a097c685f7c8a48967dd5"),
-            1: (6, (4.0929383336561855, 7.881917208156267),
-                "742fb9c1eaf55df7837d4ad2351059bd18fe9b1a43c1109b308dd16efe02b823"),
-            2: (9, (7.105015057500484, 9.91143670165407),
-                "1537dc78a9d4d18f8ab9d4d028ed41f0050bbdf90b04f09495e588a345926f3b"),
+            0: (6, (1.579256642255967, 6.907096696710209),
+                "b153d6c868343c110f834ba578d5e9f6f4e8daaabffdfd0bb9e2174c5ec5b10d"),
+            1: (8, (4.886211711835936, 11.59213333408843),
+                "6e0f7a4a076db3b9ff9e55b90e11f9eed1417ae6890f33cf7e09b75e6e2de4b2"),
+            2: (6, (6.367264806825535, 9.96000021781953),
+                "9a304de3484543074231f530f0336ae8ac12b903114e348e437f680c9aa074b4"),
         }
         for node, (count, ends, digest) in expected.items():
             pts = out.points(node)
             assert len(pts) == count
             assert (pts[0], pts[-1]) == ends
             assert _times_digest(pts) == digest
-        assert ledger.n_points() == 80
-        assert _ledger_digest(ledger) == "a73eed1151928378b1050c5f63e678de7a55df6f1f9e0c19912571541d5c07db"
+        assert ledger.n_points() == 61
+        assert _ledger_digest(ledger) == "0c58a8c17034de1cbbc1c5f201201fd002905d0d5d6eba9c37ef291c1dfe18e8"
 
     @pytest.mark.parametrize(
         "seed, roots, accepted, histogram, max_lookback",
         [
-            (1, 70, 16, {1: 64, 2: 6}, 0.03000000000000025),
-            (2, 59, 18, {1: 51, 2: 6, 3: 2}, 0.032150885523808626),
-            (3, 64, 24, {1: 56, 2: 8}, 0.025000000000000355),
-            (4, 65, 23, {1: 63, 2: 2}, 0.020411080781247648),
+            (1, 76, 24, {1: 72, 2: 4}, 0.03500000000000014),
+            (2, 64, 14, {1: 61, 2: 2, 4: 1}, 0.02923745676416445),
+            (3, 64, 25, {1: 59, 2: 5}, 0.030000000000001137),
+            (4, 67, 21, {1: 63, 2: 4}, 0.030000000000001137),
         ],
         ids=["seed1", "seed2", "seed3", "seed4"],
     )
@@ -655,7 +679,7 @@ class TestWindowMerge:
         model = lattice_preset(GAMMA, P, DELTA)
         whole = perfect_sample(model, 0, 5.0, RandomStream(3)).points(0)
         out = perfect_sample_window(model, [(0, w) for w in windows], RandomStream(3))
-        assert len(whole) == 5
+        assert len(whole) == 7
         assert out.points(0) == whole
 
     @pytest.mark.parametrize("window", [(2.0, 2.0), (3.0, 1.0)], ids=["empty", "reversed"])
@@ -670,7 +694,7 @@ def test_window_stats_sum_over_the_windows():
     model = lattice_preset(GAMMA, P, DELTA)
     out = perfect_sample_window(model, windows, RandomStream(8), ledger=ledger, stats=stats)
     # the walk draws every root of a ledger that stores them all
-    assert stats.roots == 21
+    assert stats.roots == 24
     # every root is stored and decided once
     stored = [rec for node, (a, b) in windows for rec in ledger.points_in(node, a, b)]
     assert all(rec.decision is not None for rec in stored)
@@ -688,6 +712,11 @@ def _put_run(put, model, t_max, seed):
 def _digest_lattice_runs(put):
     for seed in range(6):
         _put_run(put, lattice_preset(GAMMA, P, DELTA), 8.0, seed)
+
+
+def _digest_diagonal_lattice_runs(put):
+    for seed in range(6):
+        _put_run(put, DiagonalLattice(GAMMA, P, DELTA), 8.0, seed)
 
 
 def _digest_bounded_age_runs(put):
@@ -713,6 +742,7 @@ def _digest_table_clans(put):
 
 _OUTPUT_FAMILIES = {
     "lattice runs": _digest_lattice_runs,
+    "diagonal lattice runs": _digest_diagonal_lattice_runs,
     "bounded age runs": _digest_bounded_age_runs,
     "lattice window": _digest_lattice_window,
     "table clans": _digest_table_clans,
@@ -723,7 +753,9 @@ def _perfect_outputs_digests():
     """One sha256 per family of seeded perfect-sampling outputs: points, run
     stats, clan sizes, lookbacks and ledgers of the lattice and of the
     one-node age model, one lattice window, and ``two_node_clan_model()``
-    clans, each built and decided on a fresh ledger."""
+    clans, each built and decided on a fresh ledger. The lattice on its
+    diagonal nesting draws what the preset drew before it searched its
+    nesting, so its pin is the preset's old one."""
     out = {}
     for name, family in _OUTPUT_FAMILIES.items():
         h = hashlib.sha256()
@@ -736,8 +768,9 @@ def test_perfect_outputs_digest():
     # one pin per family of seeded outputs; a change that claims the draws and
     # decisions of a family unchanged must leave its pin as it is
     assert _perfect_outputs_digests() == {
-        "lattice runs": "74d7d195c0d43c6c7d20da9b5397ddc9189b12565198d25e204373977701ce42",
+        "lattice runs": "5b0fd5bc89a5b95c7086e9b9bc3e0aafb7de6ef5a1c36b19920069f7313795a9",
+        "diagonal lattice runs": "74d7d195c0d43c6c7d20da9b5397ddc9189b12565198d25e204373977701ce42",
         "bounded age runs": "2ae9c4c84b645afb77d0a19b2bb88f18a617e9a710fea3df97b9ec02687e5ab2",
-        "lattice window": "92b05760891b6de85034f5f6e46faff5b8440a35cbf665919db5bfdc54308885",
+        "lattice window": "5e274eb7ad6532dc5953590a302b4d97251c7f1b060868da6a83bc50ed07944b",
         "table clans": "128de1efec474a5a0cf94e122450c50779790efb86e4df664cd3af45d260ef42",
     }
