@@ -12,14 +12,12 @@ from .analysis import (
     BranchingSummary,
     LogLaplaceState,
     OffspringModel,
-    WeightCostCurve,
     branching_matrix,
     branching_summary,
     expected_clan_size,
     fixed_point_jacobian,
     log_laplace_fixed_point,
     subcriticality_gamma,
-    weight_cost_curve,
 )
 from .core import (
     ActivityCap,

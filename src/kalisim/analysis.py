@@ -3,9 +3,8 @@
 Every expanded point draws one neighborhood v and then spawns, per child
 node j, a Poisson number of children with mean Gamma_j * mu(p_j(v)). The
 toolkit computes the mean offspring matrix, the subcriticality constant (sup
-of row sums), expected total clan sizes via the Neumann series, the
-log-Laplace fixed point of the total progeny, and the cost curve of the
-paper's one-parameter power-ladder family on the lattice.
+of row sums), expected total clan sizes via the Neumann series and the
+log-Laplace fixed point of the total progeny.
 
 :func:`branching_summary` is the one place that picks a reduction. The
 scalar reduction reads a translation-invariant model's common row total
@@ -29,11 +28,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import series
 from .core import NodeId
 from .errors import ConfigError, DivergenceError, NonSummableError
 from .models.base import KalikowModel
-from .models.presets import lattice_c_gamma
 
 ANALYSIS_TOL = 1e-8
 # largest off-sample offspring mass at which a sample's matrix still gives E(W)
@@ -286,10 +283,10 @@ class OffspringModel:
     def log_laplace(self, theta: np.ndarray) -> np.ndarray:
         """phi_i(theta) = log sum_v lambda_i(v) exp[sum_j (e^theta_j - 1) mean_vj],
         one draw of v for every child type."""
-        factor = np.expm1(theta)
         out = np.empty(self.n_types)
-        for i, (w, m) in enumerate(zip(self.weights, self.means)):
-            with np.errstate(over="raise"):
+        with np.errstate(over="raise"):
+            factor = np.expm1(theta)
+            for i, (w, m) in enumerate(zip(self.weights, self.means)):
                 out[i] = np.log(np.exp(m @ factor) @ w)
         return out
 
@@ -366,73 +363,3 @@ def fixed_point_jacobian(offspring: OffspringModel) -> np.ndarray:
         dn = log_laplace_fixed_point(offspring, -e, tol=tol).fixed_point
         jac[:, j] = (up - dn) / (2.0 * step)
     return jac
-
-
-# ---------------------------------------------------------------------------
-# Weight choice on the lattice preset
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CostCurvePoint:
-    p: float
-    f_value: float
-    offspring_mean: float
-    expected_clan_size: Optional[float]
-    subcritical: bool
-
-
-@dataclass(frozen=True)
-class WeightCostCurve:
-    gamma_exponent: float
-    delta: float
-    c_gamma: float
-    points: tuple[CostCurvePoint, ...]
-    argmin_p: Optional[float]
-
-
-def weight_cost_curve(
-    gamma_exponent: float, delta: float, p_grid: Sequence[float]
-) -> WeightCostCurve:
-    """Expected clan size of the lattice on the paper's power ladder
-    Gamma_k = C_gamma k^{-p}, C_gamma = ``lattice_c_gamma`` (31.20 at
-    gamma = 4), along a grid of p, on the diagonal levels (k-1, k); the preset
-    itself simulates on its refractory Lipschitz envelope over a searched
-    nesting, a smaller clan (E(W) = 1.099 at gamma = 4, delta = 0.005, and
-    1.142 on the diagonal levels).
-
-    The mean offspring count is C_gamma * delta * f(p) with
-    f(p) = sum (2k-1) k^{1-p} (finite iff p > 3), and the
-    translation-invariant reduction gives E(W) = 1/(1 - mean).
-    Supercritical grid points are flagged and excluded from the argmin.
-    """
-    if gamma_exponent <= 3.0:
-        raise NonSummableError("lattice preset needs gamma > 3")
-    c = lattice_c_gamma(gamma_exponent)
-    points = []
-    best: tuple[float, float] | None = None
-    for p in p_grid:
-        p = float(p)
-        if p <= 3.0:
-            raise NonSummableError(
-                f"f(p) diverges for p = {p:g} (the series is finite iff p > 3)"
-            )
-        if p > gamma_exponent:
-            raise ValueError(
-                f"weight exponent p = {p:g} exceeds gamma = {gamma_exponent:g};"
-                " the ladder would no longer dominate the envelope"
-            )
-        f = series.offspring_f(p)
-        mean = c * delta * f
-        sub = mean < 1.0
-        ew = 1.0 / (1.0 - mean) if sub else None
-        points.append(CostCurvePoint(p, f, mean, ew, sub))
-        if sub and (best is None or ew < best[1]):
-            best = (p, ew)
-    return WeightCostCurve(
-        gamma_exponent=float(gamma_exponent),
-        delta=float(delta),
-        c_gamma=c,
-        points=tuple(points),
-        argmin_p=None if best is None else best[0],
-    )

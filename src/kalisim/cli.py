@@ -8,15 +8,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
+from typing import Optional
 
 from . import analysis, io
 from .config import RunConfig, load_config
-from .errors import BudgetExhausted, ConfigError, KalisimError, NonSummableError
+from .errors import BudgetExhausted, ConfigError, KalisimError
 from .forward import forward_simulate
 from .models import LatticeAgeModel, LinearHawkesModel
+from .models.presets import PowerLadderLattice
 from .perfect import PerfectRunStats, perfect_sample
 from .sampling import RandomStream, RegionLedger
 from .validation import SUITES, run_suite
@@ -66,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--nodes", type=int, default=None, help="size of the node sample")
     p_an.add_argument("--invariant", action="store_true", help="use the translation-invariant reduction")
     p_an.add_argument("--theta", default=None, help="comma-separated vector for the log-Laplace fixed point")
-    p_an.add_argument("--p-grid", default=None, help="comma-separated exponents p for the power-ladder cost curve")
+    p_an.add_argument("--p-grid", default=None, help="comma-separated exponents p for the power-ladder cost curve; overrides model.p")
     p_an.add_argument("--out", default=None, help="write the JSON report here (default stdout)")
 
     p_val = sub.add_parser("validate", help="run a named statistical/property suite")
@@ -181,9 +184,43 @@ def _cmd_perfect(args) -> int:
 
 def _floats(flag: str, text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",")]
+        values = [float(v) for v in text.split(",")]
     except ValueError:
-        raise ConfigError([f"{flag} must be comma-separated numbers, got {text!r}"]) from None
+        values = None
+    if values is None or not all(map(math.isfinite, values)):
+        raise ConfigError([f"{flag} must be comma-separated finite numbers, got {text!r}"])
+    return values
+
+
+def _cost_entry(model: LatticeAgeModel, expected_w: Optional[float]) -> dict:
+    """What a lattice decomposition costs a perfect sweep: Gamma, the rate of
+    its roots, the mean nodes of a drawn neighbourhood, and their product with
+    E(W), which bounds the ledger requests per root: a point's own draw does
+    not depend on its being in the clan, and E(W) bounds the mean clan."""
+    nodes = model.nodes_per_neighborhood()
+    bound = None if expected_w is None else nodes * expected_w
+    return {"dominating_rate": model.require_bound(0), "nodes_per_neighborhood": nodes,
+            "ledger_requests_per_root_bound": bound}
+
+
+def _cost_curve(model: LatticeAgeModel, grid: list[float]) -> dict:
+    """The paper's power ladder C_gamma k^{-p} on ``model``'s lattice at each
+    p of ``grid``, one ``PowerLadderLattice`` each, costed as the configured
+    model is; f is the offspring mean over C_gamma delta. Supercritical points
+    are left out of the argmin."""
+    points = []
+    for p in grid:
+        try:
+            power = PowerLadderLattice(model.gamma_exponent, p, model.refractory)
+        except ValueError as exc:  # a weight exponent above gamma, or not above 3
+            raise ConfigError([f"--p-grid: {exc}"]) from None
+        summary = analysis.branching_summary(power)
+        ew = summary.expected_w.get(0)
+        f = summary.gamma / (power.c_gamma * power.refractory)
+        points.append(dict(p=p, f=f, offspring_mean=summary.gamma, expected_clan_size=ew,
+                           subcritical=summary.subcritical, **_cost_entry(power, ew)))
+    best = min((pt for pt in points if pt["subcritical"]), key=lambda pt: pt["expected_clan_size"], default=None)
+    return {"c_gamma": power.c_gamma, "argmin_p": None if best is None else best["p"], "points": points}
 
 
 def _cmd_analyze(args) -> int:
@@ -204,17 +241,15 @@ def _cmd_analyze(args) -> int:
         raise ConfigError(["--theta needs a node sample; the scalar reduction has none (pass --nodes)"])
     report["gamma"] = summary.gamma
     report["verdict"] = summary.verdict
-    # Gamma, the rate of the dominating process: Gamma over the node's rate is
-    # the number of roots a perfect sweep proposes per accepted point
     if summary.invariant:
         report["reduction"] = "translation-invariant scalar"
         if summary.subcritical:
             report["expected_clan_size"] = summary.expected_w[0]
-        if (gam := model.global_bound(0)) is not None:
-            report["dominating_rate"] = gam
     else:
         report["reduction"] = "finite node sample"
         nodes = report["nodes"] = list(summary.per_node)
+        # Gamma_j, the rate of node j's dominating process: over the node's
+        # rate, the number of roots a perfect sweep proposes per accepted point
         if rates := {str(j): g for j in nodes if (g := model.global_bound(j)) is not None}:
             report["dominating_rate"] = rates
         report["M"] = summary.matrix.tolist()
@@ -237,34 +272,14 @@ def _cmd_analyze(args) -> int:
                 "residual": state.residual,
             }
     if isinstance(model, LatticeAgeModel):
-        # the nesting's head levels (radius, depth), and the nodes of a drawn
-        # neighbourhood, which times the mean clan gives the ledger requests per root
-        report["level_head"] = [list(level) for level in model.head]
-        report["nodes_per_neighborhood"] = model.nodes_per_neighborhood()
-
-    if args.p_grid is not None:
+        report["level_head"] = [list(level) for level in model.head]  # the nesting's (radius, depth)
+        for key, value in _cost_entry(model, summary.expected_w.get(0)).items():
+            report.setdefault(key, value)  # a node sample keeps its per-node rates
         sec = cfg.model_section
-        if sec.get("family") != "lattice-4.2.6":
-            raise ConfigError(["--p-grid needs the lattice-4.2.6 preset (gamma and delta)"])
-        grid = _floats("--p-grid", args.p_grid)
-        try:
-            curve = analysis.weight_cost_curve(float(sec["gamma"]), float(sec["delta"]), grid)
-        except (ValueError, NonSummableError) as exc:  # a weight exponent above gamma, or not above 3
-            raise ConfigError([f"--p-grid: {exc}"]) from None
-        report["cost_curve"] = {
-            "c_gamma": curve.c_gamma,
-            "argmin_p": curve.argmin_p,
-            "points": [
-                {
-                    "p": pt.p,
-                    "f": pt.f_value,
-                    "offspring_mean": pt.offspring_mean,
-                    "expected_clan_size": pt.expected_clan_size,
-                    "subcritical": pt.subcritical,
-                }
-                for pt in curve.points
-            ],
-        }
+        grid = [float(sec.get("p", sec["gamma"]))] if args.p_grid is None else _floats("--p-grid", args.p_grid)
+        report["cost_curve"] = _cost_curve(model, grid)
+    elif args.p_grid is not None:
+        raise ConfigError(["--p-grid needs the lattice-4.2.6 preset (gamma and delta)"])
 
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:

@@ -378,11 +378,7 @@ def _atomic_weights(section: Optional[dict], nodes) -> Optional[dict]:
 def build_model(section: dict):
     family = section["family"]
     if family == "lattice-4.2.6":
-        return lattice_preset(
-            gamma=float(section["gamma"]),
-            p=float(section.get("p", section["gamma"])),
-            delta=float(section["delta"]),
-        )
+        return lattice_preset(gamma=float(section["gamma"]), delta=float(section["delta"]))
     if family == "linear":
         nodes = section.get("nodes") or list(range(len(section["mu"])))
         mu = {int(j): float(v) for j, v in zip(nodes, section["mu"])}

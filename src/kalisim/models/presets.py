@@ -15,12 +15,13 @@ offspring mean, sum_k Gamma_k (2 R_k + 1) D_k delta, and the preset takes
 the cheapest path of unit steps from (0, 1) to (K-1, K) (``shortest_nesting``,
 K = ``NESTING_GRID``), then the diagonal levels (n-1, n), n > K.
 
-The paper's weight family, the power ladder C_g k^{-p} with C_g =
-``lattice_c_gamma(g)`` (C_g = 31.20 and Gamma = 33.76 at g = p = 4), is
-another decomposition of the same intensity on the diagonal levels, and
-only the cost curve (:func:`kalisim.analysis.weight_cost_curve`) reads its
-exponent p. The preset still checks ``p`` in (3, g], because configs carry
-it.
+Two more decompositions of the same intensity sit on the diagonal levels
+(k-1, k): ``DiagonalLattice`` keeps the Lipschitz rungs, and
+``PowerLadderLattice`` takes the paper's weight family, the power ladder
+C_g k^{-p} with C_g = ``lattice_c_gamma(g)`` and 3 < p <= g (C_g = 31.20
+and Gamma = 33.76 at g = p = 4). The preset takes no p; ``analyze`` costs
+the power ladder at a config's ``model.p`` or along ``--p-grid``, one
+``PowerLadderLattice`` per exponent.
 """
 
 from __future__ import annotations
@@ -96,9 +97,9 @@ def shortest_nesting(gamma: float) -> tuple[tuple[int, int], ...]:
 
 def lattice_c_gamma(gamma: float) -> float:
     """Smallest constant with C k^{-gamma} >= bar-Gamma_k for every diagonal
-    level (k-1, k): the constant of the paper's power ladder, which only the
-    cost curve and the diagonal law pair read. It need not dominate the rungs
-    of another nesting.
+    level (k-1, k): the constant of the paper's power ladder, which
+    ``PowerLadderLattice`` keeps as ``c_gamma``. It need not dominate the
+    rungs of another nesting.
 
     k^gamma bar-Gamma_k = (1 - e^{-k}) / (1 - e^{-1}) (k/(k-1))^gamma
     + k^gamma e^{-(k-1)} (1 + H_gamma(k-2)); both pieces decrease from
@@ -121,11 +122,9 @@ class LatticeAgeModel(AgeHawkesModel):
     the head levels, and its tail the diagonal Lipschitz envelope from n = K + 1.
     """
 
-    def __init__(self, gamma: float, p: float, delta: float):
+    def __init__(self, gamma: float, delta: float):
         if gamma <= 3.0:
             raise ValueError("lattice preset needs gamma > 3")
-        if not 3.0 < p <= gamma:
-            raise ValueError("weight exponent must satisfy 3 < p <= gamma")
         self.gamma_exponent = float(gamma)
         self._rate = AffineRate(1.0, 1.0)
         self._by_distance: dict[int, ExponentialKernel] = {}
@@ -235,5 +234,33 @@ class LatticeAgeModel(AgeHawkesModel):
         return OffspringRow(near, far, err)
 
 
-def lattice_preset(gamma: float, p: float, delta: float) -> LatticeAgeModel:
-    return LatticeAgeModel(gamma, p, delta)
+class DiagonalLattice(LatticeAgeModel):
+    """The lattice preset on the diagonal nesting, level k the nodes within
+    distance k - 1 over [-k delta, 0): the same Gamma on costlier levels
+    (E(W) = 1.142 at g = 4, delta = 0.005, against 1.099 on the preset's)."""
+
+    def nesting(self):
+        return ((0, 1),)  # one head level, then the diagonal tail
+
+
+class PowerLadderLattice(DiagonalLattice):
+    """The lattice on the diagonal nesting and the paper's power ladder,
+    Gamma_k = C_g k^{-p} with C_g = ``c_gamma`` = ``lattice_c_gamma(g)`` and
+    3 < p <= g (Gamma = 33.76 at g = p = 4, against 3.294 on bar-Gamma_k): a
+    second decomposition of the same intensity, dominating the diagonal rungs
+    bar-Gamma_k with slack. Its offspring mean is C_g delta f(p), with
+    f(p) = sum_k (2k - 1) k^{1-p} = 2 zeta(p-2) - zeta(p-1), finite iff p > 3."""
+
+    def __init__(self, gamma: float, p: float, delta: float):
+        if not 3.0 < p <= gamma:
+            raise ValueError(f"weight exponent p = {p:g} must satisfy 3 < p <= gamma = {gamma:g}")
+        super().__init__(gamma, delta)
+        self.c_gamma = lattice_c_gamma(gamma)
+        self._power = GammaLadder(power=[(self.c_gamma, p)])
+
+    def ladder(self, i):
+        return self._power
+
+
+def lattice_preset(gamma: float, delta: float) -> LatticeAgeModel:
+    return LatticeAgeModel(gamma, delta)

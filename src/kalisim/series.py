@@ -68,13 +68,6 @@ def zeta_tail_err(s: float, n: int) -> float:
     return _BERN_NEXT * rising * float(m) ** (-s - 7.0) + _ROUNDING * zeta_tail(s, n)
 
 
-def offspring_f(p: float) -> float:
-    """f(p) = sum_{k>=1} (2k - 1) k^{1-p} = 2 zeta(p-2) - zeta(p-1); finite iff p > 3."""
-    if p <= 3.0:
-        raise ValueError(f"offspring series diverges for p = {p} (requires p > 3)")
-    return 2.0 * zeta(p - 2.0) - zeta(p - 1.0)
-
-
 def harmonic_partial(gamma: float, m: int) -> float:
     """sum_{r=1}^{m} r^{-gamma} (0 for m <= 0)."""
     return sum(r ** (-gamma) for r in range(1, m + 1)) if m > 0 else 0.0

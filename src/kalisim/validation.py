@@ -16,9 +16,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import analysis, series
+from . import analysis
 from .core import Neighborhood
-from .errors import BudgetExhausted, NonSummableError
+from .errors import BudgetExhausted
 from .kernels import AffineRate, ExponentialKernel
 from .models import (
     AgeHawkesModel,
@@ -29,8 +29,7 @@ from .models import (
     TableModel,
     lattice_preset,
 )
-from .models.age import GammaLadder
-from .models.presets import LatticeAgeModel, lattice_c_gamma
+from .models.presets import DiagonalLattice, LatticeAgeModel, PowerLadderLattice
 from .oracles import ogata_age_hawkes, ogata_hawkes
 from .perfect import BackwardBudget, RegionLedger, backward_clan, perfect_sample
 from .forward import forward_simulate
@@ -246,33 +245,6 @@ def ogata_parameters(model) -> tuple[list[Callable[[float], float]], list[list[f
 LATTICE_DELTA = 0.005
 
 
-# the diagonal nesting, level k = (k-1, k): one head level, then the diagonal tail
-DIAGONAL_NESTING = ((0, 1),)
-
-
-class DiagonalLattice(LatticeAgeModel):
-    """The lattice preset on the diagonal nesting, level k the nodes within
-    distance k - 1 over [-k delta, 0): the same Gamma on costlier levels
-    (E(W) = 1.142 at g = 4, delta = 0.005, against 1.099 on the preset's)."""
-
-    def nesting(self):
-        return DIAGONAL_NESTING
-
-
-class PowerLadderLattice(DiagonalLattice):
-    """The lattice on the diagonal nesting and the paper's power ladder,
-    Gamma_k = C_g k^{-p} with C_g = ``lattice_c_gamma(g)`` (Gamma = 33.76 at
-    g = p = 4, against 3.294 on bar-Gamma_k): a second decomposition of the
-    same intensity, dominating the diagonal rungs bar-Gamma_k with slack."""
-
-    def __init__(self, gamma: float, p: float, delta: float):
-        super().__init__(gamma, p, delta)
-        self._power = GammaLadder(power=[(lattice_c_gamma(gamma), p)])
-
-    def ladder(self, i):
-        return self._power
-
-
 def _clan_sizes(model, runs: int, seed: int, budget: BackwardBudget) -> np.ndarray:
     root = RandomStream(seed)
     sizes = np.empty(runs, dtype=int)
@@ -338,7 +310,7 @@ def suite_refractory(seed: int = 20_303, runs: int = 10_000) -> SuiteReport:
     """Hard refractory invariant on the lattice preset (gamma = p = 4)."""
     rep = SuiteReport("refractory", seed)
     t0 = time.perf_counter()
-    model = lattice_preset(4.0, 4.0, LATTICE_DELTA)
+    model = lattice_preset(4.0, LATTICE_DELTA)
     root = RandomStream(seed)
     violations = 0
     total_points = 0
@@ -506,30 +478,39 @@ def suite_fixed_point(seed: int = 20_707) -> SuiteReport:
 
 
 def suite_weight_optimum(seed: int = 20_808) -> SuiteReport:
-    """f(4) = 2 zeta(2) - zeta(3); p = 3 diverges; argmin over (3, gamma] is gamma."""
+    """The power ladder on the lattice (:class:`PowerLadderLattice`, gamma = 4),
+    f(p) its offspring mean over C_gamma delta: f(4) = 2 zeta(2) - zeta(3);
+    p = 3 is refused; E(W) is least at p = gamma, and f decreases in p."""
     rep = SuiteReport("weight-optimum", seed)
     t0 = time.perf_counter()
     from scipy.special import zeta as scipy_zeta
 
-    f4 = series.offspring_f(4.0)
+    def cost(p: float, delta: float) -> tuple[float, analysis.BranchingSummary]:
+        model = PowerLadderLattice(4.0, p, delta)
+        summary = analysis.branching_summary(model)
+        return summary.gamma / (model.c_gamma * delta), summary
+
+    f4 = cost(4.0, 1.0)[0]
     target = 2.0 * scipy_zeta(2.0) - scipy_zeta(3.0)
     rep.add("f(4) vs 2 zeta(2) - zeta(3)", abs(f4 - target), "< 1e-6", abs(f4 - target) < 1e-6)
 
-    diverged = False
+    refused = False
     try:
-        series.offspring_f(3.0)
-    except (ValueError, NonSummableError):
-        diverged = True
-    rep.add("p = 3 rejected as divergent", float(diverged), "== 1", diverged)
+        PowerLadderLattice(4.0, 3.0, 1.0)
+    except ValueError:
+        refused = True
+    rep.add("p = 3 rejected as divergent", float(refused), "== 1", refused)
 
-    c4 = analysis.lattice_c_gamma(4.0)
-    delta = 0.5 / (c4 * f4)  # offspring mean exactly 1/2 at p = 4
-    curve = analysis.weight_cost_curve(4.0, delta, [3.2, 3.4, 3.6, 3.8, 4.0])
-    rep.add("argmin p over the grid", curve.argmin_p or math.nan, "== 4.0", curve.argmin_p == 4.0)
-    fvals = [pt.f_value for pt in curve.points]
+    delta = 0.5 / (PowerLadderLattice(4.0, 4.0, 1.0).c_gamma * f4)  # offspring mean exactly 1/2 at p = 4
+    grid = (3.2, 3.4, 3.6, 3.8, 4.0)
+    curve = [cost(p, delta) for p in grid]
+    clans = {p: summary.expected_w[0] for p, (_, summary) in zip(grid, curve) if summary.subcritical}
+    argmin = min(clans, key=clans.get, default=math.nan)
+    rep.add("argmin p over the grid", argmin, "== 4.0", argmin == 4.0)
+    fvals = [f for f, _ in curve]
     decreasing = all(a > b for a, b in zip(fvals, fvals[1:]))
-    rep.seconds = time.perf_counter() - t0
     rep.add("f decreasing along the grid", float(decreasing), "== 1", decreasing)
+    rep.seconds = time.perf_counter() - t0
     return rep
 
 
@@ -564,7 +545,7 @@ def suite_stationarity(seed: int = 21_010, runs: int = 1_000) -> SuiteReport:
     """Rates of the lattice preset agree on [0,50) vs [50,100) within 3 MC SE."""
     rep = SuiteReport("stationarity", seed)
     t0 = time.perf_counter()
-    model = lattice_preset(4.0, 4.0, LATTICE_DELTA)
+    model = lattice_preset(4.0, LATTICE_DELTA)
     root = RandomStream(seed)
     first = np.empty(runs)
     second = np.empty(runs)
@@ -629,8 +610,9 @@ def suite_decomposition_equivalence(
     def lattice_counts(arm, model):
         return [[len(perfect_sample(model, 0, 10.0, root.child(0, arm, r)).points(0))] for r in range(lattice_runs)]
 
-    preset, power, diagonal = (lattice_counts(arm, cls(4.0, 4.0, LATTICE_DELTA)) for arm, cls in
-                               enumerate((LatticeAgeModel, PowerLadderLattice, DiagonalLattice)))
+    models = (LatticeAgeModel(4.0, LATTICE_DELTA), PowerLadderLattice(4.0, 4.0, LATTICE_DELTA),
+              DiagonalLattice(4.0, LATTICE_DELTA))
+    preset, power, diagonal = (lattice_counts(arm, model) for arm, model in enumerate(models))
     law_pair(rep, "lattice", preset, power)
     law_pair(rep, "nesting", preset, diagonal)
 

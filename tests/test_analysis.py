@@ -62,7 +62,7 @@ def _age_row_total():
 
 
 def _lattice_means():
-    mean = lattice_preset(4.0, 4.0, 0.005).invariant_offspring_mean()
+    mean = lattice_preset(4.0, 0.005).invariant_offspring_mean()
     return {-1: mean, 0: mean, 1: mean}
 
 
@@ -75,7 +75,7 @@ def _lattice_means():
         (lambda: spread_gate_model(5.0), [0], lambda: {0: 1.25}),
         (two_node_clan_model, [0, 1], lambda: {0: 0.5, 1: 0.5}),
         (bounded_age_model, [0], _age_row_total),
-        (lambda: lattice_preset(4.0, 4.0, 0.005), [-1, 0, 1], _lattice_means),
+        (lambda: lattice_preset(4.0, 0.005), [-1, 0, 1], _lattice_means),
     ],
     ids=["atomic-1", "atomic-5", "spread-1", "spread-5", "clan", "bounded-age", "lattice"],
 )
@@ -191,7 +191,7 @@ def test_log_laplace_draws_one_neighborhood_for_every_child_type():
 
 
 def test_the_scalar_reduction_refuses_a_node_sample():
-    lattice = lattice_preset(4, 4, 0.005)
+    lattice = lattice_preset(4, 0.005)
     for reduce in (analysis.branching_summary, analysis.subcriticality_gamma):
         with pytest.raises(ConfigError, match="no node sample"):
             reduce(lattice, [-1, 0, 1], invariant=True)

@@ -10,7 +10,7 @@ import pytest
 
 import kalisim
 from kalisim.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
-from kalisim.validation import PowerLadderLattice
+from kalisim.models.presets import PowerLadderLattice
 
 LATTICE = {"model": {"family": "lattice-4.2.6", "gamma": 4, "p": 4, "delta": 0.005}}
 FINITE = {
@@ -141,7 +141,7 @@ def test_analyze_lattice_sample(tmp_path, capsys):
     assert set(report["off_sample_mass"]) == {"-1", "0", "1"}
     assert report["verdict"] == "subcritical"
     # exact for every node by translation invariance: E(W) = 1/(1 - 0.0902)
-    ew = 1.0 / (1.0 - kalisim.lattice_preset(4, 4, 0.005).invariant_offspring_mean())
+    ew = 1.0 / (1.0 - kalisim.lattice_preset(4, 0.005).invariant_offspring_mean())
     assert report["expected_clan_size"] == {"-1": ew, "0": ew, "1": ew}
     assert ew == pytest.approx(1.099, abs=1e-3)
     assert "expected_clan_size_note" not in report
@@ -160,6 +160,12 @@ def test_analyze_lattice_sample(tmp_path, capsys):
         ("analyze", LATTICE, ["--p-grid", "abc"], EXIT_CONFIG),
         ("analyze", LATTICE, ["--p-grid", "4.5"], EXIT_CONFIG),
         ("analyze", LATTICE, ["--p-grid", "3.0"], EXIT_CONFIG),
+        ("analyze", LATTICE, ["--p-grid", "nan,4"], EXIT_CONFIG),
+        ("analyze", LATTICE, ["--p-grid=4,-inf"], EXIT_CONFIG),
+        ("analyze", TABLE, ["--p-grid", "4"], EXIT_CONFIG),
+        ("analyze", TABLE, ["--theta=nan"], EXIT_CONFIG),
+        ("analyze", TABLE, ["--theta=inf"], EXIT_CONFIG),
+        ("analyze", TABLE, ["--theta=1000"], EXIT_VALIDATION),
         ("analyze", LATTICE, ["--invariant", "--theta", "0.1"], EXIT_CONFIG),
         ("analyze", LATTICE, ["--invariant", "--nodes", "3"], EXIT_CONFIG),
         ("analyze", LATTICE, ["--theta", "0.1"], EXIT_CONFIG),
@@ -196,6 +202,12 @@ def test_analyze_lattice_sample(tmp_path, capsys):
         "p-grid-not-numbers",
         "p-grid-above-gamma",
         "p-grid-not-above-3",
+        "p-grid-nan",
+        "p-grid-infinite",
+        "p-grid-on-a-finite-family",
+        "theta-nan",
+        "theta-infinite",
+        "theta-outside-the-convergence-ball",
         "invariant-with-theta",
         "invariant-with-nodes",
         "theta-without-a-node-sample",
@@ -237,6 +249,7 @@ def test_analyze_failure_exit_codes(tmp_path, command, cfg, extra, expected):
     assert proc.returncode == expected
     assert proc.stderr.strip()
     assert "Traceback" not in proc.stderr + proc.stdout
+    assert "Warning" not in proc.stderr
 
 
 def test_missing_config_is_a_config_error(tmp_path, capsys):
@@ -319,14 +332,14 @@ def analyze_report(tmp_path, capsys, cfg, *flags):
 
 def test_analyze_invariant_reduction(tmp_path, capsys):
     report = analyze_report(tmp_path, capsys, LATTICE, "--invariant")
-    g = kalisim.lattice_preset(4, 4, 0.005).invariant_offspring_mean()
+    g = kalisim.lattice_preset(4, 0.005).invariant_offspring_mean()
     assert report["reduction"] == "translation-invariant scalar"
     assert (report["gamma"], report["verdict"]) == (g, "subcritical")
     assert report["expected_clan_size"] == 1.0 / (1.0 - g)
 
 
 def test_analyze_reports_the_lattice_nesting(tmp_path, capsys):
-    model = kalisim.lattice_preset(4, 4, 0.005)
+    model = kalisim.lattice_preset(4, 0.005)
     for flags in ((), ("--nodes", "3")):
         report = analyze_report(tmp_path, capsys, LATTICE, *flags)
         assert report["level_head"] == [list(level) for level in model.head]
@@ -337,7 +350,7 @@ def test_analyze_reports_the_lattice_nesting(tmp_path, capsys):
 
 
 def test_analyze_reports_the_dominating_rate(tmp_path, capsys):
-    gam = kalisim.lattice_preset(4, 4, 0.005).global_bound(0)
+    gam = kalisim.lattice_preset(4, 0.005).global_bound(0)
     assert analyze_report(tmp_path, capsys, LATTICE)["dominating_rate"] == gam
     assert gam == pytest.approx(3.294, abs=1e-3)
     sample = analyze_report(tmp_path, capsys, LATTICE, "--nodes", "3")["dominating_rate"]
@@ -365,7 +378,36 @@ def test_analyze_p_grid_cost_curve(tmp_path, capsys):
     power = PowerLadderLattice(4, 4, 0.005).invariant_offspring_mean()
     assert at_gamma["offspring_mean"] == pytest.approx(power, rel=1e-12)
     assert below["offspring_mean"] > at_gamma["offspring_mean"]
-    assert at_gamma["offspring_mean"] > kalisim.lattice_preset(4, 4, 0.005).invariant_offspring_mean()
+    assert at_gamma["offspring_mean"] > kalisim.lattice_preset(4, 0.005).invariant_offspring_mean()
+
+
+def test_analyze_costs_the_power_ladder_at_model_p(tmp_path, capsys):
+    # with no --p-grid the curve has one point, at model.p, which defaults to gamma
+    no_p = {"model": {key: v for key, v in LATTICE["model"].items() if key != "p"}}
+    at_p = {"model": dict(LATTICE["model"], p=3.5)}
+    for cfg, flags, grid in ((no_p, (), [4.0]), (at_p, (), [3.5]), (at_p, ("--p-grid", "3.9,4"), [3.9, 4.0])):
+        curve = analyze_report(tmp_path, capsys, cfg, *flags)["cost_curve"]
+        assert [pt["p"] for pt in curve["points"]] == grid
+
+
+def test_every_decomposition_gets_one_cost_entry(tmp_path, capsys):
+    # Gamma, the nodes of a drawn neighbourhood, and their product with E(W):
+    # a point's own draw does not depend on its being in the clan, so the
+    # requests per root average nodes times the mean clan, which E(W) bounds
+    # (a traced perfect_lattice run measured 2.69 requests per root)
+    report = analyze_report(tmp_path, capsys, LATTICE, "--p-grid", "3.1,4")
+    supercritical, power = report["cost_curve"]["points"]
+    for entry, gam, nodes, ew, bound in ((report, 3.2942, 2.5529, 1.0991, 2.806), (power, 33.764, 1.2213, 1.4829, 1.811)):
+        assert entry["dominating_rate"] == pytest.approx(gam, abs=1e-3)
+        assert entry["nodes_per_neighborhood"] == pytest.approx(nodes, abs=1e-4)
+        assert entry["expected_clan_size"] == pytest.approx(ew, abs=1e-4)
+        assert entry["ledger_requests_per_root_bound"] == entry["nodes_per_neighborhood"] * entry["expected_clan_size"]
+        assert entry["ledger_requests_per_root_bound"] == pytest.approx(bound, abs=1e-3)
+    assert power["dominating_rate"] == PowerLadderLattice(4, 4, 0.005).global_bound(0)
+    # a supercritical point has no E(W), so no bound
+    assert not supercritical["subcritical"] and supercritical["ledger_requests_per_root_bound"] is None
+    sample = analyze_report(tmp_path, capsys, LATTICE, "--nodes", "3")
+    assert sample["ledger_requests_per_root_bound"] == report["ledger_requests_per_root_bound"]
 
 
 def test_simulate_forward_writes_runs_and_summary(tmp_path):

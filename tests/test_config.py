@@ -84,6 +84,13 @@ def test_every_violation_is_reported_at_once(cfg, paths):
     assert sorted(v.split(":")[0].split(" ")[0] for v in info.value.violations) == paths
 
 
+@pytest.mark.parametrize("p", [4.5, 3])
+def test_a_weight_exponent_outside_three_to_gamma_is_refused(p):
+    # the power ladder C_gamma k^{-p} needs 3 < p <= gamma = 4
+    with pytest.raises(ConfigError, match=r"model\.p must lie in \(3, gamma\], got"):
+        parse_config({"model": dict(LATTICE, p=p)})
+
+
 def test_defaults_are_filled_in():
     run = parse_config({"model": LATTICE})
     assert isinstance(run, RunConfig)

@@ -175,7 +175,7 @@ class TestEvaluateDecomposition:
         assert vals[-1] == pytest.approx(m.intensity(0, x), rel=1e-6)
 
     def test_lattice_empty_past(self):
-        m = lattice_preset(4.0, 4.0, 0.5)
+        m = lattice_preset(4.0, 0.5)
         x = Configuration.empty()
         for n in (1, 3, 10):
             part = evaluate_decomposition(m, 0, x, n)
@@ -183,7 +183,7 @@ class TestEvaluateDecomposition:
         assert evaluate_decomposition(m, 0, x, 1) == pytest.approx(1.0)
 
     def test_guard_violation_identified(self):
-        m = lattice_preset(4.0, 4.0, 0.5)
+        m = lattice_preset(4.0, 0.5)
         bad = Configuration({0: [-0.6, -0.3]})  # gap 0.3 <= delta 0.5
         with pytest.raises(GuardViolation, match="refractory"):
             evaluate_decomposition(m, 0, bad, 3)
@@ -209,3 +209,21 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.relative_to(package)}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_only_the_presets_build_the_power_ladder():
+    # the paper's power ladder C_gamma k^{-p} is one lattice decomposition,
+    # PowerLadderLattice: no other module computes its constant or its rungs
+    package = Path(kalisim.__file__).parent
+    calls = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            power = any(kw.arg == "power" for kw in node.keywords) or len(node.args) >= 3
+            if name == "lattice_c_gamma" or (name == "GammaLadder" and power):
+                calls.append(f"{path.relative_to(package)}:{node.lineno} {name}")
+    assert calls
+    assert [call for call in calls if not call.startswith("models/presets.py:")] == []

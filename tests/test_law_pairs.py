@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from kalisim import RandomStream, lattice_preset, perfect_sample
+from kalisim.models.presets import DiagonalLattice, PowerLadderLattice
 from kalisim.validation import (
     LATTICE_DELTA,
-    DiagonalLattice,
-    PowerLadderLattice,
     SuiteReport,
     law_pair,
     suite_decomposition_equivalence,
@@ -47,7 +46,7 @@ class TestLawPair:
 
 def test_the_power_ladder_is_a_second_decomposition_of_the_lattice():
     # both on the diagonal levels, where the power ladder dominates the envelope
-    power, lipschitz = PowerLadderLattice(4.0, 4.0, LATTICE_DELTA), DiagonalLattice(4.0, 4.0, LATTICE_DELTA)
+    power, lipschitz = PowerLadderLattice(4.0, 4.0, LATTICE_DELTA), DiagonalLattice(4.0, LATTICE_DELTA)
     assert power.global_bound(0) == pytest.approx(33.764, abs=1e-3)
     assert lipschitz.global_bound(0) == pytest.approx(3.294, abs=1e-3)
     for k in range(1, 200):
@@ -58,7 +57,7 @@ def test_the_power_ladder_is_a_second_decomposition_of_the_lattice():
 def test_the_diagonal_and_the_searched_nesting_give_one_law():
     # node-0 counts on [0, 10), 1 000 runs an arm (about 1.5 s)
     root = RandomStream(17)
-    arms = (lattice_preset(4.0, 4.0, LATTICE_DELTA), DiagonalLattice(4.0, 4.0, LATTICE_DELTA))
+    arms = (lattice_preset(4.0, LATTICE_DELTA), DiagonalLattice(4.0, LATTICE_DELTA))
     counts = ([[len(perfect_sample(m, 0, 10.0, root.child(arm, r)).points(0))] for r in range(1_000)]
               for arm, m in enumerate(arms))
     rep = pair_report(*counts)

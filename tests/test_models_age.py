@@ -20,9 +20,9 @@ from kalisim import (
 )
 from kalisim.errors import NonSummableError
 from kalisim.models import AgeHawkesModel, OffspringRow, lattice_c_gamma, lattice_gamma_bar
-from kalisim.models.presets import NEAR_MAX, NESTING_GRID, lattice_envelope
+from kalisim.models.presets import NEAR_MAX, NESTING_GRID, DiagonalLattice, PowerLadderLattice, lattice_envelope
 from kalisim import analysis, series, validation
-from kalisim.validation import DiagonalLattice, PowerLadderLattice, SuiteReport, law_pair
+from kalisim.validation import SuiteReport, law_pair
 
 
 def finite_model(psi0=0.5, slope=0.5, alpha=0.8, beta=2.0, delta=0.5):
@@ -69,7 +69,7 @@ class TestGammaBar:
 
     def test_model_matches_closed_form(self):
         # the diagonal levels' rungs, and every level's rung as the increment of F
-        diagonal, m = DiagonalLattice(4.0, 4.0, 1.0), lattice_preset(4.0, 4.0, 1.0)
+        diagonal, m = DiagonalLattice(4.0, 1.0), lattice_preset(4.0, 1.0)
         for k in range(1, 30):
             assert diagonal.gamma_bar(0, k) == pytest.approx(lattice_gamma_bar(4.0, k), rel=1e-12)
             before = lattice_envelope(4.0, *m.level(k - 1)) if k > 1 else 0.0
@@ -105,7 +105,7 @@ class TestDeltaAndIntensity:
         assert m.delta(0, NestedND(1), x) == 0.0
 
     def test_level_one_is_psi0(self):
-        m = lattice_preset(4.0, 4.0, 1.0)
+        m = lattice_preset(4.0, 1.0)
         assert m.delta(0, NestedND(1), Configuration.empty()) == 1.0
 
     def test_nonnegative_and_bounded_by_gamma_bar(self):
@@ -158,7 +158,7 @@ class TestWeights:
 
     def test_lattice_power_law_sampler(self):
         # level 1 carries Gamma_1 / Gamma = 1 / 3.294 of the Lipschitz ladder
-        m = lattice_preset(4.0, 4.0, 0.01)
+        m = lattice_preset(4.0, 0.01)
         rng = RandomStream(6)
         p1 = 1.0 / m.global_bound(0)
         n = 100_000
@@ -186,7 +186,7 @@ class TestBoundsAndExpansion:
     def test_lattice_bound(self):
         # Gamma = 1 + zeta(4) / (1 - e^{-1}) + sum_{m>=1} e^{-m} (1 + H_4(m-1) - m^{-4} / (e - 1)),
         # zeta(4) = pi^4/90
-        m = lattice_preset(4.0, 4.0, 0.005)
+        m = lattice_preset(4.0, 0.005)
         exp_part = sum(math.exp(-j) * (1.0 + sum(r**-4.0 for r in range(1, j)) - j**-4.0 / (math.e - 1.0))
                        for j in range(1, 60))
         zeta_part = math.pi**4 / 90.0 / (1.0 - math.exp(-1.0))
@@ -199,10 +199,10 @@ class TestBoundsAndExpansion:
 
     def test_expansion_geometry(self):
         # level 3 is (R, D) = (1, 2) on the preset's nesting, (2, 3) on the diagonal
-        m = lattice_preset(4.0, 4.0, 0.25)
+        m = lattice_preset(4.0, 0.25)
         assert list(m.expand(5, NestedND(3)).by_node()) == [(j, ((-0.5, 0.0),)) for j in (4, 5, 6)]
         assert list(m.expand(5, NestedND(16)).by_node()) == [(j, ((-2.25, 0.0),)) for j in range(-3, 14)]
-        diagonal = DiagonalLattice(4.0, 4.0, 0.25)
+        diagonal = DiagonalLattice(4.0, 0.25)
         assert list(diagonal.expand(5, NestedND(3)).by_node()) == [(j, ((-0.75, 0.0),)) for j in (3, 4, 5, 6, 7)]
 
     def test_components_below_global_bound_on_refractory_configs(self):
@@ -217,7 +217,7 @@ class TestBoundsAndExpansion:
 
 class TestLatticeOffspring:
     def test_row_symmetry_and_total(self):
-        m = lattice_preset(4.0, 4.0, 0.005)
+        m = lattice_preset(4.0, 0.005)
         row = m.offspring_row(0, tol=1e-10)
         assert row.err < 1e-10
         for d in (1, 2, 5):
@@ -227,7 +227,7 @@ class TestLatticeOffspring:
 
     def test_far_mass_is_exact_at_every_reach(self):
         # near reaches further as tol drops; near + far must not move
-        m = lattice_preset(4.0, 3.5, 0.005)
+        m = lattice_preset(4.0, 0.005)
         rows = [m.offspring_row(0, tol=tol) for tol in (1e-3, 1e-5, 1e-7)]
         assert len(rows[0].near) < len(rows[1].near) < len(rows[2].near)
         for tol, row in zip((1e-3, 1e-5, 1e-7), rows):
@@ -237,7 +237,7 @@ class TestLatticeOffspring:
 
     def test_slowly_decaying_row_stops_listing(self):
         # entries decay like 2 delta d^(2-gamma)/(gamma-2): about 1e6 distances stay above tol
-        m = lattice_preset(3.0001, 3.0001, 0.005)
+        m = lattice_preset(3.0001, 0.005)
         row = m.offspring_row(0)
         assert len(row.near) == 2 * NEAR_MAX + 1
         assert sum(row.near.values()) + row.far == pytest.approx(
@@ -246,11 +246,11 @@ class TestLatticeOffspring:
 
     def test_tol_below_certified_precision_is_refused(self):
         with pytest.raises(NonSummableError):
-            lattice_preset(4.0, 4.0, 0.005).offspring_row(0, tol=1e-20)
+            lattice_preset(4.0, 0.005).offspring_row(0, tol=1e-20)
 
     def test_branching_matrix_on_a_lattice_sample(self):
         # used to raise "offspring row did not converge" after seconds
-        m = lattice_preset(4.0, 4.0, 0.005)
+        m = lattice_preset(4.0, 0.005)
         near = m.offspring_row(0, tol=analysis.ANALYSIS_TOL).near
         mat = analysis.branching_matrix(m, [-1, 0, 1])
         assert mat[1, 1] == near[0]
@@ -259,7 +259,7 @@ class TestLatticeOffspring:
         assert mat[0, 2] == near[2]
 
     def test_off_sample_mass_includes_far_mass(self):
-        m = lattice_preset(4.0, 4.0, 0.005)
+        m = lattice_preset(4.0, 0.005)
         row = m.offspring_row(0, tol=analysis.ANALYSIS_TOL)
         mat, off, _ = analysis._matrix_with_offmass(m, [-1, 0, 1])
         listed_off = sum(v for j, v in row.near.items() if j not in (-1, 0, 1))
@@ -277,7 +277,7 @@ class TestNesting:
     """The preset's levels (R, D): a searched head, then the diagonal."""
 
     def test_levels_are_a_monotone_path_of_unit_steps_that_rejoins_the_diagonal(self):
-        m = lattice_preset(4.0, 4.0, 0.005)
+        m = lattice_preset(4.0, 0.005)
         levels = [m.level(k) for k in range(1, len(m.head) + 30)]
         assert levels[0] == (0, 1)
         steps = [(r1 - r0, d1 - d0) for (r0, d0), (r1, d1) in zip(levels, levels[1:])]
@@ -292,17 +292,18 @@ class TestNesting:
 
     @pytest.mark.parametrize("make", [lattice_preset, DiagonalLattice], ids=["searched", "diagonal"])
     def test_the_rungs_sum_to_the_packed_past_sup(self, make):
-        m = make(4.0, 4.0, 0.005)
+        m = make(4.0, 0.005)
         ladder = m.ladder(0)
         sup = 1.0 + 1.0 / math.expm1(1.0) + series.zeta(4.0) / -math.expm1(-1.0)
         assert ladder.total == pytest.approx(sup, rel=1e-14)
         head = sum(ladder.level(k) for k in range(1, len(m.head) + 1))
         assert head + ladder.tail(len(m.head)) == pytest.approx(sup, rel=1e-14)
 
-    @pytest.mark.parametrize("make", [lattice_preset, DiagonalLattice, PowerLadderLattice],
+    @pytest.mark.parametrize("make, args", [(lattice_preset, (4.0, 0.005)), (DiagonalLattice, (4.0, 0.005)),
+                                            (PowerLadderLattice, (4.0, 4.0, 0.005))],
                              ids=["searched", "diagonal", "power"])
-    def test_the_mean_is_the_closed_form_row_total(self, make):
-        m = make(4.0, 4.0, 0.005)
+    def test_the_mean_is_the_closed_form_row_total(self, make, args):
+        m = make(*args)
         mean = m.invariant_offspring_mean()
         for tol in (1e-3, 1e-6, 1e-10):
             row = m.offspring_row(0, tol=tol)
@@ -315,7 +316,7 @@ class TestNesting:
         assert m.refractory * (volumes + 2.0 * c / m.level(n)[1]) == pytest.approx(mean, rel=1e-6)
 
     def test_the_search_cuts_the_offspring_mean_and_the_nodes_per_draw(self):
-        m, diagonal = lattice_preset(4.0, 4.0, 0.005), DiagonalLattice(4.0, 4.0, 0.005)
+        m, diagonal = lattice_preset(4.0, 0.005), DiagonalLattice(4.0, 0.005)
         assert 1.0 / (1.0 - m.invariant_offspring_mean()) == pytest.approx(1.0991, abs=1e-4)
         assert 1.0 / (1.0 - diagonal.invariant_offspring_mean()) == pytest.approx(1.1423, abs=1e-4)
         assert m.nodes_per_neighborhood() == pytest.approx(2.553, abs=1e-3)
@@ -327,7 +328,7 @@ class TestNesting:
         # E(W) bounds the clan from above (kalisim.analysis), so the check is
         # one-sided: clans sit measurably below E(W) at 40 000 runs
         means = {}
-        for name, m in (("searched", lattice_preset(4.0, 4.0, 0.005)), ("diagonal", DiagonalLattice(4.0, 4.0, 0.005))):
+        for name, m in (("searched", lattice_preset(4.0, 0.005)), ("diagonal", DiagonalLattice(4.0, 0.005))):
             sizes = validation._clan_sizes(m, 4_000, 11, validation.BackwardBudget())
             mean, se = sizes.mean(), sizes.std(ddof=1) / math.sqrt(len(sizes))
             assert mean <= 1.0 / (1.0 - m.invariant_offspring_mean()) + 4.0 * se
@@ -364,7 +365,7 @@ class TestDrives:
 
     def test_lattice(self):
         # every head level and the first diagonal ones; a level of depth 1 may hold no point
-        m = lattice_preset(4.0, 4.0, 0.005)
+        m = lattice_preset(4.0, 0.005)
         rng = np.random.default_rng(21)
         for _ in range(40):
             x = random_refractory_past(rng, range(-11, 14), 0.005, 10 * 0.005)
@@ -384,7 +385,7 @@ class TestDrives:
                     assert m._drives(i, k, x) == (drive_walk(m, i, k - 1, x), drive_walk(m, i, k, x))
 
     def test_lattice_kernels_are_built_once_per_distance(self):
-        m = lattice_preset(4.0, 4.0, 0.005)
+        m = lattice_preset(4.0, 0.005)
         assert m.kernel(0, 3) is m.kernel(5, 2)
         assert m.kernel(4, 4) is m.kernel(-1, -1)
         assert (m.kernel(0, 3).alpha, m.kernel(0, 3).beta) == (0.5 / 3**4.0, 1.0 / 0.005)
@@ -515,8 +516,8 @@ def packed_refractory_past(rng, nodes, delta, target, levels=8):
 
 @pytest.mark.parametrize(
     "make, nodes, targets",
-    [(lambda: lattice_preset(4.0, 4.0, 0.005), range(-12, 13), (0, 3)),
-     (lambda: DiagonalLattice(4.0, 4.0, 0.005), range(-12, 13), (0, 3)),
+    [(lambda: lattice_preset(4.0, 0.005), range(-12, 13), (0, 3)),
+     (lambda: DiagonalLattice(4.0, 0.005), range(-12, 13), (0, 3)),
      (two_node_model, (0, 1), (0, 1))],
     ids=["lattice", "diagonal-lattice", "exp-step"],
 )

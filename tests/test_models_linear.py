@@ -87,7 +87,7 @@ def table_reader_pair():
 
 CYLINDRICAL_FAMILIES = {
     "age": bounded_age_model,
-    "lattice": lambda: lattice_preset(4, 4, 0.005),
+    "lattice": lambda: lattice_preset(4, 0.005),
     "linear": hawkes_ring,
     "analytic": lambda: exp_hawkes(2),
     "gl": gl_pair,

@@ -36,8 +36,8 @@ from kalisim import (
 from kalisim.core import TableND
 from kalisim.models import LatticeAgeModel
 from kalisim.models.age import GammaLadder
+from kalisim.models.presets import DiagonalLattice
 from kalisim.validation import (
-    DiagonalLattice,
     bounded_age_model,
     exp_hawkes,
     hawkes_ring,
@@ -45,7 +45,7 @@ from kalisim.validation import (
     two_node_clan_model,
 )
 
-GAMMA = P = 4.0
+GAMMA = 4.0
 DELTA = 0.005
 
 
@@ -81,7 +81,7 @@ class TestMarkDecision:
     stored and expanded, whatever its mark."""
 
     def root(self, mark, t=3.0):
-        model = lattice_preset(GAMMA, P, DELTA)
+        model = lattice_preset(GAMMA, DELTA)
         ledger = RegionLedger()
         rec = ledger.add_proposal_point(0, t, mark=mark)
         rec.neighborhood = NestedND(1)
@@ -98,7 +98,7 @@ class TestMarkDecision:
 
     def test_without_a_supremum_every_root_is_expanded(self):
         ledger, stats = RegionLedger(), PerfectRunStats()
-        perfect_sample(lattice_preset(GAMMA, P, DELTA), 0, 20.0, RandomStream(2), ledger=ledger, stats=stats)
+        perfect_sample(lattice_preset(GAMMA, DELTA), 0, 20.0, RandomStream(2), ledger=ledger, stats=stats)
         roots = ledger.points_in(0, 0.0, 20.0)
         assert stats.roots == len(roots) == len(stats.clan_sizes) > 50
         assert all(rec.children is not None and rec.decision is not None for rec in roots)
@@ -236,7 +236,7 @@ class TestEveryPointDecided:
 
     def test_lattice_perfect_sample(self):
         ledger = RegionLedger()
-        perfect_sample(lattice_preset(GAMMA, P, DELTA), 0, 5.0, RandomStream(1), ledger=ledger)
+        perfect_sample(lattice_preset(GAMMA, DELTA), 0, 5.0, RandomStream(1), ledger=ledger)
         self.assert_all_decided(ledger)
 
     def test_bounded_age_perfect_sample(self):
@@ -247,7 +247,7 @@ class TestEveryPointDecided:
     def test_lattice_perfect_sample_window(self):
         ledger = RegionLedger()
         windows = [(0, (0.0, 3.0)), (1, (2.0, 5.0)), (0, (4.0, 6.0))]
-        perfect_sample_window(lattice_preset(GAMMA, P, DELTA), windows, RandomStream(8), ledger=ledger)
+        perfect_sample_window(lattice_preset(GAMMA, DELTA), windows, RandomStream(8), ledger=ledger)
         self.assert_all_decided(ledger)
 
 
@@ -273,7 +273,7 @@ class TestRealizedOnce:
         assert checked > 0
 
     def test_lattice_perfect_sample(self):
-        model, ledger = lattice_preset(GAMMA, P, DELTA), RegionLedger()
+        model, ledger = lattice_preset(GAMMA, DELTA), RegionLedger()
         perfect_sample(model, 0, 5.0, RandomStream(1), ledger=ledger)
         self.assert_children_match_the_ledger(model, ledger)
 
@@ -347,7 +347,7 @@ class TestRootFirst:
     no fresh point is its own clan."""
 
     def test_a_root_on_covered_ground_is_its_own_clan(self):
-        model, ledger = lattice_preset(GAMMA, P, DELTA), RegionLedger()
+        model, ledger = lattice_preset(GAMMA, DELTA), RegionLedger()
         k = 3
         depth = model.depth(0, k) * DELTA
         for j in model.omega(0, k):
@@ -363,7 +363,7 @@ class TestRootFirst:
         assert rng.uniform() == RandomStream(1).uniform()
 
     def test_a_root_with_no_fresh_point_looks_back_its_neighborhoods_depth(self):
-        model, alone = lattice_preset(GAMMA, P, DELTA), 0
+        model, alone = lattice_preset(GAMMA, DELTA), 0
         for seed in range(60):
             graph = backward_clan(model, 0, 0.0, RegionLedger(), RandomStream(seed))
             root = graph.root_record
@@ -441,7 +441,7 @@ class TestBoundedRegime:
             backward_clan(model, 0, 0.0, RegionLedger(), RandomStream(2))
 
     def test_each_bound_is_read_once_per_node(self):
-        model, plain = CountingBoundLattice(GAMMA, P, DELTA), lattice_preset(GAMMA, P, DELTA)
+        model, plain = CountingBoundLattice(GAMMA, DELTA), lattice_preset(GAMMA, DELTA)
         for seed in range(20):
             out = perfect_sample(model, 0, 2.0, RandomStream(seed))
             assert out.points(0) == perfect_sample(plain, 0, 2.0, RandomStream(seed)).points(0)
@@ -465,7 +465,7 @@ class TestEmptyPastMemo:
     @pytest.mark.parametrize(
         "make, descriptors",
         [
-            pytest.param(lambda: lattice_preset(GAMMA, P, DELTA), 6, id="lattice"),
+            pytest.param(lambda: lattice_preset(GAMMA, DELTA), 6, id="lattice"),
             pytest.param(bounded_age_model, 6, id="bounded-age"),
             pytest.param(two_node_clan_model, 1, id="two-node-table"),
             pytest.param(linear_with_declared_bounds, 8, id="linear-declared-bounds"),
@@ -480,7 +480,7 @@ class TestEmptyPastMemo:
                 assert model.empty_past_value(i, desc) == expected  # a memo hit
 
     def test_lattice_runs_evaluate_each_empty_past_once(self):
-        model = lattice_preset(GAMMA, P, DELTA)
+        model = lattice_preset(GAMMA, DELTA)
         value_of, empty, kept = model.component_value, Counter(), 0
 
         def counting(i, desc, x):
@@ -516,7 +516,7 @@ class TestSupremum:
     contributions over refractory pasts; Gamma is their sum."""
 
     def test_component_values_stay_below_the_supremum(self):
-        model = lattice_preset(GAMMA, P, DELTA)
+        model = lattice_preset(GAMMA, DELTA)
         ladder, gam = model.ladder(0), model.global_bound(0)
         rng = np.random.default_rng(11)
         for _ in range(30):
@@ -528,14 +528,14 @@ class TestSupremum:
 
     def test_understated_supremum_is_caught(self):
         with pytest.raises(NonMonotoneModelError, match="dominating bound"):
-            perfect_sample(UnderstatedLattice(GAMMA, P, DELTA), 0, 25.0, RandomStream(1))
+            perfect_sample(UnderstatedLattice(GAMMA, DELTA), 0, 25.0, RandomStream(1))
 
     def test_roots_per_point_are_gamma_over_the_rate(self):
         # the roots are the dominating process on [0, t): Poisson(Gamma t)
-        gam, t_max, roots, accepted = lattice_preset(GAMMA, P, DELTA).global_bound(0), 400.0, 0, 0
+        gam, t_max, roots, accepted = lattice_preset(GAMMA, DELTA).global_bound(0), 400.0, 0, 0
         for seed in range(3):
             stats = PerfectRunStats()
-            perfect_sample(lattice_preset(GAMMA, P, DELTA), 0, t_max, RandomStream(seed), stats=stats)
+            perfect_sample(lattice_preset(GAMMA, DELTA), 0, t_max, RandomStream(seed), stats=stats)
             roots, accepted = roots + stats.roots, accepted + stats.accepted
         span = 3 * t_max
         predicted = gam / (accepted / span)
@@ -592,7 +592,7 @@ class TestGoldenLattice:
     )
     def test_perfect_sample(self, seed, count, ends, digest, n_points, ledger_digest):
         ledger = RegionLedger()
-        pts = perfect_sample(lattice_preset(GAMMA, P, DELTA), 0, 20.0, RandomStream(seed), ledger=ledger).points(0)
+        pts = perfect_sample(lattice_preset(GAMMA, DELTA), 0, 20.0, RandomStream(seed), ledger=ledger).points(0)
         assert len(pts) == count
         assert (pts[0], pts[-1]) == ends
         assert _times_digest(pts) == digest
@@ -602,7 +602,7 @@ class TestGoldenLattice:
     def test_perfect_sample_window(self):
         ledger = RegionLedger()
         windows = [(0, (0.0, 8.0)), (1, (4.0, 12.0)), (2, (6.0, 10.0))]
-        out = perfect_sample_window(lattice_preset(GAMMA, P, DELTA), windows, RandomStream(5), ledger=ledger)
+        out = perfect_sample_window(lattice_preset(GAMMA, DELTA), windows, RandomStream(5), ledger=ledger)
         expected = {
             0: (6, (1.579256642255967, 6.907096696710209),
                 "b153d6c868343c110f834ba578d5e9f6f4e8daaabffdfd0bb9e2174c5ec5b10d"),
@@ -632,7 +632,7 @@ class TestGoldenLattice:
     def test_run_stats(self, seed, roots, accepted, histogram, max_lookback):
         # every root, decision and clan of the run
         stats = PerfectRunStats()
-        perfect_sample(lattice_preset(GAMMA, P, DELTA), 0, 20.0, RandomStream(seed), stats=stats)
+        perfect_sample(lattice_preset(GAMMA, DELTA), 0, 20.0, RandomStream(seed), stats=stats)
         report = stats.to_json()
         assert (report["roots"], report["accepted"]) == (roots, accepted)
         assert report["clan_size_histogram"] == {str(k): v for k, v in histogram.items()}
@@ -676,7 +676,7 @@ class TestWindowMerge:
         "windows", [((0.0, 3.0), (2.0, 5.0)), ((0.0, 2.5), (2.5, 5.0))], ids=["overlapping", "abutting"]
     )
     def test_windows_sample_their_union(self, windows):
-        model = lattice_preset(GAMMA, P, DELTA)
+        model = lattice_preset(GAMMA, DELTA)
         whole = perfect_sample(model, 0, 5.0, RandomStream(3)).points(0)
         out = perfect_sample_window(model, [(0, w) for w in windows], RandomStream(3))
         assert len(whole) == 7
@@ -685,13 +685,13 @@ class TestWindowMerge:
     @pytest.mark.parametrize("window", [(2.0, 2.0), (3.0, 1.0)], ids=["empty", "reversed"])
     def test_an_empty_window_is_refused(self, window):
         with pytest.raises(ValueError, match="empty window"):
-            perfect_sample_window(lattice_preset(GAMMA, P, DELTA), [(0, (0.0, 1.0)), (0, window)], RandomStream(3))
+            perfect_sample_window(lattice_preset(GAMMA, DELTA), [(0, (0.0, 1.0)), (0, window)], RandomStream(3))
 
 
 def test_window_stats_sum_over_the_windows():
     ledger, stats = RegionLedger(), PerfectRunStats()
     windows = [(0, (0.0, 3.0)), (1, (2.0, 5.0)), (0, (4.0, 6.0))]
-    model = lattice_preset(GAMMA, P, DELTA)
+    model = lattice_preset(GAMMA, DELTA)
     out = perfect_sample_window(model, windows, RandomStream(8), ledger=ledger, stats=stats)
     # the walk draws every root of a ledger that stores them all
     assert stats.roots == 24
@@ -711,12 +711,12 @@ def _put_run(put, model, t_max, seed):
 
 def _digest_lattice_runs(put):
     for seed in range(6):
-        _put_run(put, lattice_preset(GAMMA, P, DELTA), 8.0, seed)
+        _put_run(put, lattice_preset(GAMMA, DELTA), 8.0, seed)
 
 
 def _digest_diagonal_lattice_runs(put):
     for seed in range(6):
-        _put_run(put, DiagonalLattice(GAMMA, P, DELTA), 8.0, seed)
+        _put_run(put, DiagonalLattice(GAMMA, DELTA), 8.0, seed)
 
 
 def _digest_bounded_age_runs(put):
@@ -727,7 +727,7 @@ def _digest_bounded_age_runs(put):
 def _digest_lattice_window(put):
     ledger, stats = RegionLedger(), PerfectRunStats()
     windows = [(0, (0.0, 3.0)), (1, (2.0, 5.0)), (-3, (1.0, 4.0))]
-    out = perfect_sample_window(lattice_preset(GAMMA, P, DELTA), windows, RandomStream(9), ledger=ledger, stats=stats)
+    out = perfect_sample_window(lattice_preset(GAMMA, DELTA), windows, RandomStream(9), ledger=ledger, stats=stats)
     put([{str(j): list(map(float.hex, out.points(j))) for j in out.nodes()}, stats.to_json(), ledger.to_json()])
 
 
