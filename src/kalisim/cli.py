@@ -12,7 +12,6 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Optional
 
 from . import analysis, io
 from .config import RunConfig, load_config
@@ -69,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--nodes", type=int, default=None, help="size of the node sample")
     p_an.add_argument("--invariant", action="store_true", help="use the translation-invariant reduction")
     p_an.add_argument("--theta", default=None, help="comma-separated vector for the log-Laplace fixed point")
-    p_an.add_argument("--p-grid", default=None, help="comma-separated exponents p for the power-ladder cost curve; overrides model.p")
+    p_an.add_argument("--p-grid", default=None, help="comma-separated exponents p for the power-ladder cost curve")
     p_an.add_argument("--out", default=None, help="write the JSON report here (default stdout)")
 
     p_val = sub.add_parser("validate", help="run a named statistical/property suite")
@@ -192,15 +191,12 @@ def _floats(flag: str, text: str) -> list[float]:
     return values
 
 
-def _cost_entry(model: LatticeAgeModel, expected_w: Optional[float]) -> dict:
+def _cost_entry(model: LatticeAgeModel) -> dict:
     """What a lattice decomposition costs a perfect sweep: Gamma, the rate of
-    its roots, the mean nodes of a drawn neighbourhood, and their product with
-    E(W), which bounds the ledger requests per root: a point's own draw does
-    not depend on its being in the clan, and E(W) bounds the mean clan."""
-    nodes = model.nodes_per_neighborhood()
-    bound = None if expected_w is None else nodes * expected_w
-    return {"dominating_rate": model.require_bound(0), "nodes_per_neighborhood": nodes,
-            "ledger_requests_per_root_bound": bound}
+    its roots, and the mean nodes of a drawn neighbourhood. Nodes times E(W)
+    bounds the ledger requests per root: a point's own draw does not depend
+    on its being in the clan, and E(W) bounds the mean clan."""
+    return {"dominating_rate": model.require_bound(0), "nodes_per_neighborhood": model.nodes_per_neighborhood()}
 
 
 def _cost_curve(model: LatticeAgeModel, grid: list[float]) -> dict:
@@ -218,7 +214,7 @@ def _cost_curve(model: LatticeAgeModel, grid: list[float]) -> dict:
         ew = summary.expected_w.get(0)
         f = summary.gamma / (power.c_gamma * power.refractory)
         points.append(dict(p=p, f=f, offspring_mean=summary.gamma, expected_clan_size=ew,
-                           subcritical=summary.subcritical, **_cost_entry(power, ew)))
+                           subcritical=summary.subcritical, **_cost_entry(power)))
     best = min((pt for pt in points if pt["subcritical"]), key=lambda pt: pt["expected_clan_size"], default=None)
     return {"c_gamma": power.c_gamma, "argmin_p": None if best is None else best["p"], "points": points}
 
@@ -273,11 +269,10 @@ def _cmd_analyze(args) -> int:
             }
     if isinstance(model, LatticeAgeModel):
         report["level_head"] = [list(level) for level in model.head]  # the nesting's (radius, depth)
-        for key, value in _cost_entry(model, summary.expected_w.get(0)).items():
+        for key, value in _cost_entry(model).items():
             report.setdefault(key, value)  # a node sample keeps its per-node rates
-        sec = cfg.model_section
-        grid = [float(sec.get("p", sec["gamma"]))] if args.p_grid is None else _floats("--p-grid", args.p_grid)
-        report["cost_curve"] = _cost_curve(model, grid)
+        if args.p_grid is not None:
+            report["cost_curve"] = _cost_curve(model, _floats("--p-grid", args.p_grid))
     elif args.p_grid is not None:
         raise ConfigError(["--p-grid needs the lattice-4.2.6 preset (gamma and delta)"])
 

@@ -19,14 +19,15 @@ Two more decompositions of the same intensity sit on the diagonal levels
 (k-1, k): ``DiagonalLattice`` keeps the Lipschitz rungs, and
 ``PowerLadderLattice`` takes the paper's weight family, the power ladder
 C_g k^{-p} with C_g = ``lattice_c_gamma(g)`` and 3 < p <= g (C_g = 31.20
-and Gamma = 33.76 at g = p = 4). The preset takes no p; ``analyze`` costs
-the power ladder at a config's ``model.p`` or along ``--p-grid``, one
-``PowerLadderLattice`` per exponent.
+and Gamma = 33.76 at g = p = 4). The preset takes no p; ``analyze
+--p-grid`` costs the power ladder at each exponent of its grid, one
+``PowerLadderLattice`` each.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 
 from .. import series
 from ..core import NodeId
@@ -95,6 +96,7 @@ def shortest_nesting(gamma: float) -> tuple[tuple[int, int], ...]:
     return tuple(reversed(path))
 
 
+@cache
 def lattice_c_gamma(gamma: float) -> float:
     """Smallest constant with C k^{-gamma} >= bar-Gamma_k for every diagonal
     level (k-1, k): the constant of the paper's power ladder, which
@@ -131,8 +133,7 @@ class LatticeAgeModel(AgeHawkesModel):
         self.head = self.nesting()
         self._diagonal_from = self.head[-1][1]  # K
         self._set_refractory(float(delta))
-        rungs = [self.gamma_bar(0, k) for k in range(1, len(self.head) + 1)]
-        self._ladder = GammaLadder(rungs, lipschitz=self.gamma_exponent, start=self._diagonal_from + 1)
+        self._ladder = self._build_ladder(0)
 
     def nesting(self) -> tuple[tuple[int, int], ...]:
         """The head levels (R, D), from (0, 1) to a diagonal level (K-1, K)."""
@@ -170,6 +171,11 @@ class LatticeAgeModel(AgeHawkesModel):
 
     def ladder(self, i: NodeId) -> GammaLadder:
         return self._ladder
+
+    def _build_ladder(self, i: NodeId) -> GammaLadder:
+        """Every node's ladder (see the class docstring); a subclass may swap it."""
+        rungs = [self.gamma_bar(0, k) for k in range(1, len(self.head) + 1)]
+        return GammaLadder(rungs, lipschitz=self.gamma_exponent, start=self._diagonal_from + 1)
 
     # -- translation-invariant branching reduction ----------------------------
 
@@ -254,11 +260,11 @@ class PowerLadderLattice(DiagonalLattice):
     def __init__(self, gamma: float, p: float, delta: float):
         if not 3.0 < p <= gamma:
             raise ValueError(f"weight exponent p = {p:g} must satisfy 3 < p <= gamma = {gamma:g}")
-        super().__init__(gamma, delta)
         self.c_gamma = lattice_c_gamma(gamma)
         self._power = GammaLadder(power=[(self.c_gamma, p)])
+        super().__init__(gamma, delta)
 
-    def ladder(self, i):
+    def _build_ladder(self, i):
         return self._power
 
 

@@ -381,33 +381,36 @@ def test_analyze_p_grid_cost_curve(tmp_path, capsys):
     assert at_gamma["offspring_mean"] > kalisim.lattice_preset(4, 0.005).invariant_offspring_mean()
 
 
-def test_analyze_costs_the_power_ladder_at_model_p(tmp_path, capsys):
-    # with no --p-grid the curve has one point, at model.p, which defaults to gamma
-    no_p = {"model": {key: v for key, v in LATTICE["model"].items() if key != "p"}}
-    at_p = {"model": dict(LATTICE["model"], p=3.5)}
-    for cfg, flags, grid in ((no_p, (), [4.0]), (at_p, (), [3.5]), (at_p, ("--p-grid", "3.9,4"), [3.9, 4.0])):
-        curve = analyze_report(tmp_path, capsys, cfg, *flags)["cost_curve"]
-        assert [pt["p"] for pt in curve["points"]] == grid
+def test_the_cost_curve_is_the_closed_form(tmp_path, capsys):
+    # the ladder's tails sum f(p) = sum_k (2k - 1) k^{1-p} = 2 zeta(p-2) - zeta(p-1),
+    # most fragile near the divergence at p = 3
+    mpmath = pytest.importorskip("mpmath")
+    curve = analyze_report(tmp_path, capsys, LATTICE, "--p-grid", "3.1,3.5,4")["cost_curve"]
+    for pt in curve["points"]:
+        with mpmath.workdps(40):
+            f = float(2 * mpmath.zeta(pt["p"] - 2) - mpmath.zeta(pt["p"] - 1))
+        assert pt["f"] == pytest.approx(f, rel=1e-12)
+        assert pt["offspring_mean"] == pytest.approx(curve["c_gamma"] * 0.005 * f, rel=1e-12)
 
 
 def test_every_decomposition_gets_one_cost_entry(tmp_path, capsys):
-    # Gamma, the nodes of a drawn neighbourhood, and their product with E(W):
-    # a point's own draw does not depend on its being in the clan, so the
-    # requests per root average nodes times the mean clan, which E(W) bounds
-    # (a traced perfect_lattice run measured 2.69 requests per root)
+    # Gamma and the nodes of a drawn neighbourhood; their product with E(W)
+    # bounds the ledger requests per root, since a point's own draw does not
+    # depend on its being in the clan and E(W) bounds the mean clan (a traced
+    # perfect_lattice run measured 2.69 requests per root against 2.806)
     report = analyze_report(tmp_path, capsys, LATTICE, "--p-grid", "3.1,4")
     supercritical, power = report["cost_curve"]["points"]
     for entry, gam, nodes, ew, bound in ((report, 3.2942, 2.5529, 1.0991, 2.806), (power, 33.764, 1.2213, 1.4829, 1.811)):
         assert entry["dominating_rate"] == pytest.approx(gam, abs=1e-3)
         assert entry["nodes_per_neighborhood"] == pytest.approx(nodes, abs=1e-4)
         assert entry["expected_clan_size"] == pytest.approx(ew, abs=1e-4)
-        assert entry["ledger_requests_per_root_bound"] == entry["nodes_per_neighborhood"] * entry["expected_clan_size"]
-        assert entry["ledger_requests_per_root_bound"] == pytest.approx(bound, abs=1e-3)
+        assert entry["nodes_per_neighborhood"] * entry["expected_clan_size"] == pytest.approx(bound, abs=1e-3)
     assert power["dominating_rate"] == PowerLadderLattice(4, 4, 0.005).global_bound(0)
-    # a supercritical point has no E(W), so no bound
-    assert not supercritical["subcritical"] and supercritical["ledger_requests_per_root_bound"] is None
-    sample = analyze_report(tmp_path, capsys, LATTICE, "--nodes", "3")
-    assert sample["ledger_requests_per_root_bound"] == report["ledger_requests_per_root_bound"]
+    assert not supercritical["subcritical"] and supercritical["expected_clan_size"] is None
+    # the curve is costed only along --p-grid; model.p is checked, not read
+    sample = analyze_report(tmp_path, capsys, {"model": dict(LATTICE["model"], p=3.5)}, "--nodes", "3")
+    assert sample["nodes_per_neighborhood"] == report["nodes_per_neighborhood"]
+    assert "cost_curve" not in sample
 
 
 def test_simulate_forward_writes_runs_and_summary(tmp_path):
