@@ -24,6 +24,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -124,10 +125,16 @@ def sample_poisson_region(
     exponential step. Per-interval counts are thus independent Poisson(rate *
     length), and the output comes globally sorted. The walk makes one
     exponential draw per point and one for the final overshoot.
+
+    A reversed, overlapping or infinite interval raises ``ValueError`` before
+    any draw; an interval of zero length is empty.
     """
     if rate <= 0:
         raise ValueError(f"poisson rate must be positive, got {rate}")
     ivs = sorted(region)
+    for a, b in ivs:
+        if b < a:
+            raise ValueError(f"region interval [{a}, {b}) is reversed")
     for (a, b), (c, _) in zip(ivs, ivs[1:]):
         if b > c:
             raise ValueError("region intervals must be disjoint")
@@ -236,6 +243,9 @@ class RegionLedger:
     floating point) is resolved by resampling the new point: inside the same
     interval for region requests, by a fresh exponential step for proposals.
     The ledger-wide set of used times exists only for that rule.
+
+    A region request is served one of three ways, which give the same gaps,
+    coverage and returned records; see :meth:`realize_new`.
     """
 
     def __init__(self):
@@ -350,6 +360,24 @@ class RegionLedger:
         The request's uncovered gaps are realized by the draws of one
         :func:`sample_poisson_region` call on the caller's ``rng``, then the
         points' marks by one ``uniforms`` call; the module docstring says why.
+
+        The request's stored points are read piece by piece, and only when
+        one lies in its span; a point stored by ``add_proposal_point`` may lie
+        outside every interval, so coverage alone does not say where they
+        are. The coverage intervals that touch or abut the span are found by
+        two bisects, and the request takes the cheapest of three routes, all
+        with the walk's gaps and coverage:
+
+        - *It meets no coverage*, on a new node or between intervals, with
+          any number of pieces. The walk would cut no piece, so the pieces
+          are the gaps, and they enter the coverage merged where they abut,
+          at one place.
+        - *One piece inside one interval.* The walk would find no gap, and
+          ``sample_poisson_region`` draws nothing on no gap, so nothing is
+          drawn and the coverage stays as it is.
+        - *Anything else* takes the walk: one pass over the touching
+          intervals and the pieces, in order of start, cuts the gaps and
+          merges the coverage.
         """
         led = self._nodes.get(node)
         if led is None or led.rate != rate:
@@ -361,24 +389,35 @@ class RegionLedger:
         # the coverage intervals that touch or abut the request
         lo = bisect_left(ends, pieces[0][0])
         hi = bisect_right(starts, pieces[-1][1])
-        if lo == hi and len(pieces) == 1:
-            # one piece that meets no coverage is its own gap and a new interval
-            gaps = pieces
-            a, b = pieces[0]
-            p = bisect_left(times, a)
-            old = records[p:bisect_left(times, b, p)]
-            starts.insert(lo, a)
-            ends.insert(lo, b)
-        else:
-            # one walk over those intervals and the pieces, in order of start,
-            # collects the stored points, the uncovered gaps and the new coverage
-            old, gaps, cover_s, cover_e = [], [], [], []
-            j, last_end, p = lo, -math.inf, 0
+        # the stored points in the pieces, if any lies in the request's span
+        old, p = [], bisect_left(times, pieces[0][0])
+        if p < len(times) and times[p] < pieces[-1][1]:
             for a, b in pieces:
                 p = bisect_left(times, a, p)
                 p_end = bisect_left(times, b, p)
                 old += records[p:p_end]
                 p = p_end
+        if lo == hi:
+            # a request that meets no coverage is its own gaps, and its pieces,
+            # merged where they abut, are new intervals
+            gaps, cover_s, cover_e = pieces, [], []
+            for a, b in pieces:
+                if cover_e and cover_e[-1] == a:
+                    cover_e[-1] = b
+                else:
+                    cover_s.append(a)
+                    cover_e.append(b)
+            starts[lo:lo] = cover_s
+            ends[lo:lo] = cover_e
+        elif hi == lo + 1 and len(pieces) == 1 and starts[lo] <= pieces[0][0] and pieces[0][1] <= ends[lo]:
+            # one piece inside one interval: no gap, so nothing to draw or cover
+            return [], old
+        else:
+            # one walk over those intervals and the pieces, in order of start,
+            # collects the uncovered gaps and the new coverage
+            gaps, cover_s, cover_e = [], [], []
+            j, last_end = lo, -math.inf
+            for a, b in pieces:
                 # coverage before the piece; the last interval may reach into it
                 while j < hi and starts[j] <= a:
                     s, last_end = starts[j], ends[j]
@@ -420,7 +459,8 @@ class RegionLedger:
         resampled = False
         for t, mark in zip(drawn, marks):
             if t in self._times_used:  # an exact collision: resample in its own gap
-                a, b = gaps[bisect_right(gaps, (t, math.inf)) - 1]
+                # keyed by start: a request's own pieces may be lists
+                a, b = gaps[bisect_right(gaps, t, key=itemgetter(0)) - 1]
                 while t in self._times_used:
                     t = a + (b - a) * rng.uniform()
                 resampled = True

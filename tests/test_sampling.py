@@ -212,6 +212,13 @@ class TestSamplePoissonRegion:
         with pytest.raises(ValueError, match="finite"):
             sample_poisson_region(RandomStream(1), 1.0, [(0.0, math.inf)])
 
+    @pytest.mark.parametrize("region", [[(1.0, 0.0)], [(0.0, 1.0), (3.0, 2.0)]])
+    def test_rejects_a_reversed_interval_before_any_draw(self, region):
+        rng = RandomStream(1)
+        with pytest.raises(ValueError, match="reversed"):
+            sample_poisson_region(rng, 1.0, region)
+        assert rng.uniform() == RandomStream(1).uniform()
+
 
 class TestRegionLedger:
     def test_fresh_realization_covers(self):
@@ -292,6 +299,18 @@ class TestRegionLedger:
         moved = -1.0 + (0.0 - -1.0) * 0.9
         assert times[1] < moved
         assert [(r.time, r.mark) for r in new] == [(times[1], 0.2), (moved, 0.1)]
+
+    def test_a_request_of_list_pairs_resamples_a_collision_in_its_own_gap(self):
+        # the request is its own gap list, so the collision rule reads lists
+        script = [step_uniform(s, 2.0) for s in (0.25, 0.25, 10.0)] + [0.1, 0.2, 0.9]
+        times = sample_poisson_region(ScriptedStream(script), 2.0, [(-1.0, 0.0), (0.5, 2.0)])
+        out = []
+        for region in ([(-1.0, 0.0), (0.5, 2.0)], [[-1.0, 0.0], [0.5, 2.0]]):
+            led = RegionLedger()
+            led.add_proposal_point(9, times[0], mark=0.5)
+            new, _ = led.realize_new(2, region, 2.0, ScriptedStream(script))
+            out.append([(r.time, r.mark) for r in new])
+        assert out[0] == out[1] == [(times[1], 0.2), (-1.0 + 0.9, 0.1)]
 
     def test_straddling_request_counts_are_independent_poisson(self):
         # [1, 2) is covered first, so [0, 3) u [4, 5) leaves three gaps of length 1
@@ -474,26 +493,31 @@ class TestRegionLedger:
         assert start == 0.0 and end < 1.5
 
     def test_a_lone_piece_off_the_coverage_is_its_own_gap(self, monkeypatch):
-        # a one-piece request that touches and abuts no coverage interval, on a
-        # new node or between intervals, draws on the request itself: no walk
-        # builds a list of gaps for it
+        # a request that touches and abuts no coverage interval, on a new node
+        # or between intervals and of any number of pieces, draws on the
+        # request itself: no walk builds a list of gaps for it
         drawn_on = []
         poisson = sampling._poisson_on_sorted
         monkeypatch.setattr(sampling, "_poisson_on_sorted", lambda *a: drawn_on.append(a[2]) or poisson(*a))
         led, rng = RegionLedger(), RandomStream(17)
         stray = led.add_proposal_point(0, 2.5, mark=0.0)
-        lone = [[(0.0, 1.0)], [(4.0, 5.0)], [(2.0, 3.0)]]
+        lone = [[(0.0, 1.0)], [(4.0, 5.0)], [(2.0, 3.0)], [(7.0, 8.0), (9.0, 10.0)]]
         found = [led.realize_new(0, region, 3.0, rng)[1] for region in lone]
+        assert len(drawn_on) == 4
         assert all(gaps is region for gaps, region in zip(drawn_on, lone))
         # a stored point outside the coverage is returned as found
-        assert found == [[], [], [stray]]
-        assert led.coverage(0) == [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)]
-        # touching, abutting or two-piece requests take the walk
-        walked = [[(0.5, 1.5)], [(5.0, 6.0)], [(7.0, 8.0), (9.0, 10.0)]]
+        assert found == [[], [], [stray], []]
+        assert led.coverage(0) == [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0), (7.0, 8.0), (9.0, 10.0)]
+        # a request inside one covered interval has no gap and reaches no draw
+        new, old = led.realize_new(0, [(2.25, 2.75)], 3.0, rng)
+        assert new == [] and stray in old and old == led.points_in(0, 2.25, 2.75)
+        assert len(drawn_on) == 4
+        # touching or abutting requests take the walk
+        walked = [[(0.5, 1.5)], [(5.0, 6.0)], [(8.0, 9.0), (10.0, 11.0)]]
         for region in walked:
             led.realize_new(0, region, 3.0, rng)
-        assert drawn_on[3:] == [[(1.0, 1.5)], [(5.0, 6.0)], [(7.0, 8.0), (9.0, 10.0)]]
-        assert not any(gaps is region for gaps, region in zip(drawn_on[3:], walked))
+        assert drawn_on[4:] == [[(1.0, 1.5)], [(5.0, 6.0)], [(8.0, 9.0), (10.0, 11.0)]]
+        assert not any(gaps is region for gaps, region in zip(drawn_on[4:], walked))
 
     def test_dump_roundtrip(self, tmp_path):
         led = RegionLedger()
@@ -696,15 +720,23 @@ _segments = st.tuples(st.lists(_quarter, min_size=2, max_size=10, unique=True), 
     _chosen_segments
 )
 _any_pieces = st.lists(st.tuples(_quarter, _width).map(lambda p: (p[0], p[0] + p[1])), min_size=1, max_size=5)
-_realize_op = st.tuples(
-    st.just("realize"),
-    st.sampled_from([0, 1]),
-    st.one_of(_segments.filter(bool), _any_pieces),
-    st.sampled_from([2.0, 2.0, 2.0, 3.0]),
+# pieces at widely separated depths below an anchor, as two_node_clan_model
+# parks a neighbourhood's pieces: most such requests meet no coverage on a
+# node that holds some
+_spread_pieces = st.tuples(_quarter, st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True)).map(
+    lambda p: [(p[0] - d - 0.5, p[0] - d) for d in (2.0 + 9.0 * k + 0.37 * k * k for k in p[1])]
 )
+
+
+def _realize(pieces):
+    return st.tuples(st.just("realize"), st.sampled_from([0, 1]), pieces, st.sampled_from([2.0, 2.0, 2.0, 3.0]))
+
+
+_realize_op = _realize(st.one_of(_segments.filter(bool), _any_pieces))
 _ledger_op = st.one_of(
     _realize_op,
     _realize_op,
+    _realize(_spread_pieces),
     st.tuples(st.just("advance"), st.sampled_from([0, 1]), _quarter, _width),
     st.tuples(st.just("empty"), st.sampled_from([0, 1]), _quarter, _width),
     st.tuples(st.just("empty_from_point"), st.sampled_from([0, 1]), st.integers(0, 60), _width),
@@ -747,11 +779,11 @@ class TestLedgerAgainstReference:
             return led.register_empty(node, t, t + y)
         return None
 
-    @given(st.lists(_ledger_op, min_size=5, max_size=30))
-    @settings(max_examples=300, deadline=None)
-    def test_multi_piece_requests_and_walks_match_the_per_piece_reference(self, ops):
-        led, ref = RegionLedger(), ReferenceLedger()
-        rng, ref_rng = RandomStream(29), RandomStream(29)
+    def _replay(self, ops, led, ref, rng, ref_rng):
+        """Apply ``ops`` to the ledger and the reference, each on its stream,
+        checking after each that both gave the same outcome, coverage and
+        points; returns the outcomes."""
+        out = []
         for op in ops:
             outcomes = []
             for ledger, stream in ((led, rng), (ref, ref_rng)):
@@ -764,6 +796,67 @@ class TestLedgerAgainstReference:
                 assert led.coverage(node) == ref.coverage(node)
                 assert _all_points(led, node) == _all_points(ref, node)
             assert led.n_points() == ref.n_points()
+            out.append(outcomes[0])
+        return out
+
+    @given(st.lists(_ledger_op, min_size=5, max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_multi_piece_requests_and_walks_match_the_per_piece_reference(self, ops):
+        rng, ref_rng = RandomStream(29), RandomStream(29)
+        self._replay(ops, RegionLedger(), ReferenceLedger(), rng, ref_rng)
+        assert rng.uniform() == ref_rng.uniform()
+
+    def test_abutting_pieces_that_meet_no_coverage_merge_into_one_interval(self):
+        rng, ref_rng = RandomStream(3), RandomStream(3)
+        led = RegionLedger()
+        ops = [
+            ("realize", 0, [(0.0, 1.0)], 2.0),
+            # abutting pieces past the coverage of a covered node, then on a new node
+            ("realize", 0, [(3.0, 4.0), (4.0, 5.0), (6.0, 7.0)], 2.0),
+            ("realize", 1, [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)], 2.0),
+        ]
+        outs = self._replay(ops, led, ReferenceLedger(), rng, ref_rng)
+        assert led.coverage(0) == [(0.0, 1.0), (3.0, 5.0), (6.0, 7.0)]
+        assert led.coverage(1) == [(0.0, 3.0)]
+        assert all(old == [] and new for _, (new, old) in outs)
+        assert rng.uniform() == ref_rng.uniform()
+
+    def test_a_stored_point_between_pieces_that_meet_no_coverage_is_not_found(self):
+        rng, ref_rng = RandomStream(4), RandomStream(4)
+        ops = [
+            ("realize", 0, [(0.0, 1.0)], 2.0),
+            ("propose", 0, 5.0, 0.25),
+            ("propose", 0, 6.5, 0.75),
+            ("realize", 0, [(3.0, 4.0), (6.0, 7.0)], 2.0),
+            # a node that holds only stored points, no coverage
+            ("propose", 1, 1.5, 0.25),
+            ("propose", 1, 2.5, 0.75),
+            ("realize", 1, [(0.0, 1.0), (2.0, 3.0)], 2.0),
+        ]
+        outs = self._replay(ops, RegionLedger(), ReferenceLedger(), rng, ref_rng)
+        assert outs[3][1][1] == [(6.5, 0.75)]
+        assert outs[6][1][1] == [(2.5, 0.75)]
+        assert rng.uniform() == ref_rng.uniform()
+
+    def test_a_request_inside_one_interval_draws_nothing_and_stops_before_its_end(self):
+        rng, ref_rng = RandomStream(5), RandomStream(5)
+        led, ref = RegionLedger(), ReferenceLedger()
+        ops = [
+            ("propose", 0, 2.0, 0.25),
+            ("realize", 0, [(2.0, 3.0)], 2.0),
+            # a point stored at the interval's end, outside it
+            ("propose", 0, 3.0, 0.75),
+        ]
+        self._replay(ops, led, ref, rng, ref_rng)
+        assert led.coverage(0) == [(2.0, 3.0)]
+        # the whole interval and a piece at each of its edges, on streams that
+        # have no uniform to give
+        inside = [("realize", 0, region, 2.0) for region in ([(2.0, 3.0)], [(2.0, 2.5)], [(2.5, 3.0)])]
+        outs = self._replay(inside, led, ref, ScriptedStream([]), ScriptedStream([]))
+        assert [new for _, (new, _) in outs] == [[], [], []]
+        whole, left, right = (old for _, (_, old) in outs)
+        assert whole == left + right == _pairs(led.points_in(0, 2.0, 3.0))
+        assert whole[0] == (2.0, 0.25) and (3.0, 0.75) not in whole
         assert rng.uniform() == ref_rng.uniform()
 
 
