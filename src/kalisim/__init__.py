@@ -74,7 +74,7 @@ from .sampling import (
     RegionLedger,
     sample_poisson_region,
 )
-from .weights import AtomicWeights, FiniteWeights, GeometricLevels, TaylorWeights
+from .weights import AtomicWeights, GeometricLevels, TaylorWeights
 from .config import RunConfig, build_model, load_config, parse_config
 
 __version__ = "0.1.0"

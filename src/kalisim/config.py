@@ -283,7 +283,11 @@ def parse_config(cfg: dict) -> RunConfig:
         raise ConfigError([f"model: missing key {exc}"]) from exc
     except ValueError as exc:
         raise ConfigError([f"model: {exc}"]) from exc
-    stray = sorted(set(sim.get("nodes") or ()) - set(known)) if known is not None else []
+    sim_nodes = sim.get("nodes") or []
+    repeated = sorted({j for j in sim_nodes if sim_nodes.count(j) > 1})
+    if repeated:
+        raise ConfigError([f"simulation.nodes: {repeated} are listed more than once"])
+    stray = sorted(set(sim_nodes) - set(known)) if known is not None else []
     if stray:
         raise ConfigError([f"simulation.nodes: {stray} are not nodes of the model"])
     if known is not None and "node" in sim and sim["node"] not in known:

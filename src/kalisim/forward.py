@@ -34,13 +34,14 @@ the generic route through ``Configuration.restrict_at``. The rates the class
 is picked from are summed once per renewal. A bound costs O(points in its
 live window) plus O(log N) bins for N points of each source it reads: it
 walks the source's bins from the newest point and stops once no older bin
-can raise it (``models.base.future_bin_bounds``), and each source's walk is
+can raise it (``models.atomic``), and each source's walk is
 set up once per model. An acceptance copies the accepted node's tuple of
 points, not the whole history.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -100,11 +101,16 @@ def forward_simulate(
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max}")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     node_list = tuple(sorted(int(n) for n in nodes))
     if not node_list:
         raise ValueError("need at least one node")
+    repeated = sorted({j for j, k in zip(node_list, node_list[1:]) if j == k})
+    if repeated:
+        raise ValueError(f"nodes {repeated} are listed more than once")
     known = model.node_set()
     if known is None:
         raise ValueError("forward simulation runs on finite networks only")

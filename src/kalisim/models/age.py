@@ -184,19 +184,19 @@ class GammaLadder:
 class AgeHawkesModel(KalikowModel):
     """Nested-family decomposition of the age-dependent Hawkes process on a
     finite network, held as data: ``kernels[(i, j)]`` is the kernel through
-    which node j drives node i, ``psi`` the rate of every node (or a map from
-    node to rate) and ``omega[i]`` node i's nested node sets level by level
-    (default omega_1 = {i}, omega_2 = every node). Beyond the last level the
-    node set saturates while the time window keeps deepening.
+    which node j drives node i, ``psi`` the rate of every node and
+    ``omega[i]`` node i's nested node sets level by level (default
+    omega_1 = {i}, omega_2 = every node). Beyond the last level the node set
+    saturates while the time window keeps deepening.
 
     The network is read only through ``kernel``, ``omega``, ``depth``,
-    ``psi`` and ``ladder``; ``LatticeAgeModel`` overrides those five for the
-    integers.
+    ``psi`` and ``ladder``; ``LatticeAgeModel`` overrides all but ``psi`` for
+    the integers.
     """
 
     def __init__(
         self,
-        psi: AffineRate | Mapping[NodeId, AffineRate],
+        psi: AffineRate,
         kernels: Mapping[tuple[NodeId, NodeId], Kernel],
         refractory: float,
         nodes: Sequence[NodeId],
@@ -205,7 +205,7 @@ class AgeHawkesModel(KalikowModel):
         self._nodes = tuple(sorted(int(n) for n in nodes))
         self.kernels = {(int(i), int(j)): k for (i, j), k in kernels.items()}
         require_known_nodes(self.kernels, self._nodes, "kernel")
-        self._psi = dict(psi) if isinstance(psi, Mapping) else {i: psi for i in self._nodes}
+        self._psi = psi
         self._levels = nested_levels(omega, self._nodes, self.kernels)
         self._set_refractory(refractory)
 
@@ -240,7 +240,8 @@ class AgeHawkesModel(KalikowModel):
         return k
 
     def psi(self, i: NodeId) -> AffineRate:
-        return self._psi[i]
+        """The rate function of node i: one for every node."""
+        return self._psi
 
     def ladder(self, i: NodeId) -> GammaLadder:
         lad = self._ladders.get(i)

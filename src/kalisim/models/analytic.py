@@ -18,15 +18,8 @@ from ..errors import ExplosionGuardError, NonSummableError
 from ..kernels import Kernel
 from ..sampling import RandomStream
 from ..weights import TaylorWeights, default_atomic_weights
-from .base import (
-    EMPTY_NEIGHBORHOOD,
-    KalikowModel,
-    _bin_of,
-    atom_future_bound,
-    bin_drive,
-    past_drive,
-    require_known_nodes,
-)
+from .atomic import AtomicHawkesModel
+from .base import EMPTY_NEIGHBORHOOD, past_drive
 
 
 class PsiSeries:
@@ -68,7 +61,7 @@ class PsiSeries:
         return sum(c * u**k / math.factorial(k) for k, c in enumerate(self.coeffs))
 
 
-class AnalyticHawkesModel(KalikowModel):
+class AnalyticHawkesModel(AtomicHawkesModel):
     """Taylor-family decomposition of a nonlinear Hawkes process.
 
     The family is the iterated product of the atomic family: the order-k
@@ -88,43 +81,23 @@ class AnalyticHawkesModel(KalikowModel):
         order_ratio: float = 0.5,
         weights: Optional[Mapping[NodeId, TaylorWeights]] = None,
     ):
-        if eps <= 0:
-            raise ValueError("bin width eps must be positive")
+        super().__init__(nodes, kernels, eps)
         self.psi = psi
-        self.eps = float(eps)
-        self._nodes = tuple(sorted(int(n) for n in nodes))
-        self.kernels = {(int(i), int(j)): k for (i, j), k in kernels.items()}
-        require_known_nodes(self.kernels, self._nodes, "kernel")
-        self._incoming = {
-            i: {j: self.kernels.get((i, j)) for j in self._nodes if (i, j) in self.kernels}
-            for i in self._nodes
-        }
         if weights is None:
             weights = {}
             for i in self._nodes:
                 atoms = default_atomic_weights(self._incoming[i], self.eps, p_empty=0.0)
                 weights[i] = TaylorWeights(order_ratio, atoms)
         self.weights = dict(weights)
-        self._walks: dict[NodeId, dict] = {i: {} for i in self._nodes}
 
     # -- structure -------------------------------------------------------------
-
-    def node_set(self):
-        return self._nodes
 
     def expand(self, i: NodeId, desc) -> Neighborhood:
         if isinstance(desc, EmptyND):
             return EMPTY_NEIGHBORHOOD
         if isinstance(desc, TaylorND):
-            return Neighborhood(
-                (j, -n * self.eps, -(n - 1) * self.eps) for j, n in desc.alphas
-            )
+            return Neighborhood(self.bin_piece(j, n) for j, n in desc.alphas)
         raise KeyError(f"descriptor {desc!r} is not a Taylor tuple")
-
-    def atom_value(self, i: NodeId, j: NodeId, n: int, x: Configuration) -> float:
-        """a_{(j,n)}(x): kernel integral over bin n of node j."""
-        ker = self._incoming[i].get(j)
-        return 0.0 if ker is None else bin_drive(ker, x.points(j), 0.0, n, self.eps)
 
     # -- decomposition --------------------------------------------------------------
 
@@ -159,19 +132,6 @@ class AnalyticHawkesModel(KalikowModel):
     def sample_neighborhood(self, i: NodeId, rng: RandomStream, cls=None):
         return self.weights[i].sample(rng)
 
-    def _live_atoms(self, i: NodeId, x: Configuration) -> list[tuple[NodeId, int]]:
-        """Atoms whose bin holds a point and whose kernel has not yet vanished.
-
-        Atom (j, n) holds shifted times in [-n*eps, -(n-1)*eps), the bin of
-        ages ((n-1)*eps, n*eps] that ``_bin_of`` finds."""
-        out = []
-        for j, ker in self._incoming[i].items():
-            if ker.is_zero():
-                continue
-            bins = sorted({_bin_of(-s, self.eps) for s in x.points(j) if s < 0.0})
-            out.extend((j, n) for n in bins if (n - 1) * self.eps < ker.support_end)
-        return sorted(out, key=lambda a: (a[1], a[0]))
-
     def enumerate_descriptors(self, i: NodeId, x: Optional[Configuration] = None):
         """The empty set, then every tuple of the atoms live on ``x`` by order.
 
@@ -197,13 +157,13 @@ class AnalyticHawkesModel(KalikowModel):
     def local_bound(self, i: NodeId, x: Configuration, t: float = 0.0, cls=None) -> float:
         """Bound every component value at all future shifts.
 
-        With B* the largest atom ratio of ``atom_future_bound``, an order-k
+        With B* the largest atom ratio of ``atom_bound``, an order-k
         component is bounded by psi^(k)(0)/k! * (B*)^k / ((1-kappa) kappa^k).
         The factorial wins for entire rate functions; the orders are tracked
         until no later one can exceed the best so far.
         """
         fam = self.weights[i]
-        b_star = atom_future_bound(i, self._incoming[i], fam.atoms, x, t, self.eps, None, self._walks[i])
+        b_star = self.atom_bound(i, fam.atoms, x, t)
         best = self.psi.derivative(0) / fam.p_empty
         if b_star == 0.0:
             return best

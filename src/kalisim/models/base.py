@@ -1,23 +1,20 @@
 """Model interface: the contract every decomposable intensity family satisfies,
 and what the families share, once each: ``KalikowModel.require_bound`` (the
 one reader of Gamma_i), ``past_drive``, ``NestedLevels`` (v_k = omega_k x
-[-D_k*unit, 0)), the node checks ``nested_levels`` and ``require_known_nodes``,
-and the atomic families' ``bin_drive`` and ``atom_future_bound``."""
+[-D_k*unit, 0)) and the node checks ``nested_levels`` and
+``require_known_nodes``. The families over single-node time bins share
+``models.atomic``, which alone knows the bin convention."""
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
-from ..core import Configuration, Neighborhood, NodeId, NoGuard, SubspaceGuard, _first_aged
-from ..errors import ExplosionGuardError, NonSummableError
+from ..core import Configuration, Neighborhood, NodeId, NoGuard, SubspaceGuard
+from ..errors import NonSummableError
 from ..kernels import Kernel
 from ..sampling import RandomStream
-from ..weights import AtomicWeights
 
 _NO_GUARD = NoGuard()
 EMPTY_NEIGHBORHOOD = Neighborhood.empty()  # shared by every expansion of the empty set
@@ -287,190 +284,3 @@ def past_drive(incoming: Iterable[tuple[NodeId, Kernel]], x: Configuration, tota
             if s < 0.0:
                 total += ker(-s)
     return total
-
-
-# Relative rounding allowance of the capped bin walk (derived in
-# ``future_bin_bounds``): the relative roundings it covers come to below 2**-40.
-_WALK_ALLOWANCE = 1.0 + 2.0**-32
-
-
-def atom_future_bound(
-    i: NodeId,
-    incoming: Mapping[NodeId, Kernel],
-    atoms: AtomicWeights,
-    x: Configuration,
-    t: float,
-    eps: float,
-    source: Optional[NodeId],
-    walks: dict,
-) -> float:
-    """Largest B_n / lambda(w_{j,n}) over the atoms of node ``i``'s sources.
-
-    ``incoming`` maps each source j to its kernel and ``atoms`` weighs the
-    bins w_{j,n}; B_n is the bound of ``future_bin_bounds``, so the value
-    bounds every atom's component at every future shift of ``x``'s past
-    before ``t``. ``source=j`` reads j's atoms only. ``walks`` is the
-    model's cache of node ``i``'s per-source set-up (``_source_walk``),
-    filled on a source's first points.
-
-    Each source's bins are walked by ``future_bin_bounds``, which stops
-    early where an infinite-support kernel decays faster across one bin than
-    the bin weights (``decay_per(eps)`` below the ratio), yet returns the
-    float of the walk over every bin. On untruncated weights such a kernel
-    must decay so, or the ratios grow without bound along future shifts and
-    no finite bound exists; a compact support needs no decay.
-    """
-    best = 0.0
-    for j in incoming if source is None else (source,):
-        pts = x.points(j)
-        if not pts:
-            continue
-        walk = walks.get(j)
-        if walk is None:
-            walk = walks[j] = _source_walk(i, j, incoming.get(j), atoms, eps)
-        if not walk:
-            continue
-        if isinstance(walk, str):
-            raise ExplosionGuardError(walk)
-        ker, nmax, falls, weight, table = walk
-        best = future_bin_bounds(ker, pts, t, eps, nmax, weight, best, falls, table)
-    return best
-
-
-def _source_walk(i: NodeId, j: NodeId, ker: Optional[Kernel], atoms: AtomicWeights, eps: float):
-    """What every bound walk of node ``i`` over source ``j``'s bins reads,
-    as ``(kernel, nmax, falls, weight, table)`` for ``future_bin_bounds``.
-
-    () when no kernel, or a zero one, drives i from j: its atoms' components
-    are 0. The message of the ``ExplosionGuardError`` to raise when the
-    components admit no finite bound once j has points: the atoms carry no
-    weight, or untruncated weights decay at least as fast as the kernel.
-    """
-    if ker is None or ker.is_zero():
-        return ()
-    if (1.0 - atoms.p_empty) * atoms.shares.get(j, 0.0) == 0.0:
-        return f"node {i}: kernel from node {j} is active but its atoms carry no weight"
-    nmax = atoms.trunc[j]
-    falls = False
-    if math.isinf(ker.support_end):
-        falls = ker.decay_per(eps) < atoms.ratios[j]
-        if not falls and nmax is None:
-            return (
-                f"node {i}: bin weights from node {j} decay at least as fast as the kernel"
-                " across bins; components admit no finite bound at future shifts"
-            )
-    return ker, nmax, falls, partial(atoms.bin_weight, j), ([math.nan], [math.nan])
-
-
-def bin_drive(ker: Kernel, pts: tuple[float, ...], t: float, n: int, eps: float) -> float:
-    """The drive of the atom w_{j,n}: the kernel sum over the points ``pts``
-    of node j (increasing) whose time shifted to ``t`` lies in the bin
-    [-n*eps, -(n-1)*eps). The points are found as
-    ``Configuration.restrict_at`` finds them, which at ``t`` = 0 is
-    ``Configuration.points_in``, and summed in time order."""
-    lo = _first_aged(pts, t, -n * eps)
-    return sum([ker(-(s - t)) for s in pts[lo : _first_aged(pts, t, -(n - 1) * eps, lo)]])
-
-
-def _bin_of(age: float, eps: float) -> int:
-    """The bin holding ``age`` >= 0: the first n >= 1 with age <= n*eps, as
-    the walk compares them."""
-    n = int(age / eps) + 1
-    while n > 1 and age <= (n - 1) * eps:
-        n -= 1
-    while age > n * eps:
-        n += 1
-    return n
-
-
-def future_bin_bounds(
-    ker,
-    pts: tuple[float, ...],
-    t: float,
-    eps: float,
-    nmax: Optional[int],
-    weight: Callable[[int], float],
-    best: float = 0.0,
-    falls: bool = False,
-    table: Optional[tuple[list[float], list[float]]] = None,
-) -> float:
-    """The largest of ``best`` and the ratios B_n / weight(n) over the bins n >= 1.
-
-    ``table`` keeps h((n-1)*eps) and weight(n) at index n across calls, grown
-    only as far as a walk reads.
-
-    B_n bounds the bin-n drive of ``ker`` at every later shift of the past.
-    ``pts`` are one source node's absolute point times, increasing; the past
-    is the points at or before ``t``. Bin n holds ages in ((n-1)*eps, n*eps],
-    as the atom w_{j,n} holds shifted times in [-n*eps, -(n-1)*eps). A point
-    of age a can be in bin n now or later iff a <= n*eps, and its kernel
-    value there is at most h(max(a, (n-1)*eps)), the kernel being
-    nonincreasing. So B_n is the kernel sum over the points in bin n plus
-    h((n-1)*eps) times the number of younger points. The walk reads the
-    points newest first, building their kernel values' prefix sums in that
-    order. It starts at the newest point's bin (every earlier B_n is 0) and
-    ends at the first bin whose lower edge the kernel is 0 at, as every later
-    B_n is 0, or at ``nmax`` when the weights truncate. When ``falls`` it
-    ends, at the latest, at the bin past the oldest point's: beyond it B_n is
-    the count of points times h((n-1)*eps), whose ratio falls with n.
-    Otherwise the ratios may rise up to the last bin, so the walk covers the
-    truncation or the compact support whole.
-
-    *Stopping rule.* ``falls`` says that h_n / w_n is nonincreasing in n, with
-    h_n = h((n-1)*eps) and w_n = weight(n): the kernel decays faster across a
-    bin than the weights. Say N points are at or before ``t`` and the K
-    newest are read before bin n (their ages are at most (n-1)*eps). For
-    m >= n a point younger than bin m adds h_m to B_m, and a point in bin m
-    adds its kernel value v <= h_m plus the rounding of its addition to the
-    prefix sums, which is at most v: a rounded sum is no farther from the
-    exact one than the old sum is. The K read points are younger than bin m,
-    so B_m <= (2N - K) h_m and B_m / w_m <= (2N - K) h_n / w_n. The walk
-    stops at the first bin n where this envelope, times
-    ``_WALK_ALLOWANCE``, is at most the running maximum: no later bin can
-    raise it, so the result is the float that the walk over every bin gives.
-    The walk reads the points in the live window and then
-    log(2N / K') / log(ratio / decay) bins or fewer, K' being the count that
-    set the maximum: O(log N) however long the history. The allowance covers
-    every other
-    rounding, each relative: the product, sum and difference in B_m, the
-    envelope's product and division, the bin edges, the kernel's and the
-    weight's evaluation, and a kernel evaluation that is nonincreasing only
-    to within 2**-50. While values stay in the normal float range these come
-    to below 2**-40.
-    """
-    hi = bisect_right(pts, t)
-    if not hi:
-        return best
-    if falls:
-        n_stop = int((t - pts[0]) / eps) + 2
-        if nmax is not None:
-            n_stop = min(n_stop, nmax)
-    elif nmax is not None:
-        n_stop = nmax
-    else:
-        n_stop = int(ker.support_end / eps) + 2
-    acc = 0.0  # the kernel values' prefix sum over the points read, newest first
-    k = 0  # points read: those younger than the current bin
-    n = _bin_of(t - pts[hi - 1], eps)
-    edges, weights = table or ([math.nan], [math.nan])  # index 0 is no bin
-    while n <= n_stop:
-        if n >= len(edges):
-            for m in range(len(edges), n + 1):
-                edges.append(ker((m - 1) * eps))
-                weights.append(weight(m))
-        c = edges[n]
-        if c == 0.0:
-            break  # the kernel is 0 from here on, and so is every B_m
-        w = weights[n]
-        if falls and (2 * hi - k) * c / w * _WALK_ALLOWANCE <= best:
-            break  # no later bin can raise the maximum
-        k_lo, acc_lo = k, acc
-        hi_edge = n * eps
-        while k < hi and (age := t - pts[hi - 1 - k]) <= hi_edge:
-            acc += ker(age)
-            k += 1
-        bound_n = (acc - acc_lo) + k_lo * c
-        if bound_n > 0.0 and (ratio := bound_n / w) > best:
-            best = ratio
-        n += 1
-    return best

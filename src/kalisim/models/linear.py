@@ -9,18 +9,11 @@ from ..errors import ExplosionGuardError
 from ..kernels import Kernel
 from ..sampling import RandomStream
 from ..weights import AtomicWeights, default_atomic_weights
-from .base import (
-    EMPTY_NEIGHBORHOOD,
-    KalikowModel,
-    OffspringRow,
-    atom_future_bound,
-    bin_drive,
-    past_drive,
-    require_known_nodes,
-)
+from .atomic import AtomicHawkesModel
+from .base import EMPTY_NEIGHBORHOOD, OffspringRow, past_drive
 
 
-class LinearHawkesModel(KalikowModel):
+class LinearHawkesModel(AtomicHawkesModel):
     """intensity_i(x) = mu_i + sum_j integral h_ij(-s) dx_j(s).
 
     The neighborhood family is atomic: the empty set plus single-node bins
@@ -33,7 +26,7 @@ class LinearHawkesModel(KalikowModel):
     ``weights`` gives each node's atom family, ``default_atomic_weights``
     by default. Forward thinning per class (``proposal_classes``) proposes at
     mu for the empty set and at max_n B_n / g_j(n) for source j's atoms (B_n
-    the bin bound of ``atom_future_bound``, g_j the bin pmf): lambda(empty)
+    the bin bound of ``atom_bound``, g_j the bin pmf): lambda(empty)
     and the shares cancel out, and only the bin ratios change the cost. A
     proposal (``sample_component``) draws a bin of its source and sums the
     kernel over the source's points in it, with no descriptor, neighborhood
@@ -48,19 +41,10 @@ class LinearHawkesModel(KalikowModel):
         weights: Optional[Mapping[NodeId, AtomicWeights]] = None,
         declared_bounds: Optional[Mapping[NodeId, float]] = None,
     ):
-        if eps <= 0:
-            raise ValueError("bin width eps must be positive")
         self.mu = {int(i): float(v) for i, v in mu.items()}
         if any(v < 0 for v in self.mu.values()):
             raise ValueError("spontaneous rates must be nonnegative")
-        self.eps = float(eps)
-        self.kernels = {(int(i), int(j)): k for (i, j), k in kernels.items()}
-        require_known_nodes(self.kernels, self.mu, "kernel")
-        self._nodes = tuple(sorted(self.mu))
-        self._incoming = {
-            i: {j: self.kernels.get((i, j)) for j in self._nodes if (i, j) in self.kernels}
-            for i in self._nodes
-        }
+        super().__init__(self.mu, kernels, eps)
         if weights is None:
             weights = {i: default_atomic_weights(self._incoming[i], self.eps) for i in self._nodes}
         self.weights = dict(weights)
@@ -74,24 +58,14 @@ class LinearHawkesModel(KalikowModel):
                         f" reaches back to {ker.support_end:g}; the decomposition would be lossy"
                     )
         self._declared = dict(declared_bounds) if declared_bounds else {}
-        self._expand_cache: dict[tuple[int, int], Neighborhood] = {}
-        self._walks: dict[NodeId, dict] = {i: {} for i in self._nodes}
 
     # -- structure ----------------------------------------------------------
-
-    def node_set(self):
-        return self._nodes
 
     def expand(self, i: NodeId, desc) -> Neighborhood:
         if isinstance(desc, EmptyND):
             return EMPTY_NEIGHBORHOOD
         if isinstance(desc, AtomND):
-            key = (desc.j, desc.n)
-            nb = self._expand_cache.get(key)
-            if nb is None:
-                nb = Neighborhood([(desc.j, -desc.n * self.eps, -(desc.n - 1) * self.eps)])
-                self._expand_cache[key] = nb
-            return nb
+            return self.atom(desc.j, desc.n)
         raise KeyError(f"descriptor {desc!r} is not atomic")
 
     # -- decomposition ---------------------------------------------------------
@@ -104,12 +78,7 @@ class LinearHawkesModel(KalikowModel):
             return self.mu[i]
         if not isinstance(desc, AtomND):
             raise KeyError(f"descriptor {desc!r} is not atomic")
-        return self._bin_drive(i, desc.j, desc.n, x, 0.0)
-
-    def _bin_drive(self, i: NodeId, j: NodeId, n: int, x: Configuration, t: float) -> float:
-        """delta of the atom w_{j,n} at the past of ``x`` shifted to ``t``."""
-        ker = self._incoming[i].get(j)
-        return 0.0 if ker is None else bin_drive(ker, x.points(j), t, n, self.eps)
+        return self.atom_value(i, desc.j, desc.n, x)
 
     def pmf(self, i: NodeId, desc) -> float:
         return self.weights[i].pmf(desc)
@@ -136,7 +105,7 @@ class LinearHawkesModel(KalikowModel):
         lam = fam.bin_weight(cls, n)
         if lam == 0.0:
             return 0.0
-        return self._bin_drive(i, cls, n, x, t) / lam
+        return self.atom_value(i, cls, n, x, t) / lam
 
     def enumerate_descriptors(self, i: NodeId, x: Optional[Configuration] = None):
         yield EMPTY_ND
@@ -167,12 +136,12 @@ class LinearHawkesModel(KalikowModel):
 
     def local_bound(self, i: NodeId, x: Configuration, t: float = 0.0, cls=None) -> float:
         """sup over future shifts of the component values of the class ``cls``:
-        the empty set's mu / lambda(empty), or ``atom_future_bound`` over
+        the empty set's mu / lambda(empty), or ``atom_bound`` over
         source ``cls``'s atoms; the larger of the two for the whole family.
         """
         fam = self.weights[i]
         if cls is not None and cls is not EMPTY_ND:
-            return atom_future_bound(i, self._incoming[i], fam, x, t, self.eps, cls, self._walks[i])
+            return self.atom_bound(i, fam, x, t, cls)
         if self.mu[i] > 0.0 and fam.p_empty == 0.0:
             raise ExplosionGuardError(
                 f"node {i} has positive spontaneous rate but zero weight on the empty set"
@@ -180,7 +149,7 @@ class LinearHawkesModel(KalikowModel):
         best = self.mu[i] / fam.p_empty if self.mu[i] > 0.0 else 0.0
         if cls is EMPTY_ND:
             return best
-        return max(best, atom_future_bound(i, self._incoming[i], fam, x, t, self.eps, None, self._walks[i]))
+        return max(best, self.atom_bound(i, fam, x, t))
 
     # -- branching ------------------------------------------------------------------
 

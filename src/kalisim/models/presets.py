@@ -128,7 +128,7 @@ class LatticeAgeModel(AgeHawkesModel):
         if gamma <= 3.0:
             raise ValueError("lattice preset needs gamma > 3")
         self.gamma_exponent = float(gamma)
-        self._rate = AffineRate(1.0, 1.0)
+        self._psi = AffineRate(1.0, 1.0)
         self._by_distance: dict[int, ExponentialKernel] = {}
         self.head = self.nesting()
         self._diagonal_from = self.head[-1][1]  # K
@@ -165,9 +165,6 @@ class LatticeAgeModel(AgeHawkesModel):
 
     def depth(self, i: NodeId, k: int) -> int:
         return self.level(k)[1]
-
-    def psi(self, i: NodeId) -> AffineRate:
-        return self._rate
 
     def ladder(self, i: NodeId) -> GammaLadder:
         return self._ladder

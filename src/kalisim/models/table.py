@@ -7,7 +7,6 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from ..core import Configuration, Neighborhood, NodeId, TableND
 from ..sampling import RandomStream
-from ..weights import FiniteWeights
 from .base import KalikowModel, OffspringRow
 
 
@@ -35,9 +34,11 @@ class TableModel(KalikowModel):
     """Model given by explicit per-node tables of (weight, neighborhood, bound, summand).
 
     The per-node dominating bound defaults to the sum of row bounds; it can be
-    declared larger. Weights must sum to one per node, and every summand is the
-    caller's assertion to stay below its row bound (acceptance probabilities
-    are still checked at simulation time).
+    declared larger. Weights must be nonnegative and sum to one per node, and
+    every summand is the caller's assertion to stay below its row bound
+    (acceptance probabilities are still checked at simulation time). A row is
+    drawn as the first whose running weight total exceeds a uniform, the last
+    row when rounding leaves the uniform past every total.
     """
 
     def __init__(
@@ -46,12 +47,16 @@ class TableModel(KalikowModel):
         bounds: Optional[Mapping[NodeId, float]] = None,
     ):
         self._entries = {int(i): tuple(rows) for i, rows in entries.items()}
-        self._weights = {
-            i: FiniteWeights([(TableND(i, k), row.weight) for k, row in enumerate(rows)])
-            for i, rows in self._entries.items()
-        }
+        self._draws: dict[NodeId, tuple[tuple[TableND, float], ...]] = {}
         self._bounds = {}
         for i, rows in self._entries.items():
+            weights = [float(row.weight) for row in rows]
+            if any(w < 0 for w in weights):
+                raise ValueError(f"table weights of node {i} must be nonnegative")
+            total = sum(weights)
+            if abs(total - 1.0) > 1e-12:
+                raise ValueError(f"table weights of node {i} must sum to 1, got {total}")
+            self._draws[i] = tuple((TableND(i, k), w) for k, w in enumerate(weights))
             declared = None if bounds is None else bounds.get(i)
             row_sum = sum(r.bound for r in rows)
             self._bounds[i] = float(declared) if declared is not None else row_sum
@@ -69,9 +74,12 @@ class TableModel(KalikowModel):
         return tuple(sorted(self._entries))
 
     def _row(self, i: NodeId, desc) -> TableEntry:
-        if not isinstance(desc, TableND) or desc.node != i:
-            raise KeyError(f"descriptor {desc!r} does not belong to node {i}'s table")
-        return self._entries[i][desc.index]
+        if isinstance(desc, TableND) and desc.node == i and desc.index >= 0:
+            try:
+                return self._entries[i][desc.index]
+            except IndexError:
+                pass
+        raise KeyError(f"descriptor {desc!r} does not belong to node {i}'s table")
 
     # -- decomposition -------------------------------------------------------------
 
@@ -94,7 +102,13 @@ class TableModel(KalikowModel):
         return self._row(i, desc).neighborhood
 
     def sample_neighborhood(self, i: NodeId, rng: RandomStream, cls=None):
-        return self._weights[i].sample(rng)
+        u = rng.uniform()
+        acc = 0.0
+        for desc, w in self._draws[i]:
+            acc += w
+            if u < acc:
+                return desc
+        return desc
 
     def enumerate_descriptors(self, i: NodeId, x: Optional[Configuration] = None):
         return iter(TableND(i, k) for k in range(len(self._entries[i])))

@@ -328,6 +328,8 @@ def perfect_sample_window(
     normalized: dict[NodeId, list[tuple[float, float]]] = {}
     for node, interval in targets:
         a, b = float(interval[0]), float(interval[1])
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"window [{a}, {b}) for node {node} is not finite")
         if not a < b:
             raise ValueError(f"empty window [{a}, {b}) for node {node}")
         normalized.setdefault(int(node), []).append((a, b))

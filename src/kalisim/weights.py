@@ -10,37 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .core import EMPTY_ND, AtomND, EmptyND, NestedND, TaylorND
 from .sampling import RandomStream
-
-
-class FiniteWeights:
-    """Explicit finite family [(descriptor, weight)]; weights sum to 1."""
-
-    def __init__(self, entries: Sequence[tuple[object, float]]):
-        self.entries = [(d, float(w)) for d, w in entries]
-        if any(w < 0 for _, w in self.entries):
-            raise ValueError("weights must be nonnegative")
-        total = sum(w for _, w in self.entries)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {total}")
-        self._pmf = {}
-        for d, w in self.entries:
-            self._pmf[d] = self._pmf.get(d, 0.0) + w
-
-    def pmf(self, desc) -> float:
-        return self._pmf.get(desc, 0.0)
-
-    def sample(self, rng: RandomStream):
-        u = rng.uniform()
-        acc = 0.0
-        for d, w in self.entries:
-            acc += w
-            if u < acc:
-                return d
-        return self.entries[-1][0]
 
 
 class AtomicWeights:
@@ -75,6 +48,9 @@ class AtomicWeights:
                 raise ValueError(f"bin ratio for node {j} must lie in (0, 1), got {r}")
             self.ratios[j] = r
         self.trunc = {j: (trunc or {}).get(j) for j in self.nodes}
+        for j, nmax in self.trunc.items():
+            if nmax is not None and not (isinstance(nmax, int) and nmax >= 1):
+                raise ValueError(f"bin truncation for node {j} must be None or an integer >= 1, got {nmax!r}")
         # lambda(w_{j,n}) by node and bin, filled on first use
         self._bin_weights: dict[int, dict[int, float]] = {j: {} for j in self.nodes}
 
@@ -98,9 +74,11 @@ class AtomicWeights:
         return g
 
     def bin_weight(self, j: int, n: int) -> float:
-        """lambda(w_{j,n}) for a node j with atoms, cached: every proposal and
-        every walked bin of the forward bound reads it."""
-        row = self._bin_weights[j]
+        """lambda(w_{j,n}), 0 for a node j without atoms; cached: every
+        proposal and every walked bin of the forward bound reads it."""
+        row = self._bin_weights.get(j)
+        if row is None:
+            return 0.0
         w = row.get(n)
         if w is None:
             w = row[n] = (1.0 - self.p_empty) * self.shares[j] * self._bin_pmf(j, n)
@@ -109,15 +87,7 @@ class AtomicWeights:
     def pmf(self, desc) -> float:
         if isinstance(desc, EmptyND):
             return self.p_empty
-        if isinstance(desc, AtomND) and desc.j in self.shares:
-            return self.bin_weight(desc.j, desc.n)
-        return 0.0
-
-    def atom_pmf(self, j: int, n: int) -> float:
-        """pmf of the atom (j, n) under the conditional (non-empty) distribution."""
-        if j not in self.shares:
-            return 0.0
-        return self.shares[j] * self._bin_pmf(j, n)
+        return self.bin_weight(desc.j, desc.n) if isinstance(desc, AtomND) else 0.0
 
     def sample_bin(self, j: int, rng: RandomStream) -> int:
         """A bin n of node j's atoms, drawn from the bin pmf (truncation by rejection)."""
@@ -186,7 +156,8 @@ class GeometricLevels:
 @dataclass
 class TaylorWeights:
     """Product weights over ordered atom tuples: lambda(v_{alpha_{1:k}}) =
-    (1 - kappa) kappa^k * prod_m q(alpha_m), with q from an atomic family.
+    (1 - kappa) kappa^k * prod_m q(alpha_m), with q the bin weights
+    (``AtomicWeights.bin_weight``) of an atomic family without the empty set.
 
     Redundant descriptors (equal unions with different index tuples) stay
     distinct and carry their own mass. A node that no kernel drives has no
@@ -210,7 +181,7 @@ class TaylorWeights:
             return 0.0
         w = (1.0 - self.order_ratio) * self.order_ratio ** desc.order()
         for j, n in desc.alphas:
-            w *= self.atoms.atom_pmf(j, n)
+            w *= self.atoms.bin_weight(j, n)
             if w == 0.0:
                 return 0.0
         return w

@@ -31,8 +31,8 @@ from kalisim import (
     shift_to_origin,
 )
 from kalisim.forward import TIME_REACHED, forward_simulate
-from kalisim.models import analytic, linear
-from kalisim.models.base import future_bin_bounds
+from kalisim.models import atomic
+from kalisim.models.atomic import future_bin_bounds
 from kalisim.validation import hawkes_ring
 
 
@@ -64,7 +64,7 @@ def full_walk_bins(ker, pts, t, eps, nmax, falls):
 
 
 def full_walk_bound(i, incoming, atoms, x, t, eps, source=None, tables=None):
-    """Reference for ``atom_future_bound``: the largest B_n / lambda(w_{j,n})
+    """Reference for ``atom_bound``: the largest B_n / lambda(w_{j,n})
     over every bin of every source, with no early stop and no kept tables."""
     best = 0.0
     for j, ker in incoming.items():
@@ -273,15 +273,15 @@ class TestCappedWalk:
     every bin gives."""
 
     @pytest.mark.parametrize(
-        "make, module",
+        "make",
         [
-            pytest.param(hawkes_ring, linear, id="linear"),
-            pytest.param(linear_mixed, linear, id="linear-step"),
-            pytest.param(analytic_triangle, analytic, id="analytic"),
-            pytest.param(analytic_truncated, analytic, id="analytic-truncated"),
+            pytest.param(hawkes_ring, id="linear"),
+            pytest.param(linear_mixed, id="linear-step"),
+            pytest.param(analytic_triangle, id="analytic"),
+            pytest.param(analytic_truncated, id="analytic-truncated"),
         ],
     )
-    def test_capped_bound_is_the_full_walk(self, make, module, monkeypatch):
+    def test_capped_bound_is_the_full_walk(self, make, monkeypatch):
         m = make()
         rng = random.Random(31)
         cases = []
@@ -292,7 +292,11 @@ class TestCappedWalk:
                 for key in {None, *(key for key, _, _ in m.proposal_classes(i))}:
                     cases.append((i, x, t, key, bound_or_error(m, i, x, t, key)))
         assert max(x.n_points() for _, x, *_ in cases) >= 500
-        monkeypatch.setattr(module, "atom_future_bound", full_walk_bound)
+
+        def full_walk(model, i, atoms, x, t, source=None):
+            return full_walk_bound(i, model._incoming[i], atoms, x, t, model.eps, source)
+
+        monkeypatch.setattr(atomic.AtomicHawkesModel, "atom_bound", full_walk)
         for i, x, t, key, capped in cases:
             assert bound_or_error(m, i, x, t, key) == capped
 
@@ -377,7 +381,7 @@ class TestAnalyticOrderSearch:
         pts = (-0.3, -0.2, -0.1)
         atoms, kappa = m.weights[0].atoms, m.weights[0].order_ratio
         bins = full_walk_bins(m.kernels[(0, 0)], pts, 0.0, m.eps, None, True)
-        b_star = max(bound_n / atoms.atom_pmf(0, n) for n, bound_n in bins)
+        b_star = max(bound_n / atoms.bin_weight(0, n) for n, bound_n in bins)
         term, best = 1.0, 1.0 / (1.0 - kappa)
         for k in range(1, 200):
             term *= b_star / kappa / k

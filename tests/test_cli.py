@@ -177,6 +177,7 @@ def test_analyze_lattice_sample(tmp_path, capsys):
         ("simulate-forward", FINITE, ["--n-max", "-3"], EXIT_CONFIG),
         ("simulate-forward", LATTICE, [], EXIT_CONFIG),
         ("simulate-forward", dict(FINITE, simulation={"nodes": [5]}), [], EXIT_CONFIG),
+        ("simulate-forward", dict(FINITE, simulation={"nodes": [0, 0]}), ["--t-max", "1"], EXIT_CONFIG),
         ("analyze", CONFIG_DIR, [], EXIT_CONFIG),
         ("analyze", b'{"model": "\xff"}', [], EXIT_CONFIG),
         ("analyze", TABLE, ["--out", UNWRITABLE], EXIT_CONFIG),
@@ -219,6 +220,7 @@ def test_analyze_lattice_sample(tmp_path, capsys):
         "forward-negative-n-max",
         "forward-on-the-lattice",
         "forward-unknown-nodes",
+        "forward-repeated-nodes",
         "config-is-a-directory",
         "config-not-utf-8",
         "analyze-unwritable-out",

@@ -110,6 +110,12 @@ def test_a_node_the_finite_model_lacks_is_a_config_error(key, value):
     assert parse_config({"model": LATTICE, "simulation": {"node": 7}}).node == 7
 
 
+def test_a_repeated_simulation_node_is_a_config_error():
+    section, _ = FAMILIES["linear"]
+    with pytest.raises(ConfigError, match=r"simulation.nodes: \[0\] are listed more than once"):
+        parse_config({"model": section, "simulation": {"nodes": [0, 0]}})
+
+
 @pytest.mark.parametrize(
     "section, kind, check",
     [

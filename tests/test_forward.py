@@ -315,6 +315,18 @@ class TestOracle:
         assert alpha == [[0.1, 0.1], [0.1, 0.1]] and beta == [[1.5] * 2] * 2
 
 
+def test_a_repeated_node_is_refused():
+    # [0, 0, 1] would give node 0 two proposal slots, and twice its intensity
+    with pytest.raises(ValueError, match=r"nodes \[0\] are listed more than once"):
+        forward_simulate(hawkes_ring(2, 0.5), [0, 0, 1], 10.0, 10_000, None, RandomStream(7))
+
+
+@pytest.mark.parametrize("t_max", [math.inf, math.nan])
+def test_a_non_finite_horizon_is_refused(t_max):
+    with pytest.raises(ValueError, match="t_max must be finite"):
+        forward_simulate(hawkes_ring(), RING, t_max, 1000, None, RandomStream(1))
+
+
 def test_golden_ring_run():
     # recorded with per-class thinning (the empty set and each source's atoms)
     # and the neighborhood-restricted past

@@ -7,9 +7,12 @@ from kalisim import (
     AffineRate,
     ExponentialKernel,
     LinearHawkesModel,
+    Neighborhood,
     NonSummableError,
     RandomStream,
     StepKernel,
+    TableEntry,
+    TableModel,
     lattice_preset,
     validation,
 )
@@ -18,12 +21,11 @@ from kalisim.models.age import GammaLadder
 from kalisim.models.presets import lattice_gamma_bar
 from kalisim.weights import (
     AtomicWeights,
-    FiniteWeights,
     GeometricLevels,
     TaylorWeights,
     default_atomic_weights,
 )
-from kalisim.core import EMPTY_ND, AtomND, NestedND, TaylorND
+from kalisim.core import EMPTY_ND, AtomND, NestedND, TableND, TaylorND
 
 
 class TestKernels:
@@ -56,20 +58,30 @@ class TestKernels:
 
 
 class TestFiniteWeights:
+    """A table model's rows are a finite weight family."""
+
+    def make(self):
+        empty = Neighborhood.empty()
+        return TableModel({0: [TableEntry(0.25, empty, 1.0), TableEntry(0.75, empty, 1.0)]})
+
     def test_pmf(self):
-        fam = FiniteWeights([("a", 0.25), ("b", 0.75)])
-        assert fam.pmf("a") == 0.25
-        assert fam.pmf("zzz") == 0.0
+        m = self.make()
+        assert m.pmf(0, TableND(0, 0)) == 0.25
+        assert m.pmf(0, TableND(0, 2)) == 0.0
+        assert m.pmf(0, TableND(0, -1)) == 0.0
 
     def test_rejects_bad_total(self):
+        empty = Neighborhood.empty()
         with pytest.raises(ValueError, match="sum to 1"):
-            FiniteWeights([("a", 0.4), ("b", 0.4)])
+            TableModel({0: [TableEntry(0.4, empty, 1.0), TableEntry(0.4, empty, 1.0)]})
+        with pytest.raises(ValueError, match="nonnegative"):
+            TableModel({0: [TableEntry(1.5, empty, 1.0), TableEntry(-0.5, empty, 1.0)]})
 
     def test_two_atom_empirical_frequencies(self):
-        fam = FiniteWeights([("a", 0.25), ("b", 0.75)])
+        m = self.make()
         rng = RandomStream(5)
         n = 10_000
-        hits = sum(1 for _ in range(n) if fam.sample(rng) == "a")
+        hits = sum(1 for _ in range(n) if m.sample_neighborhood(0, rng) == TableND(0, 0))
         sigma = math.sqrt(0.25 * 0.75 / n)
         assert abs(hits / n - 0.25) < 3 * sigma
 
@@ -109,6 +121,13 @@ class TestAtomicWeights:
             sigma = math.sqrt(p * (1 - p) / n)
             assert abs(counts.get(d, 0) / n - p) < 4 * sigma + 1e-4, d
 
+    @pytest.mark.parametrize("trunc", [0, -1, 2.5])
+    def test_a_truncation_below_one_bin_is_refused(self, trunc):
+        # at 0 the atoms carry no mass although their share is 1, and a bin
+        # draw never returns
+        with pytest.raises(ValueError, match="integer >= 1"):
+            AtomicWeights(0.5, {0: 1.0}, {0: 0.5}, {0: trunc})
+
     def test_bin_sampler_matches_the_bin_pmf(self):
         # the class draw of the forward simulator: a bin of one source, under
         # the truncated geometric pmf
@@ -118,7 +137,7 @@ class TestAtomicWeights:
         bins = [fam.sample_bin(1, rng) for _ in range(n)]
         assert set(bins) == {1, 2, 3, 4}
         for b in (1, 2, 3, 4):
-            p = fam.atom_pmf(1, b) / fam.shares[1]
+            p = fam.bin_weight(1, b) / ((1.0 - fam.p_empty) * fam.shares[1])
             assert abs(bins.count(b) / n - p) < 4 * math.sqrt(p * (1 - p) / n), b
 
     def test_atom_draw_reads_the_bin_draw(self):

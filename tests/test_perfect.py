@@ -688,6 +688,21 @@ class TestWindowMerge:
             perfect_sample_window(lattice_preset(GAMMA, DELTA), [(0, (0.0, 1.0)), (0, window)], RandomStream(3))
 
 
+class RefusingTable(TableModel):
+    def sample_neighborhood(self, i, rng, cls=None):
+        raise AssertionError("a root was drawn")
+
+
+@pytest.mark.parametrize("window", [(0.0, math.inf), (-math.inf, 1.0)], ids=["endless", "beginningless"])
+def test_a_non_finite_window_is_refused_before_any_root(window):
+    # a sweep over an unbounded window would never end
+    model = RefusingTable.constant_rate(1.0, bound=2.0)
+    with pytest.raises(ValueError, match="not finite"):
+        perfect_sample_window(model, [(0, window)], RandomStream(1))
+    with pytest.raises(ValueError, match="not finite"):
+        perfect_sample(model, 0, math.inf, RandomStream(1))
+
+
 def test_window_stats_sum_over_the_windows():
     ledger, stats = RegionLedger(), PerfectRunStats()
     windows = [(0, (0.0, 3.0)), (1, (2.0, 5.0)), (0, (4.0, 6.0))]
