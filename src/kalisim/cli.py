@@ -66,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="branching-cost analysis report")
     p_an.add_argument("--config", required=True)
     p_an.add_argument("--nodes", type=int, default=None, help="size of the node sample")
-    p_an.add_argument("--invariant", action="store_true", help="use the translation-invariant reduction")
     p_an.add_argument("--theta", default=None, help="comma-separated vector for the log-Laplace fixed point")
     p_an.add_argument("--p-grid", default=None, help="comma-separated exponents p for the power-ladder cost curve")
     p_an.add_argument("--out", default=None, help="write the JSON report here (default stdout)")
@@ -232,7 +231,7 @@ def _cmd_analyze(args) -> int:
     if args.nodes is not None:
         listed, half = model.node_set(), args.nodes // 2
         nodes = list(range(-half, args.nodes - half)) if listed is None else list(listed)[: args.nodes]
-    summary = analysis.branching_summary(model, nodes, args.invariant)
+    summary = analysis.branching_summary(model, nodes)
     if summary.invariant and args.theta is not None:
         raise ConfigError(["--theta needs a node sample; the scalar reduction has none (pass --nodes)"])
     report["gamma"] = summary.gamma

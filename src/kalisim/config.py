@@ -35,7 +35,15 @@ from .models import (
 from .perfect import BackwardBudget
 from .weights import AtomicWeights, GeometricLevels
 
-FAMILIES = ("linear", "age", "analytic", "gl", "table", "lattice-4.2.6")
+# the model keys each family reads, beside "family" and "guard"
+FAMILY_KEYS = {
+    "linear": {"nodes", "mu", "kernels", "eps", "weights", "bounds"},
+    "age": {"nodes", "psi", "kernels", "refractory", "omega"},
+    "analytic": {"nodes", "psi", "kernels", "eps", "order_ratio"},
+    "gl": {"nodes", "psi", "beta", "saturation", "step", "omega", "weights"},
+    "table": {"entries", "bounds"},
+    "lattice-4.2.6": {"gamma", "delta", "p"},
+}
 
 _KERNEL_SCHEMA = {
     "type": "object",
@@ -200,8 +208,10 @@ def _positive(errors: list, section: str, name: str, value, strict=True) -> None
 def _semantic_checks(cfg: dict, errors: list[str]) -> None:
     model = cfg.get("model", {})
     family = model.get("family")
-    if family is not None and family not in FAMILIES:
-        errors.append(f"model.family: unknown family {family!r} (known: {', '.join(FAMILIES)})")
+    if family is not None and family not in FAMILY_KEYS:
+        errors.append(f"model.family: unknown family {family!r} (known: {', '.join(FAMILY_KEYS)})")
+    for key in sorted(set(model) - FAMILY_KEYS.get(family, set(model)) - {"family", "guard"}):
+        errors.append(f"model.{key}: the {family} family does not read this key")
     _positive(errors, "model", "eps", model.get("eps"))
     _positive(errors, "model", "refractory", model.get("refractory"))
     _positive(errors, "model", "step", model.get("step"))

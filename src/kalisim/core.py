@@ -155,23 +155,9 @@ class Configuration:
         return ts[k - 1] if k else None
 
     def restrict(self, v: Neighborhood) -> "Configuration":
-        """Points of the configuration inside ``v`` (complete by construction)."""
-        out = {}
-        for j, ivs in v.by_node():
-            ts = self._points.get(j)
-            if not ts:
-                continue
-            # sorted, disjoint intervals: each bisect starts where the last ended
-            kept: list[float] = []
-            lo = 0
-            for a, b in ivs:
-                lo = bisect_left(ts, a, lo)
-                hi = bisect_left(ts, b, lo)
-                kept += ts[lo:hi]
-                lo = hi
-            if kept:
-                out[j] = tuple(kept)
-        return Configuration._unsafe(out)
+        """Points of the configuration inside ``v`` (complete by construction):
+        ``restrict_at`` anchored at time 0, where no point moves."""
+        return self.restrict_at(v, 0.0)
 
     def restrict_at(self, v: Neighborhood, t: float) -> "Configuration":
         """Points inside ``v`` anchored at ``t``, shifted so that ``t`` is time 0.

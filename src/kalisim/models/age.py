@@ -2,11 +2,11 @@
 
 intensity_i(x) = psi_i( sum_j integral h_ij(-s) dx_j(s) ) * 1{age_i(x) > delta}
 
-The neighborhood family is nested: level k is a pair of a node set omega_k
-and a depth D_k in units of delta, v_k = omega_k x [-D_k delta, 0), with
-omega_1 = {i}, D_1 = 1 and both growing along the levels. A finite network
-deepens one delta per level, D_k = k; the lattice preset chooses its pairs
-(``kalisim.models.presets``). Lipschitz rate functions give per-level bounds
+The neighborhood family is the nested windows of ``kalisim.models.nested``
+in units of delta: level k is a pair of a node set omega_k and a depth D_k,
+v_k = omega_k x [-D_k delta, 0), with omega_1 = {i}, D_1 = 1 and both
+growing along the levels. A finite network deepens one delta per level,
+D_k = k; the lattice preset chooses its pairs (``kalisim.models.presets``). Lipschitz rate functions give per-level bounds
 whose total is finite, which is the regime the perfect simulator needs.
 """
 
@@ -17,18 +17,12 @@ from bisect import bisect_left, bisect_right
 from typing import Mapping, Optional, Sequence
 
 from .. import series
-from ..core import Configuration, Neighborhood, NestedND, NodeId, RefractoryGap
+from ..core import Configuration, NestedND, NodeId, RefractoryGap
 from ..errors import NonSummableError
 from ..kernels import AffineRate, ExponentialKernel, Kernel, StepKernel
 from ..sampling import RandomStream
-from .base import (
-    KalikowModel,
-    NestedLevels,
-    OffspringRow,
-    nested_levels,
-    past_drive,
-    require_known_nodes,
-)
+from .base import OffspringRow, past_drive, require_known_nodes
+from .nested import NestedModel
 
 _WALK_CAP = 10_000_000
 # 1 - 1/e, since sum_{m<k} e^{-m} = (1 - e^{-k}) / (1 - 1/e)
@@ -181,17 +175,18 @@ class GammaLadder:
         return self._descs[min(bisect_right(cum, u), len(cum) - 1)]
 
 
-class AgeHawkesModel(KalikowModel):
+class AgeHawkesModel(NestedModel):
     """Nested-family decomposition of the age-dependent Hawkes process on a
     finite network, held as data: ``kernels[(i, j)]`` is the kernel through
     which node j drives node i, ``psi`` the rate of every node and
     ``omega[i]`` node i's nested node sets level by level (default
-    omega_1 = {i}, omega_2 = every node). Beyond the last level the node set
-    saturates while the time window keeps deepening.
+    omega_1 = {i}, omega_2 = every node). The windows' unit is the
+    refractory length delta.
 
     The network is read only through ``kernel``, ``omega``, ``depth``,
-    ``psi`` and ``ladder``; ``LatticeAgeModel`` overrides all but ``psi`` for
-    the integers.
+    ``psi`` and ``ladder``; ``LatticeAgeModel`` overrides the windows'
+    ``node_set``, ``omega`` and ``depth``, and ``kernel`` and ``ladder``,
+    for the integers.
     """
 
     def __init__(
@@ -202,42 +197,25 @@ class AgeHawkesModel(KalikowModel):
         nodes: Sequence[NodeId],
         omega: Optional[Mapping[NodeId, Sequence[Sequence[NodeId]]]] = None,
     ):
-        self._nodes = tuple(sorted(int(n) for n in nodes))
         self.kernels = {(int(i), int(j)): k for (i, j), k in kernels.items()}
-        require_known_nodes(self.kernels, self._nodes, "kernel")
+        require_known_nodes(self.kernels, nodes, "kernel")
         self._psi = psi
-        self._levels = nested_levels(omega, self._nodes, self.kernels)
-        self._set_refractory(refractory)
-
-    def _set_refractory(self, refractory: float) -> None:
-        if refractory <= 0:
-            raise ValueError("refractory length must be positive")
-        self.refractory = float(refractory)
-        self._guard = RefractoryGap(self.refractory)
         self._ladders: dict[NodeId, GammaLadder] = {}
-        self._expansions = NestedLevels(self.omega, self.refractory, self.depth)
+        super().__init__(refractory, nodes, omega, self.kernels)
+
+    @property
+    def refractory(self) -> float:
+        """delta, the refractory length and the windows' unit."""
+        return self.unit
 
     # -- structure ----------------------------------------------------------
 
-    def node_set(self):
-        return self._nodes
-
     def guard(self):
-        return self._guard
+        return RefractoryGap(self.refractory)
 
     def kernel(self, i: NodeId, j: NodeId) -> Optional[Kernel]:
         """The kernel through which node j drives node i, or None."""
         return self.kernels.get((i, j))
-
-    def omega(self, i: NodeId, k: int) -> tuple[NodeId, ...]:
-        """The k-th nested node set of node i (omega_1 = {i}), in increasing order."""
-        levels = self._levels[i]
-        return levels[min(k, len(levels)) - 1]
-
-    def depth(self, i: NodeId, k: int) -> int:
-        """D_k, the time depth of node i's k-th level in units of delta: k on
-        a finite network."""
-        return k
 
     def psi(self, i: NodeId) -> AffineRate:
         """The rate function of node i: one for every node."""
@@ -265,16 +243,11 @@ class AgeHawkesModel(KalikowModel):
         ]
         return GammaLadder([self.gamma_bar(i, k) for k in range(1, k_head + 1)], exp_terms)
 
-    def expand(self, i: NodeId, desc) -> Neighborhood:
-        if not isinstance(desc, NestedND):
-            raise KeyError(f"descriptor {desc!r} is not a nested level")
-        return self._expansions[i, desc.k]
-
     # -- intensity and summands ------------------------------------------------
 
     def _alive(self, i: NodeId, x: Configuration) -> bool:
         """1{age_i(x) > delta}: no own point within the trailing refractory window."""
-        return x.count_in(i, -self.refractory, 0.0) == 0
+        return x.count_in(i, self.edge(i, 1), 0.0) == 0
 
     def _drives(self, i: NodeId, k: int, x: Configuration) -> tuple[float, float]:
         """The drives truncated to v_{k-1} and to v_k (k >= 2), from one walk
@@ -282,7 +255,7 @@ class AgeHawkesModel(KalikowModel):
         omega_k and omega_{k-1} list their nodes in that order, so each drive
         adds the same values in the same order as its own walk. A node of
         omega_{k-1} counts in the inner drive from depth D_{k-1} on."""
-        lo, lo_prev = -self.depth(i, k) * self.refractory, -self.depth(i, k - 1) * self.refractory
+        lo, lo_prev = self.edge(i, k), self.edge(i, k - 1)
         omega, inner = self.omega(i, k), self.omega(i, k - 1)
         prev = cur = 0.0
         for j in sorted(x.nodes()):
@@ -324,12 +297,6 @@ class AgeHawkesModel(KalikowModel):
 
     def sample_neighborhood(self, i: NodeId, rng: RandomStream, cls=None):
         return self.ladder(i).sample(rng)
-
-    def enumerate_descriptors(self, i: NodeId, x: Optional[Configuration] = None):
-        k = 1
-        while True:
-            yield NestedND(k)
-            k += 1
 
     # -- bounds ---------------------------------------------------------------
 

@@ -89,6 +89,7 @@ class AnalyticHawkesModel(AtomicHawkesModel):
                 atoms = default_atomic_weights(self._incoming[i], self.eps, p_empty=0.0)
                 weights[i] = TaylorWeights(order_ratio, atoms)
         self.weights = dict(weights)
+        self.require_lossless({i: fam.atoms for i, fam in self.weights.items()})
 
     # -- structure -------------------------------------------------------------
 

@@ -53,6 +53,21 @@ class AtomicHawkesModel(KalikowModel):
     def node_set(self):
         return self._nodes
 
+    def require_lossless(self, atoms: Mapping[NodeId, AtomicWeights]) -> None:
+        """Raise ValueError where node i's bin weights ``atoms[i]`` truncate a
+        source's bins short of its kernel's support: the decomposition would
+        miss the drive past the truncation. So a kernel of infinite support
+        always meets untruncated weights."""
+        for i in self._nodes:
+            fam = atoms[i]
+            for j, ker in self._incoming[i].items():
+                nmax = fam.trunc.get(j) if j in fam.shares else None
+                if nmax is not None and nmax * self.eps < ker.support_end:
+                    raise ValueError(
+                        f"atom family of node {i} truncates node {j} at bin {nmax} but the kernel"
+                        f" reaches back to {ker.support_end:g}; the decomposition would be lossy"
+                    )
+
     # -- the atoms ---------------------------------------------------------------
 
     def bin_piece(self, j: NodeId, n: int) -> tuple[NodeId, float, float]:
@@ -109,9 +124,10 @@ class AtomicHawkesModel(KalikowModel):
         Each source's bins are walked by ``future_bin_bounds``, which stops
         early where an infinite-support kernel decays faster across one bin
         than the bin weights (``decay_per(eps)`` below the ratio), yet returns
-        the float of the walk over every bin. On untruncated weights such a
-        kernel must decay so, or the ratios grow without bound along future
-        shifts and no finite bound exists; a compact support needs no decay.
+        the float of the walk over every bin. Such a kernel meets untruncated
+        weights (``require_lossless``), so it must decay so, or the ratios
+        grow without bound along future shifts and no finite bound exists; a
+        compact support needs no decay.
         """
         best = 0.0
         walks = self._walks[i]
@@ -134,23 +150,20 @@ class AtomicHawkesModel(KalikowModel):
         () when no kernel, or a zero one, drives i from j: its atoms'
         components are 0. Raises ``ExplosionGuardError`` when the components
         admit no finite bound once j has points: the atoms carry no weight,
-        or untruncated weights decay at least as fast as the kernel.
+        or the weights decay at least as fast as a kernel of infinite support.
         """
         ker = self._incoming[i].get(j)
         if ker is None or ker.is_zero():
             return ()
         if (1.0 - atoms.p_empty) * atoms.shares.get(j, 0.0) == 0.0:
             raise ExplosionGuardError(f"node {i}: kernel from node {j} is active but its atoms carry no weight")
-        nmax = atoms.trunc[j]
-        falls = False
-        if math.isinf(ker.support_end):
-            falls = ker.decay_per(self.eps) < atoms.ratios[j]
-            if not falls and nmax is None:
-                raise ExplosionGuardError(
-                    f"node {i}: bin weights from node {j} decay at least as fast as the kernel"
-                    " across bins; components admit no finite bound at future shifts"
-                )
-        return ker, nmax, falls, partial(atoms.bin_weight, j), ([math.nan], [math.nan])
+        falls = math.isinf(ker.support_end)
+        if falls and not ker.decay_per(self.eps) < atoms.ratios[j]:
+            raise ExplosionGuardError(
+                f"node {i}: bin weights from node {j} decay at least as fast as the kernel"
+                " across bins; components admit no finite bound at future shifts"
+            )
+        return ker, atoms.trunc[j], falls, partial(atoms.bin_weight, j), ([math.nan], [math.nan])
 
 
 def _bin_of(age: float, eps: float) -> int:
@@ -191,9 +204,10 @@ def future_bin_bounds(
     points newest first, building their kernel values' prefix sums in that
     order. It starts at the newest point's bin (every earlier B_n is 0) and
     ends at the first bin whose lower edge the kernel is 0 at, as every later
-    B_n is 0, or at ``nmax`` when the weights truncate. When ``falls`` it
-    ends, at the latest, at the bin past the oldest point's: beyond it B_n is
-    the count of points times h((n-1)*eps), whose ratio falls with n.
+    B_n is 0, or at ``nmax`` when the weights truncate. When ``falls``, which
+    needs a kernel of infinite support and so untruncated weights, it ends,
+    at the latest, at the bin past the oldest point's: beyond it B_n is the
+    count of points times h((n-1)*eps), whose ratio falls with n.
     Otherwise the ratios may rise up to the last bin, so the walk covers the
     truncation or the compact support whole.
 
@@ -224,8 +238,6 @@ def future_bin_bounds(
         return best
     if falls:
         n_stop = int((t - pts[0]) / eps) + 2
-        if nmax is not None:
-            n_stop = min(n_stop, nmax)
     elif nmax is not None:
         n_stop = nmax
     else:

@@ -1,15 +1,15 @@
 """Model interface: the contract every decomposable intensity family satisfies,
 and what the families share, once each: ``KalikowModel.require_bound`` (the
-one reader of Gamma_i), ``past_drive``, ``NestedLevels`` (v_k = omega_k x
-[-D_k*unit, 0)) and the node checks ``nested_levels`` and
+one reader of Gamma_i), ``past_drive`` and the node check
 ``require_known_nodes``. The families over single-node time bins share
-``models.atomic``, which alone knows the bin convention."""
+``models.atomic``, which alone knows the bin convention, and the families
+over nested windows share ``models.nested``, which alone knows theirs."""
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from ..core import Configuration, Neighborhood, NodeId, NoGuard, SubspaceGuard
 from ..errors import NonSummableError
@@ -215,64 +215,6 @@ def require_known_nodes(pairs: Iterable[tuple[NodeId, NodeId]], nodes: Iterable[
     for i, j in pairs:
         if i not in known or j not in known:
             raise ValueError(f"{what} ({i},{j}) references an unknown node")
-
-
-def nested_levels(
-    omega: Optional[Mapping[NodeId, Sequence[Sequence[NodeId]]]],
-    nodes: tuple[NodeId, ...],
-    pairs: Collection[tuple[NodeId, NodeId]],
-) -> dict[NodeId, list[tuple[NodeId, ...]]]:
-    """Node sets omega_1, omega_2, ... of every node's nested family, checked.
-
-    ``omega[i]`` lists node i's levels; the default is omega_1 = {i} and
-    omega_2 = ``nodes``, and ``omega`` may name no node outside ``nodes``.
-    ``pairs`` are the (target, source) pairs the intensities read. The summand
-    of level k is the rate on omega_k minus the rate on omega_{k-1}, so
-    omega_1 must be {i}, every level must contain the one before (or a summand
-    goes negative), the last level must hold every source of i (or the
-    summands miss part of the intensity) and no level may name a node outside
-    ``nodes``.
-    """
-    given = {int(i): lv for i, lv in (omega or {}).items()}
-    stray = sorted(set(given) - set(nodes))
-    if stray:
-        raise ValueError(f"omega names unknown nodes {stray}")
-    out = {}
-    for i in nodes:
-        levels = [(i,), nodes] if i not in given else [tuple(sorted(int(j) for j in lvl)) for lvl in given[i]]
-        if not levels or levels[0] != (i,):
-            raise ValueError(f"omega_1 of node {i} must be {{{i}}}")
-        for a, b in zip(levels, levels[1:]):
-            if not set(a) <= set(b):
-                raise ValueError(f"omega levels of node {i} must be nested")
-        stray = sorted(set(levels[-1]) - set(nodes))
-        if stray:
-            raise ValueError(f"omega levels of node {i} reference unknown nodes {stray}")
-        if not {j for ii, j in pairs if ii == i} <= set(levels[-1]):
-            raise ValueError(f"omega levels of node {i} must eventually cover every source node {i} reads")
-        out[i] = levels
-    return out
-
-
-class NestedLevels(dict):
-    """The expansions v_k = omega(i, k) x [-D_k*unit, 0) of a nested family,
-    keyed ``(i, k)``, with the depth D_k = ``depth(i, k)`` (k by default):
-    each is built on its first read and then kept."""
-
-    def __init__(
-        self,
-        omega: Callable[[NodeId, int], Sequence[NodeId]],
-        unit: float,
-        depth: Callable[[NodeId, int], int] = lambda i, k: k,
-    ):
-        super().__init__()
-        self._omega, self._unit, self._depth = omega, unit, depth
-
-    def __missing__(self, key: tuple[NodeId, int]) -> Neighborhood:
-        i, k = key
-        d = self._depth(i, k) * self._unit
-        nb = self[key] = Neighborhood([(j, -d, 0.0) for j in self._omega(i, k)])
-        return nb
 
 
 def past_drive(incoming: Iterable[tuple[NodeId, Kernel]], x: Configuration, total: float = 0.0) -> float:

@@ -2,11 +2,12 @@
 
 intensity_i(x) = psi( sum_j (beta_ij * N_j(-age_i(x), 0)) ^ K_ij ) where
 N_j counts points of node j since node i's last own point (its age), ^ is
-min, and beta_ii = 0. Decomposed over the empty set plus nested windows
-omega_k x [-k*step, 0); the saturation thresholds make the total drive
-bounded, but the per-neighborhood summands admit no summable deterministic
-bounds, so the model serves decomposition evaluation and analysis rather
-than the simulators.
+min, and beta_ii = 0. Decomposed over the empty set plus the nested windows
+omega_k x [-k*step, 0) of ``models.nested``, in units of the window step;
+the saturation thresholds make the total drive bounded, but the
+per-neighborhood summands admit no summable deterministic bounds, so the
+model serves decomposition evaluation and analysis rather than the
+simulators.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from ..errors import ExplosionGuardError
 from ..kernels import AffineRate
 from ..sampling import RandomStream
 from ..weights import GeometricLevels
-from .base import EMPTY_NEIGHBORHOOD, KalikowModel, NestedLevels, nested_levels, require_known_nodes
+from .base import EMPTY_NEIGHBORHOOD, require_known_nodes
+from .nested import NestedModel
 
 
-class GLModel(KalikowModel):
+class GLModel(NestedModel):
     """Saturated counting interactions behind a Lipschitz nondecreasing rate."""
 
     def __init__(
@@ -35,11 +37,7 @@ class GLModel(KalikowModel):
         omega: Optional[Mapping[NodeId, Sequence[Sequence[NodeId]]]] = None,
         weights: Optional[Mapping[NodeId, GeometricLevels]] = None,
     ):
-        if step <= 0:
-            raise ValueError("window step must be positive")
         self.psi = psi
-        self.step = float(step)
-        self._nodes = tuple(sorted(int(n) for n in nodes))
         self.beta = {}
         self.sat = {}
         for (i, j), b in beta.items():
@@ -53,29 +51,15 @@ class GLModel(KalikowModel):
             if k < 0:
                 raise ValueError("saturation thresholds must be nonnegative")
             self.sat[(int(i), int(j))] = float(k)
-        require_known_nodes(self.beta, self._nodes, "beta")
-        require_known_nodes(self.sat, self._nodes, "saturation")
-        self._omega_levels = nested_levels(omega, self._nodes, [p for p, b in self.beta.items() if b > 0.0])
+        require_known_nodes(self.beta, nodes, "beta")
+        require_known_nodes(self.sat, nodes, "saturation")
+        super().__init__(step, nodes, omega, [p for p, b in self.beta.items() if b > 0.0])
         if weights is None:
             weights = {i: GeometricLevels(p_empty=0.5, ratio=0.5) for i in self._nodes}
         self.weights = dict(weights)
-        self._expansions = NestedLevels(self.omega, self.step)
-
-    # -- structure ----------------------------------------------------------
-
-    def node_set(self):
-        return self._nodes
-
-    def omega(self, i: NodeId, k: int) -> tuple[NodeId, ...]:
-        levels = self._omega_levels[i]
-        return levels[min(k, len(levels)) - 1]
 
     def expand(self, i: NodeId, desc) -> Neighborhood:
-        if isinstance(desc, EmptyND):
-            return EMPTY_NEIGHBORHOOD
-        if not isinstance(desc, NestedND):
-            raise KeyError(f"descriptor {desc!r} is not a nested level")
-        return self._expansions[i, desc.k]
+        return EMPTY_NEIGHBORHOOD if isinstance(desc, EmptyND) else super().expand(i, desc)
 
     # -- drive --------------------------------------------------------------------
 
@@ -88,7 +72,7 @@ class GLModel(KalikowModel):
         if k < 1:
             return 0.0
         age = self._age(i, x)
-        lo = max(-k * self.step, -age)
+        lo = max(self.edge(i, k), -age)
         total = 0.0
         for j in self.omega(i, k):
             b = self.beta.get((i, j), 0.0)
@@ -128,10 +112,7 @@ class GLModel(KalikowModel):
 
     def enumerate_descriptors(self, i: NodeId, x: Optional[Configuration] = None):
         yield EMPTY_ND
-        k = 1
-        while True:
-            yield NestedND(k)
-            k += 1
+        yield from super().enumerate_descriptors(i, x)
 
     # -- simulation ---------------------------------------------------------------------
 

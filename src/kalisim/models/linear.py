@@ -48,15 +48,7 @@ class LinearHawkesModel(AtomicHawkesModel):
         if weights is None:
             weights = {i: default_atomic_weights(self._incoming[i], self.eps) for i in self._nodes}
         self.weights = dict(weights)
-        for i in self._nodes:
-            fam = self.weights[i]
-            for j, ker in self._incoming[i].items():
-                nmax = fam.trunc.get(j) if j in fam.shares else None
-                if nmax is not None and nmax * self.eps < ker.support_end:
-                    raise ValueError(
-                        f"atom family of node {i} truncates node {j} at bin {nmax} but the kernel"
-                        f" reaches back to {ker.support_end:g}; the decomposition would be lossy"
-                    )
+        self.require_lossless(self.weights)
         self._declared = dict(declared_bounds) if declared_bounds else {}
 
     # -- structure ----------------------------------------------------------

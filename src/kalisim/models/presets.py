@@ -3,7 +3,8 @@
 Nodes are the integers, psi(u) = 1 + u (psi(0) = 1, Lipschitz constant 1),
 and interaction kernels h_ij(t) = beta_ij exp(-t/delta) with beta_ii = 1 and
 beta_ij = 1 / (2 |j-i|^g) for j != i. ``LatticeAgeModel`` overrides the
-network methods of ``AgeHawkesModel`` and keeps the rest.
+network methods of ``AgeHawkesModel`` (of its windows only ``node_set``,
+``omega`` and ``depth``) and keeps the rest.
 
 A level is a pair (R, D): the nodes within distance R over [-D delta, 0).
 The sup of the intensity over refractory pasts on such a window is
@@ -35,6 +36,7 @@ from ..errors import NonSummableError
 from ..kernels import AffineRate, ExponentialKernel
 from .age import AgeHawkesModel, GammaLadder
 from .base import OffspringRow
+from .nested import NestedModel
 
 # most distances an offspring row lists on each side of its node
 NEAR_MAX = 100_000
@@ -132,7 +134,7 @@ class LatticeAgeModel(AgeHawkesModel):
         self._by_distance: dict[int, ExponentialKernel] = {}
         self.head = self.nesting()
         self._diagonal_from = self.head[-1][1]  # K
-        self._set_refractory(float(delta))
+        NestedModel.__init__(self, delta)  # windows on the integers: no finite node set
         self._ladder = self._build_ladder(0)
 
     def nesting(self) -> tuple[tuple[int, int], ...]:

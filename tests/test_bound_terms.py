@@ -173,10 +173,14 @@ def linear_mixed() -> LinearHawkesModel:
 
 
 def analytic_truncated() -> AnalyticHawkesModel:
-    """Truncated weights: from node 0 they decay faster than the kernel, so
-    that walk runs to the truncation; from node 1 slower, so it may stop
-    early."""
-    kernels = {(i, j): ExponentialKernel(0.2 if j == 0 else 0.1, 0.5 if j == 0 else 1.5) for i in (0, 1) for j in (0, 1)}
+    """Truncated weights on step kernels whose supports the truncations
+    cover, so each walk runs to its truncation: the kernels fall in steps
+    while the weights decay by 0.5 or 0.7 a bin, and the ratios rise."""
+    kernels = {
+        (i, j): StepKernel([0.0, 3.0, 12.0], [0.2, 0.05]) if j == 0 else StepKernel([0.0, 1.0, 14.5], [0.1, 0.02])
+        for i in (0, 1)
+        for j in (0, 1)
+    }
     atoms = AtomicWeights(0.0, {0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.7}, {0: 40, 1: 30})
     weights = {i: TaylorWeights(0.5, atoms) for i in (0, 1)}
     return AnalyticHawkesModel(PsiSeries("poly", [1.0, 1.0, 0.5]), kernels, eps=0.5, nodes=[0, 1], weights=weights)
@@ -336,13 +340,14 @@ class TestCappedWalk:
         assert future_bin_bounds(ker, pts, t, 1.0, None, weight, best, True) == full
 
     def test_truncated_bound_dominates_where_the_ratios_rise(self):
-        # bin weights that decay faster than the kernel, truncated at bin 6,
-        # with a recent past: the ratios rise up to the truncation, past the
-        # oldest point's bin, and the bound must cover every order there
+        # bin weights that decay faster than the kernel, truncated at bin 6
+        # where its support ends, with a recent past: the ratios rise up to
+        # the truncation, past the oldest point's bin, and the bound must
+        # cover every order there
         atoms = AtomicWeights(0.0, {0: 1.0}, {0: 0.5}, {0: 6})
         m = AnalyticHawkesModel(
             PsiSeries("poly", [1.0, 1.0, 0.5]),
-            {(0, 0): ExponentialKernel(0.2, 0.5)},
+            {(0, 0): StepKernel([0.0, 1.0, 3.0], [0.2, 0.15])},
             eps=0.5,
             nodes=[0],
             weights={0: TaylorWeights(0.5, atoms)},

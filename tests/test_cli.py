@@ -153,7 +153,7 @@ def test_analyze_lattice_sample(tmp_path, capsys):
     "command, cfg, extra, expected",
     [
         ("analyze", {"model": {"family": "no-such-family"}}, [], EXIT_CONFIG),
-        ("analyze", FINITE, ["--invariant"], EXIT_VALIDATION),
+        ("analyze", FINITE, ["--invariant"], EXIT_CONFIG),
         ("analyze", TABLE, ["--nodes", "0"], EXIT_CONFIG),
         ("analyze", TABLE, ["--nodes", "-1"], EXIT_CONFIG),
         ("analyze", TABLE, ["--theta", "0.1,0.2"], EXIT_CONFIG),
@@ -166,8 +166,6 @@ def test_analyze_lattice_sample(tmp_path, capsys):
         ("analyze", TABLE, ["--theta=nan"], EXIT_CONFIG),
         ("analyze", TABLE, ["--theta=inf"], EXIT_CONFIG),
         ("analyze", TABLE, ["--theta=1000"], EXIT_VALIDATION),
-        ("analyze", LATTICE, ["--invariant", "--theta", "0.1"], EXIT_CONFIG),
-        ("analyze", LATTICE, ["--invariant", "--nodes", "3"], EXIT_CONFIG),
         ("analyze", LATTICE, ["--theta", "0.1"], EXIT_CONFIG),
         ("analyze", LATTICE, ["--nodes", "3", "--theta", "0.1,0.1,0.1"], EXIT_CONFIG),
         ("simulate-perfect", LATTICE, ["--t-max", "-1"], EXIT_CONFIG),
@@ -196,7 +194,7 @@ def test_analyze_lattice_sample(tmp_path, capsys):
     ],
     ids=[
         "invalid-config",
-        "invariant-on-finite-model",
+        "invariant-is-not-an-option",
         "zero-nodes",
         "negative-nodes",
         "theta-of-wrong-length",
@@ -209,8 +207,6 @@ def test_analyze_lattice_sample(tmp_path, capsys):
         "theta-nan",
         "theta-infinite",
         "theta-outside-the-convergence-ball",
-        "invariant-with-theta",
-        "invariant-with-nodes",
         "theta-without-a-node-sample",
         "theta-on-an-infinite-family",
         "perfect-negative-t-max",
@@ -333,7 +329,8 @@ def analyze_report(tmp_path, capsys, cfg, *flags):
 
 
 def test_analyze_invariant_reduction(tmp_path, capsys):
-    report = analyze_report(tmp_path, capsys, LATTICE, "--invariant")
+    # the lattice without a node sample takes the scalar reduction
+    report = analyze_report(tmp_path, capsys, LATTICE)
     g = kalisim.lattice_preset(4, 0.005).invariant_offspring_mean()
     assert report["reduction"] == "translation-invariant scalar"
     assert (report["gamma"], report["verdict"]) == (g, "subcritical")

@@ -91,6 +91,24 @@ def test_a_weight_exponent_outside_three_to_gamma_is_refused(p):
         parse_config({"model": dict(LATTICE, p=p)})
 
 
+@pytest.mark.parametrize(
+    "family, key, value",
+    [
+        ("linear", "refractory", 0.1),
+        ("age", "eps", 0.5),
+        ("analytic", "weights", {"empty": 0.9, "ratios": {"0": 0.99}}),
+        ("gl", "kernels", [EXP_KERNEL]),
+        ("table", "nodes", [0]),
+        ("lattice-4.2.6", "nodes", [0, 1]),
+    ],
+)
+def test_a_key_the_family_does_not_read_is_refused(family, key, value):
+    # the model would be built without it, silently
+    with pytest.raises(ConfigError) as info:
+        parse_config({"model": dict(FAMILIES[family][0], **{key: value})})
+    assert info.value.violations == [f"model.{key}: the {family} family does not read this key"]
+
+
 def test_defaults_are_filled_in():
     run = parse_config({"model": LATTICE})
     assert isinstance(run, RunConfig)
@@ -221,7 +239,7 @@ def test_gl_levels_are_checked():
 def test_gl_levels_reach_the_model():
     section = dict(FAMILIES["gl"][0], omega={"0": [[0], [0, 1], [0, 1]]})
     model = parse_config({"model": section}).build_model()
-    assert model._omega_levels == {0: [(0,), (0, 1), (0, 1)], 1: [(1,), (0, 1)]}
+    assert model._levels == {0: [(0,), (0, 1), (0, 1)], 1: [(1,), (0, 1)]}
 
 
 def test_an_analytic_node_that_no_kernel_drives_builds():

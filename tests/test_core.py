@@ -255,6 +255,36 @@ def test_only_the_atomic_family_knows_the_bin_convention():
     assert [f for f in found if not f.startswith("models/atomic.py:")] == []
 
 
+def _named(node, names) -> bool:
+    return str(getattr(node, "id", getattr(node, "attr", None))).lstrip("_") in names
+
+
+def test_only_the_nested_family_knows_the_window_convention():
+    # the windows v_k = omega_k x [-D_k*unit, 0) are one convention, kept in
+    # models/nested.py: no other module multiplies a depth(...) call or a
+    # level index k by a unit, or builds a Neighborhood over omega's nodes
+    package = Path(kalisim.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            subs = list(ast.walk(node))
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                level = any(_named(sub, ("k",)) or isinstance(sub, ast.Call) and _named(sub.func, ("depth",)) for sub in subs)
+                if level and any(_named(sub, ("unit", "refractory", "step", "delta")) for sub in subs):
+                    found.append(f"{path.relative_to(package)}:{node.lineno} level depth")
+            elif isinstance(node, ast.Call) and _named(node.func, ("Neighborhood",)):
+                if any(isinstance(sub, ast.Call) and _named(sub.func, ("omega",)) for sub in subs):
+                    found.append(f"{path.relative_to(package)}:{node.lineno} window")
+    assert found
+    assert [f for f in found if not f.startswith("models/nested.py:")] == []
+    # the families over the windows add to them only what is their own
+    owned = {"node_set", "omega", "depth", "edge", "expand", "enumerate_descriptors"}
+    assert owned & set(vars(kalisim.AgeHawkesModel)) == set()
+    assert owned & set(vars(kalisim.GLModel)) == {"expand", "enumerate_descriptors"}
+    assert owned & set(vars(kalisim.LatticeAgeModel)) == {"node_set", "omega", "depth"}
+
+
 def test_every_definition_has_a_caller():
     # code with no caller is deleted: every function, class and method under
     # src/kalisim is named outside its own definition, in the package or in

@@ -12,6 +12,7 @@ from kalisim import (
     AffineRate,
     AgeHawkesModel,
     AnalyticHawkesModel,
+    AtomicWeights,
     Configuration,
     ExponentialKernel,
     GLModel,
@@ -21,6 +22,7 @@ from kalisim import (
     PsiSeries,
     RandomStream,
     TaylorND,
+    TaylorWeights,
     evaluate_decomposition,
 )
 
@@ -79,6 +81,20 @@ class TestAnalyticIdentity:
         x = Configuration({0: [s]})
         assert m._live_atoms(0, x) == [(0, math.ceil(-s / m.eps))]
         assert evaluate_decomposition(m, 0, x, 12) == pytest.approx(m.intensity(0, x), rel=1e-12)
+
+    def test_a_truncation_short_of_the_kernel_is_refused(self):
+        # the bins stop at age 1.0 while the kernel reaches on, so at a past
+        # point of age 3 the sum would stop at psi(0) = 1.0 below the
+        # intensity 1 + 0.5 e^{-1.5} = 1.1116, as the linear model's would
+        atoms = AtomicWeights(0.0, {0: 1.0}, {0: 0.5}, {0: 2})
+        with pytest.raises(ValueError, match="lossy"):
+            AnalyticHawkesModel(
+                PsiSeries("poly", [1.0, 1.0]),
+                {(0, 0): ExponentialKernel(0.5, 0.5)},
+                eps=0.5,
+                nodes=[0],
+                weights={0: TaylorWeights(0.5, atoms)},
+            )
 
     def test_enumeration_needs_a_configuration(self):
         m = analytic_pair()
