@@ -50,9 +50,9 @@ from .kernels import AffineRate, ExponentialKernel, StepKernel
 from .models import (
     AgeHawkesModel,
     AnalyticHawkesModel,
+    AtomLattice,
     GLModel,
     KalikowModel,
-    LatticeAgeModel,
     LinearHawkesModel,
     PsiSeries,
     TableEntry,

@@ -17,8 +17,8 @@ from . import analysis, io
 from .config import RunConfig, load_config
 from .errors import BudgetExhausted, ConfigError, KalisimError
 from .forward import forward_simulate
-from .models import LatticeAgeModel, LinearHawkesModel
-from .models.presets import PowerLadderLattice
+from .models import LinearHawkesModel
+from .models.presets import LatticeDecomposition, PowerLadderLattice
 from .perfect import PerfectRunStats, perfect_sample
 from .sampling import RandomStream, RegionLedger
 from .validation import SUITES, run_suite
@@ -190,15 +190,21 @@ def _floats(flag: str, text: str) -> list[float]:
     return values
 
 
-def _cost_entry(model: LatticeAgeModel) -> dict:
+def _cost_entry(model: LatticeDecomposition) -> dict:
     """What a lattice decomposition costs a perfect sweep: Gamma, the rate of
-    its roots, and the mean nodes of a drawn neighbourhood. Nodes times E(W)
-    bounds the ledger requests per root: a point's own draw does not depend
-    on its being in the clan, and E(W) bounds the mean clan."""
-    return {"dominating_rate": model.require_bound(0), "nodes_per_neighborhood": model.nodes_per_neighborhood()}
+    its roots, the mean nodes of a drawn neighbourhood, and the refractory
+    length at which it turns critical. Nodes times E(W) bounds the ledger
+    requests per root: a point's own draw does not depend on its being in the
+    clan, and E(W) bounds the mean clan. Every lattice decomposition's
+    offspring mean is linear in delta, so the critical delta is delta over it."""
+    return {
+        "dominating_rate": model.require_bound(0),
+        "nodes_per_neighborhood": model.nodes_per_neighborhood(),
+        "critical_delta": model.refractory / model.invariant_offspring_mean(),
+    }
 
 
-def _cost_curve(model: LatticeAgeModel, grid: list[float]) -> dict:
+def _cost_curve(model: LatticeDecomposition, grid: list[float]) -> dict:
     """The paper's power ladder C_gamma k^{-p} on ``model``'s lattice at each
     p of ``grid``, one ``PowerLadderLattice`` each, costed as the configured
     model is; f is the offspring mean over C_gamma delta. Supercritical points
@@ -266,8 +272,7 @@ def _cmd_analyze(args) -> int:
                 "iterations": state.iterations,
                 "residual": state.residual,
             }
-    if isinstance(model, LatticeAgeModel):
-        report["level_head"] = [list(level) for level in model.head]  # the nesting's (radius, depth)
+    if isinstance(model, LatticeDecomposition):
         for key, value in _cost_entry(model).items():
             report.setdefault(key, value)  # a node sample keeps its per-node rates
         if args.p_grid is not None:

@@ -42,6 +42,8 @@ FAMILY_KEYS = {
     "analytic": {"nodes", "psi", "kernels", "eps", "order_ratio"},
     "gl": {"nodes", "psi", "beta", "saturation", "step", "omega", "weights"},
     "table": {"entries", "bounds"},
+    # p is range-checked but never read: the preset takes no weight exponent.
+    # It stays accepted because the benchmark's lattice config passes it.
     "lattice-4.2.6": {"gamma", "delta", "p"},
 }
 

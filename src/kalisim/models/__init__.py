@@ -5,16 +5,16 @@ from .analytic import AnalyticHawkesModel, PsiSeries
 from .base import KalikowModel, OffspringRow
 from .gl import GLModel
 from .linear import LinearHawkesModel
-from .presets import LatticeAgeModel, lattice_c_gamma, lattice_gamma_bar, lattice_preset
+from .presets import AtomLattice, lattice_c_gamma, lattice_gamma_bar, lattice_preset
 from .table import TableEntry, TableModel
 
 __all__ = [
     "AgeHawkesModel",
     "AnalyticHawkesModel",
+    "AtomLattice",
     "GammaLadder",
     "GLModel",
     "KalikowModel",
-    "LatticeAgeModel",
     "LinearHawkesModel",
     "OffspringRow",
     "PsiSeries",

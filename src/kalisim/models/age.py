@@ -5,8 +5,9 @@ intensity_i(x) = psi_i( sum_j integral h_ij(-s) dx_j(s) ) * 1{age_i(x) > delta}
 The neighborhood family is the nested windows of ``kalisim.models.nested``
 in units of delta: level k is a pair of a node set omega_k and a depth D_k,
 v_k = omega_k x [-D_k delta, 0), with omega_1 = {i}, D_1 = 1 and both
-growing along the levels. A finite network deepens one delta per level,
-D_k = k; the lattice preset chooses its pairs (``kalisim.models.presets``). Lipschitz rate functions give per-level bounds
+growing along the levels, one delta per level, D_k = k. The lattice's nested
+decompositions take the nodes within distance k - 1 (``DiagonalLattice`` in
+``kalisim.models.presets``). Lipschitz rate functions give per-level bounds
 whose total is finite, which is the regime the perfect simulator needs.
 """
 
@@ -42,17 +43,15 @@ class GammaLadder:
     """One node's per-level bounds Gamma_k and the level law they induce.
 
     The rungs are the ``head`` values Gamma_1..Gamma_H, then closed-form tail
-    terms, each read at the tail index n = k + s of level k > H, where the
-    first tail level takes index ``start`` (H + 1 by default, so s = 0 and
-    n = k): each geometric ``(a, r)`` pair adds a r^{n-1}, each ``power``
-    ``(c, p)`` pair adds c n^{-p}, and ``lipschitz`` = gamma adds the
-    lattice's diagonal Lipschitz envelope
-    bar-Gamma_n = (1 - e^{-n}) / ((1 - e^{-1}) (n-1)^gamma)
-    + e^{-(n-1)} (1 + H_gamma(n-2)), whose harmonic sum H_gamma is kept
+    terms at each level k > H: each geometric ``(a, r)`` pair adds
+    a r^{k-1}, each ``power`` ``(c, p)`` pair adds c k^{-p}, and
+    ``lipschitz`` = gamma adds the lattice's diagonal Lipschitz envelope
+    bar-Gamma_k = (1 - e^{-k}) / ((1 - e^{-1}) (k-1)^gamma)
+    + e^{-(k-1)} (1 + H_gamma(k-2)), whose harmonic sum H_gamma is kept
     running as the rungs grow. ``total`` is Gamma = sum_k Gamma_k and
-    ``tail(k, r)`` is sum_{l>k} n_l^r Gamma_l for r = 0, 1, 2, all exact:
+    ``tail(k, r)`` is sum_{l>k} l^r Gamma_l for r = 0, 1, 2, all exact:
     r = 1, 2 give offspring means where a level's depth is its index, as on
-    a finite network (D_k = k) and on the lattice's diagonal tail (D = n).
+    a finite network and on the lattice's diagonal levels (D_k = k).
     The level weights are lambda(v_k) = Gamma_k / Gamma, so that every
     component is bounded by Gamma.
 
@@ -68,11 +67,8 @@ class GammaLadder:
     def __init__(self, head: Sequence[float] = (),
                  geometric: Sequence[tuple[float, float]] = (),
                  power: Sequence[tuple[float, float]] = (),
-                 lipschitz: Optional[float] = None,
-                 start: Optional[int] = None):
+                 lipschitz: Optional[float] = None):
         self.k_head = len(head)
-        # level k > H is read at tail index k + shift
-        self.shift = 0 if start is None else start - self.k_head - 1
         self.geometric = [(a, r) for a, r in geometric if a > 0.0]
         for _, r in self.geometric:
             if not 0.0 < r < 1.0:
@@ -83,9 +79,9 @@ class GammaLadder:
                 raise ValueError("power tail needs p > 2 for finite offspring means")
         self.lipschitz = lipschitz
         if lipschitz is not None:
-            if not (lipschitz > 3.0 and self.k_head >= 1 and self.k_head + self.shift >= 1):
-                raise ValueError("a Lipschitz tail needs gamma > 3, a head holding Gamma_1 and a start of 2 or more")
-            self._harmonic = series.harmonic_partial(lipschitz, self.k_head + self.shift - 1)
+            if not (lipschitz > 3.0 and self.k_head >= 1):
+                raise ValueError("a Lipschitz tail needs gamma > 3 and a head holding Gamma_1")
+            self._harmonic = series.harmonic_partial(lipschitz, self.k_head - 1)
         self._rungs = list(head)
         self._cum: list[float] = []
         self._descs: list[NestedND] = []
@@ -96,7 +92,7 @@ class GammaLadder:
         rungs = self._rungs
         g = self.lipschitz
         while len(rungs) < k:
-            n = len(rungs) + 1 + self.shift
+            n = len(rungs) + 1
             rung = (sum(a * r ** (n - 1) for a, r in self.geometric)
                     + sum(c * n ** (-p) for c, p in self.power))
             if g is not None:
@@ -107,15 +103,10 @@ class GammaLadder:
         return rungs[k - 1] if k >= 1 else 0.0
 
     def tail(self, n: int, r: int = 0) -> float:
-        """sum_{l>n} n_l^r Gamma_l for r = 0, 1, 2, where n_l is level l's
-        index (l on the head, the tail index past it). A shifted head has no
-        tail index, so below it only the sum (r = 0) is defined."""
+        """sum_{l>n} l^r Gamma_l for r = 0, 1, 2."""
         if n < self.k_head:
-            if r and self.shift:
-                raise ValueError("a shifted ladder weights only its tail levels")
             head = sum(k**r * self._rungs[k - 1] for k in range(n + 1, self.k_head + 1))
             return head + self.tail(self.k_head, r)
-        n += self.shift
         out = sum(_geometric_tail(a, q, n, r) for a, q in self.geometric)
         out += sum(c * series.zeta_tail(p - r, n) for c, p in self.power)
         if self.lipschitz is not None:
@@ -145,7 +136,6 @@ class GammaLadder:
         """Bound on the numerical error of ``tail(n, r)`` for n at or past the
         head: the zeta tails' own bounds, and a relative rounding allowance."""
         tail = self.tail(n, r)
-        n += self.shift
         err = sum(c * series.zeta_tail_err(p - r, n) for c, p in self.power)
         if self.lipschitz is not None:
             g = self.lipschitz
@@ -184,7 +174,7 @@ class AgeHawkesModel(NestedModel):
     refractory length delta.
 
     The network is read only through ``kernel``, ``omega``, ``depth``,
-    ``psi`` and ``ladder``; ``LatticeAgeModel`` overrides the windows'
+    ``psi`` and ``ladder``; ``DiagonalLattice`` overrides the windows'
     ``node_set``, ``omega`` and ``depth``, and ``kernel`` and ``ladder``,
     for the integers.
     """

@@ -3,12 +3,14 @@ single-node time bins w_{j,n} = {j} x [-n*eps, -(n-1)*eps), n >= 1.
 
 The linear Hawkes model decomposes over single atoms (``models.linear``),
 the exponential (Taylor) model over ordered products of them
-(``models.analytic``). ``AtomicHawkesModel`` is where that bin convention
-lives, once: the bin width and each node's kernels from its sources, an
-atom's piece and neighborhood (``bin_piece``, ``atom``), its drive at a
-shifted past (``atom_value``), the atoms a past makes live, and the bound
-every atom's component keeps at later shifts (``atom_bound``, which walks
-each source's bins with ``future_bin_bounds``).
+(``models.analytic``), and the lattice preset over atoms of width delta,
+each read with the node's own first bin (``models.presets``). This module
+is where that bin convention lives, once: a bin's edges (``bin_span``), and
+in ``AtomicHawkesModel`` the bin width and each node's kernels from its
+sources, an atom's piece and neighborhood (``bin_piece``, ``atom``), its
+drive at a shifted past (``atom_value``), the atoms a past makes live, and
+the bound every atom's component keeps at later shifts (``atom_bound``,
+which walks each source's bins with ``future_bin_bounds``).
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class AtomicHawkesModel(KalikowModel):
 
     def bin_piece(self, j: NodeId, n: int) -> tuple[NodeId, float, float]:
         """The piece (j, -n*eps, -(n-1)*eps) of the atom w_{j,n}."""
-        return j, -n * self.eps, -(n - 1) * self.eps
+        return (j, *bin_span(n, self.eps))
 
     def atom(self, j: NodeId, n: int) -> Neighborhood:
         """The neighborhood w_{j,n}, built on its first read and then kept."""
@@ -164,6 +166,13 @@ class AtomicHawkesModel(KalikowModel):
                 " across bins; components admit no finite bound at future shifts"
             )
         return ker, atoms.trunc[j], falls, partial(atoms.bin_weight, j), ([math.nan], [math.nan])
+
+
+def bin_span(n: int, eps: float) -> tuple[float, float]:
+    """The edges (-n*eps, -(n-1)*eps) of bin n >= 1 of width ``eps``: the bin
+    holds the shifted times in [-n*eps, -(n-1)*eps). The lattice preset's
+    atoms are these bins at eps = delta (``models.presets``)."""
+    return -n * eps, -(n - 1) * eps
 
 
 def _bin_of(age: float, eps: float) -> int:

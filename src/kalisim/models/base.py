@@ -1,7 +1,8 @@
 """Model interface: the contract every decomposable intensity family satisfies,
 and what the families share, once each: ``KalikowModel.require_bound`` (the
 one reader of Gamma_i), ``past_drive`` and the node check
-``require_known_nodes``. The families over single-node time bins share
+``require_known_nodes``. The families over single-node time bins, the linear
+and Taylor Hawkes models and the lattice preset's atoms, share
 ``models.atomic``, which alone knows the bin convention, and the families
 over nested windows share ``models.nested``, which alone knows theirs."""
 

@@ -2,8 +2,10 @@
 k >= 1, with omega_1 = {i} and both the node sets and the depths growing
 along the levels. The age-dependent Hawkes model (``models.age``, unit
 delta) and the Galves-Löcherbach model (``models.gl``, unit the window step)
-decompose over them, the lattice preset on pairs (omega_k, D_k) of its own
-(``models.presets``); ``NestedModel`` alone knows the window convention.
+decompose over them, and so do the paper's nested decompositions of the
+lattice, on the diagonal levels (k - 1, k) (``models.presets``; the preset
+itself decomposes over atoms). ``NestedModel`` alone knows the window
+convention.
 """
 
 from __future__ import annotations

@@ -1,27 +1,34 @@
 """The integer-lattice age model, the paper's infinite-network example.
 
-Nodes are the integers, psi(u) = 1 + u (psi(0) = 1, Lipschitz constant 1),
-and interaction kernels h_ij(t) = beta_ij exp(-t/delta) with beta_ii = 1 and
-beta_ij = 1 / (2 |j-i|^g) for j != i. ``LatticeAgeModel`` overrides the
-network methods of ``AgeHawkesModel`` (of its windows only ``node_set``,
-``omega`` and ``depth``) and keeps the rest.
+Nodes are the integers, psi(u) = 1 + u (psi(0) = 1, Lipschitz constant
+L = 1), a hard refractory period delta, and interaction kernels
+h_ij(t) = beta_ij exp(-t/delta) with beta_ii = 1 and beta_ij = 1 / (2 |j-i|^g)
+for j != i. The Kalikow decomposition is not unique; this module holds three
+of the same intensity.
 
-A level is a pair (R, D): the nodes within distance R over [-D delta, 0).
-The sup of the intensity over refractory pasts on such a window is
-F(R, D) = 1 + sum_{1<=m<D} e^{-m} + (1 - e^{-D}) / (1 - e^{-1}) sum_{1<=d<=R} d^{-g}
-(``lattice_envelope``), and the model simulates on its increments, Gamma_k =
-bar-Gamma_k = F(R_k, D_k) - F(R_{k-1}, D_{k-1}), so every nesting has the
-same Gamma = F(inf, inf) (3.294 at g = 4). The nestings differ in their
-offspring mean, sum_k Gamma_k (2 R_k + 1) D_k delta, and the preset takes
-the cheapest path of unit steps from (0, 1) to (K-1, K) (``shortest_nesting``,
-K = ``NESTING_GRID``), then the diagonal levels (n-1, n), n > K.
+The preset, ``AtomLattice``, decomposes it over atoms. psi is affine, so the
+drive splits over single-node bins w_{j,n} = {j} x [-n delta, -(n-1) delta),
+the atomic family's bins of width delta (``models.atomic``), and the
+refractory indicator reads only node i's own bin w_{i,1}:
 
-Two more decompositions of the same intensity sit on the diagonal levels
-(k-1, k): ``DiagonalLattice`` keeps the Lipschitz rungs, and
-``PowerLadderLattice`` takes the paper's weight family, the power ladder
-C_g k^{-p} with C_g = ``lattice_c_gamma(g)`` and 3 < p <= g (C_g = 31.20
-and Gamma = 33.76 at g = p = 4). The preset takes no p; ``analyze
---p-grid`` costs the power ladder at each exponent of its grid, one
+- the base set w_{i,1}, of value alive psi(0) and weight psi(0) / Gamma;
+- the atom (j, n), for j != i with n >= 1 and for j = i with n >= 2, of
+  neighbourhood w_{i,1} U w_{j,n} and value alive L sum h_ij over the bin's
+  points. A half-open bin of width delta holds at most one point of a
+  refractory past, so the value's sup is L h_ij((n-1) delta), and the atom's
+  weight is that sup over Gamma.
+
+Gamma = 1 + 1/(e-1) + zeta(g)/(1 - e^{-1}) is the sup of the intensity
+(3.294 at g = 4). A drawn neighbourhood holds 1.52 nodes on average at g = 4,
+and the offspring mean is delta (2 Gamma - 1).
+
+The paper's nested decomposition takes level k to be the nodes within
+distance k - 1 over [-k delta, 0) (``models.nested``). ``DiagonalLattice``
+simulates on its Lipschitz rungs bar-Gamma_k, whose sum is the same Gamma,
+and ``PowerLadderLattice`` on the paper's weight family, the power ladder
+C_g k^{-p} with C_g = ``lattice_c_gamma(g)`` and 3 < p <= g (C_g = 31.20 and
+Gamma = 33.76 at g = p = 4). The preset takes no p; ``analyze --p-grid``
+costs the power ladder at each exponent of its grid, one
 ``PowerLadderLattice`` each.
 """
 
@@ -31,21 +38,21 @@ import math
 from functools import cache
 
 from .. import series
-from ..core import NodeId
+from ..core import AtomND, Configuration, Neighborhood, NodeId, RefractoryGap
 from ..errors import NonSummableError
 from ..kernels import AffineRate, ExponentialKernel
-from .age import AgeHawkesModel, GammaLadder
-from .base import OffspringRow
+from ..sampling import RandomStream
+from .age import _ONE_MINUS_INV_E, AgeHawkesModel, GammaLadder
+from .atomic import bin_span
+from .base import KalikowModel, OffspringRow, past_drive
 from .nested import NestedModel
 
 # most distances an offspring row lists on each side of its node
 NEAR_MAX = 100_000
-# the nesting search's grid: radii 0..K-1 and depths 1..K
-NESTING_GRID = 8
 
 
 def lattice_gamma_bar(gamma: float, k: int) -> float:
-    """Closed form of the Lipschitz envelope bar-Gamma_k: the preset's rungs.
+    """Closed form of the Lipschitz envelope bar-Gamma_k: ``DiagonalLattice``'s rungs.
 
     bar-Gamma_1 = 1 and, for k >= 2,
     bar-Gamma_k = (1 - e^{-k}) / ((1 - e^{-1}) (k-1)^gamma)
@@ -62,48 +69,11 @@ def lattice_gamma_bar(gamma: float, k: int) -> float:
             + math.exp(-(k - 1)) * (1.0 + series.harmonic_partial(gamma, k - 2)))
 
 
-def lattice_envelope(gamma: float, radius: int, depth: int) -> float:
-    """F(R, D), the sup of the intensity over refractory pasts of the window
-    {|d| <= R} x [-D delta, 0): psi(0) = 1, the node's own points past ages
-    delta, ..., (D-1) delta, and on each side, at every distance d <= R, points
-    past ages 0, delta, ..., (D-1) delta through kernels d^{-gamma} e^{-t/delta} / 2.
-    It does not depend on delta."""
-    return (1.0 + sum(math.exp(-m) for m in range(1, depth))
-            + math.expm1(-depth) / math.expm1(-1.0) * sum(d ** -gamma for d in range(1, radius + 1)))
-
-
-def shortest_nesting(gamma: float) -> tuple[tuple[int, int], ...]:
-    """The levels (R, D) of the cheapest nesting from (0, 1) to the diagonal
-    level (K - 1, K), K = ``NESTING_GRID``, by dynamic programming over unit
-    steps.
-
-    A level reached from (R', D') costs its rung F(R, D) - F(R', D') times its
-    volume (2 R + 1) D, in units of delta; merging two unit steps never lowers
-    the total, so unit steps suffice. At gamma = 4 the path deepens before it
-    widens: (0, 1), (1, 1), (1, 2), (1, 3), (1, 4), (2, 4), ..., (7, 8).
-    """
-    size = NESTING_GRID
-    env = {(r, d): lattice_envelope(gamma, r, d) for r in range(size) for d in range(1, size + 1)}
-    best: dict[tuple[int, int], tuple[float, tuple[int, int]]] = {(0, 1): (0.0, (0, 1))}
-    for r in range(size):
-        for d in range(1, size + 1):
-            for prev in ((r, d - 1), (r - 1, d)):
-                if prev in best:
-                    cost = best[prev][0] + (env[r, d] - env[prev]) * (2 * r + 1) * d
-                    if (r, d) not in best or cost < best[r, d][0]:
-                        best[r, d] = (cost, prev)
-    path = [(size - 1, size)]
-    while path[-1] != (0, 1):
-        path.append(best[path[-1]][1])
-    return tuple(reversed(path))
-
-
 @cache
 def lattice_c_gamma(gamma: float) -> float:
     """Smallest constant with C k^{-gamma} >= bar-Gamma_k for every diagonal
     level (k-1, k): the constant of the paper's power ladder, which
-    ``PowerLadderLattice`` keeps as ``c_gamma``. It need not dominate the
-    rungs of another nesting.
+    ``PowerLadderLattice`` keeps as ``c_gamma``.
 
     k^gamma bar-Gamma_k = (1 - e^{-k}) / (1 - e^{-1}) (k/(k-1))^gamma
     + k^gamma e^{-(k-1)} (1 + H_gamma(k-2)); both pieces decrease from
@@ -117,31 +87,17 @@ def lattice_c_gamma(gamma: float) -> float:
     return max(k**gamma * envelope.level(k) for k in range(1, max(50, math.ceil(3.0 * gamma)) + 1))
 
 
-class LatticeAgeModel(AgeHawkesModel):
-    """Translation-invariant age model on the integers (see module docstring).
+class LatticeNetwork:
+    """The network every lattice decomposition reads: the integers, every
+    node alike, the rate psi(u) = 1 + u and the kernels by distance, each
+    built once."""
 
-    ``head`` lists the levels (R, D) that ``nesting`` chooses, ending on the
-    diagonal at (K-1, K); level k > H = len(head) is the diagonal level
-    (n-1, n) with n = k - H + K. The ladder's head rungs are ``gamma_bar`` of
-    the head levels, and its tail the diagonal Lipschitz envelope from n = K + 1.
-    """
-
-    def __init__(self, gamma: float, delta: float):
+    def _set_network(self, gamma: float) -> None:
         if gamma <= 3.0:
             raise ValueError("lattice preset needs gamma > 3")
         self.gamma_exponent = float(gamma)
         self._psi = AffineRate(1.0, 1.0)
         self._by_distance: dict[int, ExponentialKernel] = {}
-        self.head = self.nesting()
-        self._diagonal_from = self.head[-1][1]  # K
-        NestedModel.__init__(self, delta)  # windows on the integers: no finite node set
-        self._ladder = self._build_ladder(0)
-
-    def nesting(self) -> tuple[tuple[int, int], ...]:
-        """The head levels (R, D), from (0, 1) to a diagonal level (K-1, K)."""
-        return shortest_nesting(self.gamma_exponent)
-
-    # -- the network: every node alike, kernels by distance ----------------------
 
     def node_set(self):
         return None
@@ -154,12 +110,178 @@ class LatticeAgeModel(AgeHawkesModel):
             ker = self._by_distance[d] = ExponentialKernel(alpha=beta, beta=1.0 / self.refractory)
         return ker
 
+
+class AtomLattice(LatticeNetwork, KalikowModel):
+    """The lattice preset on atoms (see the module docstring). The atom
+    (j, n) is ``AtomND(j, n)``, and ``AtomND(i, 1)`` is node i's base set."""
+
+    def __init__(self, gamma: float, delta: float):
+        if delta <= 0:
+            raise ValueError("refractory length must be positive")
+        self._set_network(gamma)
+        self.refractory = float(delta)
+        psi0, lip = self._psi.at_zero, self._psi.lipschitz
+        # the atoms' sups summed, on node i's own bins n >= 2 and on each side
+        self._own = lip / math.expm1(1.0)
+        self._cross = lip * series.zeta(self.gamma_exponent) / _ONE_MINUS_INV_E
+        self._total = psi0 + self._own + self._cross
+        # the draw's cut points: base, own bins, then the left and right sides
+        self._cuts = (psi0, psi0 + self._own, psi0 + self._own + 0.5 * self._cross)
+        # Devroye's constants for the distance: b = 2^{g-1} and -1/(g-1)
+        self._zeta_b = 2.0 ** (self.gamma_exponent - 1.0)
+        self._zeta_root = -1.0 / (self.gamma_exponent - 1.0)
+        self._descs: dict[tuple[NodeId, int], AtomND] = {}
+        self._windows: dict[tuple[NodeId, AtomND], Neighborhood] = {}
+
+    def guard(self):
+        return RefractoryGap(self.refractory)
+
+    # -- the draw ---------------------------------------------------------------
+
+    def distance(self, rng: RandomStream) -> int:
+        """|j - i| of a drawn atom off node i, of law d^{-g} / zeta(g), exactly:
+        Devroye's rejection sampler for the zeta law (Devroye 1986,
+        *Non-Uniform Random Variate Generation*, X.6), about 1.06 rounds of two
+        uniforms each at g = 4."""
+        b, root, g1 = self._zeta_b, self._zeta_root, self.gamma_exponent - 1.0
+        while True:
+            d = int((1.0 - rng.uniform()) ** root)
+            t = (1.0 + 1.0 / d) ** g1
+            if rng.uniform() * d * (t - 1.0) * b <= t * (b - 1.0):
+                return d
+
+    def sample_neighborhood(self, i: NodeId, rng: RandomStream, cls=None) -> AtomND:
+        """One uniform picks the base set, an own bin or a side; the bin index
+        is a geometric, P(n > m) = e^{-m} (own bins from n = 2), and the
+        distance is ``distance``. Each atom's descriptor is built once."""
+        u = rng.uniform() * self._total
+        base, own, left = self._cuts
+        if u < base:
+            j, n = i, 1
+        else:
+            n = rng.geometric(_ONE_MINUS_INV_E)
+            if u < own:
+                j, n = i, n + 1
+            else:
+                d = self.distance(rng)
+                j = i - d if u < left else i + d
+        desc = self._descs.get((j, n))
+        if desc is None:
+            desc = self._descs[j, n] = AtomND(j, n)
+        return desc
+
+    def expand(self, i: NodeId, desc) -> Neighborhood:
+        """w_{i,1} U w_{j,n}, built on its first read and then kept."""
+        nb = self._windows.get((i, desc))
+        if nb is None:
+            if not isinstance(desc, AtomND):
+                raise KeyError(f"descriptor {desc!r} is not a lattice atom")
+            nb = self._windows[i, desc] = Neighborhood(
+                [(i, *bin_span(1, self.refractory)), (desc.j, *bin_span(desc.n, self.refractory))]
+            )
+        return nb
+
+    def enumerate_descriptors(self, i: NodeId, x: Configuration | None = None):
+        """The base set, then the atoms by s = |j - i| + n = 2, 3, ...: own
+        bin first, then each distance, left before right."""
+        yield AtomND(i, 1)
+        s = 2
+        while True:
+            yield AtomND(i, s)
+            for d in range(1, s):
+                yield AtomND(i - d, s - d)
+                yield AtomND(i + d, s - d)
+            s += 1
+
+    # -- the decomposition --------------------------------------------------------
+
+    def intensity(self, i: NodeId, x: Configuration) -> float:
+        if x.count_in(i, *bin_span(1, self.refractory)):
+            return 0.0
+        return self._psi(past_drive([(j, self.kernel(i, j)) for j in x.nodes()], x))
+
+    def delta(self, i: NodeId, desc, x: Configuration) -> float:
+        if not isinstance(desc, AtomND):
+            raise KeyError(f"descriptor {desc!r} is not a lattice atom")
+        if x.count_in(i, *bin_span(1, self.refractory)):
+            return 0.0
+        if desc.j == i and desc.n == 1:
+            return self._psi.at_zero
+        ker = self.kernel(i, desc.j)
+        return self._psi.lipschitz * sum(ker(-s) for s in x.points_in(desc.j, *bin_span(desc.n, self.refractory)))
+
+    def pmf(self, i: NodeId, desc) -> float:
+        """The summand's sup over refractory pasts over Gamma: psi(0) on the
+        base set, L h_ij((n-1) delta) on an atom, since its bin holds at most
+        one point, of age past (n-1) delta (a bin n < 1 lies in the future,
+        where the kernel is 0)."""
+        if not isinstance(desc, AtomND):
+            return 0.0
+        if desc.j == i and desc.n == 1:
+            return self._psi.at_zero / self._total
+        near = bin_span(desc.n, self.refractory)[1]
+        return self._psi.lipschitz * self.kernel(i, desc.j)(-near) / self._total
+
+    def global_bound(self, i: NodeId) -> float:
+        return self._total
+
+    def local_bound(self, i: NodeId, x: Configuration, t: float = 0.0, cls=None) -> float:
+        # lambda = sup / Gamma bounds every component by Gamma on the refractory subspace
+        return self._total
+
+    # -- branching ----------------------------------------------------------------
+
+    def invariant_offspring_mean(self) -> float:
+        """delta (Gamma + 1/(e-1) + zeta(g)/(1 - e^{-1})) = delta (2 Gamma - 1):
+        every draw reads delta of node i, and an atom delta more."""
+        return self.refractory * (self._total + self._own + self._cross)
+
+    def nodes_per_neighborhood(self) -> float:
+        """Mean nodes of a drawn neighbourhood: one on the base set and the own
+        bins, two off node i."""
+        return (self._psi.at_zero + self._own + 2.0 * self._cross) / self._total
+
+    def offspring_row(self, i: NodeId, tol: float = 1e-8) -> OffspringRow:
+        """Row of M in closed form: M_ii = delta (Gamma + 1/(e-1)) and
+        M_{i,i+d} = delta beta_d / (1 - e^{-1}) for d != 0, the atoms (i+d, n)
+        summed over n.
+
+        ``near`` lists the distances d = -D..D whose entry is at least ``tol``
+        (at most ``NEAR_MAX`` on each side). ``far`` is the exact mass beyond
+        D, delta zeta_tail(g, D) / (1 - e^{-1}), and ``err`` bounds its
+        numerical error by the zeta tail's own bound.
+        """
+        dlt, g = self.refractory, self.gamma_exponent
+        scale = dlt * self._psi.lipschitz / _ONE_MINUS_INV_E
+        near: dict[NodeId, float] = {i: dlt * (self._total + self._own)}
+        d = 1
+        while d <= NEAR_MAX and (mass := scale * 0.5 / d**g) >= tol:
+            near[i - d] = near[i + d] = mass
+            d += 1
+        far = scale * series.zeta_tail(g, d - 1)
+        err = scale * series.zeta_tail_err(g, d - 1)
+        if not err < tol:
+            raise NonSummableError(
+                f"offspring row far mass certified only to {err:g}, not below tol = {tol:g}"
+            )
+        return OffspringRow(near, far, err)
+
+
+class DiagonalLattice(LatticeNetwork, AgeHawkesModel):
+    """The lattice on the paper's nested levels: level k is the pair (R, D) =
+    (k - 1, k), the nodes within distance k - 1 over [-k delta, 0), simulated
+    on the Lipschitz rungs bar-Gamma_k. The same Gamma as the preset's atoms,
+    on costlier neighbourhoods (E(W) = 1.142 at g = 4, delta = 0.005, against
+    1.029). A subclass may swap the ladder (``_build_ladder``)."""
+
+    def __init__(self, gamma: float, delta: float):
+        self._set_network(gamma)
+        NestedModel.__init__(self, delta)  # windows on the integers: no finite node set
+        self._ladder = self._build_ladder(0)
+
     def level(self, k: int) -> tuple[int, int]:
         """Level k's pair (R, D)."""
-        if k <= len(self.head):
-            return self.head[k - 1]
-        n = k - len(self.head) + self._diagonal_from
-        return n - 1, n
+        return k - 1, k
 
     def omega(self, i: NodeId, k: int) -> tuple[NodeId, ...]:
         r = self.level(k)[0]
@@ -172,66 +294,41 @@ class LatticeAgeModel(AgeHawkesModel):
         return self._ladder
 
     def _build_ladder(self, i: NodeId) -> GammaLadder:
-        """Every node's ladder (see the class docstring); a subclass may swap it."""
-        rungs = [self.gamma_bar(0, k) for k in range(1, len(self.head) + 1)]
-        return GammaLadder(rungs, lipschitz=self.gamma_exponent, start=self._diagonal_from + 1)
+        """Every node's ladder: bar-Gamma_1 = psi(0), then the diagonal Lipschitz envelope."""
+        return GammaLadder([self.gamma_bar(0, 1)], lipschitz=self.gamma_exponent)
 
     # -- translation-invariant branching reduction ----------------------------
 
-    def _diagonal_tail(self, n: int, r: int) -> float:
-        """sum_{m>n} m^r bar-Gamma_m over the diagonal levels (m-1, m), n >= K."""
-        return self.ladder(0).tail(n - self._diagonal_from + len(self.head), r)
-
-    def _head_sum(self, weight) -> float:
-        """sum over the head levels of weight(R, D) Gamma_k."""
-        lad = self.ladder(0)
-        return sum(weight(r, d) * lad.level(k) for k, (r, d) in enumerate(self.head, 1))
-
     def invariant_offspring_mean(self) -> float:
         """Mean backward children per point: each level weighs by its volume,
-        delta sum_k Gamma_k (2 R_k + 1) D_k; on the diagonal levels (2m - 1) m."""
-        K = self._diagonal_from
-        head = self._head_sum(lambda r, d: (2 * r + 1) * d)
-        return self.refractory * (head + 2.0 * self._diagonal_tail(K, 2) - self._diagonal_tail(K, 1))
+        delta sum_k Gamma_k (2k - 1) k."""
+        lad = self.ladder(0)
+        return self.refractory * (lad.level(1) + 2.0 * lad.tail(1, 2) - lad.tail(1, 1))
 
     def nodes_per_neighborhood(self) -> float:
-        """Mean nodes of a drawn neighbourhood, sum_k lambda_k (2 R_k + 1)."""
-        K = self._diagonal_from
-        head = self._head_sum(lambda r, d: 2 * r + 1)
-        return (head + 2.0 * self._diagonal_tail(K, 1) - self._diagonal_tail(K, 0)) / self.ladder(0).total
+        """Mean nodes of a drawn neighbourhood, sum_k lambda_k (2k - 1)."""
+        lad = self.ladder(0)
+        return (lad.level(1) + 2.0 * lad.tail(1, 1) - lad.tail(1, 0)) / lad.total
 
     def offspring_row(self, i: NodeId, tol: float = 1e-8) -> OffspringRow:
-        """Row of M in closed form: M_{i,i+d} = delta sum_{k: R_k >= |d|} D_k Gamma_k,
-        the head levels summed and the diagonal levels m > max(|d|, K) by tail.
+        """Row of M in closed form: M_{i,i+d} = delta sum_{k > |d|} k Gamma_k.
 
         ``near`` lists the distances d = -D..D whose entry is at least ``tol``
         (at most ``NEAR_MAX`` on each side, since the entries of gamma near 3
-        decay too slowly to list down to ``tol``). ``far`` is the exact
-        mass beyond D: a level of radius R holds 2 (R - D)^+ of those
-        distances, so with d = D + 1 and m = max(d, K) it is
-        2 delta [sum_head D_k Gamma_k (R_k - D)^+ + tail(m, 2) - d tail(m, 1)],
-        and ``err`` bounds its numerical error by the ladder's own bounds.
+        decay too slowly to list down to ``tol``). ``far`` is the exact mass
+        beyond D: level k holds 2 (k - 1 - D)^+ of those distances, so with
+        d = D + 1 it is 2 delta [tail(d, 2) - d tail(d, 1)], and ``err`` bounds
+        its numerical error by the ladder's own bounds.
         """
-        lad, dlt, K = self.ladder(i), self.refractory, self._diagonal_from
-        # the head reaches no distance past K - 1
-        head = [self._head_sum(lambda r, depth: depth if r >= d else 0) for d in range(K)]
-
-        def entry(d: int) -> float:
-            if d < K:
-                return dlt * (head[d] + self._diagonal_tail(K, 1))
-            return dlt * self._diagonal_tail(d, 1)
-
-        near: dict[NodeId, float] = {i: entry(0)}
+        lad, dlt = self.ladder(i), self.refractory
+        near: dict[NodeId, float] = {i: dlt * (lad.level(1) + lad.tail(1, 1))}
         d = 1
-        while d <= NEAR_MAX and (mass := entry(d)) >= tol:
+        while d <= NEAR_MAX and (mass := dlt * lad.tail(d, 1)) >= tol:
             near[i - d] = near[i + d] = mass
             d += 1
         # d = D + 1 is now the nearest distance left out
-        far_head = self._head_sum(lambda r, depth: depth * max(r - d + 1, 0))
-        m = max(d, K)
-        far = 2.0 * dlt * (far_head + self._diagonal_tail(m, 2) - d * self._diagonal_tail(m, 1))
-        n = m - K + len(self.head)
-        err = 2.0 * dlt * (lad.tail_err(n, 2) + d * lad.tail_err(n, 1))
+        far = 2.0 * dlt * (lad.tail(d, 2) - d * lad.tail(d, 1))
+        err = 2.0 * dlt * (lad.tail_err(d, 2) + d * lad.tail_err(d, 1))
         if not err < tol:
             raise NonSummableError(
                 f"offspring row far mass certified only to {err:g}, not below tol = {tol:g}"
@@ -239,20 +336,11 @@ class LatticeAgeModel(AgeHawkesModel):
         return OffspringRow(near, far, err)
 
 
-class DiagonalLattice(LatticeAgeModel):
-    """The lattice preset on the diagonal nesting, level k the nodes within
-    distance k - 1 over [-k delta, 0): the same Gamma on costlier levels
-    (E(W) = 1.142 at g = 4, delta = 0.005, against 1.099 on the preset's)."""
-
-    def nesting(self):
-        return ((0, 1),)  # one head level, then the diagonal tail
-
-
 class PowerLadderLattice(DiagonalLattice):
-    """The lattice on the diagonal nesting and the paper's power ladder,
+    """The lattice on the diagonal levels and the paper's power ladder,
     Gamma_k = C_g k^{-p} with C_g = ``c_gamma`` = ``lattice_c_gamma(g)`` and
     3 < p <= g (Gamma = 33.76 at g = p = 4, against 3.294 on bar-Gamma_k): a
-    second decomposition of the same intensity, dominating the diagonal rungs
+    third decomposition of the same intensity, dominating the diagonal rungs
     bar-Gamma_k with slack. Its offspring mean is C_g delta f(p), with
     f(p) = sum_k (2k - 1) k^{1-p} = 2 zeta(p-2) - zeta(p-1), finite iff p > 3."""
 
@@ -267,5 +355,9 @@ class PowerLadderLattice(DiagonalLattice):
         return self._power
 
 
-def lattice_preset(gamma: float, delta: float) -> LatticeAgeModel:
-    return LatticeAgeModel(gamma, delta)
+# the lattice decompositions ``analyze`` costs
+LatticeDecomposition = AtomLattice | DiagonalLattice
+
+
+def lattice_preset(gamma: float, delta: float) -> AtomLattice:
+    return AtomLattice(gamma, delta)

@@ -24,10 +24,16 @@ Each node's dominating rate Gamma_i is read once per model, through
 
 A point with drawn neighborhood v is accepted when its uniform mark is below
 phi_v(x)/Gamma, so a model must bound every component value by Gamma, and
-every root is stored and expanded. A model that simulates on its per-level
-envelope, Gamma_k = bar-Gamma_k, leaves no mark that rejects a point whatever
-its past: such points would be an independent thinning of a larger
-dominating process (the marking theorem), which is never drawn.
+every root is stored and expanded. A model whose weights are its components'
+sups, as the lattice preset's atoms and the nested levels' Lipschitz rungs
+bar-Gamma_k are, leaves no mark that rejects a point whatever its past: such
+points would be an independent thinning of a larger dominating process (the
+marking theorem), which is never drawn.
+
+Each expanded point makes one ledger request per node of its drawn
+neighborhood, so the decomposition sets the cost of a root: its nodes per
+drawn neighborhood times the mean clan, which E(W) bounds (1.52 and 1.029 on
+the lattice preset's atoms, 2.92 and 1.142 on its diagonal nested levels).
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from .models import (
     TableModel,
     lattice_preset,
 )
-from .models.presets import DiagonalLattice, LatticeAgeModel, PowerLadderLattice
+from .models.presets import DiagonalLattice, PowerLadderLattice
 from .oracles import ogata_age_hawkes, ogata_hawkes
 from .perfect import BackwardBudget, RegionLedger, backward_clan, perfect_sample
 from .forward import forward_simulate
@@ -307,7 +307,7 @@ def suite_thinning_equivalence(seed: int = 20_202, runs: int = 10_000) -> SuiteR
 
 
 def suite_refractory(seed: int = 20_303, runs: int = 10_000) -> SuiteReport:
-    """Hard refractory invariant on the lattice preset (gamma = p = 4)."""
+    """Hard refractory invariant on the lattice preset (gamma = 4)."""
     rep = SuiteReport("refractory", seed)
     t0 = time.perf_counter()
     model = lattice_preset(4.0, LATTICE_DELTA)
@@ -598,11 +598,12 @@ def suite_decomposition_equivalence(
     seed: int = 21_212, lattice_runs: int = 1_000, ring_runs: int = 2_000
 ) -> SuiteReport:
     """Two decompositions of one intensity give one law (:func:`law_pair`):
-    node-0 counts on [0, 10) of the lattice preset against
-    :class:`PowerLadderLattice` and against :class:`DiagonalLattice` (the
-    preset's runs serve both pairs), and per-node counts on [0, 10] of the
-    4-node Hawkes ring on bins of width 0.5 against width 2. Tests run it
-    smaller."""
+    node-0 counts on [0, 10) of the lattice preset, decomposed over atoms,
+    against the paper's nested levels on the power ladder
+    (:class:`PowerLadderLattice`, pair "lattice") and on the Lipschitz rungs
+    (:class:`DiagonalLattice`, pair "atoms"); the preset's runs serve both
+    pairs. Then per-node counts on [0, 10] of the 4-node Hawkes ring on bins
+    of width 0.5 against width 2. Tests run it smaller."""
     rep = SuiteReport("decomposition-equivalence", seed)
     t0 = time.perf_counter()
     root = RandomStream(seed)
@@ -610,11 +611,11 @@ def suite_decomposition_equivalence(
     def lattice_counts(arm, model):
         return [[len(perfect_sample(model, 0, 10.0, root.child(0, arm, r)).points(0))] for r in range(lattice_runs)]
 
-    models = (LatticeAgeModel(4.0, LATTICE_DELTA), PowerLadderLattice(4.0, 4.0, LATTICE_DELTA),
+    models = (lattice_preset(4.0, LATTICE_DELTA), PowerLadderLattice(4.0, 4.0, LATTICE_DELTA),
               DiagonalLattice(4.0, LATTICE_DELTA))
     preset, power, diagonal = (lattice_counts(arm, model) for arm, model in enumerate(models))
     law_pair(rep, "lattice", preset, power)
-    law_pair(rep, "nesting", preset, diagonal)
+    law_pair(rep, "atoms", preset, diagonal)
 
     def ring_counts(arm, model):
         runs = (forward_simulate(model, range(4), 10.0, 1_000_000, None, root.child(1, arm, r)) for r in range(ring_runs))

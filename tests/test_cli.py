@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import kalisim
-from kalisim.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
-from kalisim.models.presets import PowerLadderLattice
+from kalisim.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, _cost_curve, _cost_entry, main
+from kalisim.models.presets import DiagonalLattice, PowerLadderLattice
 
 LATTICE = {"model": {"family": "lattice-4.2.6", "gamma": 4, "p": 4, "delta": 0.005}}
 FINITE = {
@@ -140,10 +140,10 @@ def test_analyze_lattice_sample(tmp_path, capsys):
     assert report["nodes"] == [-1, 0, 1]
     assert set(report["off_sample_mass"]) == {"-1", "0", "1"}
     assert report["verdict"] == "subcritical"
-    # exact for every node by translation invariance: E(W) = 1/(1 - 0.0902)
+    # exact for every node by translation invariance: E(W) = 1/(1 - 0.0279)
     ew = 1.0 / (1.0 - kalisim.lattice_preset(4, 0.005).invariant_offspring_mean())
     assert report["expected_clan_size"] == {"-1": ew, "0": ew, "1": ew}
-    assert ew == pytest.approx(1.099, abs=1e-3)
+    assert ew == pytest.approx(1.029, abs=1e-3)
     assert "expected_clan_size_note" not in report
     # the row totals come in closed form; walking the nested levels took minutes
     assert elapsed < 20.0
@@ -337,15 +337,34 @@ def test_analyze_invariant_reduction(tmp_path, capsys):
     assert report["expected_clan_size"] == 1.0 / (1.0 - g)
 
 
-def test_analyze_reports_the_lattice_nesting(tmp_path, capsys):
+def test_analyze_reports_the_cost_of_the_lattice_atoms(tmp_path, capsys):
+    # the preset's atoms: 1.52 nodes per drawn neighbourhood, E(W) = 1.029,
+    # and an offspring mean delta (2 Gamma - 1), critical at delta = 0.179
     model = kalisim.lattice_preset(4, 0.005)
     for flags in ((), ("--nodes", "3")):
         report = analyze_report(tmp_path, capsys, LATTICE, *flags)
-        assert report["level_head"] == [list(level) for level in model.head]
-        assert report["level_head"][:3] == [[0, 1], [1, 1], [1, 2]] and report["level_head"][-1] == [7, 8]
+        assert "level_head" not in report
         assert report["nodes_per_neighborhood"] == model.nodes_per_neighborhood()
-        assert report["nodes_per_neighborhood"] == pytest.approx(2.553, abs=1e-3)
-    assert "level_head" not in analyze_report(tmp_path, capsys, TABLE)
+        assert report["nodes_per_neighborhood"] == pytest.approx(1.520, abs=1e-3)
+        assert report["critical_delta"] == 0.005 / model.invariant_offspring_mean()
+        assert report["critical_delta"] == pytest.approx(1.0 / (2.0 * model.global_bound(0) - 1.0), rel=1e-14)
+        assert report["critical_delta"] == pytest.approx(0.179, abs=1e-3)
+        ew = report["expected_clan_size"]
+        assert (ew["0"] if flags else ew) == pytest.approx(1.029, abs=1e-3)
+    table = analyze_report(tmp_path, capsys, TABLE)
+    assert not {"nodes_per_neighborhood", "critical_delta"} & set(table)
+
+
+def test_both_lattice_decompositions_are_costed():
+    # the nested diagonal is costed as the atoms are, and its power ladder curve too
+    diagonal, atoms = DiagonalLattice(4, 0.005), kalisim.lattice_preset(4, 0.005)
+    entries = [_cost_entry(m) for m in (atoms, diagonal)]
+    for entry, m in zip(entries, (atoms, diagonal)):
+        assert entry == {"dominating_rate": m.global_bound(0), "nodes_per_neighborhood": m.nodes_per_neighborhood(),
+                         "critical_delta": 0.005 / m.invariant_offspring_mean()}
+    assert entries[0]["nodes_per_neighborhood"] < entries[1]["nodes_per_neighborhood"]
+    assert entries[0]["critical_delta"] > entries[1]["critical_delta"] == pytest.approx(0.0401, abs=1e-4)
+    assert _cost_curve(diagonal, [3.5, 4.0]) == _cost_curve(atoms, [3.5, 4.0])
 
 
 def test_analyze_reports_the_dominating_rate(tmp_path, capsys):
@@ -372,7 +391,7 @@ def test_analyze_p_grid_cost_curve(tmp_path, capsys):
     assert curve["argmin_p"] == 4.0
     assert [pt["p"] for pt in curve["points"]] == [3.5, 4.0]
     # at p = gamma the curve's offspring mean is that of the lattice simulated
-    # on the power ladder, above the preset's own Lipschitz ladder
+    # on the power ladder, above the preset's own atoms
     below, at_gamma = curve["points"]
     power = PowerLadderLattice(4, 4, 0.005).invariant_offspring_mean()
     assert at_gamma["offspring_mean"] == pytest.approx(power, rel=1e-12)
@@ -393,19 +412,22 @@ def test_the_cost_curve_is_the_closed_form(tmp_path, capsys):
 
 
 def test_every_decomposition_gets_one_cost_entry(tmp_path, capsys):
-    # Gamma and the nodes of a drawn neighbourhood; their product with E(W)
-    # bounds the ledger requests per root, since a point's own draw does not
-    # depend on its being in the clan and E(W) bounds the mean clan (a traced
-    # perfect_lattice run measured 2.69 requests per root against 2.806)
+    # Gamma, the nodes of a drawn neighbourhood and the critical delta; nodes
+    # times E(W) bounds the ledger requests per root, since a point's own draw
+    # does not depend on its being in the clan and E(W) bounds the mean clan
+    # (a traced perfect_lattice run measured 1.53 requests per root against 1.563)
     report = analyze_report(tmp_path, capsys, LATTICE, "--p-grid", "3.1,4")
     supercritical, power = report["cost_curve"]["points"]
-    for entry, gam, nodes, ew, bound in ((report, 3.2942, 2.5529, 1.0991, 2.806), (power, 33.764, 1.2213, 1.4829, 1.811)):
+    for entry, gam, nodes, ew, bound, critical in ((report, 3.2942, 1.5198, 1.0287, 1.563, 0.17894),
+                                                   (power, 33.764, 1.2213, 1.4829, 1.811, 0.015354)):
         assert entry["dominating_rate"] == pytest.approx(gam, abs=1e-3)
         assert entry["nodes_per_neighborhood"] == pytest.approx(nodes, abs=1e-4)
         assert entry["expected_clan_size"] == pytest.approx(ew, abs=1e-4)
         assert entry["nodes_per_neighborhood"] * entry["expected_clan_size"] == pytest.approx(bound, abs=1e-3)
+        assert entry["critical_delta"] == pytest.approx(critical, abs=1e-5)
     assert power["dominating_rate"] == PowerLadderLattice(4, 4, 0.005).global_bound(0)
     assert not supercritical["subcritical"] and supercritical["expected_clan_size"] is None
+    assert supercritical["critical_delta"] == pytest.approx(0.0016348, abs=1e-7)
     # the curve is costed only along --p-grid; model.p is checked, not read
     sample = analyze_report(tmp_path, capsys, {"model": dict(LATTICE["model"], p=3.5)}, "--nodes", "3")
     assert sample["nodes_per_neighborhood"] == report["nodes_per_neighborhood"]

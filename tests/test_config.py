@@ -6,8 +6,8 @@ from kalisim.core import ActivityCap, NoGuard, RefractoryGap
 from kalisim.models import (
     AgeHawkesModel,
     AnalyticHawkesModel,
+    AtomLattice,
     GLModel,
-    LatticeAgeModel,
     LinearHawkesModel,
     TableModel,
 )
@@ -56,7 +56,7 @@ FAMILIES = {
         },
         TableModel,
     ),
-    "lattice-4.2.6": (LATTICE, LatticeAgeModel),
+    "lattice-4.2.6": (LATTICE, AtomLattice),
 }
 
 

@@ -18,6 +18,7 @@ from kalisim import (
     shift_to_origin,
 )
 from kalisim.models import LinearHawkesModel, lattice_preset
+from kalisim.models.presets import DiagonalLattice, LatticeNetwork
 
 
 class TestNeighborhood:
@@ -175,12 +176,10 @@ class TestEvaluateDecomposition:
         assert vals[-1] == pytest.approx(m.intensity(0, x), rel=1e-6)
 
     def test_lattice_empty_past(self):
+        # the atoms read no point of the empty past, so the base set alone is psi(0)
         m = lattice_preset(4.0, 0.5)
-        x = Configuration.empty()
         for n in (1, 3, 10):
-            part = evaluate_decomposition(m, 0, x, n)
-            assert abs(part - 1.0) <= m.ladder(0).tail(n) + 1e-12
-        assert evaluate_decomposition(m, 0, x, 1) == pytest.approx(1.0)
+            assert evaluate_decomposition(m, 0, Configuration.empty(), n) == pytest.approx(1.0, rel=1e-15)
 
     def test_guard_violation_identified(self):
         m = lattice_preset(4.0, 0.5)
@@ -282,7 +281,8 @@ def test_only_the_nested_family_knows_the_window_convention():
     owned = {"node_set", "omega", "depth", "edge", "expand", "enumerate_descriptors"}
     assert owned & set(vars(kalisim.AgeHawkesModel)) == set()
     assert owned & set(vars(kalisim.GLModel)) == {"expand", "enumerate_descriptors"}
-    assert owned & set(vars(kalisim.LatticeAgeModel)) == {"node_set", "omega", "depth"}
+    assert owned & set(vars(DiagonalLattice)) == {"omega", "depth"}
+    assert owned & set(vars(LatticeNetwork)) == {"node_set"}
 
 
 def test_every_definition_has_a_caller():

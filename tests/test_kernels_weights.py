@@ -13,12 +13,11 @@ from kalisim import (
     StepKernel,
     TableEntry,
     TableModel,
-    lattice_preset,
     validation,
 )
 from kalisim.models import age
 from kalisim.models.age import GammaLadder
-from kalisim.models.presets import lattice_gamma_bar
+from kalisim.models.presets import DiagonalLattice, lattice_gamma_bar
 from kalisim.weights import (
     AtomicWeights,
     GeometricLevels,
@@ -189,7 +188,7 @@ class TestLadderAndGeometricLevels:
     def test_levels_and_tail_sum_to_total(self):
         # the first six rungs plus the tail beyond them make up Gamma, for the
         # lattice's Lipschitz ladder and for a geometric tail past a head
-        for m in (lattice_preset(4.0, 0.25), validation.bounded_age_model()):
+        for m in (DiagonalLattice(4.0, 0.25), validation.bounded_age_model()):
             ladder = m.ladder(0)
             assert m.global_bound(0) == ladder.total
             listed = sum(ladder.level(k) for k in range(1, 7))

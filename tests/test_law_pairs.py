@@ -54,8 +54,8 @@ def test_the_power_ladder_is_a_second_decomposition_of_the_lattice():
         assert power.ladder(0).level(k) >= lipschitz.ladder(0).level(k)
 
 
-def test_the_diagonal_and_the_searched_nesting_give_one_law():
-    # node-0 counts on [0, 10), 1 000 runs an arm (about 1.5 s)
+def test_the_atoms_and_the_diagonal_give_one_law():
+    # node-0 counts on [0, 10), 1 000 runs an arm (about 1 s)
     root = RandomStream(17)
     arms = (lattice_preset(4.0, LATTICE_DELTA), DiagonalLattice(4.0, LATTICE_DELTA))
     counts = ([[len(perfect_sample(m, 0, 10.0, root.child(arm, r)).points(0))] for r in range(1_000)]
@@ -68,7 +68,7 @@ def test_lattice_ladders_and_ring_bin_widths_give_one_law():
     rep = suite_decomposition_equivalence(seed=7, lattice_runs=150, ring_runs=300)
     assert rep.passed, rep.render()
     assert [c.label for c in rep.checks if "mean" in c.label] == [
-        "lattice: node 0 mean difference", "nesting: node 0 mean difference", "ring: node 0 mean difference",
+        "lattice: node 0 mean difference", "atoms: node 0 mean difference", "ring: node 0 mean difference",
         "ring: node 1 mean difference", "ring: node 2 mean difference", "ring: node 3 mean difference",
         "ring: total mean difference",
     ]

@@ -12,6 +12,7 @@ import pytest
 import kalisim
 from kalisim import (
     AncestorGraph,
+    AtomND,
     BackwardBudget,
     BudgetExhausted,
     Configuration,
@@ -34,7 +35,7 @@ from kalisim import (
     perfect_sample_window,
 )
 from kalisim.core import TableND
-from kalisim.models import LatticeAgeModel
+from kalisim.models import AtomLattice
 from kalisim.models.age import GammaLadder
 from kalisim.models.presets import DiagonalLattice
 from kalisim.validation import (
@@ -50,7 +51,7 @@ DELTA = 0.005
 
 
 class UnderstatedLattice(DiagonalLattice):
-    """The lattice on its diagonal nesting, simulated on a ladder whose first
+    """The lattice on its diagonal levels, simulated on a ladder whose first
     rung, 0.9, lies below psi(0) = 1: its level-1 component value exceeds
     Gamma."""
 
@@ -84,7 +85,7 @@ class TestMarkDecision:
         model = lattice_preset(GAMMA, DELTA)
         ledger = RegionLedger()
         rec = ledger.add_proposal_point(0, t, mark=mark)
-        rec.neighborhood = NestedND(1)
+        rec.neighborhood = AtomND(0, 1)
         graph = backward_clan(model, 0, t, ledger, RandomStream(1), root_record=rec)
         return model, ledger, rec, graph
 
@@ -100,7 +101,7 @@ class TestMarkDecision:
         ledger, stats = RegionLedger(), PerfectRunStats()
         perfect_sample(lattice_preset(GAMMA, DELTA), 0, 20.0, RandomStream(2), ledger=ledger, stats=stats)
         roots = ledger.points_in(0, 0.0, 20.0)
-        assert stats.roots == len(roots) == len(stats.clan_sizes) > 50
+        assert stats.roots == len(roots) == len(stats.clan_sizes) == 49
         assert all(rec.children is not None and rec.decision is not None for rec in roots)
 
 
@@ -347,18 +348,18 @@ class TestRootFirst:
     no fresh point is its own clan."""
 
     def test_a_root_on_covered_ground_is_its_own_clan(self):
+        # the atom (2, 3): node 2 over [-3 delta, -2 delta) and node 0 over [-delta, 0)
         model, ledger = lattice_preset(GAMMA, DELTA), RegionLedger()
-        k = 3
-        depth = model.depth(0, k) * DELTA
-        for j in model.omega(0, k):
-            ledger.register_empty(j, -depth, 0.0)
+        desc = AtomND(2, 3)
+        for j, a, b in model.expand(0, desc).pieces():
+            ledger.register_empty(j, a, b)
         root = ledger.add_proposal_point(0, 0.0, mark=0.5)
-        root.neighborhood = NestedND(k)
+        root.neighborhood = desc
         rng = RandomStream(1)
         graph = backward_clan(model, 0, 0.0, ledger, rng, root_record=root)
         assert graph.pending == [root] and graph.clan_size() == 1
         assert root.generation == 0 and graph.terminated
-        assert root.children == [] and graph.lookback == depth
+        assert root.children == [] and graph.lookback == 3 * DELTA
         # the covered region draws nothing
         assert rng.uniform() == RandomStream(1).uniform()
 
@@ -408,7 +409,7 @@ def linear_with_declared_bounds():
     return LinearHawkesModel({0: 0.5, 1: 0.25}, kernels, eps=0.5, declared_bounds={0: 4.0, 1: 3.0})
 
 
-class CountingBoundLattice(LatticeAgeModel):
+class CountingBoundLattice(AtomLattice):
     """The lattice preset, counting its ``global_bound`` calls per node."""
 
     def __init__(self, *args):
@@ -486,7 +487,7 @@ class TestEmptyPastMemo:
         def counting(i, desc, x):
             nonlocal kept
             if x.is_empty():
-                empty[i, desc.k] += 1
+                empty[i, desc] += 1
             else:
                 kept += 1
             return value_of(i, desc, x)
@@ -512,11 +513,11 @@ class TestEmptyPastMemo:
 
 
 class TestSupremum:
-    """The lattice simulates on bar-Gamma_k, the supremum of its level-k
-    contributions over refractory pasts; Gamma is their sum."""
+    """The diagonal lattice simulates on bar-Gamma_k, the supremum of its
+    level-k contributions over refractory pasts; Gamma is their sum."""
 
     def test_component_values_stay_below_the_supremum(self):
-        model = lattice_preset(GAMMA, DELTA)
+        model = DiagonalLattice(GAMMA, DELTA)
         ladder, gam = model.ladder(0), model.global_bound(0)
         rng = np.random.default_rng(11)
         for _ in range(30):
@@ -575,18 +576,18 @@ class TestGoldenLattice:
     @pytest.mark.parametrize(
         "seed, count, ends, digest, n_points, ledger_digest",
         [
-            (1, 24, (1.2117884948237547, 19.898339040121623),
-             "58396b65b306d4429540d93b84d74b3fc8ad1462a1412bb2afe2dd19d25a397b",
-             80, "17e0bf7d21b3209c8039dfc0311348fb49e22a2c8d773ff0627ada4577307721"),
-            (2, 14, (1.6897419258450874, 18.83179701232326),
-             "c0615fc61265f2b68df95442e6825d894d4b856fa36ab0739ec3d2fd25b60529",
-             69, "54b5cb44584379100c4f9f1fb55e98a508055f1954ba402243733c4c1335c0bc"),
-            (3, 25, (0.18997970353854213, 19.29796048492093),
-             "38599a6731857abcb03d208309ef95bc4328c089e1bd381d7c72c00c7931c615",
-             69, "d78b656e4257b13d020a42d946865d2103b25dde7e89c75900a4fe64f55a8e53"),
-            (4, 21, (0.8607201262380707, 17.93755205106212),
-             "1dbbcc606492ea1f1a9a4c06120865dc9b5e2f06d9ab97fbadc112065c88a080",
-             71, "8d9313fdceb78c9817852bfe772ad215fc6802b612014eb328ef0373bc955991"),
+            (1, 16, (0.3965845139373087, 16.17180395099162),
+             "63c6e9e85db29b081bc0c6ddd24a5a749a20ac849419487bec2836386ba01be4",
+             64, "7e14b8fde12c70a19a2e3ec1487c383b3f4464630cf9d10d8b4aa2dcc729a75b"),
+            (2, 12, (2.834182640804263, 19.83962289002061),
+             "06765b3ad3867c322c821629fcbfc7f1cb0460af783cdb20ede43964e26df11e",
+             49, "a305b7fce5a7f617c3dcf4b06d72b47c31c9842b112848c4f326ddc0a62ea7dc"),
+            (3, 25, (0.1899797035385421, 19.98717774754013),
+             "b09936c3c804303e9fc12f7a6019850d0acf99f4768130b1dbf47ce8397865f7",
+             60, "5c1e3e86643eab9490257fc929378c4eb8a070ffd150f817c647e3d554ff7359"),
+            (4, 15, (1.235749623262074, 13.139331068916656),
+             "ed79c96f3480ccf419c93bf8458f685d479935b746425663dc5e32afe246bc3a",
+             66, "5217a9a67d3451035614ae521d936ea1093f4811b144ccc67e82ab201c899b0e"),
         ],
         ids=["seed1", "seed2", "seed3", "seed4"],
     )
@@ -604,28 +605,28 @@ class TestGoldenLattice:
         windows = [(0, (0.0, 8.0)), (1, (4.0, 12.0)), (2, (6.0, 10.0))]
         out = perfect_sample_window(lattice_preset(GAMMA, DELTA), windows, RandomStream(5), ledger=ledger)
         expected = {
-            0: (6, (1.579256642255967, 6.907096696710209),
-                "b153d6c868343c110f834ba578d5e9f6f4e8daaabffdfd0bb9e2174c5ec5b10d"),
-            1: (8, (4.886211711835936, 11.59213333408843),
-                "6e0f7a4a076db3b9ff9e55b90e11f9eed1417ae6890f33cf7e09b75e6e2de4b2"),
-            2: (6, (6.367264806825535, 9.96000021781953),
-                "9a304de3484543074231f530f0336ae8ac12b903114e348e437f680c9aa074b4"),
+            0: (12, (0.6146713665423869, 7.4095862093193325),
+                "9de59cf6bffcb611f4befb9d76043396ab73107ae53c99ad88fbed80b8c0b9ea"),
+            1: (7, (5.274361100775876, 8.96159614064272),
+                "88604cd2dedc1fcdd5242b960df9aba8642fc018e462888d25d0b67716fbc600"),
+            2: (3, (6.916102888455344, 8.665601072347291),
+                "8b01d9ef5fc058137622e3ef530c5776e7261f220e6f864b30417dc4287584ff"),
         }
         for node, (count, ends, digest) in expected.items():
             pts = out.points(node)
             assert len(pts) == count
             assert (pts[0], pts[-1]) == ends
             assert _times_digest(pts) == digest
-        assert ledger.n_points() == 61
-        assert _ledger_digest(ledger) == "0c58a8c17034de1cbbc1c5f201201fd002905d0d5d6eba9c37ef291c1dfe18e8"
+        assert ledger.n_points() == 62
+        assert _ledger_digest(ledger) == "7ed9c5f9ba12fdb806c06178d869d8ca5540adb13634ed88d2b35ab190adac9c"
 
     @pytest.mark.parametrize(
         "seed, roots, accepted, histogram, max_lookback",
         [
-            (1, 76, 24, {1: 72, 2: 4}, 0.03500000000000014),
-            (2, 64, 14, {1: 61, 2: 2, 4: 1}, 0.02923745676416445),
-            (3, 64, 25, {1: 59, 2: 5}, 0.030000000000001137),
-            (4, 67, 21, {1: 63, 2: 4}, 0.030000000000001137),
+            (1, 64, 16, {1: 64}, 0.019999999999999574),
+            (2, 49, 12, {1: 49}, 0.02499999999999991),
+            (3, 59, 25, {1: 58, 2: 1}, 0.025000000000000355),
+            (4, 66, 15, {1: 66}, 0.029999999999999805),
         ],
         ids=["seed1", "seed2", "seed3", "seed4"],
     )
@@ -679,7 +680,7 @@ class TestWindowMerge:
         model = lattice_preset(GAMMA, DELTA)
         whole = perfect_sample(model, 0, 5.0, RandomStream(3)).points(0)
         out = perfect_sample_window(model, [(0, w) for w in windows], RandomStream(3))
-        assert len(whole) == 7
+        assert len(whole) == 6
         assert out.points(0) == whole
 
     @pytest.mark.parametrize("window", [(2.0, 2.0), (3.0, 1.0)], ids=["empty", "reversed"])
@@ -709,7 +710,7 @@ def test_window_stats_sum_over_the_windows():
     model = lattice_preset(GAMMA, DELTA)
     out = perfect_sample_window(model, windows, RandomStream(8), ledger=ledger, stats=stats)
     # the walk draws every root of a ledger that stores them all
-    assert stats.roots == 24
+    assert stats.roots == 21
     # every root is stored and decided once
     stored = [rec for node, (a, b) in windows for rec in ledger.points_in(node, a, b)]
     assert all(rec.decision is not None for rec in stored)
@@ -768,9 +769,9 @@ def _perfect_outputs_digests():
     """One sha256 per family of seeded perfect-sampling outputs: points, run
     stats, clan sizes, lookbacks and ledgers of the lattice and of the
     one-node age model, one lattice window, and ``two_node_clan_model()``
-    clans, each built and decided on a fresh ledger. The lattice on its
-    diagonal nesting draws what the preset drew before it searched its
-    nesting, so its pin is the preset's old one."""
+    clans, each built and decided on a fresh ledger. The lattice pins are the
+    preset's atoms; the diagonal lattice draws what the preset drew before it
+    searched its nesting, so its pin is the preset's oldest one."""
     out = {}
     for name, family in _OUTPUT_FAMILIES.items():
         h = hashlib.sha256()
@@ -783,9 +784,9 @@ def test_perfect_outputs_digest():
     # one pin per family of seeded outputs; a change that claims the draws and
     # decisions of a family unchanged must leave its pin as it is
     assert _perfect_outputs_digests() == {
-        "lattice runs": "5b0fd5bc89a5b95c7086e9b9bc3e0aafb7de6ef5a1c36b19920069f7313795a9",
+        "lattice runs": "40465e7f89cf36df1a28ecf60b765570fb6da41959822006f51e5c090b7bf87b",
         "diagonal lattice runs": "74d7d195c0d43c6c7d20da9b5397ddc9189b12565198d25e204373977701ce42",
         "bounded age runs": "2ae9c4c84b645afb77d0a19b2bb88f18a617e9a710fea3df97b9ec02687e5ab2",
-        "lattice window": "5e274eb7ad6532dc5953590a302b4d97251c7f1b060868da6a83bc50ed07944b",
+        "lattice window": "8b8f2e336d46b64c3a441805cf6e974fb2b64be892a0666118c2323524fdae48",
         "table clans": "128de1efec474a5a0cf94e122450c50779790efb86e4df664cd3af45d260ef42",
     }
