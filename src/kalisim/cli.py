@@ -1,7 +1,7 @@
 """Command-line interface: simulate-forward, simulate-perfect, analyze, validate.
 
-Exit codes: 0 on success, 1 when a validation suite fails, 2 on configuration
-errors.
+Exit codes: 0 on success, 1 when a validation suite fails or when every
+simulate-perfect run exhausts its backward budget, 2 on configuration errors.
 """
 
 from __future__ import annotations
@@ -177,6 +177,9 @@ def _cmd_perfect(args) -> int:
                 "runs": summaries,
             },
         )
+    if exhausted == runs:
+        print("error: every run exhausted its backward budget; no sample was written", file=sys.stderr)
+        return EXIT_VALIDATION
     return EXIT_OK
 
 

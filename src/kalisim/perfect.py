@@ -15,12 +15,15 @@ realized points it finds were decided by earlier clans.
 
 Most roots realize no fresh point, so their clan is the root alone, and most
 points keep no accepted child, so they are decided on the empty past. The
-root is therefore expanded before the generation loop, which it skips when
-the root finds nothing new, and the model keeps each (node, descriptor)'s
-value on the empty past after its first evaluation
-(``KalikowModel.empty_past_value``). Neither changes a draw or a float.
-Each node's dominating rate Gamma_i is read once per model, through
-``KalikowModel.require_bound``, which also refuses a node without one.
+sweep therefore expands each undecided root itself and decides a root that
+realized nothing fresh on the spot, with no clan object; only a root that
+simulated points goes through ``backward_clan`` and ``forward_accept``. Both
+routes expand a point with ``_expand`` and decide it with ``_decide``, and
+the model keeps each (node, descriptor)'s value on the empty past after its
+first evaluation (``KalikowModel.empty_past_value``). Neither changes a draw
+or a float. Each node's dominating rate Gamma_i is read once per model,
+through ``KalikowModel.require_bound``, which also refuses a node without
+one.
 
 A point with drawn neighborhood v is accepted when its uniform mark is below
 phi_v(x)/Gamma, so a model must bound every component value by Gamma, and
@@ -117,6 +120,73 @@ class AncestorGraph:
 _by_time = attrgetter("time", "node")
 
 
+def _expand(model, rec: PointRecord, ledger: RegionLedger, rng: RandomStream) -> tuple[list[PointRecord], float]:
+    """Expand ``rec`` and return the points it simulated and ``first``.
+
+    Draws the point's neighborhood (once, stored on the record), realizes
+    the dominating process on the never-visited part of each node's pieces
+    shifted to the point's time, and stores every realized point of the
+    neighborhood on the record as its children, grouped by node, fresh
+    before found. ``first`` is the earliest piece start (inf for an empty
+    neighborhood), so the expansion looks back to ``first + rec.time``.
+    """
+    if rec.neighborhood is None:
+        rec.neighborhood = model.sample_neighborhood(rec.node, rng)
+    # each piece [a, b) of the neighborhood is requested at the point's time s
+    s = rec.time
+    realize, bound = ledger.realize_new, model.require_bound
+    new: list[PointRecord] = []
+    children: list[PointRecord] = []
+    first = math.inf
+    for j, pieces in model.expand(rec.node, rec.neighborhood).by_node():
+        if pieces[0][0] < first:  # pieces are sorted
+            first = pieces[0][0]
+        fresh, found = realize(j, [(a + s, b + s) for a, b in pieces], bound(j), rng)
+        if fresh:
+            new += fresh
+            children += fresh
+        if found:
+            children += found
+    rec.children = children
+    return new, first
+
+
+def _decide(rec: PointRecord, model, gam: float) -> None:
+    """Set the decision of the expanded point ``rec`` on node rate ``gam``.
+
+    The point is accepted when its mark is below phi_v(x)/gam, where x holds
+    its accepted children; with none it reads the model's empty-past value.
+    """
+    children = rec.children
+    if children is None:
+        raise LedgerError(
+            f"undecided point {rec!r} was never expanded; the ledger carries state"
+            " from an aborted run"
+        )
+    kept: dict[NodeId, list[float]] = {}
+    for child in children:
+        if child.decision is None:
+            raise LedgerError(
+                f"undecided point {child!r} found by {rec!r} is foreign to this clan;"
+                " the ledger carries state from an aborted or undecided clan"
+            )
+        if child.decision:
+            kept.setdefault(child.node, []).append(child.time - rec.time)
+    if kept:
+        # a node's children are its fresh points, then the ones found
+        x = Configuration._unsafe({j: tuple(sorted(ts)) for j, ts in kept.items()})
+        value = model.component_value(rec.node, rec.neighborhood, x)
+    else:
+        value = model.empty_past_value(rec.node, rec.neighborhood)
+    prob = value / gam
+    if prob > 1.0 + 1e-9:
+        raise NonMonotoneModelError(
+            f"component value {value:g} exceeds the dominating bound {gam:g}"
+            f" for {rec!r}; the model's declared bounds are wrong"
+        )
+    rec.decision = rec.mark < prob
+
+
 def backward_clan(
     model,
     i: NodeId,
@@ -125,6 +195,7 @@ def backward_clan(
     rng: RandomStream,
     budget: BackwardBudget = DEFAULT_BUDGET,
     root_record: Optional[PointRecord] = None,
+    _root_expansion: Optional[tuple[list[PointRecord], float]] = None,
 ) -> AncestorGraph:
     """Build the clan of ancestors of the proposal (i, t).
 
@@ -137,9 +208,12 @@ def backward_clan(
     points found along the way were decided by earlier clans; they become
     children of the point that found them and are not traversed.
 
-    The root is expanded first, on its own: most roots realize no fresh
-    point, and their clan is the root alone. Otherwise its fresh points are
-    generation 1, and each later generation is expanded in time order.
+    Every expansion is ``_expand``'s. The root is expanded first, on its
+    own: if it realizes no fresh point, its clan is the root alone.
+    Otherwise its fresh points are generation 1, and each later generation
+    is expanded in time order. The perfect sweep decides a root alone
+    itself; it hands a root that simulated points here already expanded,
+    with ``_root_expansion`` holding what ``_expand`` returned for it.
     """
     root = root_record if root_record is not None else ledger.add_proposal_point(i, t, mark=rng.uniform())
     if root.decision is not None:
@@ -148,30 +222,14 @@ def backward_clan(
 
     graph = AncestorGraph(root_record=root, pending=[root])
     pending = graph.pending
-    realize, bound = ledger.realize_new, model.require_bound
-
-    def expand(rec: PointRecord) -> list[PointRecord]:
-        if rec.neighborhood is None:
-            rec.neighborhood = model.sample_neighborhood(rec.node, rng)
-        # each piece [a, b) of the neighborhood is requested at the point's time s
-        s = rec.time
-        new: list[PointRecord] = []
-        children: list[PointRecord] = []
-        first = math.inf
-        for j, pieces in model.expand(rec.node, rec.neighborhood).by_node():
-            if pieces[0][0] < first:  # pieces are sorted
-                first = pieces[0][0]
-            fresh, found = realize(j, [(a + s, b + s) for a, b in pieces], bound(j), rng)
-            if fresh:
-                new += fresh
-                children += fresh
-            if found:
-                children += found
-        rec.children = children
-        # a + s rounds monotonically in a, so this is the largest t - (a + s)
-        # of every piece; an empty neighborhood looks nowhere (t - inf)
-        graph.lookback = max(graph.lookback, t - (first + s))
-        return new
+    frontier, first = _root_expansion if _root_expansion is not None else _expand(model, root, ledger, rng)
+    # a piece [a, b) is requested at the point's time s, and a + s rounds
+    # monotonically in a, so t - (first + s) is the largest t - (a + s) of
+    # every piece; an empty neighborhood looks nowhere (t - inf)
+    graph.lookback = max(graph.lookback, t - (first + root.time))
+    if not frontier:
+        graph.terminated = True
+        return graph
 
     # the root and at most max_points simulated points
     cap = budget.max_points + 1
@@ -189,10 +247,6 @@ def backward_clan(
             )
         return fresh
 
-    frontier = expand(root)
-    if not frontier:
-        graph.terminated = True
-        return graph
     adopt(frontier, 1)
     gen = 1
     while frontier:
@@ -206,7 +260,9 @@ def backward_clan(
             frontier.sort(key=_by_time)
         next_frontier: list[PointRecord] = []
         for rec in frontier:
-            next_frontier += adopt(expand(rec), gen + 1)
+            new, first = _expand(model, rec, ledger, rng)
+            graph.lookback = max(graph.lookback, t - (first + rec.time))
+            next_frontier += adopt(new, gen + 1)
         gen += 1
         frontier = next_frontier
 
@@ -230,41 +286,14 @@ def forward_accept(graph: AncestorGraph, model, ledger: RegionLedger) -> Ancesto
     descriptor) (``empty_past_value``). A value above Gamma raises
     ``NonMonotoneModelError`` at every point, memoized or not: the model's
     declared bounds are wrong. The ledger is not read: every pending point
-    was expanded, so its children are on its record.
+    was expanded, so its children are on its record. Each point is decided
+    by ``_decide``, which the perfect sweep also calls for a root alone.
     """
     if not graph.terminated:
         raise KalisimError("cannot run the forward pass on a non-terminated clan")
-    bound, value_of, empty_value = model.require_bound, model.component_value, model.empty_past_value
+    bound = model.require_bound
     for rec in graph.pending:
-        children = rec.children
-        if children is None:
-            raise LedgerError(
-                f"undecided point {rec!r} was never expanded; the ledger carries state"
-                " from an aborted run"
-            )
-        kept: dict[NodeId, list[float]] = {}
-        for child in children:
-            if child.decision is None:
-                raise LedgerError(
-                    f"undecided point {child!r} found by {rec!r} is foreign to this clan;"
-                    " the ledger carries state from an aborted or undecided clan"
-                )
-            if child.decision:
-                kept.setdefault(child.node, []).append(child.time - rec.time)
-        if kept:
-            # a node's children are its fresh points, then the ones found
-            x = Configuration._unsafe({j: tuple(sorted(ts)) for j, ts in kept.items()})
-            value = value_of(rec.node, rec.neighborhood, x)
-        else:
-            value = empty_value(rec.node, rec.neighborhood)
-        gam = bound(rec.node)
-        prob = value / gam
-        if prob > 1.0 + 1e-9:
-            raise NonMonotoneModelError(
-                f"component value {value:g} exceeds the dominating bound {gam:g}"
-                f" for {rec!r}; the model's declared bounds are wrong"
-            )
-        rec.decision = rec.mark < prob
+        _decide(rec, model, bound(rec.node))
     return graph
 
 
@@ -280,15 +309,27 @@ def _node_sweep(
     stats: Optional[PerfectRunStats] = None,
 ) -> None:
     gam = model.require_bound(node)
+    advance = ledger.advance
     cursor = start
-    while (rec := ledger.advance(node, cursor, limit, gam, draws)) is not None:
-        cursor = rec.time
+    while (rec := advance(node, cursor, limit, gam, draws)) is not None:
+        t = cursor = rec.time
         if rec.decision is None:
-            graph = backward_clan(model, node, rec.time, ledger, draws, budget, root_record=rec)
-            forward_accept(graph, model, ledger)
+            rec.generation = 0  # as backward_clan marks its root
+            fresh, first = _expand(model, rec, ledger, draws)
+            if fresh:
+                graph = backward_clan(
+                    model, node, t, ledger, draws, budget, root_record=rec, _root_expansion=(fresh, first)
+                )
+                forward_accept(graph, model, ledger)
+                size, lookback = graph.clan_size(), graph.lookback
+            else:
+                # the root alone is its clan: backward_clan would look back
+                # max(0.0, t - (first + t)) and decide it by itself
+                _decide(rec, model, gam)
+                size, lookback = 1, max(0.0, t - (first + t))
             if stats is not None:
-                stats.clan_sizes.append(graph.clan_size())
-                stats.lookbacks.append(graph.lookback)
+                stats.clan_sizes.append(size)
+                stats.lookbacks.append(lookback)
         if stats is not None:
             stats.roots += 1
             stats.accepted += rec.decision

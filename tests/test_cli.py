@@ -317,6 +317,25 @@ def test_simulate_perfect_records_exhausted_runs(tmp_path, capsys):
     assert capsys.readouterr().err.count("backward budget exhausted") == 2
 
 
+def test_simulate_perfect_fails_when_every_run_exhausts(tmp_path, capsys):
+    # the same clans under a one-generation budget: no run writes a sample
+    summary_path = tmp_path / "summary.json"
+    cfg = {
+        "model": dict(TABLE["model"], bounds={"0": 5.0}),
+        "simulation": {"t_max": 1.0, "budget": {"max_generations": 1}},
+        "rng": {"seed": 3, "runs": 2},
+        "output": {"points": str(tmp_path / "points.csv"), "summary": str(summary_path)},
+    }
+    assert main(["simulate-perfect", "--config", write_config(tmp_path, cfg)]) == EXIT_VALIDATION
+    summary = json.loads(summary_path.read_text())
+    assert summary["budget_exhausted_runs"] == 2
+    assert [r["budget_exhausted"] for r in summary["runs"]] == [True, True]
+    assert not list(tmp_path.glob("points*.csv"))
+    err = capsys.readouterr().err
+    assert err.count("backward budget exhausted") == 2
+    assert "every run exhausted its backward budget" in err
+
+
 @pytest.mark.parametrize("suite", ["fixed-point", "weight-optimum", "constant-rate-perfect"])
 def test_validate_passes_a_suite_in_process(suite, capsys):
     assert main(["validate", suite]) == EXIT_OK

@@ -11,6 +11,8 @@ import pytest
 
 import kalisim
 from kalisim import (
+    AffineRate,
+    AgeHawkesModel,
     AncestorGraph,
     AtomND,
     BackwardBudget,
@@ -510,6 +512,133 @@ class TestEmptyPastMemo:
                 forward_accept(graph, model, ledger)
         # the first decision computed the value, the second read the memo
         assert len(calls) == 1
+
+    def test_an_understated_bound_raises_in_the_sweep_on_a_memo_hit(self):
+        # every root of this model is its own clan, decided in the sweep
+        model = TableModel({0: [TableEntry(1.0, Neighborhood.empty(), 1.0, 1.0)]}, bounds={0: 0.5})
+        empty = next(iter(model.enumerate_descriptors(0)))
+        assert model.empty_past_value(0, empty) == 1.0
+        with pytest.raises(NonMonotoneModelError, match="dominating bound 0.5"):
+            perfect_sample(model, 0, 10.0, RandomStream(3))
+
+
+class _FixedChild:
+    """A parent stream whose ``child(0)`` is one given stream, so a test can
+    read the sweep's stream after the sweep."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def child(self, *path):
+        assert path == (0,)
+        return self.stream
+
+
+def reference_sweep(model, windows, rng, ledger, stats, budget=BackwardBudget()):
+    """``perfect_sample_window`` on sorted, disjoint ``windows``, with every
+    undecided root handed to ``backward_clan`` and ``forward_accept``."""
+    draws = rng.child(0)
+    out = {}
+    for node, (a, b) in windows:
+        gam = model.require_bound(node)
+        cursor = a
+        while (rec := ledger.advance(node, cursor, b, gam, draws)) is not None:
+            cursor = rec.time
+            if rec.decision is None:
+                graph = backward_clan(model, node, rec.time, ledger, draws, budget, root_record=rec)
+                forward_accept(graph, model, ledger)
+                stats.clan_sizes.append(graph.clan_size())
+                stats.lookbacks.append(graph.lookback)
+            stats.roots += 1
+            stats.accepted += rec.decision
+            if rec.decision:
+                out.setdefault(node, []).append(rec.time)
+    return Configuration({j: ts for j, ts in out.items()})
+
+
+def age_pair():
+    """A bounded two-node age model whose nodes drive each other."""
+    return AgeHawkesModel(
+        psi=AffineRate(0.5, 0.5),
+        kernels={
+            (0, 0): ExponentialKernel(0.8, 2.0),
+            (0, 1): ExponentialKernel(0.3, 1.0),
+            (1, 0): ExponentialKernel(0.5, 1.5),
+        },
+        refractory=0.5,
+        nodes=[0, 1],
+    )
+
+
+class TestSweepAgainstReference:
+    """The sweep decides a root that realizes nothing fresh in place; every
+    other root goes through ``backward_clan`` and ``forward_accept``. Both
+    give what the reference sweep, which sends every root through them,
+    gives: the same points, stats, ledger and draws, bit for bit."""
+
+    MODELS = [
+        pytest.param(
+            lambda: lattice_preset(GAMMA, DELTA), 50.0, [(0, (0.0, 20.0)), (0, (25.0, 30.0)), (1, (10.0, 35.0))],
+            id="atom-lattice",
+        ),
+        pytest.param(lambda: DiagonalLattice(GAMMA, DELTA), 3.0, [(0, (0.0, 1.5)), (2, (0.5, 2.0))],
+                     id="diagonal-lattice"),
+        pytest.param(age_pair, 20.0, [(0, (0.0, 8.0)), (1, (3.0, 10.0))], id="age-pair"),
+        pytest.param(two_node_clan_model, 20.0, [(0, (0.0, 6.0)), (1, (2.0, 9.0))], id="two-node-table"),
+    ]
+
+    def run_both(self, make, sample, reference, seed):
+        runs = []
+        for sweep in (sample, reference):
+            ledger, stats, stream = RegionLedger(), PerfectRunStats(), RandomStream(seed).child(0)
+            out = sweep(make(), _FixedChild(stream), ledger, stats)
+            runs.append((out, stats.to_json(), ledger.to_json(), stream.uniform()))
+        assert runs[0] == runs[1]
+        return runs[0][1]
+
+    @pytest.mark.parametrize("make, t_max, windows", MODELS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_perfect_sample(self, make, t_max, windows, seed):
+        stats = self.run_both(
+            make,
+            lambda model, rng, ledger, stats: perfect_sample(model, 0, t_max, rng, ledger=ledger, stats=stats),
+            lambda model, rng, ledger, stats: reference_sweep(model, [(0, (0.0, t_max))], rng, ledger, stats),
+            seed,
+        )
+        assert stats["roots"] > 0
+
+    @pytest.mark.parametrize("make, t_max, windows", MODELS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_perfect_sample_window(self, make, t_max, windows, seed):
+        self.run_both(
+            make,
+            lambda model, rng, ledger, stats: perfect_sample_window(model, windows, rng, ledger=ledger, stats=stats),
+            lambda model, rng, ledger, stats: reference_sweep(model, windows, rng, ledger, stats),
+            seed,
+        )
+
+    @pytest.mark.parametrize("make, t_max, windows", MODELS)
+    def test_both_routes_are_taken(self, make, t_max, windows):
+        # the runs above hold roots alone, decided in place, and clans that
+        # simulated points
+        stats = PerfectRunStats()
+        for seed in range(4):
+            perfect_sample(make(), 0, t_max, RandomStream(seed), stats=stats)
+        assert 1 in stats.clan_sizes and max(stats.clan_sizes) > 1
+
+    def test_an_exhausted_budget_leaves_the_same_ledger(self):
+        budget = BackwardBudget(max_points=20)
+        failures = []
+        for sweep in (
+            lambda rng, ledger: perfect_sample(spread_gate_model(5.0), 0, 50.0, rng, budget, ledger),
+            lambda rng, ledger: reference_sweep(spread_gate_model(5.0), [(0, (0.0, 50.0))], rng, ledger,
+                                                PerfectRunStats(), budget),
+        ):
+            ledger, stream = RegionLedger(), RandomStream(1).child(0)
+            with pytest.raises(BudgetExhausted) as info:
+                sweep(_FixedChild(stream), ledger)
+            failures.append((str(info.value), info.value.graph.clan_size(), ledger.to_json(), stream.uniform()))
+        assert failures[0] == failures[1]
 
 
 class TestSupremum:
